@@ -106,122 +106,3 @@ def test_microbench_zero_copy_fingerprinting(record):
     # Lenient wall-clock check: dropping a per-chunk bytes() copy must
     # not make hashing slower (generous margin for CI noise).
     assert view_time <= copy_time * 1.25
-
-
-# ---------------------------------------------------------------------------
-# Per-stage ingest wall-clock profile
-# ---------------------------------------------------------------------------
-
-
-def test_microbench_ingest_stage_profile(record):
-    """Where does a backup's host time actually go?
-
-    The virtual cost model answers that question for *simulated* seconds;
-    this profile answers it for real ones, stage by stage, on the same
-    chunk stream the zero-copy bench uses:
-
-    * **chunk** — the CDC boundary scan,
-    * **fingerprint** — hashing every chunk,
-    * **index** — Rocks-OSS global-index writes then batched lookups,
-    * **flush** — packing containers and putting them to the OSS.
-
-    It then times the parallel engine's fused chunk+fingerprint against
-    the serial sum of those two stages — the two CPU-bound stages the
-    engine parallelises — so the profile and the wall-clock scaling bench
-    tell one coherent story.
-    """
-    from repro.core.container import ContainerBuilder
-    from repro.core.global_index import GlobalIndex
-    from repro.exec import ParallelExecutor
-    from repro.oss.object_store import ObjectStorageService
-
-    data = make_stream()
-    chunker = make_chunker("fastcdc", ChunkerParams().scaled(4096))
-
-    def _timed(fn):
-        best = float("inf")
-        result = None
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return result, best
-
-    boundary_set, chunk_s = _timed(lambda: chunker.boundaries(data))
-
-    def _fingerprint_walk():
-        view = memoryview(data)
-        digests = []
-        position = 0
-        while position < len(data):
-            end = boundary_set.next_cut(position)
-            digests.append((position, end, fingerprint(view[position:end])))
-            position = end
-        return digests
-
-    spans, fp_s = _timed(_fingerprint_walk)
-
-    def _index_round_trip():
-        index = GlobalIndex(ObjectStorageService(), use_bloom=False)
-        index.put_many((fp, i % 7) for i, (_s, _e, fp) in enumerate(spans))
-        return index.get_many([fp for _s, _e, fp in spans])
-
-    lookup_result, index_s = _timed(_index_round_trip)
-    assert len(lookup_result.owners) == len({fp for _s, _e, fp in spans})
-    assert not lookup_result.failed
-
-    def _flush_containers():
-        oss = ObjectStorageService()
-        oss.create_bucket("bench")
-        builder = ContainerBuilder(0, 4 << 20)
-        written = 0
-        for start, end, fp in spans:
-            if builder.is_full():
-                oss.put_object("bench", f"containers/{written:08d}", builder.payload())
-                written += 1
-                builder = ContainerBuilder(written, 4 << 20)
-            builder.add_chunk(fp, data[start:end])
-        if not builder.is_empty():
-            oss.put_object("bench", f"containers/{written:08d}", builder.payload())
-            written += 1
-        return written
-
-    containers, flush_s = _timed(_flush_containers)
-    assert containers >= 1
-
-    with ParallelExecutor(4) as executor:
-        (engine_set, memo), engine_s = _timed(
-            lambda: executor.chunk_and_fingerprint(chunker, data)
-        )
-    assert engine_set.length == boundary_set.length
-    assert all(memo[(s, e)] == fp for s, e, fp in spans)
-
-    total = chunk_s + fp_s + index_s + flush_s
-    stages = [
-        ("chunk", chunk_s),
-        ("fingerprint", fp_s),
-        ("index", index_s),
-        ("flush", flush_s),
-    ]
-    lines = [
-        "Microbenchmark: per-stage ingest wall-clock profile",
-        "=" * 60,
-        f"stream: {STREAM_BYTES >> 20} MiB, {len(spans)} chunks, "
-        f"{containers} containers, best of {ROUNDS}",
-    ]
-    for name, seconds in stages:
-        lines.append(
-            f"{name:<12}: {seconds * 1e3:8.2f} ms  "
-            f"({seconds / total * 100:5.1f}% of serial total)"
-        )
-    lines += [
-        f"serial chunk+fingerprint : {(chunk_s + fp_s) * 1e3:8.2f} ms",
-        f"engine chunk+fingerprint : {engine_s * 1e3:8.2f} ms "
-        f"({(chunk_s + fp_s) / engine_s:4.2f}x)",
-    ]
-    record("microbench_stage_profile", "\n".join(lines))
-
-    # Every stage must register, and the engine must not be slower than
-    # the serial pair it replaces (generous margin for CI noise).
-    assert all(seconds > 0 for _name, seconds in stages)
-    assert engine_s <= (chunk_s + fp_s) * 1.25

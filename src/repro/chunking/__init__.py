@@ -7,11 +7,14 @@ chunking, plus the two history-aware accelerations SLIMSTORE contributes
 that owns recipe history, its policy types are defined here).
 
 Implementation note: each chunker precomputes every hash-condition position
-in a buffer with vectorised numpy arithmetic (``BoundarySet``), and chunk
-cutting walks those candidates under min/avg/max rules.  The *virtual-time
-cost* of chunking is charged per byte scanned via the cost model, so the
-simulation still reflects byte-by-byte scanning even though the Python
-implementation is vectorised.
+in a buffer (``BoundarySet``) with the one rolling-hash scan kernel in
+:mod:`repro.chunking.scan` — a numpy log-doubling windowed hash over
+cache-sized tiles, to which a chunker contributes only its window, byte
+table, combine step and cut masks — and chunk cutting walks those
+candidates under min/avg/max rules.  The *virtual-time cost* of chunking is
+charged per byte scanned via the cost model, so the simulation still
+reflects byte-by-byte scanning even though the Python implementation is
+vectorised.
 """
 
 from repro.chunking.base import (

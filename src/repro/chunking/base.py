@@ -155,9 +155,29 @@ class Chunker(ABC):
 
     #: Cost-model algorithm key ("rabin", "gear", "fastcdc", "fixed").
     name: str = "abstract"
+    #: Rolling-hash window width in bytes; None for a chunker that never
+    #: looks at content (fixed-size), which has no :meth:`candidates`.
+    window: int | None = None
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         self.params = params or ChunkerParams()
+        if self.window is not None and self.params.min_size <= self.window:
+            raise ValueError(
+                f"min chunk size {self.params.min_size} must exceed the "
+                f"{self.window}-byte {self.name} window"
+            )
+
+    def candidates(self, buf: bytes | memoryview) -> list[np.ndarray]:
+        """Hash-condition offsets of every full window in ``buf``.
+
+        The scan :meth:`boundaries` wraps, without its whole-buffer rules:
+        ``[permissive]`` or ``[permissive, strict]`` ascending int64
+        offsets, in :class:`BoundarySet` argument order.  Offsets are
+        window *ends* local to ``buf`` (the first possible one is
+        ``window``), so ``buf`` may be any slice of a stream and the
+        caller adds the slice origin.
+        """
+        raise NotImplementedError(f"{self.name} chunking scans no content")
 
     @abstractmethod
     def boundaries(self, data: bytes) -> BoundarySet:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
-from repro.chunking.gear import WINDOW, gear_hash_positions, top_bits_mask
+from repro.chunking.gear import GEAR_TABLE, WINDOW, gear_combine, top_bits_mask
+from repro.chunking.scan import cut_positions
 
 #: Normalization level: strict mask has +NC bits, permissive has -NC bits.
 NORMALIZATION = 2
@@ -23,34 +24,24 @@ class FastCDCChunker(Chunker):
     """FastCDC with two-level normalized chunking."""
 
     name = "fastcdc"
+    window = WINDOW
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         super().__init__(params)
-        if self.params.min_size <= WINDOW:
-            raise ValueError(
-                f"min chunk size {self.params.min_size} must exceed the "
-                f"{WINDOW}-byte gear window"
-            )
         avg_bits = self.params.avg_size.bit_length() - 1
         strict_bits = min(avg_bits + NORMALIZATION, 31)
         permissive_bits = max(avg_bits - NORMALIZATION, 1)
         self._strict_mask = top_bits_mask(strict_bits)
         self._permissive_mask = top_bits_mask(permissive_bits)
 
-    @property
-    def strict_mask(self) -> np.uint64:
-        """Strict cut mask applied before the average size."""
-        return self._strict_mask
-
-    @property
-    def permissive_mask(self) -> np.uint64:
-        """Permissive cut mask applied after the average size."""
-        return self._permissive_mask
+    def candidates(self, buf: bytes | memoryview) -> list[np.ndarray]:
+        return cut_positions(
+            buf,
+            WINDOW,
+            GEAR_TABLE,
+            gear_combine,
+            [(self._permissive_mask, 0), (self._strict_mask, 0)],
+        )
 
     def boundaries(self, data: bytes) -> BoundarySet:
-        hashes = gear_hash_positions(data)
-        permissive_hits = np.nonzero((hashes & self._permissive_mask) == 0)[0]
-        permissive = permissive_hits.astype(np.int64) + WINDOW
-        strict_hits = np.nonzero((hashes & self._strict_mask) == 0)[0]
-        strict = strict_hits.astype(np.int64) + WINDOW
-        return BoundarySet(len(data), self.params, permissive, strict)
+        return BoundarySet(len(data), self.params, *self.candidates(data))

@@ -12,71 +12,54 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
+from repro.chunking.scan import cut_positions
 
 #: Implicit window: how many trailing bytes influence a 32-bit gear hash.
 WINDOW = 32
 #: Hash width in bits.
 HASH_BITS = 32
-_HASH_MASK = np.uint64((1 << HASH_BITS) - 1)
 
 
 def _gear_table(seed: int = 0x5EED) -> np.ndarray:
     """The 256-entry random table shared by Gear and FastCDC."""
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << HASH_BITS, size=256, dtype=np.uint64)
+    return rng.integers(0, 1 << HASH_BITS, size=256, dtype=np.uint64).astype(np.uint32)
 
 
+#: uint32, so the scan kernel's arithmetic wraps mod 2^32 like the hash.
 GEAR_TABLE = _gear_table()
 
 
-def gear_hash_positions(data: bytes) -> np.ndarray:
-    """Gear hash of the window ending at each position (length-WINDOW+1 values).
+def gear_combine(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
+    """Hash of a run followed by a ``span``-byte run: ``(l << span) + r``.
 
-    Entry ``j`` is the hash for stream position ``p = j + WINDOW``, i.e.
-    the window ``data[p-WINDOW:p]``.
+    Rolling ``h = (h << 1) + gear[b]`` over the right-hand run shifts the
+    left-hand hash ``span`` places, and the shift distributes over the sum.
     """
-    length = len(data)
-    if length < WINDOW:
-        return np.empty(0, dtype=np.uint64)
-    mapped = GEAR_TABLE[np.frombuffer(data, dtype=np.uint8)]
-    window_count = length - WINDOW + 1
-    with np.errstate(over="ignore"):
-        acc = np.zeros(window_count, dtype=np.uint64)
-        for t in range(WINDOW):
-            shift = np.uint64(WINDOW - 1 - t)
-            acc += mapped[t : t + window_count] << shift
-    return acc & _HASH_MASK
+    return (left << np.uint32(span)) + right
 
 
-def top_bits_mask(bits: int) -> np.uint64:
+def top_bits_mask(bits: int) -> np.uint32:
     """A mask selecting the ``bits`` most significant hash bits."""
     if not 0 < bits < HASH_BITS:
         raise ValueError(f"mask bits must be in (0, {HASH_BITS}): {bits}")
-    return np.uint64(((1 << bits) - 1) << (HASH_BITS - bits))
+    return np.uint32(((1 << bits) - 1) << (HASH_BITS - bits))
 
 
 class GearChunker(Chunker):
     """Plain gear-hash CDC with a single cut condition."""
 
     name = "gear"
+    window = WINDOW
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         super().__init__(params)
-        if self.params.min_size <= WINDOW:
-            raise ValueError(
-                f"min chunk size {self.params.min_size} must exceed the "
-                f"{WINDOW}-byte gear window"
-            )
         avg_bits = self.params.avg_size.bit_length() - 1
+        # A hash is a cut when its top log2(avg) bits are all zero.
         self._mask = top_bits_mask(min(avg_bits, HASH_BITS - 1))
 
-    @property
-    def cut_mask(self) -> np.uint64:
-        """The cut-condition mask (a hash is a cut when ``h & mask == 0``)."""
-        return self._mask
+    def candidates(self, buf: bytes | memoryview) -> list[np.ndarray]:
+        return cut_positions(buf, WINDOW, GEAR_TABLE, gear_combine, [(self._mask, 0)])
 
     def boundaries(self, data: bytes) -> BoundarySet:
-        hashes = gear_hash_positions(data)
-        hits = np.nonzero((hashes & self._mask) == 0)[0]
-        positions = hits.astype(np.int64) + WINDOW
-        return BoundarySet(len(data), self.params, positions)
+        return BoundarySet(len(data), self.params, *self.candidates(data))

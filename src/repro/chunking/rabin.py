@@ -17,56 +17,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
+from repro.chunking.scan import cut_positions
 
 #: Sliding-window width in bytes.
 WINDOW = 48
 #: Odd multiplier of the rolling polynomial.
-PRIME = np.uint64(0x3B9ACA07)
+PRIME = 0x3B9ACA07
+#: Per-byte values in the hash ring: uint64 wraparound is the mod 2^64.
+_BYTE_VALUES = np.arange(256, dtype=np.uint64)
 
 
-def _window_coefficients() -> np.ndarray:
-    """coef[t] = PRIME^(WINDOW-1-t) mod 2^64 for window offset t."""
-    coefficients = np.empty(WINDOW, dtype=np.uint64)
-    power = 1
-    for exponent in range(WINDOW):
-        coefficients[WINDOW - 1 - exponent] = power
-        power = (power * int(PRIME)) % (1 << 64)
-    return coefficients
-
-
-_COEFFICIENTS = _window_coefficients()
+def rabin_combine(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
+    """Hash of a run followed by a ``span``-byte run: ``l * P^span + r``."""
+    return left * np.uint64(pow(PRIME, span, 1 << 64)) + right
 
 
 class RabinChunker(Chunker):
     """Rabin rolling-hash content-defined chunking."""
 
     name = "rabin"
+    window = WINDOW
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         super().__init__(params)
-        if self.params.min_size <= WINDOW:
-            raise ValueError(
-                f"min chunk size {self.params.min_size} must exceed the "
-                f"{WINDOW}-byte rolling window"
-            )
         # Cut when the low log2(avg) bits are all ones: density 1/avg.
         self._mask = np.uint64(self.params.avg_size - 1)
 
-    @property
-    def cut_mask(self) -> np.uint64:
-        """The cut-condition mask (a hash is a cut when ``h & mask == mask``)."""
-        return self._mask
+    def candidates(self, buf: bytes | memoryview) -> list[np.ndarray]:
+        return cut_positions(
+            buf, WINDOW, _BYTE_VALUES, rabin_combine, [(self._mask, self._mask)]
+        )
 
     def boundaries(self, data: bytes) -> BoundarySet:
-        length = len(data)
-        if length <= WINDOW:
-            return BoundarySet(length, self.params, np.empty(0, dtype=np.int64))
-        stream = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        window_count = length - WINDOW + 1
-        with np.errstate(over="ignore"):
-            acc = np.zeros(window_count, dtype=np.uint64)
-            for t in range(WINDOW):
-                acc += stream[t : t + window_count] * _COEFFICIENTS[t]
-        hits = np.nonzero((acc & self._mask) == self._mask)[0]
-        positions = hits.astype(np.int64) + WINDOW
-        return BoundarySet(length, self.params, positions)
+        # Repository format: a buffer of at most one window has never
+        # yielded a position, although WINDOW bytes do hold one window.
+        if len(data) <= WINDOW:
+            return BoundarySet(len(data), self.params, np.empty(0, dtype=np.int64))
+        return BoundarySet(len(data), self.params, *self.candidates(data))

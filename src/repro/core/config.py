@@ -163,13 +163,10 @@ class SlimStoreConfig:
     fault_domains: int = 3
 
     # --- wall-clock execution engine -------------------------------------------
-    #: Real worker count for the parallel execution engine (chunk +
-    #: fingerprint fan-out, vectorised CDC scan, threaded OSS IO).  0 keeps
-    #: today's serial path; any N >= 1 is byte-identical to serial.
+    #: Worker threads for the parallel execution engine (scan +
+    #: fingerprint fan-out, threaded OSS IO).  0 builds no engine; any
+    #: N >= 1 is byte-identical to it.
     workers: int = 0
-    #: Compute-pool flavour: "thread" (numpy/hashlib release the GIL) or
-    #: "process" (fork workers for pure-python stages).
-    exec_mode: str = "thread"
     #: Chunk fingerprint algorithm: "sha1" (default) or "blake2b".  Pinned
     #: per repository — digests from different algorithms never match.
     fingerprint_algo: str = "sha1"
@@ -207,10 +204,6 @@ class SlimStoreConfig:
             raise ValueError(f"flush_buffers cannot be negative: {self.flush_buffers}")
         if self.workers < 0:
             raise ValueError(f"workers cannot be negative: {self.workers}")
-        if self.exec_mode not in ("thread", "process"):
-            raise ValueError(
-                f"exec_mode must be 'thread' or 'process': {self.exec_mode!r}"
-            )
         from repro.fingerprint.hashing import FINGERPRINT_ALGORITHMS
 
         if self.fingerprint_algo not in FINGERPRINT_ALGORITHMS:

@@ -260,11 +260,12 @@ class BackupEngine:
         breakdown = TimeBreakdown()
         counters = Counters()
         fp_memo: dict[tuple[int, int], bytes] = {}
-        if self._executor is not None and self._executor.active:
-            # Real workers: vectorised slab scan + pooled fingerprints of
-            # every plain-CDC chunk span.  Both are pure functions of the
-            # payload, so the classification below is byte-identical;
-            # spans it invents itself (skips, superchunks) hash inline.
+        if self._executor is not None:
+            # Real workers: boundary scan in parallel shares + pooled
+            # fingerprints of every plain-CDC chunk span.  Both are pure
+            # functions of the payload, so the classification below is
+            # byte-identical; spans it invents itself (skips, superchunks)
+            # hash inline.
             boundary_set, fp_memo = self._executor.chunk_and_fingerprint(
                 self._chunker, data, self.config.fingerprint_algo
             )
@@ -469,19 +470,14 @@ class _JobState:
         #: superchunk merging miss it and hash inline via :meth:`_fp`.
         self._fp_memo = fp_memo or {}
         self._fingerprint = engine._fingerprint
-        #: Background container flush: with an active executor and no
+        #: Background container flush: with an executor and no
         #: fault policy or durability tier (whose seeded RNG draws and
         #: journaled tier changes must stay in serial order), container
         #: uploads run on the IO pool, double-buffered against the next
         #: segment's CPU — for real this time, not just in the event model.
-        io_pool = (
-            engine._executor.io_pool
-            if engine._executor is not None and engine._executor.active
-            else None
-        )
         self._flush_pool = (
-            io_pool
-            if io_pool is not None
+            engine._executor.io_pool
+            if engine._executor is not None
             and getattr(self.storage.oss, "faults", None) is None
             and self.storage.durability is None
             else None

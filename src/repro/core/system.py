@@ -291,9 +291,7 @@ class SlimStore:
         if self.config.workers > 0:
             from repro.exec import ParallelExecutor
 
-            self.executor = ParallelExecutor(
-                self.config.workers, mode=self.config.exec_mode
-            )
+            self.executor = ParallelExecutor(self.config.workers)
             # Concurrent ranged GETs ride the same pool (the raw endpoint
             # only uses it when no fault policy is installed).
             self.oss.io_pool = self.executor.io_pool

@@ -1,19 +1,18 @@
 """Wall-clock parallel execution engine.
 
 Everything else in the reproduction runs single-threaded under virtual
-time; this package adds *measured* speed: a log-doubling vectorised CDC
-boundary scan (:mod:`repro.exec.vectorscan`), a :class:`ParallelExecutor`
-fanning chunk+fingerprint work across a thread or process pool
-(:mod:`repro.exec.engine`), and a bounded IO thread pool for concurrent
-OSS ranged reads and container flushes (:mod:`repro.exec.iopool`).
+time; this package adds *measured* speed: a :class:`ParallelExecutor`
+fanning the chunkers' scan kernel and chunk fingerprinting across a thread
+pool (:mod:`repro.exec.engine`), and a bounded IO thread pool for
+concurrent OSS ranged reads and container flushes
+(:mod:`repro.exec.iopool`).
 
-All of it is behind ``SlimStoreConfig.workers`` — ``workers=0`` keeps
-today's serial path, and every parallel mode is bucket-for-bucket
-byte-identical to serial (see docs/PARALLELISM.md).
+All of it is behind ``SlimStoreConfig.workers`` — ``workers=0`` builds no
+executor at all, and every worker count is bucket-for-bucket
+byte-identical to it (see docs/PARALLELISM.md).
 """
 
 from repro.exec.engine import ParallelExecutor
 from repro.exec.iopool import IOPool
-from repro.exec.vectorscan import scan_positions
 
-__all__ = ["IOPool", "ParallelExecutor", "scan_positions"]
+__all__ = ["IOPool", "ParallelExecutor"]

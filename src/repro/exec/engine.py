@@ -1,163 +1,101 @@
 """ParallelExecutor: chunk + fingerprint a backup stream with real workers.
 
-The executor owns two pools:
+The executor owns two thread pools:
 
-  - a *compute* pool (threads by default, fork processes on request) that
-    runs the vectorised boundary scan over buffer slabs and fingerprints
-    chunk batches — numpy and hashlib both release the GIL, so threads
-    already scale, and processes cover pure-python paths;
+  - a *compute* pool that scans shares of a large buffer with the
+    chunker's own kernel (:meth:`repro.chunking.base.Chunker.candidates`)
+    and fingerprints chunk batches — numpy and hashlib both release the
+    GIL, so threads scale and share the buffer zero-copy;
   - an *IO* pool (:class:`repro.exec.iopool.IOPool`) that the OSS layer
     and the container flusher borrow for concurrent ranged reads and
     background PUTs.
 
-Everything here is deterministic: slabs partition the window-index range,
-positions map back by adding the slab origin, and the concatenation of
-ascending slab outputs is exactly the serial scan's output.  Fingerprints
-are pure functions of chunk payloads.  Parallel runs are therefore
-byte-identical to serial — the property the differential parity suite
-enforces.
+Everything here is deterministic: shares partition the window-index range,
+offsets map back by adding the share origin, and the concatenation of
+ascending share outputs is exactly ``chunker.boundaries(data)``.
+Fingerprints are pure functions of chunk payloads.  Parallel runs are
+therefore byte-identical to serial — the property the differential parity
+suite enforces.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from functools import lru_cache
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.chunking.base import BoundarySet, Chunker, ChunkerParams, make_chunker
-from repro.exec import vectorscan
+from repro.chunking.base import BoundarySet, Chunker
 from repro.exec.iopool import IOPool
 from repro.fingerprint.hashing import make_fingerprinter
 
-#: Minimum slab width (in window positions) worth shipping to a worker.
-_MIN_SLAB = 1 << 20
+#: Fewest window positions worth a pool task: a buffer fans out into
+#: shares of ``max(_MIN_SHARE, ceil(windows / workers))`` positions.
+_MIN_SHARE = 4 << 20
 #: Target payload bytes per fingerprint batch task.
 _FP_BATCH_BYTES = 1 << 20
 #: Maximum chunk count per fingerprint batch task.
 _FP_BATCH_CHUNKS = 256
 
-EXEC_MODES = ("thread", "process")
 
-
-@lru_cache(maxsize=8)
-def _cached_chunker(name: str, min_size: int, avg_size: int, max_size: int) -> Chunker:
-    """Rebuild a chunker in a worker process (or reuse one in-process)."""
-    return make_chunker(name, ChunkerParams(min_size, avg_size, max_size))
-
-
-def _scan_task(
-    name: str, params: tuple[int, int, int], buf: bytes | memoryview
-) -> tuple[np.ndarray, np.ndarray | None]:
-    return vectorscan.slab_scan(_cached_chunker(name, *params), buf)
+def _scan_task(chunker: Chunker, buf: memoryview, origin: int) -> list[np.ndarray]:
+    return [offsets + origin for offsets in chunker.candidates(buf)]
 
 
 def _fp_task(
-    algo: str, buf: bytes | memoryview, ranges: list[tuple[int, int]], base: int
+    algo: str, buf: memoryview, ranges: list[tuple[int, int]], base: int
 ) -> list[bytes]:
     fingerprinter = make_fingerprinter(algo)
-    view = memoryview(buf)
-    return [fingerprinter(view[start - base : end - base]) for start, end in ranges]
+    return [fingerprinter(buf[start - base : end - base]) for start, end in ranges]
 
 
 class ParallelExecutor:
-    """Fans CDC scanning and fingerprinting across a worker pool.
+    """Fans CDC scanning and fingerprinting across ``workers`` threads.
 
-    ``workers=0`` means inactive: callers must keep their serial path.
-    ``mode`` picks the compute pool flavour — "thread" (default; numpy and
-    hashlib release the GIL) or "process" (fork workers for pure-python
-    stages).  The IO pool is always threads: it exists to overlap
-    GIL-releasing syscalls, and OSS handles don't cross processes.
+    Built only for ``workers >= 1`` (``SlimStore`` keeps ``workers=0`` on
+    the direct ``chunker.boundaries`` call).  Both pools start lazily and
+    restart after :meth:`close`.
     """
 
-    def __init__(
-        self, workers: int = 0, mode: str = "thread", slab_bytes: int = 4 << 20
-    ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0: {workers}")
-        if mode not in EXEC_MODES:
-            raise ValueError(f"exec mode must be one of {EXEC_MODES}: {mode!r}")
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1: {workers}")
         self.workers = workers
-        self.mode = mode
-        self.slab_bytes = max(slab_bytes, _MIN_SLAB)
-        self._compute: Executor | None = None
-        self._io_pool: IOPool | None = None
+        self._compute: ThreadPoolExecutor | None = None
+        self.io_pool = IOPool(workers)
 
-    @property
-    def active(self) -> bool:
-        return self.workers > 0
-
-    @property
-    def io_pool(self) -> IOPool | None:
-        if not self.active:
-            return None
-        if self._io_pool is None:
-            self._io_pool = IOPool(self.workers)
-        return self._io_pool
-
-    def _pool(self) -> Executor:
+    def _pool(self) -> ThreadPoolExecutor:
         if self._compute is None:
-            if self.mode == "process":
-                self._compute = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            else:
-                self._compute = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-exec"
-                )
+            self._compute = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-exec"
+            )
         return self._compute
-
-    def _ship(self, data: bytes | memoryview, start: int, stop: int):
-        """A buffer slice a worker can consume (bytes copy for processes)."""
-        view = memoryview(data)[start:stop]
-        return bytes(view) if self.mode == "process" else view
 
     # ------------------------------------------------------------------
     # boundary scan
 
     def scan_boundaries(self, chunker: Chunker, data: bytes) -> BoundarySet:
-        """The chunker's BoundarySet for ``data``, scanned slab-parallel.
-
-        Identical to ``chunker.boundaries(data)`` for every chunker and
-        buffer length, including the rabin short-buffer quirk.
-        """
-        window = vectorscan.scan_window(chunker)
-        if not self.active or window is None:
+        """``chunker.boundaries(data)``, large buffers scanned in parallel shares."""
+        window = chunker.window
+        if window is None:
             return chunker.boundaries(data)
-        n = len(data)
-        if n < window or (chunker.name == "rabin" and n <= window):
-            return BoundarySet(n, chunker.params, np.empty(0, dtype=np.int64))
-        window_count = n - window + 1
-        slab = max(self.slab_bytes, -(-window_count // self.workers))
-        if window_count <= slab:
-            permissive, strict = vectorscan.slab_scan(chunker, data)
-            return BoundarySet(n, chunker.params, permissive, strict)
-        params = (
-            chunker.params.min_size,
-            chunker.params.avg_size,
-            chunker.params.max_size,
+        window_count = len(data) - window + 1
+        share = max(_MIN_SHARE, -(-window_count // self.workers))
+        if window_count <= share:
+            return chunker.boundaries(data)
+        view = memoryview(data)
+        futures = [
+            self._pool().submit(
+                _scan_task,
+                chunker,
+                view[origin : min(origin + share, window_count) + window - 1],
+                origin,
+            )
+            for origin in range(0, window_count, share)
+        ]
+        columns = zip(*(future.result() for future in futures))
+        return BoundarySet(
+            len(data), chunker.params, *(np.concatenate(column) for column in columns)
         )
-        futures = []
-        origins = []
-        for a in range(0, window_count, slab):
-            b = min(a + slab, window_count)
-            buf = self._ship(data, a, b + window - 1)
-            futures.append(self._pool().submit(_scan_task, chunker.name, params, buf))
-            origins.append(a)
-        permissive_parts = []
-        strict_parts = []
-        has_strict = False
-        for origin, future in zip(origins, futures):
-            permissive, strict = future.result()
-            permissive_parts.append(permissive + origin)
-            if strict is not None:
-                has_strict = True
-                strict_parts.append(strict + origin)
-        permissive = np.concatenate(permissive_parts)
-        strict = np.concatenate(strict_parts) if has_strict else None
-        return BoundarySet(n, chunker.params, permissive, strict)
 
     # ------------------------------------------------------------------
     # chunk + fingerprint
@@ -174,8 +112,6 @@ class ParallelExecutor:
         result is byte-identical either way.
         """
         boundary_set = self.scan_boundaries(chunker, data)
-        if not self.active:
-            return boundary_set, {}
         ranges: list[tuple[int, int]] = []
         start = 0
         length = len(data)
@@ -195,10 +131,12 @@ class ParallelExecutor:
                 batch, batch_bytes = [], 0
         if batch:
             batches.append(batch)
+        view = memoryview(data)
         for spans in batches:
             base, stop = spans[0][0], spans[-1][1]
-            buf = self._ship(data, base, stop)
-            futures.append(self._pool().submit(_fp_task, algo, buf, spans, base))
+            futures.append(
+                self._pool().submit(_fp_task, algo, view[base:stop], spans, base)
+            )
         memo: dict[tuple[int, int], bytes] = {}
         for spans, future in zip(batches, futures):
             for span, digest in zip(spans, future.result()):
@@ -209,9 +147,7 @@ class ParallelExecutor:
         if self._compute is not None:
             self._compute.shutdown(wait=True)
             self._compute = None
-        if self._io_pool is not None:
-            self._io_pool.close()
-            self._io_pool = None
+        self.io_pool.close()
 
     def __enter__(self) -> "ParallelExecutor":
         return self

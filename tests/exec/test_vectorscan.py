@@ -1,10 +1,11 @@
-"""The vectorised CDC kernels are bit-exact replicas of the serial scans.
+"""Hash-level equalities under the scan kernel, at the sizes PR 8 pinned.
 
-Every claim the parallel engine makes rests on these equalities: the
-log-doubling gear hash equals the serial shift-add loop mod 2^32, the
-log-doubling rabin polynomial equals the serial multiply-accumulate in the
-mod-2^64 ring, and ``scan_positions`` therefore reproduces every chunker's
-``boundaries`` — including the rabin short-buffer quirk.
+``tests/chunking/test_scan_kernel.py`` is the kernel's oracle and owns the
+reference loops; this file (named for the ``repro.exec.vectorscan`` module
+whose kernel moved into ``repro.chunking.scan``) keeps the original cases:
+the un-tiled log-doubling hashes equal the W-pass loops bit for bit, each
+chunker's ``candidates``/``boundaries`` follow from them — including the
+rabin short-buffer quirk — and shares of a buffer scan like the whole.
 """
 
 from __future__ import annotations
@@ -16,35 +17,33 @@ from hypothesis import strategies as st
 
 from repro.chunking import gear, rabin
 from repro.chunking.base import ChunkerParams, make_chunker
-from repro.exec.vectorscan import gear_hashes, rabin_hashes, scan_positions
+from repro.chunking.scan import windowed_hashes
+from tests.chunking.test_scan_kernel import (
+    assert_matches_reference,
+    payload,
+    reference_gear_hashes,
+    reference_rabin_hashes,
+)
 
 PARAMS = ChunkerParams(min_size=128, avg_size=2048, max_size=16384)
 
 
-def _payload(seed: int, size: int) -> bytes:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+def gear_hashes(data: bytes) -> np.ndarray:
+    values = gear.GEAR_TABLE[np.frombuffer(data, dtype=np.uint8)]
+    return windowed_hashes(values, gear.WINDOW, gear.gear_combine)
 
 
-def _serial_rabin(data: bytes) -> np.ndarray:
-    """The serial multiply-accumulate loop from RabinChunker.boundaries."""
-    stream = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-    window_count = len(data) - rabin.WINDOW + 1
-    with np.errstate(over="ignore"):
-        acc = np.zeros(window_count, dtype=np.uint64)
-        for t in range(rabin.WINDOW):
-            acc += stream[t : t + window_count] * rabin._COEFFICIENTS[t]
-    return acc
+def rabin_hashes(data: bytes) -> np.ndarray:
+    values = rabin._BYTE_VALUES[np.frombuffer(data, dtype=np.uint8)]
+    return windowed_hashes(values, rabin.WINDOW, rabin.rabin_combine)
 
 
 @pytest.mark.parametrize("size", [32, 33, 100, 4096, 1 << 17])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_gear_hashes_match_serial(seed, size):
-    data = _payload(seed, size)
-    serial = gear.gear_hash_positions(data)
-    vectorised = gear_hashes(data)
-    assert vectorised.dtype == np.uint32
-    assert np.array_equal(serial.astype(np.uint32), vectorised)
+    hashes = gear_hashes(payload(seed, size))
+    assert hashes.dtype == np.uint32
+    assert np.array_equal(reference_gear_hashes(payload(seed, size)), hashes)
 
 
 def test_gear_hashes_short_buffer_is_empty():
@@ -54,43 +53,32 @@ def test_gear_hashes_short_buffer_is_empty():
 @pytest.mark.parametrize("size", [48, 49, 100, 4096, 1 << 16])
 @pytest.mark.parametrize("seed", [1, 11])
 def test_rabin_hashes_match_serial(seed, size):
-    data = _payload(seed, size)
-    assert np.array_equal(_serial_rabin(data), rabin_hashes(data))
-
-
-def _assert_same_boundaries(chunker, data: bytes) -> None:
-    serial = chunker.boundaries(data)
-    scanned = scan_positions(chunker, data)
-    assert scanned is not None
-    permissive, strict = scanned
-    assert np.array_equal(serial._positions, permissive)
-    if strict is None:
-        assert np.array_equal(serial._strict, serial._positions)
-    else:
-        assert np.array_equal(serial._strict, strict)
+    hashes = rabin_hashes(payload(seed, size))
+    assert hashes.dtype == np.uint64
+    assert np.array_equal(reference_rabin_hashes(payload(seed, size)), hashes)
 
 
 @pytest.mark.parametrize("name", ["gear", "fastcdc", "rabin"])
 @pytest.mark.parametrize("size", [0, 31, 47, 48, 49, 1000, 1 << 16])
 def test_scan_positions_match_boundaries(name, size):
-    chunker = make_chunker(name, PARAMS)
-    _assert_same_boundaries(chunker, _payload(3, size))
+    assert_matches_reference(name, payload(3, size))
 
 
 def test_scan_positions_none_for_fixed():
     chunker = make_chunker("fixed", PARAMS)
-    assert scan_positions(chunker, b"x" * 1000) is None
+    assert chunker.window is None
+    with pytest.raises(NotImplementedError):
+        chunker.candidates(b"x" * 1000)
+    assert chunker.boundaries(b"x" * 1000)._positions.size == 0
 
 
 def test_rabin_quirk_exact_window_yields_no_positions():
-    """The serial rabin scan returns nothing for length <= WINDOW even
-    though a 48-byte buffer holds exactly one window; the vectorised scan
-    must reproduce that, not 'fix' it."""
+    """``boundaries`` returns nothing for length <= WINDOW even though a
+    48-byte buffer holds exactly one window; the kernel must not 'fix' it."""
     chunker = make_chunker("rabin", PARAMS)
-    data = _payload(5, rabin.WINDOW)
-    assert len(chunker.boundaries(data)._positions) == 0
-    permissive, _ = scan_positions(chunker, data)
-    assert permissive.size == 0
+    for size in (rabin.WINDOW - 1, rabin.WINDOW):
+        assert len(chunker.boundaries(payload(5, size))._positions) == 0
+    assert rabin_hashes(payload(5, rabin.WINDOW)).size == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,15 +86,23 @@ def test_rabin_quirk_exact_window_yields_no_positions():
     seed=st.integers(0, 2**31),
     size=st.integers(0, 3000),
     name=st.sampled_from(["gear", "fastcdc", "rabin"]),
+    split=st.integers(0, 3000),
 )
-def test_scan_positions_property(seed, size, name):
+def test_scan_positions_property(seed, size, name, split):
+    """Two shares cut at any window index, each scanned on its own and
+    shifted by its origin, concatenate to the scan of the whole — what
+    ``ParallelExecutor.scan_boundaries`` does with them."""
     chunker = make_chunker(name, PARAMS)
-    _assert_same_boundaries(chunker, _payload(seed, size))
+    data = payload(seed, size)
+    split = min(split, max(size - chunker.window + 1, 0))
+    head = chunker.candidates(data[: split + chunker.window - 1])
+    tail = chunker.candidates(data[split:])
+    for whole, left, right in zip(chunker.candidates(data), head, tail):
+        assert np.array_equal(whole, np.concatenate([left, right + split]))
 
 
 def test_low_entropy_buffers():
     """Constant and repeating buffers stress hash wraparound paths."""
-    for name in ("gear", "fastcdc", "rabin"):
-        chunker = make_chunker(name, PARAMS)
-        for data in (b"\x00" * 5000, b"\xff" * 5000, bytes(range(256)) * 20):
-            _assert_same_boundaries(chunker, data)
+    for data in (b"\x00" * 5000, b"\xff" * 5000, bytes(range(256)) * 20):
+        assert np.array_equal(reference_gear_hashes(data), gear_hashes(data))
+        assert np.array_equal(reference_rabin_hashes(data), rabin_hashes(data))

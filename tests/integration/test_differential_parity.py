@@ -212,8 +212,9 @@ def test_diversity_workloads_all_systems_agree(diversity_restored):
 # Serial vs parallel SLIMSTORE parity
 # ---------------------------------------------------------------------------
 
-#: (workers, exec_mode) points covering thread fan-out and process fan-out.
-PARALLEL_MODES = [(1, "thread"), (4, "thread"), (2, "process")]
+#: Worker counts: one worker (pooled fingerprints, no scan fan-out), and
+#: scans split two and four ways.
+PARALLEL_WORKERS = [1, 2, 4]
 
 
 def _parity_workload(seed: int) -> dict[str, list[bytes]]:
@@ -231,13 +232,12 @@ def _parity_workload(seed: int) -> dict[str, list[bytes]]:
 def _run_slimstore(
     workload: dict[str, list[bytes]],
     workers: int,
-    exec_mode: str,
     *,
     chaos_seed: int | None = None,
     **rates,
 ):
     """Ingest + restore the workload; return (bucket bytes, restores)."""
-    config = SMALL_CONFIG.with_overrides(workers=workers, exec_mode=exec_mode)
+    config = SMALL_CONFIG.with_overrides(workers=workers)
     if chaos_seed is None:
         store = SlimStore(config)
     else:
@@ -259,26 +259,29 @@ def _run_slimstore(
 class TestSerialVsParallelParity:
     """The parallel engine is a pure wall-clock optimisation: the repository
     it writes and the bytes it restores must be indistinguishable from the
-    serial path at every worker count, in both execution modes, with and
-    without injected faults."""
+    serial path at every worker count, with and without injected faults."""
 
-    @pytest.mark.parametrize("workers,exec_mode", PARALLEL_MODES)
+    @pytest.fixture(autouse=True)
+    def _kib_sized_shares(self, monkeypatch):
+        """The workload's files are 64-128 KiB; under the product's 4 Mi
+        share floor no scan here would ever leave the caller's thread."""
+        monkeypatch.setattr("repro.exec.engine._MIN_SHARE", 1 << 14)
+
+    @pytest.mark.parametrize("workers", PARALLEL_WORKERS)
     @pytest.mark.parametrize("seed", [101, 202])
-    def test_parallel_repository_is_byte_identical(self, seed, workers, exec_mode):
+    def test_parallel_repository_is_byte_identical(self, seed, workers):
         workload = _parity_workload(seed)
-        serial_state, serial_restores = _run_slimstore(workload, 0, "thread")
-        parallel_state, parallel_restores = _run_slimstore(
-            workload, workers, exec_mode
-        )
+        serial_state, serial_restores = _run_slimstore(workload, 0)
+        parallel_state, parallel_restores = _run_slimstore(workload, workers)
         assert parallel_restores == serial_restores
         assert parallel_state == serial_state, (
-            f"workers={workers} mode={exec_mode}: repository bytes diverged"
+            f"workers={workers}: repository bytes diverged"
         )
         for path, versions in workload.items():
             for version, data in enumerate(versions):
                 assert serial_restores[(path, version)] == data
 
-    @pytest.mark.parametrize("workers,exec_mode", [(4, "thread"), (2, "process")])
+    @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize(
         "rates",
         [
@@ -287,36 +290,33 @@ class TestSerialVsParallelParity:
         ],
         ids=["transient-errors", "torn-writes"],
     )
-    def test_parallel_parity_under_chaos(self, workers, exec_mode, rates):
+    def test_parallel_parity_under_chaos(self, workers, rates):
         """Same fault seed, serial vs parallel: the engine gates concurrent
         IO off whenever a fault policy is installed, so the seeded fault
         draws land on the same operations in the same order and the two
         repositories stay byte-identical."""
         workload = _parity_workload(303)
         serial_state, serial_restores = _run_slimstore(
-            workload, 0, "thread", chaos_seed=4040, **rates
+            workload, 0, chaos_seed=4040, **rates
         )
         parallel_state, parallel_restores = _run_slimstore(
-            workload, workers, exec_mode, chaos_seed=4040, **rates
+            workload, workers, chaos_seed=4040, **rates
         )
         assert parallel_restores == serial_restores
         assert parallel_state == serial_state, (
-            f"workers={workers} mode={exec_mode}: chaos run diverged from serial"
+            f"workers={workers}: chaos run diverged from serial"
         )
         for path, versions in workload.items():
             for version, data in enumerate(versions):
                 assert serial_restores[(path, version)] == data
 
-    @pytest.mark.parametrize("workers,exec_mode", [(2, "thread")])
-    def test_parallel_blake2b_repository_is_byte_identical(self, workers, exec_mode):
+    def test_parallel_blake2b_repository_is_byte_identical(self):
         """Fingerprint algorithm and worker count compose: a blake2b repo
         built in parallel equals a blake2b repo built serially."""
         workload = _parity_workload(404)
         base = SMALL_CONFIG.with_overrides(fingerprint_algo="blake2b")
         serial = SlimStore(base.with_overrides(workers=0))
-        parallel = SlimStore(
-            base.with_overrides(workers=workers, exec_mode=exec_mode)
-        )
+        parallel = SlimStore(base.with_overrides(workers=2))
         try:
             for store in (serial, parallel):
                 for path, versions in workload.items():
