@@ -10,7 +10,6 @@ Usage::
                             [--ingest-segments N] [--flush-buffers N]
                             [--workers N] [--fingerprint sha1|blake2b]
     python -m repro restore REPO PATH             [--version N] [--output F]
-                            [--workers N]
     python -m repro versions REPO [PATH]
     python -m repro delete  REPO PATH VERSION
     python -m repro space   REPO
@@ -191,9 +190,10 @@ def open_repository(
     ``config_overrides`` applies per-invocation settings (the ingest
     pipeline knobs) on top of the repo's pinned configuration; these are
     run-time tunables, never persisted repository state.  ``workers``
-    and ``fingerprint`` are persisted in ``repro.json``: workers as a
-    sticky performance preference, the fingerprint algorithm as an
-    attach-guarded repository invariant.
+    and ``fingerprint`` are persisted in ``repro.json``: workers (the
+    scan + fingerprint fan-out of ``backup``) as a sticky performance
+    preference, the fingerprint algorithm as an attach-guarded repository
+    invariant.
     """
     root = Path(repo_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -302,12 +302,12 @@ def _cmd_backup(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    store = open_repository(args.repo, workers=args.workers)
+    store = open_repository(args.repo)
     result = store.restore(
         args.path,
         args.version,
         prefetch_threads=args.prefetch_threads,
-        ranged=False if args.whole_containers else None,
+        ranged=not args.whole_containers,
     )
     output = Path(args.output) if args.output else Path(Path(args.path).name)
     output.write_bytes(result.data)
@@ -911,9 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra in-flight container flush buffers "
                              "(1 = double buffering; implies the pipeline)")
     backup.add_argument("--workers", type=int, default=None,
-                        help="wall-clock worker count for parallel "
-                             "chunk+fingerprint and threaded IO (0 = serial; "
-                             "persisted in repro.json)")
+                        help="wall-clock worker count for the scan + "
+                             "fingerprint fan-out (0 = serial; persisted in "
+                             "repro.json)")
     backup.add_argument("--fingerprint", choices=["sha1", "blake2b"],
                         default=None,
                         help="chunk fingerprint algorithm (pinned at repo "
@@ -930,9 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel OSS prefetch channels (0 disables)")
     restore.add_argument("--whole-containers", action="store_true",
                          help="read whole containers instead of ranged GETs")
-    restore.add_argument("--workers", type=int, default=None,
-                         help="wall-clock worker count for concurrent ranged "
-                              "reads (0 = serial; persisted in repro.json)")
     restore.set_defaults(handler=_cmd_restore)
 
     versions = commands.add_parser("versions", help="list live versions")

@@ -27,7 +27,7 @@ journaled ``cache_flush`` intent:
    SHA-256, dirty block indices);
 2. stage every dirty block under ``browsecache/{seq}/`` — each put is
    charged serially by the endpoint, and the measured durations are
-   overlapped over ``browse_upload_channels`` background channels
+   overlapped over :data:`UPLOAD_CHANNELS` background channels
    (:func:`repro.sim.events.simulate_upload_channels`);
 3. ``update`` the intent with ``staged=True`` — from here recovery can
    roll the upload forward;
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.blockcache import BlockCache
 from repro.core.recipe import ChunkRecord
-from repro.core.restore_plan import RestorePlanner
+from repro.core.restore_plan import RANGED_READ_GAP_BYTES, RestorePlanner
 from repro.errors import (
     BrowseError,
     IntegrityError,
@@ -71,6 +71,10 @@ if TYPE_CHECKING:
 #: a crash is debris for recovery/fsck to reap.
 STAGE_PREFIX = "browsecache/"
 STAGE_KEY = "browsecache/{seq:012d}/{index:08d}"
+
+#: Concurrent background upload channels a write-back flush stages dirty
+#: blocks over (modelled on ``sim/events``).
+UPLOAD_CHANNELS = 4
 
 
 def stage_key_seq(key: str) -> int | None:
@@ -437,7 +441,7 @@ class BrowseFile:
     def _finish_flush(self, dirty: list[int], backup_report) -> FlushReport:
         session = self.session
         upload = simulate_upload_channels(
-            session._pending_upload_seconds, session.upload_channels
+            session._pending_upload_seconds, UPLOAD_CHANNELS
         )
         session._pending_upload_seconds = []
         session.breakdown.charge("upload", upload.elapsed_seconds)
@@ -492,7 +496,6 @@ class BrowseSession:
         config = store.config
         self.block_bytes = config.browse_block_bytes
         self.readahead_blocks = config.browse_readahead_blocks
-        self.upload_channels = config.browse_upload_channels
         self.stats = BlockCacheStats()
         self.cache = BlockCache(
             config.browse_cache_memory_bytes,
@@ -554,7 +557,7 @@ class BrowseSession:
         plan = self.planner.plan(
             records,
             ranged=True,
-            gap_bytes=config.ranged_read_gap_bytes,
+            gap_bytes=RANGED_READ_GAP_BYTES,
             breakdown=self.breakdown,
             counters=self.counters,
             metas=self.metas,

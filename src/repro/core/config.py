@@ -17,6 +17,10 @@ from typing import Any
 from repro.chunking.base import ChunkerParams
 from repro.chunking.superchunk import MergePolicy
 
+#: mod-R sampling ratio for recipe-index samples, before
+#: :meth:`SlimStoreConfig.effective_sample_ratio` shrinks it for large chunks.
+_SAMPLE_RATIO = 16
+
 
 @dataclass(frozen=True)
 class SlimStoreConfig:
@@ -40,26 +44,18 @@ class SlimStoreConfig:
     # --- segmenting & sampling ----------------------------------------------
     #: Logical bytes per segment (a segment recipe is the prefetch unit).
     segment_bytes: int = 128 * 1024
-    #: mod-R sampling ratio for recipe-index samples.
-    sample_ratio: int = 16
     #: Consecutive segment recipes fetched per prefetch request (they are
     #: contiguous in the recipe object, so a span is one ranged GET).
     prefetch_segment_span: int = 4
-    #: mod-R ratio for the similar-file index (coarser than segments).
-    similarity_sample_ratio: int = 32
     #: Bytes of file header chunked to find a similar file when the name
     #: lookup fails (Section IV-A, step 1).
     header_probe_bytes: int = 256 * 1024
-    #: Cap on representative fingerprints stored per file.
-    max_file_representatives: int = 256
 
     # --- containers -----------------------------------------------------------
     #: Container payload capacity in bytes.
     container_bytes: int = 512 * 1024
 
     # --- restore ----------------------------------------------------------------
-    #: Look-ahead window length in chunk records.
-    law_window_records: int = 512
     #: In-memory restore cache capacity (bytes of chunk payload).
     restore_cache_bytes: int = 8 * 1024 * 1024
     #: On-disk (L-node local) second cache layer capacity.
@@ -68,14 +64,6 @@ class SlimStoreConfig:
     prefetch_threads: int = 6
     #: Verify each restored chunk against its fingerprint.
     verify_restore: bool = True
-    #: Read only the planned chunk extents of each container (coalesced
-    #: ranged GETs) instead of whole data objects.
-    ranged_reads: bool = True
-    #: Coalesce ranged-read extents across gaps up to this many bytes: at
-    #: 0.5 ms request latency and 40 MiB/s per channel, re-reading up to
-    #: ~latency x bandwidth ~= 20 KiB of dead bytes beats paying another
-    #: round trip.
-    ranged_read_gap_bytes: int = 16 * 1024
 
     # --- browse (write-back block cache + random-access reads) ------------------
     #: Fixed block size of the L-node browse cache.  Blocks are the unit
@@ -86,9 +74,6 @@ class SlimStoreConfig:
     browse_cache_memory_bytes: int = 4 * 1024 * 1024
     #: Disk tier capacity (L-node local) the memory tier demotes into.
     browse_cache_disk_bytes: int = 32 * 1024 * 1024
-    #: Concurrent background upload channels a write-back flush stages
-    #: dirty blocks over (modelled on ``sim/events``).
-    browse_upload_channels: int = 4
     #: Adjacent blocks fetched alongside a missed block (FullVision-style
     #: readahead over the recipe's extent order).  0 disables readahead.
     browse_readahead_blocks: int = 2
@@ -106,8 +91,6 @@ class SlimStoreConfig:
     gdedup_bloom_filter: bool = True
     #: Cache old-container metadata during reverse dedup.
     gdedup_meta_cache: bool = True
-    #: Expected chunk population for the global Bloom filter.
-    global_bloom_capacity: int = 1 << 20
     #: Deletion epochs a collected container stays readable behind its
     #: tombstone before deep_clean reaps it (two-phase deletion).  0
     #: deletes immediately — the behaviour every space figure assumes —
@@ -123,9 +106,6 @@ class SlimStoreConfig:
     #: Batch reverse-dedup index lookups per shard (off = the seed's
     #: one-fingerprint-at-a-time Rocks-OSS access, the ablation baseline).
     gdedup_batched_lookup: bool = True
-    #: Drain index shards in parallel during reverse dedup (charge the
-    #: slowest shard, not the sum).
-    gdedup_parallel_shards: bool = True
 
     # --- ingest pipeline -------------------------------------------------------
     #: Event-driven segment-parallel ingest timing model: chunking runs
@@ -164,8 +144,8 @@ class SlimStoreConfig:
 
     # --- wall-clock execution engine -------------------------------------------
     #: Worker threads for the parallel execution engine (scan +
-    #: fingerprint fan-out, threaded OSS IO).  0 builds no engine; any
-    #: N >= 1 is byte-identical to it.
+    #: fingerprint fan-out only; OSS requests stay on the caller's
+    #: thread).  0 builds no engine; any N >= 1 is byte-identical to it.
     workers: int = 0
     #: Chunk fingerprint algorithm: "sha1" (default) or "blake2b".  Pinned
     #: per repository — digests from different algorithms never match.
@@ -190,10 +170,6 @@ class SlimStoreConfig:
             raise ValueError("need at least one L-node")
         if self.prefetch_threads < 0:
             raise ValueError("prefetch_threads cannot be negative")
-        if self.ranged_read_gap_bytes < 0:
-            raise ValueError(
-                f"ranged_read_gap_bytes cannot be negative: {self.ranged_read_gap_bytes}"
-            )
         if self.index_shard_count < 1:
             raise ValueError(f"index_shard_count must be >= 1: {self.index_shard_count}")
         if self.index_batch_size < 1:
@@ -219,10 +195,6 @@ class SlimStoreConfig:
             raise ValueError(
                 f"browse_cache_disk_bytes cannot be negative: {self.browse_cache_disk_bytes}"
             )
-        if self.browse_upload_channels < 1:
-            raise ValueError(
-                f"browse_upload_channels must be >= 1: {self.browse_upload_channels}"
-            )
         if self.browse_readahead_blocks < 0:
             raise ValueError(
                 f"browse_readahead_blocks cannot be negative: {self.browse_readahead_blocks}"
@@ -245,7 +217,7 @@ class SlimStoreConfig:
         samples per segment.
         """
         chunks_per_segment = max(1, self.segment_bytes // self.chunk_avg_size)
-        return max(1, min(self.sample_ratio, chunks_per_segment // 4))
+        return max(1, min(_SAMPLE_RATIO, chunks_per_segment // 4))
 
     def chunker_params(self) -> ChunkerParams:
         """Min/avg/max chunk bounds derived from the configured average."""

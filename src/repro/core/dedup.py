@@ -63,6 +63,12 @@ DEDUP_LOOKUP_FAILURES = (TransientOSSError, RetryExhaustedError)
 #: Maximum segment recipes held in the L-node dedup cache at once.
 DEDUP_CACHE_SEGMENTS = 256
 
+#: mod-R ratio for the similar-file index (coarser than segment samples).
+SIMILARITY_SAMPLE_RATIO = 32
+
+#: Cap on representative fingerprints registered per file.
+MAX_FILE_REPRESENTATIVES = 256
+
 
 class DedupCache:
     """Prefetched segment recipes of the detected historical/similar file.
@@ -383,7 +389,7 @@ class BackupEngine:
             fp = memo.get((position, end))
             if fp is None:
                 fp = self._fingerprint(chunk)
-            if is_sampled(fp, self.config.similarity_sample_ratio):
+            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO):
                 samples.append(fp)
             position = end
         breakdown.charge("index_query", self.cost_model.cpu_index_query * max(1, len(samples)))
@@ -470,19 +476,6 @@ class _JobState:
         #: superchunk merging miss it and hash inline via :meth:`_fp`.
         self._fp_memo = fp_memo or {}
         self._fingerprint = engine._fingerprint
-        #: Background container flush: with an executor and no
-        #: fault policy or durability tier (whose seeded RNG draws and
-        #: journaled tier changes must stay in serial order), container
-        #: uploads run on the IO pool, double-buffered against the next
-        #: segment's CPU — for real this time, not just in the event model.
-        self._flush_pool = (
-            engine._executor.io_pool
-            if engine._executor is not None
-            and getattr(self.storage.oss, "faults", None) is None
-            and self.storage.durability is None
-            else None
-        )
-        self._pending_flush = None
 
     def _fp(self, start: int, end: int) -> bytes:
         """Digest of ``data[start:end]`` — memoised span or inline hash."""
@@ -951,40 +944,12 @@ class _JobState:
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
-        if self._flush_pool is None:
-            before = self.storage.oss.stats.snapshot()
-            self.storage.containers.write(builder)
-            written = self.storage.oss.stats.diff(before)
-            self.breakdown.charge("upload", written.write_seconds)
-            self.trace.flush_seconds.append(written.write_seconds)
-            self.uploaded_bytes += written.bytes_written
-            return
-        # Double buffering: at most one upload in flight, joined (and its
-        # virtual time charged, in submit order) before the next departs.
-        self._join_flush()
-        self._pending_flush = self._flush_pool.submit(self._write_container, builder)
-
-    def _write_container(self, builder: ContainerBuilder) -> tuple[float, int]:
-        """IO-pool task: persist one container, return its write charges.
-
-        Only the write-side stats fields are diffed: the main thread may
-        concurrently charge *reads*, but with a single flush in flight
-        this task is the only writer of ``write_seconds``/``bytes_written``.
-        """
-        stats = self.storage.oss.stats
-        before_seconds = stats.write_seconds
-        before_bytes = stats.bytes_written
+        before = self.storage.oss.stats.snapshot()
         self.storage.containers.write(builder)
-        return stats.write_seconds - before_seconds, stats.bytes_written - before_bytes
-
-    def _join_flush(self) -> None:
-        if self._pending_flush is None:
-            return
-        write_seconds, bytes_written = self._pending_flush.result()
-        self._pending_flush = None
-        self.breakdown.charge("upload", write_seconds)
-        self.trace.flush_seconds.append(write_seconds)
-        self.uploaded_bytes += bytes_written
+        written = self.storage.oss.stats.diff(before)
+        self.breakdown.charge("upload", written.write_seconds)
+        self.trace.flush_seconds.append(written.write_seconds)
+        self.uploaded_bytes += written.bytes_written
 
     def finish(self) -> BackupResult:
         """Persist recipe, recipe index and similarity registration.
@@ -997,10 +962,6 @@ class _JobState:
         discard path in :mod:`repro.core.recovery` unwinds, so keep them
         in this sequence.
         """
-        # The last container upload may still be in flight on the IO
-        # pool; every container precedes the recipe in the write order,
-        # and the write-seconds diff below must not race it.
-        self._join_flush()
         recipe = Recipe(
             path=self.path,
             version=self.version,
@@ -1027,8 +988,8 @@ class _JobState:
         representatives = [
             fp
             for fp in all_fps
-            if is_sampled(fp, self.config.similarity_sample_ratio)
-        ][: self.config.max_file_representatives]
+            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)
+        ][:MAX_FILE_REPRESENTATIVES]
         self.storage.similar_index.register(self.path, self.version, representatives)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)

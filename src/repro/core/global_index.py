@@ -56,9 +56,8 @@ class BatchLookupResult:
     None when unindexed); fingerprints whose shard store failed even after
     retries land in ``failed`` instead, so a degraded G-node pass can skip
     them without aborting.  ``shard_seconds`` holds the virtual OSS read
-    seconds spent per shard touched — the caller decides whether the shard
-    drains overlapped (:meth:`parallel_seconds`) or serialised
-    (:meth:`serial_seconds`).
+    seconds spent per shard touched; shards are independent stores, so
+    their drains overlap (:meth:`parallel_seconds`).
     """
 
     owners: dict[bytes, int | None] = field(default_factory=dict)
@@ -68,10 +67,6 @@ class BatchLookupResult:
     def parallel_seconds(self) -> float:
         """Wall-clock of the batch when shard drains run concurrently."""
         return max(self.shard_seconds, default=0.0)
-
-    def serial_seconds(self) -> float:
-        """Wall-clock of the batch when shards are drained one by one."""
-        return sum(self.shard_seconds)
 
 
 class GlobalIndex:

@@ -191,10 +191,7 @@ class GNode:
             for start in range(0, len(lookups), batch_size):
                 batch = lookups[start : start + batch_size]
                 result = index.get_many([entry.fp for entry in batch])
-                if self.config.gdedup_parallel_shards:
-                    report.breakdown.charge("download", result.parallel_seconds())
-                else:
-                    report.breakdown.charge("download", result.serial_seconds())
+                report.breakdown.charge("download", result.parallel_seconds())
                 report.breakdown.charge(
                     "index_query", self.cost_model.cpu_index_query * len(batch)
                 )

@@ -63,7 +63,7 @@ class LNode:
         version: int,
         prefetch_threads: int | None = None,
         verify: bool | None = None,
-        ranged: bool | None = None,
+        ranged: bool = True,
     ) -> RestoreResult:
         """Run one restore job."""
         engine = RestoreEngine(self.config, self.storage, self.cost_model)

@@ -30,7 +30,12 @@ from dataclasses import dataclass, field
 from repro.core.config import SlimStoreConfig
 from repro.core.recipe import ChunkRecord
 from repro.core.restore_cache import FullVisionCache, LookAheadWindow
-from repro.core.restore_plan import PlannedRead, RestorePlan, RestorePlanner
+from repro.core.restore_plan import (
+    RANGED_READ_GAP_BYTES,
+    PlannedRead,
+    RestorePlan,
+    RestorePlanner,
+)
 from repro.core.storage import StorageLayer
 from repro.errors import IntegrityError, RestoreError
 from repro.fingerprint.hashing import fingerprint
@@ -39,6 +44,9 @@ from repro.sim.cost_model import CostModel
 from repro.sim.events import PipelineStats, simulate_restore_pipeline
 from repro.sim.metrics import Counters, TimeBreakdown
 from repro.sim.parallel import prefetched_restore_time
+
+#: Look-ahead window length in chunk records.
+LAW_WINDOW_RECORDS = 512
 
 
 @dataclass
@@ -140,12 +148,15 @@ class RestoreEngine:
         version: int,
         prefetch_threads: int | None = None,
         verify: bool | None = None,
-        ranged: bool | None = None,
+        ranged: bool = True,
     ) -> RestoreResult:
-        """Reassemble one backup version from OSS."""
+        """Reassemble one backup version from OSS.
+
+        ``ranged`` reads only the planned chunk extents of each container
+        (coalesced ranged GETs); False downloads whole data objects.
+        """
         threads = self.config.prefetch_threads if prefetch_threads is None else prefetch_threads
         check = self.config.verify_restore if verify is None else verify
-        use_ranged = self.config.ranged_reads if ranged is None else ranged
         breakdown = TimeBreakdown()
         counters = Counters()
 
@@ -157,13 +168,11 @@ class RestoreEngine:
         records = recipe.all_records()
         if not records:
             return RestoreResult(
-                path, version, b"", breakdown, counters, threads, ranged=use_ranged
+                path, version, b"", breakdown, counters, threads, ranged=ranged
             )
 
         planner = RestorePlanner(self.storage, self.cost_model)
-        plan = planner.plan(
-            records, use_ranged, self.config.ranged_read_gap_bytes, breakdown, counters
-        )
+        plan = planner.plan(records, ranged, RANGED_READ_GAP_BYTES, breakdown, counters)
         if plan.planned_degraded_reads:
             counters.add("planned_degraded_reads", plan.planned_degraded_reads)
         setup_seconds = recipe_seconds + plan.plan_seconds
@@ -171,7 +180,7 @@ class RestoreEngine:
         cbf = CountingBloomFilter(max(64, len(records)), false_positive_rate=0.001)
         for record in plan.resolved:
             cbf.add(record.fp)
-        law = LookAheadWindow(plan.resolved, self.config.law_window_records)
+        law = LookAheadWindow(plan.resolved, LAW_WINDOW_RECORDS)
         cache = FullVisionCache(
             self.config.restore_cache_bytes,
             self.config.restore_disk_cache_bytes,
@@ -247,7 +256,7 @@ class RestoreEngine:
             breakdown,
             counters,
             threads,
-            ranged=use_ranged,
+            ranged=ranged,
             pipeline=pipeline,
             setup_seconds=setup_seconds,
             read_seconds=read_seconds,

@@ -276,7 +276,6 @@ class SlimStore:
             self.oss,
             bucket=bucket,
             index_bucket=f"{bucket}-index",
-            bloom_capacity=self.config.global_bloom_capacity,
             use_bloom=self.config.gdedup_bloom_filter,
             retry_policy=retry_policy,
             retry_budget=retry_budget,
@@ -285,16 +284,14 @@ class SlimStore:
             durability_policy=self.config.durability_policy(),
             fingerprint_algo=self.config.fingerprint_algo,
         )
-        #: Wall-clock parallel execution engine (None when ``workers=0``):
-        #: one shared instance so worker pools stay warm across jobs.
+        #: Scan + fingerprint fan-out (None when ``workers=0``): one shared
+        #: instance so the worker pool stays warm across jobs.  It never
+        #: touches the OSS endpoint — restore and the G-node do not use it.
         self.executor = None
         if self.config.workers > 0:
             from repro.exec import ParallelExecutor
 
             self.executor = ParallelExecutor(self.config.workers)
-            # Concurrent ranged GETs ride the same pool (the raw endpoint
-            # only uses it when no fault policy is installed).
-            self.oss.io_pool = self.executor.io_pool
         self.lnodes = [
             LNode(i, self.config, self.storage, self.cost_model, self.executor)
             for i in range(self.config.lnode_count)
@@ -312,13 +309,12 @@ class SlimStore:
     CATALOG_KEY = "catalog/state.json"
 
     def close(self) -> None:
-        """Shut down worker pools and release cached file descriptors.
+        """Shut down the worker pool and release cached file descriptors.
 
         Idempotent; a no-op for the default serial configuration.
         """
         if self.executor is not None:
             self.executor.close()
-            self.oss.io_pool = None
         for name in self.oss.bucket_names():
             backend_close = getattr(self.oss._backend(name), "close", None)
             if backend_close is not None:
@@ -505,7 +501,7 @@ class SlimStore:
         version: int | None = None,
         prefetch_threads: int | None = None,
         verify: bool | None = None,
-        ranged: bool | None = None,
+        ranged: bool = True,
     ) -> RestoreResult:
         """Restore a backup version (latest when ``version`` is None)."""
         if version is None:

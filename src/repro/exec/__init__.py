@@ -3,9 +3,8 @@
 Everything else in the reproduction runs single-threaded under virtual
 time; this package adds *measured* speed: a :class:`ParallelExecutor`
 fanning the chunkers' scan kernel and chunk fingerprinting across a thread
-pool (:mod:`repro.exec.engine`), and a bounded IO thread pool for
-concurrent OSS ranged reads and container flushes
-(:mod:`repro.exec.iopool`).
+pool (:mod:`repro.exec.engine`).  Both fan-outs are pure functions of the
+payload; the workers never touch the OSS endpoint.
 
 All of it is behind ``SlimStoreConfig.workers`` — ``workers=0`` builds no
 executor at all, and every worker count is bucket-for-bucket
@@ -13,6 +12,5 @@ byte-identical to it (see docs/PARALLELISM.md).
 """
 
 from repro.exec.engine import ParallelExecutor
-from repro.exec.iopool import IOPool
 
-__all__ = ["IOPool", "ParallelExecutor"]
+__all__ = ["ParallelExecutor"]

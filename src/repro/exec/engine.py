@@ -1,14 +1,11 @@
 """ParallelExecutor: chunk + fingerprint a backup stream with real workers.
 
-The executor owns two thread pools:
-
-  - a *compute* pool that scans shares of a large buffer with the
-    chunker's own kernel (:meth:`repro.chunking.base.Chunker.candidates`)
-    and fingerprints chunk batches — numpy and hashlib both release the
-    GIL, so threads scale and share the buffer zero-copy;
-  - an *IO* pool (:class:`repro.exec.iopool.IOPool`) that the OSS layer
-    and the container flusher borrow for concurrent ranged reads and
-    background PUTs.
+The executor owns one thread pool that scans shares of a large buffer
+with the chunker's own kernel
+(:meth:`repro.chunking.base.Chunker.candidates`) and fingerprints chunk
+batches — numpy and hashlib both release the GIL, so threads scale and
+share the buffer zero-copy.  That is all ``workers=N`` does: every OSS
+request is issued by the caller's thread, in the serial order.
 
 Everything here is deterministic: shares partition the window-index range,
 offsets map back by adding the share origin, and the concatenation of
@@ -25,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.chunking.base import BoundarySet, Chunker
-from repro.exec.iopool import IOPool
 from repro.fingerprint.hashing import make_fingerprinter
 
 #: Fewest window positions worth a pool task: a buffer fans out into
@@ -52,8 +48,8 @@ class ParallelExecutor:
     """Fans CDC scanning and fingerprinting across ``workers`` threads.
 
     Built only for ``workers >= 1`` (``SlimStore`` keeps ``workers=0`` on
-    the direct ``chunker.boundaries`` call).  Both pools start lazily and
-    restart after :meth:`close`.
+    the direct ``chunker.boundaries`` call).  The pool starts lazily and
+    restarts after :meth:`close`.
     """
 
     def __init__(self, workers: int) -> None:
@@ -61,7 +57,6 @@ class ParallelExecutor:
             raise ValueError(f"workers must be >= 1: {workers}")
         self.workers = workers
         self._compute: ThreadPoolExecutor | None = None
-        self.io_pool = IOPool(workers)
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._compute is None:
@@ -147,7 +142,6 @@ class ParallelExecutor:
         if self._compute is not None:
             self._compute.shutdown(wait=True)
             self._compute = None
-        self.io_pool.close()
 
     def __enter__(self) -> "ParallelExecutor":
         return self

@@ -98,9 +98,9 @@ class FilesystemBackend(StorageBackend):
     that want backups to survive process restarts.
 
     Ranged reads go through :func:`os.pread` on a small LRU cache of open
-    descriptors: pread carries its own offset, so any number of IO-pool
-    threads can read the same container concurrently with no seek state to
-    race on.  ``put``/``delete`` swap the inode (atomic ``os.replace``),
+    descriptors: pread carries its own offset, so any number of threads
+    can read the same container concurrently with no seek state to race
+    on.  ``put``/``delete`` swap the inode (atomic ``os.replace``),
     so both invalidate the cached descriptor under the lock.
     """
 

@@ -77,16 +77,13 @@ class ObjectStorageService:
         self.clock = clock or SimClock()
         self.stats = OssStats()
         self.faults = faults
-        #: Optional :class:`~repro.exec.iopool.IOPool` for concurrent
-        #: backend reads; attached by the system when ``workers > 0``.
-        #: Virtual-time charging stays serial (and identical) either way.
-        self.io_pool = None
         self._backend_factory = backend_factory
         self._factory_takes_name = self._accepts_bucket_name(backend_factory)
         self._buckets: dict[str, StorageBackend] = {}
-        # Clock advances and stats mutations are read-modify-write; the
-        # async container flusher runs PUTs on a worker thread, so every
-        # charge section serialises on this lock.
+        # Clock advances and stats mutations are read-modify-write, so
+        # every charge section serialises on this lock.  SlimStore itself
+        # issues requests from one thread; the lock keeps an endpoint that
+        # callers share across threads from losing a charge.
         self._mutex = threading.Lock()
 
     def set_fault_policy(self, faults: FaultPolicy | None) -> None:
@@ -230,41 +227,11 @@ class ObjectStorageService:
         bandwidth — coalescing adjacent chunk extents *before* calling
         this is what makes ranged restore reads cheaper than one GET per
         chunk.  Returns the span payloads in call order.
-
-        With an IO pool attached and no fault policy, the backend reads
-        run concurrently on the pool; the virtual-time charges stay serial
-        and in span order, so accounting is identical to the serial path.
-        A fault policy forces the serial path — its seeded RNG draws must
-        happen in span order.
         """
-        backend = self._backend(bucket)
-        if self.io_pool is not None and self.faults is None and len(spans) > 1:
-            size = backend.size(key)
-            for offset, length in spans:
-                self._check_bounds(bucket, key, offset, length, size)
-            futures = [
-                self.io_pool.submit(backend.get_range, key, offset, length)
-                for offset, length in spans
-            ]
-            results = []
-            for (offset, length), future in zip(spans, futures):
-                chunk = future.result()
-                if chunk is None:
-                    raise ObjectNotFoundError(bucket, key)
-                self._charge_read(length, channels)
-                results.append(chunk)
-            return results
-        results = []
-        for offset, length in spans:
-            extra = self._fault_gate("get", bucket, key)
-            self._check_bounds(bucket, key, offset, length, backend.size(key))
-            chunk = backend.get_range(key, offset, length)
-            if chunk is None:
-                raise ObjectNotFoundError(bucket, key)
-            chunk = self._filter_read(chunk)
-            self._charge_read(length, channels, extra=extra)
-            results.append(chunk)
-        return results
+        return [
+            self.get_range(bucket, key, offset, length, channels)
+            for offset, length in spans
+        ]
 
     def delete_object(self, bucket: str, key: str) -> bool:
         """Delete ``key``; returns True if it existed."""

@@ -368,7 +368,7 @@ class BackupPipelineProcess:
         self._lookups_done = 0
         self._spine_busy = False
         self._chunk_wait_from: float | None = None
-        self._pending_flushes: list[int] = []
+        self._queued_flushes: list[int] = []
         self._active_flushes = 0
         self._finishing = False
         self._started_at = 0.0
@@ -381,7 +381,7 @@ class BackupPipelineProcess:
 
     def _begin(self) -> None:
         # Flushes with no owning segment (empty stream) fire immediately.
-        self._pending_flushes.extend(self._flushes_by_segment.pop(-1, []))
+        self._queued_flushes.extend(self._flushes_by_segment.pop(-1, []))
         self._pump()
 
     # --- chunk stage -----------------------------------------------------
@@ -403,7 +403,7 @@ class BackupPipelineProcess:
     def _advance_spine(self) -> None:
         if self._spine_busy:
             return
-        if self._pending_flushes:
+        if self._queued_flushes:
             self._hand_off_flush()
             return
         index = self._lookups_done
@@ -454,12 +454,12 @@ class BackupPipelineProcess:
     def _complete_lookup(self, index: int) -> None:
         self._spine_busy = False
         self._lookups_done += 1
-        self._pending_flushes.extend(self._flushes_by_segment.pop(index, []))
+        self._queued_flushes.extend(self._flushes_by_segment.pop(index, []))
         self._pump()
 
     # --- flush stage -----------------------------------------------------
     def _hand_off_flush(self) -> None:
-        flush = self._pending_flushes.pop(0)
+        flush = self._queued_flushes.pop(0)
         self._spine_busy = True
         blocked_at = self._loop.now
         duration = self._flush_seconds[flush]
@@ -508,7 +508,7 @@ class BackupPipelineProcess:
             return
         if self._lookups_done < len(self._lookup):
             return
-        if self._pending_flushes or self._active_flushes:
+        if self._queued_flushes or self._active_flushes:
             return
         self._finishing = True
         self._loop.schedule(self._finish, self._complete)

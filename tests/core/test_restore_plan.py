@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.config import SlimStoreConfig
 from repro.core.dedup import BackupEngine
-from repro.core.restore_plan import ReadSpan, RestorePlanner, coalesce_spans
+from repro.core.restore_plan import (
+    RANGED_READ_GAP_BYTES,
+    ReadSpan,
+    RestorePlanner,
+    coalesce_spans,
+)
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError
 from repro.sim.metrics import Counters, TimeBreakdown
@@ -29,7 +34,7 @@ def planner(storage) -> RestorePlanner:
     return RestorePlanner(storage)
 
 
-def plan_for(planner, storage, path, version, ranged, gap=CONFIG.ranged_read_gap_bytes):
+def plan_for(planner, storage, path, version, ranged, gap=RANGED_READ_GAP_BYTES):
     records = storage.recipes.get_recipe(path, version).all_records()
     return planner.plan(records, ranged, gap, TimeBreakdown(), Counters())
 
@@ -80,7 +85,7 @@ class TestWholeContainerPlan:
         records = storage.recipes.get_recipe("f", 0).all_records()
         before = storage.oss.stats.snapshot()
         plan = planner.plan(
-            records, False, CONFIG.ranged_read_gap_bytes, TimeBreakdown(), Counters()
+            records, False, RANGED_READ_GAP_BYTES, TimeBreakdown(), Counters()
         )
         assert storage.oss.stats.diff(before).get_requests == 0
         assert plan.plan_seconds == 0.0

@@ -16,7 +16,7 @@ import pytest
 
 from repro.chunking import scan
 from repro.chunking.base import BoundarySet, Chunker, ChunkerParams, make_chunker
-from repro.exec import IOPool, ParallelExecutor, engine
+from repro.exec import ParallelExecutor, engine
 from repro.fingerprint.hashing import fingerprint
 
 PARAMS = ChunkerParams(min_size=128, avg_size=2048, max_size=16384)
@@ -162,21 +162,3 @@ class TestConstruction:
         executor.scan_boundaries(make_chunker("gear", PARAMS), _payload(43, 1 << 13))
         executor.close()
         executor.close()
-
-
-class TestIOPool:
-    def test_map_preserves_order(self):
-        with IOPool(4) as pool:
-            assert pool.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
-
-    def test_submit_propagates_exceptions(self):
-        def boom() -> None:
-            raise RuntimeError("worker failure")
-
-        with IOPool(1) as pool:
-            with pytest.raises(RuntimeError, match="worker failure"):
-                pool.submit(boom).result()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            IOPool(0)

@@ -234,32 +234,68 @@ def _run_slimstore(
     workers: int,
     *,
     chaos_seed: int | None = None,
+    config=SMALL_CONFIG,
     **rates,
-):
-    """Ingest + restore the workload; return (bucket bytes, restores)."""
-    config = SMALL_CONFIG.with_overrides(workers=workers)
+) -> dict:
+    """Ingest + restore the workload; return everything a run leaves behind.
+
+    Besides the bucket bytes and the restored payloads that is the
+    endpoint's cumulative ``OssStats`` (request counts, bytes, virtual
+    read/write seconds, injected faults, retries) and every job's virtual
+    time accounting — the backup ``TimeBreakdown`` and per-segment
+    ``IngestTrace``, the G-node passes' breakdowns, the durability retier
+    report and each restore's breakdown.
+    """
+    config = config.with_overrides(workers=workers)
     if chaos_seed is None:
         store = SlimStore(config)
     else:
         store, _faults = make_chaos_store(seed=chaos_seed, config=config, **rates)
     try:
+        jobs = []
         for path, versions in workload.items():
             for data in versions:
-                store.backup(path, data)
-        restores = {
-            (path, version): store.restore(path, version).data
-            for path, versions in workload.items()
-            for version in range(len(versions))
+                report = store.backup(path, data)
+                jobs.append(
+                    (
+                        report.result.breakdown,
+                        report.result.ingest,
+                        report.reverse_dedup and report.reverse_dedup.breakdown,
+                        report.compaction and report.compaction.breakdown,
+                        report.retier,
+                    )
+                )
+        restores = {}
+        for path, versions in workload.items():
+            for version in range(len(versions)):
+                result = store.restore(path, version)
+                restores[(path, version)] = result.data
+                jobs.append(result.breakdown)
+        return {
+            "restores": restores,
+            "bucket_state": bucket_state(store.oss),
+            "oss_stats": store.oss.stats,
+            "jobs": jobs,
         }
-        return bucket_state(store.oss), restores
     finally:
         store.close()
 
 
+def _assert_same_run(serial: dict, parallel: dict, workload, label: str) -> None:
+    for aspect in serial:
+        assert parallel[aspect] == serial[aspect], f"{label}: {aspect} diverged"
+    for path, versions in workload.items():
+        for version, data in enumerate(versions):
+            assert serial["restores"][(path, version)] == data
+
+
 class TestSerialVsParallelParity:
-    """The parallel engine is a pure wall-clock optimisation: the repository
-    it writes and the bytes it restores must be indistinguishable from the
-    serial path at every worker count, with and without injected faults."""
+    """``workers=N`` only fans the scan and the fingerprints out; every OSS
+    request is issued by the caller's thread in the serial order.  So a
+    parallel run must be indistinguishable from the serial one — repository
+    bytes, restored bytes, the endpoint's request/byte/virtual-second
+    counters and every job's time breakdown — at every worker count, with
+    and without injected faults or the durability tier."""
 
     @pytest.fixture(autouse=True)
     def _kib_sized_shares(self, monkeypatch):
@@ -271,15 +307,9 @@ class TestSerialVsParallelParity:
     @pytest.mark.parametrize("seed", [101, 202])
     def test_parallel_repository_is_byte_identical(self, seed, workers):
         workload = _parity_workload(seed)
-        serial_state, serial_restores = _run_slimstore(workload, 0)
-        parallel_state, parallel_restores = _run_slimstore(workload, workers)
-        assert parallel_restores == serial_restores
-        assert parallel_state == serial_state, (
-            f"workers={workers}: repository bytes diverged"
-        )
-        for path, versions in workload.items():
-            for version, data in enumerate(versions):
-                assert serial_restores[(path, version)] == data
+        serial = _run_slimstore(workload, 0)
+        parallel = _run_slimstore(workload, workers)
+        _assert_same_run(serial, parallel, workload, f"workers={workers}")
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize(
@@ -291,24 +321,28 @@ class TestSerialVsParallelParity:
         ids=["transient-errors", "torn-writes"],
     )
     def test_parallel_parity_under_chaos(self, workers, rates):
-        """Same fault seed, serial vs parallel: the engine gates concurrent
-        IO off whenever a fault policy is installed, so the seeded fault
-        draws land on the same operations in the same order and the two
-        repositories stay byte-identical."""
+        """Same fault seed, serial vs parallel: the fault policy draws from
+        its seeded RNG once per request, and both runs issue the same
+        requests in the same order from one thread, so the faults land on
+        the same operations and the retries, the degraded decisions and
+        the repositories come out identical."""
         workload = _parity_workload(303)
-        serial_state, serial_restores = _run_slimstore(
-            workload, 0, chaos_seed=4040, **rates
-        )
-        parallel_state, parallel_restores = _run_slimstore(
-            workload, workers, chaos_seed=4040, **rates
-        )
-        assert parallel_restores == serial_restores
-        assert parallel_state == serial_state, (
-            f"workers={workers}: chaos run diverged from serial"
-        )
-        for path, versions in workload.items():
-            for version, data in enumerate(versions):
-                assert serial_restores[(path, version)] == data
+        serial = _run_slimstore(workload, 0, chaos_seed=4040, **rates)
+        parallel = _run_slimstore(workload, workers, chaos_seed=4040, **rates)
+        assert serial["oss_stats"].faults_injected > 0
+        _assert_same_run(serial, parallel, workload, f"workers={workers} chaos")
+
+    def test_parallel_parity_with_the_durability_tier(self):
+        """Replica/parity placement and journaled tier changes follow the
+        container write order, which no longer depends on ``workers``."""
+        workload = _parity_workload(505)
+        config = SMALL_CONFIG.with_overrides(durability_enabled=True)
+        serial = _run_slimstore(workload, 0, config=config)
+        parallel = _run_slimstore(workload, 2, config=config)
+        assert any(
+            key.startswith("durability/") for key in serial["bucket_state"]["slimstore"]
+        ), "the tier never replicated or erasure-coded a container"
+        _assert_same_run(serial, parallel, workload, "workers=2 durability")
 
     def test_parallel_blake2b_repository_is_byte_identical(self):
         """Fingerprint algorithm and worker count compose: a blake2b repo

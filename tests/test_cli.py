@@ -260,14 +260,22 @@ class TestExecutionSettings:
         repo, source, payload = self._seed_repo(
             tmp_path, rng, ["--workers", "4"]
         )
-        out = tmp_path / "restored.tbl"
-        assert main([
-            "restore", str(repo), str(source),
-            "--output", str(out), "--workers", "0",
-        ]) == 0
-        assert out.read_bytes() == payload
+        assert main(["backup", str(repo), str(source), "--workers", "0"]) == 0
         settings = json.loads((repo / "repro.json").read_text())
         assert settings["workers"] == 0
+
+    def test_restore_takes_no_workers_flag_and_leaves_the_pin(self, tmp_path, rng):
+        import json
+
+        repo, source, payload = self._seed_repo(
+            tmp_path, rng, ["--workers", "4"]
+        )
+        out = tmp_path / "restored.tbl"
+        assert main(["restore", str(repo), str(source), "--output", str(out)]) == 0
+        assert out.read_bytes() == payload
+        assert json.loads((repo / "repro.json").read_text())["workers"] == 4
+        with pytest.raises(SystemExit):
+            main(["restore", str(repo), str(source), "--workers", "0"])
 
     def test_parallel_and_serial_backups_restore_identically(self, tmp_path, rng):
         payload = random_bytes(rng, 96 * 1024)
