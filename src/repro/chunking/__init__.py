@@ -24,6 +24,7 @@ from repro.chunking.base import (
     RawChunk,
     make_chunker,
 )
+from repro.chunking.cursor import BoundaryCursor
 from repro.chunking.fixed import FixedChunker
 from repro.chunking.rabin import RabinChunker
 from repro.chunking.gear import GearChunker
@@ -31,6 +32,7 @@ from repro.chunking.fastcdc import FastCDCChunker
 from repro.chunking.superchunk import MergePolicy
 
 __all__ = [
+    "BoundaryCursor",
     "BoundarySet",
     "Chunker",
     "ChunkerParams",

@@ -10,7 +10,7 @@ condition (Section IV-B of the paper).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +68,14 @@ class RawChunk:
         return bytes(self.data)
 
 
+def first_in(positions: list[int], lo: int, hi: int) -> int | None:
+    """Smallest position ``p`` of an ascending list with ``lo < p <= hi``."""
+    index = bisect_right(positions, lo)
+    if index < len(positions) and positions[index] <= hi:
+        return positions[index]
+    return None
+
+
 class BoundarySet:
     """Hash-condition positions for one buffer, cut-point queries on top.
 
@@ -92,8 +100,17 @@ class BoundarySet:
             if strict_positions is None
             else np.asarray(strict_positions, dtype=np.int64)
         )
-        self._strict_set = set(int(p) for p in self._strict)
-        self._permissive_set = set(int(p) for p in self._positions)
+        # Queries bisect plain lists: one C-speed ``tolist()`` per array,
+        # where bisecting the arrays boxes an element per probe.
+        self._position_list: list[int] = self._positions.tolist()
+        self._strict_list: list[int] = (
+            self._position_list if strict_positions is None else self._strict.tolist()
+        )
+
+    def offsets(self) -> tuple[list[int], list[int]]:
+        """``(permissive, strict)`` ascending positions as plain lists
+        (one list twice for a single-mask algorithm)."""
+        return self._position_list, self._strict_list
 
     def next_cut(self, start: int) -> int:
         """The CDC cut position for a chunk starting at ``start``.
@@ -113,10 +130,10 @@ class BoundarySet:
         if min_pos >= self.length:
             return self.length
 
-        candidate = self._first_in(self._strict, min_pos, min(avg_pos, self.length))
+        candidate = first_in(self._strict_list, min_pos, min(avg_pos, self.length))
         if candidate is None:
-            candidate = self._first_in(
-                self._positions, min(avg_pos, self.length), min(max_pos, self.length)
+            candidate = first_in(
+                self._position_list, min(avg_pos, self.length), min(max_pos, self.length)
             )
         if candidate is not None:
             return candidate
@@ -138,16 +155,10 @@ class BoundarySet:
             return False
         if size == self.params.max_size:
             return True
-        if size <= self.params.avg_size:
-            return end in self._strict_set
-        return end in self._permissive_set
-
-    def _first_in(self, positions: np.ndarray, lo: int, hi: int) -> int | None:
-        """Smallest position ``p`` with ``lo < p <= hi``, or None."""
-        index = bisect_left(positions, lo + 1)
-        if index < len(positions) and positions[index] <= hi:
-            return int(positions[index])
-        return None
+        positions = (
+            self._strict_list if size <= self.params.avg_size else self._position_list
+        )
+        return first_in(positions, end - 1, end) is not None
 
 
 class Chunker(ABC):
@@ -176,6 +187,17 @@ class Chunker(ABC):
         window *ends* local to ``buf`` (the first possible one is
         ``window``), so ``buf`` may be any slice of a stream and the
         caller adds the slice origin.
+        """
+        raise NotImplementedError(f"{self.name} chunking scans no content")
+
+    def is_candidate(self, buf: bytes | memoryview, end: int, strict: bool) -> bool:
+        """Whether ``end`` is among :meth:`candidates` of ``buf``.
+
+        One window hash instead of a scan: the skip-chunking probe, which
+        asks about a single predicted offset.  ``strict`` picks the
+        condition (they coincide for a single-mask algorithm), and
+        ``window <= end <= len(buf)``.  Must equal the scan kernel bit for
+        bit (``tests/chunking/test_boundary_cursor.py``).
         """
         raise NotImplementedError(f"{self.name} chunking scans no content")
 

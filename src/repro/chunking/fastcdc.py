@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
-from repro.chunking.gear import GEAR_TABLE, WINDOW, gear_combine, top_bits_mask
+from repro.chunking.gear import (
+    GEAR_TABLE,
+    WINDOW,
+    gear_combine,
+    gear_window_hash,
+    top_bits_mask,
+)
 from repro.chunking.scan import cut_positions
 
 #: Normalization level: strict mask has +NC bits, permissive has -NC bits.
@@ -42,6 +48,10 @@ class FastCDCChunker(Chunker):
             gear_combine,
             [(self._permissive_mask, 0), (self._strict_mask, 0)],
         )
+
+    def is_candidate(self, buf: bytes | memoryview, end: int, strict: bool) -> bool:
+        mask = self._strict_mask if strict else self._permissive_mask
+        return gear_window_hash(buf[end - WINDOW : end]) & int(mask) == 0
 
     def boundaries(self, data: bytes) -> BoundarySet:
         return BoundarySet(len(data), self.params, *self.candidates(data))

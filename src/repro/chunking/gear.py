@@ -30,6 +30,25 @@ def _gear_table(seed: int = 0x5EED) -> np.ndarray:
 GEAR_TABLE = _gear_table()
 
 
+#: The table as Python ints, for hashing one window without numpy.
+_GEAR_INTS: list[int] = GEAR_TABLE.tolist()
+_HASH_MASK = (1 << HASH_BITS) - 1
+
+
+def gear_window_hash(window: bytes | memoryview) -> int:
+    """Gear hash of exactly :data:`WINDOW` bytes, rolled byte by byte.
+
+    The value the scan kernel holds at this window's end: 32 steps of
+    ``h = (h << 1) + gear[b]`` shift every older contribution out of the
+    low 32 bits, so one final mask is the mod 2^32.
+    """
+    table = _GEAR_INTS
+    h = 0
+    for byte in window:
+        h = (h << 1) + table[byte]
+    return h & _HASH_MASK
+
+
 def gear_combine(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
     """Hash of a run followed by a ``span``-byte run: ``(l << span) + r``.
 
@@ -60,6 +79,9 @@ class GearChunker(Chunker):
 
     def candidates(self, buf: bytes | memoryview) -> list[np.ndarray]:
         return cut_positions(buf, WINDOW, GEAR_TABLE, gear_combine, [(self._mask, 0)])
+
+    def is_candidate(self, buf: bytes | memoryview, end: int, strict: bool) -> bool:
+        return gear_window_hash(buf[end - WINDOW : end]) & int(self._mask) == 0
 
     def boundaries(self, data: bytes) -> BoundarySet:
         return BoundarySet(len(data), self.params, *self.candidates(data))

@@ -23,6 +23,7 @@ from repro.chunking.scan import cut_positions
 WINDOW = 48
 #: Odd multiplier of the rolling polynomial.
 PRIME = 0x3B9ACA07
+_HASH_MASK = (1 << 64) - 1
 #: Per-byte values in the hash ring: uint64 wraparound is the mod 2^64.
 _BYTE_VALUES = np.arange(256, dtype=np.uint64)
 
@@ -47,6 +48,14 @@ class RabinChunker(Chunker):
         return cut_positions(
             buf, WINDOW, _BYTE_VALUES, rabin_combine, [(self._mask, self._mask)]
         )
+
+    def is_candidate(self, buf: bytes | memoryview, end: int, strict: bool) -> bool:
+        # The 48-byte polynomial, Horner form, reduced mod 2^64 each step.
+        h = 0
+        for byte in buf[end - WINDOW : end]:
+            h = (h * PRIME + byte) & _HASH_MASK
+        mask = int(self._mask)
+        return h & mask == mask
 
     def boundaries(self, data: bytes) -> BoundarySet:
         # Repository format: a buffer of at most one window has never

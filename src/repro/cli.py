@@ -284,7 +284,8 @@ def _cmd_backup(args: argparse.Namespace) -> int:
         print(
             f"{logical_path}: v{report.version}, "
             f"{result.logical_bytes} bytes, dedup {result.dedup_ratio:.1%}, "
-            f"{result.counters.get('containers_written')} containers"
+            f"{result.counters.get('containers_written')} containers, "
+            f"{result.counters.get('bytes_scanned')} bytes scanned"
         )
         stats = report.pipeline
         if stats is not None:

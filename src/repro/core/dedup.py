@@ -45,6 +45,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
 from repro.chunking.base import BoundarySet, make_chunker
+from repro.chunking.cursor import BoundaryCursor
 from repro.core.config import SlimStoreConfig
 from repro.core.container import ContainerBuilder
 from repro.core.recipe import ChunkRecord, Recipe, RecipeHandle, RecipeIndex
@@ -266,25 +267,29 @@ class BackupEngine:
         breakdown = TimeBreakdown()
         counters = Counters()
         fp_memo: dict[tuple[int, int], bytes] = {}
-        if self._executor is not None:
-            # Real workers: boundary scan in parallel shares + pooled
+        latest = self.storage.similar_index.latest_version(path)
+        cursor = None
+        if self._executor is not None and latest is None:
+            # Real workers and no history to skip by: CDC will cut the
+            # whole file, so fan out the whole-file boundary scan and the
             # fingerprints of every plain-CDC chunk span.  Both are pure
             # functions of the payload, so the classification below is
-            # byte-identical; spans it invents itself (skips, superchunks)
-            # hash inline.
+            # byte-identical; spans it invents itself (superchunks) hash
+            # inline.
             boundary_set, fp_memo = self._executor.chunk_and_fingerprint(
                 self._chunker, data, self.config.fingerprint_algo
             )
         else:
-            boundary_set = self._chunker.boundaries(data)
+            # Scan on demand: skip chunking jumps over duplicate runs, and
+            # the bytes in between are never handed to the scan kernel.
+            boundary_set = cursor = BoundaryCursor(self._chunker, data)
 
         handle, recipe_index = self._detect_base(
-            path, data, boundary_set, breakdown, counters, fp_memo
+            path, latest, data, boundary_set, breakdown, counters, fp_memo
         )
         # Everything charged so far (name lookup, header probe, recipe
         # index fetch) is the pipeline's serial setup prefix.
         setup_seconds = breakdown.cpu_seconds() + breakdown.network_seconds()
-        latest = self.storage.similar_index.latest_version(path)
         version = 0 if latest is None else latest + 1
 
         job = _JobState(
@@ -306,6 +311,7 @@ class BackupEngine:
             # job runs without duplicate verification.
             job.degraded = True
         job.run()
+        counters.add("bytes_scanned", len(data) if cursor is None else cursor.bytes_scanned)
         result = job.finish()
         if self.config.ingest_pipeline:
             trace = result.ingest
@@ -326,16 +332,15 @@ class BackupEngine:
     def _detect_base(
         self,
         path: str,
+        latest: int | None,
         data: bytes,
-        boundary_set: BoundarySet,
+        boundary_set: BoundarySet | BoundaryCursor,
         breakdown: TimeBreakdown,
         counters: Counters,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
     ) -> tuple[RecipeHandle | None, RecipeIndex | None]:
         """Step 1: find a historical version or similar file and open it."""
-        similar = self.storage.similar_index
         base: tuple[str, int] | None = None
-        latest = similar.latest_version(path)
         breakdown.charge("index_query", self.cost_model.cpu_index_query)
         if latest is not None:
             base = (path, latest)
@@ -368,7 +373,7 @@ class BackupEngine:
     def _probe_header(
         self,
         data: bytes,
-        boundary_set: BoundarySet,
+        boundary_set: BoundarySet | BoundaryCursor,
         breakdown: TimeBreakdown,
         counters: Counters,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
@@ -409,7 +414,7 @@ class _JobState:
         path: str,
         version: int,
         data: bytes,
-        boundaries: BoundarySet,
+        boundaries: BoundarySet | BoundaryCursor,
         handle: RecipeHandle | None,
         recipe_index: RecipeIndex | None,
         breakdown: TimeBreakdown,

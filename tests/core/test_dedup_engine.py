@@ -241,3 +241,75 @@ class TestAccounting:
         second = engine.backup("f", data)
         assert set(second.referenced_containers) <= set(first.new_container_ids)
         assert sum(count for count, _ in second.referenced_containers.values()) > 0
+
+
+class TestBytesScanned:
+    """``counters["bytes_scanned"]``: bytes handed to the CDC scan kernel.
+
+    Exact (a count, not a timing), so it is what shows that skip chunking
+    skips on the host: a predicted cut costs one window hash, and the bytes
+    between two verified cuts are never scanned."""
+
+    def test_first_version_scans_the_file_about_once(self, engine, rng):
+        data = random_bytes(rng, 1024 * 1024)
+        result = engine.backup("f", data)
+        scanned = result.counters.get("bytes_scanned")
+        # Every extension re-reads window-1 bytes; each chunk's min-size
+        # head may be left out.
+        assert 0.7 * len(data) < scanned <= 1.05 * len(data)
+
+    def test_unchanged_rebackup_scans_next_to_nothing(self, engine, rng):
+        data = random_bytes(rng, 1024 * 1024)
+        engine.backup("f", data)
+        result = engine.backup("f", data)
+        assert result.counters.get("skip_success") > 150
+        assert result.counters.get("bytes_scanned") < 0.05 * len(data)
+
+    def test_scan_restarts_where_a_skip_fails(self, engine, rng):
+        data = random_bytes(rng, 1024 * 1024)
+        engine.backup("f", data)
+        changed = mutate(rng, data, runs=2, run_bytes=8 * 1024)
+        result = engine.backup("f", changed)
+        assert result.counters.get("skip_fail") >= 1
+        scanned = result.counters.get("bytes_scanned")
+        assert 2 * 8 * 1024 < scanned < 0.25 * len(data)
+
+    def test_without_skip_chunking_everything_is_scanned(self, storage, rng):
+        engine = BackupEngine(CONFIG.with_overrides(skip_chunking=False), storage)
+        data = random_bytes(rng, 512 * 1024)
+        engine.backup("f", data)
+        result = engine.backup("f", data)
+        assert result.counters.get("bytes_scanned") > 0.7 * len(data)
+
+    def test_scanned_share_falls_as_skips_rise(self):
+        """Over S-DB tables of rising duplication ratio (Fig 5c's sweep):
+        more of each new version replays history, less of it is scanned."""
+        from repro.oss.object_store import ObjectStorageService
+        from repro.workloads import SDBConfig, SDBGenerator
+
+        shares, skips = [], []
+        for ratio in (0.65, 0.80, 0.95):
+            generator = SDBGenerator(
+                SDBConfig(
+                    table_count=1,
+                    initial_table_bytes=512 * 1024,
+                    version_count=3,
+                    duplication_ratio_min=ratio,
+                    duplication_ratio_max=ratio,
+                    seed=9,
+                )
+            )
+            engine = BackupEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
+            scanned = logical = skipped = 0
+            for version in generator.versions():
+                for item in version.files:
+                    result = engine.backup(item.path, item.data)
+                    if version.version > 0:
+                        scanned += result.counters.get("bytes_scanned")
+                        skipped += result.counters.get("skip_success")
+                        logical += len(item.data)
+            shares.append(scanned / logical)
+            skips.append(skipped)
+        assert skips == sorted(skips) and skips[0] < skips[-1]
+        assert shares == sorted(shares, reverse=True) and shares[-1] < shares[0]
+        assert shares[-1] < 0.35

@@ -10,6 +10,8 @@ original payloads and against each other.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro import SlimStore
@@ -363,3 +365,173 @@ class TestSerialVsParallelParity:
         finally:
             serial.close()
             parallel.close()
+
+
+# ---------------------------------------------------------------------------
+# Lazy boundary cursor vs the eager whole-file boundary set
+# ---------------------------------------------------------------------------
+
+
+def _eager_boundaries(chunker, data):
+    """What ``BackupEngine.backup`` built before the cursor existed."""
+    boundary_set = chunker.boundaries(data)
+    boundary_set.bytes_scanned = len(data)
+    return boundary_set
+
+
+def _run_jobs(workload, config, *, outage_before=(), outage_during=()) -> dict:
+    """Like :func:`_run_slimstore`, plus every backup's counters and flags.
+
+    ``outage_before`` lists job ordinals whose backup runs with every GET
+    failing (the dedup base is unreachable from the start: a degraded-mode
+    job); for those in ``outage_during`` the GETs start failing at the
+    job's second segment-recipe prefetch (the base is lost mid-stream).
+    """
+    from repro.core.recipe import RecipeHandle
+
+    store, faults = make_chaos_store(seed=1, config=config)
+    fetch = RecipeHandle.get_segment_range
+    prefetches = 0
+
+    def fetch_until_outage(handle, ordinal, span):
+        nonlocal prefetches
+        prefetches += 1
+        if prefetches == 2:
+            faults.outage({"get"})
+        return fetch(handle, ordinal, span)
+
+    try:
+        jobs = []
+        ordinal = 0
+        for path, versions in workload.items():
+            for data in versions:
+                if ordinal in outage_before:
+                    faults.outage({"get"})
+                prefetches = 0
+                with mock.patch.object(
+                    RecipeHandle,
+                    "get_segment_range",
+                    fetch_until_outage if ordinal in outage_during else fetch,
+                ):
+                    report = store.backup(path, data)
+                faults.revive()
+                ordinal += 1
+                counters = dict(report.result.counters.counts)
+                scanned = counters.pop("bytes_scanned")
+                jobs.append(
+                    {
+                        "breakdown": report.result.breakdown,
+                        "ingest": report.result.ingest,
+                        "counters": counters,
+                        "degraded": report.result.degraded,
+                        "recipe": report.result.recipe,
+                        "scanned": scanned,
+                    }
+                )
+        restores = {
+            (path, version): store.restore(path, version).data
+            for path, versions in workload.items()
+            for version in range(len(versions))
+        }
+        return {
+            "restores": restores,
+            "bucket_state": bucket_state(store.oss),
+            "oss_stats": store.oss.stats,
+            "jobs": jobs,
+        }
+    finally:
+        store.close()
+
+
+def _assert_cursor_equals_eager(workload, config, monkeypatch, **kwargs) -> tuple[dict, dict]:
+    lazy = _run_jobs(workload, config, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.dedup.BoundaryCursor", _eager_boundaries)
+        eager = _run_jobs(workload, config, **kwargs)
+    for aspect in ("restores", "bucket_state", "oss_stats"):
+        assert lazy[aspect] == eager[aspect], f"{aspect} diverged"
+    for ordinal, (ours, theirs) in enumerate(zip(lazy["jobs"], eager["jobs"], strict=True)):
+        for aspect in ("breakdown", "ingest", "counters", "degraded", "recipe"):
+            assert ours[aspect] == theirs[aspect], f"job {ordinal}: {aspect} diverged"
+    for path, versions in workload.items():
+        for version, data in enumerate(versions):
+            assert lazy["restores"][(path, version)] == data
+    return lazy, eager
+
+
+class TestCursorVsEagerParity:
+    """``BackupEngine.backup`` cuts through a lazy ``BoundaryCursor``; the
+    whole-file ``chunker.boundaries(data)`` it replaced must be
+    indistinguishable from it in everything a job leaves behind — the
+    repository bytes, the restores, the endpoint counters, each job's
+    recipe, virtual-time breakdown, stage trace and counters — and differ
+    only in how many bytes were handed to the scan kernel."""
+
+    @pytest.mark.parametrize("chunk_merging", [False, True], ids=["nomerge", "merge"])
+    @pytest.mark.parametrize("skip_chunking", [False, True], ids=["noskip", "skip"])
+    @pytest.mark.parametrize("chunker", ["gear", "fastcdc", "rabin", "fixed"])
+    def test_every_chunker_and_acceleration(
+        self, chunker, skip_chunking, chunk_merging, monkeypatch
+    ):
+        workload = _parity_workload(606)
+        config = SMALL_CONFIG.with_overrides(
+            chunker=chunker, skip_chunking=skip_chunking, chunk_merging=chunk_merging
+        )
+        lazy, eager = _assert_cursor_equals_eager(workload, config, monkeypatch)
+        counters = [job["counters"] for job in lazy["jobs"]]
+        if skip_chunking and chunker != "fixed":
+            # Versions 1 and 2 of both files replay history...
+            assert sum(c.get("skip_success", 0) for c in counters) >= 30
+            assert sum(c.get("skip_fail", 0) for c in counters) >= 1
+            # ...and hand the kernel a fraction of what the eager set did.
+            assert sum(j["scanned"] for j in lazy["jobs"]) < 0.75 * sum(
+                j["scanned"] for j in eager["jobs"]
+            )
+        if chunker == "fixed":
+            assert all(job["scanned"] == 0 for job in lazy["jobs"])
+
+    def test_degraded_jobs(self, monkeypatch):
+        """Jobs whose dedup base is unreachable from the start (every GET
+        fails), and jobs that lose it mid-stream — after skip chunking has
+        already replayed part of the previous recipe."""
+        workload = _parity_workload(707)
+        config = SMALL_CONFIG.with_overrides(prefetch_segment_span=1)
+        lazy, _ = _assert_cursor_equals_eager(
+            workload, config, monkeypatch, outage_before={1, 4}, outage_during={2, 5}
+        )
+        assert [job["degraded"] for job in lazy["jobs"]] == [
+            False, True, True, False, True, True,
+        ]  # fmt: skip
+        for ordinal in (1, 4):
+            assert lazy["jobs"][ordinal]["counters"].get("dup_chunks", 0) == 0
+        for ordinal in (2, 5):
+            counters = lazy["jobs"][ordinal]["counters"]
+            assert counters["skip_success"] > 0 and counters["degraded_chunks"] > 0
+
+    def test_workers_keep_the_fan_out_for_a_first_version_only(self, monkeypatch):
+        """``workers=2``: a path's first version has no history to skip by
+        and keeps ``chunk_and_fingerprint``; later versions use the cursor."""
+        monkeypatch.setattr("repro.exec.engine._MIN_SHARE", 1 << 14)
+        from repro.exec.engine import ParallelExecutor
+
+        fanned_out = []
+        original = ParallelExecutor.chunk_and_fingerprint
+
+        def recording(self, chunker, data, algo="sha1"):
+            fanned_out.append(len(data))
+            return original(self, chunker, data, algo)
+
+        monkeypatch.setattr(ParallelExecutor, "chunk_and_fingerprint", recording)
+        workload = _parity_workload(808)
+        config = SMALL_CONFIG.with_overrides(workers=2)
+        lazy, eager = _assert_cursor_equals_eager(workload, config, monkeypatch)
+        first_versions = [len(versions[0]) for versions in workload.values()]
+        assert fanned_out == first_versions * 2  # the lazy run, then the eager run
+        scanned = [job["scanned"] for job in lazy["jobs"]]
+        assert scanned[0] == first_versions[0] and scanned[3] == first_versions[1]
+        assert all(s < 0.6 * first_versions[0] for s in scanned[1:3])
+        serial, _ = _assert_cursor_equals_eager(
+            workload, SMALL_CONFIG.with_overrides(workers=0), monkeypatch
+        )
+        for aspect in ("restores", "bucket_state", "oss_stats"):
+            assert lazy[aspect] == serial[aspect], f"workers=2 vs serial: {aspect}"
