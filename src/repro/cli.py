@@ -407,6 +407,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         print(f"  STALE cache_flush intent #{seq}", file=sys.stderr)
     for key in report.cache_debris:
         print(f"  CACHE DEBRIS {key}", file=sys.stderr)
+    for key in report.log_debris:
+        print(f"  FOLDED log record {key} (interrupted fold)", file=sys.stderr)
     print(
         f"journal: {len(report.open_intents)} open intents; "
         f"containers: {len(report.torn_pairs)} torn, "
@@ -415,7 +417,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         f"{len(report.tombstoned)} in tombstone grace; "
         f"index: {report.dangling_index_entries} dangling entries; "
         f"browse cache: {len(report.stale_cache_intents)} stale flushes, "
-        f"{len(report.cache_debris)} debris objects"
+        f"{len(report.cache_debris)} debris objects; "
+        f"metadata logs: {len(report.log_debris)} folded records left behind"
     )
     if store.storage.durability is not None:
         print(

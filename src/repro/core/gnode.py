@@ -97,6 +97,9 @@ class GNode:
         time, the seed behaviour the sharding ablation baselines against.
         """
         report = ReverseDedupReport()
+        if not new_container_ids:
+            # Nothing to scan: no intent to open and close around nothing.
+            return report
         meta_cache: dict[int, ContainerMeta] = {}
         dirty: set[int] = set()
         # Journal the pass: a crash leaves the intent open and recovery

@@ -127,6 +127,11 @@ class FsckReport:
     #: counted inside ``open_intents`` as well, broken out so ``fsck``
     #: can say what kind of job was interrupted.
     stale_cache_intents: list[int] = field(default_factory=list)
+    #: Catalog / similar-index log records numbered below their
+    #: checkpoint's ``log_next``: an interrupted fold's leftovers, already
+    #: covered by the checkpoint; the next attach (or ``--repair``) folds
+    #: them away.
+    log_debris: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -138,6 +143,7 @@ class FsckReport:
             or self.orphan_candidates
             or self.durability_divergent
             or self.cache_debris
+            or self.log_debris
         )
 
 
@@ -149,7 +155,6 @@ class RecoveryManager:
         self.storage = store.storage
         self.containers = store.storage.containers
         self.journal = store.storage.journal
-        self._catalog_dirty = False
         self._meta_cache: dict[int, object] = {}
 
     # --- read-only inspection (fsck) ---------------------------------------
@@ -183,6 +188,10 @@ class RecoveryManager:
             seq = stage_key_seq(key)
             if seq is None or seq not in open_flushes:
                 report.cache_debris.append(key)
+        report.log_debris = (
+            self.store.catalog_log.debris_keys()
+            + self.storage.similar_index.log.debris_keys()
+        )
         return report
 
     # --- repair ------------------------------------------------------------
@@ -248,8 +257,10 @@ class RecoveryManager:
             self.storage.oss.delete_object(self.containers._bucket, key)
             report.cache_staging_reaped.append(key)
         report.journal_truncated = self.journal.truncate()
-        if self._catalog_dirty:
-            self.store._persist_catalog()
+        self.store._persist_catalog()
+        # Leave both metadata logs folded: no tail for the next attach to
+        # replay, no interrupted-fold debris.
+        self.store.fold_metadata()
         return report
 
     # --- per-kind handlers ---------------------------------------------------
@@ -359,7 +370,6 @@ class RecoveryManager:
         self.store.gnode._compaction_cleanup(sparse, planned, {}, CompactionReport())
         self.store.catalog.update_references(path, version, refs)
         self.store.catalog.add_garbage(path, version, sparse)
-        self._catalog_dirty = True
 
     def _walk_index_back(self, sparse: list[int], moves: dict[bytes, int]) -> int:
         """Re-point index entries from dead new containers to old copies.

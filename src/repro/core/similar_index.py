@@ -7,8 +7,10 @@ files share some representative fingerprints, they are considered similar."
 Detection order follows Section IV-A, step 1: the latest historical version
 is found by file path first (cheap and usually right); only when that fails
 does the L-node sample the file header and vote over representative
-fingerprints.  The index is small and persisted to OSS after each backup so
-stateless L-nodes can always load the current view.
+fingerprints.  The index is small and persisted to OSS so stateless L-nodes
+can always load the current view: each registration appends one small record
+to a :class:`~repro.core.deltalog.DeltaLog`, and the whole index is only
+rewritten (as the log's checkpoint) when the log folds.
 """
 
 from __future__ import annotations
@@ -17,13 +19,19 @@ import struct
 from collections import Counter
 from collections.abc import Iterable
 
+from repro.core.deltalog import DeltaLog
 from repro.fingerprint.hashing import FP_SIZE
 from repro.oss.object_store import ObjectStorageService
 
 _OBJECT_KEY = "similar/index"
+_LOG_PREFIX = "similar/log/"
 _HEADER = struct.Struct(">II")          # file count, representative count
 _NAME_ENTRY = struct.Struct(">HI")      # path length, latest version
 _REP_ENTRY = struct.Struct(">20sHI")    # fp, path length, version
+#: Checkpoint trailer: the log sequence number it is folded through.  It
+#: follows the counted entries, so a reader of the trailer-less format never
+#: reaches it, and a checkpoint without one is folded through 0.
+_LOG_NEXT = struct.Struct(">Q")
 
 
 class SimilarFileIndex:
@@ -35,6 +43,8 @@ class SimilarFileIndex:
         self._latest: dict[str, int] = {}
         self._by_rep: dict[bytes, tuple[str, int]] = {}
         oss.create_bucket(bucket)
+        #: Checkpoint ``similar/index`` plus one record per registration.
+        self.log = DeltaLog(oss, bucket, _OBJECT_KEY, _LOG_PREFIX)
 
     # --- queries -----------------------------------------------------------
     def latest_version(self, path: str) -> int | None:
@@ -63,11 +73,13 @@ class SimilarFileIndex:
 
     # --- updates ---------------------------------------------------------------
     def register(self, path: str, version: int, representatives: Iterable[bytes]) -> None:
-        """Record a finished backup and persist the updated index to OSS."""
-        self._latest[path] = max(version, self._latest.get(path, version))
-        for fp in representatives:
-            self._by_rep[fp] = (path, version)
-        self._persist()
+        """Record a finished backup and persist it as one log record."""
+        latest = max(version, self._latest.get(path, version))
+        owned = {fp: (path, version) for fp in representatives}
+        self.log.append(_encode({path: latest}, owned))
+        self._latest[path] = latest
+        self._by_rep.update(owned)
+        self.log.fold_if_due(self._checkpoint)
 
     def forget_version(self, path: str, version: int) -> None:
         """Drop representative entries pointing at a deleted version."""
@@ -104,27 +116,23 @@ class SimilarFileIndex:
         self._persist()
 
     # --- persistence ------------------------------------------------------------
-    def _persist(self) -> None:
-        blob = bytearray(_HEADER.pack(len(self._latest), len(self._by_rep)))
-        for path, version in sorted(self._latest.items()):
-            encoded = path.encode()
-            blob += _NAME_ENTRY.pack(len(encoded), version)
-            blob += encoded
-        for fp, (path, version) in sorted(self._by_rep.items()):
-            encoded = path.encode()
-            blob += _REP_ENTRY.pack(fp, len(encoded), version)
-            blob += encoded
-        self._oss.put_object(self._bucket, _OBJECT_KEY, bytes(blob))
+    def _checkpoint(self, log_next: int) -> bytes:
+        return _encode(self._latest, self._by_rep) + _LOG_NEXT.pack(log_next)
 
-    def load(self) -> bool:
-        """Reload state from OSS; True if an index object existed."""
-        if self._oss.peek_size(self._bucket, _OBJECT_KEY) is None:
-            return False
-        payload = self._oss.get_object(self._bucket, _OBJECT_KEY)
+    def _persist(self) -> None:
+        """Fold: rewrite the whole index as the log's checkpoint."""
+        self.log.fold(self._checkpoint)
+
+    def fold_if_logged(self) -> None:
+        """Fold when any record object exists (attach-time housekeeping)."""
+        if self.log.record_keys():
+            self._persist()
+
+    def _apply(self, payload: bytes) -> int:
+        """Upsert one blob's entries (checkpoint body or a log record);
+        returns the offset just past them."""
         name_count, rep_count = _HEADER.unpack_from(payload, 0)
         position = _HEADER.size
-        self._latest.clear()
-        self._by_rep.clear()
         for _ in range(name_count):
             path_len, version = _NAME_ENTRY.unpack_from(payload, position)
             position += _NAME_ENTRY.size
@@ -139,8 +147,39 @@ class SimilarFileIndex:
             if len(fp) != FP_SIZE:
                 continue
             self._by_rep[fp] = (path, version)
-        return True
+        return position
+
+    def load(self) -> bool:
+        """Reload state from OSS (checkpoint, then the log's tail in
+        order); True if anything was persisted."""
+        self._latest.clear()
+        self._by_rep.clear()
+        checkpoint = self.log.read_checkpoint()
+        through = 0
+        if checkpoint is not None:
+            end = self._apply(checkpoint)
+            if len(checkpoint) >= end + _LOG_NEXT.size:
+                (through,) = _LOG_NEXT.unpack_from(checkpoint, end)
+        tail = self.log.read_tail(through)
+        for record in tail:
+            self._apply(record)
+        return checkpoint is not None or bool(tail)
 
     def stored_bytes(self) -> int:
-        """Bytes of the persisted index object (free)."""
-        return self._oss.peek_size(self._bucket, _OBJECT_KEY) or 0
+        """Bytes of the persisted index: checkpoint plus un-folded records
+        (free)."""
+        return self.log.stored_bytes()
+
+
+def _encode(latest: dict[str, int], by_rep: dict[bytes, tuple[str, int]]) -> bytes:
+    """The index blob format: header, name entries, representative entries."""
+    blob = bytearray(_HEADER.pack(len(latest), len(by_rep)))
+    for path, version in sorted(latest.items()):
+        encoded = path.encode()
+        blob += _NAME_ENTRY.pack(len(encoded), version)
+        blob += encoded
+    for fp, (path, version) in sorted(by_rep.items()):
+        encoded = path.encode()
+        blob += _REP_ENTRY.pack(fp, len(encoded), version)
+        blob += encoded
+    return bytes(blob)

@@ -11,6 +11,13 @@ associated with version N as garbage candidates), so deleting a version
 only *sweeps* its pre-computed garbage list.  A global per-container
 reference count guards containers shared across files through similarity
 deduplication.
+
+The catalog is persisted as a checkpoint (``catalog/state.json``) plus one
+small record per commit under ``catalog/log/`` (a
+:class:`~repro.core.deltalog.DeltaLog`): every :class:`VersionCatalog`
+mutator notes its own op, :meth:`SlimStore._persist_catalog` publishes the
+noted ops as one record — the single atomic PUT that makes a version
+visible — and attach replays the records through the same mutators.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.config import SlimStoreConfig
 from repro.core.dedup import BackupResult
+from repro.core.deltalog import DeltaLog
 from repro.core.gnode import CompactionReport, GNode, ReverseDedupReport
 from repro.core.lnode import LNode
 from repro.core.restore import RestoreResult
@@ -105,7 +113,22 @@ class SpaceReport:
 
 
 class VersionCatalog:
-    """Live versions, per-version container references, garbage lists."""
+    """Live versions, per-version container references, garbage lists.
+
+    Every mutator that changes state appends ``[name, path, version,
+    *args]`` to :attr:`pending`; whoever persists the catalog publishes
+    (and clears) that list, and :meth:`replay` re-applies such ops.
+    """
+
+    #: Mutators a persisted op may name.
+    _OPS = (
+        "register",
+        "update_references",
+        "add_garbage",
+        "mark_degraded",
+        "clear_degraded",
+        "drop_version",
+    )
 
     def __init__(self) -> None:
         self._versions: dict[str, list[int]] = {}
@@ -113,12 +136,18 @@ class VersionCatalog:
         self._garbage: dict[tuple[str, int], set[int]] = {}
         self._refcount: Counter[int] = Counter()
         self._degraded: set[tuple[str, int]] = set()
+        #: Ops applied since the last publish (JSON-ready lists).
+        self.pending: list[list] = []
+        #: Log sequence number a loaded checkpoint is folded through.
+        self.log_next = 0
 
     # --- persistence ------------------------------------------------------
-    def to_json(self) -> str:
-        """Serialise the catalog (for durable repositories)."""
+    def to_json(self, log_next: int = 0) -> str:
+        """Serialise the catalog (the checkpoint of its delta log, folded
+        through record ``log_next``)."""
         return json.dumps(
             {
+                "log_next": log_next,
                 "versions": self._versions,
                 "refs": [
                     [path, version, sorted(cids)]
@@ -147,16 +176,30 @@ class VersionCatalog:
         # Catalogs persisted before degraded-mode tracking lack the key.
         for path, version in raw.get("degraded", []):
             catalog._degraded.add((path, version))
+        # Absent in catalogs persisted whole, before the delta log.
+        catalog.log_next = raw.get("log_next", 0)
         return catalog
+
+    def replay(self, ops: list[list]) -> None:
+        """Re-apply persisted ops through the mutators that noted them."""
+        for name, path, version, *args in ops:
+            if name not in self._OPS:
+                raise ValueError(f"unknown catalog op: {name!r}")
+            getattr(self, name)(path, version, *args)
+        self.pending.clear()
 
     # --- degraded-version tracking -----------------------------------------
     def mark_degraded(self, path: str, version: int) -> None:
         """Flag a version whose dedup verification is incomplete."""
-        self._degraded.add((path, version))
+        if (path, version) not in self._degraded:
+            self._degraded.add((path, version))
+            self.pending.append(["mark_degraded", path, version])
 
     def clear_degraded(self, path: str, version: int) -> None:
         """Clear the degraded flag after a successful reclamation pass."""
-        self._degraded.discard((path, version))
+        if (path, version) in self._degraded:
+            self._degraded.remove((path, version))
+            self.pending.append(["clear_degraded", path, version])
 
     def is_degraded(self, path: str, version: int) -> bool:
         """True while the version awaits out-of-line reclamation."""
@@ -168,8 +211,10 @@ class VersionCatalog:
 
     def register(self, path: str, version: int, referenced: set[int]) -> None:
         """Mark phase: record references and diff against the predecessor."""
+        referenced = set(referenced)
+        self.pending.append(["register", path, version, sorted(referenced)])
         self._versions.setdefault(path, []).append(version)
-        self._refs[(path, version)] = set(referenced)
+        self._refs[(path, version)] = referenced
         for cid in referenced:
             self._refcount[cid] += 1
         previous = (path, version - 1)
@@ -198,6 +243,7 @@ class VersionCatalog:
         new = set(referenced)
         if new == old:
             return
+        self.pending.append(["update_references", path, version, sorted(new)])
         for cid in old - new:
             self._refcount[cid] -= 1
         for cid in new - old:
@@ -232,6 +278,7 @@ class VersionCatalog:
         """Associate extra garbage candidates (e.g. compacted sparse
         containers) with a version."""
         if container_ids:
+            self.pending.append(["add_garbage", path, version, sorted(container_ids)])
             self._garbage.setdefault((path, version), set()).update(container_ids)
 
     def versions(self, path: str) -> list[int]:
@@ -247,6 +294,7 @@ class VersionCatalog:
         key = (path, version)
         if key not in self._refs:
             raise VersionNotFoundError(path, version)
+        self.pending.append(["drop_version", path, version])
         self._versions[path].remove(version)
         self._degraded.discard(key)
         references = self._refs.pop(key)
@@ -300,6 +348,10 @@ class SlimStore:
         self.catalog = VersionCatalog()
         # Snapshot metadata and the catalog ride the same (possibly
         # retrying) endpoint as the rest of the storage layer.
+        #: Checkpoint ``catalog/state.json`` plus one record per commit.
+        self.catalog_log = DeltaLog(
+            self.storage.oss, bucket, self.CATALOG_KEY, self.CATALOG_LOG_PREFIX
+        )
         self.snapshots = SnapshotStore(self.storage.oss, bucket)
         self._next_lnode = 0
         #: Report of the last attach-time recovery pass (None until
@@ -307,6 +359,7 @@ class SlimStore:
         self.last_recovery = None
 
     CATALOG_KEY = "catalog/state.json"
+    CATALOG_LOG_PREFIX = "catalog/log/"
 
     def close(self) -> None:
         """Shut down the worker pool and release cached file descriptors.
@@ -328,8 +381,9 @@ class SlimStore:
         journal, the container id space, the similar-file index, the
         global index (with its Bloom filter), the snapshot id sequence
         (reserving ids claimed by journaled-but-unpublished runs) and the
-        version catalog.  Returns True if a catalog was found (i.e. the
-        repository had prior backups).
+        version catalog (its checkpoint, then the commit records logged
+        since, replayed in order).  Returns True if a catalog was found
+        (i.e. the repository had prior backups).
 
         When the journal holds open intents, the container store reports
         torn ``.data``/``.meta`` pairs, or a two-phase reap was
@@ -338,6 +392,8 @@ class SlimStore:
         :class:`~repro.core.recovery.RecoveryManager` pass rolls every
         interrupted job forward or discards it, collects orphans, and
         truncates the journal; its report lands in ``last_recovery``.
+        The same switch gates the attach-time fold of both metadata logs
+        (it writes), so an inspection attach stays read-only.
         """
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
@@ -351,12 +407,16 @@ class SlimStore:
             if intent.kind == "snapshot" and "snapshot_id" in intent.payload
         ]
         self.snapshots.recover(reserved_ids=reserved)
-        payload = None
-        if self.storage.oss.peek_size(self.bucket, self.CATALOG_KEY) is not None:
-            payload = self.storage.oss.get_object(self.bucket, self.CATALOG_KEY)
-        found = payload is not None
-        if found:
-            self.catalog = VersionCatalog.from_json(payload.decode())
+        payload = self.catalog_log.read_checkpoint()
+        self.catalog = (
+            VersionCatalog()
+            if payload is None
+            else VersionCatalog.from_json(payload.decode())
+        )
+        records = self.catalog_log.read_tail(self.catalog.log_next)
+        for record in records:
+            self.catalog.replay(json.loads(record))
+        found = payload is not None or bool(records)
         self.last_recovery = None
         containers = self.storage.containers
         dirty = bool(intents or containers.torn_pairs or containers.partial_reaps)
@@ -364,12 +424,28 @@ class SlimStore:
             from repro.core.recovery import RecoveryManager
 
             self.last_recovery = RecoveryManager(self).run(intents)
+        elif run_recovery:
+            self.fold_metadata()
         return found
 
     def _persist_catalog(self) -> None:
-        self.storage.oss.put_object(
-            self.bucket, self.CATALOG_KEY, self.catalog.to_json().encode()
-        )
+        """Publish the catalog ops noted since the last call as one commit
+        record (nothing to publish, nothing written); fold when due."""
+        ops = self.catalog.pending
+        if ops:
+            self.catalog_log.append(json.dumps(ops).encode())
+            ops.clear()
+        self.catalog_log.fold_if_due(self._catalog_checkpoint)
+
+    def _catalog_checkpoint(self, log_next: int) -> bytes:
+        return self.catalog.to_json(log_next).encode()
+
+    def fold_metadata(self) -> None:
+        """Fold whichever metadata log holds records (tail or debris), so
+        the next attach has nothing to replay; a no-op on folded logs."""
+        if self.catalog_log.record_keys():
+            self.catalog_log.fold(self._catalog_checkpoint)
+        self.storage.similar_index.fold_if_logged()
 
     # --- node scheduling ----------------------------------------------------
     def _pick_lnode(self) -> LNode:
@@ -396,13 +472,13 @@ class SlimStore:
 
         Commit ordering (crash consistency): container data and metas,
         the recipe and its index, and the similar-index registration are
-        all written by the L-node job *before* the catalog object is
-        re-published — the catalog put is the single atomic write that
-        makes the version visible.  A ``backup`` intent (carrying the
-        container-id watermark) brackets the uncommitted window so
-        recovery can discard a half-written version and GC its orphaned
-        containers; G-node maintenance runs only after the commit, under
-        its own journal intents.
+        all written by the L-node job *before* the catalog's commit
+        record is published — that one small PUT under ``catalog/log/``
+        is the single atomic write that makes the version visible.  A
+        ``backup`` intent (carrying the container-id watermark) brackets
+        the uncommitted window so recovery can discard a half-written
+        version and GC its orphaned containers; G-node maintenance runs
+        only after the commit, under its own journal intents.
         """
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
@@ -410,7 +486,7 @@ class SlimStore:
         node = self._pick_lnode()
         try:
             result = node.backup(path, data, rewrite_containers=rewrite_containers)
-            # COMMIT: one atomic catalog write publishes the version.
+            # COMMIT: one atomic commit-record PUT publishes the version.
             self.catalog.register(
                 path, result.version, result.recipe.referenced_containers()
             )
@@ -453,9 +529,8 @@ class SlimStore:
 
         # Post-maintenance catalog fix-up: compaction re-pointed the
         # committed recipe at fresh containers, and the degraded flag may
-        # have settled either way.  Re-publish the catalog only when
-        # something actually changed.
-        catalog_dirty = False
+        # have settled either way.  Publishes a second record only when
+        # a mutator actually changed something.
         if compaction_report is not None and compaction_report.sparse_containers:
             self.catalog.update_references(
                 path, result.version, result.recipe.referenced_containers()
@@ -463,18 +538,14 @@ class SlimStore:
             self.catalog.add_garbage(
                 path, result.version, compaction_report.sparse_containers
             )
-            catalog_dirty = True
-        if degraded and not result.degraded:
+        if degraded:
             self.catalog.mark_degraded(path, result.version)
-            catalog_dirty = True
-        elif result.degraded and not degraded:
+        else:
             self.catalog.clear_degraded(path, result.version)
-            catalog_dirty = True
-        if catalog_dirty:
-            self._persist_catalog()
+        self._persist_catalog()
         if compaction_report is not None and compaction_report.journal_seq is not None:
             # The compaction intent outlives the pass on purpose: only
-            # once the catalog republish above is durable has the version
+            # once the catalog record above is durable has the version
             # fully converged on the compacted layout.
             journal.close(compaction_report.journal_seq)
 
@@ -600,8 +671,8 @@ class SlimStore:
         retention), which keeps the mark-and-sweep garbage lists valid.
 
         Commit ordering: the collectable set is journaled, then the
-        catalog (minus the version) is re-published — the commit point —
-        and only afterwards are containers, recipe and similar-index
+        catalog record dropping the version is published — the commit
+        point — and only afterwards are containers, recipe and similar-index
         entry physically removed (all idempotent, so recovery can replay
         them).  Under a tombstone grace the containers are entombed
         rather than deleted, keeping concurrent restores readable.
@@ -619,7 +690,7 @@ class SlimStore:
             collectable=collectable,
             forget_similar=forget,
         )
-        # COMMIT: the version disappears from the published catalog.
+        # COMMIT: the record drops the version from the published catalog.
         self._persist_catalog()
         reclaimed = 0
         for cid in collectable:
@@ -677,8 +748,7 @@ class SlimStore:
                 merged.counters = merged.counters.merged_with(report.counters)
             if not report.counters.get("gdedup_lookup_failures"):
                 self.catalog.clear_degraded(path, version)
-        if merged is not None:
-            self._persist_catalog()
+        self._persist_catalog()
         return merged
 
     def degraded_versions(self) -> list[tuple[str, int]]:

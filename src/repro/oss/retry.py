@@ -183,6 +183,10 @@ class RetryingObjectStore:
         """Retrying DELETE."""
         return self._call("delete", lambda: self._oss.delete_object(bucket, key))
 
+    def delete_objects(self, bucket: str, keys: list[str]) -> None:
+        """Retrying batched DELETE (idempotent, so the batch retries whole)."""
+        return self._call("delete", lambda: self._oss.delete_objects(bucket, keys))
+
     def list_objects(self, bucket: str, prefix: str = "") -> list[str]:
         """Retrying LIST."""
         return self._call("list", lambda: self._oss.list_objects(bucket, prefix))

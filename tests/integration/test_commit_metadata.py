@@ -1,0 +1,412 @@
+"""O(1) commit metadata: the catalog and the similar-file index persist as a
+checkpoint plus one small record per commit.
+
+What this suite pins down, beside ``tests/core/test_deltalog.py`` (the
+mechanism) and the crash matrices (the commit contract):
+
+* any interleaving of catalog mutations, registrations, commits, folds and
+  reattaches reloads exactly the committed state;
+* a repository written whole-object by the previous format attaches;
+* the bytes one commit writes do not depend on how many paths the
+  repository holds (the property the whole-object rewrite lacked);
+* the requests a backup does *not* need are not sent: no commit record when
+  no mutator changed anything, no ``reverse_dedup`` intent around nothing;
+* an interrupted fold's leftovers are reported by ``fsck`` and folded away.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import SlimStore, SlimStoreConfig
+from repro.core import deltalog
+from repro.core.recovery import RecoveryManager
+from repro.errors import SimulatedCrashError, TransientOSSError
+from repro.oss.faults import FaultPolicy
+from repro.oss.object_store import ObjectStorageService
+from tests.conftest import SMALL_CONFIG, mutate, random_bytes
+
+BUCKET = "slimstore"
+PATHS = ["a", "b/c", "d"]
+
+
+def reattach(store: SlimStore, run_recovery: bool = True) -> SlimStore:
+    survivor = SlimStore(store.config, store.oss)
+    survivor.recover(run_recovery=run_recovery)
+    return survivor
+
+
+def similar_state(store: SlimStore):
+    index = store.storage.similar_index
+    return dict(index._latest), dict(index._by_rep)
+
+
+def keys(store: SlimStore, prefix: str) -> list[str]:
+    return store.oss.peek_keys(BUCKET, prefix)
+
+
+# ---------------------------------------------------------------------------
+# Property: mutations x commit points x fold points x reattach
+# ---------------------------------------------------------------------------
+
+cids = st.lists(st.integers(0, 12), max_size=4)
+step = st.one_of(
+    st.tuples(st.just("backup"), st.integers(0, 2), cids, st.booleans()),
+    st.tuples(st.just("maintain"), st.integers(0, 2), cids, cids),
+    st.tuples(st.just("settle"), st.integers(0, 2), st.booleans()),
+    st.tuples(st.just("drop"), st.integers(0, 2)),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("fold")),
+    st.tuples(st.just("reattach"), st.booleans()),
+)
+
+
+def fake_reps(path: str, version: int, count: int) -> list[bytes]:
+    return [f"{path}|{version % 3}|{k}".encode().ljust(20, b".") for k in range(count)]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([1, 2, 3, 5]), st.lists(step, min_size=1, max_size=30))
+def test_reattached_state_equals_the_committed_state(fold_every, steps):
+    """Drive the catalog's mutators and the similar index's registrations
+    directly (what ``backup`` / ``delete_version`` / recovery do, minus the
+    data path), publish at random commit points, fold at random points and
+    on schedule, and reattach — sometimes read-only — at random points.
+    The survivor must hold the catalog as of the last commit (uncommitted
+    ops die with the process) and the similar index as registered."""
+    with mock.patch.object(deltalog, "FOLD_EVERY", fold_every):
+        live = SlimStore(SMALL_CONFIG, ObjectStorageService())
+        committed = live.catalog.to_json()
+        for name, *args in steps:
+            catalog, similar = live.catalog, live.storage.similar_index
+            if name == "backup":
+                index, referenced, degraded = args
+                path = PATHS[index]
+                versions = catalog.versions(path)
+                version = versions[-1] + 1 if versions else 0
+                similar.register(path, version, fake_reps(path, version, len(referenced)))
+                catalog.register(path, version, set(referenced))
+                if degraded:
+                    catalog.mark_degraded(path, version)
+            elif name == "maintain":
+                index, referenced, garbage = args
+                versions = catalog.versions(PATHS[index])
+                if versions:
+                    catalog.update_references(PATHS[index], versions[-1], set(referenced))
+                    catalog.add_garbage(PATHS[index], versions[-1], garbage)
+            elif name == "settle":
+                index, degraded = args
+                versions = catalog.versions(PATHS[index])
+                if versions and degraded:
+                    catalog.mark_degraded(PATHS[index], versions[-1])
+                elif versions:
+                    catalog.clear_degraded(PATHS[index], versions[-1])
+            elif name == "drop":
+                path = PATHS[args[0]]
+                versions = catalog.versions(path)
+                if versions:
+                    catalog.drop_version(path, versions[0])
+                    if similar.latest_version(path) == versions[0]:
+                        similar.forget_version(path, versions[0])
+            elif name == "commit":
+                live._persist_catalog()
+                committed = catalog.to_json()
+            elif name == "fold":
+                live._persist_catalog()
+                committed = catalog.to_json()
+                live.fold_metadata()
+                assert not keys(live, "catalog/log/") and not keys(live, "similar/log/")
+            else:
+                survivor = reattach(live, run_recovery=args[0])
+                assert survivor.catalog.to_json() == committed
+                assert similar_state(survivor) == similar_state(live)
+                assert survivor.catalog.refcounts() == (
+                    type(catalog).from_json(committed).refcounts()
+                )
+                assert not survivor.catalog.pending
+                live = survivor
+        survivor = reattach(live)
+        assert survivor.catalog.to_json() == committed
+        assert similar_state(survivor) == similar_state(live)
+        assert RecoveryManager(survivor).inspect().clean
+
+
+# ---------------------------------------------------------------------------
+# Legacy: a repository persisted whole-object, before the delta log
+# ---------------------------------------------------------------------------
+
+
+def legacy_catalog_json(catalog) -> str:
+    """The previous format's ``VersionCatalog.to_json`` (no ``log_next``)."""
+    return json.dumps(
+        {
+            "versions": catalog._versions,
+            "refs": [
+                [path, version, sorted(cids)]
+                for (path, version), cids in sorted(catalog._refs.items())
+            ],
+            "garbage": [
+                [path, version, sorted(cids)]
+                for (path, version), cids in sorted(catalog._garbage.items())
+            ],
+            "degraded": [list(key) for key in sorted(catalog._degraded)],
+        }
+    )
+
+
+def legacy_similar_blob(index) -> bytes:
+    """The previous format's ``SimilarFileIndex._persist`` blob (no trailer)."""
+    blob = bytearray(struct.pack(">II", len(index._latest), len(index._by_rep)))
+    for path, version in sorted(index._latest.items()):
+        encoded = path.encode()
+        blob += struct.pack(">HI", len(encoded), version)
+        blob += encoded
+    for fp, (path, version) in sorted(index._by_rep.items()):
+        encoded = path.encode()
+        blob += struct.pack(">20sHI", fp, len(encoded), version)
+        blob += encoded
+    return bytes(blob)
+
+
+def test_legacy_whole_object_repository_attaches_backs_up_and_reattaches(rng):
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    chain = [random_bytes(rng, 96 * 1024)]
+    chain.append(mutate(rng, chain[0], runs=2, run_bytes=4096))
+    other = random_bytes(rng, 40 * 1024)
+    store.backup("f", chain[0])
+    store.backup("f", chain[1])
+    store.backup("g", other)
+    # Re-express the metadata exactly as the previous release left it: the
+    # two whole objects, and nothing under either log prefix.
+    objects = store.oss._backend(BUCKET)._objects
+    for key in keys(store, "catalog/") + keys(store, "similar/"):
+        del objects[key]
+    objects["catalog/state.json"] = legacy_catalog_json(store.catalog).encode()
+    objects["similar/index"] = legacy_similar_blob(store.storage.similar_index)
+
+    attached = reattach(store)
+    assert attached.versions("f") == [0, 1] and attached.versions("g") == [0]
+    assert similar_state(attached) == similar_state(store)
+    assert attached.restore("f", 1).data == chain[1]
+
+    chain.append(mutate(rng, chain[1], runs=2, run_bytes=4096))
+    report = attached.backup("f", chain[2])
+    assert report.version == 2
+    assert report.dedup_ratio > 0.5  # deduplicated against the legacy history
+    # The new commit is a record beside the untouched legacy checkpoint.
+    assert keys(attached, "catalog/log/") == ["catalog/log/000000000000"]
+    assert "log_next" not in json.loads(objects["catalog/state.json"])
+
+    again = reattach(attached)
+    assert again.versions("f") == [0, 1, 2]
+    for version, payload in enumerate(chain):
+        assert again.restore("f", version).data == payload
+    assert again.restore("g", 0).data == other
+    assert similar_state(again) == similar_state(attached)
+    # That attach folded: the checkpoint is in the current format now.
+    assert json.loads(objects["catalog/state.json"])["log_next"] == 1
+    assert not keys(again, "catalog/log/") and not keys(again, "similar/log/")
+
+
+# ---------------------------------------------------------------------------
+# Growth: what one commit writes does not depend on the repository's size
+# ---------------------------------------------------------------------------
+
+
+def small_file_repository(paths: int) -> tuple[SlimStore, dict[str, bytes]]:
+    """``paths`` 4 KiB files, each backed up once; file *i* has the same
+    bytes in every repository this builds."""
+    store = SlimStore(SlimStoreConfig(), ObjectStorageService())
+    files = {
+        f"src/{i:04d}.c": random_bytes(np.random.default_rng(i), 4096)
+        for i in range(paths)
+    }
+    for path, data in files.items():
+        store.backup(path, data)
+    return store, files
+
+
+def test_bytes_written_by_one_commit_are_independent_of_repository_size():
+    """An unchanged 4 KiB re-backup into 10 paths and into 500 paths writes
+    the same objects; only decimal widths (container ids, the journalled
+    watermark) may differ — far less than one commit record."""
+    written = {}
+    for paths in (10, 500):
+        store, files = small_file_repository(paths)
+        path = next(iter(files))
+        before = store.oss.stats.snapshot()
+        store.backup(path, files[path])
+        written[paths] = store.oss.stats.diff(before).bytes_written
+        (record_key,) = keys(store, "catalog/log/")[-1:]
+        record_bytes = store.oss.peek_size(BUCKET, record_key)
+    assert abs(written[500] - written[10]) < record_bytes, written
+
+
+def test_six_hundred_small_commits_write_under_three_times_the_logical_bytes():
+    """300 paths of 4 KiB backed up twice: 600 commits, two scheduled folds
+    of each log.  Rewriting the whole catalog per commit alone wrote more
+    than 5x the logical bytes here."""
+    store, files = small_file_repository(300)
+    for path, data in files.items():
+        store.backup(path, data)
+    logical = 2 * sum(len(data) for data in files.values())
+    stats = store.oss.stats
+    assert stats.bytes_written < 3 * logical, stats.bytes_written / logical
+    by_family = Counter()
+    for key in store.oss.peek_keys(BUCKET):
+        by_family[key.split("/")[0]] += store.oss.peek_size(BUCKET, key)
+    # 600 records, folded at 256 and 512: a tail of 88 remains.
+    assert len(keys(store, "catalog/log/")) == 600 - 2 * deltalog.FOLD_EVERY
+    assert len(keys(store, "similar/log/")) == 600 - 2 * deltalog.FOLD_EVERY
+    # ... and the live store accounts for it in the similar index's bytes.
+    assert store.space_report().similar_index_bytes == by_family["similar"]
+    survivor = reattach(store)
+    assert survivor.catalog.to_json() == store.catalog.to_json()
+    assert similar_state(survivor) == similar_state(store)
+    path = next(iter(files))
+    assert survivor.restore(path).data == files[path]
+
+
+# ---------------------------------------------------------------------------
+# Requests that are no longer sent
+# ---------------------------------------------------------------------------
+
+
+def record_writes(store: SlimStore, monkeypatch) -> list[tuple[str, str]]:
+    """Every (verb, key) write ``store``'s endpoint serves from here on."""
+    log: list[tuple[str, str]] = []
+    for verb in ("put_object", "delete_object", "delete_objects"):
+        original = getattr(store.oss, verb)
+
+        def spy(bucket, key, *args, _verb=verb, _original=original, **kwargs):
+            # One entry per write request (a batched delete names its keys).
+            log.append((_verb, key if isinstance(key, str) else ",".join(key)))
+            return _original(bucket, key, *args, **kwargs)
+
+        monkeypatch.setattr(store.oss, verb, spy)
+    return log
+
+
+def test_unchanged_rebackup_opens_one_journal_intent(rng, monkeypatch):
+    """No container written, so no ``reverse_dedup`` intent around nothing:
+    the ``backup`` intent's PUT and DELETE are the only journal traffic."""
+    store = SlimStore(SlimStoreConfig(), ObjectStorageService())
+    data = random_bytes(rng, 4096)
+    store.backup("f", data)
+    writes = record_writes(store, monkeypatch)
+    report = store.backup("f", data)
+    assert report.result.new_container_ids == []
+    assert report.reverse_dedup is not None
+    assert report.reverse_dedup.chunks_scanned == 0
+    journal = [(verb, key) for verb, key in writes if key.startswith("journal/")]
+    assert [verb for verb, _ in journal] == ["put_object", "delete_object"]
+    assert journal[0][1] == journal[1][1]
+    # ... and one commit record, one similar-index record.
+    assert sum(key.startswith("catalog/") for _, key in writes) == 1
+    assert sum(key.startswith("similar/") for _, key in writes) == 1
+
+
+def test_a_pass_that_changes_nothing_publishes_nothing(rng, monkeypatch):
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    data = random_bytes(rng, 64 * 1024)
+    store.backup("f", data)
+    store.catalog.mark_degraded("f", 0)
+    store._persist_catalog()
+    writes = record_writes(store, monkeypatch)
+    # An update_references with the set it already holds records no op ...
+    store.catalog.update_references("f", 0, store.catalog.references("f", 0))
+    store.catalog.add_garbage("f", 0, [])
+    store.catalog.mark_degraded("f", 0)
+    store._persist_catalog()
+    assert not [key for _, key in writes if key.startswith("catalog/")]
+    # ... a reclaim pass that clears the flag publishes exactly one record,
+    # and one with nothing flagged publishes none.
+    assert store.reclaim_degraded() is not None
+    assert store.degraded_versions() == []
+    assert len([key for _, key in writes if key.startswith("catalog/")]) == 1
+    assert store.reclaim_degraded() is None
+    assert len([key for _, key in writes if key.startswith("catalog/")]) == 1
+    assert reattach(store).degraded_versions() == []
+
+
+def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):
+    """The commit record (and the registration before it) landed; the fold
+    that came due is housekeeping and is simply tried again next time."""
+    monkeypatch.setattr(deltalog, "FOLD_EVERY", 2)
+
+    class NoCheckpoints(FaultPolicy):
+        blocked = True
+
+        def before_request(self, op, bucket, key):
+            if self.blocked and op == "put" and key in ("catalog/state.json", "similar/index"):
+                raise TransientOSSError(op, bucket, key)
+            return super().before_request(op, bucket, key)
+
+    policy = NoCheckpoints()
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService(faults=policy))
+    payloads = {name: random_bytes(rng, 20 * 1024) for name in "abc"}
+    for name in "ab":
+        assert store.backup(name, payloads[name]).version == 0
+    assert not keys(store, "catalog/state.json") and not keys(store, "similar/index")
+    assert reattach(store, run_recovery=False).catalog.paths() == ["a", "b"]
+    policy.blocked = False
+    store.backup("c", payloads["c"])
+    assert keys(store, "catalog/state.json") and keys(store, "similar/index")
+    assert not keys(store, "catalog/log/") and not keys(store, "similar/log/")
+    survivor = reattach(store)
+    for name, data in payloads.items():
+        assert survivor.restore(name).data == data
+
+
+# ---------------------------------------------------------------------------
+# fsck: an interrupted fold's leftovers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("log", ["catalog", "similar"])
+def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(log, monkeypatch):
+    monkeypatch.setattr(deltalog, "FOLD_EVERY", 3)
+    rng = np.random.default_rng(7)
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    payloads = {f"f{i}": random_bytes(rng, 24 * 1024) for i in range(3)}
+    policy = FaultPolicy()
+    store.oss.set_fault_policy(policy)
+    for path, data in list(payloads.items())[:2]:
+        store.backup(path, data)
+    # The third commit makes both folds due.  Find the fold's checkpoint
+    # PUT in a probe of the write stream, then die right after it.
+    probe = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    for path, data in list(payloads.items())[:2]:
+        probe.backup(path, data)
+    writes = record_writes(probe, monkeypatch)
+    probe.backup("f2", payloads["f2"])
+    checkpoint = {"catalog": "catalog/state.json", "similar": "similar/index"}[log]
+    index = [key for _, key in writes].index(checkpoint)
+
+    policy.crash_after_writes(index + 1)
+    with pytest.raises(SimulatedCrashError):
+        store.backup("f2", payloads["f2"])
+    store.oss.set_fault_policy(None)
+
+    inspected = reattach(store, run_recovery=False)
+    report = RecoveryManager(inspected).inspect()
+    assert report.log_debris == [f"{log}/log/{seq:012d}" for seq in range(3)]
+    assert not report.clean
+    # Read-only: the inspection attach deleted nothing.
+    assert keys(inspected, f"{log}/log/") == report.log_debris
+
+    survivor = reattach(store)
+    assert RecoveryManager(survivor).inspect().clean
+    assert not keys(survivor, "catalog/log/") and not keys(survivor, "similar/log/")
+    committed = ["f0", "f1"] + (["f2"] if log == "catalog" else [])
+    assert survivor.catalog.paths() == committed
+    for path in committed:
+        assert survivor.restore(path).data == payloads[path]

@@ -11,7 +11,14 @@ asserts the crash-consistency contract:
 * no version is partially visible (catalog, recipe and similar index
   agree on exactly the committed set);
 * zero orphaned bytes: every live container is referenced by a committed
-  version, the journal is empty, no torn pairs survive.
+  version, the journal is empty, no torn pairs survive, and no metadata-log
+  record an interrupted fold left behind outlives the reattach.
+
+Each matrix runs twice: once as is (a handful of commits never reaches a
+fold of the catalog's or the similar index's delta log), and once with
+``FOLD_EVERY`` at 2 from a base whose logs were left un-folded, so the swept
+write stream also crosses both folds — checkpoint PUT, batched DELETE — at
+the job's own commit points.
 """
 
 from __future__ import annotations
@@ -33,15 +40,19 @@ clone_state = bucket_state
 
 
 def attach(state: dict[str, dict[str, bytes]] | None = None,
-           config=SMALL_CONFIG) -> SlimStore:
-    """A fresh SlimStore over a fresh OSS seeded with ``state``."""
+           config=SMALL_CONFIG, fold: bool = True) -> SlimStore:
+    """A fresh SlimStore over a fresh OSS seeded with ``state``.
+
+    ``fold=False`` attaches the way ``repro fsck`` does (the base states are
+    clean, so all it skips is the attach-time fold): the metadata logs keep
+    their tails and the next commit may find a fold due."""
     oss = ObjectStorageService()
     store = SlimStore(config, oss)
     if state is not None:
         for bucket, objects in state.items():
             oss.create_bucket(bucket)
             oss._backend(bucket)._objects = dict(objects)
-        store.recover()
+        store.recover(run_recovery=fold)
     return store
 
 
@@ -53,9 +64,9 @@ def reattach(store: SlimStore) -> SlimStore:
     return survivor
 
 
-def count_writes(base_state, action, config=SMALL_CONFIG) -> int:
+def count_writes(base_state, action, config=SMALL_CONFIG, fold: bool = True) -> int:
     """Probe run: how many OSS writes does ``action`` perform?"""
-    probe = attach(base_state, config)
+    probe = attach(base_state, config, fold)
     policy = FaultPolicy()
     probe.oss.set_fault_policy(policy)
     action(probe)
@@ -63,12 +74,12 @@ def count_writes(base_state, action, config=SMALL_CONFIG) -> int:
     return policy.writes_seen
 
 
-def run_matrix(base_state, action, verify, config=SMALL_CONFIG) -> int:
+def run_matrix(base_state, action, verify, config=SMALL_CONFIG, fold: bool = True) -> int:
     """Crash ``action`` at every write index; recover; verify. Returns N."""
-    total_writes = count_writes(base_state, action, config)
+    total_writes = count_writes(base_state, action, config, fold)
     assert total_writes > 0
     for crash_at in range(total_writes):
-        store = attach(base_state, config)
+        store = attach(base_state, config, fold)
         policy = FaultPolicy()
         policy.crash_after_writes(crash_at)
         store.oss.set_fault_policy(policy)
@@ -79,10 +90,31 @@ def run_matrix(base_state, action, verify, config=SMALL_CONFIG) -> int:
     return total_writes
 
 
+CHECKPOINTS = ("catalog/state.json", "similar/index")
+
+
+def folds_crossed(base_state, action) -> set[str]:
+    """Checkpoints ``action`` rewrites when run from the un-folded base."""
+    probe = attach(base_state, fold=False)
+    before = bucket_state(probe.oss)["slimstore"]
+    action(probe)
+    after = bucket_state(probe.oss)["slimstore"]
+    return {key for key in CHECKPOINTS if after.get(key) != before.get(key)}
+
+
 def assert_zero_debris(survivor: SlimStore) -> None:
-    """Journal empty, no torn pairs, no orphaned bytes, index coherent."""
+    """Journal empty, no torn pairs, no orphaned bytes, index coherent, no
+    metadata-log record left below its checkpoint's mark."""
     inspection = RecoveryManager(survivor).inspect()
     assert inspection.clean, f"repository dirty after recovery: {inspection}"
+    assert not inspection.log_debris
+    # ... judged against the bucket, not only the logs' own bookkeeping:
+    # every record object on OSS belongs to a live (un-folded) tail.
+    for prefix, log in (
+        ("catalog/log/", survivor.catalog_log),
+        ("similar/log/", survivor.storage.similar_index.log),
+    ):
+        assert survivor.oss.peek_keys(survivor.bucket, prefix) == log.record_keys()
     live = set(survivor.storage.containers.container_ids())
     referenced = survivor.catalog.live_container_ids()
     orphans = live - referenced
@@ -139,6 +171,17 @@ class TestBackupCrashMatrix:
         assert_zero_debris(probe)
 
     def test_crash_at_every_write_index(self, base):
+        self._sweep(base)
+
+    def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
+        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        base_state, _payloads, next_payload = base
+        assert folds_crossed(
+            base_state, lambda store: store.backup("f", next_payload)
+        ) == set(CHECKPOINTS)
+        self._sweep(base, fold=False)
+
+    def _sweep(self, base, fold: bool = True):
         base_state, payloads, next_payload = base
         committed = list(range(len(payloads)))
         extended = committed + [len(payloads)]
@@ -158,7 +201,7 @@ class TestBackupCrashMatrix:
                 )
             assert_zero_debris(survivor)
 
-        total = run_matrix(base_state, action, verify)
+        total = run_matrix(base_state, action, verify, fold=fold)
         # The matrix must be wide enough to cross the backup commit, the
         # reverse-dedup pass and the compaction schedule.
         assert total > 20
@@ -183,6 +226,18 @@ class TestDeleteCrashMatrix:
         return clone_state(store.oss), chain
 
     def test_crash_at_every_write_index(self, base):
+        self._sweep(base)
+
+    def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
+        """The catalog fold lands at the delete's own commit point (a
+        delete registers nothing, so the similar log is not appended to)."""
+        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        assert folds_crossed(
+            base[0], lambda store: store.delete_version("f", 0)
+        ) == {"catalog/state.json"}
+        self._sweep(base, fold=False)
+
+    def _sweep(self, base, fold: bool = True):
         base_state, chain = base
 
         def action(store: SlimStore) -> None:
@@ -201,7 +256,7 @@ class TestDeleteCrashMatrix:
             for version in (1, 2):
                 assert survivor.restore("f", version).data == chain[version]
 
-        run_matrix(base_state, action, verify)
+        run_matrix(base_state, action, verify, fold=fold)
 
 
 class TestSnapshotCrashMatrix:
@@ -219,6 +274,19 @@ class TestSnapshotCrashMatrix:
         return clone_state(store.oss), files
 
     def test_crash_at_every_write_index(self, base):
+        self._sweep(base)
+
+    def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
+        """Two members: the second one's registration and commit each find
+        a fold due."""
+        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        base_state, files = base
+        assert folds_crossed(
+            base_state, lambda store: store.backup_snapshot(files, run_gnode=False)
+        ) == set(CHECKPOINTS)
+        self._sweep(base, fold=False)
+
+    def _sweep(self, base, fold: bool = True):
         base_state, files = base
 
         def action(store: SlimStore) -> None:
@@ -249,4 +317,4 @@ class TestSnapshotCrashMatrix:
             )
             assert follow_up not in published
 
-        run_matrix(base_state, action, verify)
+        run_matrix(base_state, action, verify, fold=fold)

@@ -10,6 +10,7 @@ original payloads and against each other.
 
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 import pytest
@@ -345,6 +346,19 @@ class TestSerialVsParallelParity:
             key.startswith("durability/") for key in serial["bucket_state"]["slimstore"]
         ), "the tier never replicated or erasure-coded a container"
         _assert_same_run(serial, parallel, workload, "workers=2 durability")
+
+    def test_parallel_parity_across_a_fold(self, monkeypatch):
+        """Six commits at ``FOLD_EVERY`` 2: both metadata logs fold three
+        times (checkpoint PUT + batched DELETE), on the caller's thread and
+        at the same request positions whatever ``workers`` is."""
+        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        workload = _parity_workload(606)
+        serial = _run_slimstore(workload, 0)
+        parallel = _run_slimstore(workload, 2)
+        bucket = serial["bucket_state"]["slimstore"]
+        assert {"catalog/state.json", "similar/index"} <= set(bucket)
+        assert json.loads(bucket["catalog/state.json"])["log_next"] >= 4
+        _assert_same_run(serial, parallel, workload, "workers=2 across folds")
 
     def test_parallel_blake2b_repository_is_byte_identical(self):
         """Fingerprint algorithm and worker count compose: a blake2b repo

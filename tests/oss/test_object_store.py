@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.errors import BucketNotFoundError, ObjectNotFoundError
+from repro.errors import (
+    BucketNotFoundError,
+    ObjectNotFoundError,
+    SimulatedCrashError,
+    TransientOSSError,
+)
 from repro.oss.backend import InMemoryBackend
+from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
+from repro.oss.retry import RetryingObjectStore, RetryPolicy
 from repro.sim.cost_model import CostModel
 
 
@@ -61,6 +68,89 @@ class TestObjectOperations:
         assert store.head_object("test", "key") == 5
         assert store.object_exists("test", "key")
         assert not store.object_exists("test", "other")
+
+
+class TestBatchedDelete:
+    """``delete_objects`` is OSS DeleteMultipleObjects: one request, one
+    fault-gate decision and one crash-matrix write per ≤1,000 keys."""
+
+    @staticmethod
+    def _fill(store, count: int) -> list[str]:
+        keys = [f"log/{i:06d}" for i in range(count)]
+        for key in keys:
+            store.put_object("test", key, b"x")
+        return keys
+
+    def test_one_request_deletes_the_batch_and_tolerates_missing_keys(self, store):
+        keys = self._fill(store, 5)
+        store.put_object("test", "keep", b"x")
+        before = store.stats.snapshot()
+        clock = store.clock.now
+        store.delete_objects("test", ["log/ghost", *keys])
+        assert store.peek_keys("test") == ["keep"]
+        assert store.stats.diff(before).delete_requests == 1
+        assert store.clock.now - clock == pytest.approx(
+            store.cost_model.oss_request_latency
+        )
+        # Idempotent: every key is missing now.
+        store.delete_objects("test", keys)
+        assert store.stats.diff(before).delete_requests == 2
+
+    def test_no_keys_is_no_request(self, store):
+        clock = store.clock.now
+        store.delete_objects("test", [])
+        assert store.stats.delete_requests == 0
+        assert store.clock.now == clock
+
+    def test_one_request_per_thousand_keys(self, store):
+        keys = self._fill(store, 2001)
+        store.delete_objects("test", keys)
+        assert store.stats.delete_requests == 3
+        assert store.peek_keys("test") == []
+
+    def test_one_fault_gate_call_and_one_crash_write_per_request(self, store):
+        keys = self._fill(store, 1500)
+        policy = FaultPolicy()
+        store.set_fault_policy(policy)
+        gated = []
+        original = policy.before_request
+
+        def recording(op, bucket, key):
+            gated.append((op, key))
+            return original(op, bucket, key)
+
+        policy.before_request = recording
+        store.delete_objects("test", keys)
+        assert gated == [("delete", keys[0]), ("delete", keys[1000])]
+        assert policy.writes_seen == 2
+
+    def test_crash_lands_between_batches_never_inside_one(self, store):
+        keys = self._fill(store, 1500)
+        policy = FaultPolicy()
+        policy.crash_after_writes(1)
+        store.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.delete_objects("test", keys)
+        assert store.peek_keys("test") == keys[1000:]
+
+    def test_retrying_client_retries_the_batch_whole(self, store):
+        keys = self._fill(store, 4)
+        policy = FaultPolicy()
+        store.set_fault_policy(policy)
+        failures = iter([True, False])
+        original = policy.before_request
+
+        def flaky(op, bucket, key):
+            if op == "delete" and next(failures):
+                raise TransientOSSError(op, bucket, key)
+            return original(op, bucket, key)
+
+        policy.before_request = flaky
+        client = RetryingObjectStore(store, RetryPolicy(base_delay=0.01, max_delay=0.02))
+        client.delete_objects("test", keys)
+        assert store.peek_keys("test") == []
+        assert client.retry_stats.retries == 1
+        assert store.stats.delete_requests == 1
 
 
 class TestVirtualTimeCharging:

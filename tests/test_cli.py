@@ -83,6 +83,33 @@ class TestFsck:
         assert fresh.restore("f", 0).data == payload
 
 
+    def test_interrupted_fold_is_reported_and_repaired(self, tmp_path, rng, capsys):
+        """A node that died between a fold's checkpoint PUT and its batched
+        DELETE leaves records the checkpoint already covers."""
+        from repro.errors import SimulatedCrashError
+        from repro.oss.faults import FaultPolicy
+
+        repo = tmp_path / "repo"
+        payload = random_bytes(rng, 32 * 1024)
+        store = open_repository(repo)
+        store.backup("f", payload)
+        policy = FaultPolicy()
+        policy.crash_after_writes(1)
+        store.oss.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.fold_metadata()
+
+        assert main(["fsck", str(repo)]) == 1
+        captured = capsys.readouterr()
+        assert "1 folded records left behind" in captured.out
+        assert "catalog/log/000000000000" in captured.err
+        assert main(["fsck", str(repo), "--repair"]) == 0
+        capsys.readouterr()
+        assert main(["fsck", str(repo)]) == 0
+        assert "0 folded records left behind" in capsys.readouterr().out
+        assert open_repository(repo).restore("f", 0).data == payload
+
+
 class TestDurabilityCommand:
     def test_enable_persists_and_reopen_applies(self, tmp_path, rng, capsys):
         repo = tmp_path / "repo"
