@@ -14,6 +14,13 @@ Two halves, one grid (1/4/16 shards x batch on/off):
 
 The seed configuration (one shard, unbatched) is the baseline both
 halves must beat.
+
+The "gdedup index ms" column counts real Rocks-OSS probes, and each absent
+key the per-shard Bloom prefilter happens to pass is one of them — so the
+column moves by a few percent, in either direction per cell, whenever the
+filters' position function changes (which keys are the false positives,
+not how many on average).  Duplicates removed, makespan and rpcs do not
+depend on it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ every eviction.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, deque
+from collections import Counter, OrderedDict
 from collections.abc import Callable
 
 from repro.core.container import ContainerMeta
@@ -40,12 +40,10 @@ STATUS_USELESS = "S_U"
 class LookAheadWindow:
     """A sliding window over the recipe's chunk-record sequence.
 
-    Alongside per-fingerprint counts the window maintains the positions of
-    each container id currently inside it, updated incrementally as it
-    slides, so :meth:`upcoming_container_ids` costs O(distinct containers)
-    instead of rescanning the whole window.  Optional ``on_enter`` /
-    ``on_exit`` callbacks fire when a fingerprint's window membership flips,
-    letting the cache keep its status buckets current without polling.
+    The window keeps per-fingerprint counts, updated incrementally as it
+    slides.  Optional ``on_enter`` / ``on_exit`` callbacks fire when a
+    fingerprint's window membership flips, letting the cache keep its
+    status buckets current without polling.
     """
 
     def __init__(self, records: list[ChunkRecord], window: int) -> None:
@@ -57,11 +55,6 @@ class LookAheadWindow:
         self._counts: Counter[bytes] = Counter(
             record.fp for record in records[:window]
         )
-        self._container_positions: dict[int, deque[int]] = {}
-        for index, record in enumerate(records[:window]):
-            self._container_positions.setdefault(record.container_id, deque()).append(
-                index
-            )
         #: Fired with a fingerprint when it enters / leaves the window.
         self.on_enter: Callable[[bytes], None] | None = None
         self.on_exit: Callable[[bytes], None] | None = None
@@ -76,9 +69,6 @@ class LookAheadWindow:
             if entering_index < len(self._records):
                 entering = self._records[entering_index]
                 self._counts[entering.fp] += 1
-                self._container_positions.setdefault(
-                    entering.container_id, deque()
-                ).append(entering_index)
                 if self._counts[entering.fp] == 1 and self.on_enter is not None:
                     self.on_enter(entering.fp)
             leaving = self._records[self._position]
@@ -87,20 +77,10 @@ class LookAheadWindow:
                 del self._counts[leaving.fp]
                 if self.on_exit is not None:
                     self.on_exit(leaving.fp)
-            positions = self._container_positions[leaving.container_id]
-            positions.popleft()
-            if not positions:
-                del self._container_positions[leaving.container_id]
             self._position += 1
 
     def __contains__(self, fp: bytes) -> bool:
         return self._counts.get(fp, 0) > 0
-
-    def upcoming_container_ids(self) -> list[int]:
-        """Distinct container ids referenced inside the window, in order."""
-        return sorted(
-            self._container_positions, key=lambda cid: self._container_positions[cid][0]
-        )
 
 
 class FullVisionCache:
@@ -183,13 +163,19 @@ class FullVisionCache:
         )
 
     def consume(self, fp: bytes) -> None:
-        """One reference to ``fp`` was restored: decrement its CBF count."""
+        """One reference to ``fp`` was restored: decrement its CBF count.
+
+        The chunk is dropped exactly when that leaves it ``S_U``; the count
+        :meth:`CountingBloomFilter.remove` reads back spares the second
+        probe ``status_of`` would make.
+        """
         try:
-            self._cbf.remove(fp)
+            remaining = self._cbf.remove(fp)
         except KeyError:
             # A Bloom false positive elsewhere already consumed the slots.
             self.counters.add("cbf_underflows")
-        if self.status_of(fp) == STATUS_USELESS:
+            remaining = self._cbf.count(fp)
+        if remaining == 0 and fp not in self._law:
             self._drop(fp)
 
     def _drop(self, fp: bytes) -> None:

@@ -5,21 +5,44 @@ prefilter, Section VI-A of the paper); the counting variant is the backbone
 of the full-vision restore cache (Section V-A), which needs per-chunk
 reference counts that decrement as chunks are restored.
 
-Hashing uses blake2b with distinct salts, giving deterministic, well-mixed
-hash functions without any randomness at construction time.
+Both filters derive an item's k slots from one 128-bit blake2b digest by
+double hashing (Kirsch-Mitzenmacher): the digest splits into two 64-bit
+words ``first, step`` and slot *i* is ``(first + i * step) mod m`` - one
+digest per filter touch whatever k is, deterministic, and no randomness at
+construction time.
+
+The plain filter is the only one persisted (the SSTable footer blob).  Its
+payload leads with a scheme byte naming the position function, because a
+filter probed with a different function than it was built with answers
+"absent" for keys it holds; see :meth:`BloomFilter.from_bytes` for how a
+payload written before the scheme byte existed is opened.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from array import array
 from collections.abc import Iterable
 
+_TWO_WORDS = struct.Struct(">QQ")
 
-def _hash(item: bytes, seed: int, modulus: int) -> int:
-    digest = hashlib.blake2b(item, digest_size=8, salt=seed.to_bytes(8, "big")).digest()
-    return int.from_bytes(digest, "big") % modulus
+#: First payload byte of a filter whose slots come from :func:`_positions`.
+#: A payload written before this byte existed starts with the high byte of
+#: a 64-bit bit count, which is always 0.
+_SCHEME_DOUBLE_HASHING = 1
+_HEADER = struct.Struct(">BQHQ")
+_LEGACY_HEADER = struct.Struct(">QHQ")
+
+
+def _positions(item: bytes, k: int, m: int) -> list[int]:
+    """The ``k`` slots of ``item`` in a filter of ``m`` slots."""
+    first, step = _TWO_WORDS.unpack(hashlib.blake2b(item, digest_size=16).digest())
+    first %= m
+    # A step of 0 mod m would put all k probes on one slot.
+    step = step % m or 1
+    return [position % m for position in range(first, first + k * step, step)]
 
 
 def optimal_parameters(expected_items: int, false_positive_rate: float) -> tuple[int, int]:
@@ -43,14 +66,12 @@ class BloomFilter:
 
     def add(self, item: bytes) -> None:
         """Insert ``item``."""
-        for seed in range(self._hashes):
-            position = _hash(item, seed, self._bits)
+        for position in _positions(item, self._hashes, self._bits):
             self._array[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
     def __contains__(self, item: bytes) -> bool:
-        for seed in range(self._hashes):
-            position = _hash(item, seed, self._bits)
+        for position in _positions(item, self._hashes, self._bits):
             if not self._array[position >> 3] & (1 << (position & 7)):
                 return False
         return True
@@ -70,22 +91,35 @@ class BloomFilter:
 
     # --- serialisation (SSTables persist their filter to OSS) ------------
     def to_bytes(self) -> bytes:
-        header = (
-            self._bits.to_bytes(8, "big")
-            + self._hashes.to_bytes(2, "big")
-            + self._count.to_bytes(8, "big")
+        header = _HEADER.pack(
+            _SCHEME_DOUBLE_HASHING, self._bits, self._hashes, self._count
         )
         return header + bytes(self._array)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "BloomFilter":
-        filt = cls.__new__(cls)
-        filt._bits = int.from_bytes(payload[0:8], "big")
-        filt._hashes = int.from_bytes(payload[8:10], "big")
-        filt._count = int.from_bytes(payload[10:18], "big")
-        filt._array = bytearray(payload[18:])
-        if len(filt._array) != (filt._bits + 7) // 8:
+        """Reopen a persisted filter.
+
+        A payload without the scheme byte was built by salted per-slot
+        hashes this module no longer has.  Probing its bits with
+        :func:`_positions` would report stored keys absent, so it opens
+        saturated instead: every probe answers "maybe", which is always
+        correct and costs the SSTable one block read per lookup until
+        compaction rewrites the table.
+        """
+        legacy = payload[:1] == b"\x00"
+        header = _LEGACY_HEADER if legacy else _HEADER
+        if len(payload) < header.size:
             raise ValueError("corrupt bloom filter payload")
+        fields = header.unpack_from(payload)
+        if not legacy and fields[0] != _SCHEME_DOUBLE_HASHING:
+            raise ValueError(f"unknown bloom filter scheme {fields[0]}")
+        filt = cls.__new__(cls)
+        filt._bits, filt._hashes, filt._count = fields[-3:]
+        body = payload[header.size :]
+        if len(body) != (filt._bits + 7) // 8:
+            raise ValueError("corrupt bloom filter payload")
+        filt._array = bytearray(b"\xff" * len(body) if legacy else body)
         return filt
 
 
@@ -106,23 +140,32 @@ class CountingBloomFilter:
         """Add ``times`` references to ``item``."""
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
-        for seed in range(self._hashes):
-            self._counters[_hash(item, seed, self._slots)] += times
+        counters = self._counters
+        for position in _positions(item, self._hashes, self._slots):
+            counters[position] += times
 
-    def remove(self, item: bytes) -> None:
-        """Drop one reference; removing an absent item is an error."""
-        positions = [_hash(item, seed, self._slots) for seed in range(self._hashes)]
-        if any(self._counters[p] == 0 for p in positions):
-            raise KeyError(f"item not present in counting bloom filter: {item!r}")
-        for position in positions:
-            self._counters[position] -= 1
+    def remove(self, item: bytes) -> int:
+        """Drop one reference; removing an absent item is an error.
+
+        Returns what :meth:`count` would answer next: the minimum read back
+        from the item's slots after the decrement (an item whose slots
+        collide decrements one slot twice, so it is not ``before - 1``).
+        """
+        counters = self._counters
+        positions = _positions(item, self._hashes, self._slots)
+        for index, position in enumerate(positions):
+            if not counters[position]:
+                # Also reached by the second visit to a slot holding 1.
+                for undone in positions[:index]:
+                    counters[undone] += 1
+                raise KeyError(f"item not present in counting bloom filter: {item!r}")
+            counters[position] -= 1
+        return min(counters[p] for p in positions)
 
     def count(self, item: bytes) -> int:
         """Upper-bound estimate of remaining references to ``item``."""
-        return min(
-            self._counters[_hash(item, seed, self._slots)]
-            for seed in range(self._hashes)
-        )
+        counters = self._counters
+        return min(counters[p] for p in _positions(item, self._hashes, self._slots))
 
     def __contains__(self, item: bytes) -> bool:
         return self.count(item) > 0

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import types
+
 import numpy as np
 import pytest
 
 from repro.core.config import SlimStoreConfig
+from repro.kvstore import bloom
 from repro.oss.object_store import ObjectStorageService
 from repro.sim.clock import SimClock
 from repro.sim.cost_model import CostModel
@@ -45,6 +49,19 @@ SMALL_CONFIG = SlimStoreConfig(
 def oss() -> ObjectStorageService:
     """A fresh simulated OSS endpoint."""
     return ObjectStorageService(CostModel(), SimClock())
+
+
+@pytest.fixture
+def bloom_digests(monkeypatch) -> list[int]:
+    """Grows by one entry per ``blake2b`` call ``repro.kvstore.bloom`` makes."""
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hashlib.blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(bloom, "hashlib", types.SimpleNamespace(blake2b=counted))
+    return calls
 
 
 @pytest.fixture

@@ -46,14 +46,6 @@ class TestLookAheadWindow:
         law.advance_past(1)
         assert fp_of("a") not in law
 
-    def test_upcoming_container_ids_in_order(self):
-        records = records_for(["a", "b", "c"])
-        records[0].container_id = 5
-        records[1].container_id = 3
-        records[2].container_id = 5
-        law = LookAheadWindow(records, window=3)
-        assert law.upcoming_container_ids() == [5, 3]
-
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             LookAheadWindow(records_for(["a"]), window=0)
@@ -175,43 +167,6 @@ class TestEvictionPolicy:
             FullVisionCache(0, 100, cbf, law)
 
 
-class TestIncrementalContainerOrdering:
-    """upcoming_container_ids is maintained as the window slides, not
-    recomputed by scanning the window."""
-
-    def test_order_tracks_window_position(self):
-        records = records_for(["a", "b", "c", "d", "e"])
-        for index, cid in enumerate([7, 3, 7, 9, 3]):
-            records[index].container_id = cid
-        law = LookAheadWindow(records, window=3)
-        assert law.upcoming_container_ids() == [7, 3]
-        law.advance_past(0)  # window: b, c, d
-        assert law.upcoming_container_ids() == [3, 7, 9]
-        law.advance_past(1)  # window: c, d, e
-        assert law.upcoming_container_ids() == [7, 9, 3]
-        law.advance_past(3)  # window: e
-        assert law.upcoming_container_ids() == [3]
-
-    def test_matches_brute_force_on_long_stream(self):
-        import random
-
-        rand = random.Random(7)
-        records = records_for([f"chunk-{i}" for i in range(200)])
-        for record in records:
-            record.container_id = rand.randrange(12)
-        window = 16
-        law = LookAheadWindow(records, window)
-        for index in range(len(records)):
-            lo, hi = index, min(len(records), index + window)
-            expected, seen = [], set()
-            for record in records[lo:hi]:
-                if record.container_id not in seen:
-                    seen.add(record.container_id)
-                    expected.append(record.container_id)
-            assert law.upcoming_container_ids() == expected, index
-            law.advance_past(index)
-
-
 class TestWindowTransitions:
     def test_enter_exit_callbacks_fire_once_per_transition(self):
         records = records_for(["a", "b", "a", "c"])
@@ -273,3 +228,59 @@ class TestInsertPromotion:
         assert cache.peek(fp_of("zz")) is None
         assert cache.counters.get("memory_hits") == 0
         assert cache.counters.get("cache_misses") == 0
+
+
+class ParentConsumeCache(FullVisionCache):
+    """``consume`` as it read before ``remove`` returned the count:
+    decrement, then re-derive the status with a second CBF probe."""
+
+    def consume(self, fp: bytes) -> None:
+        try:
+            self._cbf.remove(fp)
+        except KeyError:
+            self.counters.add("cbf_underflows")
+        if self.status_of(fp) == STATUS_USELESS:
+            self._drop(fp)
+
+
+class TestConsumeDifferential:
+    def test_drops_exactly_when_status_of_says_useless(self):
+        """Over a random reference stream through a deliberately tiny CBF
+        (false positives, colliding slots, underflows), the cache holds
+        the same chunks in the same layers after every step as one that
+        re-probes through ``status_of``."""
+        import random
+
+        rand = random.Random(24)
+        names = [f"chunk-{i}" for i in range(60)]
+        stream = [rand.choice(names) for _ in range(600)]
+        records = records_for(stream)
+        strangers = [fp_of(f"stranger-{i}") for i in range(40)]
+
+        def build(kind):
+            cbf = CountingBloomFilter(8, 0.1)  # 39 slots for 60 distinct items
+            for record in records:
+                cbf.add(record.fp)
+            law = LookAheadWindow(records, 5)
+            return law, kind(1500, 2000, cbf, law)
+
+        (law, cache), (parent_law, parent) = build(FullVisionCache), build(ParentConsumeCache)
+        for index, record in enumerate(records):
+            neighbour = fp_of(rand.choice(names))
+            extra = rand.choice(strangers) if rand.random() < 0.2 else None
+            for side in (cache, parent):
+                if side.lookup(record.fp) is None:
+                    side.insert_chunk(record.fp, b"x" * 100)
+                    side.insert_chunk(neighbour, b"y" * 100)
+            for side, window in ((cache, law), (parent, parent_law)):
+                side.consume(record.fp)
+                if extra is not None:
+                    side.consume(extra)  # a false-positive removal or an underflow
+                window.advance_past(index)
+            assert list(cache._mem_window) == list(parent._mem_window), index
+            assert list(cache._mem_later) == list(parent._mem_later), index
+            assert list(cache._disk) == list(parent._disk), index
+            assert cache.memory_used == parent.memory_used
+        assert cache.counters.counts == parent.counters.counts
+        assert cache.counters.get("cbf_underflows") > 0
+        assert cache.counters.get("disk_demotions") > 0

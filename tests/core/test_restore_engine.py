@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.config import SlimStoreConfig
 from repro.core.dedup import BackupEngine
+from repro.core.global_index import GlobalIndex
 from repro.core.restore import RestoreEngine
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError, VersionNotFoundError
+from repro.workloads.sdb import SDBConfig, SDBGenerator
 from tests.conftest import mutate, random_bytes
+from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
 
 CONFIG = SlimStoreConfig(
     container_bytes=128 * 1024,
@@ -124,6 +127,49 @@ class TestRestoreEfficiency:
         assert result.elapsed_seconds > 0
 
 
+class TestBloomHashBudget:
+    def test_verified_restore_pays_at_most_three_digests_per_record(
+        self, engines, storage, bloom_digests
+    ):
+        """Build, consume and one status probe: three CBF touches per
+        record at one digest each (it was one digest per touch per hash
+        function, about 29 per record)."""
+        backup, restore = engines
+        generator = SDBGenerator(
+            SDBConfig(table_count=1, initial_table_bytes=1 << 20, version_count=2, seed=24)
+        )
+        for version in generator.versions():
+            (table,) = version.files
+            backup.backup(table.path, table.data)
+        records = storage.recipes.get_recipe(table.path, 1).all_records()
+        assert len(records) > 100
+        before = len(bloom_digests)
+        result = restore.restore(table.path, 1, verify=True)
+        assert result.data == table.data
+        assert len(bloom_digests) - before <= 3 * len(records) + 16
+
+
+class TestMemoryPressure:
+    def test_demoting_cache_still_reads_each_container_once(self, storage, rng):
+        """A restore cache smaller than one repeated block demotes chunks
+        the CBF says are referenced again (beyond the look-ahead window)
+        to the disk layer; no container is fetched twice for them."""
+        config = SlimStoreConfig(
+            container_bytes=128 * 1024,
+            segment_bytes=64 * 1024,
+            restore_cache_bytes=32 * 1024,
+        )
+        block = random_bytes(rng, 64 * 1024)
+        data = (
+            block + random_bytes(rng, 3 << 20) + block + random_bytes(rng, 1 << 20) + block
+        )
+        BackupEngine(config, storage).backup("f", data)
+        result = RestoreEngine(config, storage).restore("f", 0)
+        assert result.data == data
+        assert result.counters.get("disk_demotions") > 0
+        assert result.counters.get("repeated_container_reads") == 0
+
+
 class TestEventPipeline:
     def test_elapsed_comes_from_event_schedule(self, engines, rng):
         backup, restore = engines
@@ -210,6 +256,38 @@ class TestGlobalIndexRedirect:
         storage.containers.rewrite(cid)
 
         result = restore.restore("f", 0)
+        assert result.data == data
+        assert result.counters.get("global_index_redirects") == 1
+
+    def test_redirect_through_sstable_with_legacy_bloom_blob(self, oss, rng):
+        """The moved chunk's new owner sits in a flushed index SSTable whose
+        filter predates the scheme byte; a reattached index must still
+        find it (a filter probed with the wrong positions would say
+        "absent" and fail the restore)."""
+        storage = StorageLayer.create(oss)
+        data = random_bytes(rng, 128 * 1024)
+        cid = BackupEngine(CONFIG, storage).backup("f", data).new_container_ids[0]
+        meta = storage.containers.read_meta(cid)
+        victim = meta.live_entries()[0]
+        payload = storage.containers.read_data(cid)
+        builder = storage.containers.new_builder(CONFIG.container_bytes)
+        builder.add_chunk(victim.fp, payload[victim.offset : victim.offset + victim.size])
+        storage.containers.write(builder)
+        storage.global_index.assign(victim.fp, builder.container_id)
+        meta.mark_deleted(victim.fp)
+        storage.containers.update_meta(meta)
+        storage.containers.rewrite(cid)
+        storage.global_index.flush()
+        tables = oss.list_objects("slimstore-index", "sst/")
+        assert tables
+        for object_key in tables:
+            downgrade_sstable_bloom(oss, "slimstore-index", object_key)
+
+        # What an attach builds: SSTables reopened, Bloom filters refilled.
+        storage.global_index = GlobalIndex(oss)
+        storage.global_index.recover()
+        assert storage.global_index.lookup(victim.fp) == builder.container_id
+        result = RestoreEngine(CONFIG, storage).restore("f", 0)
         assert result.data == data
         assert result.counters.get("global_index_redirects") == 1
 

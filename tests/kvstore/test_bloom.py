@@ -1,10 +1,19 @@
 """Tests for the Bloom filters, including hypothesis properties."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore.bloom import BloomFilter, CountingBloomFilter, optimal_parameters
+from repro.kvstore.bloom import (
+    BloomFilter,
+    CountingBloomFilter,
+    _positions,
+    optimal_parameters,
+)
+from tests.kvstore.legacy_bloom import legacy_payload
 
 
 class TestOptimalParameters:
@@ -68,6 +77,118 @@ class TestBloomFilter:
         filt.update(items)
         assert all(item in filt for item in items)
 
+    def test_one_digest_per_touch(self, bloom_digests):
+        filt = BloomFilter(1000, 0.001)  # k = 10
+        filt.add(b"present")
+        assert len(bloom_digests) == 1
+        assert b"present" in filt
+        assert len(bloom_digests) == 2
+        assert b"absent" not in filt
+        assert len(bloom_digests) == 3
+
+
+class TestPersistedFormat:
+    KEYS = (b"alpha", b"beta", b"gamma")
+    #: scheme 1 | 29 bits | 7 hashes | 3 items | 4 bytes of bits
+    GOLDEN = bytes.fromhex("01" "000000000000001d" "0007" "0000000000000003" "fe72c811")
+
+    def test_golden_payload(self):
+        filt = BloomFilter(3, 0.01)
+        filt.update(self.KEYS)
+        assert filt.to_bytes() == self.GOLDEN
+        reopened = BloomFilter.from_bytes(self.GOLDEN)
+        assert all(key in reopened for key in self.KEYS)
+        assert b"delta" not in reopened
+        assert reopened.to_bytes() == self.GOLDEN
+
+    def test_legacy_payload_opens_saturated(self):
+        held = [f"held{i}".encode() for i in range(200)]
+        payload = legacy_payload(200, 0.01, held)
+        assert payload[0] == 0
+        reopened = BloomFilter.from_bytes(payload)
+        assert all(key in reopened for key in held)
+        # Not a false-positive rate: every probe of a legacy filter says maybe.
+        assert all(f"never{i}".encode() in reopened for i in range(200))
+        assert len(reopened) == 200
+        assert reopened.bit_count == optimal_parameters(200, 0.01)[0]
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_truncated_payload_rejected(self, legacy):
+        payload = legacy_payload(3, 0.01, self.KEYS) if legacy else self.GOLDEN
+        for cut in (len(payload) - 1, 12, 1, 0):
+            with pytest.raises(ValueError):
+                BloomFilter.from_bytes(payload[:cut])
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            BloomFilter.from_bytes(b"\x02" + self.GOLDEN[1:])
+
+
+class TestPositions:
+    def test_first_two_slots_always_differ(self):
+        """``step`` is never 0 mod m, down to the smallest filter allowed."""
+        rand = random.Random(5)
+        for m in (8, 15, 29, 1 << 10, 1 << 20):
+            for _ in range(2000):
+                first, second = _positions(rand.randbytes(20), 2, m)
+                assert first != second
+                assert 0 <= first < m and 0 <= second < m
+
+    def test_positions_are_the_documented_progression(self):
+        key = b"\x07" * 20
+        digest = hashlib.blake2b(key, digest_size=16).digest()
+        first = int.from_bytes(digest[:8], "big")
+        step = int.from_bytes(digest[8:], "big") % 9973 or 1
+        assert _positions(key, 10, 9973) == [(first + i * step) % 9973 for i in range(10)]
+
+
+def random_keys(rand: random.Random, count: int) -> list[bytes]:
+    return [rand.randbytes(20) for _ in range(count)]
+
+
+def sequential_keys(start: int, count: int) -> list[bytes]:
+    return [(start + i).to_bytes(8, "big") for i in range(count)]
+
+
+class TestFilterQuality:
+    """Double hashing must not cost accuracy: at design load the measured
+    false-positive rate stays within 2x the target, also for sequential
+    integers (the worst input for a weak mix)."""
+
+    ITEMS = 5000
+    ABSENT = 20000
+
+    @pytest.mark.parametrize("rate", [0.01, 0.001])  # k = 7, k = 10
+    @pytest.mark.parametrize("keys", ["random", "sequential"])
+    @pytest.mark.parametrize("kind", [BloomFilter, CountingBloomFilter])
+    def test_false_positive_rate_at_design_load(self, kind, keys, rate):
+        assert optimal_parameters(self.ITEMS, rate)[1] == {0.01: 7, 0.001: 10}[rate]
+        if keys == "random":
+            rand = random.Random(11)
+            present = random_keys(rand, self.ITEMS)
+            absent = random_keys(rand, self.ABSENT)
+        else:
+            present = sequential_keys(0, self.ITEMS)
+            absent = sequential_keys(self.ITEMS, self.ABSENT)
+        filt = kind(self.ITEMS, rate)
+        for key in present:
+            filt.add(key)
+        assert all(key in filt for key in present)
+        false_positives = sum(1 for key in absent if key in filt)
+        assert false_positives <= 2 * rate * self.ABSENT
+
+
+def self_colliding_key() -> tuple[bytes, list[int]]:
+    """A key whose probe sequence revisits a slot of the smallest counting
+    filter at the restore engine's rate (15 slots, k = 10), by search."""
+    slots, hashes = optimal_parameters(1, 0.001)
+    for index in range(10000):
+        key = f"key{index}".encode()
+        positions = _positions(key, hashes, slots)
+        if len(set(positions)) < hashes:
+            return key, positions
+    raise AssertionError("no self-colliding key found")
+
 
 class TestCountingBloomFilter:
     def test_count_tracks_references(self):
@@ -98,6 +219,78 @@ class TestCountingBloomFilter:
         assert b"x" not in cbf
         cbf.add(b"x")
         assert b"x" in cbf
+
+    def test_one_digest_per_touch(self, bloom_digests):
+        cbf = CountingBloomFilter(1000, 0.001)  # k = 10
+        cbf.add(b"chunk", times=2)
+        assert len(bloom_digests) == 1
+        assert cbf.count(b"chunk") == 2
+        assert len(bloom_digests) == 2
+        assert cbf.remove(b"chunk") == 1
+        assert len(bloom_digests) == 3
+        with pytest.raises(KeyError):
+            cbf.remove(b"never added")
+        assert len(bloom_digests) == 4
+
+    def test_remove_returns_remaining_count(self):
+        cbf = CountingBloomFilter(100)
+        cbf.add(b"chunk", times=3)
+        assert cbf.remove(b"chunk") == 2 == cbf.count(b"chunk")
+        assert cbf.remove(b"chunk") == 1 == cbf.count(b"chunk")
+        assert cbf.remove(b"chunk") == 0 == cbf.count(b"chunk")
+
+    def test_remove_reads_back_when_slots_collide(self):
+        """An item whose probe sequence revisits a slot decrements it
+        twice, so the remaining count is not ``before - 1``."""
+        cbf = CountingBloomFilter(1, 0.001)
+        key, positions = self_colliding_key()
+        cbf.add(key)
+        # A neighbour shares every slot the key probes once.
+        for position in set(positions):
+            if positions.count(position) == 1:
+                cbf._counters[position] += 1
+        before = cbf.count(key)
+        assert before == 2
+        remaining = cbf.remove(key)
+        assert remaining == cbf.count(key) == 0
+        assert remaining != before - 1
+
+    def test_remove_underflow_on_a_revisited_slot_changes_nothing(self):
+        """A slot the item probes twice but that holds 1 (a neighbour's
+        false-positive removal ate the other reference) is an underflow,
+        not a counter wrapped below zero."""
+        cbf = CountingBloomFilter(1, 0.001)
+        key, positions = self_colliding_key()
+        cbf.add(key)
+        for position in set(positions):
+            if positions.count(position) > 1:
+                cbf._counters[position] = 1
+        before = list(cbf._counters)
+        with pytest.raises(KeyError):
+            cbf.remove(key)
+        assert list(cbf._counters) == before
+
+    def test_remove_after_a_false_positive_removal(self):
+        """A neighbour removed through a false positive eats shared slots;
+        ``remove`` still returns what ``count`` reads next, or underflows."""
+        rand = random.Random(3)
+        cbf = CountingBloomFilter(8, 0.1)  # 39 slots, k = 3
+        added = random_keys(rand, 12)
+        for key in added:
+            cbf.add(key)
+        impostor = next(
+            key for key in random_keys(rand, 10000) if key in cbf and key not in added
+        )
+        cbf.remove(impostor)
+        outcomes = set()
+        for key in added:
+            try:
+                assert cbf.remove(key) == cbf.count(key)
+                outcomes.add("removed")
+            except KeyError:
+                assert cbf.count(key) == 0
+                outcomes.add("underflow")
+        assert "removed" in outcomes
 
     @given(
         st.dictionaries(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KVStoreError
 from repro.kvstore.sstable import SSTable
+from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
 
 
 def make_items(count: int) -> list[tuple[bytes, bytes]]:
@@ -55,6 +56,26 @@ class TestSSTableOpen:
         oss.put_object("b", "t.sst", bytes(payload))
         with pytest.raises(KVStoreError):
             SSTable.open(oss, "b", "t.sst")
+
+
+class TestLegacyBloomBlob:
+    """A table whose footer holds a filter from before the scheme byte
+    (salted per-slot hashes): it must open, and no stored key may read as
+    absent because the filter is now probed with other positions."""
+
+    def test_every_stored_value_is_returned(self, oss):
+        items = make_items(300)
+        SSTable.write(oss, "b", "t.sst", items)
+        downgrade_sstable_bloom(oss, "b", "t.sst")
+        table = SSTable.open(oss, "b", "t.sst")
+        assert table.entry_count == 300
+        assert all(table.get(key) == value for key, value in items)
+        assert table.get_many([key for key, _ in items]) == dict(items)
+        # The saturated filter passes absent keys on to the block probe,
+        # which answers for them.
+        assert table.may_contain(b"key99999")
+        assert table.get(b"key99999") is None
+        assert table.get_many([b"key99999", b"key00007"]) == {b"key00007": b"value7"}
 
 
 class TestSSTableAccess:
