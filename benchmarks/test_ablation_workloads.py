@@ -17,7 +17,14 @@ configurations —
 * ``hybrid``  — the steady-state default (reverse dedup + compaction)
 
 — and grades the reverse pass on its *scan efficiency*: duplicates
-removed per chunk scanned.  The pass **wins** on a workload when at
+removed per chunk scanned.  (``extra-t`` is virtual G-node seconds, so
+it moves with what the pass writes: when the global index's write-ahead
+log went from re-PUTting its whole active segment per key to one record
+object per batch, the committed column went rdata +0.34 → +0.28 s,
+vmfleet +0.19 → +0.18 s, the others unchanged at two decimals; srctree's
++0.37 → +0.24 s and rdata's +0.37 → +0.34 s in the same regeneration had
+come earlier, with the commit-metadata delta log, and were not
+regenerated then.)  The pass **wins** on a workload when at
 least one scanned chunk in five is a reclaimable duplicate
 (``WIN_HIT_RATE``) and **loses** when fewer than one in seven is
 (``LOSE_HIT_RATE``) — the sweep is then mostly wasted G-node work for

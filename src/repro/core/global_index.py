@@ -203,9 +203,9 @@ class GlobalIndex:
     def put_many(self, assignments: Iterable[tuple[bytes, int]]) -> list[float]:
         """Batched :meth:`assign`; returns per-shard write seconds.
 
-        Grouping per shard keeps each shard's WAL/memtable stream
-        contiguous, and the returned per-shard virtual seconds let callers
-        charge the shard writes as overlapped.
+        Each shard's group is one :meth:`LSMStore.put_many` — one WAL
+        record, all-or-nothing — and the returned per-shard virtual
+        seconds let callers charge the shard writes as overlapped.
         """
         grouped: dict[int, list[tuple[bytes, bytes]]] = {}
         count = 0
@@ -234,6 +234,11 @@ class GlobalIndex:
         """Force every shard's LSM memtable to an SSTable on OSS."""
         for shard in self._shards:
             shard.flush()
+
+    def fold_wal(self) -> None:
+        """Fold every shard's WAL records into its checkpoint."""
+        for shard in self._shards:
+            shard.fold_wal()
 
     def recover(self) -> None:
         """Rebuild the LSM state (and the Bloom filters) from OSS.

@@ -427,9 +427,9 @@ class GNode:
             builder = self._flush_compaction(builder, report)
 
         # Phase 2: record the planned moves (one atomic journal update),
-        # then re-point the global index.  Recovery needs the moves to
-        # either replay the cleanup (committed) or walk the index back
-        # to the still-live old copies (discarded).
+        # then re-point the global index, one WAL record per shard.  Recovery
+        # needs the moves to either replay the cleanup (committed) or walk
+        # the index back to the still-live old copies (discarded).
         journal.update(
             seq,
             "compaction",
@@ -440,8 +440,7 @@ class GNode:
             new_cids=list(report.new_container_ids),
             moves={fp.hex(): cid for fp, cid in moved.items()},
         )
-        for fp, new_cid in sorted(moved.items()):
-            self.storage.global_index.assign(fp, new_cid)
+        self.storage.global_index.put_many(sorted(moved.items()))
 
         # Phase 3: COMMIT.  One atomic recipe overwrite flips the version
         # from the old layout to the new one.

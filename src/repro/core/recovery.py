@@ -258,8 +258,8 @@ class RecoveryManager:
             report.cache_staging_reaped.append(key)
         report.journal_truncated = self.journal.truncate()
         self.store._persist_catalog()
-        # Leave both metadata logs folded: no tail for the next attach to
-        # replay, no interrupted-fold debris.
+        # Leave every log folded (catalog, similar index, index WALs): no
+        # tail for the next attach to replay, no interrupted-fold debris.
         self.store.fold_metadata()
         return report
 

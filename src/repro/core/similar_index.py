@@ -9,7 +9,7 @@ is found by file path first (cheap and usually right); only when that fails
 does the L-node sample the file header and vote over representative
 fingerprints.  The index is small and persisted to OSS so stateless L-nodes
 can always load the current view: each registration appends one small record
-to a :class:`~repro.core.deltalog.DeltaLog`, and the whole index is only
+to a :class:`~repro.oss.deltalog.DeltaLog`, and the whole index is only
 rewritten (as the log's checkpoint) when the log folds.
 """
 
@@ -19,8 +19,8 @@ import struct
 from collections import Counter
 from collections.abc import Iterable
 
-from repro.core.deltalog import DeltaLog
 from repro.fingerprint.hashing import FP_SIZE
+from repro.oss.deltalog import DeltaLog
 from repro.oss.object_store import ObjectStorageService
 
 _OBJECT_KEY = "similar/index"
@@ -125,8 +125,7 @@ class SimilarFileIndex:
 
     def fold_if_logged(self) -> None:
         """Fold when any record object exists (attach-time housekeeping)."""
-        if self.log.record_keys():
-            self._persist()
+        self.log.fold_if_logged(self._checkpoint)
 
     def _apply(self, payload: bytes) -> int:
         """Upsert one blob's entries (checkpoint body or a log record);

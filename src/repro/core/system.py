@@ -14,7 +14,7 @@ deduplication.
 
 The catalog is persisted as a checkpoint (``catalog/state.json``) plus one
 small record per commit under ``catalog/log/`` (a
-:class:`~repro.core.deltalog.DeltaLog`): every :class:`VersionCatalog`
+:class:`~repro.oss.deltalog.DeltaLog`): every :class:`VersionCatalog`
 mutator notes its own op, :meth:`SlimStore._persist_catalog` publishes the
 noted ops as one record — the single atomic PUT that makes a version
 visible — and attach replays the records through the same mutators.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro.core.config import SlimStoreConfig
 from repro.core.dedup import BackupResult
-from repro.core.deltalog import DeltaLog
 from repro.core.gnode import CompactionReport, GNode, ReverseDedupReport
 from repro.core.lnode import LNode
 from repro.core.restore import RestoreResult
@@ -40,6 +39,7 @@ from repro.errors import (
     TransientOSSError,
     VersionNotFoundError,
 )
+from repro.oss.deltalog import DeltaLog
 from repro.oss.object_store import ObjectStorageService
 from repro.oss.retry import RetryBudget, RetryPolicy
 from repro.sim.cost_model import CostModel
@@ -392,8 +392,9 @@ class SlimStore:
         :class:`~repro.core.recovery.RecoveryManager` pass rolls every
         interrupted job forward or discards it, collects orphans, and
         truncates the journal; its report lands in ``last_recovery``.
-        The same switch gates the attach-time fold of both metadata logs
-        (it writes), so an inspection attach stays read-only.
+        The same switch gates the attach-time fold of every log (catalog,
+        similar index, index WALs; it writes), so an inspection attach
+        stays read-only.
         """
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
@@ -441,11 +442,12 @@ class SlimStore:
         return self.catalog.to_json(log_next).encode()
 
     def fold_metadata(self) -> None:
-        """Fold whichever metadata log holds records (tail or debris), so
-        the next attach has nothing to replay; a no-op on folded logs."""
-        if self.catalog_log.record_keys():
-            self.catalog_log.fold(self._catalog_checkpoint)
+        """Fold whichever log holds records (tail or debris) — the catalog's,
+        the similar index's, each global-index shard's WAL — so the next
+        attach has nothing to replay; a no-op on folded logs."""
+        self.catalog_log.fold_if_logged(self._catalog_checkpoint)
         self.storage.similar_index.fold_if_logged()
+        self.storage.global_index.fold_wal()
 
     # --- node scheduling ----------------------------------------------------
     def _pick_lnode(self) -> LNode:

@@ -1,8 +1,9 @@
 """The LSM store tying memtable, WAL, SSTables and compaction together.
 
-Writes land in the WAL and memtable; full memtables flush to new SSTables
-on OSS.  Reads consult the memtable, then SSTables newest-first with Bloom
-prefilters.  Size-tiered compaction merges all tables when their count
+Writes land in the WAL — one record object per batch — and then the
+memtable; full memtables flush to new SSTables on OSS, and the flush
+empties the WAL.  Reads consult the memtable, then SSTables newest-first
+with Bloom prefilters.  Size-tiered compaction merges all tables when their count
 exceeds a threshold, discarding shadowed values and tombstones.  The store
 exposes ``recover()`` to rebuild state from OSS after a simulated crash.
 """
@@ -23,7 +24,7 @@ class LSMStore:
     Parameters
     ----------
     oss, bucket:
-        Object store and bucket holding SSTables and WAL segments.
+        Object store and bucket holding SSTables and WAL records.
     name:
         Namespace prefix, so several stores can share one bucket.
     memtable_bytes:
@@ -56,12 +57,7 @@ class LSMStore:
     # --- basic operations ---------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``; may trigger a flush."""
-        if value == TOMBSTONE:
-            raise ValueError("value collides with the tombstone sentinel")
-        self._wal.log_put(key, value)
-        self._memtable.put(key, value)
-        if self._memtable.is_full():
-            self.flush()
+        self.put_many([(key, value)])
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` (tombstone shadows older SSTable entries)."""
@@ -111,9 +107,18 @@ class LSMStore:
         return results
 
     def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> None:
-        """Insert or overwrite a batch of keys (may trigger flushes)."""
+        """Insert or overwrite a batch of keys atomically: the whole batch is
+        one WAL record (one PUT), then it lands in the memtable (may flush)."""
+        items = list(items)
+        if any(value == TOMBSTONE for _, value in items):
+            raise ValueError("value collides with the tombstone sentinel")
+        if not items:
+            return
+        self._wal.log([(OP_PUT, key, value) for key, value in items])
         for key, value in items:
-            self.put(key, value)
+            self._memtable.put(key, value)
+        if self._memtable.is_full():
+            self.flush()
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -130,8 +135,7 @@ class LSMStore:
         self._next_table_id += 1
         self._sstables.append(table)
         self._memtable.clear()
-        self._wal.persist_segment()
-        self._wal.discard_persisted()
+        self._wal.truncate()
         if len(self._sstables) >= self.compaction_threshold:
             self.compact()
         return table
@@ -157,6 +161,10 @@ class LSMStore:
             )
         for table in old_tables:
             self._oss.delete_object(self._bucket, table.object_key)
+
+    def fold_wal(self) -> None:
+        """Fold the WAL's records into its checkpoint (attach housekeeping)."""
+        self._wal.fold_if_logged()
 
     def recover(self) -> None:
         """Rebuild state from OSS: reopen SSTables, replay the WAL."""

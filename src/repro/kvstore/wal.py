@@ -1,22 +1,35 @@
 """Write-ahead log for the LSM store.
 
-Writes are appended to an in-memory log segment and persisted to OSS when
-the segment rotates (at memtable flush).  Replay restores any writes that
-were logged but not yet flushed into an SSTable — exercised by the crash
-recovery tests.
+The log is a :class:`~repro.oss.deltalog.DeltaLog`, the same mechanism as
+the version catalog's and the similar-file index's: every logged batch is
+appended as one small record object (RocksDB's WAL append, charged as a
+piggybacked write to a node-local file), and the *checkpoint* at
+``wal/{name}/active.wal`` holds the records not yet in an SSTable.  It is
+rewritten every :data:`~repro.oss.deltalog.FOLD_EVERY` records and at
+attach, and emptied when a memtable flush has put every record into an
+SSTable.  Replay — checkpoint body, then the records logged since — rebuilds
+the memtable after a crash and resumes the record numbering.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.errors import KVStoreError
+from repro.oss.deltalog import DeltaLog
 from repro.oss.object_store import ObjectStorageService
 
 _RECORD_HEADER = struct.Struct(">BII")  # op, key length, value length
 _OP_PUT = 1
 _OP_DELETE = 2
+#: Checkpoint header: the scheme byte and, in the next seven bytes, the
+#: record number folded through; then the body length.  The scheme byte is
+#: never an op byte, so a legacy ``active.wal`` — the bare records the
+#: previous format mirrored there — reads as a body folded through 0.
+_CHECKPOINT = struct.Struct(">QI")
+_SCHEME = 0x80
+_MARK_BITS = 56
 
 
 def encode_record(op: int, key: bytes, value: bytes) -> bytes:
@@ -41,81 +54,82 @@ def decode_records(payload: bytes) -> Iterator[tuple[int, bytes, bytes]]:
         yield op, key, value
 
 
-class WriteAheadLog:
-    """Per-store WAL with durable records.
+def parse_checkpoint(payload: bytes) -> tuple[int, bytes]:
+    """``(through, body)`` of a checkpoint object (legacy mirrors included).
 
-    Rotated segments become numbered OSS objects; the *active* segment is
-    mirrored to an ``active.wal`` object on every append, modelling the
-    node-local WAL file RocksDB keeps (the mirror write is charged as a
-    piggybacked, latency-free append).  A fresh instance therefore replays
-    every record a crashed predecessor logged.
+    A body whose length disagrees with the header is a torn checkpoint:
+    raising beats dropping the records its ``through`` mark claims are
+    folded.
     """
+    if payload and payload[0] in (_OP_PUT, _OP_DELETE):
+        return 0, payload
+    if len(payload) < _CHECKPOINT.size:
+        raise KVStoreError("torn WAL checkpoint header")
+    word, length = _CHECKPOINT.unpack_from(payload)
+    scheme, through = word >> _MARK_BITS, word & ((1 << _MARK_BITS) - 1)
+    if scheme != _SCHEME:
+        raise KVStoreError(f"unknown WAL checkpoint scheme {scheme}")
+    if len(payload) != _CHECKPOINT.size + length:
+        raise KVStoreError("torn WAL checkpoint body")
+    return through, payload[_CHECKPOINT.size :]
+
+
+class WriteAheadLog:
+    """Per-store WAL: one record object per logged batch."""
 
     ACTIVE_KEY = "active.wal"
 
     def __init__(self, oss: ObjectStorageService, bucket: str, name: str) -> None:
-        self._oss = oss
-        self._bucket = bucket
-        self._prefix = f"wal/{name}/"
-        self._segment = bytearray()
-        self._sequence = 0
         oss.create_bucket(bucket)
+        prefix = f"wal/{name}/"
+        self._log = DeltaLog(
+            oss, bucket, prefix + self.ACTIVE_KEY, prefix + "log/", piggyback=True
+        )
+        #: Every record logged since the last flush, in order.
+        self._segment = bytearray()
+
+    def log(self, records: Iterable[tuple[int, bytes, bytes]]) -> None:
+        """Durably append one batch of (op, key, value) records: one PUT."""
+        batch = b"".join(encode_record(op, key, value) for op, key, value in records)
+        self._log.append(batch)
+        self._segment += batch
+        self._log.fold_if_due(self._checkpoint)
 
     def log_put(self, key: bytes, value: bytes) -> None:
-        """Append a put record to the active segment (durably)."""
-        self._segment += encode_record(_OP_PUT, key, value)
-        self._mirror_active()
+        """Durably append one put record."""
+        self.log([(_OP_PUT, key, value)])
 
     def log_delete(self, key: bytes) -> None:
-        """Append a delete record to the active segment (durably)."""
-        self._segment += encode_record(_OP_DELETE, key, b"")
-        self._mirror_active()
+        """Durably append one delete record."""
+        self.log([(_OP_DELETE, key, b"")])
 
-    def _mirror_active(self) -> None:
-        self._oss.put_object(
-            self._bucket,
-            self._prefix + self.ACTIVE_KEY,
-            bytes(self._segment),
-            piggyback=True,
-        )
+    def _checkpoint(self, through: int) -> bytes:
+        word = _SCHEME << _MARK_BITS | through
+        return _CHECKPOINT.pack(word, len(self._segment)) + self._segment
 
-    def persist_segment(self) -> str | None:
-        """Rotate the active segment to a numbered OSS object."""
-        if not self._segment:
-            return None
-        key = f"{self._prefix}{self._sequence:012d}.wal"
-        self._oss.put_object(self._bucket, key, bytes(self._segment))
+    def fold_if_logged(self) -> None:
+        """Fold when any record object exists (attach-time housekeeping)."""
+        self._log.fold_if_logged(self._checkpoint)
+
+    def truncate(self) -> None:
+        """Every record reached an SSTable: publish an empty checkpoint and
+        drop the records with one batched DELETE."""
         self._segment.clear()
-        self._oss.delete_object(self._bucket, self._prefix + self.ACTIVE_KEY)
-        self._sequence += 1
-        return key
-
-    def discard_persisted(self) -> int:
-        """Delete all rotated segments (their writes reached SSTables)."""
-        removed = 0
-        for key in self._oss.list_objects(self._bucket, self._prefix):
-            if key.endswith(self.ACTIVE_KEY):
-                continue
-            if self._oss.delete_object(self._bucket, key):
-                removed += 1
-        return removed
+        self._log.fold(self._checkpoint)
 
     def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
-        """Yield every durable record: rotated segments, then the active
-        mirror (or the in-memory segment for the live instance)."""
-        active_key = self._prefix + self.ACTIVE_KEY
-        for key in self._oss.list_objects(self._bucket, self._prefix):
-            if key == active_key:
-                continue
-            yield from decode_records(self._oss.get_object(self._bucket, key))
-        if self._segment:
-            yield from decode_records(bytes(self._segment))
-        elif self._oss.peek_size(self._bucket, active_key) is not None:
-            yield from decode_records(self._oss.get_object(self._bucket, active_key))
+        """Read the log back from OSS and yield every record not yet in an
+        SSTable; appends continue after the last record read."""
+        checkpoint = self._log.read_checkpoint()
+        through, body = (0, b"") if checkpoint is None else parse_checkpoint(checkpoint)
+        self._segment = bytearray(body)
+        for record in self._log.read_tail(through):
+            self._segment += record
+        return decode_records(bytes(self._segment))
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered in the not-yet-persisted active segment."""
+        """Encoded bytes of the records not yet in an SSTable."""
         return len(self._segment)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import deltalog
-from repro.core.deltalog import DeltaLog
+from repro.oss import deltalog
+from repro.oss.deltalog import DeltaLog
 from repro.errors import SimulatedCrashError, TransientOSSError
 from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService

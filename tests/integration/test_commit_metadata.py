@@ -11,7 +11,9 @@ mechanism) and the crash matrices (the commit contract):
   repository holds (the property the whole-object rewrite lacked);
 * the requests a backup does *not* need are not sent: no commit record when
   no mutator changed anything, no ``reverse_dedup`` intent around nothing;
-* an interrupted fold's leftovers are reported by ``fsck`` and folded away.
+* an interrupted fold's leftovers are reported by ``fsck`` and folded away;
+* the global index's WAL, the third delta log, keeps every entry across
+  attaches, including a WAL mirror the previous format left behind.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SlimStore, SlimStoreConfig
-from repro.core import deltalog
+from repro.oss import deltalog
 from repro.core.recovery import RecoveryManager
 from repro.errors import SimulatedCrashError, TransientOSSError
 from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
 from tests.conftest import SMALL_CONFIG, mutate, random_bytes
+from tests.kvstore.legacy_wal import LegacyWriteAheadLog
 
 BUCKET = "slimstore"
 PATHS = ["a", "b/c", "d"]
@@ -410,3 +413,54 @@ def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(log, mon
     assert survivor.catalog.paths() == committed
     for path in committed:
         assert survivor.restore(path).data == payloads[path]
+
+
+# ---------------------------------------------------------------------------
+# The global index's WAL
+# ---------------------------------------------------------------------------
+
+
+def index_items(store: SlimStore) -> dict[bytes, int]:
+    return dict(store.storage.global_index.iter_items())
+
+
+@pytest.mark.parametrize("fold", [True, False])
+def test_attaches_between_backups_keep_every_global_index_entry(rng, fold):
+    """Back up, attach, back up, attach.  A fresh WAL used to start from an
+    empty segment, so the second backup's first index write overwrote the
+    records the first one logged (111 of 330 entries survived)."""
+    store = SlimStore(SlimStoreConfig(), ObjectStorageService())
+    store.backup("a", random_bytes(rng, 1 << 20))
+    attached = reattach(store, run_recovery=fold)
+    assert index_items(attached) == index_items(store)
+    attached.backup("b", random_bytes(rng, 512 << 10))
+    expected = index_items(attached)
+    assert len(expected) > len(index_items(store))
+    assert index_items(reattach(attached, run_recovery=fold)) == expected
+
+
+def test_a_legacy_wal_mirror_attaches_with_every_index_entry(rng):
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    chain = [random_bytes(rng, 128 * 1024)]
+    store.backup("f", chain[0])
+    expected = index_items(store)
+    # Re-express every shard's WAL as the previous release left it: the
+    # whole segment mirrored to ``active.wal``, no record objects.
+    bucket = "slimstore-index"
+    objects = store.oss._backend(bucket)._objects
+    for key in [key for key in objects if key.startswith("wal/")]:
+        del objects[key]
+    for shard in store.storage.global_index._shards:
+        legacy = LegacyWriteAheadLog(store.oss, bucket, shard._name)
+        for key, value in shard.iter_items():
+            legacy.log_put(key, value)
+
+    attached = reattach(store)
+    assert index_items(attached) == expected
+    assert not store.oss.peek_keys(bucket, "wal/global-index-000/log/")
+    chain.append(mutate(rng, chain[0], runs=2, run_bytes=4096))
+    attached.backup("f", chain[1])
+    again = reattach(attached)
+    assert index_items(again) == index_items(attached)
+    for version, payload in enumerate(chain):
+        assert again.restore("f", version).data == payload

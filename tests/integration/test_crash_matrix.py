@@ -174,7 +174,7 @@ class TestBackupCrashMatrix:
         self._sweep(base)
 
     def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
-        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         base_state, _payloads, next_payload = base
         assert folds_crossed(
             base_state, lambda store: store.backup("f", next_payload)
@@ -231,7 +231,7 @@ class TestDeleteCrashMatrix:
     def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
         """The catalog fold lands at the delete's own commit point (a
         delete registers nothing, so the similar log is not appended to)."""
-        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         assert folds_crossed(
             base[0], lambda store: store.delete_version("f", 0)
         ) == {"catalog/state.json"}
@@ -279,7 +279,7 @@ class TestSnapshotCrashMatrix:
     def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
         """Two members: the second one's registration and commit each find
         a fold due."""
-        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         base_state, files = base
         assert folds_crossed(
             base_state, lambda store: store.backup_snapshot(files, run_gnode=False)

@@ -351,7 +351,7 @@ class TestSerialVsParallelParity:
         """Six commits at ``FOLD_EVERY`` 2: both metadata logs fold three
         times (checkpoint PUT + batched DELETE), on the caller's thread and
         at the same request positions whatever ``workers`` is."""
-        monkeypatch.setattr("repro.core.deltalog.FOLD_EVERY", 2)
+        monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         workload = _parity_workload(606)
         serial = _run_slimstore(workload, 0)
         parallel = _run_slimstore(workload, 2)

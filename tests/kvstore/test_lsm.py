@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulatedCrashError
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memtable import TOMBSTONE
+from repro.kvstore.wal import OP_PUT, encode_record
+from repro.oss import deltalog
+from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
 
 
@@ -128,9 +132,95 @@ class TestRecovery:
         assert recovered.get(b"new") == b"value"
         assert recovered.get(b"key049") == b"x" * 16
 
+    def test_every_reattach_keeps_what_earlier_instances_logged(self, oss):
+        """A fresh store appends after the records it replayed instead of
+        overwriting them."""
+        store = LSMStore(oss, "kv")
+        store.put(b"k1", b"v1")
+        for key in (b"k2", b"k3"):
+            store = LSMStore(oss, "kv")
+            store.recover()
+            store.put(key, b"v" + key[1:])
+        survivor = LSMStore(oss, "kv")
+        survivor.recover()
+        assert list(survivor.iter_items()) == [
+            (b"k1", b"v1"),
+            (b"k2", b"v2"),
+            (b"k3", b"v3"),
+        ]
+
+    def test_crash_between_flush_table_and_checkpoint_replays_harmlessly(self, oss):
+        store = LSMStore(oss, "kv")
+        store.put_many([(b"a", b"1"), (b"b", b"2")])
+        store.delete(b"a")
+        policy = FaultPolicy()
+        policy.crash_after_writes(1)  # the SSTable lands, the checkpoint not
+        oss.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.flush()
+        oss.set_fault_policy(None)
+        survivor = LSMStore(oss, "kv")
+        survivor.recover()
+        assert survivor.sstable_count == 1
+        assert list(survivor.iter_items()) == [(b"b", b"2")]
+        # The replayed records reach the next table again; nothing changes.
+        survivor.put(b"c", b"3")
+        survivor.flush()
+        survivor.recover()
+        assert list(survivor.iter_items()) == [(b"b", b"2"), (b"c", b"3")]
+        assert survivor.get(b"a") is None
+
     def test_rejects_tiny_compaction_threshold(self, oss):
         with pytest.raises(ValueError):
             LSMStore(oss, "kv", compaction_threshold=1)
+
+
+class TestWalTraffic:
+    def test_put_many_is_one_put_of_its_encoded_records(self, oss):
+        store = LSMStore(oss, "kv")
+        items = [(b"key%03d" % i, b"value%d" % i) for i in range(40)]
+        before = oss.stats.snapshot()
+        store.put_many(items)
+        spent = oss.stats.diff(before)
+        assert (spent.put_requests, spent.delete_requests) == (1, 0)
+        assert spent.bytes_written == sum(
+            len(encode_record(OP_PUT, key, value)) for key, value in items
+        )
+
+    def test_a_due_fold_adds_one_checkpoint_put_and_one_delete(self, oss, monkeypatch):
+        monkeypatch.setattr(deltalog, "FOLD_EVERY", 2)
+        store = LSMStore(oss, "kv")
+        store.put_many([(b"a", b"1")])
+        before = oss.stats.snapshot()
+        store.put_many([(b"b", b"2"), (b"c", b"3")])
+        spent = oss.stats.diff(before)
+        assert (spent.put_requests, spent.delete_requests) == (2, 1)
+
+    def test_an_empty_batch_writes_nothing(self, oss):
+        store = LSMStore(oss, "kv")
+        before = oss.stats.snapshot()
+        store.put_many([])
+        assert oss.stats.diff(before).put_requests == 0
+
+    def test_a_bad_value_anywhere_rejects_the_whole_batch(self, oss):
+        store = LSMStore(oss, "kv")
+        with pytest.raises(ValueError):
+            store.put_many([(b"a", b"1"), (b"b", TOMBSTONE)])
+        assert oss.stats.put_requests == 0
+        assert store.get(b"a") is None
+
+    def test_flush_is_table_and_checkpoint_plus_a_delete_per_thousand_records(
+        self, oss, monkeypatch
+    ):
+        monkeypatch.setattr(deltalog, "FOLD_EVERY", 1 << 30)
+        store = LSMStore(oss, "kv")
+        for i in range(2500):
+            store.put(b"key%05d" % i, b"v")
+        before = oss.stats.snapshot()
+        store.flush()
+        spent = oss.stats.diff(before)
+        assert (spent.put_requests, spent.delete_requests) == (2, 3)
+        assert oss.peek_keys("kv", "wal/") == ["wal/default/active.wal"]
 
 
 @given(
