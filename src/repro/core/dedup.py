@@ -20,15 +20,19 @@ The three-step workflow:
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
-dedup throughput figures come from.
+dedup throughput figures come from.  CPU work is tallied per segment and
+priced when the segment closes; OSS seconds are charged as measured.  The
+cost model is linear, so this matches charging every event (exact counts,
+seconds to 1e-12 relative).  Skip chunking replays whole runs of verified
+predictions in one loop.
 
-Since the ingest-pipeline PR every charge is *also* attributed to a
-per-segment stage trace (:class:`IngestTrace`): chunking + fingerprinting
-to the chunk stage, classification/cache/prefetch work to the lookup
-stage, container uploads to discrete flush events.  With
-``config.ingest_pipeline`` the engine additionally Bloom-prefilters each
-segment's candidate fingerprints in one batched pass and models their
-batched ``get_many`` round trips, then replays the trace through
+The same seconds are attributed to a per-segment stage trace
+(:class:`IngestTrace`): chunking + fingerprinting to the chunk stage,
+classification/cache/prefetch work to the lookup stage, container uploads
+to discrete flush events.  With ``config.ingest_pipeline`` the engine
+additionally Bloom-prefilters each segment's candidate fingerprints in
+one batched pass and models their batched ``get_many`` round trips, then
+replays the trace through
 :func:`repro.sim.events.simulate_backup_pipeline` — an event-driven
 schedule where chunking runs ahead of the lookup spine and container
 flushes double-buffer against it.  The pipelined engine executes the
@@ -462,14 +466,9 @@ class _JobState:
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
         self.degraded_fps: list[bytes] = []
-        #: Per-segment stage trace, fed by the charge helpers below.
+        #: Per-segment stage trace, priced from the tallies at segment close.
         self.trace = IngestTrace()
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
-        #: Superchunk merging runs at segment close and depends on the
-        #: segment's classification, so its hashing counts as lookup-stage
-        #: (spine) work rather than parallelizable chunk-stage work.
-        self._in_finalize = False
+        self._reset_tallies()
         self._pipelined = self.config.ingest_pipeline
         #: Per-job fingerprint memo: fingerprints already queued for a
         #: global-index probe this job.  Intra-file duplicates hit the
@@ -489,45 +488,37 @@ class _JobState:
             digest = self._fingerprint(self.view[start:end])
         return digest
 
-    # --- cost helpers ----------------------------------------------------
-    # Each helper charges the job breakdown (the paper's categories) and
-    # attributes the same seconds to the current segment's pipeline stage.
-    def _trace_chunk(self, seconds: float) -> None:
-        if self._in_finalize:
-            self._cur_lookup += seconds
-        else:
-            self._cur_chunk += seconds
+    # --- virtual clock ----------------------------------------------------
+    def _reset_tallies(self) -> None:
+        # The open segment's work.  Chunk stage: bytes cut, skipped and
+        # fingerprinted.  Lookup stage (the spine): bytes hashed by superchunk
+        # merging, lookups, compares, records, bytes packed, and the measured
+        # seconds of recipe prefetches (they block classification).
+        self._scan_bytes = self._skip_bytes = self._fp_bytes = 0
+        self._merge_fp_bytes = self._lookups = self._compares = 0
+        self._records = self._packed_bytes = 0
+        self._prefetch_seconds = 0.0
 
-    def _trace_lookup(self, seconds: float) -> None:
-        self._cur_lookup += seconds
-
-    def _charge_scan(self, nbytes: int) -> None:
-        seconds = self.cost.chunking_cost(self.engine._chunker.name, nbytes)
-        self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_skip(self, nbytes: int) -> None:
-        seconds = self.cost.chunking_cost("skip", nbytes)
-        self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_fingerprint(self, nbytes: int) -> None:
-        seconds = self.cost.fingerprint_cost(nbytes)
-        self.breakdown.charge("fingerprinting", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_lookup(self) -> None:
-        self.breakdown.charge("index_query", self.cost.cpu_index_query)
-        self._trace_lookup(self.cost.cpu_index_query)
-
-    def _charge_compare(self) -> None:
-        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
-        self._trace_lookup(self.cost.cpu_fp_compare)
-
-    def _charge_other(self, nbytes: int) -> None:
-        seconds = self.cost.cpu_other_per_byte * nbytes
-        self.breakdown.charge("other", seconds)
-        self._trace_lookup(seconds)
+    def _fold_charges(self) -> tuple[float, float]:
+        """Charge the open segment's tallies to the breakdown (the cost
+        model is linear in them); returns its chunk- and lookup-stage seconds."""
+        cost = self.cost
+        chunking = cost.chunking_cost(self.engine._chunker.name, self._scan_bytes)
+        chunking += cost.chunking_cost("skip", self._skip_bytes)
+        fingerprinting = cost.fingerprint_cost(self._fp_bytes)
+        merge_fingerprinting = cost.fingerprint_cost(self._merge_fp_bytes)
+        index_query = cost.cpu_index_query * self._lookups + cost.cpu_fp_compare * self._compares
+        other = cost.cpu_record_handling * self._records
+        other += cost.cpu_other_per_byte * self._packed_bytes
+        self.breakdown.charge("chunking", chunking)
+        self.breakdown.charge("fingerprinting", fingerprinting + merge_fingerprinting)
+        self.breakdown.charge("index_query", index_query)
+        self.breakdown.charge("other", other)
+        if self._records:
+            self.counters.add("chunks", self._records)
+        lookup = self._prefetch_seconds + merge_fingerprinting + index_query + other
+        self._reset_tallies()
+        return chunking + fingerprinting, lookup
 
     # --- main loop ---------------------------------------------------------
     def run(self) -> None:
@@ -535,19 +526,77 @@ class _JobState:
         position = 0
         length = len(self.data)
         while position < length:
-            consumed = False
             if self.config.skip_chunking and self.skip_from is not None:
-                consumed = self._try_skip_chunking(position)
-                if consumed:
-                    position = self._last_end
-                    continue
-            position = self._cdc_step(position)
+                position = self._try_skip_chunking(position)
+            else:
+                position = self._cdc_step(position)
         self._finalize_segment()
+        self._fold_charges()
         self._flush_container()
 
     # --- skip chunking (Section IV-B) ------------------------------------
-    def _try_skip_chunking(self, position: int) -> bool:
-        """Predict the next cut from history; True if a chunk was emitted."""
+    def _try_skip_chunking(self, position: int) -> int:
+        """Replay the successor chain from ``skip_from`` while predictions hold.
+
+        A run ends at the record that fills the segment, or hands the chunk
+        that broke it to :meth:`_skip_chunk`.  Returns the new position;
+        ``skip_from`` is None when CDC must cut next.
+        """
+        length = len(self.data)
+        successor = self.cache.successor
+        is_cut = self.boundaries.is_cut
+        rewrite = self.rewrite_containers
+        memo = self._fp_memo
+        records = self.current_records
+        starts = self.current_starts
+        room = self.config.segment_bytes - self.current_bytes
+        location = self.skip_from
+        start = position
+        chunks = superchunks = 0
+        while position < length and position - start < room:
+            following = successor(location)
+            if following is None:
+                break
+            predicted, next_location = following
+            end = position + predicted.size
+            if end > length or predicted.container_id in rewrite or not is_cut(position, end):
+                break
+            fp = memo.get((position, end)) or self._fingerprint(self.view[position:end])
+            if fp != predicted.fp:
+                memo[position, end] = fp  # the per-chunk path classifies it
+                break
+            # The record ``_emit_duplicate`` builds, positionally.
+            records.append(ChunkRecord(
+                fp, predicted.container_id, predicted.size, predicted.duplicate_times + 1,
+                predicted.is_superchunk, predicted.first_fp, predicted.first_size, True,
+            ))  # fmt: skip
+            starts.append(position)
+            chunks += 1
+            superchunks += predicted.is_superchunk
+            location = next_location
+            position = end
+        if chunks:
+            run_bytes = position - start
+            self.skip_from = location
+            self._skip_bytes += run_bytes
+            self._fp_bytes += run_bytes
+            self._compares += chunks
+            self._records += chunks
+            self.counters.add("skip_success", chunks)
+            if superchunks:
+                self.counters.add("superchunk_hits", superchunks)
+            self.counters.add("dup_chunks", chunks)
+            self.counters.add("dup_bytes", run_bytes)
+            self.current_bytes += run_bytes
+            if run_bytes >= room:
+                self._finalize_segment()
+                return position
+        if position == length:
+            return position
+        return self._skip_chunk(position)
+
+    def _skip_chunk(self, position: int) -> int:
+        """One prediction with every fallback; returns the new position."""
         successor = self.cache.successor(self.skip_from)
         if successor is None and self.handle is not None:
             ordinal = self.skip_from[0] + 1
@@ -556,45 +605,42 @@ class _JobState:
                 if self.skip_from is None:
                     # Prefetch failed and flipped the job into degraded
                     # mode; fall back to CDC for the rest of the stream.
-                    return False
+                    return position
                 successor = self.cache.successor(self.skip_from)
         if successor is None:
             self.skip_from = None
-            return False
+            return position
         predicted, location = successor
         end = position + predicted.size
         if end > len(self.data) or not self.boundaries.is_cut(position, end):
             self.counters.add("skip_fail")
             self.skip_from = None
-            return False
-        chunk = self.view[position:end]
-        self._charge_skip(len(chunk))
-        self._charge_fingerprint(len(chunk))
+            return position
+        self._skip_bytes += predicted.size
+        self._fp_bytes += predicted.size
+        self._compares += 1
         fp = self._fp(position, end)
-        self._charge_compare()
         if fp != predicted.fp:
             # Boundary matched but content changed: fall back to the dedup
             # cache for this chunk, then resume CDC.
             self.counters.add("skip_fp_mismatch")
             self.skip_from = None
             self._classify_chunk(position, end, fp)
-            self._last_end = end
-            return True
+            return end
         self.counters.add("skip_success")
         if predicted.is_superchunk:
             self.counters.add("superchunk_hits")
         self._emit_duplicate(position, end, predicted)
         self.skip_from = location
-        self._last_end = end
-        return True
+        return end
 
     # --- normal CDC step ---------------------------------------------------
     def _cdc_step(self, position: int) -> int:
         """Cut one chunk with CDC and classify it; returns the new position."""
         end = self.boundaries.next_cut(position)
-        self._charge_scan(end - position)
+        self._scan_bytes += end - position
+        self._fp_bytes += end - position
         fp = self._fp(position, end)
-        self._charge_fingerprint(end - position)
 
         # SuperChunking (Algorithm 1): the cut chunk may be the firstChunk
         # of a known superchunk.
@@ -617,9 +663,9 @@ class _JobState:
         sc_end = position + record.size
         if sc_end > len(self.data):
             return None
-        self._charge_fingerprint(record.size - (end - position))
+        self._fp_bytes += record.size - (end - position)
+        self._compares += 1
         sc_fp = self._fp(position, sc_end)
-        self._charge_compare()
         if sc_fp != record.fp:
             # Failed: c^n is a plain duplicate of the firstChunk; CDC
             # resumes from the current cut point p1 (= end).
@@ -631,6 +677,8 @@ class _JobState:
                 duplicate_times=1,
                 is_duplicate=True,
             )
+            self.counters.add("dup_chunks")
+            self.counters.add("dup_bytes", first_record.size)
             self._append_record(first_record, position)
             self.skip_from = None
             return end
@@ -642,7 +690,7 @@ class _JobState:
     # --- classification ------------------------------------------------------
     def _classify_chunk(self, position: int, end: int, fp: bytes) -> None:
         """Duplicate via caches/recipe index, otherwise store as unique."""
-        self._charge_lookup()
+        self._lookups += 1
         local = self.local_records.get(fp)
         if local is not None:
             self.counters.add("local_duplicates")
@@ -698,7 +746,7 @@ class _JobState:
         """
         if self.recipe_index is None or self.handle is None:
             return False
-        self._charge_compare()
+        self._compares += 1
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
         for ordinal in ordinals:
@@ -724,13 +772,13 @@ class _JobState:
         except DEDUP_LOOKUP_FAILURES:
             read_seconds = self.storage.oss.stats.diff(before).read_seconds
             self.breakdown.charge("download", read_seconds)
-            self._trace_lookup(read_seconds)
+            self._prefetch_seconds += read_seconds
             self._enter_degraded_mode()
             return
         downloaded = self.storage.oss.stats.diff(before)
         # Recipe prefetches block classification, so they ride the spine.
         self.breakdown.charge("download", downloaded.read_seconds)
-        self._trace_lookup(downloaded.read_seconds)
+        self._prefetch_seconds += downloaded.read_seconds
         for offset, records in enumerate(segments):
             self.counters.add("segments_prefetched")
             self.cache.insert_segment(ordinal + offset, records)
@@ -772,7 +820,7 @@ class _JobState:
 
     def _emit_unique(self, position: int, end: int, fp: bytes) -> None:
         chunk = self.view[position:end]
-        self._charge_other(len(chunk))
+        self._packed_bytes += len(chunk)
         if self.builder.is_full():
             self._flush_container()
         self.builder.add_chunk(fp, chunk)
@@ -800,12 +848,10 @@ class _JobState:
         self.skip_from = None
 
     def _append_record(self, record: ChunkRecord, start: int) -> None:
-        self.breakdown.charge("other", self.cost.cpu_record_handling)
-        self._trace_lookup(self.cost.cpu_record_handling)
+        self._records += 1
         self.current_records.append(record)
         self.current_starts.append(start)
         self.current_bytes += record.size
-        self.counters.add("chunks")
         if self.current_bytes >= self.config.segment_bytes:
             self._finalize_segment()
 
@@ -816,23 +862,18 @@ class _JobState:
         records = self.current_records
         starts = self.current_starts
         if self.config.chunk_merging:
-            self._in_finalize = True
-            try:
-                records, starts = self._merge_superchunks(records, starts)
-            finally:
-                self._in_finalize = False
+            records, starts = self._merge_superchunks(records, starts)
         self.segments.append(records)
         self.current_records = []
         self.current_starts = []
         self.current_bytes = 0
         # Close the pipeline trace for this segment: batch its pending
-        # index probes (pipelined mode), then snapshot the stage clocks.
+        # index probes (pipelined mode), then price the stage tallies.
         rpcs = self._drain_probe_batch() if self._pipelined else []
-        self.trace.chunk_seconds.append(self._cur_chunk)
-        self.trace.lookup_seconds.append(self._cur_lookup)
+        chunk_seconds, lookup_seconds = self._fold_charges()
+        self.trace.chunk_seconds.append(chunk_seconds)
+        self.trace.lookup_seconds.append(lookup_seconds)
         self.trace.lookup_rpcs.append(rpcs)
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
 
     def _drain_probe_batch(self) -> list[float]:
         """Coalesce the segment's fingerprint probes against the index.
@@ -852,9 +893,7 @@ class _JobState:
             return []
         index = self.storage.global_index
         self.counters.add("ingest_bloom_probes", len(pending))
-        probe_seconds = self.cost.cpu_fp_compare * len(pending)
-        self.breakdown.charge("index_query", probe_seconds)
-        self._trace_lookup(probe_seconds)
+        self._compares += len(pending)
         verdicts = index.maybe_contains_many(pending)
         survivors = [fp for fp, hit in zip(pending, verdicts) if hit]
         if not survivors:
@@ -905,8 +944,8 @@ class _JobState:
         data_start = starts[begin]
         data_end = starts[end - 1] + records[end - 1].size
         payload = self.view[data_start:data_end]
-        self._charge_fingerprint(len(payload))
-        self._charge_other(len(payload))
+        self._merge_fp_bytes += len(payload)
+        self._packed_bytes += len(payload)
         sc_fp = self._fp(data_start, data_end)
         if self.builder.payload_bytes + len(payload) > self.config.container_bytes:
             self._flush_container()
@@ -974,27 +1013,27 @@ class _JobState:
             segments=self.segments,
         )
         index = RecipeIndex()
-        all_fps: list[bytes] = []
+        sample_ratio = self.config.effective_sample_ratio()
+        representatives: list[bytes] = []
         for ordinal, segment in enumerate(self.segments):
             for position, record in enumerate(segment):
-                all_fps.append(record.fp)
-                if position == 0 or is_sampled(record.fp, self.config.effective_sample_ratio()):
-                    index.add(record.fp, ordinal)
+                fp = record.fp
+                if position == 0 or is_sampled(fp, sample_ratio):
+                    index.add(fp, ordinal)
                 if record.is_superchunk:
                     # The next version's CDC cuts small chunks, which can
                     # only rendezvous with a superchunk through its
                     # firstChunk fingerprint (Algorithm 1) — so every
                     # superchunk's firstChunk is indexed.
                     index.add(record.first_fp, ordinal)
+                if len(representatives) < MAX_FILE_REPRESENTATIVES and is_sampled(
+                    fp, SIMILARITY_SAMPLE_RATIO
+                ):
+                    representatives.append(fp)
 
         before = self.storage.oss.stats.snapshot()
         self.storage.recipes.put_recipe(recipe)
         self.storage.recipes.put_recipe_index(self.path, self.version, index)
-        representatives = [
-            fp
-            for fp in all_fps
-            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)
-        ][:MAX_FILE_REPRESENTATIVES]
         self.storage.similar_index.register(self.path, self.version, representatives)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)

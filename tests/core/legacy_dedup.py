@@ -1,0 +1,667 @@
+"""The backup job loop as it was before skip chunking replayed whole runs.
+
+``LegacyJobState`` is a copy of the per-chunk ``repro.core.dedup._JobState``
+that predates the run loop and the tallied virtual clock: one
+``_try_skip_chunking`` call per predicted chunk, and every CPU charge made
+the moment its work happens (``TimeBreakdown.charge`` plus the stage
+attribution).  It is kept as the oracle ``tests/core/test_skip_run.py``
+compares the engine against.  It carries one fix over the old code: a
+failed Algorithm 1 match counts the firstChunk duplicate it appends in
+``dup_chunks``/``dup_bytes``, as the engine does now.
+
+``legacy_jobs(monkeypatch)`` makes ``BackupEngine.backup`` run its jobs
+through this class.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from repro.chunking.base import BoundarySet
+from repro.chunking.cursor import BoundaryCursor
+from repro.core.container import ContainerBuilder
+from repro.core.dedup import (
+    DEDUP_LOOKUP_FAILURES,
+    MAX_FILE_REPRESENTATIVES,
+    SIMILARITY_SAMPLE_RATIO,
+    BackupEngine,
+    BackupResult,
+    DedupCache,
+    IngestTrace,
+)
+from repro.core.recipe import ChunkRecord, Recipe, RecipeHandle, RecipeIndex
+from repro.fingerprint.sampling import is_sampled
+from repro.sim.metrics import Counters, TimeBreakdown
+
+
+def legacy_jobs(monkeypatch) -> None:
+    """Route every ``BackupEngine.backup`` job through ``LegacyJobState``."""
+    monkeypatch.setattr("repro.core.dedup._JobState", LegacyJobState)
+
+
+class LegacyJobState:
+    """The per-chunk ``_JobState`` (see the module docstring)."""
+
+    def __init__(
+        self,
+        engine: BackupEngine,
+        path: str,
+        version: int,
+        data: bytes,
+        boundaries: BoundarySet | BoundaryCursor,
+        handle: RecipeHandle | None,
+        recipe_index: RecipeIndex | None,
+        breakdown: TimeBreakdown,
+        counters: Counters,
+        rewrite_containers: set[int] | None = None,
+        fp_memo: dict[tuple[int, int], bytes] | None = None,
+    ) -> None:
+        self.engine = engine
+        self.config = engine.config
+        self.cost = engine.cost_model
+        self.storage = engine.storage
+        self.path = path
+        self.version = version
+        self.data = data
+        #: Zero-copy window over the stream: every chunk payload below is
+        #: a ``memoryview`` slice of it (hashing and container packing
+        #: both consume buffer objects), so the hot loop never copies.
+        self.view = memoryview(data)
+        self.boundaries = boundaries
+        self.handle = handle
+        self.recipe_index = recipe_index
+        self.breakdown = breakdown
+        self.counters = counters
+
+        self.cache = DedupCache()
+        #: fp → record stored earlier in THIS job (intra-stream dedup,
+        #: which is what handles self-referencing chunks).
+        self.local_records: dict[bytes, ChunkRecord] = {}
+        self.segments: list[list[ChunkRecord]] = []
+        self.current_records: list[ChunkRecord] = []
+        self.current_starts: list[int] = []
+        self.current_bytes = 0
+        self.builder: ContainerBuilder = self.storage.containers.new_builder(
+            self.config.container_bytes
+        )
+        self.new_container_ids: list[int] = []
+        self.stored_chunk_bytes = 0
+        self.uploaded_bytes = 0
+        self.referenced: Counter[int] = Counter()
+        self.referenced_bytes: Counter[int] = Counter()
+        self.rewrite_containers = rewrite_containers or set()
+        #: Skip-chunking state: location of the last matched record.
+        self.skip_from: tuple[int, int] | None = None
+        #: Degraded mode: the dedup base became unreachable; chunks are
+        #: stored as unique and flagged for out-of-line reclamation.
+        self.degraded = False
+        self.degraded_fps: list[bytes] = []
+        #: Per-segment stage trace, fed by the charge helpers below.
+        self.trace = IngestTrace()
+        self._cur_chunk = 0.0
+        self._cur_lookup = 0.0
+        #: Superchunk merging runs at segment close and depends on the
+        #: segment's classification, so its hashing counts as lookup-stage
+        #: (spine) work rather than parallelizable chunk-stage work.
+        self._in_finalize = False
+        self._pipelined = self.config.ingest_pipeline
+        #: Per-job fingerprint memo: fingerprints already queued for a
+        #: global-index probe this job.  Intra-file duplicates hit the
+        #: memo instead of re-probing the index once per occurrence.
+        self._probe_memo: set[bytes] = set()
+        self._pending_probes: list[bytes] = []
+        #: (start, end) → digest precomputed by the parallel executor for
+        #: the plain-CDC chunk walk; spans cut by skip-chunking or
+        #: superchunk merging miss it and hash inline via :meth:`_fp`.
+        self._fp_memo = fp_memo or {}
+        self._fingerprint = engine._fingerprint
+
+    def _fp(self, start: int, end: int) -> bytes:
+        """Digest of ``data[start:end]`` — memoised span or inline hash."""
+        digest = self._fp_memo.get((start, end))
+        if digest is None:
+            digest = self._fingerprint(self.view[start:end])
+        return digest
+
+    # --- cost helpers ----------------------------------------------------
+    # Each helper charges the job breakdown (the paper's categories) and
+    # attributes the same seconds to the current segment's pipeline stage.
+    def _trace_chunk(self, seconds: float) -> None:
+        if self._in_finalize:
+            self._cur_lookup += seconds
+        else:
+            self._cur_chunk += seconds
+
+    def _trace_lookup(self, seconds: float) -> None:
+        self._cur_lookup += seconds
+
+    def _charge_scan(self, nbytes: int) -> None:
+        seconds = self.cost.chunking_cost(self.engine._chunker.name, nbytes)
+        self.breakdown.charge("chunking", seconds)
+        self._trace_chunk(seconds)
+
+    def _charge_skip(self, nbytes: int) -> None:
+        seconds = self.cost.chunking_cost("skip", nbytes)
+        self.breakdown.charge("chunking", seconds)
+        self._trace_chunk(seconds)
+
+    def _charge_fingerprint(self, nbytes: int) -> None:
+        seconds = self.cost.fingerprint_cost(nbytes)
+        self.breakdown.charge("fingerprinting", seconds)
+        self._trace_chunk(seconds)
+
+    def _charge_lookup(self) -> None:
+        self.breakdown.charge("index_query", self.cost.cpu_index_query)
+        self._trace_lookup(self.cost.cpu_index_query)
+
+    def _charge_compare(self) -> None:
+        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
+        self._trace_lookup(self.cost.cpu_fp_compare)
+
+    def _charge_other(self, nbytes: int) -> None:
+        seconds = self.cost.cpu_other_per_byte * nbytes
+        self.breakdown.charge("other", seconds)
+        self._trace_lookup(seconds)
+
+    # --- main loop ---------------------------------------------------------
+    def run(self) -> None:
+        """Steps 2 and 3: chunk, deduplicate, segment, persist."""
+        position = 0
+        length = len(self.data)
+        while position < length:
+            consumed = False
+            if self.config.skip_chunking and self.skip_from is not None:
+                consumed = self._try_skip_chunking(position)
+                if consumed:
+                    position = self._last_end
+                    continue
+            position = self._cdc_step(position)
+        self._finalize_segment()
+        self._flush_container()
+
+    # --- skip chunking (Section IV-B) ------------------------------------
+    def _try_skip_chunking(self, position: int) -> bool:
+        """Predict the next cut from history; True if a chunk was emitted."""
+        successor = self.cache.successor(self.skip_from)
+        if successor is None and self.handle is not None:
+            ordinal = self.skip_from[0] + 1
+            if ordinal < self.handle.segment_count:
+                self._prefetch_segment(ordinal)
+                if self.skip_from is None:
+                    # Prefetch failed and flipped the job into degraded
+                    # mode; fall back to CDC for the rest of the stream.
+                    return False
+                successor = self.cache.successor(self.skip_from)
+        if successor is None:
+            self.skip_from = None
+            return False
+        predicted, location = successor
+        end = position + predicted.size
+        if end > len(self.data) or not self.boundaries.is_cut(position, end):
+            self.counters.add("skip_fail")
+            self.skip_from = None
+            return False
+        chunk = self.view[position:end]
+        self._charge_skip(len(chunk))
+        self._charge_fingerprint(len(chunk))
+        fp = self._fp(position, end)
+        self._charge_compare()
+        if fp != predicted.fp:
+            # Boundary matched but content changed: fall back to the dedup
+            # cache for this chunk, then resume CDC.
+            self.counters.add("skip_fp_mismatch")
+            self.skip_from = None
+            self._classify_chunk(position, end, fp)
+            self._last_end = end
+            return True
+        self.counters.add("skip_success")
+        if predicted.is_superchunk:
+            self.counters.add("superchunk_hits")
+        self._emit_duplicate(position, end, predicted)
+        self.skip_from = location
+        self._last_end = end
+        return True
+
+    # --- normal CDC step ---------------------------------------------------
+    def _cdc_step(self, position: int) -> int:
+        """Cut one chunk with CDC and classify it; returns the new position."""
+        end = self.boundaries.next_cut(position)
+        self._charge_scan(end - position)
+        fp = self._fp(position, end)
+        self._charge_fingerprint(end - position)
+
+        # SuperChunking (Algorithm 1): the cut chunk may be the firstChunk
+        # of a known superchunk.
+        if self.config.chunk_merging:
+            absorbed_end = self._try_superchunking(position, end, fp)
+            if absorbed_end is not None:
+                return absorbed_end
+
+        self._classify_chunk(position, end, fp)
+        return end
+
+    def _try_superchunking(self, position: int, end: int, fp: bytes) -> int | None:
+        """Algorithm 1; returns the superchunk end if it matched."""
+        hit = self.cache.lookup(fp)
+        if hit is None:
+            return None
+        record, location = hit
+        if not record.is_superchunk or record.first_fp != fp:
+            return None
+        sc_end = position + record.size
+        if sc_end > len(self.data):
+            return None
+        self._charge_fingerprint(record.size - (end - position))
+        sc_fp = self._fp(position, sc_end)
+        self._charge_compare()
+        if sc_fp != record.fp:
+            # Failed: c^n is a plain duplicate of the firstChunk; CDC
+            # resumes from the current cut point p1 (= end).
+            self.counters.add("superchunk_miss")
+            first_record = ChunkRecord(
+                fp=record.first_fp,
+                container_id=record.container_id,
+                size=record.first_size,
+                duplicate_times=1,
+                is_duplicate=True,
+            )
+            self.counters.add("dup_chunks")
+            self.counters.add("dup_bytes", first_record.size)
+            self._append_record(first_record, position)
+            self.skip_from = None
+            return end
+        self.counters.add("superchunk_hits")
+        self._emit_duplicate(position, sc_end, record)
+        self.skip_from = location
+        return sc_end
+
+    # --- classification ------------------------------------------------------
+    def _classify_chunk(self, position: int, end: int, fp: bytes) -> None:
+        """Duplicate via caches/recipe index, otherwise store as unique."""
+        self._charge_lookup()
+        local = self.local_records.get(fp)
+        if local is not None:
+            self.counters.add("local_duplicates")
+            if self._pipelined and fp in self._probe_memo:
+                # The memo already queued this fingerprint's index probe:
+                # the repeat occurrence costs no further round trip.
+                self.counters.add("intra_file_dup_hits")
+            duplicate = ChunkRecord(
+                fp=fp,
+                container_id=local.container_id,
+                size=local.size,
+                duplicate_times=local.duplicate_times,
+                is_duplicate=True,
+            )
+            self._append_record(duplicate, position)
+            return
+
+        hit = self.cache.lookup(fp)
+        if hit is None and self._maybe_prefetch(fp):
+            hit = self.cache.lookup(fp)
+        if hit is not None:
+            record, location = hit
+            if record.fp == fp:
+                self._emit_duplicate(position, end, record)
+                self.skip_from = location
+                return
+            if record.is_superchunk and record.first_fp == fp:
+                # Duplicate of a superchunk's firstChunk (the bytes live at
+                # the head of the superchunk; an alias meta entry resolves
+                # the fingerprint at restore time).
+                first_record = ChunkRecord(
+                    fp=fp,
+                    container_id=record.container_id,
+                    size=record.first_size,
+                    duplicate_times=1,
+                    is_duplicate=True,
+                )
+                self.counters.add("dup_chunks")
+                self.counters.add("dup_bytes", first_record.size)
+                self._append_record(first_record, position)
+                return
+
+        self._emit_unique(position, end, fp)
+
+    def _maybe_prefetch(self, fp: bytes) -> bool:
+        """Consult the recipe index; prefetch matching segment recipes.
+
+        The index holds only sampled fingerprints (plus segment-first and
+        superchunk-firstChunk entries), so the mod-R sampling bounds its
+        size; the probe itself is an in-memory lookup and runs for every
+        cache miss — a miss on an unsampled fingerprint costs one hash
+        probe and nothing else.
+        """
+        if self.recipe_index is None or self.handle is None:
+            return False
+        self._charge_compare()
+        ordinals = self.recipe_index.lookup(fp)
+        fetched = False
+        for ordinal in ordinals:
+            # Logical locality: chunks near the match "will also appear in
+            # this segment with a high probability", so prefetch a span of
+            # consecutive segment recipes starting at the match.
+            if self.handle is None:
+                break  # a prefetch failure degraded the job mid-loop
+            if not self.cache.has_segment(ordinal):
+                self._prefetch_segment(ordinal)
+                fetched = True
+        return fetched
+
+    def _prefetch_segment(self, ordinal: int) -> None:
+        """Fetch a prefetch span of segment recipes in one ranged GET."""
+        if self.handle is None:
+            return
+        span = max(1, self.config.prefetch_segment_span)
+        span = min(span, self.handle.segment_count - ordinal)
+        before = self.storage.oss.stats.snapshot()
+        try:
+            segments = self.handle.get_segment_range(ordinal, span)
+        except DEDUP_LOOKUP_FAILURES:
+            read_seconds = self.storage.oss.stats.diff(before).read_seconds
+            self.breakdown.charge("download", read_seconds)
+            self._trace_lookup(read_seconds)
+            self._enter_degraded_mode()
+            return
+        downloaded = self.storage.oss.stats.diff(before)
+        # Recipe prefetches block classification, so they ride the spine.
+        self.breakdown.charge("download", downloaded.read_seconds)
+        self._trace_lookup(downloaded.read_seconds)
+        for offset, records in enumerate(segments):
+            self.counters.add("segments_prefetched")
+            self.cache.insert_segment(ordinal + offset, records)
+
+    def _enter_degraded_mode(self) -> None:
+        """Stop consulting the unreachable dedup base for this job.
+
+        Chunks the cache cannot resolve are stored as unique from here
+        on; the version is flagged degraded so the G-node's reverse
+        deduplication reclaims whatever redundancy that introduced.
+        """
+        self.counters.add("degraded_events")
+        self.degraded = True
+        self.handle = None
+        self.recipe_index = None
+        self.skip_from = None
+
+    # --- record emission --------------------------------------------------------
+    def _emit_duplicate(self, position: int, end: int, base: ChunkRecord) -> None:
+        if base.container_id in self.rewrite_containers:
+            # HAR-style rewriting: a duplicate living in a sparse container
+            # is stored again to repair physical locality.
+            self.counters.add("rewritten_chunks")
+            self._emit_unique(position, end, base.fp)
+            return
+        record = ChunkRecord(
+            fp=base.fp,
+            container_id=base.container_id,
+            size=end - position,
+            duplicate_times=base.duplicate_times + 1,
+            is_superchunk=base.is_superchunk,
+            first_fp=base.first_fp,
+            first_size=base.first_size,
+            is_duplicate=True,
+        )
+        self.counters.add("dup_chunks")
+        self.counters.add("dup_bytes", record.size)
+        self._append_record(record, position)
+
+    def _emit_unique(self, position: int, end: int, fp: bytes) -> None:
+        chunk = self.view[position:end]
+        self._charge_other(len(chunk))
+        if self.builder.is_full():
+            self._flush_container()
+        self.builder.add_chunk(fp, chunk)
+        if self._pipelined:
+            if fp in self._probe_memo:
+                self.counters.add("intra_file_dup_hits")
+            else:
+                self._probe_memo.add(fp)
+                self._pending_probes.append(fp)
+        record = ChunkRecord(
+            fp=fp,
+            container_id=self.builder.container_id,
+            size=len(chunk),
+            duplicate_times=0,
+        )
+        self.counters.add("unique_chunks")
+        if self.degraded:
+            # Persisted without duplicate verification: possibly redundant
+            # until the next reverse-dedup pass inspects it.
+            self.counters.add("degraded_chunks")
+            self.degraded_fps.append(fp)
+        self.stored_chunk_bytes += len(chunk)
+        self.local_records[fp] = record
+        self._append_record(record, position)
+        self.skip_from = None
+
+    def _append_record(self, record: ChunkRecord, start: int) -> None:
+        self.breakdown.charge("other", self.cost.cpu_record_handling)
+        self._trace_lookup(self.cost.cpu_record_handling)
+        self.current_records.append(record)
+        self.current_starts.append(start)
+        self.current_bytes += record.size
+        self.counters.add("chunks")
+        if self.current_bytes >= self.config.segment_bytes:
+            self._finalize_segment()
+
+    # --- segment finalisation & merging (Section IV-C) -----------------------------
+    def _finalize_segment(self) -> None:
+        if not self.current_records:
+            return
+        records = self.current_records
+        starts = self.current_starts
+        if self.config.chunk_merging:
+            self._in_finalize = True
+            try:
+                records, starts = self._merge_superchunks(records, starts)
+            finally:
+                self._in_finalize = False
+        self.segments.append(records)
+        self.current_records = []
+        self.current_starts = []
+        self.current_bytes = 0
+        # Close the pipeline trace for this segment: batch its pending
+        # index probes (pipelined mode), then snapshot the stage clocks.
+        rpcs = self._drain_probe_batch() if self._pipelined else []
+        self.trace.chunk_seconds.append(self._cur_chunk)
+        self.trace.lookup_seconds.append(self._cur_lookup)
+        self.trace.lookup_rpcs.append(rpcs)
+        self._cur_chunk = 0.0
+        self._cur_lookup = 0.0
+
+    def _drain_probe_batch(self) -> list[float]:
+        """Coalesce the segment's fingerprint probes against the index.
+
+        The Bloom prefilter runs for real — one in-memory batched pass
+        over the segment's candidates ("a bloom filter is used to quickly
+        filter out unique chunks").  The survivors' exact probes are
+        grouped per shard and batched into ``get_many``-shaped round
+        trips whose durations feed the event schedule, but the requests
+        themselves are *modelled*, never issued: the authoritative exact
+        dedup stays the G-node's out-of-line pass, which keeps the
+        pipelined engine's OSS request stream — and therefore its fault
+        and crash behaviour — identical to the serial path's.
+        """
+        pending, self._pending_probes = self._pending_probes, []
+        if not pending:
+            return []
+        index = self.storage.global_index
+        self.counters.add("ingest_bloom_probes", len(pending))
+        probe_seconds = self.cost.cpu_fp_compare * len(pending)
+        self.breakdown.charge("index_query", probe_seconds)
+        self._trace_lookup(probe_seconds)
+        verdicts = index.maybe_contains_many(pending)
+        survivors = [fp for fp, hit in zip(pending, verdicts) if hit]
+        if not survivors:
+            return []
+        per_shard: Counter[int] = Counter(index.shard_of(fp) for fp in survivors)
+        batch = max(1, self.config.index_batch_size)
+        rpcs: list[float] = []
+        for shard in sorted(per_shard):
+            keys = per_shard[shard]
+            while keys > 0:
+                take = min(batch, keys)
+                keys -= take
+                rpcs.append(
+                    self.cost.oss_request_latency + take * self.cost.cpu_index_query
+                )
+        self.counters.add("ingest_index_batches", len(rpcs))
+        self.counters.add("ingest_index_keys", len(survivors))
+        return rpcs
+
+    def _merge_superchunks(
+        self, records: list[ChunkRecord], starts: list[int]
+    ) -> tuple[list[ChunkRecord], list[int]]:
+        runs = self.engine._merge_policy.plan_merge_runs(records)
+        if not runs:
+            return records, starts
+        merged_records: list[ChunkRecord] = []
+        merged_starts: list[int] = []
+        run_map = {start: end for start, end in runs}
+        index = 0
+        while index < len(records):
+            run_end = run_map.get(index)
+            if run_end is None:
+                merged_records.append(records[index])
+                merged_starts.append(starts[index])
+                index += 1
+                continue
+            record = self._build_superchunk(records, starts, index, run_end)
+            merged_records.append(record)
+            merged_starts.append(starts[index])
+            index = run_end
+        return merged_records, merged_starts
+
+    def _build_superchunk(
+        self, records: list[ChunkRecord], starts: list[int], begin: int, end: int
+    ) -> ChunkRecord:
+        """Materialise one superchunk: new payload, container, record."""
+        first = records[begin]
+        data_start = starts[begin]
+        data_end = starts[end - 1] + records[end - 1].size
+        payload = self.view[data_start:data_end]
+        self._charge_fingerprint(len(payload))
+        self._charge_other(len(payload))
+        sc_fp = self._fp(data_start, data_end)
+        if self.builder.payload_bytes + len(payload) > self.config.container_bytes:
+            self._flush_container()
+        offset = self.builder.payload_bytes
+        self.builder.add_chunk(sc_fp, payload)
+        # Alias every constituent chunk into the superchunk's bytes: the
+        # firstChunk alias drives Algorithm 1, and the rest let G-node's
+        # reverse deduplication find and delete the constituents' old
+        # copies (the superchunk write would otherwise permanently double
+        # the cold data), with old recipes redirecting here.
+        relative = 0
+        for position in range(begin, end):
+            constituent = records[position]
+            self.builder.add_alias(constituent.fp, offset + relative, constituent.size)
+            relative += constituent.size
+        self.counters.add("superchunks_created")
+        self.counters.add("superchunk_bytes_written", len(payload))
+        self.stored_chunk_bytes += len(payload)
+        return ChunkRecord(
+            fp=sc_fp,
+            container_id=self.builder.container_id,
+            size=len(payload),
+            duplicate_times=self.config.merge_threshold,
+            is_superchunk=True,
+            first_fp=first.fp,
+            first_size=first.size,
+            is_duplicate=False,
+        )
+
+    # --- persistence ------------------------------------------------------------
+    def _flush_container(self) -> None:
+        if self.builder.is_empty():
+            self.builder = self.storage.containers.new_builder(self.config.container_bytes)
+            return
+        builder = self.builder
+        # A discrete flush event, handed off after the segment being
+        # built when the container filled (the event schedule clamps the
+        # end-of-stream flush to the last segment).
+        self.trace.flush_after.append(len(self.segments))
+        self.counters.add("containers_written")
+        self.new_container_ids.append(builder.container_id)
+        self.builder = self.storage.containers.new_builder(self.config.container_bytes)
+        before = self.storage.oss.stats.snapshot()
+        self.storage.containers.write(builder)
+        written = self.storage.oss.stats.diff(before)
+        self.breakdown.charge("upload", written.write_seconds)
+        self.trace.flush_seconds.append(written.write_seconds)
+        self.uploaded_bytes += written.bytes_written
+
+    def finish(self) -> BackupResult:
+        """Persist recipe, recipe index and similarity registration.
+
+        Crash-consistency contract: everything written here (and the
+        container writes before it) is *pre-commit* state — the version
+        only becomes visible when :class:`~repro.core.system.SlimStore`
+        re-publishes the catalog afterwards.  The write order (recipe →
+        recipe index → similar-index registration) is what the recovery
+        discard path in :mod:`repro.core.recovery` unwinds, so keep them
+        in this sequence.
+        """
+        recipe = Recipe(
+            path=self.path,
+            version=self.version,
+            total_bytes=len(self.data),
+            segments=self.segments,
+        )
+        index = RecipeIndex()
+        all_fps: list[bytes] = []
+        for ordinal, segment in enumerate(self.segments):
+            for position, record in enumerate(segment):
+                all_fps.append(record.fp)
+                if position == 0 or is_sampled(record.fp, self.config.effective_sample_ratio()):
+                    index.add(record.fp, ordinal)
+                if record.is_superchunk:
+                    # The next version's CDC cuts small chunks, which can
+                    # only rendezvous with a superchunk through its
+                    # firstChunk fingerprint (Algorithm 1) — so every
+                    # superchunk's firstChunk is indexed.
+                    index.add(record.first_fp, ordinal)
+
+        before = self.storage.oss.stats.snapshot()
+        self.storage.recipes.put_recipe(recipe)
+        self.storage.recipes.put_recipe_index(self.path, self.version, index)
+        representatives = [
+            fp
+            for fp in all_fps
+            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)
+        ][:MAX_FILE_REPRESENTATIVES]
+        self.storage.similar_index.register(self.path, self.version, representatives)
+        written = self.storage.oss.stats.diff(before)
+        self.breakdown.charge("upload", written.write_seconds)
+        self.trace.finish_seconds += written.write_seconds
+        self.uploaded_bytes += written.bytes_written
+
+        # Container references are computed from the *final* recipe so
+        # superchunk merging (which rewrites duplicate runs into new
+        # containers) is reflected in sparse-container detection.
+        for record in recipe.all_records():
+            if record.is_duplicate:
+                self.referenced[record.container_id] += 1
+                self.referenced_bytes[record.container_id] += record.size
+        referenced = {
+            cid: (self.referenced[cid], self.referenced_bytes[cid])
+            for cid in self.referenced
+        }
+        self.counters.add("logical_bytes", len(self.data))
+        return BackupResult(
+            path=self.path,
+            version=self.version,
+            recipe=recipe,
+            breakdown=self.breakdown,
+            counters=self.counters,
+            logical_bytes=len(self.data),
+            stored_chunk_bytes=self.stored_chunk_bytes,
+            uploaded_bytes=self.uploaded_bytes,
+            new_container_ids=self.new_container_ids,
+            referenced_containers=referenced,
+            degraded=self.degraded,
+            degraded_fps=self.degraded_fps,
+            unique_fps=list(self.local_records),
+            ingest=self.trace,
+        )
