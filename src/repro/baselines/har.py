@@ -55,27 +55,32 @@ class HARDriver:
             else utilization_threshold
         )
         self._states: dict[str, HARState] = {}
-        self._version_counts: dict[str, int] = {}
+        #: path → per version, the version owning its recipe (an alias
+        #: commit shares its origin's).
+        self._recipes: dict[str, list[int]] = {}
 
     def backup(self, path: str, data: bytes) -> BackupResult:
         """One backup with rewriting driven by the previous version's
         sparse-container set."""
         state = self._states.setdefault(path, HARState())
+        recipes = self._recipes.setdefault(path, [])
         engine = BackupEngine(self.config, self.storage, self.cost_model)
-        result = engine.backup(path, data, rewrite_containers=state.sparse_containers)
+        result = engine.backup(
+            path, data, rewrite_containers=state.sparse_containers, version=len(recipes)
+        )
+        recipes.append(result.version if result.alias_of is None else result.alias_of)
         state.sparse_containers = self._detect_sparse(result)
-        self._version_counts[path] = self._version_counts.get(path, 0) + 1
         return result
 
     def restore(self, path: str, version: int | None = None) -> bytes:
         """Restore one version through the shared storage layer."""
-        count = self._version_counts.get(path, 0)
-        if count == 0:
+        recipes = self._recipes.get(path)
+        if not recipes:
             raise RestoreError(f"no backups recorded for {path!r}")
         if version is None:
-            version = count - 1
+            version = len(recipes) - 1
         engine = RestoreEngine(self.config, self.storage, self.cost_model)
-        return engine.restore(path, version).data
+        return engine.restore(path, recipes[version]).data
 
     def _detect_sparse(self, result: BackupResult) -> set[int]:
         """Utilisation bookkeeping: the paper's HAR mark phase."""

@@ -131,10 +131,13 @@ class BrowseFile:
         self._load_recipe()
 
     def _load_recipe(self) -> None:
-        """Fetch the recipe and build the record offset map (one GET)."""
-        storage = self.session.store.storage
+        """Fetch the recipe (an alias's is its origin's) and build the
+        record offset map (one GET)."""
+        store = self.session.store
+        storage = store.storage
+        recipe_version = store.catalog.recipe_version(self.path, self.version)
         with storage.meter_reads() as meter:
-            recipe = storage.recipes.get_recipe(self.path, self.version)
+            recipe = storage.recipes.get_recipe(self.path, recipe_version)
         self.session.breakdown.charge("download", meter.seconds)
         self.session.counters.add("browse_recipe_reads")
         self._records: list[ChunkRecord] = recipe.all_records()

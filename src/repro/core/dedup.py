@@ -3,20 +3,23 @@
 The three-step workflow:
 
 1. *Detect* a historical version (by path) or a similar file (by sampled
-   header fingerprints against the similar-file index), and fetch the
-   detected file's recipe index.
+   header fingerprints against the similar-file index), and open the
+   detected file's recipe.
 2. *Chunk and deduplicate*: cut the stream with CDC, look sampled
-   fingerprints up in the recipe index, prefetch the matching segment
-   recipes into the dedup cache, and filter duplicates through the cache's
-   logical locality.  Two history-aware accelerations ride on this loop:
-   **skip chunking** (jump the cut point forward by the previous version's
-   next chunk size and verify the cut condition, Section IV-B) and
-   **SuperChunking** (match whole superchunks via their firstChunk,
-   Algorithm 1).
+   fingerprints up in the recipe index (fetched on the first cache miss),
+   prefetch the matching segment recipes into the dedup cache, and filter
+   duplicates through the cache's logical locality.  Two history-aware
+   accelerations ride on this loop: **skip chunking** (jump the cut point
+   forward by the previous version's next chunk size and verify the cut
+   condition, Section IV-B — seeded at the path's previous version's first
+   record, so chunk 0 is predicted too) and **SuperChunking** (match whole
+   superchunks via their firstChunk, Algorithm 1).
 3. *Segment and persist*: pack unique chunks into containers, group chunk
    records into segment recipes, merge qualifying duplicate runs into
    superchunks (Section IV-C), then persist containers, recipe, recipe
-   index and the similar-file registration.
+   index and the similar-file registration.  A version that one unbroken
+   skip run proved identical to its base persists none of these: the
+   caller commits it as an alias of the base's recipe.
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
@@ -46,6 +49,7 @@ injection, whose seeded RNG consumes one draw per real request.  See
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.chunking.base import BoundarySet, make_chunker
@@ -54,7 +58,7 @@ from repro.core.config import SlimStoreConfig
 from repro.core.container import ContainerBuilder
 from repro.core.recipe import ChunkRecord, Recipe, RecipeHandle, RecipeIndex
 from repro.core.storage import StorageLayer
-from repro.errors import RetryExhaustedError, TransientOSSError
+from repro.errors import RetryExhaustedError, TransientOSSError, VersionNotFoundError
 from repro.fingerprint.hashing import make_fingerprinter
 from repro.fingerprint.sampling import is_sampled
 from repro.sim.cost_model import CostModel
@@ -193,6 +197,11 @@ class BackupResult:
     #: Event-simulated ingest schedule (set when ``config.ingest_pipeline``
     #: is enabled; ``elapsed_seconds`` then reports the pipeline's time).
     pipeline: IngestPipelineStats | None = None
+    #: Set when the job proved this version byte-identical to the path's
+    #: latest version: the version whose recipe it shares (its *origin*).
+    #: Nothing was written — no container, recipe, recipe index or
+    #: similar-index record — and ``recipe`` is the job's unpersisted view.
+    alias_of: int | None = None
 
     @property
     def dedup_ratio(self) -> float:
@@ -261,17 +270,30 @@ class BackupEngine:
         path: str,
         data: bytes,
         rewrite_containers: set[int] | None = None,
+        version: int | None = None,
+        on_first_write: Callable[[], None] | None = None,
     ) -> BackupResult:
-        """Deduplicate ``data`` as the next version of ``path``.
+        """Deduplicate ``data`` as ``version`` of ``path``.
+
+        The dedup base by name is the similar index's latest version of
+        ``path``; ``version`` defaults to the one after it (a caller that
+        keeps a catalog passes its own number, since an alias commit does
+        not advance the similar index).  A job that proves ``data``
+        byte-identical to that base writes nothing and returns a result
+        whose ``alias_of`` names it (see :meth:`_JobState.identical`).
 
         ``rewrite_containers`` is the hook rewriting baselines (HAR) use:
         duplicates that resolve into one of these containers are stored
-        again instead of being deduplicated.
+        again instead of being deduplicated.  ``on_first_write`` runs once,
+        just before the job's first OSS write (a container flush or the
+        recipe PUT) — where a caller opens its crash-recovery intent.
         """
         breakdown = TimeBreakdown()
         counters = Counters()
         fp_memo: dict[tuple[int, int], bytes] = {}
         latest = self.storage.similar_index.latest_version(path)
+        if version is None:
+            version = 0 if latest is None else latest + 1
         cursor = None
         if self._executor is not None and latest is None:
             # Real workers and no history to skip by: CDC will cut the
@@ -288,13 +310,12 @@ class BackupEngine:
             # the bytes in between are never handed to the scan kernel.
             boundary_set = cursor = BoundaryCursor(self._chunker, data)
 
-        handle, recipe_index = self._detect_base(
+        handle = self._detect_base(
             path, latest, data, boundary_set, breakdown, counters, fp_memo
         )
         # Everything charged so far (name lookup, header probe, recipe
-        # index fetch) is the pipeline's serial setup prefix.
+        # header and tables) is the pipeline's serial setup prefix.
         setup_seconds = breakdown.cpu_seconds() + breakdown.network_seconds()
-        version = 0 if latest is None else latest + 1
 
         job = _JobState(
             engine=self,
@@ -303,11 +324,11 @@ class BackupEngine:
             data=data,
             boundaries=boundary_set,
             handle=handle,
-            recipe_index=recipe_index,
             breakdown=breakdown,
             counters=counters,
             rewrite_containers=rewrite_containers or set(),
             fp_memo=fp_memo,
+            on_first_write=on_first_write,
         )
         job.trace.setup_seconds = setup_seconds
         if counters.get("degraded_events"):
@@ -342,8 +363,10 @@ class BackupEngine:
         breakdown: TimeBreakdown,
         counters: Counters,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
-    ) -> tuple[RecipeHandle | None, RecipeIndex | None]:
-        """Step 1: find a historical version or similar file and open it."""
+    ) -> RecipeHandle | None:
+        """Step 1: find a historical version or similar file and open its
+        recipe (header and segment tables; the recipe index is fetched by
+        the job on its first cache miss)."""
         base: tuple[str, int] | None = None
         breakdown.charge("index_query", self.cost_model.cpu_index_query)
         if latest is not None:
@@ -354,25 +377,24 @@ class BackupEngine:
 
         if base is None:
             counters.add("detect_none")
-            return None, None
+            return None
 
-        base_path, base_version = base
         before = self.storage.oss.stats.snapshot()
         try:
-            handle = self.storage.recipes.open_recipe(base_path, base_version)
-            recipe_index = self.storage.recipes.get_recipe_index(base_path, base_version)
+            handle = self.storage.recipes.open_recipe(*base)
+        except VersionNotFoundError:
+            # The base's recipe was deleted under the index entry that
+            # named it: back up as if nothing had been detected.
+            handle = None
+            counters.add("detect_none")
         except DEDUP_LOOKUP_FAILURES:
             # Degraded mode (Section VI-A rationale): rather than abort the
             # backup, store everything as unique and let reverse
             # deduplication reclaim the redundancy out-of-line.
-            downloaded = self.storage.oss.stats.diff(before)
-            breakdown.charge("download", downloaded.read_seconds)
+            handle = None
             counters.add("degraded_events")
-            return None, None
-        downloaded = self.storage.oss.stats.diff(before)
-        breakdown.charge("download", downloaded.read_seconds)
-        counters.add("recipe_index_fetches")
-        return handle, recipe_index
+        breakdown.charge("download", self.storage.oss.stats.diff(before).read_seconds)
+        return handle
 
     def _probe_header(
         self,
@@ -420,11 +442,11 @@ class _JobState:
         data: bytes,
         boundaries: BoundarySet | BoundaryCursor,
         handle: RecipeHandle | None,
-        recipe_index: RecipeIndex | None,
         breakdown: TimeBreakdown,
         counters: Counters,
         rewrite_containers: set[int] | None = None,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
+        on_first_write: Callable[[], None] | None = None,
     ) -> None:
         self.engine = engine
         self.config = engine.config
@@ -439,7 +461,9 @@ class _JobState:
         self.view = memoryview(data)
         self.boundaries = boundaries
         self.handle = handle
-        self.recipe_index = recipe_index
+        #: The base's recipe index, fetched on the first cache miss.
+        self.recipe_index: RecipeIndex | None = None
+        self._on_first_write = on_first_write
         self.breakdown = breakdown
         self.counters = counters
 
@@ -525,6 +549,14 @@ class _JobState:
         """Steps 2 and 3: chunk, deduplicate, segment, persist."""
         position = 0
         length = len(self.data)
+        handle = self.handle
+        if (
+            self.config.skip_chunking
+            and handle is not None
+            and handle.path == self.path
+            and handle.segment_count
+        ):
+            self._seed_skip_run()
         while position < length:
             if self.config.skip_chunking and self.skip_from is not None:
                 position = self._try_skip_chunking(position)
@@ -535,6 +567,29 @@ class _JobState:
         self._flush_container()
 
     # --- skip chunking (Section IV-B) ------------------------------------
+    def _seed_skip_run(self) -> None:
+        """Predict chunk 0 too: start the skip run before the base's first
+        record.
+
+        Fetches the prefetch span at segment 0 up front and keeps it only if
+        the first prediction holds (its cut and its digest).  Otherwise the
+        records are dropped and the job runs as if never seeded: CDC from
+        byte 0, the recipe index consulted on the first miss.
+        """
+        segments = self._fetch_segments(0)
+        if segments is None:
+            return
+        first = segments[0][0]
+        end = first.size
+        if end > len(self.data) or not self.boundaries.is_cut(0, end):
+            return
+        # Memoised: after a failed digest, CDC usually cuts this same span.
+        fp = self._fp_memo[0, end] = self._fp(0, end)
+        if fp != first.fp:
+            return
+        self._cache_segments(0, segments)
+        self.skip_from = (0, -1)
+
     def _try_skip_chunking(self, position: int) -> int:
         """Replay the successor chain from ``skip_from`` while predictions hold.
 
@@ -744,8 +799,17 @@ class _JobState:
         cache miss — a miss on an unsampled fingerprint costs one hash
         probe and nothing else.
         """
-        if self.recipe_index is None or self.handle is None:
+        if self.handle is None:
             return False
+        if self.recipe_index is None:
+            self.recipe_index = self._download(
+                lambda: self.storage.recipes.get_recipe_index(
+                    self.handle.path, self.handle.version
+                )
+            )
+            if self.recipe_index is None:
+                return False
+            self.counters.add("recipe_index_fetches")
         self._compares += 1
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
@@ -761,27 +825,39 @@ class _JobState:
         return fetched
 
     def _prefetch_segment(self, ordinal: int) -> None:
-        """Fetch a prefetch span of segment recipes in one ranged GET."""
+        """Fetch a prefetch span of segment recipes into the dedup cache."""
         if self.handle is None:
             return
-        span = max(1, self.config.prefetch_segment_span)
-        span = min(span, self.handle.segment_count - ordinal)
-        before = self.storage.oss.stats.snapshot()
-        try:
-            segments = self.handle.get_segment_range(ordinal, span)
-        except DEDUP_LOOKUP_FAILURES:
-            read_seconds = self.storage.oss.stats.diff(before).read_seconds
-            self.breakdown.charge("download", read_seconds)
-            self._prefetch_seconds += read_seconds
-            self._enter_degraded_mode()
-            return
-        downloaded = self.storage.oss.stats.diff(before)
-        # Recipe prefetches block classification, so they ride the spine.
-        self.breakdown.charge("download", downloaded.read_seconds)
-        self._prefetch_seconds += downloaded.read_seconds
+        segments = self._fetch_segments(ordinal)
+        if segments is not None:
+            self._cache_segments(ordinal, segments)
+
+    def _fetch_segments(self, ordinal: int) -> list[list[ChunkRecord]] | None:
+        """A prefetch span of segment recipes from ``ordinal``, one ranged GET."""
+        handle = self.handle
+        span = min(max(1, self.config.prefetch_segment_span), handle.segment_count - ordinal)
+        return self._download(lambda: handle.get_segment_range(ordinal, span))
+
+    def _cache_segments(self, ordinal: int, segments: list[list[ChunkRecord]]) -> None:
         for offset, records in enumerate(segments):
             self.counters.add("segments_prefetched")
             self.cache.insert_segment(ordinal + offset, records)
+
+    def _download(self, fetch: Callable[[], object]):
+        """One blocking read of the base's recipe; None, with the job
+        degraded, when the base is unreachable."""
+        before = self.storage.oss.stats.snapshot()
+        try:
+            fetched = fetch()
+        except DEDUP_LOOKUP_FAILURES:
+            fetched = None
+        # Recipe reads block classification, so they ride the spine.
+        read_seconds = self.storage.oss.stats.diff(before).read_seconds
+        self.breakdown.charge("download", read_seconds)
+        self._prefetch_seconds += read_seconds
+        if fetched is None:
+            self._enter_degraded_mode()
+        return fetched
 
     def _enter_degraded_mode(self) -> None:
         """Stop consulting the unreachable dedup base for this job.
@@ -988,6 +1064,7 @@ class _JobState:
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
+        self._before_write()
         before = self.storage.oss.stats.snapshot()
         self.storage.containers.write(builder)
         written = self.storage.oss.stats.diff(before)
@@ -995,8 +1072,36 @@ class _JobState:
         self.trace.flush_seconds.append(written.write_seconds)
         self.uploaded_bytes += written.bytes_written
 
+    def _before_write(self) -> None:
+        """Run the caller's ``on_first_write`` hook, once."""
+        hook, self._on_first_write = self._on_first_write, None
+        if hook is not None:
+            hook()
+
+    def identical(self) -> bool:
+        """Whether the job proved ``data`` byte-identical to the path's
+        latest version: one unbroken skip run, seeded at the base's first
+        record, covered the whole base — every record a verified prediction
+        (same length, so every base record), nothing stored, nothing merged,
+        nothing rewritten, not degraded.  No byte is hashed beyond what the
+        run hashed anyway."""
+        handle, counters = self.handle, self.counters
+        return (
+            handle is not None
+            and handle.path == self.path
+            and handle.version < self.version
+            and len(self.data) == handle.total_bytes
+            and counters.get("skip_success") == counters.get("chunks")
+            and not self.new_container_ids
+            and not self.rewrite_containers
+            and not self.degraded
+        )
+
     def finish(self) -> BackupResult:
-        """Persist recipe, recipe index and similarity registration.
+        """Persist recipe, recipe index and similarity registration — or,
+        for a version :meth:`identical` to its base, nothing at all: the
+        result's ``alias_of`` names the base, whose recipe the caller's
+        catalog aliases.
 
         Crash-consistency contract: everything written here (and the
         container writes before it) is *pre-commit* state — the version
@@ -1012,33 +1117,9 @@ class _JobState:
             total_bytes=len(self.data),
             segments=self.segments,
         )
-        index = RecipeIndex()
-        sample_ratio = self.config.effective_sample_ratio()
-        representatives: list[bytes] = []
-        for ordinal, segment in enumerate(self.segments):
-            for position, record in enumerate(segment):
-                fp = record.fp
-                if position == 0 or is_sampled(fp, sample_ratio):
-                    index.add(fp, ordinal)
-                if record.is_superchunk:
-                    # The next version's CDC cuts small chunks, which can
-                    # only rendezvous with a superchunk through its
-                    # firstChunk fingerprint (Algorithm 1) — so every
-                    # superchunk's firstChunk is indexed.
-                    index.add(record.first_fp, ordinal)
-                if len(representatives) < MAX_FILE_REPRESENTATIVES and is_sampled(
-                    fp, SIMILARITY_SAMPLE_RATIO
-                ):
-                    representatives.append(fp)
-
-        before = self.storage.oss.stats.snapshot()
-        self.storage.recipes.put_recipe(recipe)
-        self.storage.recipes.put_recipe_index(self.path, self.version, index)
-        self.storage.similar_index.register(self.path, self.version, representatives)
-        written = self.storage.oss.stats.diff(before)
-        self.breakdown.charge("upload", written.write_seconds)
-        self.trace.finish_seconds += written.write_seconds
-        self.uploaded_bytes += written.bytes_written
+        alias_of = self.handle.version if self.identical() else None
+        if alias_of is None:
+            self._persist(recipe)
 
         # Container references are computed from the *final* recipe so
         # superchunk merging (which rewrites duplicate runs into new
@@ -1067,4 +1148,35 @@ class _JobState:
             degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
             ingest=self.trace,
+            alias_of=alias_of,
         )
+
+    def _persist(self, recipe: Recipe) -> None:
+        index = RecipeIndex()
+        sample_ratio = self.config.effective_sample_ratio()
+        representatives: list[bytes] = []
+        for ordinal, segment in enumerate(self.segments):
+            for position, record in enumerate(segment):
+                fp = record.fp
+                if position == 0 or is_sampled(fp, sample_ratio):
+                    index.add(fp, ordinal)
+                if record.is_superchunk:
+                    # The next version's CDC cuts small chunks, which can
+                    # only rendezvous with a superchunk through its
+                    # firstChunk fingerprint (Algorithm 1) — so every
+                    # superchunk's firstChunk is indexed.
+                    index.add(record.first_fp, ordinal)
+                if len(representatives) < MAX_FILE_REPRESENTATIVES and is_sampled(
+                    fp, SIMILARITY_SAMPLE_RATIO
+                ):
+                    representatives.append(fp)
+
+        self._before_write()
+        before = self.storage.oss.stats.snapshot()
+        self.storage.recipes.put_recipe(recipe)
+        self.storage.recipes.put_recipe_index(self.path, self.version, index)
+        self.storage.similar_index.register(self.path, self.version, representatives)
+        written = self.storage.oss.stats.diff(before)
+        self.breakdown.charge("upload", written.write_seconds)
+        self.trace.finish_seconds += written.write_seconds
+        self.uploaded_bytes += written.bytes_written

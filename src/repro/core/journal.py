@@ -17,7 +17,8 @@ Intent kinds and their payloads:
 
 ======================  =====================================================
 ``backup``              ``path``, ``watermark`` (first container id the job
-                        may allocate), optionally ``snapshot_id``
+                        may allocate, taken on entry); opened at the job's
+                        first write, so an alias commit opens none
 ``snapshot``            ``snapshot_id``, ``members`` (path → committed
                         version so far)
 ``reverse_dedup``       ``container_ids`` the pass was scanning
@@ -28,7 +29,9 @@ Intent kinds and their payloads:
 ``rewrite``             ``container_id``, ``meta`` (hex of the new metadata
                         blob), ``data_sha`` (hex SHA-1 of the new payload)
 ``delete_version``      ``path``, ``version``, ``collectable`` container
-                        ids, ``forget_similar`` flag
+                        ids, ``recipe`` (the version whose recipe and
+                        similar-index entries go, or null while another
+                        live version resolves to it)
 ``delete_snapshot``     ``snapshot_id``, ``members`` considered for deletion
 ``durability``          ``op`` (``tier`` or ``stripe``), the ``planned``
                         replica/parity keys, and for ``tier`` the ``cid``,

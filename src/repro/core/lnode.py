@@ -17,6 +17,8 @@ every write index.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.core.config import SlimStoreConfig
 from repro.core.dedup import BackupEngine, BackupResult
 from repro.core.restore import RestoreEngine, RestoreResult
@@ -49,13 +51,21 @@ class LNode:
         path: str,
         data: bytes,
         rewrite_containers: set[int] | None = None,
+        version: int | None = None,
+        on_first_write: Callable[[], None] | None = None,
     ) -> BackupResult:
         """Run one backup job (a fresh engine per job: no node state)."""
         engine = BackupEngine(
             self.config, self.storage, self.cost_model, executor=self.executor
         )
         self.jobs_executed += 1
-        return engine.backup(path, data, rewrite_containers=rewrite_containers)
+        return engine.backup(
+            path,
+            data,
+            rewrite_containers=rewrite_containers,
+            version=version,
+            on_first_write=on_first_write,
+        )
 
     def restore(
         self,

@@ -303,9 +303,11 @@ class RecipeStore:
         return RecipeHandle(self._oss, self._bucket, key, path)
 
     def delete_recipe(self, path: str, version: int) -> bool:
-        """Delete a recipe and its index; True if the recipe existed."""
-        existed = self._oss.delete_object(self._bucket, self._recipe_key(path, version))
-        self._oss.delete_object(self._bucket, self._index_key(path, version))
+        """Delete a recipe and its index with one batched DELETE; True if
+        the recipe existed."""
+        key = self._recipe_key(path, version)
+        existed = self._oss.peek_size(self._bucket, key) is not None
+        self._oss.delete_objects(self._bucket, [key, self._index_key(path, version)])
         return existed
 
     # --- recipe indexes ---------------------------------------------------------

@@ -333,7 +333,9 @@ class RecoveryManager:
         new_cids = [int(cid) for cid in payload.get("new_cids", [])]
         moves = {bytes.fromhex(fp): int(cid) for fp, cid in moves_raw.items()}
         try:
-            recipe = self.storage.recipes.get_recipe(path, version)
+            recipe = self.storage.recipes.get_recipe(
+                path, self.store.catalog.recipe_version(path, version)
+            )
             refs = recipe.referenced_containers()
         except VersionNotFoundError:
             refs = set()
@@ -411,7 +413,11 @@ class RecoveryManager:
         return fixed
 
     def _handle_backup(self, intent: Intent, report: RecoveryReport) -> None:
-        """Backup: committed iff the catalog (the commit object) lists it."""
+        """Backup: committed iff the catalog (the commit object) lists it.
+
+        A discarded version's similar-index registration rolls back to the
+        origin of the newest committed version (the path's latest recipe).
+        """
         path = str(intent.payload["path"])
         committed = self.store.catalog.versions(path)
         next_version = (committed[-1] + 1) if committed else 0
@@ -427,7 +433,11 @@ class RecoveryManager:
                 removed = True
         latest = self.storage.similar_index.latest_version(path)
         if latest is not None and latest >= next_version:
-            previous = committed[-1] if committed else None
+            previous = (
+                self.store.catalog.recipe_version(path, committed[-1])
+                if committed
+                else None
+            )
             self.storage.similar_index.rollback_registration(path, latest, previous)
             removed = True
         if removed:
@@ -546,7 +556,14 @@ class RecoveryManager:
             report.discarded.append((intent.seq, intent.kind))
 
     def _handle_delete_version(self, intent: Intent, report: RecoveryReport) -> None:
-        """Version delete: committed iff the catalog no longer lists it."""
+        """Version delete: committed iff the catalog no longer lists it.
+
+        The journaled ``recipe`` (None while another live version resolved
+        to it) is the deletion decision made at the commit; replaying it
+        deletes that recipe and forgets its similar-index entries.  An
+        intent without the key predates alias commits: the version owned
+        its recipe.
+        """
         payload = intent.payload
         path = str(payload["path"])
         version = int(payload["version"])
@@ -559,10 +576,10 @@ class RecoveryManager:
             cid = int(cid)
             if self.containers.exists(cid):
                 self.containers.delete(cid)
-        self.storage.recipes.delete_recipe(path, version)
-        if payload.get("forget_similar"):
-            if self.storage.similar_index.latest_version(path) == version:
-                self.storage.similar_index.forget_version(path, version)
+        recipe = payload.get("recipe", version)
+        if recipe is not None:
+            self.storage.recipes.delete_recipe(path, int(recipe))
+            self.storage.similar_index.forget_version(path, int(recipe))
         report.rolled_forward.append((intent.seq, intent.kind))
 
     def _handle_delete_snapshot(self, intent: Intent, report: RecoveryReport) -> None:

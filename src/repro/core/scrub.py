@@ -83,8 +83,9 @@ class RepositoryScrubber:
         versions: dict[str, list[int]] | None = None,
         repair: bool = False,
     ) -> ScrubReport:
-        """Run both passes; ``versions`` maps path → live version list
-        (from the catalog) for the recipe pass (skipped when None).
+        """Run both passes; ``versions`` maps path → the versions owning
+        its live recipes (from the catalog: an alias resolves to its
+        origin) for the recipe pass (skipped when None).
 
         With ``repair``, corrupt chunks found by the container pass are
         healed from a healthy copy where one exists and quarantined where

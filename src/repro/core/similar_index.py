@@ -82,15 +82,19 @@ class SimilarFileIndex:
         self.log.fold_if_due(self._checkpoint)
 
     def forget_version(self, path: str, version: int) -> None:
-        """Drop representative entries pointing at a deleted version."""
+        """Drop the entries pointing at a deleted recipe: its representatives
+        (later versions took over the ones they share) and, if it is the
+        path's latest, the path.  Folds only when something was dropped."""
         stale = [
             fp for fp, owner in self._by_rep.items() if owner == (path, version)
         ]
         for fp in stale:
             del self._by_rep[fp]
-        if self._latest.get(path) == version:
+        was_latest = self._latest.get(path) == version
+        if was_latest:
             del self._latest[path]
-        self._persist()
+        if stale or was_latest:
+            self._persist()
 
     def rollback_registration(
         self, path: str, version: int, previous: int | None
@@ -98,10 +102,10 @@ class SimilarFileIndex:
         """Undo an uncommitted version's registration (crash recovery).
 
         Unlike :meth:`forget_version` — which retires a *committed*
-        version and may leave the path unknown — a rollback restores the
-        last committed version as the path's latest, so the next backup
-        of ``path`` continues the version sequence instead of restarting
-        at 0 and colliding with live versions.
+        version and may leave the path unknown — a rollback restores
+        ``previous`` (the newest committed version's recipe owner) as the
+        path's latest, so the next backup of ``path`` deduplicates against
+        it instead of a base that no longer exists.
         """
         stale = [
             fp for fp, owner in self._by_rep.items() if owner == (path, version)

@@ -18,6 +18,12 @@ small record per commit under ``catalog/log/`` (a
 mutator notes its own op, :meth:`SlimStore._persist_catalog` publishes the
 noted ops as one record — the single atomic PUT that makes a version
 visible — and attach replays the records through the same mutators.
+
+A version the backup job proved byte-identical to the path's latest one is
+an *alias*: its commit is that one catalog record, naming the *origin* — the
+newest version of the path that owns a recipe.  Readers resolve a version
+to its recipe through :meth:`VersionCatalog.recipe_version`, and a recipe is
+deleted only when the last live version resolving to it is.
 """
 
 from __future__ import annotations
@@ -123,6 +129,7 @@ class VersionCatalog:
     #: Mutators a persisted op may name.
     _OPS = (
         "register",
+        "alias",
         "update_references",
         "add_garbage",
         "mark_degraded",
@@ -136,6 +143,8 @@ class VersionCatalog:
         self._garbage: dict[tuple[str, int], set[int]] = {}
         self._refcount: Counter[int] = Counter()
         self._degraded: set[tuple[str, int]] = set()
+        #: (path, alias version) → origin: the version owning its recipe.
+        self._aliases: dict[tuple[str, int], int] = {}
         #: Ops applied since the last publish (JSON-ready lists).
         self.pending: list[list] = []
         #: Log sequence number a loaded checkpoint is folded through.
@@ -158,6 +167,10 @@ class VersionCatalog:
                     for (path, version), cids in sorted(self._garbage.items())
                 ],
                 "degraded": [list(key) for key in sorted(self._degraded)],
+                "aliases": [
+                    [path, version, origin]
+                    for (path, version), origin in sorted(self._aliases.items())
+                ],
             }
         )
 
@@ -176,6 +189,9 @@ class VersionCatalog:
         # Catalogs persisted before degraded-mode tracking lack the key.
         for path, version in raw.get("degraded", []):
             catalog._degraded.add((path, version))
+        # Absent in catalogs persisted before alias commits.
+        for path, version, origin in raw.get("aliases", []):
+            catalog._aliases[(path, version)] = origin
         # Absent in catalogs persisted whole, before the delta log.
         catalog.log_next = raw.get("log_next", 0)
         return catalog
@@ -222,6 +238,33 @@ class VersionCatalog:
             dropped = self._refs[previous] - referenced
             if dropped:
                 self._garbage.setdefault(previous, set()).update(dropped)
+
+    def alias(self, path: str, version: int, origin: int) -> None:
+        """Commit ``version`` as byte-identical to the path's latest live
+        version, sharing the recipe of ``origin``: it copies the
+        predecessor's references, so refcounts and the next version's
+        mark-phase diff are what a full commit of the same bytes gives."""
+        self.pending.append(["alias", path, version, origin])
+        self._versions[path].append(version)
+        referenced = set(self._refs[(path, version - 1)])
+        self._refs[(path, version)] = referenced
+        for cid in referenced:
+            self._refcount[cid] += 1
+        self._aliases[(path, version)] = origin
+
+    def recipe_version(self, path: str, version: int) -> int:
+        """The version whose recipe holds live ``version`` of ``path``:
+        itself, or an alias's origin."""
+        if (path, version) not in self._refs:
+            raise VersionNotFoundError(path, version)
+        return self._aliases.get((path, version), version)
+
+    def recipe_in_use(self, path: str, recipe: int) -> bool:
+        """True while some live version of ``path`` resolves to ``recipe``."""
+        return any(
+            self._aliases.get((path, version), version) == recipe
+            for version in self._versions.get(path, ())
+        )
 
     def update_references(self, path: str, version: int, referenced: set[int]) -> None:
         """Re-point a committed version's references after maintenance.
@@ -297,6 +340,7 @@ class VersionCatalog:
         self.pending.append(["drop_version", path, version])
         self._versions[path].remove(version)
         self._degraded.discard(key)
+        self._aliases.pop(key, None)
         references = self._refs.pop(key)
         for cid in references:
             self._refcount[cid] -= 1
@@ -477,23 +521,43 @@ class SlimStore:
         all written by the L-node job *before* the catalog's commit
         record is published — that one small PUT under ``catalog/log/``
         is the single atomic write that makes the version visible.  A
-        ``backup`` intent (carrying the container-id watermark) brackets
-        the uncommitted window so recovery can discard a half-written
-        version and GC its orphaned containers; G-node maintenance runs
-        only after the commit, under its own journal intents.
+        ``backup`` intent (carrying the container-id watermark taken on
+        entry) brackets the uncommitted window so recovery can discard a
+        half-written version and GC its orphaned containers; the job opens
+        it just before its first write, so a version it proves identical
+        to its predecessor — an alias, which writes nothing before the
+        commit record — opens none.  G-node maintenance runs only after
+        the commit, under its own journal intents, and never for an alias
+        (it stored nothing).
         """
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
-        seq = journal.begin("backup", path=path, watermark=watermark)
+        seq: int | None = None
+
+        def open_intent() -> None:
+            nonlocal seq
+            seq = journal.begin("backup", path=path, watermark=watermark)
+
+        live = self.catalog.versions(path)
+        version = live[-1] + 1 if live else 0
         node = self._pick_lnode()
         try:
-            result = node.backup(path, data, rewrite_containers=rewrite_containers)
-            # COMMIT: one atomic commit-record PUT publishes the version.
-            self.catalog.register(
-                path, result.version, result.recipe.referenced_containers()
+            result = node.backup(
+                path,
+                data,
+                rewrite_containers=rewrite_containers,
+                version=version,
+                on_first_write=open_intent,
             )
+            # COMMIT: one atomic commit-record PUT publishes the version.
+            if result.alias_of is not None:
+                self.catalog.alias(path, version, result.alias_of)
+            else:
+                self.catalog.register(
+                    path, version, result.recipe.referenced_containers()
+                )
             if result.degraded:
-                self.catalog.mark_degraded(path, result.version)
+                self.catalog.mark_degraded(path, version)
             self._persist_catalog()
         except SimulatedCrashError:
             # The node is dead; the open intent is the recovery record.
@@ -501,14 +565,18 @@ class SlimStore:
         except Exception:
             # Still alive (e.g. retries exhausted): nothing uncommitted
             # survives this process, so retire the intent before failing.
-            journal.close(seq)
+            if seq is not None:
+                journal.close(seq)
             raise
-        journal.close(seq)
+        if seq is not None:
+            journal.close(seq)
 
         degraded = result.degraded
         reverse_report: ReverseDedupReport | None = None
         compaction_report: CompactionReport | None = None
-        if run_gnode and self.config.reverse_dedup:
+        # An alias stored nothing: no pass to run over it.
+        optimise = run_gnode and result.alias_of is None
+        if optimise and self.config.reverse_dedup:
             watch = set(result.degraded_fps) if result.degraded_fps else None
             try:
                 reverse_report = self.gnode.reverse_dedup(
@@ -523,7 +591,7 @@ class SlimStore:
                 degraded = bool(
                     reverse_report.counters.get("gdedup_lookup_failures")
                 )
-        if run_gnode and self.config.sparse_compaction:
+        if optimise and self.config.sparse_compaction:
             try:
                 compaction_report = self.gnode.compact_sparse(result)
             except (TransientOSSError, RetryExhaustedError):
@@ -553,9 +621,9 @@ class SlimStore:
 
         # Durability re-tiering joins the maintenance pass: reference
         # counts have settled (including any compaction fix-up above), so
-        # promotion/demotion sees the version's final heat.  A tier that
-        # cannot reach OSS never fails the backup — the next pass
-        # converges it.
+        # promotion/demotion sees the version's final heat (an alias adds
+        # heat like any version).  A tier that cannot reach OSS never fails
+        # the backup — the next pass converges it.
         retier_report = None
         if run_gnode and self.storage.durability is not None:
             try:
@@ -582,8 +650,11 @@ class SlimStore:
             if not live:
                 raise VersionNotFoundError(path)
             version = live[-1]
+        recipe = self.catalog.recipe_version(path, version)
         node = self._pick_lnode()
-        return node.restore(path, version, prefetch_threads, verify, ranged)
+        result = node.restore(path, recipe, prefetch_threads, verify, ranged)
+        result.version = version  # an alias restores its origin's recipe
+        return result
 
     def versions(self, path: str) -> list[int]:
         """Live backup versions of ``path``."""
@@ -672,25 +743,34 @@ class SlimStore:
         Only the oldest live version of a path may be deleted (FIFO
         retention), which keeps the mark-and-sweep garbage lists valid.
 
-        Commit ordering: the collectable set is journaled, then the
-        catalog record dropping the version is published — the commit
-        point — and only afterwards are containers, recipe and similar-index
-        entry physically removed (all idempotent, so recovery can replay
-        them).  Under a tombstone grace the containers are entombed
-        rather than deleted, keeping concurrent restores readable.
+        The version's recipe (its own, or an alias's origin's) is deleted
+        only with the last live version resolving to it, and with it the
+        recipe's similar-index entries, so no header probe can detect a
+        base that no longer exists.
+
+        Commit ordering: the collectable set and the recipe to delete
+        (None while another version still resolves to it) are journaled,
+        then the catalog record dropping the version is published — the
+        commit point — and only afterwards are containers, recipe and
+        similar-index entries physically removed (all idempotent, so
+        recovery can replay them).  Under a tombstone grace the containers
+        are entombed rather than deleted, keeping concurrent restores
+        readable.
         """
         live = self.catalog.versions(path)
         if not live or version != live[0]:
             raise VersionNotFoundError(path, version)
+        recipe = self.catalog.recipe_version(path, version)
         collectable = self.catalog.drop_version(path, version)
-        forget = self.storage.similar_index.latest_version(path) == version
+        if self.catalog.recipe_in_use(path, recipe):
+            recipe = None
         journal = self.storage.journal
         seq = journal.begin(
             "delete_version",
             path=path,
             version=version,
             collectable=collectable,
-            forget_similar=forget,
+            recipe=recipe,
         )
         # COMMIT: the record drops the version from the published catalog.
         self._persist_catalog()
@@ -699,16 +779,16 @@ class SlimStore:
             if self.storage.containers.exists(cid):
                 reclaimed += self.storage.containers.container_size(cid)
                 self.storage.containers.delete(cid)
-        self.storage.recipes.delete_recipe(path, version)
-        if forget:
-            # The newest version is being retired entirely (last one left).
-            self.storage.similar_index.forget_version(path, version)
+        if recipe is not None:
+            self.storage.recipes.delete_recipe(path, recipe)
+            self.storage.similar_index.forget_version(path, recipe)
         journal.close(seq)
         return reclaimed
 
     # --- maintenance -----------------------------------------------------------
     def scrub(self, repair: bool = False):
-        """Verify repository integrity (containers + every live recipe).
+        """Verify repository integrity (containers + every live recipe,
+        each once however many aliases share it).
 
         Returns a :class:`~repro.core.scrub.ScrubReport`.  With ``repair``
         the scrubber additionally heals corrupt chunks from a healthy copy
@@ -717,8 +797,12 @@ class SlimStore:
         """
         from repro.core.scrub import RepositoryScrubber
 
-        live = {path: self.catalog.versions(path) for path in self.catalog.paths()}
-        return RepositoryScrubber(self.storage).scrub(live, repair=repair)
+        catalog = self.catalog
+        recipes = {
+            path: sorted({catalog.recipe_version(path, v) for v in catalog.versions(path)})
+            for path in catalog.paths()
+        }
+        return RepositoryScrubber(self.storage).scrub(recipes, repair=repair)
 
     def reclaim_degraded(self) -> ReverseDedupReport | None:
         """Re-run reverse deduplication over every degraded version.
@@ -733,7 +817,9 @@ class SlimStore:
         """
         merged: ReverseDedupReport | None = None
         for path, version in self.catalog.degraded_versions():
-            recipe = self.storage.recipes.get_recipe(path, version)
+            recipe = self.storage.recipes.get_recipe(
+                path, self.catalog.recipe_version(path, version)
+            )
             watch = {record.fp for record in recipe.all_records()}
             report = self.gnode.reverse_dedup(
                 sorted(recipe.referenced_containers()), watch_fps=watch

@@ -12,18 +12,10 @@ rather than an artefact of Python interpreter speed.
 from repro.sim.clock import SimClock
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Counters, TimeBreakdown
-from repro.sim.parallel import (
-    parallel_channel_time,
-    pipelined_time,
-    serialized_time,
-)
 
 __all__ = [
     "SimClock",
     "CostModel",
     "Counters",
     "TimeBreakdown",
-    "parallel_channel_time",
-    "pipelined_time",
-    "serialized_time",
 ]

@@ -1,50 +1,13 @@
 """Closed-form parallelism arithmetic.
 
-The scalability experiments (Table II, Fig 10) hinge on three facts the
-paper states explicitly: pipeline stages overlap, OSS read channels scale
-linearly until another resource saturates, and jobs on one node share its
-cores and NIC.  These helpers express exactly that arithmetic so the bench
-code stays declarative.
+The bounds the event-driven schedules in :mod:`repro.sim.events` are
+checked against: a prefetched restore (Table II), a segment-parallel
+ingest, and batched, sharded index round trips.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-
-def pipelined_time(stage_seconds: Iterable[float]) -> float:
-    """Duration of fully-overlapped pipeline stages: the slowest wins."""
-    times = list(stage_seconds)
-    if not times:
-        return 0.0
-    if any(t < 0 for t in times):
-        raise ValueError("stage durations must be non-negative")
-    return max(times)
-
-def serialized_time(stage_seconds: Iterable[float]) -> float:
-    """Duration when stages run strictly one after another."""
-    times = list(stage_seconds)
-    if any(t < 0 for t in times):
-        raise ValueError("stage durations must be non-negative")
-    return sum(times)
-
-
-def parallel_channel_time(
-    nbytes: float, channel_bandwidth: float, channels: int, cap: float = float("inf")
-) -> float:
-    """Seconds to move ``nbytes`` over ``channels`` parallel streams.
-
-    Aggregate bandwidth scales linearly with the channel count until it
-    hits ``cap`` (e.g. the node NIC).  This is the paper's observation that
-    "OSS can support multi-channel parallel read that achieves scalable
-    performance improvements".
-    """
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    if channel_bandwidth <= 0:
-        raise ValueError("channel bandwidth must be positive")
-    bandwidth = min(channel_bandwidth * channels, cap)
-    return nbytes / bandwidth
 
 
 def prefetched_restore_time(
@@ -127,17 +90,3 @@ def sharded_drain_time(
     if not requests:
         return 0.0
     return max(requests) * request_seconds
-
-
-def contended_time(per_job_seconds: float, jobs: int, slots: int) -> float:
-    """Duration of ``jobs`` equal tasks on ``slots`` parallel executors.
-
-    Jobs queue in waves when they outnumber slots; this models both cores
-    on one node and L-nodes in the cluster.
-    """
-    if jobs < 0 or slots < 1:
-        raise ValueError(f"invalid jobs={jobs} slots={slots}")
-    if jobs == 0:
-        return 0.0
-    waves = -(-jobs // slots)  # ceiling division
-    return per_job_seconds * waves

@@ -85,6 +85,16 @@ def mutate(rng: np.random.Generator, data: bytes, runs: int, run_bytes: int) -> 
     return bytes(out)
 
 
+def stable_versions(data: bytes, count: int) -> list[bytes]:
+    """``count`` versions of ``data`` that differ only in one appended byte.
+
+    Every chunk but the last repeats from version to version, so duplicate
+    times advance and superchunks form, yet no version is byte-identical
+    to its predecessor (which would commit as an alias, writing no recipe).
+    """
+    return [data + bytes([k % 256]) for k in range(count)]
+
+
 def make_version_chain(
     rng: np.random.Generator,
     versions: int = 6,

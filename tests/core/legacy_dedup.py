@@ -7,7 +7,9 @@ the moment its work happens (``TimeBreakdown.charge`` plus the stage
 attribution).  It is kept as the oracle ``tests/core/test_skip_run.py``
 compares the engine against.  It carries one fix over the old code: a
 failed Algorithm 1 match counts the firstChunk duplicate it appends in
-``dup_chunks``/``dup_bytes``, as the engine does now.
+``dup_chunks``/``dup_bytes``, as the engine does now.  It also takes the
+engine's record-0 seed, lazily fetched recipe index, first-write hook and
+identity (alias) rule, so both issue the same OSS requests.
 
 ``legacy_jobs(monkeypatch)`` makes ``BackupEngine.backup`` run its jobs
 through this class.
@@ -16,6 +18,7 @@ through this class.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 
 from repro.chunking.base import BoundarySet
 from repro.chunking.cursor import BoundaryCursor
@@ -50,11 +53,11 @@ class LegacyJobState:
         data: bytes,
         boundaries: BoundarySet | BoundaryCursor,
         handle: RecipeHandle | None,
-        recipe_index: RecipeIndex | None,
         breakdown: TimeBreakdown,
         counters: Counters,
         rewrite_containers: set[int] | None = None,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
+        on_first_write: Callable[[], None] | None = None,
     ) -> None:
         self.engine = engine
         self.config = engine.config
@@ -69,7 +72,8 @@ class LegacyJobState:
         self.view = memoryview(data)
         self.boundaries = boundaries
         self.handle = handle
-        self.recipe_index = recipe_index
+        self.recipe_index: RecipeIndex | None = None
+        self._on_first_write = on_first_write
         self.breakdown = breakdown
         self.counters = counters
 
@@ -168,6 +172,14 @@ class LegacyJobState:
         """Steps 2 and 3: chunk, deduplicate, segment, persist."""
         position = 0
         length = len(self.data)
+        handle = self.handle
+        if (
+            self.config.skip_chunking
+            and handle is not None
+            and handle.path == self.path
+            and handle.segment_count
+        ):
+            self._seed_skip_run()
         while position < length:
             consumed = False
             if self.config.skip_chunking and self.skip_from is not None:
@@ -180,6 +192,24 @@ class LegacyJobState:
         self._flush_container()
 
     # --- skip chunking (Section IV-B) ------------------------------------
+    def _seed_skip_run(self) -> None:
+        """Fetch the span at segment 0; keep it, and predict chunk 0 from
+        the base's first record, only if that prediction holds."""
+        segments = self._fetch_segments(0)
+        if segments is None:
+            return
+        first = segments[0][0]
+        end = first.size
+        if end > len(self.data) or not self.boundaries.is_cut(0, end):
+            return
+        fp = self._fp_memo[0, end] = self._fp(0, end)
+        if fp != first.fp:
+            return
+        for ordinal, records in enumerate(segments):
+            self.counters.add("segments_prefetched")
+            self.cache.insert_segment(ordinal, records)
+        self.skip_from = (0, -1)
+
     def _try_skip_chunking(self, position: int) -> bool:
         """Predict the next cut from history; True if a chunk was emitted."""
         successor = self.cache.successor(self.skip_from)
@@ -332,8 +362,16 @@ class LegacyJobState:
         cache miss — a miss on an unsampled fingerprint costs one hash
         probe and nothing else.
         """
-        if self.recipe_index is None or self.handle is None:
+        if self.handle is None:
             return False
+        if self.recipe_index is None:
+            handle = self.handle
+            self.recipe_index = self._download(
+                lambda: self.storage.recipes.get_recipe_index(handle.path, handle.version)
+            )
+            if self.recipe_index is None:
+                return False
+            self.counters.add("recipe_index_fetches")
         self._charge_compare()
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
@@ -352,24 +390,30 @@ class LegacyJobState:
         """Fetch a prefetch span of segment recipes in one ranged GET."""
         if self.handle is None:
             return
-        span = max(1, self.config.prefetch_segment_span)
-        span = min(span, self.handle.segment_count - ordinal)
-        before = self.storage.oss.stats.snapshot()
-        try:
-            segments = self.handle.get_segment_range(ordinal, span)
-        except DEDUP_LOOKUP_FAILURES:
-            read_seconds = self.storage.oss.stats.diff(before).read_seconds
-            self.breakdown.charge("download", read_seconds)
-            self._trace_lookup(read_seconds)
-            self._enter_degraded_mode()
-            return
-        downloaded = self.storage.oss.stats.diff(before)
-        # Recipe prefetches block classification, so they ride the spine.
-        self.breakdown.charge("download", downloaded.read_seconds)
-        self._trace_lookup(downloaded.read_seconds)
-        for offset, records in enumerate(segments):
+        segments = self._fetch_segments(ordinal)
+        for offset, records in enumerate(segments or ()):
             self.counters.add("segments_prefetched")
             self.cache.insert_segment(ordinal + offset, records)
+
+    def _fetch_segments(self, ordinal: int) -> list[list[ChunkRecord]] | None:
+        handle = self.handle
+        span = max(1, self.config.prefetch_segment_span)
+        span = min(span, handle.segment_count - ordinal)
+        return self._download(lambda: handle.get_segment_range(ordinal, span))
+
+    def _download(self, fetch):
+        before = self.storage.oss.stats.snapshot()
+        try:
+            fetched = fetch()
+        except DEDUP_LOOKUP_FAILURES:
+            fetched = None
+        read_seconds = self.storage.oss.stats.diff(before).read_seconds
+        # Recipe reads block classification, so they ride the spine.
+        self.breakdown.charge("download", read_seconds)
+        self._trace_lookup(read_seconds)
+        if fetched is None:
+            self._enter_degraded_mode()
+        return fetched
 
     def _enter_degraded_mode(self) -> None:
         """Stop consulting the unreachable dedup base for this job.
@@ -585,12 +629,32 @@ class LegacyJobState:
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
+        self._before_write()
         before = self.storage.oss.stats.snapshot()
         self.storage.containers.write(builder)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
         self.trace.flush_seconds.append(written.write_seconds)
         self.uploaded_bytes += written.bytes_written
+
+    def _before_write(self) -> None:
+        hook, self._on_first_write = self._on_first_write, None
+        if hook is not None:
+            hook()
+
+    def _identical(self) -> bool:
+        """One unbroken skip run from the base's first record to its last."""
+        handle, counters = self.handle, self.counters
+        return (
+            handle is not None
+            and handle.path == self.path
+            and handle.version < self.version
+            and len(self.data) == handle.total_bytes
+            and counters.get("skip_success") == counters.get("chunks")
+            and not self.new_container_ids
+            and not self.rewrite_containers
+            and not self.degraded
+        )
 
     def finish(self) -> BackupResult:
         """Persist recipe, recipe index and similarity registration.
@@ -609,33 +673,9 @@ class LegacyJobState:
             total_bytes=len(self.data),
             segments=self.segments,
         )
-        index = RecipeIndex()
-        all_fps: list[bytes] = []
-        for ordinal, segment in enumerate(self.segments):
-            for position, record in enumerate(segment):
-                all_fps.append(record.fp)
-                if position == 0 or is_sampled(record.fp, self.config.effective_sample_ratio()):
-                    index.add(record.fp, ordinal)
-                if record.is_superchunk:
-                    # The next version's CDC cuts small chunks, which can
-                    # only rendezvous with a superchunk through its
-                    # firstChunk fingerprint (Algorithm 1) — so every
-                    # superchunk's firstChunk is indexed.
-                    index.add(record.first_fp, ordinal)
-
-        before = self.storage.oss.stats.snapshot()
-        self.storage.recipes.put_recipe(recipe)
-        self.storage.recipes.put_recipe_index(self.path, self.version, index)
-        representatives = [
-            fp
-            for fp in all_fps
-            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)
-        ][:MAX_FILE_REPRESENTATIVES]
-        self.storage.similar_index.register(self.path, self.version, representatives)
-        written = self.storage.oss.stats.diff(before)
-        self.breakdown.charge("upload", written.write_seconds)
-        self.trace.finish_seconds += written.write_seconds
-        self.uploaded_bytes += written.bytes_written
+        alias_of = self.handle.version if self._identical() else None
+        if alias_of is None:
+            self._persist(recipe)
 
         # Container references are computed from the *final* recipe so
         # superchunk merging (which rewrites duplicate runs into new
@@ -664,4 +704,35 @@ class LegacyJobState:
             degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
             ingest=self.trace,
+            alias_of=alias_of,
         )
+
+    def _persist(self, recipe: Recipe) -> None:
+        index = RecipeIndex()
+        all_fps: list[bytes] = []
+        for ordinal, segment in enumerate(self.segments):
+            for position, record in enumerate(segment):
+                all_fps.append(record.fp)
+                if position == 0 or is_sampled(record.fp, self.config.effective_sample_ratio()):
+                    index.add(record.fp, ordinal)
+                if record.is_superchunk:
+                    # The next version's CDC cuts small chunks, which can
+                    # only rendezvous with a superchunk through its
+                    # firstChunk fingerprint (Algorithm 1) — so every
+                    # superchunk's firstChunk is indexed.
+                    index.add(record.first_fp, ordinal)
+
+        self._before_write()
+        before = self.storage.oss.stats.snapshot()
+        self.storage.recipes.put_recipe(recipe)
+        self.storage.recipes.put_recipe_index(self.path, self.version, index)
+        representatives = [
+            fp
+            for fp in all_fps
+            if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)
+        ][:MAX_FILE_REPRESENTATIVES]
+        self.storage.similar_index.register(self.path, self.version, representatives)
+        written = self.storage.oss.stats.diff(before)
+        self.breakdown.charge("upload", written.write_seconds)
+        self.trace.finish_seconds += written.write_seconds
+        self.uploaded_bytes += written.bytes_written

@@ -7,7 +7,7 @@ from repro.core.dedup import BackupEngine, DedupCache
 from repro.core.recipe import ChunkRecord
 from repro.core.storage import StorageLayer
 from repro.fingerprint.hashing import fingerprint
-from tests.conftest import mutate, random_bytes
+from tests.conftest import mutate, random_bytes, stable_versions
 
 CONFIG = SlimStoreConfig(
     container_bytes=128 * 1024,
@@ -161,8 +161,7 @@ class TestIncrementalBackup:
         assert result.dedup_ratio > 0.9  # dedup still works via the cache
 
     def test_duplicate_times_increment(self, engine, storage, rng):
-        data = random_bytes(rng, 128 * 1024)
-        for _ in range(3):
+        for data in stable_versions(random_bytes(rng, 128 * 1024), 3):
             engine.backup("f", data)
         recipe = storage.recipes.get_recipe("f", 2)
         times = [r.duplicate_times for r in recipe.all_records() if not r.is_superchunk]
@@ -171,16 +170,15 @@ class TestIncrementalBackup:
 
 class TestChunkMerging:
     def test_superchunks_form_at_threshold(self, engine, rng):
-        data = random_bytes(rng, 256 * 1024)
-        results = [engine.backup("f", data) for _ in range(5)]
+        versions = stable_versions(random_bytes(rng, 256 * 1024), 5)
+        results = [engine.backup("f", data) for data in versions]
         trigger = results[CONFIG.merge_threshold]
         assert trigger.counters.get("superchunks_created") > 0
         # Once merged, later versions match whole superchunks.
         assert results[-1].counters.get("superchunk_hits") > 0
 
     def test_superchunk_records_well_formed(self, engine, storage, rng):
-        data = random_bytes(rng, 256 * 1024)
-        for _ in range(5):
+        for data in stable_versions(random_bytes(rng, 256 * 1024), 5):
             engine.backup("f", data)
         recipe = storage.recipes.get_recipe("f", 4)
         superchunks = [r for r in recipe.all_records() if r.is_superchunk]
@@ -199,8 +197,7 @@ class TestChunkMerging:
         assert result.counters.get("superchunks_created") == 0
 
     def test_partial_superchunk_failure_recovers(self, engine, storage, rng):
-        data = random_bytes(rng, 256 * 1024)
-        for _ in range(4):
+        for data in stable_versions(random_bytes(rng, 256 * 1024), 4):
             engine.backup("f", data)
         changed = mutate(rng, data, runs=1, run_bytes=2048)
         result = engine.backup("f", changed)

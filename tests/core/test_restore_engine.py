@@ -9,7 +9,7 @@ from repro.core.restore import RestoreEngine
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError, VersionNotFoundError
 from repro.workloads.sdb import SDBConfig, SDBGenerator
-from tests.conftest import mutate, random_bytes
+from tests.conftest import mutate, random_bytes, stable_versions
 from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
 
 CONFIG = SlimStoreConfig(
@@ -61,8 +61,7 @@ class TestRestoreCorrectness:
 
     def test_restore_superchunked_version(self, engines, rng):
         backup, restore = engines
-        data = random_bytes(rng, 256 * 1024)
-        for _ in range(5):
+        for data in stable_versions(random_bytes(rng, 256 * 1024), 5):
             backup.backup("f", data)
         result = restore.restore("f", 4)
         assert result.data == data

@@ -30,7 +30,7 @@ from repro.oss.object_store import ObjectStorageService
 from repro.sim.clock import SimClock
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import TimeBreakdown
-from tests.conftest import SMALL_CONFIG, mutate, random_bytes
+from tests.conftest import SMALL_CONFIG, mutate, random_bytes, stable_versions
 from tests.core.legacy_dedup import legacy_jobs
 
 #: Every request-issuing method of the simulated endpoint.
@@ -119,6 +119,7 @@ def _assert_same(ours: dict, oracle: dict) -> None:
         assert job.recipe == old.recipe, f"{where}: recipe"
         assert job.counters.counts == old.counters.counts, f"{where}: counters"
         assert job.degraded == old.degraded, f"{where}: degraded"
+        assert job.alias_of == old.alias_of, f"{where}: alias"
         assert job.stored_chunk_bytes == old.stored_chunk_bytes, f"{where}: stored bytes"
         assert job.new_container_ids == old.new_container_ids, f"{where}: containers"
         for category in (f.name for f in fields(TimeBreakdown)):
@@ -150,9 +151,11 @@ class TestEveryWayARunEnds:
     def test_segment_close(self, base, monkeypatch):
         ours, _ = _run_both([base, base], SMALL_CONFIG, monkeypatch)
         latest = ours["jobs"][1]
-        # Every chunk replayed, in runs cut only by the segment size.
-        assert latest.counters.get("skip_success") == latest.recipe.chunk_count() - 1
+        # Every chunk replayed from the record-0 seed on, in runs cut only
+        # by the segment size: an unchanged version, committed as an alias.
+        assert latest.counters.get("skip_success") == latest.recipe.chunk_count()
         assert len(latest.recipe.segments) >= 8
+        assert latest.alias_of == 0
 
     def test_digest_mismatch_mid_run(self, base, monkeypatch):
         # Overwrite bytes well inside chunks: the predicted cuts still
@@ -184,7 +187,7 @@ class TestEveryWayARunEnds:
         assert ours["jobs"][2].counters.get("skip_success") > 0
 
     def test_superchunk_in_the_chain(self, base, rng, monkeypatch):
-        versions = [base] * 4 + [mutate(rng, base, runs=1, run_bytes=2048), base]
+        versions = stable_versions(base, 4) + [mutate(rng, base, runs=1, run_bytes=2048), base]
         ours, _ = _run_both(versions, SMALL_CONFIG, monkeypatch)
         assert ours["jobs"][3].counters.get("superchunks_created") > 0
         assert _counter(ours, "superchunk_hits") > 0
