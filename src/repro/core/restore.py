@@ -1,10 +1,12 @@
 """Online restoration on the L-node (Section V).
 
-The restore job loads the target recipe, builds the per-file counting Bloom
-filter (full vision), and precomputes the container access schedule with
-:class:`~repro.core.restore_plan.RestorePlanner`.  In ranged mode only the
-planned chunk extents cross the wire (coalesced ranged GETs); in
-whole-container mode the seed access pattern is preserved exactly.
+The restore job loads the target recipe, precomputes the container access
+schedule with :class:`~repro.core.restore_plan.RestorePlanner`, and restores
+through the full-vision cache, which counts every fingerprint's remaining
+references exactly (the paper's counting Bloom filter approximates those
+counts to bound memory; the resolved recipe is in memory here anyway).  In
+ranged mode only the planned chunk extents cross the wire (coalesced ranged
+GETs); in whole-container mode the seed access pattern is preserved exactly.
 
 Job duration comes from the event-driven LAW prefetch pipeline
 (:func:`repro.sim.events.simulate_restore_pipeline`): ``prefetch_threads``
@@ -39,7 +41,6 @@ from repro.core.restore_plan import (
 from repro.core.storage import StorageLayer
 from repro.errors import IntegrityError, RestoreError
 from repro.fingerprint.hashing import fingerprint
-from repro.kvstore.bloom import CountingBloomFilter
 from repro.sim.cost_model import CostModel
 from repro.sim.events import PipelineStats, simulate_restore_pipeline
 from repro.sim.metrics import Counters, TimeBreakdown
@@ -177,14 +178,10 @@ class RestoreEngine:
             counters.add("planned_degraded_reads", plan.planned_degraded_reads)
         setup_seconds = recipe_seconds + plan.plan_seconds
 
-        cbf = CountingBloomFilter(max(64, len(records)), false_positive_rate=0.001)
-        for record in plan.resolved:
-            cbf.add(record.fp)
         law = LookAheadWindow(plan.resolved, LAW_WINDOW_RECORDS)
         cache = FullVisionCache(
             self.config.restore_cache_bytes,
             self.config.restore_disk_cache_bytes,
-            cbf,
             law,
         )
 
@@ -231,6 +228,7 @@ class RestoreEngine:
                             f"(record {index})"
                         )
                     data = healed
+                    cache.replace(record.fp, data)
                     cpu += self.cost_model.fingerprint_cost(len(data))
             output += data
             cpu += self.cost_model.cpu_restore_per_byte * len(data)

@@ -4,11 +4,18 @@ Three chunk statuses drive the replacement policy:
 
 * ``S_I`` — the chunk appears inside the look-ahead window: needed soon,
   pinned in memory;
-* ``S_L`` — the chunk does not appear in the LAW but the per-file counting
-  Bloom filter says it is referenced again later: keep, demoting to the
-  L-node disk cache under memory pressure;
-* ``S_U`` — referenced neither in the LAW nor in the CBF: useless, never
+* ``S_L`` — the chunk does not appear in the LAW but is referenced again
+  later in the recipe: keep, demoting to the L-node disk cache under
+  memory pressure;
+* ``S_U`` — referenced neither in the LAW nor later: useless, never
   inserted and evicted first.
+
+"Referenced later" is an exact count: the cache keeps each fingerprint's
+remaining references in a dict built from the records the LAW walks, one
+entry per distinct fingerprint.  The paper sizes this with a counting
+Bloom filter because a 100 GB recipe's fingerprints would not fit in
+memory; here the whole resolved recipe is already in memory, so the exact
+answer costs less than the filter's slots and never keeps a useless chunk.
 
 Because eviction only ever discards ``S_U`` chunks, every container is read
 from OSS at most once — the property the paper's Fig 8 relies on ("make
@@ -28,7 +35,6 @@ from collections.abc import Callable
 
 from repro.core.container import ContainerMeta
 from repro.core.recipe import ChunkRecord
-from repro.kvstore.bloom import CountingBloomFilter
 from repro.sim.metrics import Counters
 
 #: Chunk status names (exported for tests and documentation).
@@ -49,11 +55,14 @@ class LookAheadWindow:
     def __init__(self, records: list[ChunkRecord], window: int) -> None:
         if window < 1:
             raise ValueError(f"LAW window must be >= 1, got {window}")
-        self._records = records
+        #: The whole record sequence the window slides over.
+        self.records = records
         self._window = window
         self._position = 0
-        self._counts: Counter[bytes] = Counter(
-            record.fp for record in records[:window]
+        # Plain dicts, not Counters: ``Counter.__delitem__`` and
+        # ``__missing__`` run as Python code on every slide.
+        self._counts: dict[bytes, int] = dict(
+            Counter(record.fp for record in records[:window])
         )
         #: Fired with a fingerprint when it enters / leaves the window.
         self.on_enter: Callable[[bytes], None] | None = None
@@ -61,37 +70,37 @@ class LookAheadWindow:
 
     def advance_past(self, index: int) -> None:
         """Slide so the window covers ``[index+1, index+1+window)``."""
+        records, counts = self.records, self._counts
         while self._position <= index:
             # Enter before exit: a fingerprint that leaves one position and
             # re-enters at another in the same slide never flips membership,
             # so the cache is spared a demote-then-repromote round trip.
             entering_index = self._position + self._window
-            if entering_index < len(self._records):
-                entering = self._records[entering_index]
-                self._counts[entering.fp] += 1
-                if self._counts[entering.fp] == 1 and self.on_enter is not None:
-                    self.on_enter(entering.fp)
-            leaving = self._records[self._position]
-            self._counts[leaving.fp] -= 1
-            if self._counts[leaving.fp] == 0:
-                del self._counts[leaving.fp]
+            if entering_index < len(records):
+                fp = records[entering_index].fp
+                seen = counts.get(fp, 0)
+                counts[fp] = seen + 1
+                if not seen and self.on_enter is not None:
+                    self.on_enter(fp)
+            fp = records[self._position].fp
+            left = counts[fp] - 1
+            if left:
+                counts[fp] = left
+            else:
+                del counts[fp]
                 if self.on_exit is not None:
-                    self.on_exit(leaving.fp)
+                    self.on_exit(fp)
             self._position += 1
 
     def __contains__(self, fp: bytes) -> bool:
-        return self._counts.get(fp, 0) > 0
+        return fp in self._counts
 
 
 class FullVisionCache:
     """Two-layer (memory + L-node disk) chunk cache with full vision."""
 
     def __init__(
-        self,
-        memory_bytes: int,
-        disk_bytes: int,
-        cbf: CountingBloomFilter,
-        law: LookAheadWindow,
+        self, memory_bytes: int, disk_bytes: int, law: LookAheadWindow
     ) -> None:
         if memory_bytes <= 0:
             raise ValueError("memory cache must have positive capacity")
@@ -103,7 +112,10 @@ class FullVisionCache:
         self._disk_capacity = disk_bytes
         self._memory_used = 0
         self._disk_used = 0
-        self._cbf = cbf
+        #: References not yet consumed, per fingerprint; a key goes at zero.
+        self._remaining: dict[bytes, int] = dict(
+            Counter(record.fp for record in law.records)
+        )
         self._law = law
         law.on_enter = self._fp_entered_window
         law.on_exit = self._fp_left_window
@@ -114,7 +126,7 @@ class FullVisionCache:
         """Current status of a fingerprint under the full-vision policy."""
         if fp in self._law:
             return STATUS_IN_WINDOW
-        if self._cbf.count(fp) > 0:
+        if fp in self._remaining:
             return STATUS_LATER
         return STATUS_USELESS
 
@@ -130,7 +142,7 @@ class FullVisionCache:
         data = self._mem_window.pop(fp, None)
         if data is None:
             return
-        if self._cbf.count(fp) > 0:
+        if fp in self._remaining:
             self._mem_later[fp] = data
         else:
             self._memory_used -= len(data)
@@ -149,7 +161,7 @@ class FullVisionCache:
         if data is not None:
             self._disk_used -= len(data)
             self.counters.add("disk_promotions")
-            self._insert_memory(fp, data)
+            self._insert_memory(fp, data, self.status_of(fp))
             return data
         self.counters.add("cache_misses")
         return None
@@ -163,30 +175,35 @@ class FullVisionCache:
         )
 
     def consume(self, fp: bytes) -> None:
-        """One reference to ``fp`` was restored: decrement its CBF count.
+        """One reference to ``fp`` was restored: decrement its count.
 
-        The chunk is dropped exactly when that leaves it ``S_U``; the count
-        :meth:`CountingBloomFilter.remove` reads back spares the second
-        probe ``status_of`` would make.
+        Nothing is dropped here.  The consumed record is still inside the
+        window, so the chunk stays ``S_I`` until the window slides past it;
+        :meth:`_fp_left_window` drops it then if no reference remains.
         """
-        try:
-            remaining = self._cbf.remove(fp)
-        except KeyError:
-            # A Bloom false positive elsewhere already consumed the slots.
-            self.counters.add("cbf_underflows")
-            remaining = self._cbf.count(fp)
-        if remaining == 0 and fp not in self._law:
-            self._drop(fp)
+        remaining = self._remaining
+        left = remaining[fp] - 1
+        if left:
+            remaining[fp] = left
+        else:
+            del remaining[fp]
 
-    def _drop(self, fp: bytes) -> None:
-        data = self._mem_window.pop(fp, None)
-        if data is None:
-            data = self._mem_later.pop(fp, None)
-        if data is not None:
-            self._memory_used -= len(data)
-        data = self._disk.pop(fp, None)
-        if data is not None:
-            self._disk_used -= len(data)
+    def replace(self, fp: bytes, data: bytes) -> None:
+        """Put ``data`` in place of the cached copy of ``fp``.
+
+        The restore job hands over a chunk it healed after a failed verify,
+        so later references splice the good bytes instead of healing again.
+        """
+        for layer in (self._mem_window, self._mem_later, self._disk):
+            old = layer.get(fp)
+            if old is not None:
+                layer[fp] = data
+                if layer is self._disk:
+                    self._disk_used += len(data) - len(old)
+                else:
+                    self._memory_used += len(data) - len(old)
+                return
+        self.insert_chunk(fp, data)
 
     # --- container insertion -----------------------------------------------------
     def insert_chunk(self, fp: bytes, data: bytes) -> bool:
@@ -206,11 +223,11 @@ class FullVisionCache:
             stored = self._disk.pop(fp)
             self._disk_used -= len(stored)
             self.counters.add("insert_promotions")
-            self._insert_memory(fp, stored)
+            self._insert_memory(fp, stored, status)
             return True
         if status == STATUS_USELESS:
             return False
-        self._insert_memory(fp, data)
+        self._insert_memory(fp, data, status)
         return True
 
     def insert_container(self, meta: ContainerMeta, payload: bytes) -> int:
@@ -231,9 +248,9 @@ class FullVisionCache:
         return inserted
 
     # --- internal space management ---------------------------------------------------
-    def _insert_memory(self, fp: bytes, data: bytes) -> None:
+    def _insert_memory(self, fp: bytes, data: bytes, status: str) -> None:
         self._make_room(len(data))
-        if self.status_of(fp) == STATUS_IN_WINDOW:
+        if status == STATUS_IN_WINDOW:
             self._mem_window[fp] = data
         else:
             self._mem_later[fp] = data
@@ -241,18 +258,15 @@ class FullVisionCache:
 
     def _make_room(self, needed: int) -> None:
         # Victims come straight off the status buckets (oldest first):
-        # no per-resident status probing.  S_L chunks demote to the disk
-        # layer; stragglers that turned useless since insertion (CBF
-        # collisions) are dropped outright.
+        # no per-resident status probing.  Every S_L chunk still has a
+        # remaining reference (its count only falls while it is in the
+        # window), so all of them demote to the disk layer.
         while (
             self._memory_used + needed > self._memory_capacity and self._mem_later
         ):
             fp, data = self._mem_later.popitem(last=False)
             self._memory_used -= len(data)
-            if self.status_of(fp) == STATUS_USELESS:
-                self.counters.add("evicted_useless")
-            else:
-                self._demote_to_disk(fp, data)
+            self._demote_to_disk(fp, data)
         # Extreme pressure: even in-window chunks must go to disk.
         while (
             self._memory_used + needed > self._memory_capacity and self._mem_window

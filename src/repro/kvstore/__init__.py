@@ -9,7 +9,7 @@ stay cached in node memory; only data-block reads touch OSS, matching how
 RocksDB's block cache behaves in front of slow storage.
 """
 
-from repro.kvstore.bloom import BloomFilter, CountingBloomFilter
+from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.sstable import SSTable
@@ -17,7 +17,6 @@ from repro.kvstore.wal import WriteAheadLog
 
 __all__ = [
     "BloomFilter",
-    "CountingBloomFilter",
     "MemTable",
     "SSTable",
     "WriteAheadLog",

@@ -1,20 +1,16 @@
-"""Bloom filters: plain and counting.
+"""The Bloom filter fronting SSTable lookups (and G-node's global-dedup
+prefilter, Section VI-A of the paper).
 
-The plain filter fronts SSTable lookups (and G-node's global-dedup
-prefilter, Section VI-A of the paper); the counting variant is the backbone
-of the full-vision restore cache (Section V-A), which needs per-chunk
-reference counts that decrement as chunks are restored.
-
-Both filters derive an item's k slots from one 128-bit blake2b digest by
+The filter derives an item's k slots from one 128-bit blake2b digest by
 double hashing (Kirsch-Mitzenmacher): the digest splits into two 64-bit
 words ``first, step`` and slot *i* is ``(first + i * step) mod m`` - one
 digest per filter touch whatever k is, deterministic, and no randomness at
 construction time.
 
-The plain filter is the only one persisted (the SSTable footer blob).  Its
-payload leads with a scheme byte naming the position function, because a
-filter probed with a different function than it was built with answers
-"absent" for keys it holds; see :meth:`BloomFilter.from_bytes` for how a
+The filter is persisted (the SSTable footer blob).  Its payload leads with
+a scheme byte naming the position function, because a filter probed with
+a different function than it was built with answers "absent" for keys it
+holds; see :meth:`BloomFilter.from_bytes` for how a
 payload written before the scheme byte existed is opened.
 """
 
@@ -23,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from array import array
 from collections.abc import Iterable
 
 _TWO_WORDS = struct.Struct(">QQ")
@@ -121,51 +116,3 @@ class BloomFilter:
             raise ValueError("corrupt bloom filter payload")
         filt._array = bytearray(b"\xff" * len(body) if legacy else body)
         return filt
-
-
-class CountingBloomFilter:
-    """Bloom filter with per-slot counters supporting remove and count query.
-
-    The restore cache uses it to answer two questions about a fingerprint:
-    "does this chunk appear again later in the recipe?" and "roughly how
-    many references remain?".  Counts are estimates (minimum over the
-    item's slots), exact enough because decrement mirrors increment.
-    """
-
-    def __init__(self, expected_items: int, false_positive_rate: float = 0.01) -> None:
-        self._slots, self._hashes = optimal_parameters(expected_items, false_positive_rate)
-        self._counters = array("L", bytes(array("L").itemsize * self._slots))
-
-    def add(self, item: bytes, times: int = 1) -> None:
-        """Add ``times`` references to ``item``."""
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
-        counters = self._counters
-        for position in _positions(item, self._hashes, self._slots):
-            counters[position] += times
-
-    def remove(self, item: bytes) -> int:
-        """Drop one reference; removing an absent item is an error.
-
-        Returns what :meth:`count` would answer next: the minimum read back
-        from the item's slots after the decrement (an item whose slots
-        collide decrements one slot twice, so it is not ``before - 1``).
-        """
-        counters = self._counters
-        positions = _positions(item, self._hashes, self._slots)
-        for index, position in enumerate(positions):
-            if not counters[position]:
-                # Also reached by the second visit to a slot holding 1.
-                for undone in positions[:index]:
-                    counters[undone] += 1
-                raise KeyError(f"item not present in counting bloom filter: {item!r}")
-            counters[position] -= 1
-        return min(counters[p] for p in positions)
-
-    def count(self, item: bytes) -> int:
-        """Upper-bound estimate of remaining references to ``item``."""
-        counters = self._counters
-        return min(counters[p] for p in _positions(item, self._hashes, self._slots))
-
-    def __contains__(self, item: bytes) -> bool:
-        return self.count(item) > 0

@@ -19,7 +19,6 @@ from repro.core.container import ContainerStore
 from repro.core.recipe import ChunkRecord
 from repro.core.restore_cache import FullVisionCache, LookAheadWindow
 from repro.fingerprint.hashing import fingerprint
-from repro.kvstore.bloom import CountingBloomFilter
 
 CHUNK = 512  # bytes per chunk in the toy scenario
 
@@ -74,11 +73,8 @@ def scenario(oss):
 
 def restore_with_fv(store, records, memory_bytes: int, window: int = 4):
     """Drive the FV cache over the stream, counting container reads."""
-    cbf = CountingBloomFilter(len(records) * 4, 0.0001)
-    for record in records:
-        cbf.add(record.fp)
     law = LookAheadWindow(records, window)
-    cache = FullVisionCache(memory_bytes, 1 << 20, cbf, law)
+    cache = FullVisionCache(memory_bytes, 1 << 20, law)
     reads = []
     output = bytearray()
     for index, record in enumerate(records):
@@ -104,7 +100,7 @@ class TestFig4:
 
     def test_fv_survives_fragments_beyond_law(self, scenario):
         """Chunks H and C reappear long after a 4-record LAW expired —
-        the CBF (full vision) keeps them anyway."""
+        the remaining-reference counts (full vision) keep them anyway."""
         store, records, expected, _ = scenario
         output, reads = restore_with_fv(
             store, records, memory_bytes=64 * 1024, window=2
@@ -131,11 +127,8 @@ class TestFig4:
         """A appears twice: in-window initially, 'later' after the first
         use, useless after the second."""
         store, records, _, __ = scenario
-        cbf = CountingBloomFilter(len(records) * 4, 0.0001)
-        for record in records:
-            cbf.add(record.fp)
         law = LookAheadWindow(records, 4)
-        cache = FullVisionCache(1 << 20, 1 << 20, cbf, law)
+        cache = FullVisionCache(1 << 20, 1 << 20, law)
         fp_a = fingerprint(chunk_data("A"))
         assert cache.status_of(fp_a) == "S_I"      # stream position 0
         cache.consume(fp_a)

@@ -12,7 +12,6 @@ from repro.core.restore_cache import (
     LookAheadWindow,
 )
 from repro.fingerprint.hashing import fingerprint
-from repro.kvstore.bloom import CountingBloomFilter
 
 
 def records_for(sequence: list[str]) -> list[ChunkRecord]:
@@ -54,11 +53,8 @@ class TestLookAheadWindow:
 def build_cache(sequence: list[str], window: int = 2, memory: int = 1 << 20,
                 disk: int = 1 << 20):
     records = records_for(sequence)
-    cbf = CountingBloomFilter(max(8, len(records) * 4), 0.001)
-    for record in records:
-        cbf.add(record.fp)
     law = LookAheadWindow(records, window)
-    cache = FullVisionCache(memory, disk, cbf, law)
+    cache = FullVisionCache(memory, disk, law)
     return records, law, cache
 
 
@@ -112,11 +108,17 @@ class TestInsertAndLookup:
         law.advance_past(0)
         assert cache.lookup(fp_of("a")) is not None
 
-    def test_cbf_underflow_tolerated(self):
-        _, _, cache = build_cache(["a"], window=1)
-        cache.consume(fp_of("a"))
-        cache.consume(fp_of("a"))  # second consume underflows silently
-        assert cache.counters.get("cbf_underflows") == 1
+    def test_replace_swaps_the_cached_payload(self):
+        _, _, cache = build_cache(["a", "b"], window=1, memory=150)
+        meta, payload = container_with({"b": b"B" * 100, "a": b"A" * 100})
+        cache.insert_container(meta, payload)
+        assert cache.disk_used == 100  # b (S_L) was demoted to make room for a
+        assert cache.counters.get("evicted_in_window") == 0
+        cache.replace(fp_of("a"), b"a" * 100)
+        cache.replace(fp_of("b"), b"b" * 100)
+        assert cache.peek(fp_of("a")) == b"a" * 100
+        assert cache.peek(fp_of("b")) == b"b" * 100
+        assert (cache.memory_used, cache.disk_used) == (100, 100)
 
 
 class TestEvictionPolicy:
@@ -142,7 +144,7 @@ class TestEvictionPolicy:
             {name: name.encode() * 100 for name in sequence}
         )
         cache.insert_container(meta, payload)
-        # Everything is useful (in window or in CBF): overflow goes to the
+        # Everything is useful (in window or later): overflow goes to the
         # disk layer instead of being dropped.
         assert cache.disk_used > 0
         for name in sequence:
@@ -160,11 +162,9 @@ class TestEvictionPolicy:
         assert cache.counters.get("disk_promotions") >= 1
 
     def test_memory_capacity_validated(self):
-        records = records_for(["a"])
-        cbf = CountingBloomFilter(8)
-        law = LookAheadWindow(records, 1)
+        law = LookAheadWindow(records_for(["a"]), 1)
         with pytest.raises(ValueError):
-            FullVisionCache(0, 100, cbf, law)
+            FullVisionCache(0, 100, law)
 
 
 class TestWindowTransitions:
@@ -187,7 +187,7 @@ class TestWindowTransitions:
         cache.consume(fp_of("a"))
         assert cache.memory_used == 100  # still S_I until the window moves
         law.advance_past(0)
-        # a left the window with a zero CBF count: dropped eagerly.
+        # a left the window with no reference left: dropped eagerly.
         assert cache.memory_used == 0
         assert cache.peek(fp_of("a")) is None
 
@@ -228,59 +228,3 @@ class TestInsertPromotion:
         assert cache.peek(fp_of("zz")) is None
         assert cache.counters.get("memory_hits") == 0
         assert cache.counters.get("cache_misses") == 0
-
-
-class ParentConsumeCache(FullVisionCache):
-    """``consume`` as it read before ``remove`` returned the count:
-    decrement, then re-derive the status with a second CBF probe."""
-
-    def consume(self, fp: bytes) -> None:
-        try:
-            self._cbf.remove(fp)
-        except KeyError:
-            self.counters.add("cbf_underflows")
-        if self.status_of(fp) == STATUS_USELESS:
-            self._drop(fp)
-
-
-class TestConsumeDifferential:
-    def test_drops_exactly_when_status_of_says_useless(self):
-        """Over a random reference stream through a deliberately tiny CBF
-        (false positives, colliding slots, underflows), the cache holds
-        the same chunks in the same layers after every step as one that
-        re-probes through ``status_of``."""
-        import random
-
-        rand = random.Random(24)
-        names = [f"chunk-{i}" for i in range(60)]
-        stream = [rand.choice(names) for _ in range(600)]
-        records = records_for(stream)
-        strangers = [fp_of(f"stranger-{i}") for i in range(40)]
-
-        def build(kind):
-            cbf = CountingBloomFilter(8, 0.1)  # 39 slots for 60 distinct items
-            for record in records:
-                cbf.add(record.fp)
-            law = LookAheadWindow(records, 5)
-            return law, kind(1500, 2000, cbf, law)
-
-        (law, cache), (parent_law, parent) = build(FullVisionCache), build(ParentConsumeCache)
-        for index, record in enumerate(records):
-            neighbour = fp_of(rand.choice(names))
-            extra = rand.choice(strangers) if rand.random() < 0.2 else None
-            for side in (cache, parent):
-                if side.lookup(record.fp) is None:
-                    side.insert_chunk(record.fp, b"x" * 100)
-                    side.insert_chunk(neighbour, b"y" * 100)
-            for side, window in ((cache, law), (parent, parent_law)):
-                side.consume(record.fp)
-                if extra is not None:
-                    side.consume(extra)  # a false-positive removal or an underflow
-                window.advance_past(index)
-            assert list(cache._mem_window) == list(parent._mem_window), index
-            assert list(cache._mem_later) == list(parent._mem_later), index
-            assert list(cache._disk) == list(parent._disk), index
-            assert cache.memory_used == parent.memory_used
-        assert cache.counters.counts == parent.counters.counts
-        assert cache.counters.get("cbf_underflows") > 0
-        assert cache.counters.get("disk_demotions") > 0

@@ -127,12 +127,12 @@ class TestRestoreEfficiency:
 
 
 class TestBloomHashBudget:
-    def test_verified_restore_pays_at_most_three_digests_per_record(
+    def test_verified_restore_computes_no_digests(
         self, engines, storage, bloom_digests
     ):
-        """Build, consume and one status probe: three CBF touches per
-        record at one digest each (it was one digest per touch per hash
-        function, about 29 per record)."""
+        """The full-vision statuses come from exact remaining-reference
+        counts: a verified restore touches no Bloom filter at all (the
+        counting filter it replaced cost three digests per record)."""
         backup, restore = engines
         generator = SDBGenerator(
             SDBConfig(table_count=1, initial_table_bytes=1 << 20, version_count=2, seed=24)
@@ -145,13 +145,13 @@ class TestBloomHashBudget:
         before = len(bloom_digests)
         result = restore.restore(table.path, 1, verify=True)
         assert result.data == table.data
-        assert len(bloom_digests) - before <= 3 * len(records) + 16
+        assert len(bloom_digests) == before
 
 
 class TestMemoryPressure:
     def test_demoting_cache_still_reads_each_container_once(self, storage, rng):
         """A restore cache smaller than one repeated block demotes chunks
-        the CBF says are referenced again (beyond the look-ahead window)
+        referenced again (beyond the look-ahead window)
         to the disk layer; no container is fetched twice for them."""
         config = SlimStoreConfig(
             container_bytes=128 * 1024,

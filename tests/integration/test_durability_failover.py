@@ -25,7 +25,7 @@ import pytest
 from repro.core.durability import CLASS_REPLICATED, CLASS_SINGLE
 from repro.core.system import SlimStore
 from repro.oss.faults import FaultPolicy
-from tests.conftest import SMALL_CONFIG, make_version_chain
+from tests.conftest import SMALL_CONFIG, make_version_chain, random_bytes
 from tests.integration.test_crash_matrix import (
     assert_zero_debris,
     attach,
@@ -158,6 +158,31 @@ class TestBitRotHealing:
         # degraded reads were charged to the virtual cost model.
         assert result.degraded_chunk_reads > 0
         assert store.oss.clock.now > before
+
+    def test_each_rotted_chunk_heals_once_per_restore(self):
+        """A healed chunk replaces its corrupt cached copy, so the later
+        references to a repeated block splice the good bytes instead of
+        failing verify and healing again."""
+        block = random_bytes(np.random.default_rng(7), 64 * 1024)
+        data = block * 3
+        store = SlimStore(DURABLE_CONFIG)
+        store.backup("f", data)
+        records = store.storage.recipes.get_recipe("f", 0).all_records()
+        assert len(records) > len({record.fp for record in records})
+        rotted = set()
+        for cid in store.storage.containers.container_ids():
+            middle = len(store.storage.containers.read_data(cid)) // 2
+            meta = store.storage.containers.read_meta(cid)
+            rotted.update(
+                entry.fp
+                for entry in meta.live_entries()
+                if entry.offset <= middle < entry.offset + entry.size
+            )
+            flip_primary_byte(store, cid)
+        assert rotted
+        result = store.restore("f", 0)
+        assert result.data == data
+        assert result.degraded_chunk_reads == len(rotted)
 
     def test_repairing_scrub_quarantines_nothing(self):
         store, chain = aged_durable_store(seed=556)

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore.bloom import (
-    BloomFilter,
-    CountingBloomFilter,
-    _positions,
-    optimal_parameters,
-)
+from repro.kvstore.bloom import BloomFilter, _positions, optimal_parameters
+from tests.kvstore.counting_bloom import CountingBloomFilter
 from tests.kvstore.legacy_bloom import legacy_payload
 
 
@@ -180,7 +176,7 @@ class TestFilterQuality:
 
 def self_colliding_key() -> tuple[bytes, list[int]]:
     """A key whose probe sequence revisits a slot of the smallest counting
-    filter at the restore engine's rate (15 slots, k = 10), by search."""
+    filter at the paper-model rate (15 slots, k = 10), by search."""
     slots, hashes = optimal_parameters(1, 0.001)
     for index in range(10000):
         key = f"key{index}".encode()
