@@ -404,10 +404,14 @@ class BackupEngine:
         counters: Counters,
         fp_memo: dict[tuple[int, int], bytes] | None = None,
     ) -> tuple[str, int] | None:
-        """Sample header chunks and vote in the similar-file index."""
+        """Sample header chunks and vote in the similar-file index.
+
+        Each digest lands in ``fp_memo``: a job without a base cuts these
+        same chunks next and must not hash them again.
+        """
         limit = min(len(data), self.config.header_probe_bytes)
         view = memoryview(data)
-        memo = fp_memo or {}
+        memo = {} if fp_memo is None else fp_memo
         samples: list[bytes] = []
         position = 0
         while position < limit:
@@ -419,7 +423,7 @@ class BackupEngine:
             breakdown.charge("fingerprinting", self.cost_model.fingerprint_cost(len(chunk)))
             fp = memo.get((position, end))
             if fp is None:
-                fp = self._fingerprint(chunk)
+                fp = memo[position, end] = self._fingerprint(chunk)
             if is_sampled(fp, SIMILARITY_SAMPLE_RATIO):
                 samples.append(fp)
             position = end
@@ -500,9 +504,10 @@ class _JobState:
         self._probe_memo: set[bytes] = set()
         self._pending_probes: list[bytes] = []
         #: (start, end) → digest precomputed by the parallel executor for
-        #: the plain-CDC chunk walk; spans cut by skip-chunking or
-        #: superchunk merging miss it and hash inline via :meth:`_fp`.
-        self._fp_memo = fp_memo or {}
+        #: the plain-CDC chunk walk, or by the header probe; spans cut by
+        #: skip-chunking or superchunk merging miss it and hash inline via
+        #: :meth:`_fp`.  The caller's dict, even empty, is kept.
+        self._fp_memo = {} if fp_memo is None else fp_memo
         self._fingerprint = engine._fingerprint
 
     def _fp(self, start: int, end: int) -> bytes:

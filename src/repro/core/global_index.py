@@ -244,23 +244,22 @@ class GlobalIndex:
         """Rebuild the LSM state (and the Bloom filters) from OSS.
 
         Used when attaching to an existing repository; each shard's Bloom
-        filter is repopulated from that shard's scan so the prefilter
-        stays sound.
+        filter is repopulated from that shard's live keys in one bulk
+        :meth:`~repro.kvstore.bloom.BloomFilter.update`, so the prefilter
+        is sound when this returns.
         """
         for index, shard in enumerate(self._shards):
             shard.recover()
             if self._blooms is not None:
-                for fp, _value in shard.iter_items():
-                    self._blooms[index].add(fp)
+                self._blooms[index].update(shard.live_keys())
 
     # --- introspection --------------------------------------------------
     def shard_stats(self) -> list[dict[str, int]]:
         """Per-shard entry and SSTable counts (free accounting)."""
-        stats = []
-        for shard in self._shards:
-            entries = sum(1 for _ in shard.iter_items())
-            stats.append({"entries": entries, "sstables": shard.sstable_count})
-        return stats
+        return [
+            {"entries": len(shard.live_keys()), "sstables": shard.sstable_count}
+            for shard in self._shards
+        ]
 
     def stored_bytes(self) -> int:
         """Bytes the index occupies on OSS (free accounting)."""

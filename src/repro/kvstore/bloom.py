@@ -5,7 +5,10 @@ The filter derives an item's k slots from one 128-bit blake2b digest by
 double hashing (Kirsch-Mitzenmacher): the digest splits into two 64-bit
 words ``first, step`` and slot *i* is ``(first + i * step) mod m`` - one
 digest per filter touch whatever k is, deterministic, and no randomness at
-construction time.
+construction time.  :meth:`BloomFilter.update` computes the same slots for
+a whole batch in numpy (attach refills each index shard's filter that way);
+the G-node's per-key probes and inserts stay scalar, since a batch of a few
+fingerprints costs numpy more than it saves.
 
 The filter is persisted (the SSTable footer blob).  Its payload leads with
 a scheme byte naming the position function, because a filter probed with
@@ -20,6 +23,8 @@ import hashlib
 import math
 import struct
 from collections.abc import Iterable
+
+import numpy as np
 
 _TWO_WORDS = struct.Struct(">QQ")
 
@@ -38,6 +43,26 @@ def _positions(item: bytes, k: int, m: int) -> list[int]:
     # A step of 0 mod m would put all k probes on one slot.
     step = step % m or 1
     return [position % m for position in range(first, first + k * step, step)]
+
+
+def _positions_many(items: Iterable[bytes], k: int, m: int) -> np.ndarray:
+    """:func:`_positions` of a batch as a ``(k, len(items))`` uint64 array.
+
+    One digest per item; the arithmetic runs in numpy.  Slot *i + 1* is
+    slot *i* plus ``step``, reduced mod m: both terms are below m, so no
+    sum reaches 2**64 for any m below 2**63.
+    """
+    digests = b"".join([hashlib.blake2b(item, digest_size=16).digest() for item in items])
+    words = np.frombuffer(digests, dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    m = np.uint64(m)
+    slots = np.empty((k, len(words)), dtype=np.uint64)
+    slots[0] = words[:, 0] % m
+    step = words[:, 1] % m
+    step[step == 0] = 1
+    for i in range(1, k):
+        np.add(slots[i - 1], step, out=slots[i])
+        slots[i] %= m
+    return slots
 
 
 def optimal_parameters(expected_items: int, false_positive_rate: float) -> tuple[int, int]:
@@ -72,9 +97,12 @@ class BloomFilter:
         return True
 
     def update(self, items: Iterable[bytes]) -> None:
-        """Insert every item of an iterable."""
-        for item in items:
-            self.add(item)
+        """Insert every item of an iterable: the bits :meth:`add` would set,
+        set for the whole batch by one numpy scatter."""
+        slots = _positions_many(items, self._hashes, self._bits)
+        bits = np.left_shift(1, (slots & 7).astype(np.uint8), dtype=np.uint8)
+        np.bitwise_or.at(np.frombuffer(self._array, dtype=np.uint8), slots >> 3, bits)
+        self._count += slots.shape[1]
 
     def __len__(self) -> int:
         return self._count

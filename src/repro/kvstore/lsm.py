@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.sstable import SSTable
-from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
+from repro.kvstore.wal import OP_PUT, WriteAheadLog, latest_entries
 from repro.oss.object_store import ObjectStorageService
 
 
@@ -146,8 +146,7 @@ class LSMStore:
             return
         merged: dict[bytes, bytes] = {}
         for table in self._sstables:  # oldest first; newer overwrite older
-            for key, value in table.iter_items():
-                merged[key] = value
+            merged.update(table.iter_items())
         survivors = sorted(
             (key, value) for key, value in merged.items() if value != TOMBSTONE
         )
@@ -175,12 +174,7 @@ class LSMStore:
             last = self._sstables[-1].object_key
             stem = last[len(self._prefix) :].split(".")[0]
             self._next_table_id = int(stem) + 1
-        self._memtable.clear()
-        for op, key, value in self._wal.replay():
-            if op == OP_PUT:
-                self._memtable.put(key, value)
-            elif op == OP_DELETE:
-                self._memtable.delete(key)
+        self._memtable.load(latest_entries(self._wal.read()))
 
     # --- introspection ---------------------------------------------------------
     @property
@@ -188,14 +182,15 @@ class LSMStore:
         """Number of live SSTables."""
         return len(self._sstables)
 
-    def iter_items(self) -> Iterator[tuple[bytes, bytes]]:
-        """All live key/value pairs in key order (expensive: full scan)."""
+    def live_keys(self) -> dict[bytes, bytes]:
+        """Newest value of every live key, unordered (expensive: reads every
+        SSTable whole); iterating it lists the keys."""
         merged: dict[bytes, bytes] = {}
         for table in self._sstables:
-            for key, value in table.iter_items():
-                merged[key] = value
-        for key, value in self._memtable.sorted_items():
-            merged[key] = value
-        for key in sorted(merged):
-            if merged[key] != TOMBSTONE:
-                yield key, merged[key]
+            merged.update(table.iter_items())
+        merged.update(self._memtable.items())
+        return {key: value for key, value in merged.items() if value != TOMBSTONE}
+
+    def iter_items(self) -> Iterator[tuple[bytes, bytes]]:
+        """All live key/value pairs in key order (expensive: full scan)."""
+        return iter(sorted(self.live_keys().items()))

@@ -7,7 +7,7 @@ older SSTable entries until compaction drops them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import ItemsView, Iterator
 
 #: Sentinel marking a deleted key until compaction reclaims it.
 TOMBSTONE = b"\x00__repro_tombstone__\x00"
@@ -51,9 +51,19 @@ class MemTable:
         """Approximate buffered payload size in bytes."""
         return self._bytes
 
+    def items(self) -> ItemsView[bytes, bytes]:
+        """All entries, unordered (tombstones included)."""
+        return self._entries.items()
+
     def sorted_items(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in key order (tombstones included), for flushing."""
         return iter(sorted(self._entries.items()))
+
+    def load(self, entries: dict[bytes, bytes]) -> None:
+        """Replace the contents with ``entries`` (a replayed WAL segment),
+        sizing them once instead of per :meth:`put`."""
+        self._entries = entries
+        self._bytes = sum(map(len, entries)) + sum(map(len, entries.values()))
 
     def clear(self) -> None:
         """Drop every entry (called after a successful flush)."""

@@ -93,8 +93,7 @@ class SSTable:
             raise KVStoreError("refusing to write an empty sstable")
 
         bloom = BloomFilter(count, false_positive_rate)
-        for key, _value in _iter_records(data):
-            bloom.add(key)
+        bloom.update([key for key, _value in _iter_records(data)])
 
         index_blob = bytearray()
         for key, offset in sparse:

@@ -17,6 +17,7 @@ import struct
 from collections.abc import Iterable, Iterator
 
 from repro.errors import KVStoreError
+from repro.kvstore.memtable import TOMBSTONE
 from repro.oss.deltalog import DeltaLog
 from repro.oss.object_store import ObjectStorageService
 
@@ -52,6 +53,31 @@ def decode_records(payload: bytes) -> Iterator[tuple[int, bytes, bytes]]:
         value = payload[offset + key_len : end]
         offset = end
         yield op, key, value
+
+
+def latest_entries(payload: bytes) -> dict[bytes, bytes]:
+    """The memtable a WAL segment rebuilds, decoded in one loop: the last
+    write to a key wins and a delete leaves :data:`TOMBSTONE`."""
+    entries: dict[bytes, bytes] = {}
+    unpack = _RECORD_HEADER.unpack_from
+    header = _RECORD_HEADER.size
+    size = len(payload)
+    offset = 0
+    while offset < size:
+        if offset + header > size:
+            raise KVStoreError("truncated WAL record header")
+        op, key_len, value_len = unpack(payload, offset)
+        offset += header
+        split = offset + key_len
+        end = split + value_len
+        if end > size:
+            raise KVStoreError("truncated WAL record body")
+        if op == _OP_PUT:
+            entries[payload[offset:split]] = payload[split:end]
+        elif op == _OP_DELETE:
+            entries[payload[offset:split]] = TOMBSTONE
+        offset = end
+    return entries
 
 
 def parse_checkpoint(payload: bytes) -> tuple[int, bytes]:
@@ -117,15 +143,19 @@ class WriteAheadLog:
         self._segment.clear()
         self._log.fold(self._checkpoint)
 
-    def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
-        """Read the log back from OSS and yield every record not yet in an
-        SSTable; appends continue after the last record read."""
+    def read(self) -> bytes:
+        """Read the log back from OSS: the encoded records not yet in an
+        SSTable.  Appends continue after the last record read."""
         checkpoint = self._log.read_checkpoint()
         through, body = (0, b"") if checkpoint is None else parse_checkpoint(checkpoint)
         self._segment = bytearray(body)
         for record in self._log.read_tail(through):
             self._segment += record
-        return decode_records(bytes(self._segment))
+        return bytes(self._segment)
+
+    def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
+        """:meth:`read`, decoded record by record."""
+        return decode_records(self.read())
 
     @property
     def pending_bytes(self) -> int:

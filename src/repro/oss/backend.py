@@ -44,8 +44,9 @@ class StorageBackend(ABC):
         """Remove ``key``; return True if it existed."""
 
     @abstractmethod
-    def keys(self) -> Iterator[str]:
-        """Iterate over all stored keys in sorted order."""
+    def keys(self, prefix: str = "") -> Iterator[str]:
+        """Iterate over the stored keys starting with ``prefix``, in sorted
+        order (the filter runs before the sort)."""
 
     @abstractmethod
     def size(self, key: str) -> int | None:
@@ -79,8 +80,8 @@ class InMemoryBackend(StorageBackend):
     def delete(self, key: str) -> bool:
         return self._objects.pop(key, None) is not None
 
-    def keys(self) -> Iterator[str]:
-        return iter(sorted(self._objects))
+    def keys(self, prefix: str = "") -> Iterator[str]:
+        return iter(sorted([key for key in self._objects if key.startswith(prefix)]))
 
     def size(self, key: str) -> int | None:
         data = self._objects.get(key)
@@ -197,11 +198,19 @@ class FilesystemBackend(StorageBackend):
         self._drop_fd(key)
         return True
 
-    def keys(self) -> Iterator[str]:
+    def keys(self, prefix: str = "") -> Iterator[str]:
+        # Only the directory a prefix names can hold its keys: walk that.
+        directory = prefix.rpartition("/")[0]
+        try:
+            top = self._path(directory) if directory else self._root
+        except ValueError:
+            return iter([])  # no stored key starts with an unsafe path
         found = []
-        for path in self._root.rglob("*"):
+        for path in top.rglob("*"):
             if path.is_file() and not path.name.endswith(".tmp"):
-                found.append(path.relative_to(self._root).as_posix())
+                key = path.relative_to(self._root).as_posix()
+                if key.startswith(prefix):
+                    found.append(key)
         return iter(sorted(found))
 
     def size(self, key: str) -> int | None:

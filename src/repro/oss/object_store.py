@@ -272,7 +272,7 @@ class ObjectStorageService:
         with self._mutex:
             self.clock.advance(self.cost_model.oss_request_latency + extra)
             self.stats.list_requests += 1
-        return [key for key in backend.keys() if key.startswith(prefix)]
+        return list(backend.keys(prefix))
 
     def head_object(self, bucket: str, key: str) -> int | None:
         """Size of ``key`` in bytes, or None if absent (no payload cost)."""
@@ -293,8 +293,7 @@ class ObjectStorageService:
 
     def peek_keys(self, bucket: str, prefix: str = "") -> list[str]:
         """Keys under ``prefix`` without charging time (accounting only)."""
-        backend = self._backend(bucket)
-        return [key for key in backend.keys() if key.startswith(prefix)]
+        return list(self._backend(bucket).keys(prefix))
 
     def bucket_bytes(self, bucket: str) -> int:
         """Total stored bytes in ``bucket`` (accounting only, free)."""

@@ -7,6 +7,7 @@ from repro.core.dedup import BackupEngine, DedupCache
 from repro.core.recipe import ChunkRecord
 from repro.core.storage import StorageLayer
 from repro.fingerprint.hashing import fingerprint
+from repro.oss.object_store import ObjectStorageService
 from tests.conftest import mutate, random_bytes, stable_versions
 
 CONFIG = SlimStoreConfig(
@@ -114,6 +115,35 @@ class TestFirstBackup:
     def test_version_zero_registered(self, engine, storage, rng):
         engine.backup("f", random_bytes(rng, 64 * 1024))
         assert storage.similar_index.latest_version("f") == 0
+
+    def test_header_probe_digests_are_reused(self, rng):
+        """A first version inside ``header_probe_bytes`` is all header: the
+        job cuts the chunks the similarity probe already hashed and must
+        not hash them again.  The virtual clock still charges both passes,
+        exactly as when the probe's digests were thrown away."""
+        data = random_bytes(rng, 64 * 1024)
+        assert len(data) < CONFIG.header_probe_bytes
+
+        def first_backup(keep_probe_digests: bool):
+            engine = BackupEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
+            hashed = []
+            fingerprint = engine._fingerprint
+            engine._fingerprint = lambda chunk: hashed.append(1) or fingerprint(chunk)
+            if not keep_probe_digests:
+                detect = engine._detect_base
+                # Without the job's memo the probe hashes into its own dict.
+                engine._detect_base = lambda *args: detect(*args[:-1])
+            return engine.backup("f", data), len(hashed)
+
+        result, hashed = first_backup(keep_probe_digests=True)
+        discarded, rehashed = first_backup(keep_probe_digests=False)
+        chunks = result.counters.get("chunks")
+        assert result.counters.get("header_probes") == 1
+        assert hashed == chunks
+        assert rehashed == 2 * chunks
+        assert result.breakdown == discarded.breakdown
+        assert result.elapsed_seconds == discarded.elapsed_seconds
+        assert result.recipe.all_records() == discarded.recipe.all_records()
 
 
 class TestIncrementalBackup:

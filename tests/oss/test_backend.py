@@ -4,6 +4,21 @@ import pytest
 
 from repro.oss.backend import FilesystemBackend, InMemoryBackend
 
+KEYS = ("containers/7.data", "containers/10.meta", "containers.json", "journal/a/1", "j", "x/y/z")
+PREFIXES = ("", "c", "containers", "containers/", "containers/1", "journal/", "journal/a/",
+            "x/y/", "x/y/z", "missing/", "containers/7.data/", "../", "/x/", "./", "a//b/")
+
+
+@pytest.mark.parametrize("kind", ["memory", "filesystem"])
+def test_prefix_listing_filters_before_sorting(kind, tmp_path):
+    backend = InMemoryBackend() if kind == "memory" else FilesystemBackend(tmp_path)
+    for key in KEYS:
+        backend.put(key, b"v")
+    every = list(backend.keys())
+    assert every == sorted(KEYS)
+    for prefix in PREFIXES:
+        assert list(backend.keys(prefix)) == [key for key in every if key.startswith(prefix)]
+
 
 class TestInMemoryBackend:
     def test_put_get_roundtrip(self):

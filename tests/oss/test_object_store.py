@@ -63,6 +63,18 @@ class TestObjectOperations:
         store.put_object("test", "b/1", b"x")
         assert store.list_objects("test", "a/") == ["a/1", "a/2"]
 
+    def test_a_listing_is_one_request_and_a_peek_is_none(self, store):
+        store.put_object("test", "b/1", b"x")
+        store.put_object("test", "a/1", b"x")
+        before = store.stats.snapshot()
+        clock = store.clock.now
+        assert store.list_objects("test", "b/") == ["b/1"]
+        assert store.stats.diff(before).list_requests == 1
+        assert store.clock.now == clock + store.cost_model.oss_request_latency
+        assert store.peek_keys("test", "a") == ["a/1"]
+        assert store.list_objects("test", "c/") == []
+        assert store.stats.diff(before).list_requests == 2
+
     def test_head_and_exists(self, store):
         store.put_object("test", "key", b"12345")
         assert store.head_object("test", "key") == 5
