@@ -7,7 +7,6 @@ The repository is a directory holding the simulated OSS buckets as files
 Usage::
 
     python -m repro backup  REPO FILE [FILE...]   [--prefix P]
-                            [--ingest-segments N] [--flush-buffers N]
                             [--workers N] [--fingerprint sha1|blake2b]
     python -m repro restore REPO PATH             [--version N] [--output F]
     python -m repro versions REPO [PATH]
@@ -179,7 +178,6 @@ def open_repository(
     repo_dir: str | Path,
     index_shards: int | None = None,
     run_recovery: bool = True,
-    config_overrides: dict | None = None,
     workers: int | None = None,
     fingerprint: str | None = None,
 ) -> SlimStore:
@@ -187,13 +185,10 @@ def open_repository(
 
     ``run_recovery=False`` attaches without resolving interrupted jobs,
     so ``repro fsck`` can report the evidence before anything is fixed.
-    ``config_overrides`` applies per-invocation settings (the ingest
-    pipeline knobs) on top of the repo's pinned configuration; these are
-    run-time tunables, never persisted repository state.  ``workers``
-    and ``fingerprint`` are persisted in ``repro.json``: workers (the
-    scan + fingerprint fan-out of ``backup``) as a sticky performance
-    preference, the fingerprint algorithm as an attach-guarded repository
-    invariant.
+    ``workers`` and ``fingerprint`` are persisted in ``repro.json``:
+    workers (the scan + fingerprint fan-out of ``backup``) as a sticky
+    performance preference, the fingerprint algorithm as an
+    attach-guarded repository invariant.
     """
     root = Path(repo_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -209,8 +204,7 @@ def open_repository(
         # The persisted policy is repository state, like the shard count:
         # the replica/parity keyspace was laid out under it, so every
         # reopen applies it automatically (``repro durability`` changes it).
-        overrides.update(_durability_overrides(durability))
-    overrides.update(config_overrides or {})
+        overrides = _durability_overrides(durability)
     config = replace(
         SlimStoreConfig(),
         index_shard_count=shard_count,
@@ -257,19 +251,9 @@ def _service_tenants(repo_dir: str | Path) -> list[str]:
 
 
 def _cmd_backup(args: argparse.Namespace) -> int:
-    overrides: dict = {}
-    if args.ingest_segments is not None or args.flush_buffers is not None:
-        # Either knob opts the job into the event-driven ingest pipeline;
-        # the other keeps its config default.
-        overrides["ingest_pipeline"] = True
-        if args.ingest_segments is not None:
-            overrides["ingest_segments"] = args.ingest_segments
-        if args.flush_buffers is not None:
-            overrides["flush_buffers"] = args.flush_buffers
     store = open_repository(
         args.repo,
         index_shards=args.index_shards,
-        config_overrides=overrides,
         workers=args.workers,
         fingerprint=args.fingerprint,
     )
@@ -287,18 +271,6 @@ def _cmd_backup(args: argparse.Namespace) -> int:
             f"{result.counters.get('containers_written')} containers, "
             f"{result.counters.get('bytes_scanned')} bytes scanned"
         )
-        stats = report.pipeline
-        if stats is not None:
-            print(
-                f"  pipeline: {result.elapsed_seconds * 1000:.1f} ms virtual "
-                f"({result.throughput_mb_s:.1f} MB/s, closed-form "
-                f"{result.closed_form_elapsed_seconds * 1000:.1f} ms), "
-                f"{stats.chunk_stall_count} chunk stalls, "
-                f"{stats.flush_stall_count} flush stalls, "
-                f"{result.counters.get('ingest_index_batches')} index batches "
-                f"({result.counters.get('ingest_index_keys')} keys), "
-                f"{result.intra_file_dup_hits} memo hits"
-            )
     return 0
 
 
@@ -908,12 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     backup.add_argument("--prefix", default="", help="logical path prefix")
     backup.add_argument("--index-shards", type=int, default=None,
                         help="global-index shard count (fixed at repo creation)")
-    backup.add_argument("--ingest-segments", type=int, default=None,
-                        help="enable the pipelined ingest path with this many "
-                             "extra segments of chunking look-ahead")
-    backup.add_argument("--flush-buffers", type=int, default=None,
-                        help="extra in-flight container flush buffers "
-                             "(1 = double buffering; implies the pipeline)")
     backup.add_argument("--workers", type=int, default=None,
                         help="wall-clock worker count for the scan + "
                              "fingerprint fan-out (0 = serial; persisted in "

@@ -20,7 +20,7 @@ serves that pattern from the L-node write-back block cache
   OSS until ``flush()``.
 
 ``flush()`` commits a dirtied file as a **new version through the
-existing ingest pipeline**, crash-safe and visible-or-nothing via a
+existing backup path**, crash-safe and visible-or-nothing via a
 journaled ``cache_flush`` intent:
 
 1. ``begin`` the intent (path, base version, expected new version, full
@@ -117,7 +117,7 @@ class FlushReport:
     staged_bytes: int
     #: Background-upload schedule over the configured channels.
     upload: UploadStats = field(default_factory=UploadStats)
-    #: The ingest pipeline's report for the published version.
+    #: The backup path's report for the published version.
     backup_report: object | None = None
 
 

@@ -18,16 +18,10 @@ sharding ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.sim.cost_model import CostModel
-from repro.sim.events import (
-    BackupPipelineProcess,
-    ChannelPool,
-    EventLoop,
-    RestorePipelineProcess,
-    SlotResource,
-)
+from repro.sim.events import ChannelPool, EventLoop, RestorePipelineProcess, SlotResource
 from repro.sim.parallel import batched_round_trips
 
 
@@ -51,74 +45,6 @@ class JobSpec:
             cpu_seconds=result.breakdown.cpu_seconds(),
             network_bytes=result.uploaded_bytes,
             index_lookups=0 if unique is None else len(unique),
-        )
-
-
-@dataclass(frozen=True)
-class BackupJobSpec:
-    """One backup job's measured ingest trace, replayable on a cluster.
-
-    Carries everything :class:`~repro.sim.events.BackupPipelineProcess`
-    needs — per-segment chunk/lookup stage durations, the segments'
-    batched index round trips, and the container-flush events — so the
-    same trace that timed the job standalone can be re-run with its
-    flush uploads and index batches contending for a node's shared OSS
-    channels, at any chunk look-ahead / flush-buffer setting.
-    """
-
-    logical_bytes: float
-    chunk_seconds: tuple[float, ...]
-    lookup_seconds: tuple[float, ...]
-    lookup_rpcs: tuple[tuple[float, ...], ...]
-    flush_after: tuple[int, ...]
-    flush_seconds: tuple[float, ...]
-    setup_seconds: float = 0.0
-    finish_seconds: float = 0.0
-    ingest_segments: int = 0
-    flush_buffers: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.chunk_seconds) != len(self.lookup_seconds):
-            raise ValueError("per-segment traces must align")
-        if len(self.lookup_rpcs) != len(self.chunk_seconds):
-            raise ValueError("lookup_rpcs must have one entry per segment")
-        if len(self.flush_after) != len(self.flush_seconds):
-            raise ValueError("flush traces must align")
-        if self.ingest_segments < 0 or self.flush_buffers < 0:
-            raise ValueError("ingest_segments/flush_buffers cannot be negative")
-
-    @classmethod
-    def from_backup_result(
-        cls,
-        result,
-        ingest_segments: int | None = None,
-        flush_buffers: int | None = None,
-    ) -> "BackupJobSpec":
-        """Build a spec from a measured :class:`BackupResult` trace.
-
-        The knobs default to a serial replay (0 extra segments, 0 extra
-        buffers) so the caller states the pipeline setting explicitly.
-        """
-        trace = result.ingest
-        if trace is None:
-            raise ValueError("backup result carries no ingest trace")
-        return cls(
-            logical_bytes=result.logical_bytes,
-            chunk_seconds=tuple(trace.chunk_seconds),
-            lookup_seconds=tuple(trace.lookup_seconds),
-            lookup_rpcs=tuple(tuple(r) for r in trace.lookup_rpcs),
-            flush_after=tuple(trace.flush_after),
-            flush_seconds=tuple(trace.flush_seconds),
-            setup_seconds=trace.setup_seconds,
-            finish_seconds=trace.finish_seconds,
-            ingest_segments=0 if ingest_segments is None else ingest_segments,
-            flush_buffers=0 if flush_buffers is None else flush_buffers,
-        )
-
-    def with_knobs(self, ingest_segments: int, flush_buffers: int) -> "BackupJobSpec":
-        """The same trace at a different pipeline setting."""
-        return replace(
-            self, ingest_segments=ingest_segments, flush_buffers=flush_buffers
         )
 
 
@@ -247,20 +173,8 @@ class ClusterRunReport:
     prefetch_stalls: int = 0
     #: Virtual seconds restore consumers spent blocked on reads.
     prefetch_stall_seconds: float = 0.0
-    #: Busy seconds of each node's OSS channels (pipelined schedules only).
+    #: Busy seconds of each node's OSS channels (restore schedules only).
     node_channel_busy_seconds: list[list[float]] = field(default_factory=list)
-    #: Chunk-stage stalls across all backup jobs (ingest schedules only):
-    #: times the look-ahead window closed and chunking had to wait.
-    ingest_chunk_stalls: int = 0
-    #: Virtual seconds backup chunk stages spent waiting on the window.
-    ingest_chunk_stall_seconds: float = 0.0
-    #: Times a backup job's lookup spine blocked on a full flush buffer.
-    ingest_flush_stalls: int = 0
-    #: Virtual seconds backup spines spent blocked on container flushes.
-    ingest_flush_stall_seconds: float = 0.0
-    #: Virtual seconds backup lookup stages waited on index round trips
-    #: beyond their own CPU (channel queueing + RPC latency overhang).
-    ingest_rpc_wait_seconds: float = 0.0
     #: Node deaths simulated during the schedule (``crashes`` argument).
     crashes_simulated: int = 0
     #: Virtual seconds of partial work thrown away by crashed jobs (the
@@ -462,88 +376,10 @@ class ClusterSimulator:
         report.makespan_seconds = loop.run()
         return report
 
-    def backup_throughput(self, job: "JobSpec | BackupJobSpec", jobs: int) -> float:
-        """Aggregate MB/s for ``jobs`` identical concurrent jobs.
-
-        Accepts either a closed-form :class:`JobSpec` (the max(cpu, net)
-        + index-drain arithmetic of :meth:`run`) or a traced
-        :class:`BackupJobSpec` (the event-driven ingest pipeline of
-        :meth:`run_backup_pipelines`).  A ``BackupJobSpec`` replayed at 0
-        extra segments / 0 extra buffers is the serial schedule the
-        closed form approximates, which is the cross-check the ingest
-        ablation asserts.
-        """
-        if isinstance(job, BackupJobSpec):
-            report = self.run_backup_pipelines([job] * jobs)
-        else:
-            report = self.run([job] * jobs)
+    def backup_throughput(self, job: JobSpec, jobs: int) -> float:
+        """Aggregate MB/s for ``jobs`` identical concurrent jobs."""
+        report = self.run([job] * jobs)
         return report.aggregate_throughput_mb_s
-
-    # --- pipelined backup schedules -----------------------------------------
-    def run_backup_pipelines(
-        self,
-        jobs: list[BackupJobSpec],
-        backup_slots: int | None = None,
-        channels_per_node: int | None = None,
-    ) -> ClusterRunReport:
-        """Dispatch concurrent traced backup jobs with channel contention.
-
-        Each node offers ``backup_slots`` concurrent ingest jobs
-        (``node_backup_slots``) and one shared
-        :class:`~repro.sim.events.ChannelPool` of ``channels_per_node``
-        OSS channels (``node_oss_channels``).  A job holding a slot pays
-        its serial setup, then replays its measured ingest trace as a
-        :class:`~repro.sim.events.BackupPipelineProcess` — its batched
-        index round trips and (double-buffered) container flushes
-        competing with every co-located job for the node's channels.
-        This is the ingest mirror of :meth:`run_restores`, and the
-        event-level half of the ingest-pipeline ablation.
-        """
-        slots = backup_slots or self.model.node_backup_slots
-        channels = channels_per_node or self.model.node_oss_channels
-        loop = EventLoop()
-        nodes = [SlotResource(loop, slots) for _ in range(self.lnode_count)]
-        pools = [ChannelPool(loop, channels) for _ in range(self.lnode_count)]
-        report = ClusterRunReport(0.0, sum(job.logical_bytes for job in jobs))
-
-        def dispatch(job: BackupJobSpec, node: SlotResource, pool: ChannelPool) -> None:
-            def start() -> None:
-                def finish(process: BackupPipelineProcess) -> None:
-                    report.completion_times.append(loop.now)
-                    stats = process.stats
-                    report.ingest_chunk_stalls += stats.chunk_stall_count
-                    report.ingest_chunk_stall_seconds += stats.chunk_stall_seconds
-                    report.ingest_flush_stalls += stats.flush_stall_count
-                    report.ingest_flush_stall_seconds += stats.flush_stall_seconds
-                    report.ingest_rpc_wait_seconds += stats.rpc_wait_seconds
-                    report.index_rpcs += sum(len(r) for r in job.lookup_rpcs)
-                    node.release()
-
-                process = BackupPipelineProcess(
-                    loop,
-                    pool,
-                    job.chunk_seconds,
-                    job.lookup_seconds,
-                    lookup_rpcs=job.lookup_rpcs,
-                    flush_after=job.flush_after,
-                    flush_seconds=job.flush_seconds,
-                    setup_seconds=job.setup_seconds,
-                    finish_seconds=job.finish_seconds,
-                    ingest_segments=job.ingest_segments,
-                    flush_buffers=job.flush_buffers,
-                    on_done=lambda: finish(process),
-                )
-                process.start()
-
-            node.acquire(start)
-
-        for index, job in enumerate(jobs):
-            node = index % len(nodes)
-            dispatch(job, nodes[node], pools[node])
-
-        report.makespan_seconds = loop.run()
-        report.node_channel_busy_seconds = [list(pool.busy_seconds) for pool in pools]
-        return report
 
     # --- restore schedules --------------------------------------------------
     def run_restores(
@@ -561,9 +397,9 @@ class ClusterSimulator:
         OSS channels (``node_oss_channels``, the NIC-saturation point).
         A job holding a slot pays its serial setup, then replays its
         measured pipeline trace with its prefetcher competing for the
-        node's channels — the Fig 10(b)-style restore scaling from the
-        same machinery as ingest.  Jobs with ``prefetch_threads == 0``
-        run their reads synchronously (folded into demand time).
+        node's channels — the Fig 10(b)-style restore scaling.  Jobs with
+        ``prefetch_threads == 0`` run their reads synchronously (folded
+        into demand time).
         """
         slots = restore_slots or self.model.node_restore_slots
         channels = channels_per_node or self.model.node_oss_channels

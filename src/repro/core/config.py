@@ -107,21 +107,6 @@ class SlimStoreConfig:
     #: one-fingerprint-at-a-time Rocks-OSS access, the ablation baseline).
     gdedup_batched_lookup: bool = True
 
-    # --- ingest pipeline -------------------------------------------------------
-    #: Event-driven segment-parallel ingest timing model: chunking runs
-    #: ahead of classification, per-segment index probes are Bloom
-    #: prefiltered and batched into modelled ``get_many`` round trips, and
-    #: container flushes double-buffer against the next segment's CPU.
-    #: Off by default: the serial accounting stays the baseline.
-    ingest_pipeline: bool = False
-    #: Extra segments the chunk/fingerprint stage may run ahead of the
-    #: lookup stage (its look-ahead window).  0 = strictly serial: the
-    #: next segment is chunked only after the previous one is classified.
-    ingest_segments: int = 2
-    #: Extra in-flight container upload buffers.  0 = a filling container
-    #: blocks the job for its whole upload; 1 = classic double buffering.
-    flush_buffers: int = 1
-
     # --- durability tier --------------------------------------------------------
     #: Heat-aware replication/erasure over container payloads (FASTEN-style:
     #: the most-shared containers get the most copies).  Off by default —
@@ -174,10 +159,6 @@ class SlimStoreConfig:
             raise ValueError(f"index_shard_count must be >= 1: {self.index_shard_count}")
         if self.index_batch_size < 1:
             raise ValueError(f"index_batch_size must be >= 1: {self.index_batch_size}")
-        if self.ingest_segments < 0:
-            raise ValueError(f"ingest_segments cannot be negative: {self.ingest_segments}")
-        if self.flush_buffers < 0:
-            raise ValueError(f"flush_buffers cannot be negative: {self.flush_buffers}")
         if self.workers < 0:
             raise ValueError(f"workers cannot be negative: {self.workers}")
         from repro.fingerprint.hashing import FINGERPRINT_ALGORITHMS

@@ -23,27 +23,11 @@ The three-step workflow:
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
-dedup throughput figures come from.  CPU work is tallied per segment and
-priced when the segment closes; OSS seconds are charged as measured.  The
-cost model is linear, so this matches charging every event (exact counts,
-seconds to 1e-12 relative).  Skip chunking replays whole runs of verified
-predictions in one loop.
-
-The same seconds are attributed to a per-segment stage trace
-(:class:`IngestTrace`): chunking + fingerprinting to the chunk stage,
-classification/cache/prefetch work to the lookup stage, container uploads
-to discrete flush events.  With ``config.ingest_pipeline`` the engine
-additionally Bloom-prefilters each segment's candidate fingerprints in
-one batched pass and models their batched ``get_many`` round trips, then
-replays the trace through
-:func:`repro.sim.events.simulate_backup_pipeline` — an event-driven
-schedule where chunking runs ahead of the lookup spine and container
-flushes double-buffer against it.  The pipelined engine executes the
-*identical* classification sequence and OSS request stream as the serial
-path (the modelled round trips never touch the store), so recipes,
-containers and restores are byte-identical — including under fault
-injection, whose seeded RNG consumes one draw per real request.  See
-``docs/INGEST.md``.
+dedup throughput figures come from.  CPU work is tallied as integer counts
+and priced once, when the job's loop ends; OSS seconds are charged as
+measured.  The cost model is linear, so this matches charging every event
+(exact counts, seconds to 1e-12 relative).  Skip chunking replays whole
+runs of verified predictions in one loop.  See ``docs/INGEST.md``.
 """
 
 from __future__ import annotations
@@ -62,7 +46,6 @@ from repro.errors import RetryExhaustedError, TransientOSSError, VersionNotFound
 from repro.fingerprint.hashing import make_fingerprinter
 from repro.fingerprint.sampling import is_sampled
 from repro.sim.cost_model import CostModel
-from repro.sim.events import IngestPipelineStats, simulate_backup_pipeline
 from repro.sim.metrics import Counters, TimeBreakdown
 
 #: Exceptions that flip a backup job into degraded mode instead of
@@ -140,31 +123,6 @@ class DedupCache:
 
 
 @dataclass
-class IngestTrace:
-    """Per-segment stage durations of one backup job, replayable later.
-
-    The same :class:`TimeBreakdown` charges, re-attributed to the ingest
-    pipeline's stages per recipe-aligned segment: ``chunk_seconds`` (CDC
-    scan + fingerprinting — content-only work that may run ahead),
-    ``lookup_seconds`` (classification CPU, cache probes and blocking
-    recipe prefetch downloads — the sequential spine), ``lookup_rpcs``
-    (the segment's modelled batched ``get_many`` round trips, empty in
-    serial mode) and discrete container-flush events
-    (``flush_after[j]`` = ordinal of the segment being built when flush
-    ``j`` fired).  ``setup_seconds``/``finish_seconds`` are the serial
-    prefix (base detection) and tail (recipe persistence).
-    """
-
-    setup_seconds: float = 0.0
-    chunk_seconds: list[float] = field(default_factory=list)
-    lookup_seconds: list[float] = field(default_factory=list)
-    lookup_rpcs: list[list[float]] = field(default_factory=list)
-    flush_after: list[int] = field(default_factory=list)
-    flush_seconds: list[float] = field(default_factory=list)
-    finish_seconds: float = 0.0
-
-
-@dataclass
 class BackupResult:
     """Everything one backup job produced and observed."""
 
@@ -191,12 +149,6 @@ class BackupResult:
     #: which is what the cluster ingest model's per-shard contention and
     #: the post-maintenance index invariants are computed from.
     unique_fps: list[bytes] = field(default_factory=list)
-    #: Per-segment stage trace (always recorded; the cluster simulator
-    #: replays it with contention via ``BackupJobSpec``).
-    ingest: IngestTrace | None = None
-    #: Event-simulated ingest schedule (set when ``config.ingest_pipeline``
-    #: is enabled; ``elapsed_seconds`` then reports the pipeline's time).
-    pipeline: IngestPipelineStats | None = None
     #: Set when the job proved this version byte-identical to the path's
     #: latest version: the version whose recipe it shares (its *origin*).
     #: Nothing was written — no container, recipe, recipe index or
@@ -213,19 +165,7 @@ class BackupResult:
     @property
     def elapsed_seconds(self) -> float:
         """Virtual job duration with CPU/network pipelining."""
-        if self.pipeline is not None:
-            return self.pipeline.elapsed_seconds
         return self.breakdown.elapsed_pipelined()
-
-    @property
-    def closed_form_elapsed_seconds(self) -> float:
-        """The max-rule closed form, kept as the event model's cross-check."""
-        return self.breakdown.elapsed_pipelined()
-
-    @property
-    def intra_file_dup_hits(self) -> int:
-        """Global-index probes the per-job fingerprint memo absorbed."""
-        return self.counters.get("intra_file_dup_hits")
 
     @property
     def throughput_mb_s(self) -> float:
@@ -313,10 +253,6 @@ class BackupEngine:
         handle = self._detect_base(
             path, latest, data, boundary_set, breakdown, counters, fp_memo
         )
-        # Everything charged so far (name lookup, header probe, recipe
-        # header and tables) is the pipeline's serial setup prefix.
-        setup_seconds = breakdown.cpu_seconds() + breakdown.network_seconds()
-
         job = _JobState(
             engine=self,
             path=path,
@@ -330,28 +266,13 @@ class BackupEngine:
             fp_memo=fp_memo,
             on_first_write=on_first_write,
         )
-        job.trace.setup_seconds = setup_seconds
         if counters.get("degraded_events"):
             # The detected base's recipe could not be fetched: the whole
             # job runs without duplicate verification.
             job.degraded = True
         job.run()
         counters.add("bytes_scanned", len(data) if cursor is None else cursor.bytes_scanned)
-        result = job.finish()
-        if self.config.ingest_pipeline:
-            trace = result.ingest
-            result.pipeline = simulate_backup_pipeline(
-                trace.chunk_seconds,
-                trace.lookup_seconds,
-                lookup_rpcs=trace.lookup_rpcs,
-                flush_after=trace.flush_after,
-                flush_seconds=trace.flush_seconds,
-                setup_seconds=trace.setup_seconds,
-                finish_seconds=trace.finish_seconds,
-                ingest_segments=self.config.ingest_segments,
-                flush_buffers=self.config.flush_buffers,
-            )
-        return result
+        return job.finish()
 
     # ------------------------------------------------------------------
     def _detect_base(
@@ -494,15 +415,12 @@ class _JobState:
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
         self.degraded_fps: list[bytes] = []
-        #: Per-segment stage trace, priced from the tallies at segment close.
-        self.trace = IngestTrace()
-        self._reset_tallies()
-        self._pipelined = self.config.ingest_pipeline
-        #: Per-job fingerprint memo: fingerprints already queued for a
-        #: global-index probe this job.  Intra-file duplicates hit the
-        #: memo instead of re-probing the index once per occurrence.
-        self._probe_memo: set[bytes] = set()
-        self._pending_probes: list[bytes] = []
+        #: The job's CPU work, priced once by :meth:`_fold_charges`: bytes
+        #: cut, skipped, fingerprinted and hashed by superchunk merging,
+        #: lookups, compares, records and bytes packed.
+        self._scan_bytes = self._skip_bytes = self._fp_bytes = 0
+        self._merge_fp_bytes = self._lookups = self._compares = 0
+        self._records = self._packed_bytes = 0
         #: (start, end) → digest precomputed by the parallel executor for
         #: the plain-CDC chunk walk, or by the header probe; spans cut by
         #: skip-chunking or superchunk merging miss it and hash inline via
@@ -518,36 +436,22 @@ class _JobState:
         return digest
 
     # --- virtual clock ----------------------------------------------------
-    def _reset_tallies(self) -> None:
-        # The open segment's work.  Chunk stage: bytes cut, skipped and
-        # fingerprinted.  Lookup stage (the spine): bytes hashed by superchunk
-        # merging, lookups, compares, records, bytes packed, and the measured
-        # seconds of recipe prefetches (they block classification).
-        self._scan_bytes = self._skip_bytes = self._fp_bytes = 0
-        self._merge_fp_bytes = self._lookups = self._compares = 0
-        self._records = self._packed_bytes = 0
-        self._prefetch_seconds = 0.0
-
-    def _fold_charges(self) -> tuple[float, float]:
-        """Charge the open segment's tallies to the breakdown (the cost
-        model is linear in them); returns its chunk- and lookup-stage seconds."""
+    def _fold_charges(self) -> None:
+        """Charge the job's tallies to the breakdown (the cost model is
+        linear in them)."""
         cost = self.cost
         chunking = cost.chunking_cost(self.engine._chunker.name, self._scan_bytes)
         chunking += cost.chunking_cost("skip", self._skip_bytes)
-        fingerprinting = cost.fingerprint_cost(self._fp_bytes)
-        merge_fingerprinting = cost.fingerprint_cost(self._merge_fp_bytes)
+        fingerprinting = cost.fingerprint_cost(self._fp_bytes + self._merge_fp_bytes)
         index_query = cost.cpu_index_query * self._lookups + cost.cpu_fp_compare * self._compares
         other = cost.cpu_record_handling * self._records
         other += cost.cpu_other_per_byte * self._packed_bytes
         self.breakdown.charge("chunking", chunking)
-        self.breakdown.charge("fingerprinting", fingerprinting + merge_fingerprinting)
+        self.breakdown.charge("fingerprinting", fingerprinting)
         self.breakdown.charge("index_query", index_query)
         self.breakdown.charge("other", other)
         if self._records:
             self.counters.add("chunks", self._records)
-        lookup = self._prefetch_seconds + merge_fingerprinting + index_query + other
-        self._reset_tallies()
-        return chunking + fingerprinting, lookup
 
     # --- main loop ---------------------------------------------------------
     def run(self) -> None:
@@ -754,10 +658,6 @@ class _JobState:
         local = self.local_records.get(fp)
         if local is not None:
             self.counters.add("local_duplicates")
-            if self._pipelined and fp in self._probe_memo:
-                # The memo already queued this fingerprint's index probe:
-                # the repeat occurrence costs no further round trip.
-                self.counters.add("intra_file_dup_hits")
             duplicate = ChunkRecord(
                 fp=fp,
                 container_id=local.container_id,
@@ -856,10 +756,7 @@ class _JobState:
             fetched = fetch()
         except DEDUP_LOOKUP_FAILURES:
             fetched = None
-        # Recipe reads block classification, so they ride the spine.
-        read_seconds = self.storage.oss.stats.diff(before).read_seconds
-        self.breakdown.charge("download", read_seconds)
-        self._prefetch_seconds += read_seconds
+        self.breakdown.charge("download", self.storage.oss.stats.diff(before).read_seconds)
         if fetched is None:
             self._enter_degraded_mode()
         return fetched
@@ -905,12 +802,6 @@ class _JobState:
         if self.builder.is_full():
             self._flush_container()
         self.builder.add_chunk(fp, chunk)
-        if self._pipelined:
-            if fp in self._probe_memo:
-                self.counters.add("intra_file_dup_hits")
-            else:
-                self._probe_memo.add(fp)
-                self._pending_probes.append(fp)
         record = ChunkRecord(
             fp=fp,
             container_id=self.builder.container_id,
@@ -948,51 +839,6 @@ class _JobState:
         self.current_records = []
         self.current_starts = []
         self.current_bytes = 0
-        # Close the pipeline trace for this segment: batch its pending
-        # index probes (pipelined mode), then price the stage tallies.
-        rpcs = self._drain_probe_batch() if self._pipelined else []
-        chunk_seconds, lookup_seconds = self._fold_charges()
-        self.trace.chunk_seconds.append(chunk_seconds)
-        self.trace.lookup_seconds.append(lookup_seconds)
-        self.trace.lookup_rpcs.append(rpcs)
-
-    def _drain_probe_batch(self) -> list[float]:
-        """Coalesce the segment's fingerprint probes against the index.
-
-        The Bloom prefilter runs for real — one in-memory batched pass
-        over the segment's candidates ("a bloom filter is used to quickly
-        filter out unique chunks").  The survivors' exact probes are
-        grouped per shard and batched into ``get_many``-shaped round
-        trips whose durations feed the event schedule, but the requests
-        themselves are *modelled*, never issued: the authoritative exact
-        dedup stays the G-node's out-of-line pass, which keeps the
-        pipelined engine's OSS request stream — and therefore its fault
-        and crash behaviour — identical to the serial path's.
-        """
-        pending, self._pending_probes = self._pending_probes, []
-        if not pending:
-            return []
-        index = self.storage.global_index
-        self.counters.add("ingest_bloom_probes", len(pending))
-        self._compares += len(pending)
-        verdicts = index.maybe_contains_many(pending)
-        survivors = [fp for fp, hit in zip(pending, verdicts) if hit]
-        if not survivors:
-            return []
-        per_shard: Counter[int] = Counter(index.shard_of(fp) for fp in survivors)
-        batch = max(1, self.config.index_batch_size)
-        rpcs: list[float] = []
-        for shard in sorted(per_shard):
-            keys = per_shard[shard]
-            while keys > 0:
-                take = min(batch, keys)
-                keys -= take
-                rpcs.append(
-                    self.cost.oss_request_latency + take * self.cost.cpu_index_query
-                )
-        self.counters.add("ingest_index_batches", len(rpcs))
-        self.counters.add("ingest_index_keys", len(survivors))
-        return rpcs
 
     def _merge_superchunks(
         self, records: list[ChunkRecord], starts: list[int]
@@ -1062,10 +908,6 @@ class _JobState:
             self.builder = self.storage.containers.new_builder(self.config.container_bytes)
             return
         builder = self.builder
-        # A discrete flush event, handed off after the segment being
-        # built when the container filled (the event schedule clamps the
-        # end-of-stream flush to the last segment).
-        self.trace.flush_after.append(len(self.segments))
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
@@ -1074,7 +916,6 @@ class _JobState:
         self.storage.containers.write(builder)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
-        self.trace.flush_seconds.append(written.write_seconds)
         self.uploaded_bytes += written.bytes_written
 
     def _before_write(self) -> None:
@@ -1152,7 +993,6 @@ class _JobState:
             degraded=self.degraded,
             degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
-            ingest=self.trace,
             alias_of=alias_of,
         )
 
@@ -1183,5 +1023,4 @@ class _JobState:
         self.storage.similar_index.register(self.path, self.version, representatives)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
-        self.trace.finish_seconds += written.write_seconds
         self.uploaded_bytes += written.bytes_written

@@ -128,29 +128,6 @@ class GlobalIndex:
             self.counters.add("bloom_rejections")
         return hit
 
-    def maybe_contains_many(self, fps: Iterable[bytes]) -> list[bool]:
-        """Batched Bloom prefilter: one verdict per fingerprint, in order.
-
-        The ingest pipeline's lookup stage probes a whole segment's
-        candidate fingerprints in one pass (purely in-memory — no OSS
-        round trips), so only the survivors are worth batching into
-        ``get_many`` round trips.  Rejections are counted exactly as the
-        single-key :meth:`maybe_contains` would count them.
-        """
-        verdicts: list[bool] = []
-        rejections = 0
-        for fp in fps:
-            if self._blooms is None:
-                verdicts.append(True)
-                continue
-            hit = fp in self._blooms[self.shard_of(fp)]
-            if not hit:
-                rejections += 1
-            verdicts.append(hit)
-        if rejections:
-            self.counters.add("bloom_rejections", rejections)
-        return verdicts
-
     def lookup(self, fp: bytes) -> int | None:
         """Container currently owning ``fp``, or None."""
         self.counters.add("index_lookups")

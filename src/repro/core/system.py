@@ -85,11 +85,6 @@ class BackupReport:
         """Online deduplication ratio of this version."""
         return self.result.dedup_ratio
 
-    @property
-    def pipeline(self):
-        """Ingest pipeline stats (None unless ``ingest_pipeline`` is on)."""
-        return self.result.pipeline
-
 
 #: Restore reports are the engine results, re-exported for API symmetry.
 RestoreReport = RestoreResult

@@ -107,7 +107,7 @@ class BrowseFileSystem:
     version) and every access rides one
     :class:`~repro.core.browse.BrowseSession` — cached random-access
     reads, write-back writes, and a ``flush`` that commits dirtied files
-    as new versions through the ingest pipeline.
+    as new versions through the backup path.
     """
 
     def __init__(self, session: "BrowseSession") -> None:

@@ -270,298 +270,6 @@ class RestorePipelineProcess:
             self._on_done()
 
 
-@dataclass
-class IngestPipelineStats:
-    """Outcome of one simulated backup ingest pipeline."""
-
-    elapsed_seconds: float = 0.0
-    #: Times the lookup spine waited for a segment still being chunked.
-    chunk_stall_count: int = 0
-    #: Total virtual seconds the spine spent waiting on the chunk stage.
-    chunk_stall_seconds: float = 0.0
-    #: Times the spine blocked handing a full container to the uploader.
-    flush_stall_count: int = 0
-    #: Total virtual seconds the spine spent blocked on flush buffers.
-    flush_stall_seconds: float = 0.0
-    #: Seconds a segment's lookup waited on its batched index round trips
-    #: beyond its own CPU (the un-hidden index latency).
-    rpc_wait_seconds: float = 0.0
-    #: Busy seconds per OSS channel (private-pool runs only).
-    channel_busy_seconds: list[float] = field(default_factory=list)
-
-
-class BackupPipelineProcess:
-    """One backup job's segment pipeline as an event-driven process.
-
-    Three stages over recipe-aligned segments (Section IV structure):
-
-    * **chunk** — CDC boundary scan + fingerprinting of segment ``i``;
-      content-only work, so up to ``1 + ingest_segments`` segments may be
-      in flight ahead of classification.
-    * **lookup** — the spine: classification, cache probes, recipe
-      prefetches and the segment's batched index round trips
-      (``lookup_rpcs[i]``, issued concurrently on the shared
-      :class:`ChannelPool` and awaited before the segment completes).
-      Strictly sequential in segment order, because skip chunking and
-      SuperChunking replay the previous version's history in order.
-    * **flush** — container uploads handed off after the segment that
-      filled them.  With ``flush_buffers == 0`` the spine blocks for the
-      whole upload; with ``b >= 1`` up to ``b`` uploads ride in flight
-      and the spine only blocks when every buffer is busy.
-
-    ``setup_seconds`` (base detection + recipe-index fetch) is a serial
-    prefix; ``finish_seconds`` (recipe/index/similarity persistence) a
-    serial tail after the last lookup and flush.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        channels: ChannelPool,
-        chunk_seconds: Sequence[float],
-        lookup_seconds: Sequence[float],
-        lookup_rpcs: Sequence[Sequence[float]] | None = None,
-        flush_after: Sequence[int] = (),
-        flush_seconds: Sequence[float] = (),
-        setup_seconds: float = 0.0,
-        finish_seconds: float = 0.0,
-        ingest_segments: int = 0,
-        flush_buffers: int = 0,
-        on_done: Callable[[], None] | None = None,
-    ) -> None:
-        if len(chunk_seconds) != len(lookup_seconds):
-            raise ValueError("chunk_seconds and lookup_seconds must align")
-        if len(flush_after) != len(flush_seconds):
-            raise ValueError("flush_after and flush_seconds must align")
-        if ingest_segments < 0 or flush_buffers < 0:
-            raise ValueError("ingest_segments/flush_buffers cannot be negative")
-        durations = list(chunk_seconds) + list(lookup_seconds) + list(flush_seconds)
-        durations += [setup_seconds, finish_seconds]
-        if any(d < 0 for d in durations):
-            raise ValueError("stage durations must be non-negative")
-        self._loop = loop
-        self._channels = channels
-        self._chunk = list(chunk_seconds)
-        self._lookup = list(lookup_seconds)
-        count = len(self._chunk)
-        self._rpcs = (
-            [list(r) for r in lookup_rpcs] if lookup_rpcs is not None else [[] for _ in range(count)]
-        )
-        if len(self._rpcs) != count:
-            raise ValueError("lookup_rpcs must have one entry per segment")
-        self._flush_seconds = list(flush_seconds)
-        #: flush index queues, keyed by the segment whose lookup completion
-        #: hands them off (clamped: a flush recorded at/after the last
-        #: segment fires after the final lookup).
-        self._flushes_by_segment: dict[int, list[int]] = {}
-        for j, seg in enumerate(flush_after):
-            key = min(int(seg), count - 1) if count else -1
-            self._flushes_by_segment.setdefault(key, []).append(j)
-        self._setup = setup_seconds
-        self._finish = finish_seconds
-        self._ahead = ingest_segments
-        self._buffers = SlotResource(loop, flush_buffers) if flush_buffers > 0 else None
-        self._on_done = on_done
-
-        self._chunks_done = [False] * count
-        self._next_chunk = 0
-        self._lookups_done = 0
-        self._spine_busy = False
-        self._chunk_wait_from: float | None = None
-        self._queued_flushes: list[int] = []
-        self._active_flushes = 0
-        self._finishing = False
-        self._started_at = 0.0
-        self.stats = IngestPipelineStats()
-
-    def start(self) -> None:
-        """Begin the pipeline at the current loop time."""
-        self._started_at = self._loop.now
-        self._loop.schedule(self._setup, self._begin)
-
-    def _begin(self) -> None:
-        # Flushes with no owning segment (empty stream) fire immediately.
-        self._queued_flushes.extend(self._flushes_by_segment.pop(-1, []))
-        self._pump()
-
-    # --- chunk stage -----------------------------------------------------
-    def _pump(self) -> None:
-        window = self._lookups_done + self._ahead
-        while self._next_chunk < len(self._chunk) and self._next_chunk <= window:
-            position = self._next_chunk
-            self._next_chunk += 1
-            self._loop.schedule(
-                self._chunk[position], lambda position=position: self._chunk_done(position)
-            )
-        self._advance_spine()
-
-    def _chunk_done(self, position: int) -> None:
-        self._chunks_done[position] = True
-        self._pump()
-
-    # --- lookup spine ----------------------------------------------------
-    def _advance_spine(self) -> None:
-        if self._spine_busy:
-            return
-        if self._queued_flushes:
-            self._hand_off_flush()
-            return
-        index = self._lookups_done
-        if index < len(self._lookup):
-            if self._chunks_done[index]:
-                self._start_lookup(index)
-            elif self._chunk_wait_from is None:
-                self.stats.chunk_stall_count += 1
-                self._chunk_wait_from = self._loop.now
-        else:
-            self._maybe_finish()
-
-    def _start_lookup(self, index: int) -> None:
-        if self._chunk_wait_from is not None:
-            self.stats.chunk_stall_seconds += self._loop.now - self._chunk_wait_from
-            self._chunk_wait_from = None
-        self._spine_busy = True
-        state = {"rpcs": len(self._rpcs[index]), "cpu_done_at": None}
-
-        def part_done() -> None:
-            if state["rpcs"] == 0 and state["cpu_done_at"] is not None:
-                cpu_done_at = state["cpu_done_at"]
-                self.stats.rpc_wait_seconds += self._loop.now - cpu_done_at
-                self._complete_lookup(index)
-
-        def cpu_done() -> None:
-            state["cpu_done_at"] = self._loop.now
-            part_done()
-
-        for duration in self._rpcs[index]:
-
-            def issue(duration=duration) -> None:
-                def granted(channel_id: int) -> None:
-                    self._channels.occupy(channel_id, duration)
-
-                    def rpc_done() -> None:
-                        self._channels.release(channel_id)
-                        state["rpcs"] -= 1
-                        part_done()
-
-                    self._loop.schedule(duration, rpc_done)
-
-                self._channels.acquire(granted)
-
-            issue()
-        self._loop.schedule(self._lookup[index], cpu_done)
-
-    def _complete_lookup(self, index: int) -> None:
-        self._spine_busy = False
-        self._lookups_done += 1
-        self._queued_flushes.extend(self._flushes_by_segment.pop(index, []))
-        self._pump()
-
-    # --- flush stage -----------------------------------------------------
-    def _hand_off_flush(self) -> None:
-        flush = self._queued_flushes.pop(0)
-        self._spine_busy = True
-        blocked_at = self._loop.now
-        duration = self._flush_seconds[flush]
-
-        def upload(release_buffer: bool) -> None:
-            self._active_flushes += 1
-
-            def granted(channel_id: int) -> None:
-                self._channels.occupy(channel_id, duration)
-
-                def upload_done() -> None:
-                    self._channels.release(channel_id)
-                    if release_buffer:
-                        self._buffers.release()
-                    else:
-                        # Synchronous flush: the spine was blocked for the
-                        # whole upload.
-                        self.stats.flush_stall_count += 1
-                        self.stats.flush_stall_seconds += self._loop.now - blocked_at
-                        self._spine_busy = False
-                    self._active_flushes -= 1
-                    self._pump()
-
-                self._loop.schedule(duration, upload_done)
-
-            self._channels.acquire(granted)
-
-        if self._buffers is None:
-            upload(release_buffer=False)
-            return
-
-        def buffer_granted() -> None:
-            waited = self._loop.now - blocked_at
-            if waited > 0:
-                self.stats.flush_stall_count += 1
-                self.stats.flush_stall_seconds += waited
-            self._spine_busy = False
-            upload(release_buffer=True)
-            self._pump()
-
-        self._buffers.acquire(buffer_granted)
-
-    # --- completion ------------------------------------------------------
-    def _maybe_finish(self) -> None:
-        if self._finishing or self._spine_busy:
-            return
-        if self._lookups_done < len(self._lookup):
-            return
-        if self._queued_flushes or self._active_flushes:
-            return
-        self._finishing = True
-        self._loop.schedule(self._finish, self._complete)
-
-    def _complete(self) -> None:
-        self.stats.elapsed_seconds = self._loop.now - self._started_at
-        if self._on_done is not None:
-            self._on_done()
-
-
-def simulate_backup_pipeline(
-    chunk_seconds: Sequence[float],
-    lookup_seconds: Sequence[float],
-    lookup_rpcs: Sequence[Sequence[float]] | None = None,
-    flush_after: Sequence[int] = (),
-    flush_seconds: Sequence[float] = (),
-    setup_seconds: float = 0.0,
-    finish_seconds: float = 0.0,
-    ingest_segments: int = 0,
-    flush_buffers: int = 0,
-    channels: int | None = None,
-) -> IngestPipelineStats:
-    """Run one backup job's ingest pipeline on private OSS channels.
-
-    ``channels`` defaults to one channel per in-flight flush buffer plus
-    one for index round trips — a single job should not assume a whole
-    node's channel pool.  Many jobs sharing a node instead go through
-    :meth:`repro.core.cluster.ClusterSimulator.run_backup_pipelines`.
-    """
-    if channels is None:
-        channels = max(2, flush_buffers + 1)
-    loop = EventLoop()
-    pool = ChannelPool(loop, channels)
-    process = BackupPipelineProcess(
-        loop,
-        pool,
-        chunk_seconds,
-        lookup_seconds,
-        lookup_rpcs=lookup_rpcs,
-        flush_after=flush_after,
-        flush_seconds=flush_seconds,
-        setup_seconds=setup_seconds,
-        finish_seconds=finish_seconds,
-        ingest_segments=ingest_segments,
-        flush_buffers=flush_buffers,
-    )
-    process.start()
-    loop.run()
-    stats = process.stats
-    stats.channel_busy_seconds = list(pool.busy_seconds)
-    return stats
-
-
 def simulate_restore_pipeline(
     read_seconds: Sequence[float],
     record_reads: Sequence[int],
@@ -638,7 +346,7 @@ def simulate_upload_channels(
     OSS put; the endpoint charges those puts serially, so this schedule
     converts the measured per-block durations into the wall time a pool
     of concurrent upload channels would take (greedy FIFO assignment,
-    the same discipline as the ingest flush stage).
+    the same discipline as the restore prefetcher).
     """
     if channels < 1:
         raise ValueError(f"need at least one upload channel, got {channels}")

@@ -1,8 +1,8 @@
 """Closed-form parallelism arithmetic.
 
 The bounds the event-driven schedules in :mod:`repro.sim.events` are
-checked against: a prefetched restore (Table II), a segment-parallel
-ingest, and batched, sharded index round trips.
+checked against: a prefetched restore (Table II), and batched, sharded
+index round trips.
 """
 
 from __future__ import annotations
@@ -30,36 +30,6 @@ def prefetched_restore_time(
     if threads == 0:
         return cpu_seconds + download_seconds
     return max(cpu_seconds, download_seconds / threads)
-
-
-def pipelined_ingest_time(
-    chunk_seconds: Iterable[float],
-    lookup_seconds: Iterable[float],
-    flush_seconds: Iterable[float] = (),
-    setup_seconds: float = 0.0,
-    finish_seconds: float = 0.0,
-    channels: int = 1,
-) -> float:
-    """Lower bound of the segment-parallel ingest pipeline.
-
-    With enough chunk look-ahead and flush buffers the job is limited by
-    its spine — the first segment's chunking plus every segment's lookup,
-    run strictly in order — or by draining the container uploads over
-    ``channels`` OSS streams, whichever is slower.  The event-driven
-    schedule (:class:`repro.sim.events.BackupPipelineProcess`) approaches
-    this bound from above; bounded buffers, chunk stalls and channel
-    contention only add time, never remove it.
-    """
-    chunk = list(chunk_seconds)
-    lookup = list(lookup_seconds)
-    flush = list(flush_seconds)
-    if any(t < 0 for t in chunk + lookup + flush) or setup_seconds < 0 or finish_seconds < 0:
-        raise ValueError("stage durations must be non-negative")
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    spine = (chunk[0] if chunk else 0.0) + sum(lookup)
-    upload = sum(flush) / channels
-    return setup_seconds + max(spine, upload) + finish_seconds
 
 
 def batched_round_trips(keys: int, batch_size: int) -> int:

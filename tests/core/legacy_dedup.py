@@ -3,8 +3,8 @@
 ``LegacyJobState`` is a copy of the per-chunk ``repro.core.dedup._JobState``
 that predates the run loop and the tallied virtual clock: one
 ``_try_skip_chunking`` call per predicted chunk, and every CPU charge made
-the moment its work happens (``TimeBreakdown.charge`` plus the stage
-attribution).  It is kept as the oracle ``tests/core/test_skip_run.py``
+the moment its work happens (one ``TimeBreakdown.charge`` each).  It is
+kept as the oracle ``tests/core/test_skip_run.py``
 compares the engine against.  It carries one fix over the old code: a
 failed Algorithm 1 match counts the firstChunk duplicate it appends in
 ``dup_chunks``/``dup_bytes``, as the engine does now.  It also takes the
@@ -30,7 +30,6 @@ from repro.core.dedup import (
     BackupEngine,
     BackupResult,
     DedupCache,
-    IngestTrace,
 )
 from repro.core.recipe import ChunkRecord, Recipe, RecipeHandle, RecipeIndex
 from repro.fingerprint.sampling import is_sampled
@@ -100,20 +99,6 @@ class LegacyJobState:
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
         self.degraded_fps: list[bytes] = []
-        #: Per-segment stage trace, fed by the charge helpers below.
-        self.trace = IngestTrace()
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
-        #: Superchunk merging runs at segment close and depends on the
-        #: segment's classification, so its hashing counts as lookup-stage
-        #: (spine) work rather than parallelizable chunk-stage work.
-        self._in_finalize = False
-        self._pipelined = self.config.ingest_pipeline
-        #: Per-job fingerprint memo: fingerprints already queued for a
-        #: global-index probe this job.  Intra-file duplicates hit the
-        #: memo instead of re-probing the index once per occurrence.
-        self._probe_memo: set[bytes] = set()
-        self._pending_probes: list[bytes] = []
         #: (start, end) → digest precomputed by the parallel executor for
         #: the plain-CDC chunk walk; spans cut by skip-chunking or
         #: superchunk merging miss it and hash inline via :meth:`_fp`.
@@ -128,44 +113,25 @@ class LegacyJobState:
         return digest
 
     # --- cost helpers ----------------------------------------------------
-    # Each helper charges the job breakdown (the paper's categories) and
-    # attributes the same seconds to the current segment's pipeline stage.
-    def _trace_chunk(self, seconds: float) -> None:
-        if self._in_finalize:
-            self._cur_lookup += seconds
-        else:
-            self._cur_chunk += seconds
-
-    def _trace_lookup(self, seconds: float) -> None:
-        self._cur_lookup += seconds
-
+    # Each helper charges the job breakdown (the paper's categories).
     def _charge_scan(self, nbytes: int) -> None:
         seconds = self.cost.chunking_cost(self.engine._chunker.name, nbytes)
         self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
 
     def _charge_skip(self, nbytes: int) -> None:
-        seconds = self.cost.chunking_cost("skip", nbytes)
-        self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
+        self.breakdown.charge("chunking", self.cost.chunking_cost("skip", nbytes))
 
     def _charge_fingerprint(self, nbytes: int) -> None:
-        seconds = self.cost.fingerprint_cost(nbytes)
-        self.breakdown.charge("fingerprinting", seconds)
-        self._trace_chunk(seconds)
+        self.breakdown.charge("fingerprinting", self.cost.fingerprint_cost(nbytes))
 
     def _charge_lookup(self) -> None:
         self.breakdown.charge("index_query", self.cost.cpu_index_query)
-        self._trace_lookup(self.cost.cpu_index_query)
 
     def _charge_compare(self) -> None:
         self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
-        self._trace_lookup(self.cost.cpu_fp_compare)
 
     def _charge_other(self, nbytes: int) -> None:
-        seconds = self.cost.cpu_other_per_byte * nbytes
-        self.breakdown.charge("other", seconds)
-        self._trace_lookup(seconds)
+        self.breakdown.charge("other", self.cost.cpu_other_per_byte * nbytes)
 
     # --- main loop ---------------------------------------------------------
     def run(self) -> None:
@@ -312,10 +278,6 @@ class LegacyJobState:
         local = self.local_records.get(fp)
         if local is not None:
             self.counters.add("local_duplicates")
-            if self._pipelined and fp in self._probe_memo:
-                # The memo already queued this fingerprint's index probe:
-                # the repeat occurrence costs no further round trip.
-                self.counters.add("intra_file_dup_hits")
             duplicate = ChunkRecord(
                 fp=fp,
                 container_id=local.container_id,
@@ -408,9 +370,7 @@ class LegacyJobState:
         except DEDUP_LOOKUP_FAILURES:
             fetched = None
         read_seconds = self.storage.oss.stats.diff(before).read_seconds
-        # Recipe reads block classification, so they ride the spine.
         self.breakdown.charge("download", read_seconds)
-        self._trace_lookup(read_seconds)
         if fetched is None:
             self._enter_degraded_mode()
         return fetched
@@ -456,12 +416,6 @@ class LegacyJobState:
         if self.builder.is_full():
             self._flush_container()
         self.builder.add_chunk(fp, chunk)
-        if self._pipelined:
-            if fp in self._probe_memo:
-                self.counters.add("intra_file_dup_hits")
-            else:
-                self._probe_memo.add(fp)
-                self._pending_probes.append(fp)
         record = ChunkRecord(
             fp=fp,
             container_id=self.builder.container_id,
@@ -481,7 +435,6 @@ class LegacyJobState:
 
     def _append_record(self, record: ChunkRecord, start: int) -> None:
         self.breakdown.charge("other", self.cost.cpu_record_handling)
-        self._trace_lookup(self.cost.cpu_record_handling)
         self.current_records.append(record)
         self.current_starts.append(start)
         self.current_bytes += record.size
@@ -496,63 +449,11 @@ class LegacyJobState:
         records = self.current_records
         starts = self.current_starts
         if self.config.chunk_merging:
-            self._in_finalize = True
-            try:
-                records, starts = self._merge_superchunks(records, starts)
-            finally:
-                self._in_finalize = False
+            records, starts = self._merge_superchunks(records, starts)
         self.segments.append(records)
         self.current_records = []
         self.current_starts = []
         self.current_bytes = 0
-        # Close the pipeline trace for this segment: batch its pending
-        # index probes (pipelined mode), then snapshot the stage clocks.
-        rpcs = self._drain_probe_batch() if self._pipelined else []
-        self.trace.chunk_seconds.append(self._cur_chunk)
-        self.trace.lookup_seconds.append(self._cur_lookup)
-        self.trace.lookup_rpcs.append(rpcs)
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
-
-    def _drain_probe_batch(self) -> list[float]:
-        """Coalesce the segment's fingerprint probes against the index.
-
-        The Bloom prefilter runs for real — one in-memory batched pass
-        over the segment's candidates ("a bloom filter is used to quickly
-        filter out unique chunks").  The survivors' exact probes are
-        grouped per shard and batched into ``get_many``-shaped round
-        trips whose durations feed the event schedule, but the requests
-        themselves are *modelled*, never issued: the authoritative exact
-        dedup stays the G-node's out-of-line pass, which keeps the
-        pipelined engine's OSS request stream — and therefore its fault
-        and crash behaviour — identical to the serial path's.
-        """
-        pending, self._pending_probes = self._pending_probes, []
-        if not pending:
-            return []
-        index = self.storage.global_index
-        self.counters.add("ingest_bloom_probes", len(pending))
-        probe_seconds = self.cost.cpu_fp_compare * len(pending)
-        self.breakdown.charge("index_query", probe_seconds)
-        self._trace_lookup(probe_seconds)
-        verdicts = index.maybe_contains_many(pending)
-        survivors = [fp for fp, hit in zip(pending, verdicts) if hit]
-        if not survivors:
-            return []
-        per_shard: Counter[int] = Counter(index.shard_of(fp) for fp in survivors)
-        batch = max(1, self.config.index_batch_size)
-        rpcs: list[float] = []
-        for shard in sorted(per_shard):
-            keys = per_shard[shard]
-            while keys > 0:
-                take = min(batch, keys)
-                keys -= take
-                rpcs.append(
-                    self.cost.oss_request_latency + take * self.cost.cpu_index_query
-                )
-        self.counters.add("ingest_index_batches", len(rpcs))
-        self.counters.add("ingest_index_keys", len(survivors))
-        return rpcs
 
     def _merge_superchunks(
         self, records: list[ChunkRecord], starts: list[int]
@@ -622,10 +523,6 @@ class LegacyJobState:
             self.builder = self.storage.containers.new_builder(self.config.container_bytes)
             return
         builder = self.builder
-        # A discrete flush event, handed off after the segment being
-        # built when the container filled (the event schedule clamps the
-        # end-of-stream flush to the last segment).
-        self.trace.flush_after.append(len(self.segments))
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
@@ -634,7 +531,6 @@ class LegacyJobState:
         self.storage.containers.write(builder)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
-        self.trace.flush_seconds.append(written.write_seconds)
         self.uploaded_bytes += written.bytes_written
 
     def _before_write(self) -> None:
@@ -703,7 +599,6 @@ class LegacyJobState:
             degraded=self.degraded,
             degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
-            ingest=self.trace,
             alias_of=alias_of,
         )
 
@@ -734,5 +629,4 @@ class LegacyJobState:
         self.storage.similar_index.register(self.path, self.version, representatives)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
-        self.trace.finish_seconds += written.write_seconds
         self.uploaded_bytes += written.bytes_written

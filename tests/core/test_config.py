@@ -1,8 +1,14 @@
-"""Tests for SlimStoreConfig validation and derived views."""
+"""Tests for SlimStoreConfig validation, derived views and its reference page."""
+
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import SlimStoreConfig
+
+API_DOC = Path(__file__).resolve().parents[2] / "docs" / "API.md"
 
 
 class TestValidation:
@@ -65,3 +71,24 @@ class TestDerivedViews:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             SlimStoreConfig().chunker = "rabin"
+
+
+class TestDocumentedFields:
+    """docs/API.md's ``SlimStoreConfig`` section lists every field by name
+    and states how many there are."""
+
+    @pytest.fixture
+    def section(self) -> str:
+        text = API_DOC.read_text()
+        start = text.index("## `repro.core.config.SlimStoreConfig`")
+        end = text.index("\n## ", start + 1)
+        return text[start:end]
+
+    def test_every_field_is_listed(self, section):
+        missing = [f.name for f in fields(SlimStoreConfig) if f"`{f.name}`" not in section]
+        assert missing == []
+
+    def test_stated_count_matches(self, section):
+        stated = re.search(r"(\d+) fields in all", section)
+        assert stated is not None
+        assert int(stated.group(1)) == len(fields(SlimStoreConfig))

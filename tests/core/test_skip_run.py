@@ -2,13 +2,13 @@
 
 ``_JobState._try_skip_chunking`` walks the cached successor chain while
 every prediction holds and counts the run once; the virtual clock is priced
-from per-segment tallies.  ``tests/core/legacy_dedup.py`` keeps the loop
-that made one call and every charge per chunk.  For each way a run can end
-— the segment fills, a digest or a cut fails mid-run, the data ends, a
-predicted chunk lives in a container being rewritten, the chain holds a
-superchunk, the successor is not cached yet, its prefetch fails — both must
-leave the same recipes, counters, flush events and OSS request stream, and
-virtual seconds equal to 1e-12 relative.
+from the job's tallies once, when its loop ends.  ``tests/core/legacy_dedup.py``
+keeps the loop that made one call and every charge per chunk.  For each way
+a run can end — the segment fills, a digest or a cut fails mid-run, the data
+ends, a predicted chunk lives in a container being rewritten, the chain
+holds a superchunk, the successor is not cached yet, its prefetch fails —
+both must leave the same recipes, counters, containers and OSS request
+stream, and virtual seconds equal to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -126,16 +126,7 @@ def _assert_same(ours: dict, oracle: dict) -> None:
             assert _close(
                 getattr(job.breakdown, category), getattr(old.breakdown, category)
             ), f"{where}: breakdown.{category}"
-        trace, old_trace = job.ingest, old.ingest
-        assert trace.flush_after == old_trace.flush_after, f"{where}: flush_after"
-        assert trace.flush_seconds == old_trace.flush_seconds, f"{where}: flush_seconds"
-        assert trace.lookup_rpcs == old_trace.lookup_rpcs, f"{where}: lookup_rpcs"
-        for stage in ("chunk_seconds", "lookup_seconds"):
-            new, old_seconds = getattr(trace, stage), getattr(old_trace, stage)
-            assert len(new) == len(old_seconds), f"{where}: {stage} segments"
-            assert all(map(_close, new, old_seconds)), f"{where}: {stage}"
-        for scalar in ("setup_seconds", "finish_seconds"):
-            assert _close(getattr(trace, scalar), getattr(old_trace, scalar)), f"{where}: {scalar}"
+        assert _close(job.elapsed_seconds, old.elapsed_seconds), f"{where}: elapsed"
 
 
 @pytest.fixture
@@ -215,13 +206,6 @@ def test_every_chunker(chunker, base, rng, monkeypatch):
     for _ in range(4):
         versions.append(mutate(rng, versions[-1], runs=2, run_bytes=4096))
     _run_both(versions, config, monkeypatch)
-
-
-def test_pipelined_ingest(base, rng, monkeypatch):
-    config = SMALL_CONFIG.with_overrides(ingest_pipeline=True)
-    versions = [base, mutate(rng, base, runs=2, run_bytes=4096)]
-    ours, _ = _run_both(versions, config, monkeypatch)
-    assert ours["jobs"][1].counters.get("ingest_bloom_probes") > 0
 
 
 EDIT = st.tuples(

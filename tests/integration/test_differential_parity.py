@@ -245,8 +245,8 @@ def _run_slimstore(
     Besides the bucket bytes and the restored payloads that is the
     endpoint's cumulative ``OssStats`` (request counts, bytes, virtual
     read/write seconds, injected faults, retries) and every job's virtual
-    time accounting — the backup ``TimeBreakdown`` and per-segment
-    ``IngestTrace``, the G-node passes' breakdowns, the durability retier
+    time accounting — the backup ``TimeBreakdown``, the G-node passes'
+    breakdowns, the durability retier
     report and each restore's breakdown.
     """
     config = config.with_overrides(workers=workers)
@@ -262,7 +262,6 @@ def _run_slimstore(
                 jobs.append(
                     (
                         report.result.breakdown,
-                        report.result.ingest,
                         report.reverse_dedup and report.reverse_dedup.breakdown,
                         report.compaction and report.compaction.breakdown,
                         report.retier,
@@ -435,7 +434,6 @@ def _run_jobs(workload, config, *, outage_before=(), outage_during=()) -> dict:
                 jobs.append(
                     {
                         "breakdown": report.result.breakdown,
-                        "ingest": report.result.ingest,
                         "counters": counters,
                         "degraded": report.result.degraded,
                         "recipe": report.result.recipe,
@@ -465,7 +463,7 @@ def _assert_cursor_equals_eager(workload, config, monkeypatch, **kwargs) -> tupl
     for aspect in ("restores", "bucket_state", "oss_stats"):
         assert lazy[aspect] == eager[aspect], f"{aspect} diverged"
     for ordinal, (ours, theirs) in enumerate(zip(lazy["jobs"], eager["jobs"], strict=True)):
-        for aspect in ("breakdown", "ingest", "counters", "degraded", "recipe"):
+        for aspect in ("breakdown", "counters", "degraded", "recipe"):
             assert ours[aspect] == theirs[aspect], f"job {ordinal}: {aspect} diverged"
     for path, versions in workload.items():
         for version, data in enumerate(versions):
@@ -478,7 +476,7 @@ class TestCursorVsEagerParity:
     whole-file ``chunker.boundaries(data)`` it replaced must be
     indistinguishable from it in everything a job leaves behind — the
     repository bytes, the restores, the endpoint counters, each job's
-    recipe, virtual-time breakdown, stage trace and counters — and differ
+    recipe, virtual-time breakdown and counters — and differ
     only in how many bytes were handed to the scan kernel."""
 
     @pytest.mark.parametrize("chunk_merging", [False, True], ids=["nomerge", "merge"])
