@@ -17,16 +17,11 @@ up to 128 KB, restic 64 KB) to preserve the production chunk:file ratio.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import ObjectStorageService, SlimStore, SlimStoreConfig
 from repro.baselines import ResticRepository
 from repro.bench.reporting import format_series, format_table
-from repro.bench.scaling import (
-    restic_aggregate_throughput,
-    slimstore_backup_scaling,
-    slimstore_restore_scaling,
-)
+from repro.bench.scaling import restic_aggregate_throughput
+from repro.core.cluster import ClusterSimulator, JobSpec, RestoreJobSpec
 from repro.sim.cost_model import CostModel
 from repro.workloads import RDataConfig, RDataGenerator
 
@@ -99,15 +94,15 @@ def test_fig10_slimstore_vs_restic(benchmark, record):
      slim_restore, restic_restore) = benchmark.pedantic(
         run_rdata_comparison, rounds=1, iterations=1
     )
-    model = CostModel()
+    # SLIMSTORE's curves replay the measured job on the event-driven
+    # cluster: slot waves, node spill and the NIC ceiling come out of the
+    # schedule.
+    cluster = ClusterSimulator(LNODES)
 
     # --- (a) backup scaling ------------------------------------------------
+    backup_spec = JobSpec.from_backup_result(slim_job)
     slim_backup_curve = [
-        slimstore_backup_scaling(
-            slim_job.logical_bytes, slim_job.elapsed_seconds,
-            slim_job.uploaded_bytes, jobs, LNODES, model,
-        )
-        for jobs in JOB_COUNTS
+        cluster.backup_throughput(backup_spec, jobs) for jobs in JOB_COUNTS
     ]
     restic_backup_curve = [
         restic_aggregate_throughput(
@@ -127,23 +122,10 @@ def test_fig10_slimstore_vs_restic(benchmark, record):
         ),
     )
 
-    # Cross-validate the closed-form SLIMSTORE curve with the
-    # discrete-event cluster simulator.
-    from repro.core.cluster import ClusterSimulator, JobSpec
-
-    cluster = ClusterSimulator(LNODES, model)
-    job_spec = JobSpec.from_backup_result(slim_job)
-    for index, jobs in enumerate(JOB_COUNTS):
-        des = cluster.backup_throughput(job_spec, jobs)
-        assert des == pytest.approx(slim_backup_curve[index], rel=0.10), jobs
-
     # --- (b) restore scaling -------------------------------------------------
+    restore_spec = RestoreJobSpec.from_restore_result(slim_restore)
     slim_restore_curve = [
-        slimstore_restore_scaling(
-            slim_restore.logical_bytes, slim_restore.elapsed_seconds,
-            slim_restore.counters.get("container_bytes_read"), jobs, LNODES, model,
-        )
-        for jobs in RESTORE_JOBS
+        cluster.restore_throughput(restore_spec, jobs) for jobs in RESTORE_JOBS
     ]
     # Concurrent restic restores share one OSSFS repository mount, whose
     # read path sustains only a handful of parallel channels — the

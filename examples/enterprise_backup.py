@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from repro import ObjectStorageService, SlimStore, SlimStoreConfig
 from repro.baselines import ResticRepository
-from repro.bench.scaling import (
-    restic_aggregate_throughput,
-    slimstore_backup_scaling,
-)
+from repro.bench.scaling import restic_aggregate_throughput
+from repro.core.cluster import ClusterSimulator, JobSpec
 from repro.sim.cost_model import CostModel
 from repro.workloads import RDataConfig, RDataGenerator
 
@@ -58,12 +56,10 @@ def main() -> None:
 
     print("\nProjected aggregate backup throughput (6 L-nodes):")
     print(f"{'jobs':>5}  {'SLIMSTORE MB/s':>14}  {'restic MB/s':>11}")
-    model = CostModel()
+    cluster = ClusterSimulator(6)
+    slim_spec = JobSpec.from_backup_result(slim_job)
     for jobs in (1, 4, 13, 24, 48, 72):
-        slim_aggregate = slimstore_backup_scaling(
-            slim_job.logical_bytes, slim_job.elapsed_seconds,
-            slim_job.uploaded_bytes, jobs, lnode_count=6, cost_model=model,
-        )
+        slim_aggregate = cluster.backup_throughput(slim_spec, jobs)
         restic_aggregate = restic_aggregate_throughput(
             restic_job.logical_bytes,
             restic_job.breakdown.elapsed_pipelined(),

@@ -66,23 +66,17 @@ class BaselineRestoreResult:
     def elapsed_seconds(self) -> float:
         """Virtual duration under the prefetching model.
 
-        With prefetching on, the recorded read/CPU trace runs through the
-        same event-driven pipeline as SLIMSTORE's restore, so Fig 8(d)
-        compares systems under identical scheduling physics (startup/tail
-        transients included) rather than handing baselines the idealised
-        ``max(cpu, download/threads)``.
+        The recorded read/CPU trace runs through the same event-driven
+        pipeline as SLIMSTORE's restore, so Fig 8(d) compares systems
+        under identical scheduling physics (startup/tail transients
+        included); with 0 threads every read stalls the consumer.
         """
-        cpu = self.breakdown.cpu_seconds()
-        download = self.breakdown.download
-        if self.prefetch_threads >= 1 and self.read_seconds:
-            stats = simulate_restore_pipeline(
-                self.read_seconds,
-                self.record_reads,
-                self.record_cpu,
-                self.prefetch_threads,
-            )
-            return stats.elapsed_seconds
-        return cpu + download
+        return simulate_restore_pipeline(
+            self.read_seconds,
+            self.record_reads,
+            self.record_cpu,
+            self.prefetch_threads,
+        ).elapsed_seconds
 
     @property
     def throughput_mb_s(self) -> float:

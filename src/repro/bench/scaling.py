@@ -1,117 +1,18 @@
-"""Cluster-scaling arithmetic for Fig 10 and Table II.
+"""restic's cluster-scaling bound for Fig 10.
 
-The paper's scalability results follow from three structural facts, all of
-which the cost model parameterises:
-
-* a SLIMSTORE job is independent of every other job (stateless L-nodes,
-  no shared index), so jobs scale linearly until node job slots or the
-  node NIC saturate, and additional L-nodes extend the line;
-* a restic job must hold the repository lock for its index work, so the
-  aggregate caps at ``job_bytes / serial_seconds`` no matter how many jobs
-  run (Amdahl over the locked section);
-* restore jobs scale the same way, with the per-node limit set by NIC
-  bandwidth ("each L-node can execute up to eight restore jobs").
+SLIMSTORE's Fig 10 curves come from the event-driven
+:class:`repro.core.cluster.ClusterSimulator`: its jobs are independent of
+each other (stateless L-nodes, no shared index), so they scale until node
+job slots or the node NIC saturate, and additional L-nodes extend the
+line.  restic has no event twin: a restic job must hold the repository
+lock for its index work, so the aggregate caps at
+``job_bytes / serial_seconds`` no matter how many jobs run (Amdahl over the
+locked section).
 """
 
 from __future__ import annotations
 
-from repro.sim.cost_model import CostModel
-from repro.sim.parallel import batched_round_trips
-
 _MB = float(1 << 20)
-
-
-def sharded_index_drain_seconds(
-    lookups_per_job: int,
-    jobs: int,
-    shard_count: int = 1,
-    batch_size: int = 1,
-    slots_per_shard: int = 1,
-    cost_model: CostModel | None = None,
-) -> float:
-    """Closed-form drain time of the cluster's shared-index phase.
-
-    ``jobs`` concurrent ingest jobs each push ``lookups_per_job``
-    fingerprints through the sharded global index.  Lookups spread
-    uniformly over the shards; each shard serves its request queue with
-    ``slots_per_shard`` servers and every request costs one Rocks-OSS
-    round trip plus the per-key query CPU.  Shards drain independently,
-    so the slowest shard sets the pace.  Cross-validated against the
-    event-driven :class:`repro.core.cluster.ClusterSimulator`.
-    """
-    if jobs < 1 or lookups_per_job < 0:
-        raise ValueError(f"invalid jobs={jobs} lookups={lookups_per_job}")
-    if shard_count < 1 or batch_size < 1 or slots_per_shard < 1:
-        raise ValueError("shard_count, batch_size, slots_per_shard must be >= 1")
-    model = cost_model or CostModel()
-    base, extra = divmod(lookups_per_job, shard_count)
-    worst = 0.0
-    for shard in range(shard_count):
-        keys = base + (1 if shard < extra else 0)
-        if not keys:
-            continue
-        requests = batched_round_trips(keys, batch_size)
-        busy = jobs * (
-            requests * model.oss_request_latency + keys * model.cpu_index_query
-        )
-        worst = max(worst, busy / slots_per_shard)
-    return worst
-
-
-def slimstore_backup_scaling(
-    job_logical_bytes: float,
-    job_elapsed_seconds: float,
-    job_uploaded_bytes: float,
-    jobs: int,
-    lnode_count: int,
-    cost_model: CostModel | None = None,
-) -> float:
-    """Aggregate backup throughput (MB/s) for ``jobs`` concurrent jobs.
-
-    Jobs spread over L-nodes; each node runs at most
-    ``node_backup_slots`` jobs in parallel (excess queues in waves) and its
-    uplink bounds the combined container upload streams.
-    """
-    if jobs < 1 or job_elapsed_seconds <= 0:
-        return 0.0
-    model = cost_model or CostModel()
-    nodes_used = min(lnode_count, max(1, -(-jobs // model.node_backup_slots)))
-    jobs_per_node = -(-jobs // nodes_used)
-    waves = -(-jobs_per_node // model.node_backup_slots)
-    elapsed = job_elapsed_seconds * waves
-
-    # NIC ceiling: concurrent jobs of one node share its uplink.
-    concurrent = min(jobs_per_node, model.node_backup_slots)
-    upload_rate_needed = concurrent * job_uploaded_bytes / job_elapsed_seconds
-    if upload_rate_needed > model.node_nic_bandwidth:
-        elapsed *= upload_rate_needed / model.node_nic_bandwidth
-
-    return jobs * job_logical_bytes / elapsed / _MB
-
-
-def slimstore_restore_scaling(
-    job_logical_bytes: float,
-    job_elapsed_seconds: float,
-    job_downloaded_bytes: float,
-    jobs: int,
-    lnode_count: int,
-    cost_model: CostModel | None = None,
-) -> float:
-    """Aggregate restore throughput (MB/s) for ``jobs`` concurrent jobs."""
-    if jobs < 1 or job_elapsed_seconds <= 0:
-        return 0.0
-    model = cost_model or CostModel()
-    nodes_used = min(lnode_count, max(1, -(-jobs // model.node_restore_slots)))
-    jobs_per_node = -(-jobs // nodes_used)
-    waves = -(-jobs_per_node // model.node_restore_slots)
-    elapsed = job_elapsed_seconds * waves
-
-    concurrent = min(jobs_per_node, model.node_restore_slots)
-    download_rate_needed = concurrent * job_downloaded_bytes / job_elapsed_seconds
-    if download_rate_needed > model.node_nic_bandwidth:
-        elapsed *= download_rate_needed / model.node_nic_bandwidth
-
-    return jobs * job_logical_bytes / elapsed / _MB
 
 
 def restic_aggregate_throughput(

@@ -2,9 +2,12 @@
 
 Runs an explicit discrete-event schedule of jobs over L-nodes: each node
 has a bounded number of job slots, and the jobs sharing a node split its
-NIC bandwidth for their network phase.  Used to cross-validate the
-closed-form scaling arithmetic of :mod:`repro.bench.scaling` and to answer
-questions the closed forms cannot (mixed job sizes, staggered arrivals).
+NIC bandwidth for their network phase.  This is the clock behind both
+Fig 10 scaling curves: a measured backup job (:meth:`JobSpec.from_backup_result`)
+or restore trace (:meth:`RestoreJobSpec.from_restore_result`) is replayed
+``jobs`` times over the cluster, so slot waves, node spill and the NIC
+ceiling come out of the schedule rather than out of a formula.  The same
+schedules take mixed job sizes and staggered arrivals.
 
 Since the sharded-index PR the simulator also models the **shared global
 fingerprint index** as a contended resource: each ingest job finishes its
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.sim.cost_model import CostModel
 from repro.sim.events import ChannelPool, EventLoop, RestorePipelineProcess, SlotResource
-from repro.sim.parallel import batched_round_trips
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,7 @@ class ShardedIndexSpec:
 
     def total_requests(self, lookups: int) -> int:
         """Round trips one job issues across all shards."""
-        return sum(
-            batched_round_trips(keys, self.batch_size)
-            for keys in self.per_shard_keys(lookups)
-            if keys
-        )
+        return sum(-(-keys // self.batch_size) for keys in self.per_shard_keys(lookups))
 
 
 @dataclass

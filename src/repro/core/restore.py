@@ -9,12 +9,11 @@ ranged mode only the planned chunk extents cross the wire (coalesced ranged
 GETs); in whole-container mode the seed access pattern is preserved exactly.
 
 Job duration comes from the event-driven LAW prefetch pipeline
-(:func:`repro.sim.events.simulate_restore_pipeline`): ``prefetch_threads``
-channels issue the planned reads ahead of the consumer, which blocks only
-when the read holding its next chunk has not completed.  The closed form
-``max(cpu, download/threads)`` the seed used stays available as
-:attr:`RestoreResult.closed_form_elapsed_seconds` — the cross-check the
-event schedule is validated against.
+(:func:`repro.sim.events.simulate_restore_pipeline`), the one restore
+clock: ``prefetch_threads`` channels issue the planned reads ahead of the
+consumer, which blocks only when the read holding its next chunk has not
+completed.  Every result carries its pipeline, an empty restore's
+included (its duration is the serial recipe fetch).
 
 Chunks of old versions may have been moved by reverse deduplication or
 sparse container compaction; when a recipe's container no longer holds a
@@ -44,7 +43,6 @@ from repro.fingerprint.hashing import fingerprint
 from repro.sim.cost_model import CostModel
 from repro.sim.events import PipelineStats, simulate_restore_pipeline
 from repro.sim.metrics import Counters, TimeBreakdown
-from repro.sim.parallel import prefetched_restore_time
 
 #: Look-ahead window length in chunk records.
 LAW_WINDOW_RECORDS = 512
@@ -60,10 +58,10 @@ class RestoreResult:
     breakdown: TimeBreakdown
     counters: Counters
     prefetch_threads: int
+    #: Event-simulated pipeline outcome.
+    pipeline: PipelineStats
     #: Whether the job used ranged container reads.
     ranged: bool = False
-    #: Event-simulated pipeline outcome (None for an empty restore).
-    pipeline: PipelineStats | None = None
     #: Serial prefix paid before the pipeline: recipe fetch + planning.
     setup_seconds: float = 0.0
     #: Measured duration of each container read, in issue order.
@@ -107,18 +105,7 @@ class RestoreResult:
     @property
     def elapsed_seconds(self) -> float:
         """Virtual job duration from the event-driven pipeline."""
-        if self.pipeline is not None:
-            return self.pipeline.elapsed_seconds
-        return self.closed_form_elapsed_seconds
-
-    @property
-    def closed_form_elapsed_seconds(self) -> float:
-        """The seed's ``max(cpu, download/threads)`` duration model."""
-        return prefetched_restore_time(
-            self.breakdown.cpu_seconds(),
-            self.breakdown.download,
-            self.prefetch_threads,
-        )
+        return self.pipeline.elapsed_seconds
 
     @property
     def throughput_mb_s(self) -> float:
@@ -168,8 +155,12 @@ class RestoreEngine:
 
         records = recipe.all_records()
         if not records:
+            pipeline = simulate_restore_pipeline(
+                [], [], [], threads, setup_seconds=recipe_seconds
+            )
             return RestoreResult(
-                path, version, b"", breakdown, counters, threads, ranged=ranged
+                path, version, b"", breakdown, counters, threads, pipeline,
+                ranged=ranged, setup_seconds=recipe_seconds,
             )
 
         planner = RestorePlanner(self.storage, self.cost_model)
@@ -254,8 +245,8 @@ class RestoreEngine:
             breakdown,
             counters,
             threads,
+            pipeline,
             ranged=ranged,
-            pipeline=pipeline,
             setup_seconds=setup_seconds,
             read_seconds=read_seconds,
             record_reads=record_reads,

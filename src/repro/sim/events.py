@@ -1,11 +1,10 @@
 """A minimal discrete-event simulation kernel.
 
-The scalability experiments mostly use closed-form arithmetic
-(:mod:`repro.bench.scaling`); this kernel exists to *cross-validate* that
-arithmetic with an explicit event-driven schedule — jobs arriving at a
-cluster, queueing for node slots, sharing NIC bandwidth — and to support
-scenarios the closed forms cannot express (heterogeneous job sizes,
-staggered arrivals).
+The one clock for restores and cluster schedules: every restore duration
+(Table II, Fig 8(d)) and every Fig 10 scaling point is read off an
+explicit event-driven schedule — jobs arriving at a cluster, queueing for
+node slots, sharing NIC bandwidth, prefetch reads contending for OSS
+channels.
 
 The kernel is deliberately tiny: a time-ordered event queue and a
 ``SlotResource`` with FIFO queueing.  Processes are plain callbacks.
@@ -281,12 +280,12 @@ def simulate_restore_pipeline(
     """Run one restore job's pipeline on private prefetch channels.
 
     With ``threads == 0`` there are no prefetch channels: every read is a
-    consumer stall and the job serialises (the ``cpu + download`` closed
-    form).  With ``threads >= 1`` the event schedule replaces the
-    ``max(cpu, download/threads)`` closed form, which stays available in
-    :func:`repro.sim.parallel.prefetched_restore_time` as a cross-check.
-    ``setup_seconds`` is the serial prefix (recipe fetch + planning) paid
-    before the pipeline starts.
+    consumer stall and the job serialises (``cpu + download``, term for
+    term).  With ``threads >= 1`` up to ``threads`` reads run ahead of the
+    consumer; startup and tail effects keep the schedule above the
+    idealised ``max(cpu, download/threads)``.  ``setup_seconds`` is the
+    serial prefix (recipe fetch + planning) paid before the pipeline
+    starts.
     """
     if threads < 0:
         raise ValueError(f"threads cannot be negative: {threads}")

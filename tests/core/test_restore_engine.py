@@ -75,6 +75,13 @@ class TestRestoreCorrectness:
         backup, restore = engines
         backup.backup("empty", b"")
         assert restore.restore("empty", 0).data == b""
+        # The job is its serial recipe GET, whatever the prefetch width.
+        for threads in (0, 6):
+            result = restore.restore("empty", 0, prefetch_threads=threads)
+            recipe_get = result.breakdown.download
+            assert recipe_get > 0
+            assert result.setup_seconds == recipe_get
+            assert result.elapsed_seconds == recipe_get
 
     def test_verification_catches_corruption(self, engines, storage, rng):
         backup, restore = engines
@@ -174,22 +181,20 @@ class TestEventPipeline:
         backup, restore = engines
         backup.backup("f", random_bytes(rng, 256 * 1024))
         result = restore.restore("f", 0)
-        assert result.pipeline is not None
         assert result.elapsed_seconds == result.pipeline.elapsed_seconds
         assert result.setup_seconds > 0
         assert len(result.read_seconds) == result.containers_read
         assert len(result.record_cpu) == len(result.record_reads)
 
     def test_zero_threads_matches_closed_form(self, engines, rng):
-        """With no prefetching and no redirects the event schedule is the
-        ``cpu + download`` closed form, term for term."""
+        """With no prefetching and no redirects the event schedule is
+        ``cpu + download``, term for term."""
         backup, restore = engines
         backup.backup("f", random_bytes(rng, 256 * 1024))
         result = restore.restore("f", 0, prefetch_threads=0)
         assert result.counters.get("global_index_redirects") == 0
-        assert result.elapsed_seconds == pytest.approx(
-            result.closed_form_elapsed_seconds, rel=1e-9
-        )
+        serial = result.breakdown.cpu_seconds() + result.breakdown.download
+        assert result.elapsed_seconds == pytest.approx(serial, rel=1e-9)
 
     def test_prefetched_elapsed_bounded_by_closed_form(self, engines, rng):
         """The event schedule approaches ``max(cpu, download/threads)``
@@ -197,7 +202,8 @@ class TestEventPipeline:
         backup, restore = engines
         backup.backup("f", random_bytes(rng, 512 * 1024))
         result = restore.restore("f", 0, prefetch_threads=4, ranged=False)
-        assert result.elapsed_seconds >= result.closed_form_elapsed_seconds * 0.999
+        bound = max(result.breakdown.cpu_seconds(), result.breakdown.download / 4)
+        assert result.elapsed_seconds >= bound * 0.999
         assert result.counters.get("prefetch_stalls") >= 1
 
     def test_ranged_restore_identical_bytes_fewer_read(self, engines, rng):

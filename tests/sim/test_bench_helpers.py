@@ -1,14 +1,11 @@
-"""Tests for the bench harness, scaling arithmetic and reporting."""
+"""Tests for the bench harness, Fig 10 scaling and reporting."""
 
 import pytest
 
 from repro.bench.harness import BackupSeries, VersionStats, run_backup_series
 from repro.bench.reporting import format_series, format_table
-from repro.bench.scaling import (
-    restic_aggregate_throughput,
-    slimstore_backup_scaling,
-    slimstore_restore_scaling,
-)
+from repro.bench.scaling import restic_aggregate_throughput
+from repro.core.cluster import ClusterSimulator, JobSpec, RestoreJobSpec
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Counters, TimeBreakdown
 from repro.workloads.base import BackupFile, DatasetVersion
@@ -69,38 +66,49 @@ class TestRunBackupSeries:
 
 
 class TestScaling:
+    """Fig 10's shape: SLIMSTORE curves off the event cluster at 6 L-nodes."""
+
     def test_slim_backup_linear_within_slots(self):
-        model = CostModel()
-        one = slimstore_backup_scaling(MB, 0.01, 0, 1, 6, model)
-        twelve = slimstore_backup_scaling(MB, 0.01, 0, 12, 6, model)
-        assert twelve == pytest.approx(12 * one, rel=0.01)
+        cluster = ClusterSimulator(6)
+        one = cluster.backup_throughput(JobSpec(MB, 0.01, 0), 1)
+        twelve = cluster.backup_throughput(JobSpec(MB, 0.01, 0), 12)
+        assert twelve == pytest.approx(12 * one)
 
     def test_slim_backup_spills_to_more_nodes(self):
-        model = CostModel()
+        cluster = ClusterSimulator(6)
         # 72 jobs = 6 nodes x 12 slots: still one wave, fully linear.
-        seventy_two = slimstore_backup_scaling(MB, 0.01, 0, 72, 6, model)
-        one = slimstore_backup_scaling(MB, 0.01, 0, 1, 6, model)
-        assert seventy_two == pytest.approx(72 * one, rel=0.01)
+        seventy_two = cluster.backup_throughput(JobSpec(MB, 0.01, 0), 72)
+        one = cluster.backup_throughput(JobSpec(MB, 0.01, 0), 1)
+        assert seventy_two == pytest.approx(72 * one)
 
     def test_slim_backup_waves_beyond_capacity(self):
         model = CostModel()
+        cluster = ClusterSimulator(6, model)
         cap = 6 * model.node_backup_slots
-        at_cap = slimstore_backup_scaling(MB, 0.01, 0, cap, 6, model)
-        beyond = slimstore_backup_scaling(MB, 0.01, 0, cap + 1, 6, model)
+        at_cap = cluster.backup_throughput(JobSpec(MB, 0.01, 0), cap)
+        beyond = cluster.backup_throughput(JobSpec(MB, 0.01, 0), cap + 1)
         assert beyond < at_cap
 
     def test_slim_backup_nic_ceiling(self):
-        model = CostModel()
+        cluster = ClusterSimulator(6)
         # Jobs whose upload rate saturates the NIC scale sub-linearly.
-        heavy = slimstore_backup_scaling(MB, 0.01, int(MB), 12, 6, model)
-        light = slimstore_backup_scaling(MB, 0.01, 0, 12, 6, model)
+        heavy = cluster.backup_throughput(JobSpec(MB, 0.01, MB), 72)
+        light = cluster.backup_throughput(JobSpec(MB, 0.01, 0), 72)
         assert heavy < light
 
     def test_slim_restore_slots(self):
-        model = CostModel()
-        one = slimstore_restore_scaling(MB, 0.01, 0, 1, 6, model)
-        full = slimstore_restore_scaling(MB, 0.01, 0, 48, 6, model)
-        assert full == pytest.approx(48 * one, rel=0.01)
+        job = RestoreJobSpec(
+            logical_bytes=MB,
+            read_seconds=(0.004,) * 4,
+            record_reads=(0, 1, 2, 3),
+            record_cpu=(0.001,) * 4,
+            demand_seconds=(0.0,) * 4,
+            prefetch_threads=2,
+        )
+        cluster = ClusterSimulator(6)
+        one = cluster.restore_throughput(job, 1)
+        full = cluster.restore_throughput(job, 48)
+        assert full == pytest.approx(48 * one)
 
     def test_restic_caps_at_serial_rate(self):
         job_bytes, elapsed, serial = MB, 0.008, 0.004
@@ -111,7 +119,7 @@ class TestScaling:
 
     def test_zero_jobs(self):
         assert restic_aggregate_throughput(MB, 0.01, 0.001, 0) == 0.0
-        assert slimstore_backup_scaling(MB, 0.01, 0, 0, 6) == 0.0
+        assert ClusterSimulator(6).backup_throughput(JobSpec(MB, 0.01, 0), 0) == 0.0
 
 
 class TestReporting:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cluster import ClusterSimulator, JobSpec
-from repro.bench.scaling import slimstore_backup_scaling
 from repro.sim.cost_model import CostModel
 from repro.sim.events import EventLoop, SlotResource
 
@@ -113,18 +112,6 @@ class TestClusterSimulator:
         alone = cluster.run([heavy]).makespan_seconds
         crowd = cluster.run([heavy] * 8).makespan_seconds
         assert crowd > 2 * alone
-
-    def test_matches_closed_form_in_linear_regime(self):
-        """The DES and the Fig 10 closed form agree where both apply."""
-        model = CostModel()
-        job_elapsed = 0.02
-        for jobs in (1, 6, 24, 72):
-            closed = slimstore_backup_scaling(
-                MB, job_elapsed, 0, jobs, lnode_count=6, cost_model=model
-            )
-            cluster = ClusterSimulator(6, model)
-            des = cluster.backup_throughput(JobSpec(MB, job_elapsed, 0), jobs)
-            assert des == pytest.approx(closed, rel=0.05), jobs
 
     def test_heterogeneous_jobs(self):
         cluster = ClusterSimulator(2, CostModel(), slots_per_node=1)

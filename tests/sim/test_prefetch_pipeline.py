@@ -9,7 +9,6 @@ from repro.sim.events import (
     RestorePipelineProcess,
     simulate_restore_pipeline,
 )
-from repro.sim.parallel import prefetched_restore_time
 
 
 def uniform_trace(reads: int, read_s: float, cpu_s: float):
@@ -55,8 +54,8 @@ class TestSerialPipeline:
         stats = simulate_restore_pipeline(
             reads, record_reads, cpu, threads=0, setup_seconds=0.05
         )
-        closed = prefetched_restore_time(sum(cpu), sum(reads), 0)
-        assert stats.elapsed_seconds == pytest.approx(0.05 + closed)
+        # No prefetcher: every read stalls, so the stages serialise.
+        assert stats.elapsed_seconds == pytest.approx(0.05 + sum(cpu) + sum(reads))
         assert stats.stall_count == 20
         assert stats.stall_seconds == pytest.approx(sum(reads))
         assert stats.channel_busy_seconds == []
@@ -81,7 +80,7 @@ class TestEventPipelineCrossCheck:
         reads, record_reads, cpu = uniform_trace(200, 0.01, 0.0002)
         for threads in (1, 2, 4, 8):
             stats = simulate_restore_pipeline(reads, record_reads, cpu, threads)
-            closed = prefetched_restore_time(sum(cpu), sum(reads), threads)
+            closed = max(sum(cpu), sum(reads) / threads)
             assert stats.elapsed_seconds >= closed
             assert stats.elapsed_seconds <= closed * 1.01
 
@@ -89,7 +88,7 @@ class TestEventPipelineCrossCheck:
         reads, record_reads, cpu = uniform_trace(200, 0.005, 0.02)
         for threads in (2, 4, 8):
             stats = simulate_restore_pipeline(reads, record_reads, cpu, threads)
-            closed = prefetched_restore_time(sum(cpu), sum(reads), threads)
+            closed = max(sum(cpu), sum(reads) / threads)
             assert stats.elapsed_seconds >= closed
             assert stats.elapsed_seconds <= closed * 1.01
 
@@ -202,6 +201,33 @@ class TestClusterRestores:
         assert three.makespan_seconds < one.makespan_seconds
         assert three.aggregate_throughput_mb_s > one.aggregate_throughput_mb_s
         assert len(three.node_channel_busy_seconds) == 3
+
+    def test_restore_slot_waves(self):
+        """6 nodes x 8 restore slots run in one wave; one more job queues
+        for a second (Fig 10(b): "up to eight restore jobs" per L-node)."""
+        sim = ClusterSimulator(6)
+        job = self.job(threads=2)
+        one = sim.restore_throughput(job, 1)
+        assert sim.restore_throughput(job, 48) == pytest.approx(48 * one)
+        assert sim.run_restores([job] * 49).makespan_seconds == pytest.approx(
+            2 * sim.run_restores([job]).makespan_seconds
+        )
+
+    def test_measured_restore_replays_to_its_own_throughput(self, aged_store):
+        """Fig 10(b) replays a measured restore on the cluster: one job on
+        one node must reproduce the job's own throughput, demand reads
+        (global-index redirects on the aged version) included."""
+        store, _ = aged_store
+        for version in (0, None):
+            for threads in (0, 2, 6):
+                result = store.restore(
+                    "f", version, prefetch_threads=threads, ranged=False
+                )
+                if version == 0:
+                    assert result.counters.get("global_index_redirects") > 0
+                spec = RestoreJobSpec.from_restore_result(result)
+                replayed = ClusterSimulator(1).restore_throughput(spec, 1)
+                assert replayed == pytest.approx(result.throughput_mb_s, rel=1e-12)
 
     def test_zero_thread_jobs_serialise(self):
         job = self.job(threads=0)

@@ -1,34 +1,13 @@
-"""Cluster ingest against the sharded index: event sim vs closed form."""
+"""Cluster ingest against the sharded index."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.scaling import sharded_index_drain_seconds
 from repro.core.cluster import ClusterSimulator, JobSpec, ShardedIndexSpec
 from repro.sim.cost_model import CostModel
-from repro.sim.parallel import batched_round_trips, sharded_drain_time
 
 MB = float(1 << 20)
-
-
-class TestParallelHelpers:
-    def test_batched_round_trips_is_ceiling_division(self):
-        assert batched_round_trips(0, 256) == 0
-        assert batched_round_trips(1, 256) == 1
-        assert batched_round_trips(256, 256) == 1
-        assert batched_round_trips(257, 256) == 2
-        assert batched_round_trips(512, 1) == 512
-
-    def test_batched_round_trips_validates(self):
-        with pytest.raises(ValueError):
-            batched_round_trips(-1, 4)
-        with pytest.raises(ValueError):
-            batched_round_trips(4, 0)
-
-    def test_sharded_drain_is_paced_by_the_slowest_shard(self):
-        assert sharded_drain_time([3, 7, 2], 0.5) == pytest.approx(3.5)
-        assert sharded_drain_time([], 0.5) == 0.0
 
 
 class TestShardedIndexSpec:
@@ -47,6 +26,13 @@ class TestShardedIndexSpec:
         batched = ShardedIndexSpec(shard_count=4, batch_size=256)
         assert unbatched.total_requests(1024) == 1024
         assert batched.total_requests(1024) == 4
+
+    def test_total_requests_round_each_shard_up(self):
+        spec = ShardedIndexSpec(shard_count=1, batch_size=256)
+        assert [spec.total_requests(k) for k in (0, 1, 256, 257)] == [0, 1, 1, 2]
+        assert ShardedIndexSpec(shard_count=1).total_requests(512) == 512
+        # 10 keys over 4 shards split 3/3/2/2: one partial batch each.
+        assert ShardedIndexSpec(shard_count=4, batch_size=2).total_requests(10) == 6
 
     def test_validation(self):
         for bad in [
@@ -75,10 +61,14 @@ class TestClusterIndexContention:
             index_spec=ShardedIndexSpec(shard_count=shards, batch_size=batch),
         )
         report = cluster.run([self._job(512)] * 8)
-        closed = sharded_index_drain_seconds(
-            512, 8, shards, batch, cost_model=model
+        # Shards drain concurrently, one server each: the busiest shard
+        # (8 jobs x its share of round trips and per-key CPU) sets the pace.
+        keys = -(-512 // shards)
+        busiest = 8 * (
+            -(-keys // batch) * model.oss_request_latency
+            + keys * model.cpu_index_query
         )
-        assert report.makespan_seconds == pytest.approx(closed)
+        assert report.makespan_seconds == pytest.approx(busiest)
 
     def test_sharding_and_batching_each_cut_the_makespan(self):
         model = CostModel()
