@@ -4,16 +4,15 @@ Two halves, one grid (1/4/16 shards x batch on/off):
 
 * **G-dedup index time** — the real system runs a multi-version S-DB
   workload; the reverse-dedup pass resolves every candidate fingerprint
-  against the global index either one round trip at a time (the seed's
-  behaviour) or through the sharded batched ``get_many`` path, and the
-  virtual seconds it charges for index traffic are summed.
+  against the global index through the sharded ``get_many`` path, either
+  one fingerprint per round trip (``index_batch_size=1``, batch "off") or
+  256, and the virtual seconds it charges for index traffic are summed.
 * **Cluster ingest makespan** — the event-driven cluster simulator runs
   eight concurrent ingest jobs whose unique fingerprints drain through
   the shared index, one slot per shard, batch size 256 when batching is
   on.  The job's lookup count is taken from a measured backup result.
 
-The seed configuration (one shard, unbatched) is the baseline both
-halves must beat.
+One shard, unbatched is the baseline both halves must beat.
 
 The "gdedup index ms" column counts real Rocks-OSS probes, and each absent
 key the per-shard Bloom prefilter happens to pass is one of them — so the
@@ -40,14 +39,14 @@ def run_ablation():
     model = CostModel()
     outcomes = {}
     for shards, batched in GRID:
+        batch_size = BATCH_SIZE if batched else 1
         generator = SDBGenerator(
             SDBConfig(table_count=1, initial_table_bytes=1 << 20,
                       version_count=6, seed=77)
         )
         config = SlimStoreConfig(
             index_shard_count=shards,
-            gdedup_batched_lookup=batched,
-            index_batch_size=BATCH_SIZE,
+            index_batch_size=batch_size,
             sparse_compaction=False,
         )
         store = SlimStore(config)
@@ -71,10 +70,7 @@ def run_ablation():
 
         cluster = ClusterSimulator(
             4, model, slots_per_node=2,
-            index_spec=ShardedIndexSpec(
-                shard_count=shards,
-                batch_size=BATCH_SIZE if batched else 1,
-            ),
+            index_spec=ShardedIndexSpec(shard_count=shards, batch_size=batch_size),
         )
         job = JobSpec(
             logical_bytes=float(1 << 20), cpu_seconds=0.0, network_bytes=0,

@@ -30,7 +30,7 @@ def edit(rng: np.random.Generator, data: bytes, edits: int = 3) -> bytes:
 
 def main() -> None:
     rng = np.random.default_rng(seed=7)
-    store = SlimStore()  # simulated OSS + 6 L-nodes + G-node, all defaults
+    store = SlimStore()  # simulated OSS + L-node + G-node, all defaults
 
     print("== Backing up three versions of db/accounts.tbl ==")
     versions = [make_data(rng, 2 << 20)]

@@ -87,10 +87,6 @@ class SlimStoreConfig:
     sparse_utilization_threshold: float = 0.30
     #: Rewrite a container once this fraction of chunks is deleted.
     container_rewrite_threshold: float = 0.20
-    #: Use the global Bloom prefilter during reverse dedup.
-    gdedup_bloom_filter: bool = True
-    #: Cache old-container metadata during reverse dedup.
-    gdedup_meta_cache: bool = True
     #: Deletion epochs a collected container stays readable behind its
     #: tombstone before deep_clean reaps it (two-phase deletion).  0
     #: deletes immediately — the behaviour every space figure assumes —
@@ -103,9 +99,6 @@ class SlimStoreConfig:
     index_shard_count: int = 4
     #: Fingerprints grouped into one batched index round trip.
     index_batch_size: int = 256
-    #: Batch reverse-dedup index lookups per shard (off = the seed's
-    #: one-fingerprint-at-a-time Rocks-OSS access, the ablation baseline).
-    gdedup_batched_lookup: bool = True
 
     # --- durability tier --------------------------------------------------------
     #: Heat-aware replication/erasure over container payloads (FASTEN-style:
@@ -136,10 +129,6 @@ class SlimStoreConfig:
     #: per repository — digests from different algorithms never match.
     fingerprint_algo: str = "sha1"
 
-    # --- cluster --------------------------------------------------------------------
-    #: Number of L-nodes available (paper: six ECS instances).
-    lnode_count: int = 6
-
     def __post_init__(self) -> None:
         if self.chunk_avg_size & (self.chunk_avg_size - 1):
             raise ValueError(f"chunk_avg_size must be a power of two: {self.chunk_avg_size}")
@@ -151,8 +140,6 @@ class SlimStoreConfig:
             raise ValueError("sparse_utilization_threshold must be in (0, 1)")
         if not 0.0 < self.container_rewrite_threshold < 1.0:
             raise ValueError("container_rewrite_threshold must be in (0, 1)")
-        if self.lnode_count < 1:
-            raise ValueError("need at least one L-node")
         if self.prefetch_threads < 0:
             raise ValueError("prefetch_threads cannot be negative")
         if self.index_shard_count < 1:

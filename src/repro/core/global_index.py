@@ -77,7 +77,6 @@ class GlobalIndex:
         oss: ObjectStorageService,
         bucket: str = "slimstore-index",
         bloom_capacity: int = 1 << 20,
-        use_bloom: bool = True,
         shard_count: int = 1,
     ) -> None:
         if shard_count < 1:
@@ -96,11 +95,7 @@ class GlobalIndex:
             for i in range(shard_count)
         ]
         per_shard_capacity = max(1024, bloom_capacity // shard_count)
-        self._blooms = (
-            [BloomFilter(per_shard_capacity, 0.01) for _ in range(shard_count)]
-            if use_bloom
-            else None
-        )
+        self._blooms = [BloomFilter(per_shard_capacity, 0.01) for _ in range(shard_count)]
         self.counters = Counters()
 
     # --- sharding ------------------------------------------------------
@@ -118,11 +113,9 @@ class GlobalIndex:
     def maybe_contains(self, fp: bytes) -> bool:
         """Bloom prefilter: False means the fingerprint is definitely new.
 
-        Always True when the Bloom filter is disabled, forcing the caller
-        down the full index-lookup path (the ablation configuration).
+        True may be a false positive (1% at the filter's capacity); only
+        :meth:`lookup` or :meth:`get_many` answers for sure.
         """
-        if self._blooms is None:
-            return True
         hit = fp in self._blooms[self.shard_of(fp)]
         if not hit:
             self.counters.add("bloom_rejections")
@@ -140,8 +133,7 @@ class GlobalIndex:
         """Point ``fp`` at ``container_id`` (insert or move)."""
         self.counters.add("index_assigns")
         shard = self.shard_of(fp)
-        if self._blooms is not None:
-            self._blooms[shard].add(fp)
+        self._blooms[shard].add(fp)
         self._shards[shard].put(fp, _VALUE.pack(container_id))
 
     def remove(self, fp: bytes) -> None:
@@ -188,8 +180,7 @@ class GlobalIndex:
         count = 0
         for fp, container_id in assignments:
             shard = self.shard_of(fp)
-            if self._blooms is not None:
-                self._blooms[shard].add(fp)
+            self._blooms[shard].add(fp)
             grouped.setdefault(shard, []).append((fp, _VALUE.pack(container_id)))
             count += 1
         shard_seconds: list[float] = []
@@ -225,10 +216,9 @@ class GlobalIndex:
         :meth:`~repro.kvstore.bloom.BloomFilter.update`, so the prefilter
         is sound when this returns.
         """
-        for index, shard in enumerate(self._shards):
+        for shard, bloom in zip(self._shards, self._blooms):
             shard.recover()
-            if self._blooms is not None:
-                self._blooms[index].update(shard.live_keys())
+            bloom.update(shard.live_keys())
 
     # --- introspection --------------------------------------------------
     def shard_stats(self) -> list[dict[str, int]]:

@@ -29,10 +29,6 @@ from repro.errors import ObjectNotFoundError, RetryExhaustedError, TransientOSSE
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Counters, TimeBreakdown
 
-#: Sentinel: a global-index lookup failed (OSS unreachable), which is
-#: different from "fingerprint not indexed" (None).
-_LOOKUP_FAILED = object()
-
 
 @dataclass
 class ReverseDedupReport:
@@ -90,11 +86,13 @@ class GNode:
         is counted as ``degraded_reclaimed``, proving the out-of-line
         reclamation the degraded mode relies on.
 
-        With ``config.gdedup_batched_lookup`` the pass groups each
-        container's Bloom-surviving fingerprints into per-shard batched
-        round trips (:meth:`GlobalIndex.get_many`) and drains the shards
-        in parallel; otherwise it walks the index one fingerprint at a
-        time, the seed behaviour the sharding ablation baselines against.
+        The pass has three accelerations, all always on, and the report
+        counts what each saved: the Bloom prefilter settles definitely-new
+        chunks without a Rocks-OSS read (``bloom_fast_inserts``), the
+        survivors go to the index in per-shard batches of
+        ``config.index_batch_size`` (:meth:`GlobalIndex.get_many`, shards
+        drained in parallel), and old-container metas are read once per
+        pass (``meta_cache_hits`` / ``meta_cache_misses``).
         """
         report = ReverseDedupReport()
         if not new_container_ids:
@@ -113,14 +111,9 @@ class GNode:
             "reverse_dedup", container_ids=[int(cid) for cid in new_container_ids]
         )
         try:
-            if self.config.gdedup_batched_lookup:
-                self._reverse_dedup_batched(
-                    new_container_ids, watch_fps, report, meta_cache, dirty
-                )
-            else:
-                self._reverse_dedup_serial(
-                    new_container_ids, watch_fps, report, meta_cache, dirty
-                )
+            self._dedup_against_index(
+                new_container_ids, watch_fps, report, meta_cache, dirty
+            )
             self._persist_dirty_metas(meta_cache, dirty, report)
         except (TransientOSSError, RetryExhaustedError):
             journal.close(seq)
@@ -128,40 +121,7 @@ class GNode:
         journal.close(seq)
         return report
 
-    def _reverse_dedup_serial(
-        self,
-        new_container_ids: list[int],
-        watch_fps: set[bytes] | None,
-        report: ReverseDedupReport,
-        meta_cache: dict[int, ContainerMeta],
-        dirty: set[int],
-    ) -> None:
-        """One Rocks-OSS round trip per fingerprint (the unbatched path)."""
-        index = self.storage.global_index
-        for cid in new_container_ids:
-            meta = self._read_new_meta(cid, report)
-            for entry in meta.entries:
-                if entry.deleted:
-                    continue
-                report.chunks_scanned += 1
-                fp = entry.fp
-                if not index.maybe_contains(fp):
-                    # Definitely new: register without touching Rocks-OSS
-                    # for a read ("quickly filter out unique chunks").
-                    index.assign(fp, cid)
-                    report.counters.add("bloom_fast_inserts")
-                    continue
-                owner = self._index_lookup(fp, report)
-                if owner is _LOOKUP_FAILED:
-                    # OSS unreachable even after retries: leave the index
-                    # untouched so a later pass can still dedup this chunk.
-                    continue
-                self._settle_owner(
-                    entry, cid, owner, watch_fps, report, meta_cache, dirty
-                )
-                index.assign(fp, cid)
-
-    def _reverse_dedup_batched(
+    def _dedup_against_index(
         self,
         new_container_ids: list[int],
         watch_fps: set[bytes] | None,
@@ -173,13 +133,12 @@ class GNode:
 
         Index writes are buffered per container and flushed with
         :meth:`GlobalIndex.put_many`, so a later container's lookups still
-        observe every assignment of the containers before it — the same
-        index states the serial path walks through.
+        observe every assignment of the containers before it.
         """
         index = self.storage.global_index
-        batch_size = max(1, self.config.index_batch_size)
+        batch_size = self.config.index_batch_size
         for cid in new_container_ids:
-            meta = self._read_new_meta(cid, report)
+            meta = self._read_meta(cid, report)
             assignments: list[tuple[bytes, int]] = []
             lookups = []
             for entry in meta.entries:
@@ -187,6 +146,8 @@ class GNode:
                     continue
                 report.chunks_scanned += 1
                 if not index.maybe_contains(entry.fp):
+                    # Definitely new: register without touching Rocks-OSS
+                    # for a read ("quickly filter out unique chunks").
                     assignments.append((entry.fp, cid))
                     report.counters.add("bloom_fast_inserts")
                 else:
@@ -210,19 +171,22 @@ class GNode:
                         # Leave the index untouched so a later pass can
                         # still dedup this chunk.
                         continue
-                    self._settle_owner(
-                        entry,
-                        cid,
-                        result.owners.get(entry.fp),
-                        watch_fps,
-                        report,
-                        meta_cache,
-                        dirty,
-                    )
                     assignments.append((entry.fp, cid))
+                    owner = result.owners.get(entry.fp)
+                    if owner is None or owner == cid:
+                        continue
+                    # Exact duplicate missed online: reverse-deduplicate
+                    # by deleting the copy in the *old* container.
+                    old_meta = self._old_meta(owner, meta_cache, report)
+                    if old_meta is not None and old_meta.mark_deleted(entry.fp):
+                        report.duplicates_removed += 1
+                        report.bytes_marked_deleted += entry.size
+                        dirty.add(owner)
+                        if watch_fps is not None and entry.fp in watch_fps:
+                            report.counters.add("degraded_reclaimed")
             index.put_many(assignments)
 
-    def _read_new_meta(self, cid: int, report: ReverseDedupReport) -> ContainerMeta:
+    def _read_meta(self, cid: int, report: ReverseDedupReport) -> ContainerMeta:
         before = self.storage.oss.stats.snapshot()
         meta = self.storage.containers.read_meta(cid)
         report.breakdown.charge(
@@ -230,66 +194,27 @@ class GNode:
         )
         return meta
 
-    def _settle_owner(
-        self,
-        entry,
-        cid: int,
-        owner: int | None,
-        watch_fps: set[bytes] | None,
-        report: ReverseDedupReport,
-        meta_cache: dict[int, ContainerMeta],
-        dirty: set[int],
-    ) -> None:
-        """Reverse-deduplicate one answered fingerprint against its owner."""
-        if owner is None or owner == cid:
-            return
-        # Exact duplicate missed online: reverse-deduplicate by deleting
-        # the copy in the *old* container.
-        old_meta = self._old_meta(owner, meta_cache, report)
-        if old_meta is not None and old_meta.mark_deleted(entry.fp):
-            report.duplicates_removed += 1
-            report.bytes_marked_deleted += entry.size
-            dirty.add(owner)
-            if watch_fps is not None and entry.fp in watch_fps:
-                report.counters.add("degraded_reclaimed")
-
-    def _index_lookup(self, fp: bytes, report: ReverseDedupReport):
-        before = self.storage.oss.stats.snapshot()
-        try:
-            owner = self.storage.global_index.lookup(fp)
-        except (TransientOSSError, RetryExhaustedError):
-            report.counters.add("gdedup_lookup_failures")
-            owner = _LOOKUP_FAILED
-        report.breakdown.charge(
-            "download", self.storage.oss.stats.diff(before).read_seconds
-        )
-        report.breakdown.charge("index_query", self.cost_model.cpu_index_query)
-        return owner
-
     def _old_meta(
         self, cid: int, meta_cache: dict[int, ContainerMeta], report: ReverseDedupReport
     ) -> ContainerMeta | None:
-        """Old-container metadata, cached per pass when configured.
+        """Old-container metadata, cached for the rest of the pass.
 
         "caching the meta of the old container can also reduce the access
-        number of Rocks-OSS to accelerate global deduplication."
+        number of Rocks-OSS to accelerate global deduplication."  The
+        cache is also the write-back set: every marked meta is persisted
+        from it at the end of the pass.
         """
-        if self.config.gdedup_meta_cache and cid in meta_cache:
+        if cid in meta_cache:
             report.counters.add("meta_cache_hits")
             return meta_cache[cid]
         try:
-            before = self.storage.oss.stats.snapshot()
-            meta = self.storage.containers.read_meta(cid)
-            report.breakdown.charge(
-                "download", self.storage.oss.stats.diff(before).read_seconds
-            )
+            meta = self._read_meta(cid, report)
         except (ObjectNotFoundError, KeyError):
             # The owner container was collected; the fingerprint simply
             # moves to its new home.
             return None
         report.counters.add("meta_cache_misses")
-        if self.config.gdedup_meta_cache:
-            meta_cache[cid] = meta
+        meta_cache[cid] = meta
         return meta
 
     def _persist_dirty_metas(
@@ -299,9 +224,7 @@ class GNode:
         report: ReverseDedupReport,
     ) -> None:
         for cid in sorted(dirty):
-            meta = meta_cache.get(cid)
-            if meta is None:
-                continue
+            meta = meta_cache[cid]
             before = self.storage.oss.stats.snapshot()
             self.storage.containers.update_meta(meta)
             if meta.stale_fraction() >= self.config.container_rewrite_threshold:

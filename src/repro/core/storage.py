@@ -71,7 +71,6 @@ class StorageLayer:
         bucket: str = "slimstore",
         index_bucket: str = "slimstore-index",
         bloom_capacity: int = 1 << 20,
-        use_bloom: bool = True,
         retry_policy: RetryPolicy | None = None,
         retry_budget: RetryBudget | None = None,
         index_shard_count: int = 1,
@@ -117,7 +116,6 @@ class StorageLayer:
                 endpoint,
                 index_bucket,
                 bloom_capacity=bloom_capacity,
-                use_bloom=use_bloom,
                 shard_count=index_shard_count,
             ),
             journal=journal,

@@ -1,8 +1,8 @@
-"""The SLIMSTORE facade: storage layer + L-nodes + G-node + version catalog.
+"""The SLIMSTORE facade: storage layer + L-node + G-node + version catalog.
 
 :class:`SlimStore` is the public API of the reproduction.  One instance
 models one user's deployment: an OSS endpoint holding the storage layer,
-a pool of stateless L-nodes serving online jobs, and a G-node running
+a stateless L-node serving online jobs, and a G-node running
 offline space optimisation after every backup (when enabled).
 
 Version collection follows Section VI-B: the *mark* phase happens during
@@ -363,7 +363,6 @@ class SlimStore:
             self.oss,
             bucket=bucket,
             index_bucket=f"{bucket}-index",
-            use_bloom=self.config.gdedup_bloom_filter,
             retry_policy=retry_policy,
             retry_budget=retry_budget,
             index_shard_count=self.config.index_shard_count,
@@ -379,10 +378,11 @@ class SlimStore:
             from repro.exec import ParallelExecutor
 
             self.executor = ParallelExecutor(self.config.workers)
-        self.lnodes = [
-            LNode(i, self.config, self.storage, self.cost_model, self.executor)
-            for i in range(self.config.lnode_count)
-        ]
+        #: One L-node serves every job: it is stateless (a fresh engine per
+        #: job over the shared storage layer), so which node of a pool ran
+        #: a job would change nothing.  Concurrent jobs over an L-node pool
+        #: are :class:`~repro.core.cluster.ClusterSimulator`'s model.
+        self.lnode = LNode(0, self.config, self.storage, self.cost_model, self.executor)
         self.gnode = GNode(self.config, self.storage, self.cost_model)
         self.catalog = VersionCatalog()
         # Snapshot metadata and the catalog ride the same (possibly
@@ -392,7 +392,6 @@ class SlimStore:
             self.storage.oss, bucket, self.CATALOG_KEY, self.CATALOG_LOG_PREFIX
         )
         self.snapshots = SnapshotStore(self.storage.oss, bucket)
-        self._next_lnode = 0
         #: Report of the last attach-time recovery pass (None until
         #: :meth:`recover` runs against a dirty repository).
         self.last_recovery = None
@@ -488,12 +487,6 @@ class SlimStore:
         self.storage.similar_index.fold_if_logged()
         self.storage.global_index.fold_wal()
 
-    # --- node scheduling ----------------------------------------------------
-    def _pick_lnode(self) -> LNode:
-        node = self.lnodes[self._next_lnode % len(self.lnodes)]
-        self._next_lnode += 1
-        return node
-
     # --- public operations ------------------------------------------------------
     def backup(
         self,
@@ -535,9 +528,8 @@ class SlimStore:
 
         live = self.catalog.versions(path)
         version = live[-1] + 1 if live else 0
-        node = self._pick_lnode()
         try:
-            result = node.backup(
+            result = self.lnode.backup(
                 path,
                 data,
                 rewrite_containers=rewrite_containers,
@@ -646,8 +638,7 @@ class SlimStore:
                 raise VersionNotFoundError(path)
             version = live[-1]
         recipe = self.catalog.recipe_version(path, version)
-        node = self._pick_lnode()
-        result = node.restore(path, recipe, prefetch_threads, verify, ranged)
+        result = self.lnode.restore(path, recipe, prefetch_threads, verify, ranged)
         result.version = version  # an alias restores its origin's recipe
         return result
 

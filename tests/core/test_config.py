@@ -34,10 +34,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SlimStoreConfig(container_rewrite_threshold=1.0)
 
-    def test_rejects_zero_lnodes(self):
-        with pytest.raises(ValueError):
-            SlimStoreConfig(lnode_count=0)
-
     def test_rejects_negative_prefetch(self):
         with pytest.raises(ValueError):
             SlimStoreConfig(prefetch_threads=-1)
@@ -74,8 +70,9 @@ class TestDerivedViews:
 
 
 class TestDocumentedFields:
-    """docs/API.md's ``SlimStoreConfig`` section lists every field by name
-    and states how many there are."""
+    """docs/API.md's ``SlimStoreConfig`` section lists every field by name,
+    in groups whose stated sizes add up to the stated total — and lists
+    nothing that is not a field."""
 
     @pytest.fixture
     def section(self) -> str:
@@ -84,11 +81,40 @@ class TestDocumentedFields:
         end = text.index("\n## ", start + 1)
         return text[start:end]
 
+    @pytest.fixture
+    def groups(self, section) -> dict[str, tuple[int, list[str]]]:
+        """Group name -> (stated size, backticked identifiers listed)."""
+        start = section.index("Groups of fields:")
+        block = section[start : section.index("fields in all")]
+        groups = {}
+        for bullet in block.split("\n* ")[1:]:
+            head = re.match(r"([\w -]+) \((\d+)\) —", bullet)
+            assert head is not None, bullet
+            names = re.findall(r"`([a-z_][a-z0-9_]*)`", bullet)
+            groups[head.group(1)] = (int(head.group(2)), names)
+        assert groups
+        return groups
+
     def test_every_field_is_listed(self, section):
         missing = [f.name for f in fields(SlimStoreConfig) if f"`{f.name}`" not in section]
         assert missing == []
 
-    def test_stated_count_matches(self, section):
+    def test_every_listed_name_is_a_field(self, groups):
+        known = {f.name for f in fields(SlimStoreConfig)}
+        listed = [name for _, names in groups.values() for name in names]
+        assert [name for name in listed if name not in known] == []
+        assert len(listed) == len(set(listed))
+
+    def test_group_sizes_match_their_lists(self, groups):
+        wrong = {
+            group: (stated, len(names))
+            for group, (stated, names) in groups.items()
+            if stated != len(names)
+        }
+        assert wrong == {}
+
+    def test_stated_count_matches(self, section, groups):
         stated = re.search(r"(\d+) fields in all", section)
         assert stated is not None
         assert int(stated.group(1)) == len(fields(SlimStoreConfig))
+        assert sum(size for size, _ in groups.values()) == int(stated.group(1))

@@ -1,5 +1,7 @@
 """Tests for G-node space management (Sections V-B, VI-A)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import SlimStoreConfig
@@ -89,6 +91,36 @@ class TestReverseDedup:
         assert report.bytes_reclaimed > 0
         # Total never exceeds two copies and shrinks below it.
         assert storage.containers.stored_bytes() < before * 2
+
+    def test_removed_duplicates_are_durable(self, nodes, storage, rng):
+        """Every duplicate the passes count is a deletion mark on OSS:
+        re-read from OSS, each fingerprint stored more than once keeps
+        exactly one live copy, and the extra copies add up to the count."""
+        backup, _, gnode = nodes
+        containers = storage.containers
+        stored: Counter[bytes] = Counter()
+        removed = 0
+        data = random_bytes(rng, 128 * 1024)
+        for version in range(4):
+            for name in ("a", "b"):
+                result = backup.backup(f"{name}{version}", data)
+                for cid in result.new_container_ids:
+                    stored.update(e.fp for e in containers.read_meta(cid).entries)
+                report = gnode.reverse_dedup(result.new_container_ids)
+                removed += report.duplicates_removed
+                # Hide the file from similarity detection so the next
+                # backup stores the shared chunks again for the G-node.
+                storage.similar_index.forget_version(result.path, result.version)
+            data = mutate(rng, data, 2, 8 * 1024)
+        duplicated = [fp for fp, copies in stored.items() if copies > 1]
+        assert removed > 0
+        assert sum(stored[fp] - 1 for fp in duplicated) == removed
+        live: Counter[bytes] = Counter(
+            entry.fp
+            for cid in containers.container_ids()
+            for entry in containers.read_meta(cid).live_lookup_entries()
+        )
+        assert {fp: live[fp] for fp in duplicated} == dict.fromkeys(duplicated, 1)
 
     def test_idempotent_on_reprocessing(self, nodes, rng):
         backup, _, gnode = nodes

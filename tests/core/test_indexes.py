@@ -101,10 +101,6 @@ class TestGlobalIndex:
         assert rejections > 90
         assert index.counters.get("bloom_rejections") == rejections
 
-    def test_disabled_bloom_always_true(self, oss):
-        index = GlobalIndex(oss, "idxbucket", use_bloom=False)
-        assert index.maybe_contains(fingerprint(b"anything"))
-
     def test_counters(self, index):
         fp = fingerprint(b"x")
         index.assign(fp, 1)

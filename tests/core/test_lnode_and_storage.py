@@ -22,9 +22,13 @@ class TestStorageLayer:
         assert storage.similar_index.latest_version("x") is None
         assert storage.global_index.lookup(b"\x00" * 20) is None
 
-    def test_bloom_toggle(self, oss):
-        layer = StorageLayer.create(oss, use_bloom=False)
-        assert layer.global_index.maybe_contains(b"\x01" * 20)
+    def test_global_index_always_prefilters(self, storage):
+        """The layer's index is Bloom-prefiltered: an unseen fingerprint
+        is definitely new, an assigned one may be present."""
+        index = storage.global_index
+        assert not index.maybe_contains(b"\x01" * 20)
+        index.assign(b"\x01" * 20, 7)
+        assert index.maybe_contains(b"\x01" * 20)
 
 
 class TestLNode:

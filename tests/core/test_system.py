@@ -107,12 +107,6 @@ class TestSlimStoreFacade:
         assert report.reverse_dedup is None
         assert report.compaction is None
 
-    def test_jobs_round_robin_over_lnodes(self, rng):
-        store = SlimStore(CONFIG.with_overrides(lnode_count=3))
-        for _ in range(6):
-            store.backup("f", random_bytes(rng, 32 * 1024))
-        assert [node.jobs_executed for node in store.lnodes] == [2, 2, 2]
-
     def test_report_metrics(self, store, rng):
         report = store.backup("f", random_bytes(rng, 128 * 1024))
         assert report.throughput_mb_s > 0
