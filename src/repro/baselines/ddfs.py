@@ -15,50 +15,21 @@ Useful as the exact-dedup yardstick next to SiLO/Sparse Indexing/SLIMSTORE.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
-from dataclasses import dataclass
 
-from repro.baselines.recipes import VersionRecipes
-from repro.chunking.base import make_chunker
+from repro.baselines.base import ContainerBaseline, chunk_stream, metered
+from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
-from repro.core.container import ContainerStore
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.lsm import LSMStore
 from repro.oss.object_store import ObjectStorageService
 from repro.sim.cost_model import CostModel
-from repro.sim.metrics import Counters, TimeBreakdown
-
-import struct
 
 _VALUE = struct.Struct(">QI")  # container id, chunk size
 
 
-@dataclass
-class DDFSBackupResult:
-    """One DDFS backup job's accounting."""
-
-    logical_bytes: int
-    stored_chunk_bytes: int
-    breakdown: TimeBreakdown
-    counters: Counters
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of logical bytes eliminated (exact)."""
-        if self.logical_bytes == 0:
-            return 0.0
-        return 1.0 - self.stored_chunk_bytes / self.logical_bytes
-
-    @property
-    def throughput_mb_s(self) -> float:
-        """Deduplication throughput in MB/s."""
-        elapsed = self.breakdown.elapsed_pipelined()
-        if elapsed == 0:
-            return 0.0
-        return self.logical_bytes / elapsed / (1 << 20)
-
-
-class DDFSSystem:
+class DDFSSystem(ContainerBaseline):
     """Exact dedup: summary Bloom + locality-preserved fingerprint cache."""
 
     def __init__(
@@ -70,11 +41,7 @@ class DDFSSystem:
         cache_containers: int = 64,
         bloom_capacity: int = 1 << 20,
     ) -> None:
-        self.config = config or SlimStoreConfig()
-        self.cost_model = cost_model or CostModel()
-        self.oss = oss
-        oss.create_bucket(bucket)
-        self.containers = ContainerStore(oss, bucket)
+        super().__init__(oss, config, cost_model, bucket)
         self._index = LSMStore(oss, bucket, name="ddfs-index")
         self._bloom = BloomFilter(bloom_capacity, 0.01)
         #: Locality-preserved cache: fp -> (container id, size), loaded a
@@ -82,89 +49,51 @@ class DDFSSystem:
         self._cache: OrderedDict[bytes, tuple[int, int]] = OrderedDict()
         self._cached_containers: OrderedDict[int, list[bytes]] = OrderedDict()
         self.cache_containers = cache_containers
-        self._chunker = make_chunker(self.config.chunker, self.config.chunker_params())
-        self.recipes = VersionRecipes(self.containers)
 
     # ------------------------------------------------------------------
-    def backup(self, path: str, data: bytes) -> DDFSBackupResult:
-        """Deduplicate one file stream exactly, the DDFS way."""
-        breakdown = TimeBreakdown()
-        counters = Counters()
-        boundary_set = self._chunker.boundaries(data)
-        builder = self.containers.new_builder(self.config.container_bytes)
-        stored = 0
-        position = 0
-        recipe: list[tuple[bytes, int, int]] = []
-        from repro.fingerprint.hashing import fingerprint
-
-        while position < len(data):
-            end = boundary_set.next_cut(position)
-            chunk = data[position:end]
-            breakdown.charge(
-                "chunking", self.cost_model.chunking_cost(self._chunker.name, len(chunk))
-            )
-            breakdown.charge("fingerprinting", self.cost_model.fingerprint_cost(len(chunk)))
-            breakdown.charge("other", self.cost_model.cpu_record_handling)
-            fp = fingerprint(chunk)
-            position = end
-
-            known = self._lookup(fp, breakdown, counters)
+    def _deduplicate(self, data: bytes) -> list[Entry]:
+        """Look every chunk up exactly, the DDFS way."""
+        recipe: list[Entry] = []
+        for fp, chunk in chunk_stream(self._chunker, self.cost_model, data, self._breakdown):
+            self._breakdown.charge("other", self.cost_model.cpu_record_handling)
+            known = self._lookup(fp)
             if known is not None:
-                counters.add("dup_chunks")
+                self._counters.add("dup_chunks")
                 recipe.append((fp, known[0], len(chunk)))
                 continue
-            # Unique: store and register.
-            if builder.is_full():
-                builder = self._flush(builder, breakdown, counters)
-            builder.add_chunk(fp, chunk)
-            stored += len(chunk)
-            breakdown.charge("other", self.cost_model.cpu_other_per_byte * len(chunk))
-            counters.add("unique_chunks")
-            self._register(fp, builder.container_id, len(chunk))
-            recipe.append((fp, builder.container_id, len(chunk)))
-        if not builder.is_empty():
-            self._flush(builder, breakdown, counters)
-        counters.add("logical_bytes", len(data))
-        self.recipes.record(path, recipe)
-        return DDFSBackupResult(len(data), stored, breakdown, counters)
+            container_id = self._store(fp, chunk)
+            self._register(fp, container_id, len(chunk))
+            recipe.append((fp, container_id, len(chunk)))
+        return recipe
 
-    def restore(self, path: str, version: int | None = None) -> bytes:
-        """Replay a version's recipe byte-for-byte (default: latest)."""
-        return self.recipes.restore(path, version)
-
-    # ------------------------------------------------------------------
-    def _lookup(self, fp: bytes, breakdown: TimeBreakdown, counters: Counters):
-        breakdown.charge("index_query", self.cost_model.cpu_index_query)
+    def _lookup(self, fp: bytes) -> tuple[int, int] | None:
+        self._breakdown.charge("index_query", self.cost_model.cpu_index_query)
         cached = self._cache.get(fp)
         if cached is not None:
-            counters.add("cache_hits")
+            self._counters.add("cache_hits")
             return cached
         if fp not in self._bloom:
-            counters.add("bloom_rejections")
+            self._counters.add("bloom_rejections")
             return None
         # On-OSS index lookup (the bottleneck DDFS mitigates, not removes).
-        before = self.oss.stats.snapshot()
-        value = self._index.get(fp)
-        breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
-        counters.add("index_reads")
+        with metered(self.oss, self._breakdown):
+            value = self._index.get(fp)
+        self._counters.add("index_reads")
         if value is None:
             return None
         container_id, size = _VALUE.unpack(value)
         # Locality-preserved caching: pull the whole container's
         # fingerprints into the cache.
-        self._load_container_fps(container_id, breakdown, counters)
+        self._load_container_fps(container_id)
         return self._cache.get(fp, (container_id, size))
 
-    def _load_container_fps(
-        self, container_id: int, breakdown: TimeBreakdown, counters: Counters
-    ) -> None:
+    def _load_container_fps(self, container_id: int) -> None:
         if container_id in self._cached_containers:
             self._cached_containers.move_to_end(container_id)
             return
-        before = self.oss.stats.snapshot()
-        meta = self.containers.read_meta(container_id)
-        breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
-        counters.add("container_meta_loads")
+        with metered(self.oss, self._breakdown):
+            meta = self.containers.read_meta(container_id)
+        self._counters.add("container_meta_loads")
         loaded = []
         for entry in meta.live_entries():
             self._cache[entry.fp] = (container_id, entry.size)
@@ -180,19 +109,10 @@ class DDFSSystem:
 
     def _register(self, fp: bytes, container_id: int, size: int) -> None:
         self._bloom.add(fp)
-        self._index.put(fp, _VALUE.pack(container_id, size))
+        # Each put is one WAL PUT on OSS: the exact index's upload cost.
+        with metered(self.oss, self._breakdown):
+            self._index.put(fp, _VALUE.pack(container_id, size))
         self._cache[fp] = (container_id, size)
         self._cached_containers.setdefault(container_id, []).append(fp)
         self._cached_containers.move_to_end(container_id)
         self._enforce_cache_bound()
-
-    def _flush(self, builder, breakdown: TimeBreakdown, counters: Counters):
-        before = self.oss.stats.snapshot()
-        self.containers.write(builder)
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
-        counters.add("containers_written")
-        return self.containers.new_builder(self.config.container_bytes)
-
-    def stored_bytes(self) -> int:
-        """Container payload bytes stored (free)."""
-        return self.containers.stored_bytes()

@@ -25,9 +25,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.baselines.base import BaselineBackupResult, chunk_stream, metered
 from repro.chunking.base import ChunkerParams, make_chunker
 from repro.errors import RestoreError
-from repro.fingerprint.hashing import FP_SIZE, fingerprint
+from repro.fingerprint.hashing import fingerprint
 from repro.oss.object_store import ObjectStorageService
 from repro.oss.ossfs import OssFileSystem
 from repro.sim.cost_model import CostModel
@@ -38,31 +39,12 @@ _SNAPSHOT_ENTRY = struct.Struct(">20sI")  # fp, length
 
 
 @dataclass
-class ResticBackupResult:
+class ResticBackupResult(BaselineBackupResult):
     """One restic backup job's accounting."""
 
     snapshot_id: str
-    logical_bytes: int
-    stored_chunk_bytes: int
-    breakdown: TimeBreakdown
-    counters: Counters
     #: Seconds spent inside the repository lock (index load/update/save).
     serial_seconds: float
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of logical bytes eliminated."""
-        if self.logical_bytes == 0:
-            return 0.0
-        return 1.0 - self.stored_chunk_bytes / self.logical_bytes
-
-    @property
-    def throughput_mb_s(self) -> float:
-        """Single-job backup throughput in MB/s."""
-        elapsed = self.breakdown.elapsed_pipelined()
-        if elapsed == 0:
-            return 0.0
-        return self.logical_bytes / elapsed / (1 << 20)
 
 
 @dataclass
@@ -119,18 +101,15 @@ class ResticRepository:
 
     # --- index (the shared, locked resource) ------------------------------
     def _load_index(self, breakdown: TimeBreakdown) -> dict[bytes, tuple[int, int, int]]:
-        before = self.oss.stats.snapshot()
-        try:
-            payload = self.fs.read_file("index/index")
-        except FileNotFoundError:
-            return {}
-        breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
-        index: dict[bytes, tuple[int, int, int]] = {}
-        for offset in range(0, len(payload), _INDEX_ENTRY.size):
-            fp, pack_id, pack_offset, length = _INDEX_ENTRY.unpack_from(payload, offset)
-            if len(fp) == FP_SIZE:
-                index[fp] = (pack_id, pack_offset, length)
-        return index
+        with metered(self.oss, breakdown):
+            try:
+                payload = self.fs.read_file("index/index")
+            except FileNotFoundError:
+                return {}
+        return {
+            fp: (pack_id, offset, length)
+            for fp, pack_id, offset, length in _INDEX_ENTRY.iter_unpack(payload)
+        }
 
     def _save_index(
         self, index: dict[bytes, tuple[int, int, int]], breakdown: TimeBreakdown
@@ -138,9 +117,8 @@ class ResticRepository:
         payload = bytearray()
         for fp, (pack_id, pack_offset, length) in index.items():
             payload += _INDEX_ENTRY.pack(fp, pack_id, pack_offset, length)
-        before = self.oss.stats.snapshot()
-        self.fs.write_file("index/index", bytes(payload))
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
+        with metered(self.oss, breakdown):
+            self.fs.write_file("index/index", bytes(payload))
         self._index_entry_count = len(index)
 
     # --- backup ----------------------------------------------------------------
@@ -149,29 +127,17 @@ class ResticRepository:
         index, write packs, update the index under the repository lock."""
         breakdown = TimeBreakdown()
         counters = Counters()
-        serial = 0.0
 
         # --- locked: load the shared index -------------------------------
-        lock_start = breakdown.download
         index = self._load_index(breakdown)
-        serial += breakdown.download - lock_start
 
-        boundary_set = self._chunker.boundaries(data)
         pack = bytearray()
         pack_id = self._alloc_pack()
         stored = 0
         new_entries: dict[bytes, tuple[int, int, int]] = {}
         snapshot: list[tuple[bytes, int]] = []
-        position = 0
         index_cpu = 0.0
-        while position < len(data):
-            end = boundary_set.next_cut(position)
-            chunk = data[position:end]
-            breakdown.charge(
-                "chunking", self.cost_model.chunking_cost("gear", len(chunk))
-            )
-            breakdown.charge("fingerprinting", self.cost_model.fingerprint_cost(len(chunk)))
-            fp = fingerprint(chunk)
+        for fp, chunk in chunk_stream(self._chunker, self.cost_model, data, breakdown):
             breakdown.charge("index_query", self.cost_model.cpu_index_query)
             index_cpu += self.cost_model.cpu_index_query
             snapshot.append((fp, len(chunk)))
@@ -187,7 +153,6 @@ class ResticRepository:
                 stored += len(chunk)
                 breakdown.charge("other", self.cost_model.cpu_other_per_byte * len(chunk))
                 counters.add("unique_chunks")
-            position = end
         if pack:
             self._flush_pack(pack_id, pack, breakdown, counters)
 
@@ -219,9 +184,8 @@ class ResticRepository:
     def _flush_pack(
         self, pack_id: int, pack: bytearray, breakdown: TimeBreakdown, counters: Counters
     ) -> None:
-        before = self.oss.stats.snapshot()
-        self.fs.write_file(f"data/pack_{pack_id:08d}", bytes(pack))
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
+        with metered(self.oss, breakdown):
+            self.fs.write_file(f"data/pack_{pack_id:08d}", bytes(pack))
         counters.add("packs_written")
 
     def _write_snapshot(
@@ -232,9 +196,8 @@ class ResticRepository:
         payload = bytearray(path.encode() + b"\x00")
         for fp, length in snapshot:
             payload += _SNAPSHOT_ENTRY.pack(fp, length)
-        before = self.oss.stats.snapshot()
-        self.fs.write_file(f"snapshots/{snapshot_id}", bytes(payload))
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
+        with metered(self.oss, breakdown):
+            self.fs.write_file(f"snapshots/{snapshot_id}", bytes(payload))
         return snapshot_id
 
     # --- restore -------------------------------------------------------------------
@@ -243,29 +206,26 @@ class ResticRepository:
         breakdown = TimeBreakdown()
         counters = Counters()
 
-        lock_start = breakdown.download
+        # Only the index load runs under the repository lock.
         index = self._load_index(breakdown)
-        serial = breakdown.download - lock_start
+        serial = breakdown.download
 
-        before = self.oss.stats.snapshot()
-        payload = self.fs.read_file(f"snapshots/{snapshot_id}")
-        breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
+        with metered(self.oss, breakdown):
+            payload = self.fs.read_file(f"snapshots/{snapshot_id}")
         separator = payload.index(b"\x00")
         records = payload[separator + 1 :]
 
         output = bytearray()
-        for offset in range(0, len(records), _SNAPSHOT_ENTRY.size):
-            fp, length = _SNAPSHOT_ENTRY.unpack_from(records, offset)
+        for fp, _length in _SNAPSHOT_ENTRY.iter_unpack(records):
             location = index.get(fp)
             if location is None:
                 raise RestoreError(f"blob {fp.hex()[:12]} missing from restic index")
             pack_id, pack_offset, pack_length = location
             breakdown.charge("index_query", self.cost_model.cpu_index_query)
-            before = self.oss.stats.snapshot()
-            chunk = self.fs.read_range(
-                f"data/pack_{pack_id:08d}", pack_offset, pack_length
-            )
-            breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
+            with metered(self.oss, breakdown):
+                chunk = self.fs.read_range(
+                    f"data/pack_{pack_id:08d}", pack_offset, pack_length
+                )
             counters.add("blob_reads")
             if fingerprint(chunk) != fp:
                 raise RestoreError(f"blob {fp.hex()[:12]} failed verification")

@@ -16,47 +16,22 @@ floor.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
-from repro.baselines.recipes import VersionRecipes
-from repro.chunking.base import make_chunker
+from repro.baselines.base import ContainerBaseline, metered
+from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
-from repro.core.container import ContainerBuilder, ContainerStore
-from repro.fingerprint.hashing import FP_SIZE, fingerprint
+from repro.fingerprint.similarity import representative_fingerprints
 from repro.oss.object_store import ObjectStorageService
 from repro.sim.cost_model import CostModel
-from repro.sim.metrics import Counters, TimeBreakdown
 
 _BLOCK_ENTRY = struct.Struct(">20sQI")  # fp, container id, size
 
 
-@dataclass
-class SiLOBackupResult:
-    """Throughput and dedup accounting for one SiLO backup job."""
-
-    logical_bytes: int
-    stored_chunk_bytes: int
-    breakdown: TimeBreakdown
-    counters: Counters
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of logical bytes eliminated."""
-        if self.logical_bytes == 0:
-            return 0.0
-        return 1.0 - self.stored_chunk_bytes / self.logical_bytes
-
-    @property
-    def throughput_mb_s(self) -> float:
-        """Deduplication throughput in MB/s."""
-        elapsed = self.breakdown.elapsed_pipelined()
-        if elapsed == 0:
-            return 0.0
-        return self.logical_bytes / elapsed / (1 << 20)
-
-
-class SiLOSystem:
+class SiLOSystem(ContainerBaseline):
     """A SiLO deployment over the shared OSS substrate."""
+
+    #: Representative fingerprints probed/registered per segment (min-hash).
+    REPRESENTATIVES_PER_SEGMENT = 2
 
     def __init__(
         self,
@@ -66,112 +41,39 @@ class SiLOSystem:
         cost_model: CostModel | None = None,
         bucket: str = "silo",
     ) -> None:
-        self.config = config or SlimStoreConfig()
-        self.cost_model = cost_model or CostModel()
-        self.oss = oss
-        self.bucket = bucket
-        oss.create_bucket(bucket)
-        self.containers = ContainerStore(oss, bucket)
+        super().__init__(oss, config, cost_model, bucket)
         self.segments_per_block = segments_per_block
-        self._chunker = make_chunker(self.config.chunker, self.config.chunker_params())
         #: In-RAM similarity hash table: representative fp -> block id.
         self._sh_table: dict[bytes, int] = {}
         self._next_block_id = 0
-        self._pending_block: list[list[tuple[bytes, int, int]]] = []
-        self.recipes = VersionRecipes(self.containers)
+        self._pending_block: list[list[Entry]] = []
 
     # --- backup ------------------------------------------------------------
-    def backup(self, path: str, data: bytes) -> SiLOBackupResult:
-        """Deduplicate one file stream the SiLO way.
-
-        Two-phase per segment: chunk and fingerprint the whole segment,
+    def _deduplicate(self, data: bytes) -> list[Entry]:
+        """Two-phase per segment: chunk and fingerprint the whole segment,
         probe the similarity hash table with its representative (minimum)
         fingerprints, load the matching block of segment recipes, then
         classify every chunk against the dedup cache.
         """
-        breakdown = TimeBreakdown()
-        counters = Counters()
-        boundary_set = self._chunker.boundaries(data)
-
-        builder = self.containers.new_builder(self.config.container_bytes)
-        stored = 0
         dedup_cache: dict[bytes, tuple[int, int]] = {}
-        local: dict[bytes, tuple[int, int]] = {}
-        recipe: list[tuple[bytes, int, int]] = []
-        position = 0
-
-        while position < len(data):
-            chunks, position = self._cut_segment(data, boundary_set, position, breakdown)
-            fps = [fp for fp, _chunk in chunks]
-            for fp in self._representatives(fps):
-                self._probe(fp, dedup_cache, breakdown, counters)
-
-            segment: list[tuple[bytes, int, int]] = []
-            for fp, chunk in chunks:
-                breakdown.charge("index_query", self.cost_model.cpu_index_query)
-                known = local.get(fp) or dedup_cache.get(fp)
-                if known is not None:
-                    counters.add("dup_chunks")
-                    segment.append((fp, known[0], len(chunk)))
-                else:
-                    if builder.is_full():
-                        builder = self._flush_container(builder, breakdown, counters)
-                    builder.add_chunk(fp, chunk)
-                    stored += len(chunk)
-                    breakdown.charge(
-                        "other", self.cost_model.cpu_other_per_byte * len(chunk)
-                    )
-                    counters.add("unique_chunks")
-                    local[fp] = (builder.container_id, len(chunk))
-                    segment.append((fp, builder.container_id, len(chunk)))
-            self._store_segment(segment, fps, breakdown, counters)
+        recipe: list[Entry] = []
+        for chunks in self._segments(data):
+            representatives = representative_fingerprints(
+                (fp for fp, _chunk in chunks), self.REPRESENTATIVES_PER_SEGMENT
+            )
+            for fp in representatives:
+                self._probe(fp, dedup_cache)
+            segment = self._dedup_segment(chunks, dedup_cache)
+            self._store_segment(segment, representatives)
             recipe.extend(segment)
-
-        self._flush_block(breakdown)
-        if not builder.is_empty():
-            self._flush_container(builder, breakdown, counters)
-        counters.add("logical_bytes", len(data))
-        self.recipes.record(path, recipe)
-        return SiLOBackupResult(len(data), stored, breakdown, counters)
-
-    def restore(self, path: str, version: int | None = None) -> bytes:
-        """Replay a version's recipe byte-for-byte (default: latest)."""
-        return self.recipes.restore(path, version)
-
-    def _cut_segment(self, data, boundary_set, position, breakdown):
-        """Chunk one segment's worth of input, charging CPU costs."""
-        chunks: list[tuple[bytes, bytes]] = []
-        segment_bytes = 0
-        while position < len(data) and segment_bytes < self.config.segment_bytes:
-            end = boundary_set.next_cut(position)
-            chunk = data[position:end]
-            breakdown.charge(
-                "chunking", self.cost_model.chunking_cost(self._chunker.name, len(chunk))
-            )
-            breakdown.charge(
-                "fingerprinting", self.cost_model.fingerprint_cost(len(chunk))
-            )
-            chunks.append((fingerprint(chunk), chunk))
-            segment_bytes += len(chunk)
-            position = end
-        return chunks, position
+        self._flush_block()
+        return recipe
 
     # --- similarity & blocks ------------------------------------------------
-    #: Representative fingerprints probed/registered per segment (min-hash).
-    REPRESENTATIVES_PER_SEGMENT = 2
-
-    @classmethod
-    def _representatives(cls, segment_fps: list[bytes]) -> list[bytes]:
-        return sorted(set(segment_fps))[: cls.REPRESENTATIVES_PER_SEGMENT]
-
     def _probe(
-        self,
-        representative: bytes,
-        dedup_cache: dict[bytes, tuple[int, int]],
-        breakdown: TimeBreakdown,
-        counters: Counters,
+        self, representative: bytes, dedup_cache: dict[bytes, tuple[int, int]]
     ) -> None:
-        breakdown.charge("index_query", self.cost_model.cpu_index_query)
+        self._breakdown.charge("index_query", self.cost_model.cpu_index_query)
         block_id = self._sh_table.get(representative)
         if block_id is None:
             return
@@ -181,57 +83,30 @@ class SiLOSystem:
                 for fp, container_id, size in segment:
                     dedup_cache.setdefault(fp, (container_id, size))
             return
-        counters.add("block_loads")
-        before = self.oss.stats.snapshot()
-        try:
-            payload = self.oss.get_object(self.bucket, f"blocks/{block_id:010d}")
-        except KeyError:
-            return
-        breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
-        for offset in range(0, len(payload), _BLOCK_ENTRY.size):
-            fp, container_id, size = _BLOCK_ENTRY.unpack_from(payload, offset)
-            if len(fp) == FP_SIZE:
-                dedup_cache.setdefault(fp, (container_id, size))
+        self._counters.add("block_loads")
+        with metered(self.oss, self._breakdown):
+            try:
+                payload = self.oss.get_object(self.bucket, f"blocks/{block_id:010d}")
+            except KeyError:
+                return
+        for fp, container_id, size in _BLOCK_ENTRY.iter_unpack(payload):
+            dedup_cache.setdefault(fp, (container_id, size))
 
-    def _store_segment(
-        self,
-        segment: list[tuple[bytes, int, int]],
-        segment_fps: list[bytes],
-        breakdown: TimeBreakdown,
-        counters: Counters,
-    ) -> None:
-        if not segment:
-            return
-        self._pending_block.append(list(segment))
-        for fp in self._representatives(segment_fps):
+    def _store_segment(self, segment: list[Entry], representatives: list[bytes]) -> None:
+        self._pending_block.append(segment)
+        for fp in representatives:
             self._sh_table[fp] = self._next_block_id
-        counters.add("segments")
+        self._counters.add("segments")
         if len(self._pending_block) >= self.segments_per_block:
-            self._flush_block(breakdown)
+            self._flush_block()
 
-    def _flush_block(self, breakdown: TimeBreakdown) -> None:
+    def _flush_block(self) -> None:
         if not self._pending_block:
             return
-        payload = bytearray()
-        for segment in self._pending_block:
-            for fp, container_id, size in segment:
-                payload += _BLOCK_ENTRY.pack(fp, container_id, size)
-        before = self.oss.stats.snapshot()
-        self.oss.put_object(self.bucket, f"blocks/{self._next_block_id:010d}", bytes(payload))
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
+        payload = b"".join(
+            _BLOCK_ENTRY.pack(*entry) for segment in self._pending_block for entry in segment
+        )
+        with metered(self.oss, self._breakdown):
+            self.oss.put_object(self.bucket, f"blocks/{self._next_block_id:010d}", payload)
         self._next_block_id += 1
         self._pending_block = []
-
-    def _flush_container(
-        self, builder: ContainerBuilder, breakdown: TimeBreakdown, counters: Counters
-    ) -> ContainerBuilder:
-        before = self.oss.stats.snapshot()
-        self.containers.write(builder)
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
-        counters.add("containers_written")
-        return self.containers.new_builder(self.config.container_bytes)
-
-    # --- accounting -----------------------------------------------------------
-    def stored_bytes(self) -> int:
-        """Container payload bytes stored by this SiLO instance (free)."""
-        return self.containers.stored_bytes()

@@ -16,47 +16,18 @@ from __future__ import annotations
 
 import struct
 from collections import Counter as TallyCounter
-from dataclasses import dataclass
 
-from repro.baselines.recipes import VersionRecipes
-from repro.chunking.base import make_chunker
+from repro.baselines.base import ContainerBaseline, metered
+from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
-from repro.core.container import ContainerBuilder, ContainerStore
-from repro.fingerprint.hashing import FP_SIZE, fingerprint
 from repro.fingerprint.sampling import is_sampled
 from repro.oss.object_store import ObjectStorageService
 from repro.sim.cost_model import CostModel
-from repro.sim.metrics import Counters, TimeBreakdown
 
 _MANIFEST_ENTRY = struct.Struct(">20sQI")  # fp, container id, size
 
 
-@dataclass
-class SparseIndexingBackupResult:
-    """Throughput and dedup accounting for one Sparse Indexing job."""
-
-    logical_bytes: int
-    stored_chunk_bytes: int
-    breakdown: TimeBreakdown
-    counters: Counters
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of logical bytes eliminated."""
-        if self.logical_bytes == 0:
-            return 0.0
-        return 1.0 - self.stored_chunk_bytes / self.logical_bytes
-
-    @property
-    def throughput_mb_s(self) -> float:
-        """Deduplication throughput in MB/s."""
-        elapsed = self.breakdown.elapsed_pipelined()
-        if elapsed == 0:
-            return 0.0
-        return self.logical_bytes / elapsed / (1 << 20)
-
-
-class SparseIndexingSystem:
+class SparseIndexingSystem(ContainerBaseline):
     """A Sparse Indexing deployment over the shared OSS substrate."""
 
     def __init__(
@@ -67,133 +38,52 @@ class SparseIndexingSystem:
         cost_model: CostModel | None = None,
         bucket: str = "sparseidx",
     ) -> None:
-        self.config = config or SlimStoreConfig()
-        self.cost_model = cost_model or CostModel()
-        self.oss = oss
-        self.bucket = bucket
-        oss.create_bucket(bucket)
-        self.containers = ContainerStore(oss, bucket)
+        super().__init__(oss, config, cost_model, bucket)
         self.max_champions = max_champions
         #: In-RAM sparse index: hook fingerprint -> manifest ids holding it.
         self._sparse_index: dict[bytes, list[int]] = {}
         self._next_manifest_id = 0
-        self.recipes = VersionRecipes(self.containers)
 
     # --- backup ------------------------------------------------------------
-    def backup(self, path: str, data: bytes) -> SparseIndexingBackupResult:
-        """Deduplicate one file stream by sampling and champion selection."""
-        breakdown = TimeBreakdown()
-        counters = Counters()
-        boundary_set = self._chunker_boundaries(data, breakdown)
-        builder = self.containers.new_builder(self.config.container_bytes)
-        stored = 0
-        local: dict[bytes, tuple[int, int]] = {}
-        recipe: list[tuple[bytes, int, int]] = []
-        position = 0
-
-        while position < len(data):
-            chunks, position = self._cut_segment(data, boundary_set, position, breakdown)
-            hooks = [
-                fp for fp, _ in chunks if is_sampled(fp, self.config.effective_sample_ratio())
-            ]
-            champion_cache = self._load_champions(hooks, breakdown, counters)
-
-            manifest: list[tuple[bytes, int, int]] = []
-            for fp, chunk in chunks:
-                breakdown.charge("index_query", self.cost_model.cpu_index_query)
-                known = local.get(fp) or champion_cache.get(fp)
-                if known is not None:
-                    counters.add("dup_chunks")
-                    manifest.append((fp, known[0], len(chunk)))
-                else:
-                    if builder.is_full():
-                        builder = self._flush_container(builder, breakdown, counters)
-                    builder.add_chunk(fp, chunk)
-                    stored += len(chunk)
-                    breakdown.charge(
-                        "other", self.cost_model.cpu_other_per_byte * len(chunk)
-                    )
-                    counters.add("unique_chunks")
-                    local[fp] = (builder.container_id, len(chunk))
-                    manifest.append((fp, builder.container_id, len(chunk)))
-            self._store_manifest(manifest, hooks, breakdown, counters)
+    def _deduplicate(self, data: bytes) -> list[Entry]:
+        """Deduplicate each segment against the champions its hooks elect."""
+        sample_ratio = self.config.effective_sample_ratio()
+        recipe: list[Entry] = []
+        for chunks in self._segments(data):
+            hooks = [fp for fp, _chunk in chunks if is_sampled(fp, sample_ratio)]
+            manifest = self._dedup_segment(chunks, self._load_champions(hooks))
+            self._store_manifest(manifest, hooks)
             recipe.extend(manifest)
-
-        if not builder.is_empty():
-            self._flush_container(builder, breakdown, counters)
-        counters.add("logical_bytes", len(data))
-        self.recipes.record(path, recipe)
-        return SparseIndexingBackupResult(len(data), stored, breakdown, counters)
-
-    def restore(self, path: str, version: int | None = None) -> bytes:
-        """Replay a version's recipe byte-for-byte (default: latest)."""
-        return self.recipes.restore(path, version)
+        return recipe
 
     # --- internals -----------------------------------------------------------
-    def _chunker_boundaries(self, data: bytes, breakdown: TimeBreakdown):
-        self._chunker = make_chunker(self.config.chunker, self.config.chunker_params())
-        return self._chunker.boundaries(data)
-
-    def _cut_segment(self, data, boundary_set, position, breakdown):
-        chunks: list[tuple[bytes, bytes]] = []
-        segment_bytes = 0
-        while position < len(data) and segment_bytes < self.config.segment_bytes:
-            end = boundary_set.next_cut(position)
-            chunk = data[position:end]
-            breakdown.charge(
-                "chunking", self.cost_model.chunking_cost(self._chunker.name, len(chunk))
-            )
-            breakdown.charge(
-                "fingerprinting", self.cost_model.fingerprint_cost(len(chunk))
-            )
-            chunks.append((fingerprint(chunk), chunk))
-            segment_bytes += len(chunk)
-            position = end
-        return chunks, position
-
-    def _load_champions(
-        self, hooks: list[bytes], breakdown: TimeBreakdown, counters: Counters
-    ) -> dict[bytes, tuple[int, int]]:
+    def _load_champions(self, hooks: list[bytes]) -> dict[bytes, tuple[int, int]]:
         """Vote with the hooks, fetch the top manifests, build the cache."""
         votes: TallyCounter[int] = TallyCounter()
         for hook in hooks:
-            breakdown.charge("index_query", self.cost_model.cpu_index_query)
+            self._breakdown.charge("index_query", self.cost_model.cpu_index_query)
             for manifest_id in self._sparse_index.get(hook, []):
                 votes[manifest_id] += 1
         champion_cache: dict[bytes, tuple[int, int]] = {}
         for manifest_id, _score in votes.most_common(self.max_champions):
-            counters.add("champions_loaded")
-            before = self.oss.stats.snapshot()
-            try:
-                payload = self.oss.get_object(
-                    self.bucket, f"manifests/{manifest_id:010d}"
-                )
-            except KeyError:
-                continue
-            breakdown.charge("download", self.oss.stats.diff(before).read_seconds)
-            for offset in range(0, len(payload), _MANIFEST_ENTRY.size):
-                fp, container_id, size = _MANIFEST_ENTRY.unpack_from(payload, offset)
-                if len(fp) == FP_SIZE:
-                    champion_cache.setdefault(fp, (container_id, size))
+            self._counters.add("champions_loaded")
+            with metered(self.oss, self._breakdown):
+                try:
+                    payload = self.oss.get_object(
+                        self.bucket, f"manifests/{manifest_id:010d}"
+                    )
+                except KeyError:
+                    continue
+            for fp, container_id, size in _MANIFEST_ENTRY.iter_unpack(payload):
+                champion_cache.setdefault(fp, (container_id, size))
         return champion_cache
 
-    def _store_manifest(
-        self,
-        manifest: list[tuple[bytes, int, int]],
-        hooks: list[bytes],
-        breakdown: TimeBreakdown,
-        counters: Counters,
-    ) -> None:
-        if not manifest:
-            return
-        payload = bytearray()
-        for fp, container_id, size in manifest:
-            payload += _MANIFEST_ENTRY.pack(fp, container_id, size)
-        before = self.oss.stats.snapshot()
-        self.oss.put_object(
-            self.bucket, f"manifests/{self._next_manifest_id:010d}", bytes(payload)
-        )
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
+    def _store_manifest(self, manifest: list[Entry], hooks: list[bytes]) -> None:
+        payload = b"".join(_MANIFEST_ENTRY.pack(*entry) for entry in manifest)
+        with metered(self.oss, self._breakdown):
+            self.oss.put_object(
+                self.bucket, f"manifests/{self._next_manifest_id:010d}", payload
+            )
         for hook in hooks:
             owners = self._sparse_index.setdefault(hook, [])
             owners.append(self._next_manifest_id)
@@ -201,19 +91,5 @@ class SparseIndexingSystem:
             # original does to bound RAM.
             if len(owners) > 4:
                 del owners[0]
-        counters.add("segments")
+        self._counters.add("segments")
         self._next_manifest_id += 1
-
-    def _flush_container(
-        self, builder: ContainerBuilder, breakdown: TimeBreakdown, counters: Counters
-    ) -> ContainerBuilder:
-        before = self.oss.stats.snapshot()
-        self.containers.write(builder)
-        breakdown.charge("upload", self.oss.stats.diff(before).write_seconds)
-        counters.add("containers_written")
-        return self.containers.new_builder(self.config.container_bytes)
-
-    # --- accounting -----------------------------------------------------------
-    def stored_bytes(self) -> int:
-        """Container payload bytes stored by this instance (free)."""
-        return self.containers.stored_bytes()
