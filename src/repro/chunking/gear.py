@@ -49,13 +49,17 @@ def gear_window_hash(window: bytes | memoryview) -> int:
     return h & _HASH_MASK
 
 
-def gear_combine(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
+def gear_combine(
+    left: np.ndarray, right: np.ndarray, span: int, out: np.ndarray
+) -> np.ndarray:
     """Hash of a run followed by a ``span``-byte run: ``(l << span) + r``.
 
     Rolling ``h = (h << 1) + gear[b]`` over the right-hand run shifts the
     left-hand hash ``span`` places, and the shift distributes over the sum.
+    Written into ``out``, which may be ``left`` itself.
     """
-    return (left << np.uint32(span)) + right
+    np.left_shift(left, np.uint32(span), out=out)
+    return np.add(out, right, out=out)
 
 
 def top_bits_mask(bits: int) -> np.uint32:

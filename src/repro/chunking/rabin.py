@@ -28,9 +28,15 @@ _HASH_MASK = (1 << 64) - 1
 _BYTE_VALUES = np.arange(256, dtype=np.uint64)
 
 
-def rabin_combine(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
-    """Hash of a run followed by a ``span``-byte run: ``l * P^span + r``."""
-    return left * np.uint64(pow(PRIME, span, 1 << 64)) + right
+def rabin_combine(
+    left: np.ndarray, right: np.ndarray, span: int, out: np.ndarray
+) -> np.ndarray:
+    """Hash of a run followed by a ``span``-byte run: ``l * P^span + r``.
+
+    Written into ``out``, which may be ``left`` itself.
+    """
+    np.multiply(left, np.uint64(pow(PRIME, span, 1 << 64)), out=out)
+    return np.add(out, right, out=out)
 
 
 class RabinChunker(Chunker):

@@ -15,6 +15,9 @@ handing the kernel a wrong mask fails too.
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -204,17 +207,98 @@ def test_many_seams(name, tile, monkeypatch):
 @pytest.mark.parametrize("tile", [1, 5, 64, 4096])
 def test_seams_neither_drop_nor_duplicate_a_position(tile, table, window, combine, monkeypatch):
     """Under an always-true condition every window end comes back exactly
-    once, in order, and every condition gets its own full answer."""
+    once, in order.  A later condition is tested only at the first one's
+    hits (the refinement contract): a repeat of the first returns the
+    same array, one that never holds an empty one, and behind a first
+    condition that never holds even an always-true one comes back empty."""
     monkeypatch.setattr(scan, "TILE", tile)
+    always = (table.dtype.type(0), 0)
+    never = (table.dtype.type(0), 1)
     for size in (window, tile + window - 1, tile + window, 3 * tile + window + 2, 9000):
-        always = (table.dtype.type(0), 0)
-        never = (table.dtype.type(0), 1)
+        data = payload(size, size)
         hits, repeat, none = scan.cut_positions(
-            payload(size, size), window, table, combine, [always, always, never]
+            data, window, table, combine, [always, always, never]
         )
         assert hits.tolist() == list(range(window, size + 1))
         assert np.array_equal(hits, repeat)
         assert none.size == 0 and none.dtype == np.int64
+        blocked, refined = scan.cut_positions(data, window, table, combine, [never, always])
+        assert blocked.size == 0
+        assert refined.size == 0 and refined.dtype == np.int64
+
+
+def test_doubling_buffers_at_every_window_width():
+    """Every width from 1 to 64 bytes — one to six set bits, so a level
+    kept for the fold, and more buffers than the two given — equals the
+    W-pass sum ``Σ table[b_t] << (W-1-t)`` of gear's recurrence."""
+    values = gear.GEAR_TABLE[np.frombuffer(payload(6, 300), dtype=np.uint8)]
+    original = values.copy()
+    wide = values.astype(np.uint64)
+    for window in range(1, 65):
+        count = len(values) - window + 1
+        expected = np.zeros(count, dtype=np.uint64)
+        for t in range(max(window - 32, 0), window):
+            # A byte 32 or more places back is shifted out of the hash.
+            expected += wide[t : t + count] << np.uint64(window - 1 - t)
+        scratch = [np.empty(len(values), dtype=np.uint32) for _ in range(2)]
+        got = scan.windowed_hashes(values, window, gear.gear_combine, scratch)
+        assert np.array_equal(got, expected & np.uint64(MOD32 - 1)), window
+        assert np.array_equal(values, original)
+
+
+@pytest.mark.parametrize("avg_bits", range(6, 21))
+def test_fastcdc_strict_mask_covers_its_permissive_mask(avg_bits):
+    """Why the refinement is exact for FastCDC, at every power-of-two
+    average from 64 B to 1 MiB: the strict mask holds every permissive
+    bit, both want 0, so a strict hit is always a permissive hit."""
+    chunker = make_chunker("fastcdc", ChunkerParams().scaled(1 << avg_bits))
+    strict, permissive = int(chunker._strict_mask), int(chunker._permissive_mask)
+    assert strict & permissive == permissive
+    assert strict != permissive
+
+
+def test_concurrent_calls_share_no_buffers(monkeypatch):
+    """Executor threads run the kernel at once.  Eight threads — more than
+    the cores — each scan their own payload with every CDC chunker while
+    the interpreter switches threads every microsecond and a small tile
+    makes every call span many tiles; each must get the serial answer."""
+    monkeypatch.setattr(scan, "TILE", 61)
+    chunkers = [make_chunker(name, PARAMS) for name in CDC_NAMES]
+    payloads = [payload(100 + i, 3000) for i in range(8)]
+    expected = [[chunker.candidates(data) for chunker in chunkers] for data in payloads]
+    results: list[list[list[np.ndarray]]] = [[] for _ in payloads]
+    start = threading.Barrier(len(payloads))
+
+    def scan_own_payload(i: int) -> None:
+        start.wait()
+        for _ in range(3):
+            results[i].append([chunker.candidates(payloads[i]) for chunker in chunkers])
+
+    threads = [
+        threading.Thread(target=scan_own_payload, args=(i,), daemon=True)
+        for i in range(len(payloads))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        # Shared buffers need not fail loudly: a hash written over another
+        # call's byte indices sends ``np.take(mode="wrap")`` into a
+        # near-endless wrap loop, so the join is bounded.
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in threads if thread.is_alive()]
+    for want, rounds in zip(expected, results):
+        assert len(rounds) == 3
+        for got in rounds:
+            for want_parts, got_parts in zip(want, got):
+                assert len(want_parts) == len(got_parts)
+                for want_hits, got_hits in zip(want_parts, got_parts):
+                    assert np.array_equal(want_hits, got_hits)
 
 
 @pytest.mark.parametrize("name", CDC_NAMES)
