@@ -1,4 +1,4 @@
-"""What every backup baseline shares: result, chunk stream, OSS meter.
+"""What every backup baseline shares: result, chunk stream, container packer.
 
 Fig 7 and the exact-vs-fast ablation compare *lookup strategies*; the
 comparison is fair only if chunking, hashing, container packing and
@@ -7,13 +7,13 @@ once.  :class:`ContainerBaseline` is the scaffold of the three
 container-packing systems (DDFS, SiLO, Sparse Indexing): a subclass
 implements :meth:`ContainerBaseline._deduplicate` — its lookup strategy —
 and nothing else.  restic keeps its own pack layout and reuses only the
-result type, :func:`chunk_stream` and :func:`metered`.
+result type and :func:`chunk_stream`, and meters OSS time the same way,
+through ``oss.meter(breakdown)``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.baselines.recipes import Entry, VersionRecipes
@@ -67,19 +67,6 @@ def chunk_stream(
         breakdown.charge("fingerprinting", cost_model.fingerprint_cost(len(chunk)))
         yield fingerprint(chunk), chunk
         position = end
-
-
-@contextmanager
-def metered(oss: ObjectStorageService, breakdown: TimeBreakdown) -> Iterator[None]:
-    """Charge the OSS read seconds spent inside to ``download``, the
-    write seconds to ``upload``."""
-    before = oss.stats.snapshot()
-    try:
-        yield
-    finally:
-        spent = oss.stats.diff(before)
-        breakdown.charge("download", spent.read_seconds)
-        breakdown.charge("upload", spent.write_seconds)
 
 
 class ContainerBaseline:
@@ -176,7 +163,7 @@ class ContainerBaseline:
         return self._builder.container_id
 
     def _flush(self) -> None:
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             self.containers.write(self._builder)
         self._counters.add("containers_written")
         self._builder = self.containers.new_builder(self.config.container_bytes)

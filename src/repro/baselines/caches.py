@@ -108,15 +108,12 @@ class _BaselineRestorer:
 
     def _read_container(self, container_id: int):
         """One charged whole-container read returning (meta, payload)."""
-        oss = self.containers.oss
-        before = oss.stats.snapshot()
-        payload = self.containers.read_data(container_id)
-        meta = self.containers.read_meta(container_id, piggyback=True)
-        duration = oss.stats.diff(before).read_seconds
-        self.breakdown.charge("download", duration)
+        with self.containers.oss.meter(self.breakdown) as meter:
+            payload = self.containers.read_data(container_id)
+            meta = self.containers.read_meta(container_id, piggyback=True)
         self.counters.add("containers_read")
         self.counters.add("container_bytes_read", len(payload))
-        self._read_trace.append(duration)
+        self._read_trace.append(meter.read_seconds)
         self._pending_read = len(self._read_trace) - 1
         return meta, payload
 

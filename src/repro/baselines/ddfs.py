@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 
-from repro.baselines.base import ContainerBaseline, chunk_stream, metered
+from repro.baselines.base import ContainerBaseline, chunk_stream
 from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
 from repro.kvstore.bloom import BloomFilter
@@ -76,7 +76,7 @@ class DDFSSystem(ContainerBaseline):
             self._counters.add("bloom_rejections")
             return None
         # On-OSS index lookup (the bottleneck DDFS mitigates, not removes).
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             value = self._index.get(fp)
         self._counters.add("index_reads")
         if value is None:
@@ -91,7 +91,7 @@ class DDFSSystem(ContainerBaseline):
         if container_id in self._cached_containers:
             self._cached_containers.move_to_end(container_id)
             return
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             meta = self.containers.read_meta(container_id)
         self._counters.add("container_meta_loads")
         loaded = []
@@ -110,7 +110,7 @@ class DDFSSystem(ContainerBaseline):
     def _register(self, fp: bytes, container_id: int, size: int) -> None:
         self._bloom.add(fp)
         # Each put is one WAL PUT on OSS: the exact index's upload cost.
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             self._index.put(fp, _VALUE.pack(container_id, size))
         self._cache[fp] = (container_id, size)
         self._cached_containers.setdefault(container_id, []).append(fp)

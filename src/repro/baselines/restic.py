@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.baselines.base import BaselineBackupResult, chunk_stream, metered
+from repro.baselines.base import BaselineBackupResult, chunk_stream
 from repro.chunking.base import ChunkerParams, make_chunker
 from repro.errors import RestoreError
 from repro.fingerprint.hashing import fingerprint
@@ -101,7 +101,7 @@ class ResticRepository:
 
     # --- index (the shared, locked resource) ------------------------------
     def _load_index(self, breakdown: TimeBreakdown) -> dict[bytes, tuple[int, int, int]]:
-        with metered(self.oss, breakdown):
+        with self.oss.meter(breakdown):
             try:
                 payload = self.fs.read_file("index/index")
             except FileNotFoundError:
@@ -117,7 +117,7 @@ class ResticRepository:
         payload = bytearray()
         for fp, (pack_id, pack_offset, length) in index.items():
             payload += _INDEX_ENTRY.pack(fp, pack_id, pack_offset, length)
-        with metered(self.oss, breakdown):
+        with self.oss.meter(breakdown):
             self.fs.write_file("index/index", bytes(payload))
         self._index_entry_count = len(index)
 
@@ -184,7 +184,7 @@ class ResticRepository:
     def _flush_pack(
         self, pack_id: int, pack: bytearray, breakdown: TimeBreakdown, counters: Counters
     ) -> None:
-        with metered(self.oss, breakdown):
+        with self.oss.meter(breakdown):
             self.fs.write_file(f"data/pack_{pack_id:08d}", bytes(pack))
         counters.add("packs_written")
 
@@ -196,7 +196,7 @@ class ResticRepository:
         payload = bytearray(path.encode() + b"\x00")
         for fp, length in snapshot:
             payload += _SNAPSHOT_ENTRY.pack(fp, length)
-        with metered(self.oss, breakdown):
+        with self.oss.meter(breakdown):
             self.fs.write_file(f"snapshots/{snapshot_id}", bytes(payload))
         return snapshot_id
 
@@ -210,7 +210,7 @@ class ResticRepository:
         index = self._load_index(breakdown)
         serial = breakdown.download
 
-        with metered(self.oss, breakdown):
+        with self.oss.meter(breakdown):
             payload = self.fs.read_file(f"snapshots/{snapshot_id}")
         separator = payload.index(b"\x00")
         records = payload[separator + 1 :]
@@ -222,7 +222,7 @@ class ResticRepository:
                 raise RestoreError(f"blob {fp.hex()[:12]} missing from restic index")
             pack_id, pack_offset, pack_length = location
             breakdown.charge("index_query", self.cost_model.cpu_index_query)
-            with metered(self.oss, breakdown):
+            with self.oss.meter(breakdown):
                 chunk = self.fs.read_range(
                     f"data/pack_{pack_id:08d}", pack_offset, pack_length
                 )

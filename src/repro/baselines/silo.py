@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.baselines.base import ContainerBaseline, metered
+from repro.baselines.base import ContainerBaseline
 from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
 from repro.fingerprint.similarity import representative_fingerprints
@@ -84,7 +84,7 @@ class SiLOSystem(ContainerBaseline):
                     dedup_cache.setdefault(fp, (container_id, size))
             return
         self._counters.add("block_loads")
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             try:
                 payload = self.oss.get_object(self.bucket, f"blocks/{block_id:010d}")
             except KeyError:
@@ -106,7 +106,7 @@ class SiLOSystem(ContainerBaseline):
         payload = b"".join(
             _BLOCK_ENTRY.pack(*entry) for segment in self._pending_block for entry in segment
         )
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             self.oss.put_object(self.bucket, f"blocks/{self._next_block_id:010d}", payload)
         self._next_block_id += 1
         self._pending_block = []

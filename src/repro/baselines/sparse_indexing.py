@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from collections import Counter as TallyCounter
 
-from repro.baselines.base import ContainerBaseline, metered
+from repro.baselines.base import ContainerBaseline
 from repro.baselines.recipes import Entry
 from repro.core.config import SlimStoreConfig
 from repro.fingerprint.sampling import is_sampled
@@ -67,7 +67,7 @@ class SparseIndexingSystem(ContainerBaseline):
         champion_cache: dict[bytes, tuple[int, int]] = {}
         for manifest_id, _score in votes.most_common(self.max_champions):
             self._counters.add("champions_loaded")
-            with metered(self.oss, self._breakdown):
+            with self.oss.meter(self._breakdown):
                 try:
                     payload = self.oss.get_object(
                         self.bucket, f"manifests/{manifest_id:010d}"
@@ -80,7 +80,7 @@ class SparseIndexingSystem(ContainerBaseline):
 
     def _store_manifest(self, manifest: list[Entry], hooks: list[bytes]) -> None:
         payload = b"".join(_MANIFEST_ENTRY.pack(*entry) for entry in manifest)
-        with metered(self.oss, self._breakdown):
+        with self.oss.meter(self._breakdown):
             self.oss.put_object(
                 self.bucket, f"manifests/{self._next_manifest_id:010d}", payload
             )

@@ -136,9 +136,8 @@ class BrowseFile:
         store = self.session.store
         storage = store.storage
         recipe_version = store.catalog.recipe_version(self.path, self.version)
-        with storage.meter_reads() as meter:
+        with storage.oss.meter(self.session.breakdown):
             recipe = storage.recipes.get_recipe(self.path, recipe_version)
-        self.session.breakdown.charge("download", meter.seconds)
         self.session.counters.add("browse_recipe_reads")
         self._records: list[ChunkRecord] = recipe.all_records()
         #: File offset each record starts at (prefix sums over sizes).
@@ -433,9 +432,9 @@ class BrowseFile:
         for index in dirty:
             data = session.cache.peek(self._key(index))
             key = STAGE_KEY.format(seq=seq, index=index)
-            before = oss.stats.snapshot()
-            oss.put_object(bucket, key, data)
-            upload_seconds.append(oss.stats.diff(before).write_seconds)
+            with oss.meter() as meter:
+                oss.put_object(bucket, key, data)
+            upload_seconds.append(meter.write_seconds)
             keys.append(key)
             session.cache.stats.writeback_bytes += len(data)
         session._pending_upload_seconds = upload_seconds
@@ -569,11 +568,10 @@ class BrowseSession:
         for planned in plan.reads:
             cid = planned.container_id
             spans = [(span.offset, span.length) for span in planned.spans]
-            with storage.meter_reads() as meter:
+            with storage.oss.meter(self.breakdown):
                 payloads = [
                     data for _, data in storage.containers.read_spans(cid, spans)
                 ]
-            self.breakdown.charge("download", meter.seconds)
             self.counters.add("containers_read")
             self.counters.add("container_bytes_read", planned.planned_bytes)
             self.counters.add("ranged_reads", len(spans))

@@ -141,10 +141,6 @@ class ContainerMeta:
         """All non-deleted entries, aliases included (restore-visible)."""
         return [entry for entry in self.entries if not entry.deleted]
 
-    @staticmethod
-    def _overlaps(owner: ChunkLocation, alias: ChunkLocation) -> bool:
-        return owner.offset <= alias.offset < owner.offset + owner.size
-
     # --- serialisation ------------------------------------------------------
     def to_bytes(self) -> bytes:
         blob = bytearray(_META_HEADER.pack(self.container_id, len(self.entries)))

@@ -175,14 +175,6 @@ class BackupResult:
             return 0.0
         return self.logical_bytes / elapsed / (1 << 20)
 
-    @property
-    def average_chunk_bytes(self) -> float:
-        """Mean logical chunk size in this version's recipe."""
-        count = self.recipe.chunk_count()
-        if count == 0:
-            return 0.0
-        return self.logical_bytes / count
-
 
 class BackupEngine:
     """One L-node backup job: deduplicate a file stream and persist it."""
@@ -300,21 +292,20 @@ class BackupEngine:
             counters.add("detect_none")
             return None
 
-        before = self.storage.oss.stats.snapshot()
-        try:
-            handle = self.storage.recipes.open_recipe(*base)
-        except VersionNotFoundError:
-            # The base's recipe was deleted under the index entry that
-            # named it: back up as if nothing had been detected.
-            handle = None
-            counters.add("detect_none")
-        except DEDUP_LOOKUP_FAILURES:
-            # Degraded mode (Section VI-A rationale): rather than abort the
-            # backup, store everything as unique and let reverse
-            # deduplication reclaim the redundancy out-of-line.
-            handle = None
-            counters.add("degraded_events")
-        breakdown.charge("download", self.storage.oss.stats.diff(before).read_seconds)
+        with self.storage.oss.meter(breakdown):
+            try:
+                handle = self.storage.recipes.open_recipe(*base)
+            except VersionNotFoundError:
+                # The base's recipe was deleted under the index entry that
+                # named it: back up as if nothing had been detected.
+                handle = None
+                counters.add("detect_none")
+            except DEDUP_LOOKUP_FAILURES:
+                # Degraded mode (Section VI-A rationale): rather than abort
+                # the backup, store everything as unique and let reverse
+                # deduplication reclaim the redundancy out-of-line.
+                handle = None
+                counters.add("degraded_events")
         return handle
 
     def _probe_header(
@@ -751,12 +742,11 @@ class _JobState:
     def _download(self, fetch: Callable[[], object]):
         """One blocking read of the base's recipe; None, with the job
         degraded, when the base is unreachable."""
-        before = self.storage.oss.stats.snapshot()
-        try:
-            fetched = fetch()
-        except DEDUP_LOOKUP_FAILURES:
-            fetched = None
-        self.breakdown.charge("download", self.storage.oss.stats.diff(before).read_seconds)
+        with self.storage.oss.meter(self.breakdown):
+            try:
+                fetched = fetch()
+            except DEDUP_LOOKUP_FAILURES:
+                fetched = None
         if fetched is None:
             self._enter_degraded_mode()
         return fetched
@@ -912,11 +902,9 @@ class _JobState:
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
         self._before_write()
-        before = self.storage.oss.stats.snapshot()
-        self.storage.containers.write(builder)
-        written = self.storage.oss.stats.diff(before)
-        self.breakdown.charge("upload", written.write_seconds)
-        self.uploaded_bytes += written.bytes_written
+        with self.storage.oss.meter(self.breakdown) as meter:
+            self.storage.containers.write(builder)
+        self.uploaded_bytes += meter.bytes_written
 
     def _before_write(self) -> None:
         """Run the caller's ``on_first_write`` hook, once."""
@@ -1017,10 +1005,8 @@ class _JobState:
                     representatives.append(fp)
 
         self._before_write()
-        before = self.storage.oss.stats.snapshot()
-        self.storage.recipes.put_recipe(recipe)
-        self.storage.recipes.put_recipe_index(self.path, self.version, index)
-        self.storage.similar_index.register(self.path, self.version, representatives)
-        written = self.storage.oss.stats.diff(before)
-        self.breakdown.charge("upload", written.write_seconds)
-        self.uploaded_bytes += written.bytes_written
+        with self.storage.oss.meter(self.breakdown) as meter:
+            self.storage.recipes.put_recipe(recipe)
+            self.storage.recipes.put_recipe_index(self.path, self.version, index)
+            self.storage.similar_index.register(self.path, self.version, representatives)
+        self.uploaded_bytes += meter.bytes_written

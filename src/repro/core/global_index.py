@@ -152,19 +152,19 @@ class GlobalIndex:
         """
         result = BatchLookupResult()
         for shard, group in sorted(self._group_by_shard(fps).items()):
-            before = self._oss.stats.snapshot()
-            try:
-                values = self._shards[shard].get_many(group)
-            except (TransientOSSError, RetryExhaustedError):
-                result.failed.extend(group)
-                self.counters.add("index_batch_shard_failures")
-            else:
-                for fp in group:
-                    value = values.get(fp)
-                    result.owners[fp] = (
-                        None if value is None else _VALUE.unpack(value)[0]
-                    )
-            result.shard_seconds.append(self._oss.stats.diff(before).read_seconds)
+            with self._oss.meter() as meter:
+                try:
+                    values = self._shards[shard].get_many(group)
+                except (TransientOSSError, RetryExhaustedError):
+                    result.failed.extend(group)
+                    self.counters.add("index_batch_shard_failures")
+                else:
+                    for fp in group:
+                        value = values.get(fp)
+                        result.owners[fp] = (
+                            None if value is None else _VALUE.unpack(value)[0]
+                        )
+            result.shard_seconds.append(meter.read_seconds)
             self.counters.add("index_batch_rpcs")
         self.counters.add("index_batch_lookups", len(result.owners) + len(result.failed))
         return result
@@ -185,9 +185,9 @@ class GlobalIndex:
             count += 1
         shard_seconds: list[float] = []
         for shard, items in sorted(grouped.items()):
-            before = self._oss.stats.snapshot()
-            self._shards[shard].put_many(items)
-            shard_seconds.append(self._oss.stats.diff(before).write_seconds)
+            with self._oss.meter() as meter:
+                self._shards[shard].put_many(items)
+            shard_seconds.append(meter.write_seconds)
         self.counters.add("index_assigns", count)
         return shard_seconds
 

@@ -187,12 +187,8 @@ class GNode:
             index.put_many(assignments)
 
     def _read_meta(self, cid: int, report: ReverseDedupReport) -> ContainerMeta:
-        before = self.storage.oss.stats.snapshot()
-        meta = self.storage.containers.read_meta(cid)
-        report.breakdown.charge(
-            "download", self.storage.oss.stats.diff(before).read_seconds
-        )
-        return meta
+        with self.storage.oss.meter(report.breakdown):
+            return self.storage.containers.read_meta(cid)
 
     def _old_meta(
         self, cid: int, meta_cache: dict[int, ContainerMeta], report: ReverseDedupReport
@@ -225,14 +221,14 @@ class GNode:
     ) -> None:
         for cid in sorted(dirty):
             meta = meta_cache[cid]
-            before = self.storage.oss.stats.snapshot()
-            self.storage.containers.update_meta(meta)
-            if meta.stale_fraction() >= self.config.container_rewrite_threshold:
-                report.bytes_reclaimed += self.storage.containers.rewrite(cid)
-                report.containers_rewritten += 1
-            report.breakdown.charge(
-                "upload", self.storage.oss.stats.diff(before).write_seconds
-            )
+            # Only the writes are charged; a rewrite's GET is not (ROADMAP,
+            # backup accounting gaps).
+            with self.storage.oss.meter() as meter:
+                self.storage.containers.update_meta(meta)
+                if meta.stale_fraction() >= self.config.container_rewrite_threshold:
+                    report.bytes_reclaimed += self.storage.containers.rewrite(cid)
+                    report.containers_rewritten += 1
+            report.breakdown.charge("upload", meter.write_seconds)
 
     # ------------------------------------------------------------------
     # Sparse container compaction (Section V-B)
@@ -261,11 +257,8 @@ class GNode:
         for cid, (ref_chunks, _ref_bytes) in sorted(result.referenced_containers.items()):
             if cid in new_ids or not containers.exists(cid):
                 continue
-            before = self.storage.oss.stats.snapshot()
-            meta = containers.read_meta(cid)
-            report.breakdown.charge(
-                "download", self.storage.oss.stats.diff(before).read_seconds
-            )
+            with self.storage.oss.meter(report.breakdown):
+                meta = containers.read_meta(cid)
             live = meta.live_chunks()
             if live == 0:
                 continue
@@ -305,12 +298,9 @@ class GNode:
         old_metas: dict[int, ContainerMeta] = {}
         planned_deletes: dict[int, list[bytes]] = {cid: [] for cid in sparse}
         for cid in sparse:
-            before = self.storage.oss.stats.snapshot()
-            meta = containers.read_meta(cid)
-            payload = containers.read_data(cid)
-            report.breakdown.charge(
-                "download", self.storage.oss.stats.diff(before).read_seconds
-            )
+            with self.storage.oss.meter(report.breakdown):
+                meta = containers.read_meta(cid)
+                payload = containers.read_data(cid)
             old_metas[cid] = meta
             planned = planned_deletes[cid]
             planned_set: set[bytes] = set()
@@ -372,11 +362,8 @@ class GNode:
                 new_cid = moved.get(record.fp)
                 if new_cid is not None and record.container_id in sparse_set:
                     record.container_id = new_cid
-        before = self.storage.oss.stats.snapshot()
-        self.storage.recipes.put_recipe(result.recipe)
-        report.breakdown.charge(
-            "upload", self.storage.oss.stats.diff(before).write_seconds
-        )
+        with self.storage.oss.meter(report.breakdown):
+            self.storage.recipes.put_recipe(result.recipe)
 
         # Phase 4: cleanup — only now do the old copies die.  The intent
         # stays open (journal_seq) until the caller has re-published the
@@ -406,23 +393,19 @@ class GNode:
                 continue
             meta = old_metas.get(cid)
             if meta is None:
-                before = self.storage.oss.stats.snapshot()
-                meta = containers.read_meta(cid)
-                report.breakdown.charge(
-                    "download", self.storage.oss.stats.diff(before).read_seconds
-                )
+                with self.storage.oss.meter(report.breakdown):
+                    meta = containers.read_meta(cid)
             for fp in planned_deletes.get(cid, []):
                 meta.mark_deleted(fp)
-            before = self.storage.oss.stats.snapshot()
-            containers.update_meta(meta)
-            if not meta.live_lookup_entries():
-                report.bytes_reclaimed += containers.container_size(cid)
-                containers.delete(cid)
-            elif meta.stale_fraction() >= self.config.container_rewrite_threshold:
-                report.bytes_reclaimed += containers.rewrite(cid)
-            report.breakdown.charge(
-                "upload", self.storage.oss.stats.diff(before).write_seconds
-            )
+            # Only the writes are charged, as in _persist_dirty_metas.
+            with self.storage.oss.meter() as meter:
+                containers.update_meta(meta)
+                if not meta.live_lookup_entries():
+                    report.bytes_reclaimed += containers.container_size(cid)
+                    containers.delete(cid)
+                elif meta.stale_fraction() >= self.config.container_rewrite_threshold:
+                    report.bytes_reclaimed += containers.rewrite(cid)
+            report.breakdown.charge("upload", meter.write_seconds)
 
     # ------------------------------------------------------------------
     # Durability re-tiering
@@ -498,10 +481,7 @@ class GNode:
         return pruned
 
     def _flush_compaction(self, builder, report: CompactionReport):
-        before = self.storage.oss.stats.snapshot()
-        self.storage.containers.write(builder)
-        report.breakdown.charge(
-            "upload", self.storage.oss.stats.diff(before).write_seconds
-        )
+        with self.storage.oss.meter(report.breakdown):
+            self.storage.containers.write(builder)
         report.new_container_ids.append(builder.container_id)
         return self.storage.containers.new_builder(self.config.container_bytes)

@@ -148,10 +148,9 @@ class RestoreEngine:
         breakdown = TimeBreakdown()
         counters = Counters()
 
-        with self.storage.meter_reads() as recipe_meter:
+        with self.storage.oss.meter(breakdown) as recipe_meter:
             recipe = self.storage.recipes.get_recipe(path, version)
-        recipe_seconds = recipe_meter.seconds
-        breakdown.charge("download", recipe_seconds)
+        recipe_seconds = recipe_meter.read_seconds
 
         records = recipe.all_records()
         if not records:
@@ -276,7 +275,7 @@ class RestoreEngine:
             return None, 0.0
         failovers_before = durability.replica_failovers
         decodes_before = durability.erasure_decodes
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter(breakdown) as meter:
             data = durability.fetch_chunk(record.container_id, record.fp)
             if data is None:
                 # The chunk may have moved homes (reverse dedup / SCC):
@@ -284,15 +283,14 @@ class RestoreEngine:
                 owner = self.storage.global_index.lookup(record.fp)
                 if owner is not None and owner != record.container_id:
                     data = durability.fetch_chunk(owner, record.fp)
-        breakdown.charge("download", meter.seconds)
         if data is None or self._fingerprint(data) != record.fp:
-            return None, meter.seconds
+            return None, meter.read_seconds
         counters.add("degraded_chunk_reads")
         counters.add(
             "replica_failovers", durability.replica_failovers - failovers_before
         )
         counters.add("erasure_decodes", durability.erasure_decodes - decodes_before)
-        return data, meter.seconds
+        return data, meter.read_seconds
 
     def _execute_planned_read(
         self,
@@ -312,7 +310,7 @@ class RestoreEngine:
         cid = planned.container_id
         if not self.storage.containers.exists(cid):
             return None
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter(breakdown) as meter:
             if planned.spans is None:
                 payload = self.storage.containers.read_data(cid)
                 meta = self.storage.containers.read_meta(cid, piggyback=True)
@@ -327,13 +325,11 @@ class RestoreEngine:
                 counters.add("container_bytes_read", planned.planned_bytes)
                 counters.add("ranged_reads", len(spans))
                 counters.add("ranged_bytes_saved", planned.bytes_saved)
-        seconds = meter.seconds
-        breakdown.charge("download", seconds)
         counters.add("containers_read")
         if cid in containers_seen:
             counters.add("repeated_container_reads")
         containers_seen.add(cid)
-        return seconds
+        return meter.read_seconds
 
     @staticmethod
     def _insert_span_chunks(
@@ -369,14 +365,14 @@ class RestoreEngine:
         Returns the payload and the virtual seconds the consumer blocked.
         """
         redirects_before = counters.get("global_index_redirects")
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter() as meter:
             if container_just_read:
                 # The planned read just completed and the chunk was not in
                 # it: go straight to the global index instead of re-reading.
                 data = self._redirect(record, cache, containers_seen, breakdown, counters)
             else:
                 data = self._fetch_for(record, cache, containers_seen, breakdown, counters)
-        demand = meter.seconds + self.cost_model.cpu_index_query * (
+        demand = meter.read_seconds + self.cost_model.cpu_index_query * (
             counters.get("global_index_redirects") - redirects_before
         )
         return data, demand
@@ -412,9 +408,8 @@ class RestoreEngine:
         """
         counters.add("global_index_redirects")
         breakdown.charge("index_query", self.cost_model.cpu_index_query)
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter(breakdown):
             owner = self.storage.global_index.lookup(record.fp)
-        breakdown.charge("download", meter.seconds)
         if owner is None:
             raise RestoreError(
                 f"chunk {record.fp.hex()[:12]} missing from container "
@@ -442,10 +437,9 @@ class RestoreEngine:
         """Whole-container read; inserts useful chunks into the cache."""
         if not self.storage.containers.exists(container_id):
             return None
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter(breakdown):
             payload = self.storage.containers.read_data(container_id)
             meta = self.storage.containers.read_meta(container_id, piggyback=True)
-        breakdown.charge("download", meter.seconds)
         counters.add("containers_read")
         counters.add("container_bytes_read", len(payload))
         if container_id in containers_seen:

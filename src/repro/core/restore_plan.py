@@ -178,7 +178,7 @@ class RestorePlanner:
         if metas is not None:
             plan.metas = metas
         redirects_before = counters.get("global_index_redirects")
-        with self.storage.meter_reads() as plan_meter:
+        with self.storage.oss.meter() as plan_meter:
             # Pass 1: resolve every record to the container holding it now.
             extents: dict[int, set[tuple[int, int]]] = {}
             first_use: dict[int, int] = {}
@@ -220,7 +220,7 @@ class RestorePlanner:
                 )
         # Plan time is the metered OSS traffic plus the CPU of every
         # global-index query resolving a moved chunk.
-        plan.plan_seconds = plan_meter.seconds + self.cost_model.cpu_index_query * (
+        plan.plan_seconds = plan_meter.read_seconds + self.cost_model.cpu_index_query * (
             counters.get("global_index_redirects") - redirects_before
         )
         return plan
@@ -243,9 +243,8 @@ class RestorePlanner:
         # Reverse dedup or SCC moved the chunk; ask the global index.
         counters.add("global_index_redirects")
         breakdown.charge("index_query", self.cost_model.cpu_index_query)
-        with self.storage.meter_reads() as meter:
+        with self.storage.oss.meter(breakdown):
             owner = self.storage.global_index.lookup(record.fp)
-        breakdown.charge("download", meter.seconds)
         if owner is None:
             raise RestoreError(
                 f"chunk {record.fp.hex()[:12]} missing from container "
@@ -277,11 +276,10 @@ class RestorePlanner:
         """
         meta = metas.get(container_id)
         if meta is None:
-            with self.storage.meter_reads() as meter:
+            with self.storage.oss.meter(breakdown):
                 meta = self.storage.containers.read_meta(
                     container_id, piggyback=bool(metas)
                 )
-            breakdown.charge("download", meter.seconds)
             counters.add("plan_meta_reads")
             metas[container_id] = meta
         return meta

@@ -20,30 +20,6 @@ from repro.oss.object_store import ObjectStorageService
 from repro.oss.retry import RetryBudget, RetryingObjectStore, RetryPolicy
 
 
-class ReadMeter:
-    """Context manager measuring OSS read-seconds accrued inside it.
-
-    The restore engine and planner need the virtual duration of each
-    individual OSS access (to feed the event-driven pipeline); this wraps
-    the snapshot/diff idiom::
-
-        with storage.meter_reads() as meter:
-            payload = storage.containers.read_data(cid)
-        read_seconds.append(meter.seconds)
-    """
-
-    def __init__(self, oss) -> None:
-        self._oss = oss
-        self.seconds = 0.0
-
-    def __enter__(self) -> "ReadMeter":
-        self._before = self._oss.stats.snapshot()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.seconds = self._oss.stats.diff(self._before).read_seconds
-
-
 @dataclass
 class StorageLayer:
     """The OSS-resident storage layer shared by every compute node."""
@@ -59,10 +35,6 @@ class StorageLayer:
     #: Chunk fingerprint function — one per repository, shared by every
     #: engine that hashes or verifies payloads (dedup, restore, scrub).
     fingerprinter: Fingerprinter = fingerprint
-
-    def meter_reads(self) -> ReadMeter:
-        """A :class:`ReadMeter` over this layer's OSS endpoint."""
-        return ReadMeter(self.oss)
 
     @classmethod
     def create(

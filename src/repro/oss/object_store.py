@@ -19,6 +19,7 @@ from repro.oss.backend import InMemoryBackend, StorageBackend
 from repro.oss.faults import FaultPolicy
 from repro.sim.clock import SimClock
 from repro.sim.cost_model import CostModel
+from repro.sim.metrics import TimeBreakdown
 
 
 @dataclass
@@ -45,6 +46,52 @@ class OssStats:
         return OssStats(
             **{name: getattr(self, name) - getattr(earlier, name) for name in vars(self)}
         )
+
+
+class OssMeter:
+    """A window over one endpoint's running OSS totals.
+
+    The one instrument that turns OSS traffic into job time::
+
+        with oss.meter() as m:
+            payload = containers.read_data(cid)
+        read_trace.append(m.read_seconds)
+
+    On entry it records the endpoint's ``read_seconds``,
+    ``write_seconds`` and ``bytes_written``; on exit it holds what each
+    grew by inside the block.  Nested windows are inclusive: an inner
+    meter's seconds also count in its parent.  The window is exact
+    because every OSS request is issued from the caller's thread.
+
+    With a ``breakdown`` it also charges the read seconds to
+    ``download`` and the write seconds to ``upload`` -- on a clean exit
+    only: a block that raises charges nothing.
+    """
+
+    __slots__ = ("_stats", "_breakdown", "read_seconds", "write_seconds", "bytes_written")
+
+    def __init__(self, stats: OssStats, breakdown: TimeBreakdown | None = None) -> None:
+        self._stats = stats
+        self._breakdown = breakdown
+        self.read_seconds = 0.0
+        self.write_seconds = 0.0
+        self.bytes_written = 0
+
+    def __enter__(self) -> "OssMeter":
+        stats = self._stats
+        self.read_seconds = stats.read_seconds
+        self.write_seconds = stats.write_seconds
+        self.bytes_written = stats.bytes_written
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        stats = self._stats
+        self.read_seconds = stats.read_seconds - self.read_seconds
+        self.write_seconds = stats.write_seconds - self.write_seconds
+        self.bytes_written = stats.bytes_written - self.bytes_written
+        if self._breakdown is not None and exc_type is None:
+            self._breakdown.charge("download", self.read_seconds)
+            self._breakdown.charge("upload", self.write_seconds)
 
 
 class ObjectStorageService:
@@ -85,6 +132,10 @@ class ObjectStorageService:
         # issues requests from one thread; the lock keeps an endpoint that
         # callers share across threads from losing a charge.
         self._mutex = threading.Lock()
+
+    def meter(self, breakdown: TimeBreakdown | None = None) -> OssMeter:
+        """An :class:`OssMeter` over this endpoint's totals."""
+        return OssMeter(self.stats, breakdown)
 
     def set_fault_policy(self, faults: FaultPolicy | None) -> None:
         """Install (or remove, with None) the fault-injection policy."""
@@ -163,15 +214,10 @@ class ObjectStorageService:
         )
         if not piggyback:
             seconds += self.cost_model.oss_request_latency
-        with self._mutex:
-            self.clock.advance(seconds)
-            self.stats.put_requests += 1
-            self.stats.bytes_written += len(payload)
-            self.stats.write_seconds += seconds
+        # A torn write: the connection dropped mid-upload, a truncated
+        # object was persisted and the client sees a retryable failure.
+        self._charge(seconds, "put", len(payload), faults=int(torn is not None))
         if torn is not None:
-            # The connection dropped mid-upload: a truncated object was
-            # persisted and the client sees a retryable failure.
-            self.stats.faults_injected += 1
             raise TransientOSSError("put", bucket, key, reason="torn write")
 
     def get_object(
@@ -238,9 +284,7 @@ class ObjectStorageService:
         backend = self._backend(bucket)
         extra = self._fault_gate("delete", bucket, key)
         existed = backend.delete(key)
-        with self._mutex:
-            self.clock.advance(self.cost_model.oss_request_latency + extra)
-            self.stats.delete_requests += 1
+        self._charge(self.cost_model.oss_request_latency + extra, "delete")
         return existed
 
     #: Keys one batched DELETE request may name (Alibaba OSS
@@ -261,25 +305,20 @@ class ObjectStorageService:
             extra = self._fault_gate("delete", bucket, batch[0])
             for key in batch:
                 backend.delete(key)
-            with self._mutex:
-                self.clock.advance(self.cost_model.oss_request_latency + extra)
-                self.stats.delete_requests += 1
+            self._charge(self.cost_model.oss_request_latency + extra, "delete")
 
     def list_objects(self, bucket: str, prefix: str = "") -> list[str]:
         """Sorted keys in ``bucket`` starting with ``prefix``."""
         backend = self._backend(bucket)
         extra = self._fault_gate("list", bucket, prefix)
-        with self._mutex:
-            self.clock.advance(self.cost_model.oss_request_latency + extra)
-            self.stats.list_requests += 1
+        self._charge(self.cost_model.oss_request_latency + extra, "list")
         return list(backend.keys(prefix))
 
     def head_object(self, bucket: str, key: str) -> int | None:
         """Size of ``key`` in bytes, or None if absent (no payload cost)."""
         backend = self._backend(bucket)
         extra = self._fault_gate("head", bucket, key)
-        with self._mutex:
-            self.clock.advance(self.cost_model.oss_request_latency + extra)
+        self._charge(self.cost_model.oss_request_latency + extra)
         return backend.size(key)
 
     def object_exists(self, bucket: str, key: str) -> bool:
@@ -313,11 +352,35 @@ class ObjectStorageService:
         )
         if not piggyback:
             seconds += self.cost_model.oss_request_latency
+        self._charge(seconds, "get", nbytes)
+
+    def _charge(
+        self, seconds: float, verb: str | None = None, nbytes: int = 0, faults: int = 0
+    ) -> None:
+        """Advance the clock by ``seconds`` and count them against ``verb``.
+
+        The one place the endpoint's clock and stats change, all under
+        ``_mutex``.  ``verb`` is "get" or "put" (one request, its bytes
+        and its seconds), "delete" or "list" (one request) or None (time
+        alone: a HEAD, a timed-out request, or 0.0 to mirror ``faults``
+        injected faults into the stats).
+        """
         with self._mutex:
             self.clock.advance(seconds)
-            self.stats.get_requests += 1
-            self.stats.bytes_read += nbytes
-            self.stats.read_seconds += seconds
+            stats = self.stats
+            if verb == "get":
+                stats.get_requests += 1
+                stats.bytes_read += nbytes
+                stats.read_seconds += seconds
+            elif verb == "put":
+                stats.put_requests += 1
+                stats.bytes_written += nbytes
+                stats.write_seconds += seconds
+            elif verb == "delete":
+                stats.delete_requests += 1
+            elif verb == "list":
+                stats.list_requests += 1
+            stats.faults_injected += faults
 
     # --- fault injection -----------------------------------------------------
     def _fault_gate(self, op: str, bucket: str, key: str) -> float:
@@ -333,14 +396,14 @@ class ObjectStorageService:
         try:
             extra = self.faults.before_request(op, bucket, key)
         except TransientOSSError:
-            self.clock.advance(self.cost_model.oss_request_latency)
+            self._charge(self.cost_model.oss_request_latency)
             raise
         finally:
             # Mirror every injected fault into the endpoint stats — a
             # SimulatedCrashError propagates through here too (the node
             # died; no virtual time is charged for a request that never
             # left it).
-            self.stats.faults_injected += self.faults.stats.faults_injected - before
+            self._charge(0.0, faults=self.faults.stats.faults_injected - before)
         return extra
 
     def _filter_read(self, data: bytes) -> bytes:
@@ -354,5 +417,5 @@ class ObjectStorageService:
             return data
         before = self.faults.stats.corrupt_reads
         data = self.faults.filter_read(data)
-        self.stats.faults_injected += self.faults.stats.corrupt_reads - before
+        self._charge(0.0, faults=self.faults.stats.corrupt_reads - before)
         return data

@@ -169,28 +169,6 @@ def random_block(rng: np.random.Generator, size: int) -> bytes:
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 
 
-def overwrite_ranges(
-    rng: np.random.Generator,
-    data: bytearray,
-    target_bytes: int,
-    run_bytes: int,
-) -> int:
-    """Overwrite ~``target_bytes`` in clustered runs; returns bytes changed.
-
-    Database-style mutation: changes arrive as a few contiguous runs
-    (updated page ranges), not as uniformly scattered single bytes.
-    """
-    if not data or target_bytes <= 0:
-        return 0
-    changed = 0
-    while changed < target_bytes:
-        run = min(run_bytes, target_bytes - changed, len(data))
-        start = int(rng.integers(0, max(1, len(data) - run)))
-        data[start : start + run] = random_block(rng, run)
-        changed += run
-    return changed
-
-
 class WorkloadGenerator(ABC):
     """Base class of every seeded multi-version workload generator.
 

@@ -13,6 +13,7 @@ from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
 from repro.oss.retry import RetryingObjectStore, RetryPolicy
 from repro.sim.cost_model import CostModel
+from repro.sim.metrics import TimeBreakdown
 
 
 @pytest.fixture
@@ -230,6 +231,84 @@ class TestStats:
         store.put_object("test", "b", b"345")
         assert store.total_bytes() == 5
         assert store.bucket_bytes("test") == 5
+
+
+class TestMeter:
+    """``oss.meter()`` is a window over the endpoint's running totals."""
+
+    @staticmethod
+    def _mixed_traffic(store) -> None:
+        store.put_object("test", "a", b"x" * 5000)
+        store.put_object("test", "b", b"y" * 300, piggyback=True)
+        store.get_object("test", "a")
+        store.get_object("test", "b", piggyback=True)
+        store.get_range("test", "a", 100, 900)
+        store.get_ranges("test", "a", [(0, 10), (4000, 1000)])
+        store.put_object("test", "c", b"z" * 70_000, channels=4)
+        store.delete_objects("test", ["a", "b", "ghost"])
+
+    @staticmethod
+    def _fields(record) -> tuple[float, float, int]:
+        return record.read_seconds, record.write_seconds, record.bytes_written
+
+    def test_fields_equal_the_stats_diff(self, store):
+        store.put_object("test", "warm", b"w" * 123)
+        before = store.stats.snapshot()
+        with store.meter() as meter:
+            self._mixed_traffic(store)
+        delta = store.stats.diff(before)
+        assert self._fields(meter) == self._fields(delta)
+        assert meter.read_seconds > 0 and meter.write_seconds > 0
+
+    def test_nested_meter_counts_in_its_parent(self, store):
+        with store.meter() as outer:
+            store.put_object("test", "a", b"x" * 2000)
+            with store.meter() as inner:
+                store.get_object("test", "a")
+                store.put_object("test", "b", b"y" * 10)
+            store.get_range("test", "a", 0, 100)
+        assert 0 < inner.read_seconds < outer.read_seconds
+        assert 0 < inner.write_seconds < outer.write_seconds
+        assert inner.bytes_written == 10 and outer.bytes_written == 2010
+        with store.meter() as again:
+            with store.meter() as only:
+                store.get_object("test", "a")
+        assert self._fields(again) == self._fields(only)
+
+    def test_breakdown_gets_reads_as_download_and_writes_as_upload(self, store):
+        breakdown = TimeBreakdown()
+        with store.meter(breakdown) as meter:
+            self._mixed_traffic(store)
+        assert breakdown.download == meter.read_seconds > 0
+        assert breakdown.upload == meter.write_seconds > 0
+        assert breakdown.cpu_seconds() == 0
+
+    def test_a_block_that_raises_charges_nothing(self, store):
+        breakdown = TimeBreakdown()
+        with pytest.raises(ObjectNotFoundError):
+            with store.meter(breakdown) as meter:
+                store.put_object("test", "a", b"x" * 100)
+                store.get_object("test", "a")
+                store.get_object("test", "missing")
+        assert breakdown.download == 0 and breakdown.upload == 0
+        # The window itself still closed over what the block spent.
+        assert meter.read_seconds > 0 and meter.write_seconds > 0
+
+    def test_retrying_meter_counts_the_torn_attempt_and_its_retry(self, store):
+        policy = FaultPolicy()
+        torn = iter([True, False])
+        policy.torn_write_prefix = lambda data: data[:3] if next(torn) else None
+        store.set_fault_policy(policy)
+        client = RetryingObjectStore(store, RetryPolicy(base_delay=0.01, max_delay=0.02))
+        before = store.stats.snapshot()
+        with client.meter() as meter:
+            client.put_object("test", "key", b"p" * 1000)
+        delta = store.stats.diff(before)
+        assert store.get_object("test", "key") == b"p" * 1000
+        assert delta.put_requests == 2 and delta.faults_injected == 1
+        assert client.retry_stats.retries == 1
+        assert meter.bytes_written == 3 + 1000
+        assert self._fields(meter) == self._fields(delta)
 
 
 class TestBackendFactory:
