@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SlimStore, SlimStoreConfig
+from repro import ReplicationPolicy, SlimStore, SlimStoreConfig
 from repro.bench.reporting import format_table
 from tests.conftest import make_version_chain
 
@@ -47,21 +47,12 @@ BASE_CONFIG = SlimStoreConfig().with_overrides(
     max_superchunk_bytes=32 * 1024,
 )
 
-#: name -> config overrides (None disables the tier entirely).
+#: name -> policy overrides (None disables the tier entirely).
 POLICY_POINTS: list[tuple[str, dict | None]] = [
     ("off", None),
-    (
-        "erasure-all",
-        dict(durability_hot_refs=10**6, durability_cold_refs=1),
-    ),
-    (
-        "replicate-hot",
-        dict(durability_hot_refs=3, durability_cold_refs=1),
-    ),
-    (
-        "replicate-all",
-        dict(durability_hot_refs=1, durability_cold_refs=1),
-    ),
+    ("erasure-all", dict(hot_refs=10**6, cold_refs=1)),
+    ("replicate-hot", dict(hot_refs=3, cold_refs=1)),
+    ("replicate-all", dict(hot_refs=1, cold_refs=1)),
 ]
 
 
@@ -69,12 +60,13 @@ def build_store(overrides: dict | None) -> tuple[SlimStore, list[bytes]]:
     config = BASE_CONFIG
     if overrides is not None:
         config = config.with_overrides(
-            durability_enabled=True,
-            fault_domains=DOMAINS,
-            durability_replicas=3,
-            erasure_data_shards=4,
-            erasure_parity_shards=2,
-            **overrides,
+            durability=ReplicationPolicy(
+                replica_count=3,
+                data_shards=4,
+                parity_shards=2,
+                fault_domains=DOMAINS,
+                **overrides,
+            )
         )
     store = SlimStore(config)
     rng = np.random.default_rng(20210414)

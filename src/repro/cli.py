@@ -50,14 +50,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import SlimStoreConfig
+from repro.core.durability import ReplicationPolicy
 from repro.core.system import SlimStore
 from repro.errors import ReproError
 from repro.oss.backend import FilesystemBackend
 from repro.oss.object_store import ObjectStorageService
+from repro.workloads import GENERATOR_NAMES
 
 #: Repository-level settings that must stay fixed for the repo's lifetime
 #: (the index shard layout decides which store holds each fingerprint;
@@ -77,47 +78,41 @@ def _save_settings(root: Path, settings: dict) -> None:
     (root / _SETTINGS_FILE).write_text(json.dumps(settings, indent=2, sort_keys=True))
 
 
-def _resolve_shard_count(root: Path, requested: int | None) -> int:
-    """Pin the repo's shard count, persisting it on first use.
+def _pin(root: Path, key: str, requested, legacy, mismatch: str, predates: str):
+    """Pin a repository invariant in ``repro.json``, persisting it on first use.
 
-    The shard a fingerprint lives in is a function of the shard count, so
-    a repository must be recovered with the count it was created with.
-    New repositories record the requested (or default) count in
-    ``repro.json``; pre-sharding repositories (data present, no settings
-    file) are single-shard by construction.
+    ``key`` names the :class:`SlimStoreConfig` field it sets.  A stored
+    value wins, and a different ``requested`` one is refused with
+    ``mismatch``.  A repository predating the record (data present, no
+    record) was built under ``legacy``, and any other request is refused
+    with ``predates``.  A fresh repository records the request, or the
+    config default.  A stored value is read back as ``legacy``'s type, and
+    both messages are formatted with ``stored`` and ``requested``.
     """
     settings = _load_settings(root)
-    if "index_shard_count" in settings:
-        stored = int(settings["index_shard_count"])
+    if key in settings:
+        stored = type(legacy)(settings[key])
         if requested is not None and requested != stored:
-            raise ReproError(
-                f"repository uses {stored} index shards; "
-                f"cannot reopen with --index-shards {requested}"
-            )
+            raise ReproError(mismatch.format(stored=stored, requested=requested))
         return stored
-    has_data = any(p.is_dir() for p in root.iterdir())
-    if has_data:
-        shard_count = 1 if requested is None else requested
-        if requested is not None and requested != 1:
-            raise ReproError(
-                "existing repository predates sharding (single-shard); "
-                f"cannot reopen with --index-shards {requested}"
-            )
+    if any(p.is_dir() for p in root.iterdir()):
+        if requested is not None and requested != legacy:
+            raise ReproError(predates.format(requested=requested))
+        value = legacy
     else:
-        shard_count = (
-            SlimStoreConfig().index_shard_count if requested is None else requested
-        )
-    settings["index_shard_count"] = shard_count
+        value = getattr(SlimStoreConfig(), key) if requested is None else requested
+    settings[key] = value
     _save_settings(root, settings)
-    return shard_count
+    return value
 
 
 def _resolve_workers(root: Path, requested: int | None) -> int:
     """Pin the repo's wall-clock worker count, persisting it on first set.
 
-    Unlike the shard count, workers are a *performance* setting — every
-    worker count produces byte-identical repositories — so a mismatched
-    request simply re-pins the setting instead of refusing to attach.
+    Unlike the invariants :func:`_pin` guards, workers are a *performance*
+    setting — every worker count produces byte-identical repositories — so
+    a mismatched request simply re-pins the setting instead of refusing to
+    attach.
     """
     settings = _load_settings(root)
     if requested is None:
@@ -126,52 +121,6 @@ def _resolve_workers(root: Path, requested: int | None) -> int:
         settings["workers"] = requested
         _save_settings(root, settings)
     return requested
-
-
-def _resolve_fingerprint(root: Path, requested: str | None) -> str:
-    """Pin the repo's fingerprint algorithm, persisting it on first use.
-
-    Every stored digest — recipes, container metas, index entries — is a
-    function of the algorithm, so a repository must be attached with the
-    algorithm it was created under; a mismatch is refused outright.
-    Repositories predating the setting (data present, no record) are
-    sha1 by construction.
-    """
-    settings = _load_settings(root)
-    if "fingerprint_algo" in settings:
-        stored = str(settings["fingerprint_algo"])
-        if requested is not None and requested != stored:
-            raise ReproError(
-                f"repository fingerprints chunks with {stored}; "
-                f"cannot attach with --fingerprint {requested}"
-            )
-        return stored
-    has_data = any(p.is_dir() for p in root.iterdir())
-    if has_data:
-        if requested is not None and requested != "sha1":
-            raise ReproError(
-                "existing repository predates configurable fingerprints "
-                f"(sha1); cannot attach with --fingerprint {requested}"
-            )
-        algo = "sha1"
-    else:
-        algo = requested or SlimStoreConfig().fingerprint_algo
-    settings["fingerprint_algo"] = algo
-    _save_settings(root, settings)
-    return algo
-
-
-def _durability_overrides(policy: dict) -> dict:
-    """Config overrides applying a persisted durability policy dict."""
-    return {
-        "durability_enabled": True,
-        "durability_replicas": int(policy["replica_count"]),
-        "durability_hot_refs": int(policy["hot_refs"]),
-        "durability_cold_refs": int(policy["cold_refs"]),
-        "erasure_data_shards": int(policy["data_shards"]),
-        "erasure_parity_shards": int(policy["parity_shards"]),
-        "fault_domains": int(policy["fault_domains"]),
-    }
 
 
 def open_repository(
@@ -192,25 +141,38 @@ def open_repository(
     """
     root = Path(repo_dir)
     root.mkdir(parents=True, exist_ok=True)
-    shard_count = _resolve_shard_count(root, index_shards)
-    fingerprint_algo = _resolve_fingerprint(root, fingerprint)
+    # Which shard holds a fingerprint depends on the shard count, and every
+    # stored digest on the algorithm, so both stay fixed for the
+    # repository's lifetime.
+    shard_count = _pin(
+        root, "index_shard_count", index_shards, 1,
+        "repository uses {stored} index shards; "
+        "cannot reopen with --index-shards {requested}",
+        "existing repository predates sharding (single-shard); "
+        "cannot reopen with --index-shards {requested}",
+    )
+    fingerprint_algo = _pin(
+        root, "fingerprint_algo", fingerprint, "sha1",
+        "repository fingerprints chunks with {stored}; "
+        "cannot attach with --fingerprint {requested}",
+        "existing repository predates configurable fingerprints "
+        "(sha1); cannot attach with --fingerprint {requested}",
+    )
     worker_count = _resolve_workers(root, workers)
     oss = ObjectStorageService(
         backend_factory=lambda bucket: FilesystemBackend(root / bucket)
     )
-    overrides: dict = {}
+    # The persisted policy is repository state, like the shard count: the
+    # replica/parity keyspace was laid out under it, so every reopen
+    # applies it automatically (``repro durability`` changes it).
     durability = _load_settings(root).get("durability")
-    if durability is not None:
-        # The persisted policy is repository state, like the shard count:
-        # the replica/parity keyspace was laid out under it, so every
-        # reopen applies it automatically (``repro durability`` changes it).
-        overrides = _durability_overrides(durability)
-    config = replace(
-        SlimStoreConfig(),
+    config = SlimStoreConfig(
         index_shard_count=shard_count,
         fingerprint_algo=fingerprint_algo,
         workers=worker_count,
-        **overrides,
+        durability=(
+            None if durability is None else ReplicationPolicy.from_dict(durability)
+        ),
     )
     store = SlimStore(config, oss)
     store.recover(run_recovery=run_recovery)
@@ -250,18 +212,29 @@ def _service_tenants(repo_dir: str | Path) -> list[str]:
     return sorted(names)
 
 
+def _source_files(names: list[str]) -> list[Path] | None:
+    """The FILE arguments, or None after reporting the first that is not
+    a file — checked before anything is backed up, so a bad argument
+    commits nothing."""
+    sources = [Path(name) for name in names]
+    for source in sources:
+        if not source.is_file():
+            print(f"error: not a file: {source}", file=sys.stderr)
+            return None
+    return sources
+
+
 def _cmd_backup(args: argparse.Namespace) -> int:
+    sources = _source_files(args.files)
+    if sources is None:
+        return 2
     store = open_repository(
         args.repo,
         index_shards=args.index_shards,
         workers=args.workers,
         fingerprint=args.fingerprint,
     )
-    for file_name in args.files:
-        source = Path(file_name)
-        if not source.is_file():
-            print(f"error: not a file: {source}", file=sys.stderr)
-            return 2
+    for source in sources:
         logical_path = f"{args.prefix}{source.name}" if args.prefix else str(source)
         report = store.backup(logical_path, source.read_bytes())
         result = report.result
@@ -436,11 +409,17 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0
 
 
+def _describe_policy(policy: ReplicationPolicy) -> str:
+    return (
+        f"{policy.replica_count}-way replication at >= {policy.hot_refs} refs, "
+        f"RS({policy.data_shards},{policy.parity_shards}) erasure at >= "
+        f"{policy.cold_refs} refs, {policy.fault_domains} fault domains"
+    )
+
+
 def _cmd_durability(args: argparse.Namespace) -> int:
     root = Path(args.repo)
     if args.enable:
-        from repro.core.durability import ReplicationPolicy
-
         try:
             policy = ReplicationPolicy(
                 replica_count=args.replicas,
@@ -456,12 +435,7 @@ def _cmd_durability(args: argparse.Namespace) -> int:
         settings = _load_settings(root)
         settings["durability"] = policy.to_dict()
         _save_settings(root, settings)
-        print(
-            f"durability tier enabled: {policy.replica_count}-way replication "
-            f"at >= {policy.hot_refs} refs, RS({policy.data_shards},"
-            f"{policy.parity_shards}) erasure at >= {policy.cold_refs} refs, "
-            f"{policy.fault_domains} fault domains"
-        )
+        print(f"durability tier enabled: {_describe_policy(policy)}")
     elif args.disable:
         settings = _load_settings(root)
         if settings.pop("durability", None) is None:
@@ -496,17 +470,11 @@ def _cmd_durability(args: argparse.Namespace) -> int:
             f"({report.parity_written} parity shards), "
             f"{report.stripes_retired} stripes retired"
         )
-    policy = durability.policy
     classes = durability.classes()
     histogram: dict[str, int] = {}
     for klass in classes.values():
         histogram[klass] = histogram.get(klass, 0) + 1
-    print(
-        f"policy: {policy.replica_count}-way replication at >= "
-        f"{policy.hot_refs} refs, RS({policy.data_shards},"
-        f"{policy.parity_shards}) erasure at >= {policy.cold_refs} refs, "
-        f"{policy.fault_domains} fault domains"
-    )
+    print(f"policy: {_describe_policy(durability.policy)}")
     print(
         "classes: "
         + ", ".join(f"{k}={v}" for k, v in sorted(histogram.items()))
@@ -606,6 +574,7 @@ def _tenant_handler(fn):
     return run
 
 
+@_tenant_handler
 def _cmd_tenant_list(args: argparse.Namespace) -> int:
     service = open_service(args.repo)
     names = _service_tenants(args.repo)
@@ -633,15 +602,15 @@ def _cmd_tenant_list(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_backup(args: argparse.Namespace) -> int:
     import time
 
+    sources = _source_files(args.files)
+    if sources is None:
+        return 2
     service = open_service(args.repo)
-    for file_name in args.files:
-        source = Path(file_name)
-        if not source.is_file():
-            print(f"error: not a file: {source}", file=sys.stderr)
-            return 2
+    for source in sources:
         logical_path = f"{args.prefix}{source.name}" if args.prefix else str(source)
         report = service.backup(
             args.tenant, logical_path, source.read_bytes(), timestamp=time.time()
@@ -654,6 +623,7 @@ def _cmd_tenant_backup(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_restore(args: argparse.Namespace) -> int:
     service = open_service(args.repo)
     result = service.restore(args.tenant, args.path, args.version)
@@ -666,6 +636,7 @@ def _cmd_tenant_restore(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_retention(args: argparse.Namespace) -> int:
     from repro.core.tenancy import RetentionPolicy
 
@@ -689,6 +660,7 @@ def _cmd_tenant_retention(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_apply_retention(args: argparse.Namespace) -> int:
     import time
 
@@ -706,6 +678,7 @@ def _cmd_tenant_apply_retention(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_weight(args: argparse.Namespace) -> int:
     service = open_service(args.repo)
     if args.value is None:
@@ -719,6 +692,7 @@ def _cmd_tenant_weight(args: argparse.Namespace) -> int:
     return 0
 
 
+@_tenant_handler
 def _cmd_tenant_remove(args: argparse.Namespace) -> int:
     service = open_service(args.repo)
     if args.tenant not in _service_tenants(args.repo):
@@ -866,256 +840,187 @@ def _cmd_browse_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arg(*flags: str, **spec) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as data."""
+    return flags, spec
+
+
+_REPO = _arg("repo")
+_PATH = _arg("path")
+_BACKUP_PATH = _arg("path", help="logical path of the backup")
+_FILES = _arg("files", nargs="+", help="files to back up")
+_PREFIX = _arg("--prefix", default="", help="logical path prefix")
+_VERSION = _arg("--version", type=int, default=None,
+                help="version number (default: latest)")
+_OUTPUT = _arg("--output", default=None, help="output file")
+_OUTPUT_OR_STDOUT = _arg("--output", default=None,
+                          help="output file (default: raw stdout)")
+_OFFSET = _arg("offset", type=int, help="start offset in bytes")
+_TENANT = _arg("tenant")
+_POLICY = ReplicationPolicy()
+
+#: Sub-command groups: name -> help.  Each group's verbs are the rows of
+#: :data:`_VERBS` naming it, parsed into ``<group>_command``.
+_GROUPS = {
+    "trace": "record or replay a workload trace (JSONL)",
+    "browse": "random-access reads/writes on backup versions "
+              "through the L-node block cache",
+    "tenant": "manage a multi-tenant service repository",
+}
+
+#: Every verb, in ``--help`` order: (group, name, help, handler, arguments).
+_VERBS = [
+    (None, "backup", "back up files as new versions", _cmd_backup, [
+        _arg("repo", help="repository directory"), _FILES, _PREFIX,
+        _arg("--index-shards", type=int, default=None,
+             help="global-index shard count (fixed at repo creation)"),
+        _arg("--workers", type=int, default=None,
+             help="wall-clock worker count for the scan + fingerprint "
+                  "fan-out (0 = serial; persisted in repro.json)"),
+        _arg("--fingerprint", choices=["sha1", "blake2b"], default=None,
+             help="chunk fingerprint algorithm (pinned at repo creation; "
+                  "attaching with a mismatch is refused)"),
+    ]),
+    (None, "restore", "restore a backup version", _cmd_restore, [
+        _REPO, _BACKUP_PATH, _VERSION, _OUTPUT,
+        _arg("--prefetch-threads", type=int, default=None,
+             help="parallel OSS prefetch channels (0 disables)"),
+        _arg("--whole-containers", action="store_true",
+             help="read whole containers instead of ranged GETs"),
+    ]),
+    (None, "versions", "list live versions", _cmd_versions, [
+        _REPO, _arg("path", nargs="?", default=None),
+    ]),
+    (None, "delete", "collect the oldest version", _cmd_delete, [
+        _REPO, _PATH, _arg("version", type=int),
+    ]),
+    (None, "space", "show repository space usage", _cmd_space, [_REPO]),
+    (None, "index", "show global-index shard stats", _cmd_index, [_REPO]),
+    (None, "scrub", "verify repository integrity", _cmd_scrub, [
+        _REPO, _arg("--repair", action="store_true",
+                    help="heal corrupt chunks from healthy copies"),
+    ]),
+    (None, "fsck", "check crash consistency (journal, orphans, tombstones)",
+     _cmd_fsck, [
+        _REPO, _arg("--repair", action="store_true",
+                    help="roll interrupted jobs forward/back and GC debris"),
+    ]),
+    (None, "durability", "show or manage the replication/erasure tier",
+     _cmd_durability, [
+        _REPO,
+        _arg("--enable", action="store_true",
+             help="enable the tier and persist the policy"),
+        _arg("--disable", action="store_true",
+             help="disable the tier and drop replica/parity bytes"),
+        _arg("--retier", action="store_true",
+             help="re-tier every container to the live refcounts"),
+        _arg("--replicas", type=int, default=_POLICY.replica_count,
+             help="copies for hot containers (with --enable)"),
+        _arg("--hot-refs", type=int, default=_POLICY.hot_refs,
+             help="refcount where replication starts"),
+        _arg("--cold-refs", type=int, default=_POLICY.cold_refs,
+             help="refcount where erasure coding starts"),
+        _arg("--data-shards", type=int, default=_POLICY.data_shards,
+             help="Reed-Solomon data shards per stripe"),
+        _arg("--parity-shards", type=int, default=_POLICY.parity_shards,
+             help="Reed-Solomon parity shards per stripe"),
+        _arg("--fault-domains", type=int, default=_POLICY.fault_domains,
+             help="simulated fault domains for placement"),
+    ]),
+    ("trace", "record", "generate a workload and write it as a trace file",
+     _cmd_trace_record, [
+        _arg("output", help="trace file to write (JSONL)"),
+        _arg("--generator", required=True, choices=list(GENERATOR_NAMES),
+             help="workload generator to record"),
+        _arg("--seed", type=int, default=None,
+             help="generator seed (default: the workload's)"),
+        _arg("--versions", type=int, default=None,
+             help="backup versions to generate"),
+    ]),
+    ("trace", "replay", "drive a trace file's backups into a repository",
+     _cmd_trace_replay, [
+        _arg("repo", help="repository directory"),
+        _arg("trace", help="trace file to replay"),
+        _arg("--verify", action="store_true",
+             help="restore every replayed backup and check it against the "
+                  "trace checksums"),
+    ]),
+    ("browse", "cat", "read a whole file at some version", _cmd_browse_cat, [
+        _arg("repo", help="repository directory"), _BACKUP_PATH, _VERSION,
+        _OUTPUT_OR_STDOUT,
+    ]),
+    ("browse", "read", "read a byte range without restoring the whole version",
+     _cmd_browse_read, [
+        _REPO, _PATH, _OFFSET, _arg("length", type=int, help="bytes to read"),
+        _VERSION, _OUTPUT_OR_STDOUT,
+    ]),
+    ("browse", "write", "write a byte range back and commit a new version",
+     _cmd_browse_write, [
+        _REPO, _PATH, _OFFSET,
+        _arg("input", help="file holding the bytes to write"),
+        _arg("--no-flush", action="store_true",
+             help="leave the write dirty in cache (no commit; for scripted "
+                  "sessions)"),
+    ]),
+    ("browse", "flush", "commit dirtied files as new versions", _cmd_browse_flush, [
+        _REPO, _arg("path", nargs="?", default=None,
+                    help="flush only this path (default: all dirty)"),
+    ]),
+    ("browse", "stat", "show size/version/dirtiness of one file",
+     _cmd_browse_stat, [_REPO, _PATH, _VERSION]),
+    ("browse", "stats", "print the block-cache counters line", _cmd_browse_stats, [
+        _REPO, _arg("path", nargs="?", default=None,
+                    help="warm the cache with one full read first"),
+        _VERSION,
+    ]),
+    ("tenant", "list", "list tenants with usage, weight and retention",
+     _cmd_tenant_list, [_arg("repo", help="service repository directory")]),
+    ("tenant", "backup", "back up files on behalf of a tenant", _cmd_tenant_backup, [
+        _REPO, _arg("tenant", help="tenant name (lowercase)"), _FILES, _PREFIX,
+    ]),
+    ("tenant", "restore", "restore a tenant's backup version", _cmd_tenant_restore, [
+        _REPO, _TENANT, _BACKUP_PATH, _VERSION, _OUTPUT,
+    ]),
+    ("tenant", "retention", "show or set a tenant's retention policy",
+     _cmd_tenant_retention, [
+        _REPO, _TENANT,
+        _arg("--keep-last", type=int, default=None,
+             help="protect the newest N versions per path"),
+        _arg("--keep-days", type=float, default=None,
+             help="protect versions younger than D days"),
+        _arg("--clear", action="store_true",
+             help="drop the policy (protect everything)"),
+    ]),
+    ("tenant", "apply-retention", "collect versions the policy no longer protects",
+     _cmd_tenant_apply_retention, [_REPO, _TENANT]),
+    ("tenant", "weight", "show or set a tenant's fair-share weight",
+     _cmd_tenant_weight, [
+        _REPO, _TENANT,
+        _arg("value", type=float, nargs="?", default=None,
+             help="new weight (positive; omit to show)"),
+    ]),
+    ("tenant", "remove", "remove a tenant account and reclaim its space",
+     _cmd_tenant_remove, [_REPO, _TENANT]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
+    """The CLI argument parser (exposed for tests), built from :data:`_VERBS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SLIMSTORE: deduplicating multi-version backups",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    backup = commands.add_parser("backup", help="back up files as new versions")
-    backup.add_argument("repo", help="repository directory")
-    backup.add_argument("files", nargs="+", help="files to back up")
-    backup.add_argument("--prefix", default="", help="logical path prefix")
-    backup.add_argument("--index-shards", type=int, default=None,
-                        help="global-index shard count (fixed at repo creation)")
-    backup.add_argument("--workers", type=int, default=None,
-                        help="wall-clock worker count for the scan + "
-                             "fingerprint fan-out (0 = serial; persisted in "
-                             "repro.json)")
-    backup.add_argument("--fingerprint", choices=["sha1", "blake2b"],
-                        default=None,
-                        help="chunk fingerprint algorithm (pinned at repo "
-                             "creation; attaching with a mismatch is refused)")
-    backup.set_defaults(handler=_cmd_backup)
-
-    restore = commands.add_parser("restore", help="restore a backup version")
-    restore.add_argument("repo")
-    restore.add_argument("path", help="logical path of the backup")
-    restore.add_argument("--version", type=int, default=None,
-                         help="version number (default: latest)")
-    restore.add_argument("--output", default=None, help="output file")
-    restore.add_argument("--prefetch-threads", type=int, default=None,
-                         help="parallel OSS prefetch channels (0 disables)")
-    restore.add_argument("--whole-containers", action="store_true",
-                         help="read whole containers instead of ranged GETs")
-    restore.set_defaults(handler=_cmd_restore)
-
-    versions = commands.add_parser("versions", help="list live versions")
-    versions.add_argument("repo")
-    versions.add_argument("path", nargs="?", default=None)
-    versions.set_defaults(handler=_cmd_versions)
-
-    delete = commands.add_parser("delete", help="collect the oldest version")
-    delete.add_argument("repo")
-    delete.add_argument("path")
-    delete.add_argument("version", type=int)
-    delete.set_defaults(handler=_cmd_delete)
-
-    space = commands.add_parser("space", help="show repository space usage")
-    space.add_argument("repo")
-    space.set_defaults(handler=_cmd_space)
-
-    index = commands.add_parser("index", help="show global-index shard stats")
-    index.add_argument("repo")
-    index.set_defaults(handler=_cmd_index)
-
-    scrub = commands.add_parser("scrub", help="verify repository integrity")
-    scrub.add_argument("repo")
-    scrub.add_argument("--repair", action="store_true",
-                       help="heal corrupt chunks from healthy copies")
-    scrub.set_defaults(handler=_cmd_scrub)
-
-    fsck = commands.add_parser(
-        "fsck", help="check crash consistency (journal, orphans, tombstones)"
-    )
-    fsck.add_argument("repo")
-    fsck.add_argument("--repair", action="store_true",
-                      help="roll interrupted jobs forward/back and GC debris")
-    fsck.set_defaults(handler=_cmd_fsck)
-
-    defaults = SlimStoreConfig()
-    durability = commands.add_parser(
-        "durability", help="show or manage the replication/erasure tier"
-    )
-    durability.add_argument("repo")
-    durability.add_argument("--enable", action="store_true",
-                            help="enable the tier and persist the policy")
-    durability.add_argument("--disable", action="store_true",
-                            help="disable the tier and drop replica/parity bytes")
-    durability.add_argument("--retier", action="store_true",
-                            help="re-tier every container to the live refcounts")
-    durability.add_argument("--replicas", type=int,
-                            default=defaults.durability_replicas,
-                            help="copies for hot containers (with --enable)")
-    durability.add_argument("--hot-refs", type=int,
-                            default=defaults.durability_hot_refs,
-                            help="refcount where replication starts")
-    durability.add_argument("--cold-refs", type=int,
-                            default=defaults.durability_cold_refs,
-                            help="refcount where erasure coding starts")
-    durability.add_argument("--data-shards", type=int,
-                            default=defaults.erasure_data_shards,
-                            help="Reed-Solomon data shards per stripe")
-    durability.add_argument("--parity-shards", type=int,
-                            default=defaults.erasure_parity_shards,
-                            help="Reed-Solomon parity shards per stripe")
-    durability.add_argument("--fault-domains", type=int,
-                            default=defaults.fault_domains,
-                            help="simulated fault domains for placement")
-    durability.set_defaults(handler=_cmd_durability)
-
-    from repro.workloads import GENERATOR_NAMES
-
-    trace = commands.add_parser(
-        "trace", help="record or replay a workload trace (JSONL)"
-    )
-    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
-    trace_record = trace_commands.add_parser(
-        "record", help="generate a workload and write it as a trace file"
-    )
-    trace_record.add_argument("output", help="trace file to write (JSONL)")
-    trace_record.add_argument("--generator", required=True,
-                              choices=list(GENERATOR_NAMES),
-                              help="workload generator to record")
-    trace_record.add_argument("--seed", type=int, default=None,
-                              help="generator seed (default: the workload's)")
-    trace_record.add_argument("--versions", type=int, default=None,
-                              help="backup versions to generate")
-    trace_record.set_defaults(handler=_cmd_trace_record)
-    trace_replay = trace_commands.add_parser(
-        "replay", help="drive a trace file's backups into a repository"
-    )
-    trace_replay.add_argument("repo", help="repository directory")
-    trace_replay.add_argument("trace", help="trace file to replay")
-    trace_replay.add_argument("--verify", action="store_true",
-                              help="restore every replayed backup and check "
-                                   "it against the trace checksums")
-    trace_replay.set_defaults(handler=_cmd_trace_replay)
-
-    browse = commands.add_parser(
-        "browse", help="random-access reads/writes on backup versions "
-                       "through the L-node block cache"
-    )
-    browse_commands = browse.add_subparsers(dest="browse_command", required=True)
-    browse_cat = browse_commands.add_parser(
-        "cat", help="read a whole file at some version"
-    )
-    browse_cat.add_argument("repo", help="repository directory")
-    browse_cat.add_argument("path", help="logical path of the backup")
-    browse_cat.add_argument("--version", type=int, default=None,
-                            help="version number (default: latest)")
-    browse_cat.add_argument("--output", default=None,
-                            help="output file (default: raw stdout)")
-    browse_cat.set_defaults(handler=_cmd_browse_cat)
-    browse_read = browse_commands.add_parser(
-        "read", help="read a byte range without restoring the whole version"
-    )
-    browse_read.add_argument("repo")
-    browse_read.add_argument("path")
-    browse_read.add_argument("offset", type=int, help="start offset in bytes")
-    browse_read.add_argument("length", type=int, help="bytes to read")
-    browse_read.add_argument("--version", type=int, default=None,
-                             help="version number (default: latest)")
-    browse_read.add_argument("--output", default=None,
-                             help="output file (default: raw stdout)")
-    browse_read.set_defaults(handler=_cmd_browse_read)
-    browse_write = browse_commands.add_parser(
-        "write", help="write a byte range back and commit a new version"
-    )
-    browse_write.add_argument("repo")
-    browse_write.add_argument("path")
-    browse_write.add_argument("offset", type=int, help="start offset in bytes")
-    browse_write.add_argument("input", help="file holding the bytes to write")
-    browse_write.add_argument("--no-flush", action="store_true",
-                              help="leave the write dirty in cache "
-                                   "(no commit; for scripted sessions)")
-    browse_write.set_defaults(handler=_cmd_browse_write)
-    browse_flush = browse_commands.add_parser(
-        "flush", help="commit dirtied files as new versions"
-    )
-    browse_flush.add_argument("repo")
-    browse_flush.add_argument("path", nargs="?", default=None,
-                              help="flush only this path (default: all dirty)")
-    browse_flush.set_defaults(handler=_cmd_browse_flush)
-    browse_stat = browse_commands.add_parser(
-        "stat", help="show size/version/dirtiness of one file"
-    )
-    browse_stat.add_argument("repo")
-    browse_stat.add_argument("path")
-    browse_stat.add_argument("--version", type=int, default=None,
-                             help="version number (default: latest)")
-    browse_stat.set_defaults(handler=_cmd_browse_stat)
-    browse_stats = browse_commands.add_parser(
-        "stats", help="print the block-cache counters line"
-    )
-    browse_stats.add_argument("repo")
-    browse_stats.add_argument("path", nargs="?", default=None,
-                              help="warm the cache with one full read first")
-    browse_stats.add_argument("--version", type=int, default=None,
-                              help="version number (default: latest)")
-    browse_stats.set_defaults(handler=_cmd_browse_stats)
-
-    tenant = commands.add_parser(
-        "tenant", help="manage a multi-tenant service repository"
-    )
-    tenant_commands = tenant.add_subparsers(dest="tenant_command", required=True)
-    tenant_list = tenant_commands.add_parser(
-        "list", help="list tenants with usage, weight and retention"
-    )
-    tenant_list.add_argument("repo", help="service repository directory")
-    tenant_list.set_defaults(handler=_tenant_handler(_cmd_tenant_list))
-    tenant_backup = tenant_commands.add_parser(
-        "backup", help="back up files on behalf of a tenant"
-    )
-    tenant_backup.add_argument("repo")
-    tenant_backup.add_argument("tenant", help="tenant name (lowercase)")
-    tenant_backup.add_argument("files", nargs="+", help="files to back up")
-    tenant_backup.add_argument("--prefix", default="", help="logical path prefix")
-    tenant_backup.set_defaults(handler=_tenant_handler(_cmd_tenant_backup))
-    tenant_restore = tenant_commands.add_parser(
-        "restore", help="restore a tenant's backup version"
-    )
-    tenant_restore.add_argument("repo")
-    tenant_restore.add_argument("tenant")
-    tenant_restore.add_argument("path", help="logical path of the backup")
-    tenant_restore.add_argument("--version", type=int, default=None,
-                                help="version number (default: latest)")
-    tenant_restore.add_argument("--output", default=None, help="output file")
-    tenant_restore.set_defaults(handler=_tenant_handler(_cmd_tenant_restore))
-    tenant_retention = tenant_commands.add_parser(
-        "retention", help="show or set a tenant's retention policy"
-    )
-    tenant_retention.add_argument("repo")
-    tenant_retention.add_argument("tenant")
-    tenant_retention.add_argument("--keep-last", type=int, default=None,
-                                  help="protect the newest N versions per path")
-    tenant_retention.add_argument("--keep-days", type=float, default=None,
-                                  help="protect versions younger than D days")
-    tenant_retention.add_argument("--clear", action="store_true",
-                                  help="drop the policy (protect everything)")
-    tenant_retention.set_defaults(handler=_tenant_handler(_cmd_tenant_retention))
-    tenant_apply = tenant_commands.add_parser(
-        "apply-retention", help="collect versions the policy no longer protects"
-    )
-    tenant_apply.add_argument("repo")
-    tenant_apply.add_argument("tenant")
-    tenant_apply.set_defaults(handler=_tenant_handler(_cmd_tenant_apply_retention))
-    tenant_weight = tenant_commands.add_parser(
-        "weight", help="show or set a tenant's fair-share weight"
-    )
-    tenant_weight.add_argument("repo")
-    tenant_weight.add_argument("tenant")
-    tenant_weight.add_argument("value", type=float, nargs="?", default=None,
-                               help="new weight (positive; omit to show)")
-    tenant_weight.set_defaults(handler=_tenant_handler(_cmd_tenant_weight))
-    tenant_remove = tenant_commands.add_parser(
-        "remove", help="remove a tenant account and reclaim its space"
-    )
-    tenant_remove.add_argument("repo")
-    tenant_remove.add_argument("tenant")
-    tenant_remove.set_defaults(handler=_tenant_handler(_cmd_tenant_remove))
+    groups = {None: commands}
+    for group, name, help_text, handler, arguments in _VERBS:
+        if group not in groups:
+            groups[group] = commands.add_parser(
+                group, help=_GROUPS[group]
+            ).add_subparsers(dest=f"{group}_command", required=True)
+        verb = groups[group].add_parser(name, help=help_text)
+        for flags, spec in arguments:
+            verb.add_argument(*flags, **spec)
+        verb.set_defaults(handler=handler)
     return parser
 
 

@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.chunking.base import ChunkerParams
 from repro.chunking.superchunk import MergePolicy
+from repro.core.durability import ReplicationPolicy
 
 #: mod-R sampling ratio for recipe-index samples, before
 #: :meth:`SlimStoreConfig.effective_sample_ratio` shrinks it for large chunks.
@@ -102,23 +103,10 @@ class SlimStoreConfig:
 
     # --- durability tier --------------------------------------------------------
     #: Heat-aware replication/erasure over container payloads (FASTEN-style:
-    #: the most-shared containers get the most copies).  Off by default —
-    #: every space figure assumes single-copy containers.
-    durability_enabled: bool = False
-    #: Total copies (primary included) a hot container keeps, on distinct
-    #: fault domains.
-    durability_replicas: int = 3
-    #: Live references at or above which a container is "hot" (replicated).
-    durability_hot_refs: int = 3
-    #: Live references at or above which a container is "warm" (erasure
-    #: coded); below it the container stays single-copy.
-    durability_cold_refs: int = 2
-    #: Reed–Solomon data shards per erasure stripe.
-    erasure_data_shards: int = 4
-    #: Reed–Solomon parity shards per erasure stripe.
-    erasure_parity_shards: int = 2
-    #: Simulated fault domains replica and parity placement spreads over.
-    fault_domains: int = 3
+    #: the most-shared containers get the most copies).  None (the default)
+    #: leaves the tier off — every space figure assumes single-copy
+    #: containers.  The policy validates its own geometry.
+    durability: ReplicationPolicy | None = None
 
     # --- wall-clock execution engine -------------------------------------------
     #: Worker threads for the parallel execution engine (scan +
@@ -171,9 +159,6 @@ class SlimStoreConfig:
             raise ValueError(
                 f"tombstone_grace_epochs cannot be negative: {self.tombstone_grace_epochs}"
             )
-        # Building the policy validates the durability parameters, so a
-        # bad combination fails at construction instead of first use.
-        self.durability_policy()
 
     # --- derived views ---------------------------------------------------------------
     def effective_sample_ratio(self) -> int:
@@ -202,25 +187,6 @@ class SlimStoreConfig:
             threshold=self.merge_threshold,
             min_superchunk_bytes=self.min_superchunk_bytes,
             max_superchunk_bytes=self.max_superchunk_bytes,
-        )
-
-    def durability_policy(self):
-        """The :class:`~repro.core.durability.ReplicationPolicy`, or None.
-
-        None when the durability tier is disabled — callers use this as
-        the single switch for wiring the tier in.
-        """
-        if not self.durability_enabled:
-            return None
-        from repro.core.durability import ReplicationPolicy
-
-        return ReplicationPolicy(
-            replica_count=self.durability_replicas,
-            hot_refs=self.durability_hot_refs,
-            cold_refs=self.durability_cold_refs,
-            data_shards=self.erasure_data_shards,
-            parity_shards=self.erasure_parity_shards,
-            fault_domains=self.fault_domains,
         )
 
     def with_overrides(self, **overrides: Any) -> "SlimStoreConfig":

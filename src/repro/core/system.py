@@ -367,7 +367,7 @@ class SlimStore:
             retry_budget=retry_budget,
             index_shard_count=self.config.index_shard_count,
             tombstone_grace_epochs=self.config.tombstone_grace_epochs,
-            durability_policy=self.config.durability_policy(),
+            durability_policy=self.config.durability,
             fingerprint_algo=self.config.fingerprint_algo,
         )
         #: Scan + fingerprint fan-out (None when ``workers=0``): one shared

@@ -11,6 +11,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
 
+    def __str__(self) -> str:
+        # The lookup errors are also KeyErrors, whose str() quotes the
+        # message; a library error always prints as its bare message.
+        return Exception.__str__(self)
+
 
 class ObjectNotFoundError(ReproError, KeyError):
     """An OSS object (or a range of it) does not exist."""

@@ -20,13 +20,14 @@ from tests.conftest import SMALL_CONFIG, make_version_chain, random_bytes
 #: erasure-code at 2, singletons stay single.
 DURABLE_CONFIG = replace(
     SMALL_CONFIG,
-    durability_enabled=True,
-    fault_domains=3,
-    durability_replicas=3,
-    durability_hot_refs=3,
-    durability_cold_refs=2,
-    erasure_data_shards=4,
-    erasure_parity_shards=2,
+    durability=ReplicationPolicy(
+        replica_count=3,
+        hot_refs=3,
+        cold_refs=2,
+        data_shards=4,
+        parity_shards=2,
+        fault_domains=3,
+    ),
 )
 
 

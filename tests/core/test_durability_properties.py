@@ -82,13 +82,14 @@ def test_replicas_never_share_a_fault_domain(fault_domains, replica_count, seed)
     replica_count = min(replica_count, fault_domains)
     config = replace(
         SMALL_CONFIG,
-        durability_enabled=True,
-        fault_domains=fault_domains,
-        durability_replicas=replica_count,
-        durability_hot_refs=1,  # everything live replicates
-        durability_cold_refs=1,
-        erasure_data_shards=fault_domains,  # keep k + m <= domains * m
-        erasure_parity_shards=2,
+        durability=ReplicationPolicy(
+            replica_count=replica_count,
+            hot_refs=1,  # everything live replicates
+            cold_refs=1,
+            data_shards=fault_domains,  # keep k + m <= domains * m
+            parity_shards=2,
+            fault_domains=fault_domains,
+        ),
     )
     store = SlimStore(config)
     rng = np.random.default_rng(seed)
@@ -114,11 +115,9 @@ def test_promote_demote_roundtrip_reaps_exactly_retired(seed):
     demotion retired — nothing else leaves the store."""
     config = replace(
         SMALL_CONFIG,
-        durability_enabled=True,
-        fault_domains=3,
-        durability_replicas=3,
-        durability_hot_refs=3,
-        durability_cold_refs=2,
+        durability=ReplicationPolicy(
+            replica_count=3, hot_refs=3, cold_refs=2, fault_domains=3
+        ),
         tombstone_grace_epochs=1,
     )
     store = SlimStore(config)

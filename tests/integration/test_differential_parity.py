@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from repro import SlimStore
+from repro import ReplicationPolicy, SlimStore
 from repro.baselines import (
     DDFSSystem,
     HARDriver,
@@ -338,7 +338,7 @@ class TestSerialVsParallelParity:
         """Replica/parity placement and journaled tier changes follow the
         container write order, which no longer depends on ``workers``."""
         workload = _parity_workload(505)
-        config = SMALL_CONFIG.with_overrides(durability_enabled=True)
+        config = SMALL_CONFIG.with_overrides(durability=ReplicationPolicy())
         serial = _run_slimstore(workload, 0, config=config)
         parallel = _run_slimstore(workload, 2, config=config)
         assert any(

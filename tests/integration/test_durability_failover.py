@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.durability import CLASS_REPLICATED, CLASS_SINGLE
+from repro.core.durability import CLASS_REPLICATED, CLASS_SINGLE, ReplicationPolicy
 from repro.core.system import SlimStore
 from repro.oss.faults import FaultPolicy
 from tests.conftest import SMALL_CONFIG, make_version_chain, random_bytes
@@ -38,13 +38,14 @@ from tests.integration.test_crash_matrix import (
 #: single-domain outage.
 DURABLE_CONFIG = replace(
     SMALL_CONFIG,
-    durability_enabled=True,
-    fault_domains=3,
-    durability_replicas=3,
-    durability_hot_refs=3,
-    durability_cold_refs=1,
-    erasure_data_shards=4,
-    erasure_parity_shards=2,
+    durability=ReplicationPolicy(
+        replica_count=3,
+        hot_refs=3,
+        cold_refs=1,
+        data_shards=4,
+        parity_shards=2,
+        fault_domains=3,
+    ),
 )
 
 

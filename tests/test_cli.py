@@ -26,6 +26,96 @@ def test_backup_restore_roundtrip(tmp_path, rng):
     assert out.read_bytes() == payload
 
 
+
+class TestRepositoryVerbs:
+    """One case per verb and flag the scenario tests below never run."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, rng, capsys):
+        payload = random_bytes(rng, 64 * 1024)
+        source = tmp_path / "a.tbl"
+        source.write_bytes(payload)
+        repo = tmp_path / "repo"
+        assert main(["backup", str(repo), str(source), "--prefix", "db/"]) == 0
+        source.write_bytes(payload[:30000] + random_bytes(rng, 4096) + payload[30000:])
+        assert main(["backup", str(repo), str(source), "--prefix", "db/"]) == 0
+        capsys.readouterr()
+        return repo
+
+    def test_versions_lists_live_versions(self, repo, capsys):
+        assert main(["versions", str(repo)]) == 0
+        assert capsys.readouterr().out == "db/a.tbl: versions 0, 1\n"
+
+    def test_delete_collects_the_oldest_version(self, repo, capsys):
+        assert main(["delete", str(repo), "db/a.tbl", "0"]) == 0
+        assert capsys.readouterr().out.startswith("deleted db/a.tbl@v0, reclaimed ")
+        assert main(["versions", str(repo), "db/a.tbl"]) == 0
+        assert capsys.readouterr().out == "db/a.tbl: versions 1\n"
+
+    def test_delete_refuses_a_version_that_is_not_the_oldest(self, repo, capsys):
+        assert main(["delete", str(repo), "db/a.tbl", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: backup version not found: db/a.tbl@v1\n"
+        )
+
+    def test_space_lines_sum_to_the_total(self, repo, capsys):
+        assert main(["space", str(repo)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sizes = [int(line.split()[-2]) for line in lines]
+        assert lines[-1].startswith("total:")
+        assert sizes[-1] == sum(sizes[:-1]) > 0
+
+    def test_index_reports_every_shard(self, repo, capsys):
+        assert main(["index", str(repo)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("shards: 4\n")
+        assert out.count("  shard ") == 4
+
+    def test_scrub_of_a_healthy_repository_is_clean(self, repo, capsys):
+        assert main(["scrub", str(repo)]) == 0
+        assert capsys.readouterr().out.endswith("repository is clean\n")
+
+    def test_browse_flush_with_nothing_dirty(self, repo, capsys):
+        assert main(["browse", "flush", str(repo)]) == 0
+        assert capsys.readouterr().out == "nothing dirty\n"
+
+    def test_durability_retier(self, repo, capsys):
+        assert main(["durability", str(repo), "--retier"]) == 0
+        assert capsys.readouterr().out == (
+            "durability tier: disabled (enable with --enable)\n"
+        )
+        assert main(["durability", str(repo), "--enable"]) == 0
+        capsys.readouterr()
+        assert main(["durability", str(repo), "--retier"]) == 0
+        assert "0 transitions" in capsys.readouterr().out.splitlines()[0]
+
+    def test_restore_whole_containers(self, repo, tmp_path, capsys):
+        out = tmp_path / "v0.tbl"
+        assert main(["restore", str(repo), "db/a.tbl", "--version", "0",
+                     "--whole-containers", "--output", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"restored db/a.tbl@v0 -> {out} (65536 bytes, 1 container reads)"
+        assert lines[1].startswith("  whole-container reads: ")
+
+    def test_restore_of_an_unknown_path_is_a_clean_error(self, repo, capsys):
+        assert main(["restore", str(repo), "db/nope"]) == 1
+        assert capsys.readouterr().err == "error: backup version not found: db/nope\n"
+
+    def test_backup_with_a_missing_file_backs_up_nothing(self, tmp_path, rng, capsys):
+        source = tmp_path / "a.tbl"
+        source.write_bytes(random_bytes(rng, 16 * 1024))
+        repo = tmp_path / "repo"
+        missing = tmp_path / "missing.tbl"
+        assert main(["backup", str(repo), str(source), str(missing)]) == 2
+        assert main(["tenant", "backup", str(tmp_path / "svc"), "alice",
+                     str(source), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: not a file: {missing}\n" * 2
+        assert main(["versions", str(repo)]) == 0
+        assert main(["tenant", "list", str(tmp_path / "svc")]) == 0
+        assert capsys.readouterr().out == "no tenants\n"
+
 class TestFsck:
     def test_clean_repository_exits_zero(self, tmp_path, rng, capsys):
         repo = tmp_path / "repo"

@@ -42,3 +42,15 @@ class TestHierarchy:
         assert "f@v3" in str(with_version)
         without = errors.VersionNotFoundError("f")
         assert without.version is None
+
+    @pytest.mark.parametrize(
+        ("exc", "message"),
+        [
+            (errors.ObjectNotFoundError("b", "k"), "object not found: oss://b/k"),
+            (errors.BucketNotFoundError("b"), "bucket not found: b"),
+            (errors.VersionNotFoundError("f", 3), "backup version not found: f@v3"),
+        ],
+    )
+    def test_lookup_errors_print_their_bare_message(self, exc, message):
+        # KeyError.__str__ would quote the message; ReproError must not.
+        assert str(exc) == message
