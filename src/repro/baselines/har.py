@@ -85,9 +85,9 @@ class HARDriver:
     def _detect_sparse(self, result: BackupResult) -> set[int]:
         """Utilisation bookkeeping: the paper's HAR mark phase."""
         sparse: set[int] = set()
-        new_ids = set(result.new_container_ids)
-        for cid, (ref_chunks, _ref_bytes) in result.referenced_containers.items():
-            if cid in new_ids or not self.storage.containers.exists(cid):
+        reused = result.recipe.reused_containers(result.new_container_ids)
+        for cid, ref_chunks in reused.items():
+            if not self.storage.containers.exists(cid):
                 continue
             meta = self.storage.containers.read_meta(cid)
             live = meta.live_chunks()

@@ -32,7 +32,7 @@ runs of verified predictions in one loop.  See ``docs/INGEST.md``.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -135,15 +135,9 @@ class BackupResult:
     stored_chunk_bytes: int
     uploaded_bytes: int
     new_container_ids: list[int]
-    #: container id → (referenced chunk count, referenced bytes) for this
-    #: version, feeding sparse-container detection (Section V-B).
-    referenced_containers: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: True when the dedup base became unreachable mid-job and chunks were
     #: stored as unique without duplicate verification (degraded mode).
     degraded: bool = False
-    #: Fingerprints persisted while degraded; the G-node's reverse
-    #: deduplication reclaims the redundancy they may carry.
-    degraded_fps: list[bytes] = field(default_factory=list)
     #: Distinct fingerprints this job stored as unique — the population
     #: the G-node pushes through the sharded global index afterwards,
     #: which is what the cluster ingest model's per-shard contention and
@@ -397,15 +391,12 @@ class _JobState:
         self.new_container_ids: list[int] = []
         self.stored_chunk_bytes = 0
         self.uploaded_bytes = 0
-        self.referenced: Counter[int] = Counter()
-        self.referenced_bytes: Counter[int] = Counter()
         self.rewrite_containers = rewrite_containers or set()
         #: Skip-chunking state: location of the last matched record.
         self.skip_from: tuple[int, int] | None = None
         #: Degraded mode: the dedup base became unreachable; chunks are
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
-        self.degraded_fps: list[bytes] = []
         #: The job's CPU work, priced once by :meth:`_fold_charges`: bytes
         #: cut, skipped, fingerprinted and hashed by superchunk merging,
         #: lookups, compares, records and bytes packed.
@@ -803,7 +794,6 @@ class _JobState:
             # Persisted without duplicate verification: possibly redundant
             # until the next reverse-dedup pass inspects it.
             self.counters.add("degraded_chunks")
-            self.degraded_fps.append(fp)
         self.stored_chunk_bytes += len(chunk)
         self.local_records[fp] = record
         self._append_record(record, position)
@@ -954,18 +944,6 @@ class _JobState:
         alias_of = self.handle.version if self.identical() else None
         if alias_of is None:
             self._persist(recipe)
-
-        # Container references are computed from the *final* recipe so
-        # superchunk merging (which rewrites duplicate runs into new
-        # containers) is reflected in sparse-container detection.
-        for record in recipe.all_records():
-            if record.is_duplicate:
-                self.referenced[record.container_id] += 1
-                self.referenced_bytes[record.container_id] += record.size
-        referenced = {
-            cid: (self.referenced[cid], self.referenced_bytes[cid])
-            for cid in self.referenced
-        }
         self.counters.add("logical_bytes", len(self.data))
         return BackupResult(
             path=self.path,
@@ -977,9 +955,7 @@ class _JobState:
             stored_chunk_bytes=self.stored_chunk_bytes,
             uploaded_bytes=self.uploaded_bytes,
             new_container_ids=self.new_container_ids,
-            referenced_containers=referenced,
             degraded=self.degraded,
-            degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
             alias_of=alias_of,
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SlimStoreConfig
 from repro.core.container import ContainerMeta
-from repro.core.dedup import BackupResult
+from repro.core.recipe import Recipe
 from repro.core.storage import StorageLayer
 from repro.errors import ObjectNotFoundError, RetryExhaustedError, TransientOSSError
 from repro.sim.cost_model import CostModel
@@ -74,17 +74,8 @@ class GNode:
     # ------------------------------------------------------------------
     # Global reverse deduplication (Section VI-A)
     # ------------------------------------------------------------------
-    def reverse_dedup(
-        self,
-        new_container_ids: list[int],
-        watch_fps: set[bytes] | None = None,
-    ) -> ReverseDedupReport:
+    def reverse_dedup(self, new_container_ids: list[int]) -> ReverseDedupReport:
         """Exact-deduplicate the chunks of freshly written containers.
-
-        ``watch_fps`` names fingerprints a degraded backup stored without
-        duplicate verification; every one this pass reverse-deduplicates
-        is counted as ``degraded_reclaimed``, proving the out-of-line
-        reclamation the degraded mode relies on.
 
         The pass has three accelerations, all always on, and the report
         counts what each saved: the Bloom prefilter settles definitely-new
@@ -104,16 +95,14 @@ class GNode:
         # simply re-runs it — the pass is idempotent because the index is
         # re-pointed at the new copy *before* the old copy's deletion
         # mark becomes durable, so every intermediate state restores.  A
-        # transient OSS failure is not a crash: the job ends degraded and
-        # reclaim_degraded owns the follow-up, so the intent closes.
+        # transient OSS failure is not a crash: the versions stay pending
+        # and a later drain re-runs the pass, so the intent closes.
         journal = self.storage.journal
         seq = journal.begin(
             "reverse_dedup", container_ids=[int(cid) for cid in new_container_ids]
         )
         try:
-            self._dedup_against_index(
-                new_container_ids, watch_fps, report, meta_cache, dirty
-            )
+            self._dedup_against_index(new_container_ids, report, meta_cache, dirty)
             self._persist_dirty_metas(meta_cache, dirty, report)
         except (TransientOSSError, RetryExhaustedError):
             journal.close(seq)
@@ -124,7 +113,6 @@ class GNode:
     def _dedup_against_index(
         self,
         new_container_ids: list[int],
-        watch_fps: set[bytes] | None,
         report: ReverseDedupReport,
         meta_cache: dict[int, ContainerMeta],
         dirty: set[int],
@@ -182,8 +170,6 @@ class GNode:
                         report.duplicates_removed += 1
                         report.bytes_marked_deleted += entry.size
                         dirty.add(owner)
-                        if watch_fps is not None and entry.fp in watch_fps:
-                            report.counters.add("degraded_reclaimed")
             index.put_many(assignments)
 
     def _read_meta(self, cid: int, report: ReverseDedupReport) -> ContainerMeta:
@@ -233,8 +219,16 @@ class GNode:
     # ------------------------------------------------------------------
     # Sparse container compaction (Section V-B)
     # ------------------------------------------------------------------
-    def compact_sparse(self, result: BackupResult) -> CompactionReport:
-        """Compact containers the current version references sparsely.
+    def compact_sparse(
+        self,
+        path: str,
+        version: int,
+        recipe: Recipe,
+        new_container_ids: list[int],
+    ) -> CompactionReport:
+        """Compact containers version ``version`` of ``path`` references
+        sparsely; ``recipe`` is its recipe, ``new_container_ids`` the
+        containers its backup wrote.
 
         The write schedule is crash-safe and the recipe repoint is the
         commit point: (1) journal the compaction intent with a container
@@ -251,11 +245,11 @@ class GNode:
         """
         report = CompactionReport()
         containers = self.storage.containers
-        new_ids = set(result.new_container_ids)
+        reused = recipe.reused_containers(new_container_ids)
 
         sparse: list[int] = []
-        for cid, (ref_chunks, _ref_bytes) in sorted(result.referenced_containers.items()):
-            if cid in new_ids or not containers.exists(cid):
+        for cid, ref_chunks in sorted(reused.items()):
+            if not containers.exists(cid):
                 continue
             with self.storage.oss.meter(report.breakdown):
                 meta = containers.read_meta(cid)
@@ -273,7 +267,7 @@ class GNode:
         # The fingerprints the current version needs out of each sparse
         # container, in recipe order (preserving the new version's layout).
         needed: dict[int, list[bytes]] = {cid: [] for cid in sparse}
-        for record in result.recipe.all_records():
+        for record in recipe.all_records():
             if record.container_id in sparse_set:
                 fps = needed[record.container_id]
                 if record.fp not in fps:
@@ -283,8 +277,8 @@ class GNode:
         watermark = containers.peek_next_id()
         seq = journal.begin(
             "compaction",
-            path=result.path,
-            version=result.version,
+            path=path,
+            version=version,
             watermark=watermark,
             sparse=sparse,
         )
@@ -346,8 +340,8 @@ class GNode:
         journal.update(
             seq,
             "compaction",
-            path=result.path,
-            version=result.version,
+            path=path,
+            version=version,
             watermark=watermark,
             sparse=sparse,
             new_cids=list(report.new_container_ids),
@@ -357,13 +351,13 @@ class GNode:
 
         # Phase 3: COMMIT.  One atomic recipe overwrite flips the version
         # from the old layout to the new one.
-        for segment in result.recipe.segments:
+        for segment in recipe.segments:
             for record in segment:
                 new_cid = moved.get(record.fp)
                 if new_cid is not None and record.container_id in sparse_set:
                     record.container_id = new_cid
         with self.storage.oss.meter(report.breakdown):
-            self.storage.recipes.put_recipe(result.recipe)
+            self.storage.recipes.put_recipe(recipe)
 
         # Phase 4: cleanup — only now do the old copies die.  The intent
         # stays open (journal_seq) until the caller has re-published the

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 import urllib.parse
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import RecipeError, VersionNotFoundError
@@ -104,6 +105,18 @@ class Recipe:
     def referenced_containers(self) -> set[int]:
         """Every container id any record points at."""
         return {record.container_id for segment in self.segments for record in segment}
+
+    def reused_containers(self, new_container_ids: list[int]) -> Counter[int]:
+        """Records per container the version shares with older ones: every
+        container but ``new_container_ids``, the ones its backup wrote.  A
+        backup stores its unique chunks there only, so each other record is
+        a duplicate reference (what sparse-container detection counts)."""
+        new = set(new_container_ids)
+        return Counter(
+            record.container_id
+            for record in self.all_records()
+            if record.container_id not in new
+        )
 
     # --- serialisation -------------------------------------------------------
     def to_bytes(self) -> bytes:

@@ -29,10 +29,12 @@ under load or losing work to node death:
   idempotency check is the backup's ``expected_version``: a version
   number fixed at dispatch, checked against the recovered catalog.
 * **Maintenance windows without starving ingest** — foreground backups
-  run with ``run_gnode=False``; the G-node's out-of-line passes
-  (reverse deduplication over the containers foreground jobs produced)
-  run as background jobs dispatched only when no foreground work is
-  queued anywhere.
+  run with ``run_gnode=False``, so each commit record marks its version
+  pending in the tenant's catalog; the maintenance job,
+  :meth:`~repro.core.system.SlimStore.drain` over those versions, is
+  dispatched only when no foreground work is queued anywhere.  The
+  control plane keeps no pending state of its own: a failed or
+  interrupted job leaves the versions pending for the next window.
 * **Per-tenant SLO metrics** — p50/p99 backup and restore latency
   (arrival to completion, queueing included) and SLO attainment, via
   :class:`~repro.sim.metrics.LatencyStats`.
@@ -423,8 +425,6 @@ class ServiceControlPlane:
         self._pending_nodes = 0
         self._last_scale_at = -self.policy.autoscale_cooldown_seconds
         self._decision_index = -1
-        #: tenant → container ids awaiting an out-of-line G-node pass.
-        self._pending_maintenance: dict[str, set[int]] = {}
         #: tenants with a maintenance job queued or running.
         self._maintenance_active: set[str] = set()
         self._last_foreground_at: dict[str, float] = {}
@@ -568,9 +568,6 @@ class ServiceControlPlane:
             report = self.service.backup(
                 job.tenant, job.path, job.data, timestamp=now, run_gnode=False
             )
-            self._pending_maintenance.setdefault(job.tenant, set()).update(
-                report.result.new_container_ids
-            )
             if report.degraded:
                 # The job survived on degraded mode — data is safe, but
                 # the storage backend is failing: feed the breaker.
@@ -579,16 +576,11 @@ class ServiceControlPlane:
         if job.kind == "restore":
             result = self.service.restore(job.tenant, job.path, job.version)
             return max(result.elapsed_seconds, 1e-9)
-        # Maintenance: the out-of-line G-node pass over the containers
-        # foreground backups produced (journaled internally, idempotent).
+        # Maintenance: the G-node pass over the versions foreground backups
+        # left pending (journaled internally, idempotent).
         store = self.service.store_for(job.tenant)
-        pending = sorted(self._pending_maintenance.get(job.tenant, set()))
-        self._pending_maintenance[job.tenant] = set()
         before = store.oss.clock.now
-        if pending:
-            store.gnode.reverse_dedup(pending)
-        if store.catalog.degraded_versions():
-            store.reclaim_degraded()
+        store.drain()
         self.report.maintenance_runs += 1
         return max(store.oss.clock.now - before, 1e-9)
 
@@ -622,7 +614,7 @@ class ServiceControlPlane:
         if job in node.running:
             node.running.remove(job)
         if job.kind == "maintenance":
-            # Pending ids were consumed; put them back for the next window.
+            # The versions stay pending in the catalog for the next window.
             self._maintenance_active.discard(job.tenant)
             job.status = "failed"
         elif job.attempts >= self.policy.max_attempts:
@@ -692,8 +684,8 @@ class ServiceControlPlane:
             self.report.takeovers.append((now, job.job_id, "already-committed"))
             self.report.latency_for(job.tenant, job.kind).record(job.latency)
         elif job.kind == "maintenance":
-            # Recovery re-ran the journaled reverse-dedup pass, so the
-            # maintenance work is done.
+            # Recovery settled the journaled passes; whatever the catalog
+            # still holds pending goes to the check scheduled below.
             job.status = "completed"
             job.completed_at = now
             self.report.takeovers.append((now, job.job_id, "already-committed"))
@@ -703,12 +695,13 @@ class ServiceControlPlane:
             job.expected_version = None
             self.report.takeovers.append((now, job.job_id, "resumed"))
             self.scheduler.requeue_front(job)
+        self._schedule_maintenance_check(job.tenant)
         self._autoscale()
         self._dispatch()
 
     # --- maintenance windows ------------------------------------------------
     def _schedule_maintenance_check(self, tenant: str) -> None:
-        if not self._pending_maintenance.get(tenant):
+        if not self.service.store_for(tenant).pending_versions():
             return
         self.loop.schedule(
             self.policy.maintenance_idle_seconds,
@@ -720,7 +713,7 @@ class ServiceControlPlane:
         now = self.loop.now
         if tenant in self._maintenance_active:
             return
-        if not self._pending_maintenance.get(tenant):
+        if not self.service.store_for(tenant).pending_versions():
             return
         idle = now - self._last_foreground_at.get(tenant, 0.0)
         if idle + 1e-9 < self.policy.maintenance_idle_seconds:
@@ -735,9 +728,7 @@ class ServiceControlPlane:
         for tenant in sorted(self._maintenance_active):
             if tenant in suspended:
                 continue
-            if self._pending_maintenance.get(tenant) or self.service.store_for(
-                tenant
-            ).catalog.degraded_versions():
+            if self.service.store_for(tenant).pending_versions():
                 job = JobRequest(tenant=tenant, kind="maintenance")
                 job.job_id = self._next_job_id
                 self._next_job_id += 1

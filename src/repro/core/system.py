@@ -2,8 +2,9 @@
 
 :class:`SlimStore` is the public API of the reproduction.  One instance
 models one user's deployment: an OSS endpoint holding the storage layer,
-a stateless L-node serving online jobs, and a G-node running
-offline space optimisation after every backup (when enabled).
+a stateless L-node serving online jobs, and a G-node running the
+offline space optimisation of every committed version — inline after its
+backup, or deferred until :meth:`SlimStore.drain`.
 
 Version collection follows Section VI-B: the *mark* phase happens during
 deduplication (containers referenced by version N but not by N+1 are
@@ -58,8 +59,9 @@ class BackupReport:
     result: BackupResult
     reverse_dedup: ReverseDedupReport | None = None
     compaction: CompactionReport | None = None
-    #: True when this version was persisted (or left) without complete
-    #: dedup verification; :meth:`SlimStore.reclaim_degraded` clears it.
+    #: True when this version was persisted without complete dedup
+    #: verification and its G-node pass did not settle it: the version is
+    #: left pending and a later :meth:`SlimStore.drain` finishes the pass.
     degraded: bool = False
     #: Durability re-tiering pass this backup triggered (None when the
     #: tier is disabled or the pass was skipped).
@@ -131,13 +133,17 @@ class VersionCatalog:
         "clear_degraded",
         "drop_version",
     )
+    #: The pending flag's ops keep the names they were first persisted under.
+    _RENAMED = {"mark_degraded": "mark_pending", "clear_degraded": "clear_pending"}
 
     def __init__(self) -> None:
         self._versions: dict[str, list[int]] = {}
         self._refs: dict[tuple[str, int], set[int]] = {}
         self._garbage: dict[tuple[str, int], set[int]] = {}
         self._refcount: Counter[int] = Counter()
-        self._degraded: set[tuple[str, int]] = set()
+        #: Committed versions whose G-node pass has not completed → the new
+        #: containers the pass scans (None: marked before marks named them).
+        self._pending: dict[tuple[str, int], list[int] | None] = {}
         #: (path, alias version) → origin: the version owning its recipe.
         self._aliases: dict[tuple[str, int], int] = {}
         #: Ops applied since the last publish (JSON-ready lists).
@@ -161,7 +167,10 @@ class VersionCatalog:
                     [path, version, sorted(cids)]
                     for (path, version), cids in sorted(self._garbage.items())
                 ],
-                "degraded": [list(key) for key in sorted(self._degraded)],
+                "degraded": [
+                    [*key] if cids is None else [*key, cids]
+                    for key, cids in sorted(self._pending.items())
+                ],
                 "aliases": [
                     [path, version, origin]
                     for (path, version), origin in sorted(self._aliases.items())
@@ -181,9 +190,11 @@ class VersionCatalog:
                 catalog._refcount[cid] += 1
         for path, version, cids in raw["garbage"]:
             catalog._garbage[(path, version)] = set(cids)
-        # Catalogs persisted before degraded-mode tracking lack the key.
-        for path, version in raw.get("degraded", []):
-            catalog._degraded.add((path, version))
+        # Catalogs persisted before degraded-mode tracking lack the key,
+        # and entries persisted before marks named their containers lack
+        # the third element.
+        for path, version, *cids in raw.get("degraded", []):
+            catalog._pending[(path, version)] = cids[0] if cids else None
         # Absent in catalogs persisted before alias commits.
         for path, version, origin in raw.get("aliases", []):
             catalog._aliases[(path, version)] = origin
@@ -196,29 +207,35 @@ class VersionCatalog:
         for name, path, version, *args in ops:
             if name not in self._OPS:
                 raise ValueError(f"unknown catalog op: {name!r}")
-            getattr(self, name)(path, version, *args)
+            getattr(self, self._RENAMED.get(name, name))(path, version, *args)
         self.pending.clear()
 
-    # --- degraded-version tracking -----------------------------------------
-    def mark_degraded(self, path: str, version: int) -> None:
-        """Flag a version whose dedup verification is incomplete."""
-        if (path, version) not in self._degraded:
-            self._degraded.add((path, version))
-            self.pending.append(["mark_degraded", path, version])
+    # --- pending G-node work ----------------------------------------------
+    def mark_pending(
+        self, path: str, version: int, new_container_ids: list[int] | None = None
+    ) -> None:
+        """Flag a committed version whose G-node pass has not completed
+        (deferred, or it lost lookups); its pass scans ``new_container_ids``."""
+        if (path, version) not in self._pending:
+            self._pending[(path, version)] = new_container_ids
+            named = [] if new_container_ids is None else [new_container_ids]
+            self.pending.append(["mark_degraded", path, version, *named])
 
-    def clear_degraded(self, path: str, version: int) -> None:
-        """Clear the degraded flag after a successful reclamation pass."""
-        if (path, version) in self._degraded:
-            self._degraded.remove((path, version))
+    def clear_pending(self, path: str, version: int) -> None:
+        """Clear the pending flag after a complete G-node pass."""
+        if (path, version) in self._pending:
+            del self._pending[(path, version)]
             self.pending.append(["clear_degraded", path, version])
 
-    def is_degraded(self, path: str, version: int) -> bool:
-        """True while the version awaits out-of-line reclamation."""
-        return (path, version) in self._degraded
+    def pending_versions(self) -> list[tuple[str, int]]:
+        """All versions awaiting their G-node pass, sorted."""
+        return sorted(self._pending)
 
-    def degraded_versions(self) -> list[tuple[str, int]]:
-        """All versions flagged degraded, sorted."""
-        return sorted(self._degraded)
+    def pending_containers(self, path: str, version: int) -> list[int]:
+        """The containers a pending version's pass scans: its new ones, or
+        every container it references when its mark predates naming them."""
+        cids = self._pending[(path, version)]
+        return sorted(self._refs[(path, version)]) if cids is None else cids
 
     def register(self, path: str, version: int, referenced: set[int]) -> None:
         """Mark phase: record references and diff against the predecessor."""
@@ -277,19 +294,23 @@ class VersionCatalog:
         key = (path, version)
         if key not in self._refs:
             raise VersionNotFoundError(path, version)
-        old = self._refs[key]
         new = set(referenced)
-        if new == old:
+        if new == self._refs[key]:
             return
         self.pending.append(["update_references", path, version, sorted(new)])
-        for cid in old - new:
-            self._refcount[cid] -= 1
-        for cid in new - old:
-            self._refcount[cid] += 1
-        self._refs[key] = new
-        previous = (path, version - 1)
-        if previous in self._refs:
-            dropped = self._refs[previous] - new
+        # Aliases committed before the maintenance share the version's
+        # recipe, so their references follow it.
+        for live in self.versions(path):
+            if self._aliases.get((path, live), live) != version:
+                continue
+            old = self._refs[(path, live)]
+            for cid in old - new:
+                self._refcount[cid] -= 1
+            for cid in new - old:
+                self._refcount[cid] += 1
+            self._refs[(path, live)] = set(new)
+            previous = (path, live - 1)
+            dropped = self._refs.get(previous, set()) - new
             if dropped:
                 self._garbage.setdefault(previous, set()).update(dropped)
 
@@ -334,7 +355,7 @@ class VersionCatalog:
             raise VersionNotFoundError(path, version)
         self.pending.append(["drop_version", path, version])
         self._versions[path].remove(version)
-        self._degraded.discard(key)
+        self._pending.pop(key, None)
         self._aliases.pop(key, None)
         references = self._refs.pop(key)
         for cid in references:
@@ -497,12 +518,15 @@ class SlimStore:
     ) -> BackupReport:
         """Deduplicate and persist ``data`` as the next version of ``path``.
 
-        Runs the G-node's offline jobs afterwards unless ``run_gnode`` is
-        False (or the corresponding config switches are off).
+        With ``run_gnode`` the G-node pass runs right after the commit, as
+        :meth:`drain` over this one version (the config switches select its
+        steps).  Without it the commit record marks the version pending and
+        a later :meth:`drain` runs the pass — the service's maintenance job.
 
         A G-node pass that cannot reach OSS (even after retries) never
-        fails the backup: the version is flagged ``degraded`` and a later
-        :meth:`reclaim_degraded` pass finishes the space optimisation.
+        fails the backup: the version stays pending, the report says
+        ``degraded``, and a later :meth:`drain` finishes the pass.  A crash
+        between the commit and the inline pass loses that pass.
 
         Commit ordering (crash consistency): container data and metas,
         the recipe and its index, and the similar-index registration are
@@ -514,9 +538,9 @@ class SlimStore:
         half-written version and GC its orphaned containers; the job opens
         it just before its first write, so a version it proves identical
         to its predecessor — an alias, which writes nothing before the
-        commit record — opens none.  G-node maintenance runs only after
-        the commit, under its own journal intents, and never for an alias
-        (it stored nothing).
+        commit record — opens none.  The G-node pass runs only after the
+        commit, under its own journal intents, and never for an alias (it
+        stored nothing).
         """
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
@@ -543,8 +567,10 @@ class SlimStore:
                 self.catalog.register(
                     path, version, result.recipe.referenced_containers()
                 )
-            if result.degraded:
-                self.catalog.mark_degraded(path, version)
+                if result.degraded or not run_gnode:
+                    self.catalog.mark_pending(
+                        path, version, result.new_container_ids
+                    )
             self._persist_catalog()
         except SimulatedCrashError:
             # The node is dead; the open intent is the recovery record.
@@ -558,70 +584,15 @@ class SlimStore:
         if seq is not None:
             journal.close(seq)
 
-        degraded = result.degraded
-        reverse_report: ReverseDedupReport | None = None
-        compaction_report: CompactionReport | None = None
-        # An alias stored nothing: no pass to run over it.
-        optimise = run_gnode and result.alias_of is None
-        if optimise and self.config.reverse_dedup:
-            watch = set(result.degraded_fps) if result.degraded_fps else None
-            try:
-                reverse_report = self.gnode.reverse_dedup(
-                    result.new_container_ids, watch_fps=watch
-                )
-            except (TransientOSSError, RetryExhaustedError):
-                degraded = True
-            else:
-                # A complete pass (every lookup answered) settles whatever
-                # reclamation debt the online job accumulated; a partial
-                # one leaves the version degraded for reclaim_degraded().
-                degraded = bool(
-                    reverse_report.counters.get("gdedup_lookup_failures")
-                )
-        if optimise and self.config.sparse_compaction:
-            try:
-                compaction_report = self.gnode.compact_sparse(result)
-            except (TransientOSSError, RetryExhaustedError):
-                degraded = True
-
-        # Post-maintenance catalog fix-up: compaction re-pointed the
-        # committed recipe at fresh containers, and the degraded flag may
-        # have settled either way.  Publishes a second record only when
-        # a mutator actually changed something.
-        if compaction_report is not None and compaction_report.sparse_containers:
-            self.catalog.update_references(
-                path, result.version, result.recipe.referenced_containers()
-            )
-            self.catalog.add_garbage(
-                path, result.version, compaction_report.sparse_containers
-            )
-        if degraded:
-            self.catalog.mark_degraded(path, result.version)
-        else:
-            self.catalog.clear_degraded(path, result.version)
-        self._persist_catalog()
-        if compaction_report is not None and compaction_report.journal_seq is not None:
-            # The compaction intent outlives the pass on purpose: only
-            # once the catalog record above is durable has the version
-            # fully converged on the compacted layout.
-            journal.close(compaction_report.journal_seq)
-
-        # Durability re-tiering joins the maintenance pass: reference
-        # counts have settled (including any compaction fix-up above), so
-        # promotion/demotion sees the version's final heat (an alias adds
-        # heat like any version).  A tier that cannot reach OSS never fails
-        # the backup — the next pass converges it.
-        retier_report = None
-        if run_gnode and self.storage.durability is not None:
-            try:
-                retier_report = self.gnode.retier(self.catalog.refcounts())
-            except SimulatedCrashError:
-                raise
-            except (TransientOSSError, RetryExhaustedError):
-                pass
-        return BackupReport(
-            result, reverse_report, compaction_report, degraded, retier_report
-        )
+        if not run_gnode:
+            return BackupReport(result, degraded=result.degraded)
+        # An alias stored nothing: its drain only re-tiers (it adds heat).
+        key = (path, version)
+        job = {} if result.alias_of is not None else {
+            key: (result.new_container_ids, result.recipe)
+        }
+        reverse, compacted, failed, retier = self._drain(job)
+        return BackupReport(result, reverse, compacted.get(key), key in failed, retier)
 
     def restore(
         self,
@@ -790,44 +761,97 @@ class SlimStore:
         }
         return RepositoryScrubber(self.storage).scrub(recipes, repair=repair)
 
-    def reclaim_degraded(self) -> ReverseDedupReport | None:
-        """Re-run reverse deduplication over every degraded version.
+    def drain(self) -> ReverseDedupReport | None:
+        """Run the G-node pass over every pending version; returns its
+        reverse-dedup report, None if none was pending.
 
-        A backup taken while OSS misbehaved stored chunks as unique
-        without duplicate verification (degraded mode).  This pass feeds
-        those versions' containers back through the G-node's reverse
-        deduplication: redundant copies are reclaimed out-of-line and the
-        degraded flag is cleared for every version whose pass completed
-        with all index lookups answered.  Returns the merged report, or
-        None when nothing was flagged.
+        A version is pending from a ``run_gnode=False`` commit or a pass that
+        lost lookups until a pass completes; the catalog holds the flag, so
+        the work survives a process death.  Compaction serves the latest
+        version's restores (Section V-B), so as inline, only each path's
+        newest recipe is compacted.  A recipe that cannot be read raises
+        before anything is written, leaving every version pending.
         """
-        merged: ReverseDedupReport | None = None
-        for path, version in self.catalog.degraded_versions():
-            recipe = self.storage.recipes.get_recipe(
-                path, self.catalog.recipe_version(path, version)
+        wanted = self.catalog.pending_versions()
+        if not wanted:
+            return None
+        catalog = self.catalog
+        newest = {
+            (p, catalog.recipe_version(p, catalog.versions(p)[-1])) for p, _ in wanted
+        }
+        work = {
+            (path, version): (
+                catalog.pending_containers(path, version),
+                self.storage.recipes.get_recipe(path, version)
+                if self.config.sparse_compaction and (path, version) in newest
+                else None,
             )
-            watch = {record.fp for record in recipe.all_records()}
-            report = self.gnode.reverse_dedup(
-                sorted(recipe.referenced_containers()), watch_fps=watch
-            )
-            if merged is None:
-                merged = report
-            else:
-                merged.chunks_scanned += report.chunks_scanned
-                merged.duplicates_removed += report.duplicates_removed
-                merged.bytes_marked_deleted += report.bytes_marked_deleted
-                merged.containers_rewritten += report.containers_rewritten
-                merged.bytes_reclaimed += report.bytes_reclaimed
-                merged.breakdown = merged.breakdown.merged_with(report.breakdown)
-                merged.counters = merged.counters.merged_with(report.counters)
-            if not report.counters.get("gdedup_lookup_failures"):
-                self.catalog.clear_degraded(path, version)
-        self._persist_catalog()
-        return merged
+            for path, version in wanted
+        }
+        return self._drain(work)[0]
 
-    def degraded_versions(self) -> list[tuple[str, int]]:
-        """Versions still awaiting out-of-line reclamation."""
-        return self.catalog.degraded_versions()
+    def _drain(self, work: dict) -> tuple:
+        """The pass over ``work`` — (path, version) → (new container ids,
+        recipe, or None to skip compaction) — for :meth:`drain` and an
+        inline :meth:`backup` alike.
+
+        Reverse dedup scans the union of the new containers in ascending id
+        order (the newest copy of a chunk survives), then each version
+        handed a recipe is compacted.  One catalog record publishes the
+        fix-up and clears every version whose pass answered each lookup; the
+        compaction intents close only once it is durable (until then the
+        catalog names the old layout).  A step that cannot reach OSS leaves
+        its versions pending.
+
+        Returns (reverse-dedup report, compaction report per version, the
+        versions left pending, retier report).
+        """
+        failed: set[tuple[str, int]] = set()
+        reverse_report: ReverseDedupReport | None = None
+        if work and self.config.reverse_dedup:
+            scan = sorted({cid for cids, _recipe in work.values() for cid in cids})
+            try:
+                reverse_report = self.gnode.reverse_dedup(scan)
+            except (TransientOSSError, RetryExhaustedError):
+                failed.update(work)
+            else:
+                if reverse_report.counters.get("gdedup_lookup_failures"):
+                    failed.update(work)
+        compactions: dict[tuple[str, int], CompactionReport] = {}
+        for (path, version), (cids, recipe) in work.items():
+            if recipe is None or not self.config.sparse_compaction:
+                continue
+            try:
+                report = self.gnode.compact_sparse(path, version, recipe, cids)
+            except (TransientOSSError, RetryExhaustedError):
+                failed.add((path, version))
+                continue
+            compactions[(path, version)] = report
+            if report.sparse_containers:
+                self.catalog.update_references(
+                    path, version, recipe.referenced_containers()
+                )
+                self.catalog.add_garbage(path, version, report.sparse_containers)
+        for (path, version), (cids, _recipe) in work.items():
+            if (path, version) in failed:
+                self.catalog.mark_pending(path, version, cids)
+            else:
+                self.catalog.clear_pending(path, version)
+        self._persist_catalog()
+        for report in compactions.values():
+            if report.journal_seq is not None:
+                self.storage.journal.close(report.journal_seq)
+        retier_report = None
+        if self.storage.durability is not None:
+            try:
+                retier_report = self.gnode.retier(self.catalog.refcounts())
+            except (TransientOSSError, RetryExhaustedError):
+                pass
+        return reverse_report, compactions, failed, retier_report
+
+    def pending_versions(self) -> list[tuple[str, int]]:
+        """Versions still awaiting their G-node pass (see :meth:`drain`)."""
+        return self.catalog.pending_versions()
 
     # --- accounting ---------------------------------------------------------------
     def space_report(self) -> SpaceReport:

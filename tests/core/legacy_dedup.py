@@ -17,7 +17,6 @@ through this class.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 
 from repro.chunking.base import BoundarySet
@@ -90,15 +89,12 @@ class LegacyJobState:
         self.new_container_ids: list[int] = []
         self.stored_chunk_bytes = 0
         self.uploaded_bytes = 0
-        self.referenced: Counter[int] = Counter()
-        self.referenced_bytes: Counter[int] = Counter()
         self.rewrite_containers = rewrite_containers or set()
         #: Skip-chunking state: location of the last matched record.
         self.skip_from: tuple[int, int] | None = None
         #: Degraded mode: the dedup base became unreachable; chunks are
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
-        self.degraded_fps: list[bytes] = []
         #: (start, end) → digest precomputed by the parallel executor for
         #: the plain-CDC chunk walk; spans cut by skip-chunking or
         #: superchunk merging miss it and hash inline via :meth:`_fp`.
@@ -427,7 +423,6 @@ class LegacyJobState:
             # Persisted without duplicate verification: possibly redundant
             # until the next reverse-dedup pass inspects it.
             self.counters.add("degraded_chunks")
-            self.degraded_fps.append(fp)
         self.stored_chunk_bytes += len(chunk)
         self.local_records[fp] = record
         self._append_record(record, position)
@@ -572,18 +567,6 @@ class LegacyJobState:
         alias_of = self.handle.version if self._identical() else None
         if alias_of is None:
             self._persist(recipe)
-
-        # Container references are computed from the *final* recipe so
-        # superchunk merging (which rewrites duplicate runs into new
-        # containers) is reflected in sparse-container detection.
-        for record in recipe.all_records():
-            if record.is_duplicate:
-                self.referenced[record.container_id] += 1
-                self.referenced_bytes[record.container_id] += record.size
-        referenced = {
-            cid: (self.referenced[cid], self.referenced_bytes[cid])
-            for cid in self.referenced
-        }
         self.counters.add("logical_bytes", len(self.data))
         return BackupResult(
             path=self.path,
@@ -595,9 +578,7 @@ class LegacyJobState:
             stored_chunk_bytes=self.stored_chunk_bytes,
             uploaded_bytes=self.uploaded_bytes,
             new_container_ids=self.new_container_ids,
-            referenced_containers=referenced,
             degraded=self.degraded,
-            degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
             alias_of=alias_of,
         )

@@ -264,10 +264,11 @@ class TestAccounting:
     def test_referenced_containers_only_for_duplicates(self, engine, rng):
         data = random_bytes(rng, 128 * 1024)
         first = engine.backup("f", data)
-        assert first.referenced_containers == {}
+        assert first.recipe.reused_containers(first.new_container_ids) == {}
         second = engine.backup("f", data)
-        assert set(second.referenced_containers) <= set(first.new_container_ids)
-        assert sum(count for count, _ in second.referenced_containers.values()) > 0
+        reused = second.recipe.reused_containers(second.new_container_ids)
+        assert set(reused) <= set(first.new_container_ids)
+        assert sum(reused.values()) > 0
 
 
 class TestBytesScanned:

@@ -20,6 +20,13 @@ CONFIG = SlimStoreConfig(
 )
 
 
+def compact(gnode: GNode, result):
+    """Compact the sparse containers of one backup job's version."""
+    return gnode.compact_sparse(
+        result.path, result.version, result.recipe, result.new_container_ids
+    )
+
+
 @pytest.fixture
 def storage(oss) -> StorageLayer:
     return StorageLayer.create(oss)
@@ -143,7 +150,7 @@ class TestSparseCompaction:
     def test_compaction_triggers_on_sparse_containers(self, nodes, rng):
         backup, _, gnode = nodes
         _, results = self._build_fragmented(backup, gnode, rng)
-        reports = [gnode.compact_sparse(result) for result in results]
+        reports = [compact(gnode, result) for result in results]
         assert any(report.sparse_containers for report in reports)
         moving = [r for r in reports if r.sparse_containers]
         assert all(r.chunks_moved > 0 for r in moving)
@@ -151,7 +158,7 @@ class TestSparseCompaction:
     def test_recipe_updated_and_restorable(self, nodes, storage, rng):
         backup, restore, gnode = nodes
         data, results = self._build_fragmented(backup, gnode, rng)
-        report = gnode.compact_sparse(results[-1])
+        report = compact(gnode, results[-1])
         latest = storage.recipes.get_recipe("f", results[-1].version)
         if report.sparse_containers:
             moved_into = set(report.new_container_ids)
@@ -167,7 +174,7 @@ class TestSparseCompaction:
             payloads.append(mutate(rng, payloads[-1], runs=4, run_bytes=16 * 1024))
             result = backup.backup("f", payloads[-1])
             gnode.reverse_dedup(result.new_container_ids)
-            gnode.compact_sparse(result)
+            compact(gnode, result)
         for version, payload in enumerate(payloads):
             assert restore.restore("f", version).data == payload, version
 
@@ -175,7 +182,7 @@ class TestSparseCompaction:
         backup, restore, gnode = nodes
         _, results = self._build_fragmented(backup, gnode, rng, versions=8)
         before = restore.restore("f", results[-1].version)
-        report = gnode.compact_sparse(results[-1])
+        report = compact(gnode, results[-1])
         after = restore.restore("f", results[-1].version)
         if report.sparse_containers:
             assert after.containers_read <= before.containers_read
@@ -188,6 +195,6 @@ class TestSparseCompaction:
         data = random_bytes(rng, 128 * 1024)
         backup.backup("f", data)
         result = backup.backup("f", mutate(rng, data, 2, 8192))
-        report = gnode.compact_sparse(result)
+        report = compact(gnode, result)
         assert report.sparse_containers == []
         assert report.chunks_moved == 0

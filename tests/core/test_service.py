@@ -1,8 +1,9 @@
 """Control-plane behaviour: admission, fairness, breaker, leases, scaling."""
 
+import numpy as np
 import pytest
 
-from repro import SlimStoreConfig
+from repro import RetryPolicy, SlimStore, SlimStoreConfig
 from repro.core.service import (
     CircuitBreaker,
     FairShareScheduler,
@@ -11,8 +12,10 @@ from repro.core.service import (
     ServicePolicy,
 )
 from repro.core.tenancy import BackupService
+from repro.errors import RetryExhaustedError
 from repro.oss.faults import FaultPolicy
-from tests.conftest import random_bytes
+from repro.oss.object_store import ObjectStorageService
+from tests.conftest import SMALL_CONFIG, make_version_chain, random_bytes
 
 CONFIG = SlimStoreConfig(container_bytes=64 * 1024, segment_bytes=32 * 1024)
 
@@ -332,6 +335,185 @@ class TestMaintenanceWindows:
         plane.run()
         last_backup = max(i for i, kind in enumerate(kinds) if kind == "backup")
         assert all(kind == "backup" for kind in kinds[: last_backup + 1])
+
+
+class TestPendingMaintenance:
+    """Pending G-node work is a fact of the tenant's catalog: it outlives the
+    control plane, a node crash after the commit and a failed maintenance
+    job, and one maintenance job (``SlimStore.drain``) settles it."""
+
+    POLICY = ServicePolicy(min_nodes=1, max_nodes=2, slots_per_node=1,
+                           autoscale_high_depth=0.25,
+                           autoscale_cooldown_seconds=0.0,
+                           scale_up_delay_seconds=0.1, lease_seconds=2.0,
+                           maintenance_idle_seconds=10.0)
+
+    @staticmethod
+    def chains(rng) -> dict[str, list[bytes]]:
+        return {
+            "a": make_version_chain(rng, versions=3, size=128 * 1024),
+            "b": make_version_chain(rng, versions=3, size=64 * 1024,
+                                    runs=3, run_bytes=4 * 1024),
+        }
+
+    @staticmethod
+    def submit_chains(plane: ServiceControlPlane, chains) -> None:
+        for version in range(len(chains["a"])):
+            for offset, (path, chain) in enumerate(chains.items()):
+                plane.submit_at(version * 2.0 + offset, JobRequest(
+                    tenant="alice", kind="backup", path=path, data=chain[version]
+                ))
+
+    @staticmethod
+    def spy_drains(monkeypatch) -> list:
+        """Every ``SlimStore.drain`` call's report, or the error it raised."""
+        outcomes = []
+        original = SlimStore.drain
+
+        def spy(store, *args, **kwargs):
+            try:
+                outcomes.append(original(store, *args, **kwargs))
+            except Exception as error:
+                outcomes.append(error)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(SlimStore, "drain", spy)
+        return outcomes
+
+    @staticmethod
+    def assert_restores(service: BackupService, chains) -> None:
+        for path, chain in chains.items():
+            for version, data in enumerate(chain):
+                assert service.restore("alice", path, version).data == data
+
+    def test_pending_work_survives_process_death(self, rng, monkeypatch):
+        oss = ObjectStorageService()
+        chains = self.chains(rng)
+        plane = ServiceControlPlane(BackupService(oss, config=SMALL_CONFIG),
+                                    self.POLICY)
+        self.submit_chains(plane, chains)
+        plane.run(until=6.0)  # every backup done, no maintenance window yet
+        assert plane.report.completed == 6 and plane.report.maintenance_runs == 0
+        del plane  # the process dies, its control plane and service with it
+
+        fresh = ServiceControlPlane(BackupService(oss, config=SMALL_CONFIG),
+                                    self.POLICY)
+        store = fresh.service.store_for("alice")
+        assert store.pending_versions() == [
+            (path, version) for path in chains for version in range(3)
+        ]
+        drains = self.spy_drains(monkeypatch)
+        # Any foreground completion opens the tenant's maintenance window.
+        fresh.submit_at(0.0, JobRequest(tenant="alice", kind="restore", path="a"))
+        report = fresh.run()
+        assert report.maintenance_runs == 1 and len(drains) == 1
+        assert drains[0].duplicates_removed > 0
+        assert store.pending_versions() == []
+        self.assert_restores(fresh.service, chains)
+
+    def test_a_crash_after_the_commit_leaves_the_version_pending(self, rng):
+        data = random_bytes(rng, 48 * 1024)
+
+        class RecordingFaults(FaultPolicy):
+            def before_request(self, op, bucket, key):
+                if op in self.WRITE_OPS:
+                    writes.append((op, key))
+                return super().before_request(op, bucket, key)
+
+        writes: list[tuple[str, str]] = []
+        probe = make_plane(self.POLICY)
+        probe.service.oss.set_fault_policy(RecordingFaults())
+        probe.submit_at(0.0, JobRequest(tenant="alice", kind="backup", path="f", data=data))
+        probe.run(until=1.0)
+        commit = next(i for i, (op, key) in enumerate(writes)
+                      if key.startswith("catalog/log/"))
+        op, key = writes[commit + 1]
+        assert op == "delete" and key.startswith("journal/")
+
+        plane = make_plane(self.POLICY)
+        faults = FaultPolicy()
+        plane.service.oss.set_fault_policy(faults)
+        # Die at the backup intent's close, right after the commit record.
+        plane.decision_hook = (
+            lambda index, node_id, job: faults.crash_after_writes(commit + 1)
+            if index == 0 else None
+        )
+        plane.submit_at(0.0, JobRequest(tenant="alice", kind="backup", path="f", data=data))
+        report = plane.run(until=5.0)
+        assert report.node_deaths
+        assert [kind for _, _, kind in report.takeovers] == ["already-committed"]
+        store = plane.service.store_for("alice")
+        assert store.pending_versions() == [("f", 0)]
+        # The takeover scheduled the tenant's maintenance check.
+        report = plane.run()
+        assert report.maintenance_runs == 1
+        assert store.pending_versions() == []
+        assert plane.service.restore("alice", "f").data == data
+
+    def test_failed_maintenance_keeps_its_work(self, rng, monkeypatch):
+        faults = FaultPolicy()
+        service = BackupService(
+            ObjectStorageService(faults=faults),
+            config=SMALL_CONFIG,
+            retry_policy=RetryPolicy(seed=5, base_delay=0.01, max_delay=0.2,
+                                     backoff_budget_seconds=5.0),
+        )
+        plane = ServiceControlPlane(service, self.POLICY)
+        chains = self.chains(rng)
+        self.submit_chains(plane, chains)
+        drains = self.spy_drains(monkeypatch)
+
+        def hook(index, node_id, job):
+            if job.kind == "maintenance" and not drains:
+                faults.outage({"get"})
+
+        plane.decision_hook = hook
+        report = plane.run()
+        assert len(drains) == 1 and isinstance(drains[0], RetryExhaustedError)
+        assert report.maintenance_runs == 0
+        store = service.store_for("alice")
+        assert len(store.pending_versions()) == 6
+
+        faults.revive()
+        plane.submit_at(plane.loop.now + 1.0,
+                        JobRequest(tenant="alice", kind="restore", path="b"))
+        report = plane.run()
+        assert report.maintenance_runs == 1 and len(drains) == 2
+        assert drains[1].duplicates_removed > 0
+        assert store.pending_versions() == []
+        self.assert_restores(service, chains)
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_drain_compacts_the_latest_versions_like_inline(self, seed):
+        """One drain over five pending versions of each path compacts only
+        the newest: compacting an older one first would delete copies the
+        later recipes still name, and their restores would need redirects."""
+        rng = np.random.default_rng(seed)
+        chains = {
+            path: make_version_chain(rng, versions=5, size=size, runs=4,
+                                     run_bytes=8 * 1024)
+            for path, size in (("a", 128 * 1024), ("b", 64 * 1024))
+        }
+        inline = SlimStore(SMALL_CONFIG)
+        for version in range(5):
+            for path, chain in chains.items():
+                inline.backup(path, chain[version])
+
+        service = BackupService(ObjectStorageService(), config=SMALL_CONFIG)
+        plane = ServiceControlPlane(service, self.POLICY)
+        self.submit_chains(plane, chains)
+        assert plane.run().maintenance_runs == 1
+        store = service.store_for("alice")
+        assert store.pending_versions() == []
+        self.assert_restores(service, chains)
+        for path, chain in chains.items():
+            deferred = store.restore(path)
+            assert deferred.data == chain[-1]
+            redirects = deferred.counters.get("global_index_redirects")
+            assert redirects <= inline.restore(path).counters.get(
+                "global_index_redirects")
 
 
 class TestSLOMetrics:

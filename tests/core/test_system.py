@@ -99,6 +99,15 @@ class TestSlimStoreFacade:
         assert report.reverse_dedup is None
         assert report.compaction is None
 
+    def test_skipped_gnode_pass_is_pending_until_drained(self, rng):
+        store = SlimStore(CONFIG)
+        for path in ("a", "b"):
+            store.backup(path, random_bytes(rng, 64 * 1024), run_gnode=False)
+        assert store.pending_versions() == [("a", 0), ("b", 0)]
+        assert store.drain().chunks_scanned > 0
+        assert store.pending_versions() == []
+        assert store.drain() is None
+
     def test_gnode_disabled_by_config(self, rng):
         store = SlimStore(
             CONFIG.with_overrides(reverse_dedup=False, sparse_compaction=False)

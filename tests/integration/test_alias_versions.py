@@ -33,7 +33,13 @@ from repro import SlimStore, SlimStoreConfig
 from repro.core.browse import BrowseSession
 from repro.core.system import VersionCatalog
 from repro.oss.object_store import ObjectStorageService
-from tests.conftest import SMALL_CONFIG, bucket_state, mutate, random_bytes
+from tests.conftest import (
+    SMALL_CONFIG,
+    bucket_state,
+    make_version_chain,
+    mutate,
+    random_bytes,
+)
 from tests.integration.test_crash_matrix import (
     assert_zero_debris,
     attach,
@@ -163,6 +169,29 @@ class TestLifetime:
         # The path starts over at version 0.
         assert store.backup("f", chain[0]).version == 0
         assert store.restore("f", 0).data == chain[0]
+
+    def test_a_drain_compacting_an_origin_repoints_its_aliases(self, rng):
+        """Version 5 repeats version 4 before either's G-node pass ran; the
+        drain compacts 4's recipe, and 5 — sharing it — follows along, so
+        dropping versions 0-4 keeps every container 5 needs."""
+        payloads = make_version_chain(rng, versions=5, size=128 * 1024,
+                                      runs=4, run_bytes=8 * 1024)
+        payloads.append(payloads[-1])
+        store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+        reports = [store.backup("f", data, run_gnode=False) for data in payloads]
+        assert aliases_of(reports) == [None] * 5 + [4]
+        committed = store.catalog.references("f", 4)
+        store.drain()
+        compacted = store.catalog.references("f", 4)
+        assert compacted != committed
+        assert store.catalog.references("f", 5) == compacted
+        survivor = reattach(store)
+        assert survivor.catalog.references("f", 5) == compacted
+        for version in range(5):
+            survivor.delete_version("f", version)
+        assert survivor.restore("f", 5).data == payloads[-1]
+        assert_zero_debris(survivor)
+        assert_recipes_follow_catalog(survivor)
 
     def test_changed_version_after_an_alias_dedups_against_the_origin(self, chain, rng):
         store = SlimStore(SMALL_CONFIG, ObjectStorageService())

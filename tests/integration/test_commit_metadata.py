@@ -62,7 +62,11 @@ def keys(store: SlimStore, prefix: str) -> list[str]:
 
 cids = st.lists(st.integers(0, 12), max_size=4)
 step = st.one_of(
-    st.tuples(st.just("backup"), st.integers(0, 2), cids, st.booleans()),
+    # False: no mark; True: a mark naming no containers (written before
+    # marks named them); a list: a mark naming those new containers.
+    st.tuples(
+        st.just("backup"), st.integers(0, 2), cids, st.one_of(st.booleans(), cids)
+    ),
     st.tuples(st.just("maintain"), st.integers(0, 2), cids, cids),
     st.tuples(st.just("settle"), st.integers(0, 2), st.booleans()),
     st.tuples(st.just("drop"), st.integers(0, 2)),
@@ -91,14 +95,16 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
         for name, *args in steps:
             catalog, similar = live.catalog, live.storage.similar_index
             if name == "backup":
-                index, referenced, degraded = args
+                index, referenced, mark = args
                 path = PATHS[index]
                 versions = catalog.versions(path)
                 version = versions[-1] + 1 if versions else 0
                 similar.register(path, version, fake_reps(path, version, len(referenced)))
                 catalog.register(path, version, set(referenced))
-                if degraded:
-                    catalog.mark_degraded(path, version)
+                if mark is True:
+                    catalog.mark_pending(path, version)
+                elif mark is not False:
+                    catalog.mark_pending(path, version, mark)
             elif name == "maintain":
                 index, referenced, garbage = args
                 versions = catalog.versions(PATHS[index])
@@ -106,12 +112,12 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
                     catalog.update_references(PATHS[index], versions[-1], set(referenced))
                     catalog.add_garbage(PATHS[index], versions[-1], garbage)
             elif name == "settle":
-                index, degraded = args
+                index, pending = args
                 versions = catalog.versions(PATHS[index])
-                if versions and degraded:
-                    catalog.mark_degraded(PATHS[index], versions[-1])
+                if versions and pending:
+                    catalog.mark_pending(PATHS[index], versions[-1])
                 elif versions:
-                    catalog.clear_degraded(PATHS[index], versions[-1])
+                    catalog.clear_pending(PATHS[index], versions[-1])
             elif name == "drop":
                 path = PATHS[args[0]]
                 versions = catalog.versions(path)
@@ -160,7 +166,7 @@ def legacy_catalog_json(catalog) -> str:
                 [path, version, sorted(cids)]
                 for (path, version), cids in sorted(catalog._garbage.items())
             ],
-            "degraded": [list(key) for key in sorted(catalog._degraded)],
+            "degraded": [list(key) for key in sorted(catalog._pending)],
         }
     )
 
@@ -327,23 +333,41 @@ def test_a_pass_that_changes_nothing_publishes_nothing(rng, monkeypatch):
     store = SlimStore(SMALL_CONFIG, ObjectStorageService())
     data = random_bytes(rng, 64 * 1024)
     store.backup("f", data)
-    store.catalog.mark_degraded("f", 0)
+    store.catalog.mark_pending("f", 0)
     store._persist_catalog()
     writes = record_writes(store, monkeypatch)
     # An update_references with the set it already holds records no op ...
     store.catalog.update_references("f", 0, store.catalog.references("f", 0))
     store.catalog.add_garbage("f", 0, [])
-    store.catalog.mark_degraded("f", 0)
+    store.catalog.mark_pending("f", 0)
     store._persist_catalog()
     assert not [key for _, key in writes if key.startswith("catalog/")]
-    # ... a reclaim pass that clears the flag publishes exactly one record,
-    # and one with nothing flagged publishes none.
-    assert store.reclaim_degraded() is not None
-    assert store.degraded_versions() == []
+    # ... a drain that clears the flag publishes exactly one record, and
+    # one with nothing pending publishes none.
+    assert store.drain() is not None
+    assert store.pending_versions() == []
     assert len([key for _, key in writes if key.startswith("catalog/")]) == 1
-    assert store.reclaim_degraded() is None
+    assert store.drain() is None
     assert len([key for _, key in writes if key.startswith("catalog/")]) == 1
-    assert reattach(store).degraded_versions() == []
+    assert reattach(store).pending_versions() == []
+
+
+def test_a_mark_without_container_ids_replays_and_drains(rng):
+    """A pending mark as marks were written before they named the version's
+    new containers replays on attach and drains over the version's catalog
+    references."""
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    data = random_bytes(rng, 64 * 1024)
+    store.backup("f", data)
+    store.catalog_log.append(json.dumps([["mark_degraded", "f", 0]]).encode())
+    attached = reattach(store)
+    assert attached.pending_versions() == [("f", 0)]
+    assert attached.catalog.pending_containers("f", 0) == sorted(
+        attached.catalog.references("f", 0)
+    )
+    assert attached.drain().chunks_scanned > 0
+    assert reattach(attached).pending_versions() == []
+    assert attached.restore("f").data == data
 
 
 def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):

@@ -207,6 +207,69 @@ class TestBackupCrashMatrix:
         assert total > 20
 
 
+class TestDrainCrashMatrix:
+    """Crash at every write of a drain over two pending versions: the
+    reverse-dedup pass over both, the newer one's compaction, the one
+    catalog record that clears them and the intent closes after it."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """Age a version chain until a drain over its next two versions,
+        both backed up with ``run_gnode=False``, provably compacts the newer."""
+        rng = np.random.default_rng(4711)
+        store = attach()
+        data = random_bytes(rng, 256 * 1024)
+        store.backup("f", data)
+        payloads = [data]
+        for _ in range(12):
+            pending = [mutate(rng, data, runs=4, run_bytes=16 * 1024)]
+            pending.append(mutate(rng, pending[0], runs=4, run_bytes=16 * 1024))
+            probe = attach(clone_state(store.oss))
+            for payload in pending:
+                probe.backup("f", payload, run_gnode=False)
+            state = clone_state(probe.oss)
+            compactions = []
+            compact = probe.gnode.compact_sparse
+
+            def spy(*args, _compact=compact, _log=compactions):
+                _log.append(_compact(*args))
+                return _log[-1]
+
+            probe.gnode.compact_sparse = spy
+            probe.drain()
+            if any(report.sparse_containers for report in compactions):
+                return state, payloads + pending
+            data = pending[0]
+            store.backup("f", data)
+            payloads.append(data)
+        pytest.fail("version chain never aged into a compacting drain")
+
+    def test_crash_at_every_write_index(self, base):
+        base_state, payloads = base
+        pending = [("f", len(payloads) - 2), ("f", len(payloads) - 1)]
+
+        def action(store: SlimStore) -> None:
+            assert store.pending_versions() == pending
+            store.drain()
+
+        def verify(survivor: SlimStore, crash_at: int) -> None:
+            assert survivor.versions("f") == list(range(len(payloads)))
+            assert set(survivor.pending_versions()) <= set(pending), crash_at
+            assert_zero_debris(survivor)
+            survivor.drain()
+            assert survivor.pending_versions() == [], crash_at
+            assert_zero_debris(survivor)
+            for version, payload in enumerate(payloads):
+                assert survivor.restore("f", version).data == payload, (
+                    crash_at,
+                    version,
+                )
+
+        total = run_matrix(base_state, action, verify)
+        # Wide enough to cross the pass, both compactions and the record.
+        assert total > 10
+
+
 class TestDeleteCrashMatrix:
     """Crash at every write of a version deletion (sweep + journal)."""
 

@@ -380,6 +380,53 @@ class TestSerialVsParallelParity:
             parallel.close()
 
 
+class TestDeferredDrainParity:
+    """The inline G-node pass and a deferred one are one pass on two
+    schedules: backing up with ``run_gnode=False`` and draining after every
+    call builds the inline repository.  Only the catalog's records differ
+    (they carry the pending marks and the drains' clears)."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_deferred_drain_equals_inline(self, seed, workers, monkeypatch):
+        monkeypatch.setattr("repro.exec.engine._MIN_SHARE", 1 << 14)
+        workload = _parity_workload(seed)
+        config = SMALL_CONFIG.with_overrides(workers=workers)
+        runs = []
+        for deferred in (False, True):
+            store = SlimStore(config)
+            try:
+                for path, versions in workload.items():
+                    for data in versions:
+                        store.backup(path, data, run_gnode=not deferred)
+                        if deferred:
+                            store.drain()
+                assert store.pending_versions() == []
+                state = {
+                    bucket: {
+                        key: blob
+                        for key, blob in objects.items()
+                        if not key.startswith("catalog/")
+                    }
+                    for bucket, objects in bucket_state(store.oss).items()
+                }
+                restores = {
+                    (path, version): store.restore(path, version).data
+                    for path, versions in workload.items()
+                    for version in range(len(versions))
+                }
+                runs.append((state, restores, store.space_report()))
+            finally:
+                store.close()
+        inline, deferred = runs
+        assert deferred[0] == inline[0]
+        assert deferred[1] == inline[1]
+        assert deferred[2] == inline[2]
+        for path, versions in workload.items():
+            for version, data in enumerate(versions):
+                assert inline[1][(path, version)] == data
+
+
 # ---------------------------------------------------------------------------
 # Lazy boundary cursor vs the eager whole-file boundary set
 # ---------------------------------------------------------------------------

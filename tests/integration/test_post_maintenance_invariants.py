@@ -20,7 +20,7 @@ from tests.conftest import SMALL_CONFIG, make_chaos_store, make_version_chain
 
 @pytest.fixture(scope="module")
 def maintained_store():
-    """A chaos-backed store after backups, deletes, reclaim and compaction."""
+    """A chaos-backed store after backups, deletes, a drain and compaction."""
     import numpy as np
 
     rng = np.random.default_rng(2468)
@@ -51,8 +51,8 @@ def maintained_store():
     store.delete_version("db/t1", 0)
     store.delete_version("db/t1", 1)
     # Reverse dedup over the degraded version's duplicate copies.
-    reclaim = store.reclaim_degraded()
-    assert reclaim is not None and store.degraded_versions() == []
+    drained = store.drain()
+    assert drained is not None and store.pending_versions() == []
     # Quiesce the endpoint for the verification phase: the invariants are
     # about the state maintenance left behind, not about live fault noise.
     store.oss.set_fault_policy(None)

@@ -1,5 +1,7 @@
 """Scrubbing and failure injection: the repository under damage."""
 
+from collections import Counter
+
 import pytest
 
 from repro import SlimStore
@@ -12,6 +14,22 @@ from tests.conftest import (
     mutate,
     random_bytes,
 )
+
+
+def live_copies_of_stored(store: SlimStore, result) -> set[int]:
+    """How many live copies each chunk a backup job stored now has."""
+    new = set(result.new_container_ids)
+    containers = store.storage.containers
+    live = Counter(
+        entry.fp
+        for cid in containers.container_ids()
+        for entry in containers.read_meta(cid).live_lookup_entries()
+    )
+    return {
+        live[record.fp]
+        for record in result.recipe.all_records()
+        if record.container_id in new
+    }
 
 
 class TestScrubClean:
@@ -165,8 +183,7 @@ class TestDegradedBackup:
         assert report.degraded
         assert report.result.counters.get("degraded_events") > 0
         assert report.result.counters.get("degraded_chunks") > 0
-        assert store.degraded_versions() == [("f", 1)]
-        assert store.catalog.is_degraded("f", 1)
+        assert store.pending_versions() == [("f", 1)]
         # The degraded version restored byte-identically all along.
         assert store.restore("f", 1).data == v1
         assert store.restore("f", 0).data == v0
@@ -177,14 +194,14 @@ class TestDegradedBackup:
         store.backup("f", v0)
         v1 = mutate(rng, v0, runs=2, run_bytes=8 * 1024)
         faults.outage({"get"})
-        store.backup("f", v1)
+        degraded = store.backup("f", v1).result
         faults.revive()
 
-        report = store.reclaim_degraded()
+        report = store.drain()
         assert report is not None
         assert report.duplicates_removed > 0
-        assert report.counters.get("degraded_reclaimed") > 0
-        assert store.degraded_versions() == []
+        assert live_copies_of_stored(store, degraded) == {1}
+        assert store.pending_versions() == []
         # Reclamation must not damage either version.
         assert store.restore("f", 0).data == v0
         assert store.restore("f", 1).data == v1
@@ -192,7 +209,7 @@ class TestDegradedBackup:
     def test_reclaim_without_degraded_versions_is_none(self, rng):
         store, _ = chaos_store()
         store.backup("f", random_bytes(rng, 64 * 1024))
-        assert store.reclaim_degraded() is None
+        assert store.drain() is None
 
     def test_degraded_flag_survives_catalog_roundtrip(self, rng):
         store, faults = chaos_store()
@@ -204,7 +221,7 @@ class TestDegradedBackup:
 
         attached = SlimStore(CONFIG, store.oss)
         attached.recover()
-        assert attached.degraded_versions() == [("f", 1)]
+        assert attached.pending_versions() == [("f", 1)]
 
 
 class TestScrubRepair:
@@ -325,12 +342,12 @@ class TestSeededChaos:
         assert store.scrub().clean
 
         # The out-of-line G-node pass settles the degraded version's debt.
-        assert store.degraded_versions() == [("f", 3)]
-        reclaim = store.reclaim_degraded()
-        assert reclaim is not None
-        assert reclaim.duplicates_removed > 0
-        assert reclaim.counters.get("degraded_reclaimed") > 0
-        assert store.degraded_versions() == []
+        assert store.pending_versions() == [("f", 3)]
+        drained = store.drain()
+        assert drained is not None
+        assert drained.duplicates_removed > 0
+        assert live_copies_of_stored(store, degraded_report.result) == {1}
+        assert store.pending_versions() == []
 
         for version, expected in enumerate(payloads):
             assert store.restore("f", version).data == expected
