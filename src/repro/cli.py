@@ -244,6 +244,7 @@ def _cmd_backup(args: argparse.Namespace) -> int:
             f"{result.counters.get('containers_written')} containers, "
             f"{result.counters.get('bytes_scanned')} bytes scanned"
         )
+    store.close()  # publishes the last inline G-node pass's clear
     return 0
 
 
@@ -531,6 +532,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     store = open_repository(args.repo)
     assigned = replay_into(store, trace)
+    store.close()  # publishes the last inline G-node pass's clear
     logical = trace.total_bytes
     print(
         f"replayed {trace.name or args.trace}: {len(trace.versions)} versions, "
@@ -620,6 +622,7 @@ def _cmd_tenant_backup(args: argparse.Namespace) -> int:
             f"{args.tenant}/{logical_path}: v{report.version}, "
             f"{result.logical_bytes} bytes, dedup {result.dedup_ratio:.1%}"
         )
+    service.close()  # publishes the last inline G-node pass's clear
     return 0
 
 
@@ -798,6 +801,7 @@ def _cmd_browse_write(args: argparse.Namespace) -> int:
             f"v{report.version} ({report.blocks_written} dirty blocks, "
             f"{report.staged_bytes} staged bytes)"
         )
+    session.store.close()  # publishes the last inline G-node pass's clear
     print(session.stats_line(), file=sys.stderr)
     return 0
 
@@ -813,6 +817,7 @@ def _cmd_browse_flush(args: argparse.Namespace) -> int:
             f"(base v{report.base_version}, {report.blocks_written} dirty "
             f"blocks, {report.staged_bytes} staged bytes)"
         )
+    session.store.close()  # publishes the last inline G-node pass's clear
     print(session.stats_line(), file=sys.stderr)
     return 0
 

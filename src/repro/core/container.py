@@ -448,16 +448,19 @@ class ContainerStore:
         if self.durability is not None:
             self.durability.on_payload_changed(container_id, payload)
 
-    def rewrite(self, container_id: int) -> int:
+    def rewrite(self, container_id: int, meta: ContainerMeta | None = None) -> int:
         """Drop deleted chunks from the payload; returns bytes reclaimed.
 
         "the container is read out and invalid chunks will be removed, and
         then rewritten to OSS" (Section VI-A).  Live alias entries whose
         owning chunk survives are re-based onto the owner's new offset;
         aliases that outlive their owner are materialised as chunks of
-        their own so the bytes they name remain restorable.
+        their own so the bytes they name remain restorable.  ``meta`` is
+        the container's stored metadata when the caller just persisted it
+        (else it is read).
         """
-        meta = self.read_meta(container_id)
+        if meta is None:
+            meta = self.read_meta(container_id)
         data = self.read_data(container_id)
         new_data = bytearray()
         new_meta = ContainerMeta(container_id)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.chunking.base import BoundarySet, make_chunker
 from repro.chunking.cursor import BoundaryCursor
 from repro.core.config import SlimStoreConfig
-from repro.core.container import ContainerBuilder
+from repro.core.container import ContainerBuilder, ContainerMeta
 from repro.core.recipe import ChunkRecord, Recipe, RecipeHandle, RecipeIndex
 from repro.core.storage import StorageLayer
 from repro.errors import RetryExhaustedError, TransientOSSError, VersionNotFoundError
@@ -134,7 +134,6 @@ class BackupResult:
     logical_bytes: int
     stored_chunk_bytes: int
     uploaded_bytes: int
-    new_container_ids: list[int]
     #: True when the dedup base became unreachable mid-job and chunks were
     #: stored as unique without duplicate verification (degraded mode).
     degraded: bool = False
@@ -148,6 +147,13 @@ class BackupResult:
     #: Nothing was written — no container, recipe, recipe index or
     #: similar-index record — and ``recipe`` is the job's unpersisted view.
     alias_of: int | None = None
+    #: Container id → meta of each container the job wrote (in write order).
+    new_metas: dict[int, ContainerMeta] = field(default_factory=dict)
+
+    @property
+    def new_container_ids(self) -> list[int]:
+        """The ids of the containers the job wrote, in write order."""
+        return list(self.new_metas)
 
     @property
     def dedup_ratio(self) -> float:
@@ -388,7 +394,7 @@ class _JobState:
         self.builder: ContainerBuilder = self.storage.containers.new_builder(
             self.config.container_bytes
         )
-        self.new_container_ids: list[int] = []
+        self.new_metas: dict[int, ContainerMeta] = {}
         self.stored_chunk_bytes = 0
         self.uploaded_bytes = 0
         self.rewrite_containers = rewrite_containers or set()
@@ -889,7 +895,7 @@ class _JobState:
             return
         builder = self.builder
         self.counters.add("containers_written")
-        self.new_container_ids.append(builder.container_id)
+        self.new_metas[builder.container_id] = builder.meta
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
         self._before_write()
         with self.storage.oss.meter(self.breakdown) as meter:
@@ -916,7 +922,7 @@ class _JobState:
             and handle.version < self.version
             and len(self.data) == handle.total_bytes
             and counters.get("skip_success") == counters.get("chunks")
-            and not self.new_container_ids
+            and not self.new_metas
             and not self.rewrite_containers
             and not self.degraded
         )
@@ -954,10 +960,10 @@ class _JobState:
             logical_bytes=len(self.data),
             stored_chunk_bytes=self.stored_chunk_bytes,
             uploaded_bytes=self.uploaded_bytes,
-            new_container_ids=self.new_container_ids,
             degraded=self.degraded,
             unique_fps=list(self.local_records),
             alias_of=alias_of,
+            new_metas=self.new_metas,
         )
 
     def _persist(self, recipe: Recipe) -> None:

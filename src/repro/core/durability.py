@@ -412,6 +412,8 @@ class DurabilityManager:
         settled: set[int] = set()
         stale_stripes: list[int] = []
         for sid, stripe in sorted(self._stripes.items()):
+            if not stripe["members"] and not stripe.get("parity"):
+                continue  # retired: its parity waits out the grace window
             members = [m for m in stripe["members"] if m.get("live", True)]
             cids = [int(m["cid"]) for m in members]
             if members and all(

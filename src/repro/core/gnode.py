@@ -25,7 +25,7 @@ from repro.core.config import SlimStoreConfig
 from repro.core.container import ContainerMeta
 from repro.core.recipe import Recipe
 from repro.core.storage import StorageLayer
-from repro.errors import ObjectNotFoundError, RetryExhaustedError, TransientOSSError
+from repro.errors import ObjectNotFoundError
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import Counters, TimeBreakdown
 
@@ -74,7 +74,9 @@ class GNode:
     # ------------------------------------------------------------------
     # Global reverse deduplication (Section VI-A)
     # ------------------------------------------------------------------
-    def reverse_dedup(self, new_container_ids: list[int]) -> ReverseDedupReport:
+    def reverse_dedup(
+        self, new_container_ids: list[int], metas: dict[int, ContainerMeta] | None = None
+    ) -> ReverseDedupReport:
         """Exact-deduplicate the chunks of freshly written containers.
 
         The pass has three accelerations, all always on, and the report
@@ -83,50 +85,28 @@ class GNode:
         survivors go to the index in per-shard batches of
         ``config.index_batch_size`` (:meth:`GlobalIndex.get_many`, shards
         drained in parallel), and old-container metas are read once per
-        pass (``meta_cache_hits`` / ``meta_cache_misses``).
+        pass (``meta_cache_hits`` / ``meta_cache_misses``).  New containers'
+        metas the caller holds come in ``metas`` (an inline pass: the ones
+        its job wrote); the others are read.  Index writes are flushed per
+        container (:meth:`GlobalIndex.put_many`), so a later container's
+        lookups observe every assignment of the containers before it.
+
+        The pass opens no journal intent: the pending mark of the versions
+        it serves is its recovery record.  It is idempotent — the index is
+        re-pointed at the new copy *before* the old copy's deletion mark
+        becomes durable, so every intermediate state restores, and a re-run
+        writes only what the interrupted one did not.
         """
         report = ReverseDedupReport()
-        if not new_container_ids:
-            # Nothing to scan: no intent to open and close around nothing.
-            return report
+        metas = metas or {}
         meta_cache: dict[int, ContainerMeta] = {}
         dirty: set[int] = set()
-        # Journal the pass: a crash leaves the intent open and recovery
-        # simply re-runs it — the pass is idempotent because the index is
-        # re-pointed at the new copy *before* the old copy's deletion
-        # mark becomes durable, so every intermediate state restores.  A
-        # transient OSS failure is not a crash: the versions stay pending
-        # and a later drain re-runs the pass, so the intent closes.
-        journal = self.storage.journal
-        seq = journal.begin(
-            "reverse_dedup", container_ids=[int(cid) for cid in new_container_ids]
-        )
-        try:
-            self._dedup_against_index(new_container_ids, report, meta_cache, dirty)
-            self._persist_dirty_metas(meta_cache, dirty, report)
-        except (TransientOSSError, RetryExhaustedError):
-            journal.close(seq)
-            raise
-        journal.close(seq)
-        return report
-
-    def _dedup_against_index(
-        self,
-        new_container_ids: list[int],
-        report: ReverseDedupReport,
-        meta_cache: dict[int, ContainerMeta],
-        dirty: set[int],
-    ) -> None:
-        """Per-shard batched lookups; one round trip serves a whole batch.
-
-        Index writes are buffered per container and flushed with
-        :meth:`GlobalIndex.put_many`, so a later container's lookups still
-        observe every assignment of the containers before it.
-        """
         index = self.storage.global_index
         batch_size = self.config.index_batch_size
         for cid in new_container_ids:
-            meta = self._read_meta(cid, report)
+            if cid not in metas and not self.storage.containers.exists(cid):
+                continue  # collected since: a re-run after a later pass
+            meta = metas[cid] if cid in metas else self._read_meta(cid, report)
             assignments: list[tuple[bytes, int]] = []
             lookups = []
             for entry in meta.entries:
@@ -155,13 +135,13 @@ class GNode:
                     report.counters.add("gdedup_lookup_failures", len(result.failed))
                 failed = set(result.failed)
                 for entry in batch:
-                    if entry.fp in failed:
-                        # Leave the index untouched so a later pass can
-                        # still dedup this chunk.
+                    owner = result.owners.get(entry.fp)
+                    if entry.fp in failed or owner == cid:
+                        # Failed: leave the index untouched so a later pass
+                        # can still dedup this chunk.  Owned: a re-run.
                         continue
                     assignments.append((entry.fp, cid))
-                    owner = result.owners.get(entry.fp)
-                    if owner is None or owner == cid:
+                    if owner is None:
                         continue
                     # Exact duplicate missed online: reverse-deduplicate
                     # by deleting the copy in the *old* container.
@@ -171,6 +151,8 @@ class GNode:
                         report.bytes_marked_deleted += entry.size
                         dirty.add(owner)
             index.put_many(assignments)
+        self._persist_dirty_metas(meta_cache, dirty, report)
+        return report
 
     def _read_meta(self, cid: int, report: ReverseDedupReport) -> ContainerMeta:
         with self.storage.oss.meter(report.breakdown):
@@ -212,7 +194,7 @@ class GNode:
             with self.storage.oss.meter() as meter:
                 self.storage.containers.update_meta(meta)
                 if meta.stale_fraction() >= self.config.container_rewrite_threshold:
-                    report.bytes_reclaimed += self.storage.containers.rewrite(cid)
+                    report.bytes_reclaimed += self.storage.containers.rewrite(cid, meta)
                     report.containers_rewritten += 1
             report.breakdown.charge("upload", meter.write_seconds)
 
@@ -247,7 +229,8 @@ class GNode:
         containers = self.storage.containers
         reused = recipe.reused_containers(new_container_ids)
 
-        sparse: list[int] = []
+        # The sparse containers' metas, reused by the copy loop and the cleanup.
+        old_metas: dict[int, ContainerMeta] = {}
         for cid, ref_chunks in sorted(reused.items()):
             if not containers.exists(cid):
                 continue
@@ -258,7 +241,8 @@ class GNode:
                 continue
             utilization = ref_chunks / live
             if utilization < self.config.sparse_utilization_threshold:
-                sparse.append(cid)
+                old_metas[cid] = meta
+        sparse = list(old_metas)
         if not sparse:
             return report
         report.sparse_containers = sparse
@@ -289,13 +273,10 @@ class GNode:
         # the recipe repoint commits.
         builder = containers.new_builder(self.config.container_bytes)
         moved: dict[bytes, int] = {}
-        old_metas: dict[int, ContainerMeta] = {}
         planned_deletes: dict[int, list[bytes]] = {cid: [] for cid in sparse}
-        for cid in sparse:
+        for cid, meta in old_metas.items():
             with self.storage.oss.meter(report.breakdown):
-                meta = containers.read_meta(cid)
                 payload = containers.read_data(cid)
-            old_metas[cid] = meta
             planned = planned_deletes[cid]
             planned_set: set[bytes] = set()
             for fp in needed[cid]:
@@ -398,7 +379,7 @@ class GNode:
                     report.bytes_reclaimed += containers.container_size(cid)
                     containers.delete(cid)
                 elif meta.stale_fraction() >= self.config.container_rewrite_threshold:
-                    report.bytes_reclaimed += containers.rewrite(cid)
+                    report.bytes_reclaimed += containers.rewrite(cid, meta)
             report.breakdown.charge("upload", meter.write_seconds)
 
     # ------------------------------------------------------------------

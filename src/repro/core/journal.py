@@ -1,7 +1,7 @@
 """The OSS-backed intent journal (crash-consistency layer).
 
-Every multi-write job — a backup, a reverse-dedup pass, a compaction, a
-container rewrite, a version or snapshot deletion — records its intent as
+Every multi-write job — a backup, a compaction, a container rewrite, a
+version or snapshot deletion — records its intent as
 one small JSON object under ``journal/`` *before* touching shared state,
 updates it as the job reaches durable milestones, and deletes it when the
 job's last write has landed.  Each journal operation is a single atomic
@@ -21,7 +21,6 @@ Intent kinds and their payloads:
                         first write, so an alias commit opens none
 ``snapshot``            ``snapshot_id``, ``members`` (path → committed
                         version so far)
-``reverse_dedup``       ``container_ids`` the pass was scanning
 ``compaction``          ``path``, ``version``, ``watermark``, ``sparse``
                         container ids; updated with ``moves`` (fp hex → new
                         container id) and ``new_cids`` before the recipe
@@ -45,6 +44,10 @@ Intent kinds and their payloads:
                         every dirty block landed under its
                         ``browsecache/{seq}/`` staging prefix
 ======================  =====================================================
+
+A reverse-dedup pass opens none: its versions' pending mark in the catalog
+is its record.  A ``reverse_dedup`` intent an older process left still
+recovers, by re-running the pass over its ``container_ids``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from repro.oss.object_store import ObjectStorageService
 INTENT_KINDS = (
     "backup",
     "snapshot",
-    "reverse_dedup",
     "compaction",
     "rewrite",
     "delete_version",

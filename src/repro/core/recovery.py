@@ -302,19 +302,11 @@ class RecoveryManager:
             report.discarded.append((intent.seq, intent.kind))
 
     def _handle_reverse_dedup(self, intent: Intent, report: RecoveryReport) -> None:
-        """Reverse dedup is idempotent: simply re-run the whole pass.
-
-        The pass re-points the index at the new copy before the old
-        copy's deletion mark becomes durable, so every crash state is
-        restorable and a re-run converges on the completed outcome.
-        """
-        cids = [
-            int(cid)
-            for cid in intent.payload.get("container_ids", [])
-            if self.containers.exists(int(cid))
-        ]
-        if cids:
-            self.store.gnode.reverse_dedup(cids)
+        """A pass journaled by an older process (passes open no intent now;
+        the pending mark is their record): it is idempotent, so re-run it
+        (it skips the containers collected since)."""
+        cids = intent.payload.get("container_ids", [])
+        self.store.gnode.reverse_dedup([int(cid) for cid in cids])
         report.rolled_forward.append((intent.seq, intent.kind))
 
     def _handle_compaction(self, intent: Intent, report: RecoveryReport) -> None:

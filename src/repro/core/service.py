@@ -577,7 +577,7 @@ class ServiceControlPlane:
             result = self.service.restore(job.tenant, job.path, job.version)
             return max(result.elapsed_seconds, 1e-9)
         # Maintenance: the G-node pass over the versions foreground backups
-        # left pending (journaled internally, idempotent).
+        # left pending (idempotent; the pending marks are its record).
         store = self.service.store_for(job.tenant)
         before = store.oss.clock.now
         store.drain()

@@ -214,8 +214,8 @@ class VersionCatalog:
     def mark_pending(
         self, path: str, version: int, new_container_ids: list[int] | None = None
     ) -> None:
-        """Flag a committed version whose G-node pass has not completed
-        (deferred, or it lost lookups); its pass scans ``new_container_ids``."""
+        """Flag a committed version pending its G-node pass, which scans
+        ``new_container_ids`` (records from before :meth:`register` marked)."""
         if (path, version) not in self._pending:
             self._pending[(path, version)] = new_container_ids
             named = [] if new_container_ids is None else [new_container_ids]
@@ -237,10 +237,18 @@ class VersionCatalog:
         cids = self._pending[(path, version)]
         return sorted(self._refs[(path, version)]) if cids is None else cids
 
-    def register(self, path: str, version: int, referenced: set[int]) -> None:
-        """Mark phase: record references and diff against the predecessor."""
+    def register(
+        self, path: str, version: int, referenced: set[int], pending: list[int] | None = None
+    ) -> None:
+        """Mark phase: record references and diff against the predecessor.
+        ``pending`` (the new containers; absent from records written before
+        commits marked) also marks the version pending its G-node pass."""
         referenced = set(referenced)
-        self.pending.append(["register", path, version, sorted(referenced)])
+        op = ["register", path, version, sorted(referenced)]
+        if pending is not None:
+            self._pending[(path, version)] = pending
+            op.append(pending)
+        self.pending.append(op)
         self._versions.setdefault(path, []).append(version)
         self._refs[(path, version)] = referenced
         for cid in referenced:
@@ -421,10 +429,9 @@ class SlimStore:
     CATALOG_LOG_PREFIX = "catalog/log/"
 
     def close(self) -> None:
-        """Shut down the worker pool and release cached file descriptors.
-
-        Idempotent; a no-op for the default serial configuration.
-        """
+        """Publish the catalog's unpublished ops (an inline pass's clear),
+        stop the worker pool and release cached file descriptors; idempotent."""
+        self._persist_catalog()
         if self.executor is not None:
             self.executor.close()
         for name in self.oss.bucket_names():
@@ -518,15 +525,16 @@ class SlimStore:
     ) -> BackupReport:
         """Deduplicate and persist ``data`` as the next version of ``path``.
 
-        With ``run_gnode`` the G-node pass runs right after the commit, as
-        :meth:`drain` over this one version (the config switches select its
-        steps).  Without it the commit record marks the version pending and
-        a later :meth:`drain` runs the pass — the service's maintenance job.
+        The commit record marks the version pending.  With ``run_gnode``
+        the G-node pass runs right after the commit, as :meth:`drain` over
+        this one version handed the metas the job wrote (the config switches
+        select its steps); its clear rides the next catalog record.  Without
+        it a later :meth:`drain` runs the pass — the service's maintenance job.
 
         A G-node pass that cannot reach OSS (even after retries) never
         fails the backup: the version stays pending, the report says
-        ``degraded``, and a later :meth:`drain` finishes the pass.  A crash
-        between the commit and the inline pass loses that pass.
+        ``degraded``, and a later :meth:`drain` finishes the pass — as after
+        a crash between the commit and the clear.
 
         Commit ordering (crash consistency): container data and metas,
         the recipe and its index, and the similar-index registration are
@@ -539,8 +547,7 @@ class SlimStore:
         it just before its first write, so a version it proves identical
         to its predecessor — an alias, which writes nothing before the
         commit record — opens none.  The G-node pass runs only after the
-        commit, under its own journal intents, and never for an alias (it
-        stored nothing).
+        commit, and never for an alias (it stored nothing).
         """
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
@@ -564,13 +571,8 @@ class SlimStore:
             if result.alias_of is not None:
                 self.catalog.alias(path, version, result.alias_of)
             else:
-                self.catalog.register(
-                    path, version, result.recipe.referenced_containers()
-                )
-                if result.degraded or not run_gnode:
-                    self.catalog.mark_pending(
-                        path, version, result.new_container_ids
-                    )
+                refs = result.recipe.referenced_containers()
+                self.catalog.register(path, version, refs, result.new_container_ids)
             self._persist_catalog()
         except SimulatedCrashError:
             # The node is dead; the open intent is the recovery record.
@@ -591,7 +593,7 @@ class SlimStore:
         job = {} if result.alias_of is not None else {
             key: (result.new_container_ids, result.recipe)
         }
-        reverse, compacted, failed, retier = self._drain(job)
+        reverse, compacted, failed, retier = self._drain(job, result.new_metas)
         return BackupReport(result, reverse, compacted.get(key), key in failed, retier)
 
     def restore(
@@ -765,9 +767,9 @@ class SlimStore:
         """Run the G-node pass over every pending version; returns its
         reverse-dedup report, None if none was pending.
 
-        A version is pending from a ``run_gnode=False`` commit or a pass that
-        lost lookups until a pass completes; the catalog holds the flag, so
-        the work survives a process death.  Compaction serves the latest
+        A version is pending from its commit record until a pass completes
+        and its clear is published; the catalog holds the flag, so the work
+        survives a process death.  Compaction serves the latest
         version's restores (Section V-B), so as inline, only each path's
         newest recipe is compacted.  A recipe that cannot be read raises
         before anything is written, leaving every version pending.
@@ -788,19 +790,22 @@ class SlimStore:
             )
             for path, version in wanted
         }
-        return self._drain(work)[0]
+        report = self._drain(work)[0]
+        self._persist_catalog()
+        return report
 
-    def _drain(self, work: dict) -> tuple:
+    def _drain(self, work: dict, metas: dict | None = None) -> tuple:
         """The pass over ``work`` — (path, version) → (new container ids,
         recipe, or None to skip compaction) — for :meth:`drain` and an
-        inline :meth:`backup` alike.
+        inline :meth:`backup` (handing its job's ``metas``) alike.
 
         Reverse dedup scans the union of the new containers in ascending id
         order (the newest copy of a chunk survives), then each version
-        handed a recipe is compacted.  One catalog record publishes the
-        fix-up and clears every version whose pass answered each lookup; the
-        compaction intents close only once it is durable (until then the
-        catalog names the old layout).  A step that cannot reach OSS leaves
+        handed a recipe is compacted.  Every version whose pass answered
+        each lookup is cleared, and one catalog record publishes the fix-up;
+        the compaction intents close only once it is durable (until then the
+        catalog names the old layout).  Clears alone ride the next record: a
+        crash before it only re-drains.  A step that cannot reach OSS leaves
         its versions pending.
 
         Returns (reverse-dedup report, compaction report per version, the
@@ -811,7 +816,7 @@ class SlimStore:
         if work and self.config.reverse_dedup:
             scan = sorted({cid for cids, _recipe in work.values() for cid in cids})
             try:
-                reverse_report = self.gnode.reverse_dedup(scan)
+                reverse_report = self.gnode.reverse_dedup(scan, metas)
             except (TransientOSSError, RetryExhaustedError):
                 failed.update(work)
             else:
@@ -832,12 +837,11 @@ class SlimStore:
                     path, version, recipe.referenced_containers()
                 )
                 self.catalog.add_garbage(path, version, report.sparse_containers)
-        for (path, version), (cids, _recipe) in work.items():
-            if (path, version) in failed:
-                self.catalog.mark_pending(path, version, cids)
-            else:
-                self.catalog.clear_pending(path, version)
-        self._persist_catalog()
+        for key in work:
+            if key not in failed:
+                self.catalog.clear_pending(*key)
+        if any(report.sparse_containers for report in compactions.values()):
+            self._persist_catalog()
         for report in compactions.values():
             if report.journal_seq is not None:
                 self.storage.journal.close(report.journal_seq)

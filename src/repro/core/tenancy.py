@@ -263,6 +263,11 @@ class BackupService:
         """Tenants seen by this service instance, sorted."""
         return sorted(self._stores)
 
+    def close(self) -> None:
+        """Close every attached deployment (:meth:`SlimStore.close`)."""
+        for store in self._stores.values():
+            store.close()
+
     # --- persisted tenant metadata -----------------------------------------
     def _load_meta(self, store: SlimStore) -> TenantMeta:
         endpoint = store.storage.oss

@@ -86,7 +86,7 @@ class LegacyJobState:
         self.builder: ContainerBuilder = self.storage.containers.new_builder(
             self.config.container_bytes
         )
-        self.new_container_ids: list[int] = []
+        self.new_metas: dict = {}
         self.stored_chunk_bytes = 0
         self.uploaded_bytes = 0
         self.rewrite_containers = rewrite_containers or set()
@@ -519,7 +519,7 @@ class LegacyJobState:
             return
         builder = self.builder
         self.counters.add("containers_written")
-        self.new_container_ids.append(builder.container_id)
+        self.new_metas[builder.container_id] = builder.meta
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
         self._before_write()
         before = self.storage.oss.stats.snapshot()
@@ -542,7 +542,7 @@ class LegacyJobState:
             and handle.version < self.version
             and len(self.data) == handle.total_bytes
             and counters.get("skip_success") == counters.get("chunks")
-            and not self.new_container_ids
+            and not self.new_metas
             and not self.rewrite_containers
             and not self.degraded
         )
@@ -577,7 +577,7 @@ class LegacyJobState:
             logical_bytes=len(self.data),
             stored_chunk_bytes=self.stored_chunk_bytes,
             uploaded_bytes=self.uploaded_bytes,
-            new_container_ids=self.new_container_ids,
+            new_metas=self.new_metas,
             degraded=self.degraded,
             unique_fps=list(self.local_records),
             alias_of=alias_of,

@@ -156,6 +156,28 @@ class TestRetier:
             record.get("retired") for record in durability._records.values()
         )
 
+    def test_a_retired_stripe_is_retired_once(self, rng):
+        """A stripe whose members and parity are retired only waits out its
+        grace window: a pass over unchanged refcounts re-PUTs no manifest,
+        counts no retirement and sends no request at all."""
+        store = durable_store()
+        for payload in make_version_chain(rng, versions=4):
+            store.backup("f", payload)
+        store.delete_version("f", 0)
+        store.delete_version("f", 1)
+        store.gnode.retier(store.catalog.refcounts())
+        durability = store.storage.durability
+        assert any(
+            not stripe["members"] and not stripe["parity"] and stripe["retired"]
+            for stripe in durability._stripes.values()
+        )
+        before = store.oss.stats.snapshot()
+        report = store.gnode.retier(store.catalog.refcounts())
+        sent = store.oss.stats.diff(before)
+        assert (sent.put_requests, sent.get_requests, sent.delete_requests) == (0, 0, 0)
+        assert sent.list_requests == 0
+        assert report.stripes_retired == 0 and not report.changed
+
     def test_audit_clean_after_retier(self, rng):
         store = durable_store()
         for payload in make_version_chain(rng, versions=4):

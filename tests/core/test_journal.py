@@ -22,7 +22,7 @@ class TestLifecycle:
             journal.begin("defragment")
 
     def test_close_deletes_the_entry(self, oss, journal):
-        seq = journal.begin("reverse_dedup", container_ids=[1, 2])
+        seq = journal.begin("rewrite", container_id=1, meta="", data_sha="")
         journal.close(seq)
         assert list(oss.peek_keys("slimstore", "journal/")) == []
 

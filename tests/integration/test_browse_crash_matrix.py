@@ -106,6 +106,9 @@ class TestBrowseFlushCrashMatrix:
             handle.flush()
 
         def verify(survivor: SlimStore, crash_at: int) -> None:
+            # Attach publishes what recovery did, a rolled-forward backup's
+            # inline clear included.
+            assert not survivor.catalog.pending, crash_at
             if survivor.versions("f") == [0, 1]:
                 recovery = survivor.last_recovery
                 if recovery is not None and any(

@@ -10,7 +10,7 @@ mechanism) and the crash matrices (the commit contract):
 * the bytes one commit writes do not depend on how many paths the
   repository holds (the property the whole-object rewrite lacked);
 * the requests a backup does *not* need are not sent: no commit record when
-  no mutator changed anything, no ``reverse_dedup`` intent around nothing;
+  no mutator changed anything, no journal intent but the ``backup`` one;
 * an interrupted fold's leftovers are reported by ``fsck`` and folded away;
 * the global index's WAL, the third delta log, keeps every entry across
   attaches, including a WAL mirror the previous format left behind.
@@ -308,8 +308,7 @@ def record_writes(store: SlimStore, monkeypatch) -> list[tuple[str, str]]:
 
 
 def test_unchanged_rebackup_opens_one_journal_intent(rng, monkeypatch):
-    """No container written, so no ``reverse_dedup`` intent around nothing:
-    the ``backup`` intent's PUT and DELETE are the only journal traffic.
+    """The ``backup`` intent's PUT and DELETE are the only journal traffic.
     Skip chunking is off, so the job cannot prove the file unchanged and
     commits a recipe (with it on, the version is an alias and writes no
     journal object at all — ``test_alias_versions.py``)."""

@@ -151,6 +151,7 @@ class TestBackupCrashMatrix:
         payloads = [data]
         for _ in range(12):
             data = mutate(rng, data, runs=4, run_bytes=16 * 1024)
+            store.close()  # publish the last inline pass's clear
             state = clone_state(store.oss)
             probe = attach(state)
             report = probe.backup("f", data)
@@ -206,6 +207,112 @@ class TestBackupCrashMatrix:
         # reverse-dedup pass and the compaction schedule.
         assert total > 20
 
+    @staticmethod
+    def _catalog_writes(base) -> tuple[int, int, int]:
+        """Probe the backup: the write indices of its commit record and of
+        the record carrying its clear (the compaction fix-up), and its
+        write count."""
+        base_state, _payloads, next_payload = base
+        keys = []
+
+        class Spy(FaultPolicy):
+            def before_request(self, op, bucket, key):
+                if op in self.WRITE_OPS:
+                    keys.append(key)
+                return super().before_request(op, bucket, key)
+
+        probe = attach(base_state)
+        probe.oss.set_fault_policy(Spy())
+        assert probe.backup("f", next_payload).compaction.sparse_containers
+        commit, clear = [i for i, key in enumerate(keys) if key.startswith("catalog/log/")]
+        assert commit < clear < len(keys) - 1
+        return commit, clear, len(keys)
+
+    @staticmethod
+    def _crash_backup(base, crash_at: int) -> SlimStore:
+        base_state, _payloads, next_payload = base
+        store = attach(base_state)
+        policy = FaultPolicy()
+        policy.crash_after_writes(crash_at)
+        store.oss.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.backup("f", next_payload)
+        return reattach(store)
+
+    def test_crash_between_commit_and_clear_leaves_the_version_pending(self, base):
+        """Kill the backup at every write after its commit record, through
+        the end of its inline drain: the version is committed, and pending
+        until the record carrying its clear lands.  One drain finishes it,
+        and every version restores."""
+        _base_state, payloads, next_payload = base
+        contents = payloads + [next_payload]
+        commit, clear, total = self._catalog_writes(base)
+        for crash_at in range(commit + 1, total):
+            survivor = self._crash_backup(base, crash_at)
+            assert survivor.versions("f") == list(range(len(contents))), crash_at
+            expected = [("f", len(payloads))] if crash_at <= clear else []
+            assert survivor.pending_versions() == expected, crash_at
+            assert_zero_debris(survivor)
+            survivor.drain()
+            assert survivor.pending_versions() == [], crash_at
+            assert_zero_debris(survivor)
+            for version, payload in enumerate(contents):
+                assert survivor.restore("f", version).data == payload, (crash_at, version)
+
+    def test_redraining_a_drained_version_writes_nothing(self, base):
+        """Die on the record carrying the clear, after the whole pass
+        landed: draining the reattached, still pending version again —
+        reverse dedup over its containers, compaction of its compacted
+        newest recipe — writes only the clear.  Running the pass once more
+        writes nothing at all."""
+        _base_state, payloads, _next_payload = base
+        key = ("f", len(payloads))
+        _commit, clear, _total = self._catalog_writes(base)
+        survivor = self._crash_backup(base, clear)
+        assert survivor.pending_versions() == [key]
+        new_containers = survivor.catalog.pending_containers(*key)
+        before = clone_state(survivor.oss)
+        policy = FaultPolicy()
+        survivor.oss.set_fault_policy(policy)
+        survivor.drain()
+        assert policy.writes_seen == 1  # the catalog record clearing it
+        assert survivor.pending_versions() == []
+        after = clone_state(survivor.oss)
+        assert {
+            bucket: {k: v for k, v in objects.items() if not k.startswith("catalog/")}
+            for bucket, objects in after.items()
+        } == {
+            bucket: {k: v for k, v in objects.items() if not k.startswith("catalog/")}
+            for bucket, objects in before.items()
+        }
+        recipe = survivor.storage.recipes.get_recipe(*key)
+        survivor._drain({key: (new_containers, recipe)})
+        assert policy.writes_seen == 1
+        assert clone_state(survivor.oss) == after
+
+    def test_a_pending_versions_container_collected_by_a_later_pass(self):
+        """The process dies after ``g``'s inline pass but before its clear
+        lands, so ``g`` is pending although its container already owns its
+        chunk.  The next process backs up ``f`` into the same bytes; its
+        inline pass deletes ``g``'s copy and collects the container.  The
+        drain of ``g`` then skips the container that is gone."""
+        store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+        shared = random_bytes(np.random.default_rng(1), 4096)
+        first = random_bytes(np.random.default_rng(2), 4096)
+        store.backup("f", first)
+        store.backup("g", shared)
+        (g_container,) = store.catalog.references("g", 0)
+        survivor = reattach(store)
+        assert survivor.pending_versions() == [("g", 0)]
+        assert survivor.backup("f", shared).reverse_dedup.duplicates_removed == 1
+        assert not survivor.storage.containers.exists(g_container)
+        survivor.drain()
+        assert survivor.pending_versions() == []
+        assert_zero_debris(survivor)
+        assert survivor.restore("f", 0).data == first
+        assert survivor.restore("f", 1).data == shared
+        assert survivor.restore("g", 0).data == shared
+
 
 class TestDrainCrashMatrix:
     """Crash at every write of a drain over two pending versions: the
@@ -224,6 +331,9 @@ class TestDrainCrashMatrix:
         for _ in range(12):
             pending = [mutate(rng, data, runs=4, run_bytes=16 * 1024)]
             pending.append(mutate(rng, pending[0], runs=4, run_bytes=16 * 1024))
+            # Publish the inline pass's clear (it would ride the next commit),
+            # so only the two deferred versions are pending in the clone.
+            store.close()
             probe = attach(clone_state(store.oss))
             for payload in pending:
                 probe.backup("f", payload, run_gnode=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main, open_repository
+from repro.cli import main, open_repository, open_service
 from tests.conftest import random_bytes
 
 
@@ -115,6 +115,20 @@ class TestRepositoryVerbs:
         assert main(["versions", str(repo)]) == 0
         assert main(["tenant", "list", str(tmp_path / "svc")]) == 0
         assert capsys.readouterr().out == "no tenants\n"
+
+    def test_backup_verbs_leave_no_version_pending(self, tmp_path, rng, capsys):
+        """Each verb that backs up publishes its inline G-node pass's clear
+        before it exits, so the next process has nothing to drain."""
+        source = tmp_path / "a.tbl"
+        data = random_bytes(rng, 48 * 1024)
+        for payload in (data, data[: 24 * 1024] + random_bytes(rng, 24 * 1024)):
+            source.write_bytes(payload)
+            assert main(["backup", str(tmp_path / "repo"), str(source)]) == 0
+            assert main(["tenant", "backup", str(tmp_path / "svc"), "alice",
+                         str(source)]) == 0
+        assert open_repository(tmp_path / "repo").pending_versions() == []
+        service = open_service(tmp_path / "svc")
+        assert service.store_for("alice").pending_versions() == []
 
 class TestFsck:
     def test_clean_repository_exits_zero(self, tmp_path, rng, capsys):
