@@ -6,7 +6,8 @@ The three-step workflow:
    header fingerprints against the similar-file index), and open the
    detected file's recipe.
 2. *Chunk and deduplicate*: cut the stream with CDC, look sampled
-   fingerprints up in the recipe index (fetched on the first cache miss),
+   fingerprints up in the recipe index (on the first cache miss: derived
+   from a small base recipe read whole, fetched for a large one),
    prefetch the matching segment recipes into the dedup cache, and filter
    duplicates through the cache's logical locality.  Two history-aware
    accelerations ride on this loop: **skip chunking** (jump the cut point
@@ -16,10 +17,11 @@ The three-step workflow:
    superchunks via their firstChunk, Algorithm 1).
 3. *Segment and persist*: pack unique chunks into containers, group chunk
    records into segment recipes, merge qualifying duplicate runs into
-   superchunks (Section IV-C), then persist containers, recipe, recipe
-   index and the similar-file registration.  A version that one unbroken
-   skip run proved identical to its base persists none of these: the
-   caller commits it as an alias of the base's recipe.
+   superchunks (Section IV-C), then persist containers, recipe (with its
+   recipe index when it is large) and the similar-file registration.  A
+   version that one unbroken skip run proved identical to its base
+   persists none of these: the caller commits it as an alias of the base's
+   recipe.
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
@@ -35,6 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.chunking.base import BoundarySet, make_chunker
 from repro.chunking.cursor import BoundaryCursor
@@ -278,8 +281,8 @@ class BackupEngine:
         fp_memo: dict[tuple[int, int], bytes] | None = None,
     ) -> RecipeHandle | None:
         """Step 1: find a historical version or similar file and open its
-        recipe (header and segment tables; the recipe index is fetched by
-        the job on its first cache miss)."""
+        recipe (a small one whole, else its header and segment tables; the
+        job consults the recipe index on its first cache miss)."""
         base: tuple[str, int] | None = None
         breakdown.charge("index_query", self.cost_model.cpu_index_query)
         if latest is not None:
@@ -377,7 +380,8 @@ class _JobState:
         self.view = memoryview(data)
         self.boundaries = boundaries
         self.handle = handle
-        #: The base's recipe index, fetched on the first cache miss.
+        #: The base's recipe index, derived or fetched on the first cache
+        #: miss (:meth:`RecipeHandle.recipe_index`).
         self.recipe_index: RecipeIndex | None = None
         self._on_first_write = on_first_write
         self.breakdown = breakdown
@@ -695,14 +699,14 @@ class _JobState:
         if self.handle is None:
             return False
         if self.recipe_index is None:
+            handle = self.handle
             self.recipe_index = self._download(
-                lambda: self.storage.recipes.get_recipe_index(
-                    self.handle.path, self.handle.version
-                )
+                lambda: handle.recipe_index(self.config.effective_sample_ratio())
             )
             if self.recipe_index is None:
                 return False
-            self.counters.add("recipe_index_fetches")
+            if not handle.whole:
+                self.counters.add("recipe_index_fetches")
         self._compares += 1
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
@@ -928,10 +932,10 @@ class _JobState:
         )
 
     def finish(self) -> BackupResult:
-        """Persist recipe, recipe index and similarity registration — or,
-        for a version :meth:`identical` to its base, nothing at all: the
-        result's ``alias_of`` names the base, whose recipe the caller's
-        catalog aliases.
+        """Persist recipe (and a large one's recipe index) and similarity
+        registration — or, for a version :meth:`identical` to its base,
+        nothing at all: the result's ``alias_of`` names the base, whose
+        recipe the caller's catalog aliases.
 
         Crash-consistency contract: everything written here (and the
         container writes before it) is *pre-commit* state — the version
@@ -967,28 +971,15 @@ class _JobState:
         )
 
     def _persist(self, recipe: Recipe) -> None:
-        index = RecipeIndex()
-        sample_ratio = self.config.effective_sample_ratio()
-        representatives: list[bytes] = []
-        for ordinal, segment in enumerate(self.segments):
-            for position, record in enumerate(segment):
-                fp = record.fp
-                if position == 0 or is_sampled(fp, sample_ratio):
-                    index.add(fp, ordinal)
-                if record.is_superchunk:
-                    # The next version's CDC cuts small chunks, which can
-                    # only rendezvous with a superchunk through its
-                    # firstChunk fingerprint (Algorithm 1) — so every
-                    # superchunk's firstChunk is indexed.
-                    index.add(record.first_fp, ordinal)
-                if len(representatives) < MAX_FILE_REPRESENTATIVES and is_sampled(
-                    fp, SIMILARITY_SAMPLE_RATIO
-                ):
-                    representatives.append(fp)
-
+        fps = (record.fp for segment in self.segments for record in segment)
+        representatives = list(
+            islice(
+                (fp for fp in fps if is_sampled(fp, SIMILARITY_SAMPLE_RATIO)),
+                MAX_FILE_REPRESENTATIVES,
+            )
+        )
         self._before_write()
         with self.storage.oss.meter(self.breakdown) as meter:
-            self.storage.recipes.put_recipe(recipe)
-            self.storage.recipes.put_recipe_index(self.path, self.version, index)
+            self.storage.recipes.put_recipe(recipe, self.config.effective_sample_ratio())
             self.storage.similar_index.register(self.path, self.version, representatives)
         self.uploaded_bytes += meter.bytes_written

@@ -11,7 +11,13 @@ Recipes are segmented: consecutive chunks form segments, each with its own
 segment recipe, and a *recipe index* maps sampled fingerprints to segment
 ordinals so L-nodes can prefetch exactly the similar segment recipes they
 need (logical locality).  The on-OSS layout keeps a segment offset table in
-the header, so one segment costs one ranged GET.
+the header, so a span of segments of a large recipe costs one ranged GET.
+
+A backup opens its base recipe with one whole-object GET when the object is
+at most :data:`WHOLE_RECIPE_BYTES`, as nearly every recipe is: its segments
+are then sliced from memory and its recipe index is derived from its
+records (:meth:`RecipeIndex.of`), so only a larger recipe keeps a
+``recipeidx/`` object and is read span by span.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import RecipeError, VersionNotFoundError
 from repro.fingerprint.hashing import FP_SIZE
+from repro.fingerprint.sampling import is_sampled
 from repro.oss.object_store import ObjectStorageService
 
 _RECIPE_HEADER = struct.Struct(">8sIQI")       # magic, version, total bytes, segments
@@ -31,6 +38,15 @@ _SUPERCHUNK_EXTRA = struct.Struct(">20sI")     # first fp, first size
 _INDEX_ENTRY = struct.Struct(">20sI")          # sampled fp, segment ordinal
 _MAGIC = b"RECIPE01"
 _FLAG_SUPERCHUNK = 1
+
+#: A backup reads a base recipe object up to this size with one GET, and
+#: only a larger recipe gets a ``recipeidx/`` object.  It is one default
+#: container, the object size the L-node and G-node already GET whole: at
+#: 4 KiB chunks (37-byte records) it covers files up to about 55 MiB, and a
+#: job that opens a dissimilar base wastes at most one container's worth of
+#: bytes.  Read at call time, so a test can set it to 0 to force the ranged
+#: path.
+WHOLE_RECIPE_BYTES = 512 * 1024
 
 
 @dataclass
@@ -139,12 +155,8 @@ class Recipe:
         magic, version, total_bytes, segment_count = _RECIPE_HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise RecipeError(f"bad recipe magic for {path}")
-        offsets, counts, data_start = _parse_tables(payload, segment_count)
-        segments: list[list[ChunkRecord]] = []
-        for ordinal in range(segment_count):
-            segments.append(
-                _parse_segment(payload, data_start + offsets[ordinal], counts[ordinal])
-            )
+        __, counts, data_start = _parse_tables(payload, segment_count)
+        segments = _parse_segments(payload, data_start, counts)
         return cls(path=path, version=version, total_bytes=total_bytes, segments=segments)
 
 
@@ -162,12 +174,16 @@ def _parse_tables(payload: bytes, segment_count: int) -> tuple[list[int], list[i
     return offsets, counts, position
 
 
-def _parse_segment(payload: bytes, offset: int, count: int) -> list[ChunkRecord]:
-    records: list[ChunkRecord] = []
-    for _ in range(count):
-        record, offset = ChunkRecord.read_from(payload, offset)
-        records.append(record)
-    return records
+def _parse_segments(payload: bytes, offset: int, counts: list[int]) -> list[list[ChunkRecord]]:
+    """Consecutive segment recipes of ``counts`` records each, from ``offset``."""
+    segments: list[list[ChunkRecord]] = []
+    for count in counts:
+        records: list[ChunkRecord] = []
+        for _ in range(count):
+            record, offset = ChunkRecord.read_from(payload, offset)
+            records.append(record)
+        segments.append(records)
+    return segments
 
 
 @dataclass
@@ -179,6 +195,25 @@ class RecipeIndex:
     """
 
     entries: dict[bytes, list[int]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, segments: list[list[ChunkRecord]], sample_ratio: int) -> "RecipeIndex":
+        """The index of a recipe's segments: each segment's first record and
+        every mod-``sample_ratio`` sampled fingerprint, plus every
+        superchunk's firstChunk.  The writer of a large recipe persists it;
+        a backup that opens a small recipe whole derives it here."""
+        index = cls()
+        for ordinal, segment in enumerate(segments):
+            for position, record in enumerate(segment):
+                if position == 0 or is_sampled(record.fp, sample_ratio):
+                    index.add(record.fp, ordinal)
+                if record.is_superchunk:
+                    # The next version's CDC cuts small chunks, which can
+                    # only rendezvous with a superchunk through its
+                    # firstChunk fingerprint (Algorithm 1) — so every
+                    # superchunk's firstChunk is indexed.
+                    index.add(record.first_fp, ordinal)
+        return index
 
     def add(self, fp: bytes, ordinal: int) -> None:
         """Register a sampled fingerprint for a segment ordinal."""
@@ -213,39 +248,67 @@ class RecipeIndex:
 
 
 class RecipeHandle:
-    """Lazy per-segment access to one recipe stored on OSS.
+    """One recipe on OSS, opened as a backup's dedup base.
 
-    Loads only the header and segment offset table up front; each segment
-    recipe costs one ranged GET, which is the "prefetch similar segment"
-    operation of the dedup workflow (Section IV-A, step 2).
+    A recipe of at most :data:`WHOLE_RECIPE_BYTES` arrives whole with the
+    one GET that opens it (``payload``): its segment recipes are parsed
+    from that payload once, on first use, and its recipe index is derived
+    from its records, so nothing after the open issues a request.  A
+    larger one is read lazily: the header and segment offset table at
+    open, each span of segment recipes with one ranged GET — the "prefetch
+    similar segment" operation of the dedup workflow (Section IV-A, step
+    2) — and the recipe index from its own object.
     """
 
     def __init__(
-        self, oss: ObjectStorageService, bucket: str, object_key: str, path: str
+        self,
+        oss: ObjectStorageService,
+        bucket: str,
+        object_key: str,
+        index_key: str,
+        path: str,
+        payload: bytes | None = None,
     ) -> None:
         self._oss = oss
         self._bucket = bucket
         self._key = object_key
+        self._index_key = index_key
+        self._payload = payload
+        self._held: list[list[ChunkRecord]] | None = None
         self.path = path
-        header = oss.get_range(bucket, object_key, 0, _RECIPE_HEADER.size)
-        magic, self.version, self.total_bytes, self.segment_count = _RECIPE_HEADER.unpack(
-            header
+        head = payload
+        if head is None:
+            head = oss.get_range(bucket, object_key, 0, _RECIPE_HEADER.size)
+        magic, self.version, self.total_bytes, self.segment_count = (
+            _RECIPE_HEADER.unpack_from(head, 0)
         )
         if magic != _MAGIC:
             raise RecipeError(f"bad recipe magic for {path}")
-        tables_len = 8 * (self.segment_count + 1) + 4 * self.segment_count
-        tables = oss.get_range(bucket, object_key, _RECIPE_HEADER.size, tables_len)
-        self._offsets, self._counts, __ = _parse_tables(
-            header + tables, self.segment_count
-        )
-        self._data_start = _RECIPE_HEADER.size + tables_len
+        if payload is None:
+            tables_len = 8 * (self.segment_count + 1) + 4 * self.segment_count
+            head += oss.get_range(bucket, object_key, _RECIPE_HEADER.size, tables_len)
+        self._offsets, self._counts, self._data_start = _parse_tables(head, self.segment_count)
+
+    @property
+    def whole(self) -> bool:
+        """Whether the open read the whole recipe (no request after it)."""
+        return self._payload is not None
+
+    def _held_segments(self) -> list[list[ChunkRecord]]:
+        """Every segment recipe of a whole recipe, parsed once.  A job
+        copies the base records it emits, so repeated spans can share
+        them."""
+        if self._held is None:
+            self._held = _parse_segments(self._payload, self._data_start, self._counts)
+        return self._held
 
     def get_segment(self, ordinal: int) -> list[ChunkRecord]:
-        """Fetch one segment recipe (one ranged GET)."""
+        """One segment recipe (see :meth:`get_segment_range`)."""
         return self.get_segment_range(ordinal, 1)[0]
 
     def get_segment_range(self, start: int, count: int) -> list[list[ChunkRecord]]:
-        """Fetch ``count`` consecutive segment recipes with ONE ranged GET.
+        """``count`` consecutive segment recipes: sliced from a whole
+        recipe, or fetched with ONE ranged GET.
 
         Segment recipes are contiguous in the recipe object, so a prefetch
         span costs a single request — this is what keeps recipe prefetching
@@ -256,18 +319,24 @@ class RecipeHandle:
         count = min(count, self.segment_count - start)
         if count < 1:
             raise RecipeError("segment range must cover at least one segment")
+        if self._payload is not None:
+            return self._held_segments()[start : start + count]
         begin = self._data_start + self._offsets[start]
         length = self._offsets[start + count] - self._offsets[start]
         payload = self._oss.get_range(self._bucket, self._key, begin, length)
-        segments: list[list[ChunkRecord]] = []
-        position = 0
-        for ordinal in range(start, start + count):
-            records: list[ChunkRecord] = []
-            for _ in range(self._counts[ordinal]):
-                record, position = ChunkRecord.read_from(payload, position)
-                records.append(record)
-            segments.append(records)
-        return segments
+        return _parse_segments(payload, 0, self._counts[start : start + count])
+
+    def recipe_index(self, sample_ratio: int) -> RecipeIndex:
+        """The recipe's index: :meth:`RecipeIndex.of` the held records of a
+        whole recipe (no request), else one GET of its ``recipeidx/``
+        object."""
+        if self._payload is not None:
+            return RecipeIndex.of(self._held_segments(), sample_ratio)
+        try:
+            payload = self._oss.get_object(self._bucket, self._index_key)
+        except KeyError as exc:
+            raise VersionNotFoundError(self.path, self.version) from exc
+        return RecipeIndex.from_bytes(payload)
 
 
 class RecipeStore:
@@ -292,13 +361,28 @@ class RecipeStore:
         return self.INDEX_KEY.format(path=self._safe(path), version=version)
 
     # --- recipes -----------------------------------------------------------
-    def put_recipe(self, recipe: Recipe) -> int:
-        """Persist (or overwrite) a recipe; returns bytes uploaded."""
+    def put_recipe(self, recipe: Recipe, sample_ratio: int | None = None) -> int:
+        """Persist (or overwrite) a recipe; returns bytes uploaded.
+
+        A new version's recipe comes with its ``sample_ratio``: above
+        :data:`WHOLE_RECIPE_BYTES` its :meth:`RecipeIndex.of` is PUT too,
+        while a smaller one needs none, since a backup opening it reads it
+        whole and derives the index.  An overwrite (the G-node's compaction)
+        passes none: it changes only fixed-width container ids, so the
+        recipe keeps its size and its index.
+        """
         payload = recipe.to_bytes()
         self._oss.put_object(
             self._bucket, self._recipe_key(recipe.path, recipe.version), payload
         )
-        return len(payload)
+        written = len(payload)
+        if sample_ratio is not None and written > WHOLE_RECIPE_BYTES:
+            index = RecipeIndex.of(recipe.segments, sample_ratio).to_bytes()
+            self._oss.put_object(
+                self._bucket, self._index_key(recipe.path, recipe.version), index
+            )
+            written += len(index)
+        return written
 
     def get_recipe(self, path: str, version: int) -> Recipe:
         """Load a full recipe (one whole-object GET)."""
@@ -309,34 +393,24 @@ class RecipeStore:
         return Recipe.from_bytes(path, payload)
 
     def open_recipe(self, path: str, version: int) -> RecipeHandle:
-        """Open a recipe for lazy per-segment access."""
+        """Open a recipe as a dedup base: one whole-object GET up to
+        :data:`WHOLE_RECIPE_BYTES`, else the header and segment tables."""
         key = self._recipe_key(path, version)
-        if self._oss.peek_size(self._bucket, key) is None:
+        size = self._oss.peek_size(self._bucket, key)
+        if size is None:
             raise VersionNotFoundError(path, version)
-        return RecipeHandle(self._oss, self._bucket, key, path)
+        payload = self._oss.get_object(self._bucket, key) if size <= WHOLE_RECIPE_BYTES else None
+        return RecipeHandle(
+            self._oss, self._bucket, key, self._index_key(path, version), path, payload
+        )
 
     def delete_recipe(self, path: str, version: int) -> bool:
-        """Delete a recipe and its index with one batched DELETE; True if
-        the recipe existed."""
+        """Delete a recipe and its index (if it has one) with one batched
+        DELETE; True if the recipe existed."""
         key = self._recipe_key(path, version)
         existed = self._oss.peek_size(self._bucket, key) is not None
         self._oss.delete_objects(self._bucket, [key, self._index_key(path, version)])
         return existed
-
-    # --- recipe indexes ---------------------------------------------------------
-    def put_recipe_index(self, path: str, version: int, index: RecipeIndex) -> int:
-        """Persist a recipe index; returns bytes uploaded."""
-        payload = index.to_bytes()
-        self._oss.put_object(self._bucket, self._index_key(path, version), payload)
-        return len(payload)
-
-    def get_recipe_index(self, path: str, version: int) -> RecipeIndex:
-        """Load a recipe index."""
-        try:
-            payload = self._oss.get_object(self._bucket, self._index_key(path, version))
-        except KeyError as exc:
-            raise VersionNotFoundError(path, version) from exc
-        return RecipeIndex.from_bytes(payload)
 
     # --- accounting ----------------------------------------------------------------
     def stored_bytes(self) -> int:

@@ -8,8 +8,10 @@ kept as the oracle ``tests/core/test_skip_run.py``
 compares the engine against.  It carries one fix over the old code: a
 failed Algorithm 1 match counts the firstChunk duplicate it appends in
 ``dup_chunks``/``dup_bytes``, as the engine does now.  It also takes the
-engine's record-0 seed, lazily fetched recipe index, first-write hook and
-identity (alias) rule, so both issue the same OSS requests.
+engine's record-0 seed, base recipe handle (read whole or ranged, its
+recipe index derived or fetched on the first miss), recipe writer,
+first-write hook and identity (alias) rule, so both issue the same OSS
+requests.
 
 ``legacy_jobs(monkeypatch)`` makes ``BackupEngine.backup`` run its jobs
 through this class.
@@ -325,11 +327,12 @@ class LegacyJobState:
         if self.recipe_index is None:
             handle = self.handle
             self.recipe_index = self._download(
-                lambda: self.storage.recipes.get_recipe_index(handle.path, handle.version)
+                lambda: handle.recipe_index(self.config.effective_sample_ratio())
             )
             if self.recipe_index is None:
                 return False
-            self.counters.add("recipe_index_fetches")
+            if not handle.whole:
+                self.counters.add("recipe_index_fetches")
         self._charge_compare()
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
@@ -584,24 +587,10 @@ class LegacyJobState:
         )
 
     def _persist(self, recipe: Recipe) -> None:
-        index = RecipeIndex()
-        all_fps: list[bytes] = []
-        for ordinal, segment in enumerate(self.segments):
-            for position, record in enumerate(segment):
-                all_fps.append(record.fp)
-                if position == 0 or is_sampled(record.fp, self.config.effective_sample_ratio()):
-                    index.add(record.fp, ordinal)
-                if record.is_superchunk:
-                    # The next version's CDC cuts small chunks, which can
-                    # only rendezvous with a superchunk through its
-                    # firstChunk fingerprint (Algorithm 1) — so every
-                    # superchunk's firstChunk is indexed.
-                    index.add(record.first_fp, ordinal)
-
+        all_fps = [record.fp for segment in self.segments for record in segment]
         self._before_write()
         before = self.storage.oss.stats.snapshot()
-        self.storage.recipes.put_recipe(recipe)
-        self.storage.recipes.put_recipe_index(self.path, self.version, index)
+        self.storage.recipes.put_recipe(recipe, self.config.effective_sample_ratio())
         representatives = [
             fp
             for fp in all_fps

@@ -109,7 +109,7 @@ class TestFirstBackup:
         recipe = storage.recipes.get_recipe("f", 0)
         assert recipe.total_bytes == len(data)
         assert recipe.chunk_count() == result.recipe.chunk_count()
-        index = storage.recipes.get_recipe_index("f", 0)
+        index = storage.recipes.open_recipe("f", 0).recipe_index(CONFIG.effective_sample_ratio())
         assert len(index) > 0
 
     def test_version_zero_registered(self, engine, storage, rng):

@@ -115,10 +115,30 @@ class TestRecipeIndex:
         assert len(index) == 3
 
 
+class TestRecipeIndexOf:
+    def test_samples_segment_heads_and_superchunk_first_chunks(self):
+        recipe = make_recipe(segments=3, records_per_segment=5)
+        index = RecipeIndex.of(recipe.segments, 10**9)
+        for ordinal, segment in enumerate(recipe.segments):
+            assert ordinal in index.lookup(segment[0].fp)
+            for record in segment[1:]:
+                if record.is_superchunk:
+                    assert index.lookup(record.first_fp) == [ordinal]
+        assert RecipeIndex.of(recipe.segments, 1).lookup(recipe.segments[1][3].fp) == [1]
+
+    def test_empty_recipe_has_an_empty_index(self):
+        assert len(RecipeIndex.of([], 4)) == 0
+
+
 class TestRecipeStore:
     @pytest.fixture
     def store(self, oss) -> RecipeStore:
         return RecipeStore(oss, "bucket")
+
+    @pytest.fixture
+    def ranged(self, monkeypatch) -> None:
+        """Every recipe above the whole-read cap: read span by span."""
+        monkeypatch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", 0)
 
     def test_put_get_recipe(self, store):
         recipe = make_recipe("db/users.tbl", 2)
@@ -126,27 +146,58 @@ class TestRecipeStore:
         loaded = store.get_recipe("db/users.tbl", 2)
         assert loaded.all_records() == recipe.all_records()
 
-    def test_missing_recipe_raises(self, store):
+    def test_missing_recipe_raises(self, store, ranged):
         with pytest.raises(VersionNotFoundError):
             store.get_recipe("ghost", 0)
         with pytest.raises(VersionNotFoundError):
             store.open_recipe("ghost", 0)
+        store.put_recipe(make_recipe("f", 0))  # an overwrite: no index
         with pytest.raises(VersionNotFoundError):
-            store.get_recipe_index("ghost", 0)
+            store.open_recipe("f", 0).recipe_index(4)
 
     def test_path_quoting(self, store):
         recipe = make_recipe("dir with spaces/weird%név", 0)
         store.put_recipe(recipe)
         assert store.get_recipe("dir with spaces/weird%név", 0).version == 0
 
-    def test_open_recipe_segment_access(self, store, oss):
+    def test_open_recipe_segment_access(self, store, monkeypatch):
         recipe = make_recipe("f", 0, segments=4, records_per_segment=6)
         store.put_recipe(recipe)
-        handle = store.open_recipe("f", 0)
-        assert handle.segment_count == 4
-        assert handle.get_segment(2) == recipe.segments[2]
+        for cap, whole in ((512 * 1024, True), (0, False)):
+            monkeypatch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", cap)
+            handle = store.open_recipe("f", 0)
+            assert handle.whole is whole
+            assert handle.segment_count == 4
+            assert handle.get_segment(2) == recipe.segments[2]
+            assert handle.get_segment_range(1, 10) == recipe.segments[1:]
 
-    def test_segment_fetch_is_ranged(self, store, oss):
+    def test_small_recipe_opens_with_one_get(self, store, oss):
+        recipe = make_recipe("f", 0, segments=8, records_per_segment=8)
+        store.put_recipe(recipe, 4)
+        assert oss.peek_keys("bucket", "recipeidx/") == []
+        before = oss.stats.snapshot()
+        handle = store.open_recipe("f", 0)
+        opened = oss.stats.diff(before)
+        assert (opened.get_requests, opened.bytes_read) == (
+            1, oss.peek_size("bucket", "recipes/f/000000")
+        )
+        before = oss.stats.snapshot()
+        assert handle.get_segment_range(2, 3) == recipe.segments[2:5]
+        index = handle.recipe_index(4)
+        assert oss.stats.diff(before).get_requests == 0
+        assert index.entries == RecipeIndex.of(recipe.segments, 4).entries
+
+    def test_index_written_only_above_the_cap(self, store, oss, monkeypatch):
+        recipe = make_recipe("f", 0)
+        size = len(recipe.to_bytes())
+        monkeypatch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", size)
+        store.put_recipe(recipe, 4)
+        assert oss.peek_keys("bucket", "recipeidx/") == []
+        monkeypatch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", size - 1)
+        store.put_recipe(recipe, 4)
+        assert oss.peek_keys("bucket", "recipeidx/") == ["recipeidx/f/000000"]
+
+    def test_segment_fetch_is_ranged(self, store, oss, ranged):
         recipe = make_recipe("f", 0, segments=8, records_per_segment=32)
         store.put_recipe(recipe)
         handle = store.open_recipe("f", 0)
@@ -156,7 +207,7 @@ class TestRecipeStore:
         full_size = oss.peek_size("bucket", "recipes/f/000000")
         assert delta.bytes_read < full_size / 4
 
-    def test_segment_range_single_request(self, store, oss):
+    def test_segment_range_single_request(self, store, oss, ranged):
         recipe = make_recipe("f", 0, segments=8, records_per_segment=8)
         store.put_recipe(recipe)
         handle = store.open_recipe("f", 0)
@@ -177,18 +228,22 @@ class TestRecipeStore:
         with pytest.raises(RecipeError):
             handle.get_segment(2)
 
-    def test_recipe_index_roundtrip(self, store):
-        index = RecipeIndex()
-        index.add(fingerprint(b"x"), 1)
-        store.put_recipe_index("f", 0, index)
-        assert store.get_recipe_index("f", 0).entries == index.entries
+    def test_recipe_index_roundtrip(self, store, oss, ranged):
+        recipe = make_recipe("f", 0)
+        store.put_recipe(recipe, 4)
+        before = oss.stats.snapshot()
+        index = store.open_recipe("f", 0).recipe_index(4)
+        # Header, segment tables, the index object.
+        assert oss.stats.diff(before).get_requests == 3
+        assert index.entries == RecipeIndex.of(recipe.segments, 4).entries
 
-    def test_delete_recipe(self, store):
-        store.put_recipe(make_recipe("f", 0))
-        store.put_recipe_index("f", 0, RecipeIndex())
+    def test_delete_recipe(self, store, oss, ranged):
+        store.put_recipe(make_recipe("f", 0), 4)
+        assert oss.peek_keys("bucket", "recipeidx/") == ["recipeidx/f/000000"]
         assert store.delete_recipe("f", 0) is True
         with pytest.raises(VersionNotFoundError):
             store.get_recipe("f", 0)
+        assert oss.peek_keys("bucket", "recipeidx/") == []
         assert store.delete_recipe("f", 0) is False
 
     def test_stored_bytes(self, store):

@@ -8,7 +8,9 @@ a run can end — the segment fills, a digest or a cut fails mid-run, the data
 ends, a predicted chunk lives in a container being rewritten, the chain
 holds a superchunk, the successor is not cached yet, its prefetch fails —
 both must leave the same recipes, counters, containers and OSS request
-stream, and virtual seconds equal to 1e-12 relative.
+stream, and virtual seconds equal to 1e-12 relative.  Every case runs on
+both ways a job reads its base recipe: whole, with one GET at open, and
+ranged, span by span with its recipe index fetched.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dedup import BackupEngine
-from repro.core.recipe import RecipeHandle
+from repro.core.recipe import WHOLE_RECIPE_BYTES, RecipeHandle
 from repro.core.storage import StorageLayer
 from repro.errors import TransientOSSError
 from repro.oss.object_store import ObjectStorageService
@@ -67,7 +69,8 @@ def _ingest(versions, config, *, rewrite_after=None, fail_prefetch=None) -> dict
 
     ``rewrite_after``: from that job on, every container the first job
     wrote is a rewrite target.  ``fail_prefetch``: ``(job, call)`` makes
-    that job's ``call``-th segment-range GET raise (the base is lost).
+    that job's ``call``-th ``get_segment_range`` raise, as a lost ranged
+    GET does (the base is lost).
     """
     oss = ObjectStorageService(CostModel(), SimClock())
     storage = StorageLayer.create(oss)
@@ -99,13 +102,33 @@ def _ingest(versions, config, *, rewrite_after=None, fail_prefetch=None) -> dict
     return {"jobs": jobs, "stream": stream}
 
 
-def _run_both(versions, config, monkeypatch, **kwargs) -> tuple[dict, dict]:
-    ours = _ingest(versions, config, **kwargs)
-    with monkeypatch.context() as patch:
-        legacy_jobs(patch)
-        oracle = _ingest(versions, config, **kwargs)
-    _assert_same(ours, oracle)
-    return ours, oracle
+#: The two ways a job reads its base recipe: whole, with one GET at open
+#: (every recipe these tests write is under the default cap), and ranged,
+#: span by span with its index fetched (the cap patched to 0), as a
+#: recipe above the cap is.
+READ_PATHS = {"whole": WHOLE_RECIPE_BYTES, "ranged": 0}
+
+
+def _run_both(versions, config, monkeypatch, **kwargs) -> list[dict]:
+    """The engine against the oracle on both read paths; the engine's
+    results, whole read first."""
+    results = []
+    for read, cap in READ_PATHS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", cap)
+            ours = _ingest(versions, config, **kwargs)
+            legacy_jobs(patch)
+            oracle = _ingest(versions, config, **kwargs)
+        _assert_same(ours, oracle)
+        # The patch took: the other path's recipe reads never happen.
+        unused = "get_range" if read == "whole" else "get_object"
+        assert not [
+            request
+            for request in ours["stream"]
+            if request[0] == unused and request[1][1].startswith("recipes/")
+        ], read
+        results.append(ours)
+    return results
 
 
 def _close(ours: float, theirs: float) -> bool:
@@ -140,13 +163,13 @@ def _counter(result, name: str) -> int:
 
 class TestEveryWayARunEnds:
     def test_segment_close(self, base, monkeypatch):
-        ours, _ = _run_both([base, base], SMALL_CONFIG, monkeypatch)
-        latest = ours["jobs"][1]
-        # Every chunk replayed from the record-0 seed on, in runs cut only
-        # by the segment size: an unchanged version, committed as an alias.
-        assert latest.counters.get("skip_success") == latest.recipe.chunk_count()
-        assert len(latest.recipe.segments) >= 8
-        assert latest.alias_of == 0
+        for ours in _run_both([base, base], SMALL_CONFIG, monkeypatch):
+            latest = ours["jobs"][1]
+            # Every chunk replayed from the record-0 seed on, in runs cut only
+            # by the segment size: an unchanged version, committed as an alias.
+            assert latest.counters.get("skip_success") == latest.recipe.chunk_count()
+            assert len(latest.recipe.segments) >= 8
+            assert latest.alias_of == 0
 
     def test_digest_mismatch_mid_run(self, base, monkeypatch):
         # Overwrite bytes well inside chunks: the predicted cuts still
@@ -154,49 +177,49 @@ class TestEveryWayARunEnds:
         edited = bytearray(base)
         for offset in range(20_000, len(base), 40_000):
             edited[offset : offset + 8] = bytes(8)
-        ours, _ = _run_both([base, bytes(edited)], SMALL_CONFIG, monkeypatch)
-        assert _counter(ours, "skip_fp_mismatch") >= 3
+        for ours in _run_both([base, bytes(edited)], SMALL_CONFIG, monkeypatch):
+            assert _counter(ours, "skip_fp_mismatch") >= 3
 
     def test_failed_cut_mid_run(self, base, rng, monkeypatch):
         # An insertion shifts every later byte: the next predicted cut fails.
         middle = len(base) // 2
         edited = base[:middle] + random_bytes(rng, 3000) + base[middle:]
-        ours, _ = _run_both([base, edited], SMALL_CONFIG, monkeypatch)
-        assert _counter(ours, "skip_fail") >= 1
-        assert _counter(ours, "skip_success") > 20
+        for ours in _run_both([base, edited], SMALL_CONFIG, monkeypatch):
+            assert _counter(ours, "skip_fail") >= 1
+            assert _counter(ours, "skip_success") > 20
 
     def test_end_of_data(self, base, monkeypatch):
         # Unchanged: the last run ends exactly at the end of the stream.
         # Truncated: the last prediction runs past it.
-        ours, _ = _run_both([base, base, base[:-5000]], SMALL_CONFIG, monkeypatch)
-        assert ours["jobs"][1].counters.get("skip_fail") == 0
-        assert ours["jobs"][2].counters.get("skip_fail") >= 1
+        for ours in _run_both([base, base, base[:-5000]], SMALL_CONFIG, monkeypatch):
+            assert ours["jobs"][1].counters.get("skip_fail") == 0
+            assert ours["jobs"][2].counters.get("skip_fail") >= 1
 
     def test_rewrite_container_member(self, base, monkeypatch):
-        ours, _ = _run_both([base, base, base], SMALL_CONFIG, monkeypatch, rewrite_after=2)
-        assert ours["jobs"][2].counters.get("rewritten_chunks") > 0
-        assert ours["jobs"][2].counters.get("skip_success") > 0
+        for ours in _run_both([base, base, base], SMALL_CONFIG, monkeypatch, rewrite_after=2):
+            assert ours["jobs"][2].counters.get("rewritten_chunks") > 0
+            assert ours["jobs"][2].counters.get("skip_success") > 0
 
     def test_superchunk_in_the_chain(self, base, rng, monkeypatch):
         versions = stable_versions(base, 4) + [mutate(rng, base, runs=1, run_bytes=2048), base]
-        ours, _ = _run_both(versions, SMALL_CONFIG, monkeypatch)
-        assert ours["jobs"][3].counters.get("superchunks_created") > 0
-        assert _counter(ours, "superchunk_hits") > 0
+        for ours in _run_both(versions, SMALL_CONFIG, monkeypatch):
+            assert ours["jobs"][3].counters.get("superchunks_created") > 0
+            assert _counter(ours, "superchunk_hits") > 0
 
     def test_uncached_successor_prefetches(self, base, monkeypatch):
         config = SMALL_CONFIG.with_overrides(prefetch_segment_span=1)
-        ours, _ = _run_both([base, base], config, monkeypatch)
-        # One span-1 prefetch per segment the replay walks into.
-        latest = ours["jobs"][1]
-        assert latest.counters.get("segments_prefetched") >= len(latest.recipe.segments) - 1
+        for ours in _run_both([base, base], config, monkeypatch):
+            # One span-1 prefetch per segment the replay walks into.
+            latest = ours["jobs"][1]
+            assert latest.counters.get("segments_prefetched") >= len(latest.recipe.segments) - 1
 
     def test_prefetch_failure_degrades_the_job(self, base, monkeypatch):
         config = SMALL_CONFIG.with_overrides(prefetch_segment_span=1)
-        ours, _ = _run_both([base, base], config, monkeypatch, fail_prefetch=(1, 3))
-        latest = ours["jobs"][1]
-        assert latest.degraded
-        assert latest.counters.get("skip_success") > 0
-        assert latest.counters.get("degraded_chunks") > 0
+        for ours in _run_both([base, base], config, monkeypatch, fail_prefetch=(1, 3)):
+            latest = ours["jobs"][1]
+            assert latest.degraded
+            assert latest.counters.get("skip_success") > 0
+            assert latest.counters.get("degraded_chunks") > 0
 
 
 @pytest.mark.parametrize("chunker", ["fastcdc", "gear", "rabin", "fixed"])

@@ -11,7 +11,7 @@ a recipe) and writes nothing else.  This suite pins the contract down:
   when the last live version resolving to it drops; deleting everything
   leaves no container or recipe bytes behind;
 * a changed version after an alias deduplicates against the origin;
-* an unchanged small file costs 3 GETs and 1 PUT, and no journal object;
+* an unchanged small file costs 1 GET and 1 PUT, and no journal object;
 * a crash at every write of an alias backup, a changed backup after an
   alias, and the deletes of an origin and of its last alias recovers to a
   consistent repository;
@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SlimStore, SlimStoreConfig
+from repro.core import recipe as recipes
 from repro.core.browse import BrowseSession
 from repro.core.system import VersionCatalog
 from repro.oss.object_store import ObjectStorageService
@@ -60,16 +61,24 @@ def recipe_versions(store: SlimStore) -> dict[str, set[int]]:
 
 
 def assert_recipes_follow_catalog(store: SlimStore) -> None:
-    """Exactly the recipes live versions resolve to exist, each with its
-    index, and the similar index's latest is the newest version's origin."""
+    """Exactly the recipes live versions resolve to exist, each above the
+    whole-read cap with its index, and the similar index's latest is the
+    newest version's origin."""
     catalog = store.catalog
     expected = {
         path: {catalog.recipe_version(path, v) for v in catalog.versions(path)}
         for path in catalog.paths()
     }
     assert recipe_versions(store) == expected
-    indexes = store.oss.peek_keys(BUCKET, "recipeidx/")
-    assert len(indexes) == sum(len(versions) for versions in expected.values())
+    # An index exists for exactly the live recipes above the cap, so none
+    # outlives its recipe.
+    large = set()
+    for path, versions in expected.items():
+        for version in versions:
+            name = f"{urllib.parse.quote(path, safe='')}/{version:06d}"
+            if store.oss.peek_size(BUCKET, "recipes/" + name) > recipes.WHOLE_RECIPE_BYTES:
+                large.add("recipeidx/" + name)
+    assert set(store.oss.peek_keys(BUCKET, "recipeidx/")) == large
     similar = store.storage.similar_index
     for path, versions in expected.items():
         live = catalog.versions(path)
@@ -291,7 +300,7 @@ def record_requests(store: SlimStore) -> list[tuple[str, str]]:
     return log
 
 
-def test_an_unchanged_small_file_costs_three_gets_and_one_put(rng):
+def test_an_unchanged_small_file_costs_one_get_and_one_put(rng):
     store = SlimStore(SlimStoreConfig(), ObjectStorageService())
     data = random_bytes(rng, 4096)
     store.backup("src/main.c", data)
@@ -300,9 +309,9 @@ def test_an_unchanged_small_file_costs_three_gets_and_one_put(rng):
     report = store.backup("src/main.c", data)
     traffic = store.oss.stats.diff(before)
     assert report.result.alias_of == 0
-    # The recipe's header, its segment tables, segment 0; the commit record.
-    assert requests == [("get_range", "recipes/")] * 3 + [("put_object", "catalog/")]
-    assert (traffic.get_requests, traffic.put_requests, traffic.delete_requests) == (3, 1, 0)
+    # The whole recipe; the commit record.
+    assert requests == [("get_object", "recipes/"), ("put_object", "catalog/")]
+    assert (traffic.get_requests, traffic.put_requests, traffic.delete_requests) == (1, 1, 0)
     assert not store.oss.peek_keys(BUCKET, "journal/")
     assert report.reverse_dedup is None and report.compaction is None
 

@@ -552,12 +552,15 @@ class TestCursorVsEagerParity:
     def test_degraded_jobs(self, monkeypatch):
         """Jobs whose dedup base is unreachable from the start (every GET
         fails), and jobs that lose it mid-stream — after skip chunking has
-        already replayed part of the previous recipe."""
+        already replayed part of the previous recipe — on both recipe read
+        paths: ranged (the whole-read cap at 0), as a recipe above the cap
+        is read, and whole."""
         workload = _parity_workload(707)
         config = SMALL_CONFIG.with_overrides(prefetch_segment_span=1)
-        lazy, _ = _assert_cursor_equals_eager(
-            workload, config, monkeypatch, outage_before={1, 4}, outage_during={2, 5}
-        )
+        outages = {"outage_before": {1, 4}, "outage_during": {2, 5}}
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.recipe.WHOLE_RECIPE_BYTES", 0)
+            lazy, _ = _assert_cursor_equals_eager(workload, config, patch, **outages)
         assert [job["degraded"] for job in lazy["jobs"]] == [
             False, True, True, False, True, True,
         ]  # fmt: skip
@@ -566,6 +569,19 @@ class TestCursorVsEagerParity:
         for ordinal in (2, 5):
             counters = lazy["jobs"][ordinal]["counters"]
             assert counters["skip_success"] > 0 and counters["degraded_chunks"] > 0
+
+        lazy, _ = _assert_cursor_equals_eager(workload, config, monkeypatch, **outages)
+        # A base read whole can only be lost at open: the outage that starts
+        # at the second prefetch of jobs 2 and 5 meets segments already in
+        # memory, so those jobs deduplicate every chunk as usual.
+        assert [job["degraded"] for job in lazy["jobs"]] == [
+            False, True, False, False, True, False,
+        ]  # fmt: skip
+        for ordinal in (1, 4):
+            assert lazy["jobs"][ordinal]["counters"].get("dup_chunks", 0) == 0
+        for ordinal in (2, 5):
+            counters = lazy["jobs"][ordinal]["counters"]
+            assert counters["skip_success"] > 0 and "degraded_chunks" not in counters
 
     def test_workers_keep_the_fan_out_for_a_first_version_only(self, monkeypatch):
         """``workers=2``: a path's first version has no history to skip by
