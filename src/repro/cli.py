@@ -349,6 +349,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     for cid, key in report.durability_divergent:
         where = f"container {cid}" if cid is not None else "parity"
         print(f"  DIVERGENT copy {key} ({where})", file=sys.stderr)
+    for key in report.durability_orphans:
+        print(f"  DURABILITY ORPHAN {key}", file=sys.stderr)
     for seq in report.stale_cache_intents:
         print(f"  STALE cache_flush intent #{seq}", file=sys.stderr)
     for key in report.cache_debris:
@@ -370,7 +372,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         print(
             f"durability: {len(report.durability_untiered)} untiered, "
             f"{len(report.durability_class_mismatches)} class mismatches, "
-            f"{len(report.durability_divergent)} divergent copies"
+            f"{len(report.durability_divergent)} divergent copies, "
+            f"{len(report.durability_orphans)} orphaned objects"
         )
     if report.clean:
         print("repository is consistent")
@@ -442,18 +445,14 @@ def _cmd_durability(args: argparse.Namespace) -> int:
         if settings.pop("durability", None) is None:
             print("durability tier already disabled")
             return 0
-        # Resolve any open tier intents under the old policy (the settings
-        # file still carries it), then drop the whole durability keyspace
-        # — the primaries carry the data.
+        # Drop the whole durability keyspace — the primaries carry the data.
         store = open_repository(args.repo)
         oss = store.storage.oss
         bucket = store.storage.containers._bucket
-        removed = 0
-        for key in list(oss.peek_keys(bucket, "durability/")):
-            if oss.delete_object(bucket, key):
-                removed += 1
+        keys = oss.peek_keys(bucket, "durability/")
+        oss.delete_objects(bucket, keys)
         _save_settings(root, settings)
-        print(f"durability tier disabled, {removed} replica/parity objects removed")
+        print(f"durability tier disabled, {len(keys)} replica/parity objects removed")
         return 0
 
     store = open_repository(args.repo)

@@ -433,20 +433,21 @@ class ContainerStore:
             self._bucket, self.META_KEY.format(cid=meta.container_id), meta.to_bytes()
         )
 
-    def replace_data(self, container_id: int, payload: bytes) -> None:
+    def replace_data(
+        self, container_id: int, payload: bytes, meta: ContainerMeta
+    ) -> None:
         """Overwrite a container's data object in place.
 
         Scrub repair uses this to persist a payload whose corrupt chunks
-        were patched from healthy copies; offsets are unchanged, so the
-        existing metadata stays valid.
+        were patched from healthy copies; offsets are unchanged, so
+        ``meta`` — the stored metadata — stays valid.  The overwrite runs
+        inside a ``rewrite`` intent carrying that unchanged metadata, so a
+        crash before the durability tier refreshed its copies is finished
+        by the same recovery handler as :meth:`rewrite`'s.
         """
         if container_id not in self._live_ids:
             raise ObjectNotFoundError(self._bucket, self.DATA_KEY.format(cid=container_id))
-        self._oss.put_object(
-            self._bucket, self.DATA_KEY.format(cid=container_id), payload
-        )
-        if self.durability is not None:
-            self.durability.on_payload_changed(container_id, payload)
+        self._overwrite(container_id, payload, meta, put_meta=False)
 
     def rewrite(self, container_id: int, meta: ContainerMeta | None = None) -> int:
         """Drop deleted chunks from the payload; returns bytes reclaimed.
@@ -507,24 +508,34 @@ class ContainerStore:
         if not new_data:
             self.delete(container_id)
             return reclaimed
-        # In-place rewrite is a two-object update: a crash between the
-        # data put and the meta put would leave the old metadata pointing
-        # into the shrunk payload.  Journal the outcome first so recovery
-        # can roll the meta forward (the journaled SHA proves the data
-        # put landed) or discard a rewrite that never started.
-        payload = bytes(new_data)
+        self._overwrite(container_id, bytes(new_data), new_meta, put_meta=True)
+        return reclaimed
+
+    def _overwrite(
+        self, container_id: int, payload: bytes, meta: ContainerMeta, put_meta: bool
+    ) -> None:
+        """Replace a container's payload (and with ``put_meta`` its metadata)
+        in place, inside one ``rewrite`` intent.
+
+        An in-place rewrite is a two-object update: a crash between the
+        data put and the meta put would leave the old metadata pointing
+        into the shrunk payload.  Journal the outcome first so recovery
+        can roll the meta forward (the journaled SHA proves the data put
+        landed) or discard a rewrite that never started.
+        """
         seq = None
         if self.journal is not None:
             seq = self.journal.begin(
                 "rewrite",
                 container_id=container_id,
-                meta=new_meta.to_bytes().hex(),
+                meta=meta.to_bytes().hex(),
                 data_sha=hashlib.sha1(payload).hexdigest(),
             )
         self._oss.put_object(
             self._bucket, self.DATA_KEY.format(cid=container_id), payload
         )
-        self.update_meta(new_meta)
+        if put_meta:
+            self.update_meta(meta)
         # Refresh replicas/parity inside the rewrite intent window: a
         # crash in between is rolled forward by recovery, which re-runs
         # this hook after completing the rewrite.
@@ -532,7 +543,6 @@ class ContainerStore:
             self.durability.on_payload_changed(container_id, payload)
         if seq is not None:
             self.journal.close(seq)
-        return reclaimed
 
     @staticmethod
     def _covers(owner: ChunkLocation, alias: ChunkLocation) -> bool:

@@ -15,13 +15,17 @@ container a durability class from its live reference count:
 * **single** (singletons) — primary copy only, as before.
 
 The :class:`DurabilityManager` owns the extra objects under the
-``durability/`` keyspace: per-container records, stripe manifests,
-replica copies and parity shards.  Every tier change is journaled as a
-``durability`` intent *before* its side-effect writes, with the record
-(or stripe manifest) put as the single atomic commit — so the crash
+``durability/`` keyspace: replica copies, parity shards, and its own
+state — one record per tiered container and one manifest per stripe —
+kept as one :class:`~repro.oss.deltalog.DeltaLog` (checkpoint
+``durability/state.json``, records under ``durability/log/``).  A tier
+step PUTs its copies or parity first, then appends one log record that
+names them: that append is the step's commit point, and memory follows
+it.  A crash before the append leaves only keys no committed record
+names; :meth:`DurabilityManager.orphan_keys` finds them, attach counts
+them as a crash's debris, and the orphan sweep deletes them.  So the crash
 matrix's visible-or-nothing contract extends over replica and parity
-writes, and recovery can always roll an interrupted tier change forward
-or sweep its planned keys without leaving orphaned replica bytes.
+writes without a journal intent of the tier's own.
 
 The read path falls over in a fixed order — primary → replica → erasure
 decode → give up (quarantine stays the caller's last resort) — with every
@@ -32,9 +36,10 @@ model keeps paying for failover traffic.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.container import ContainerStore
 from repro.core.erasure import ReedSolomon
@@ -45,9 +50,7 @@ from repro.errors import (
     TransientOSSError,
 )
 from repro.fingerprint.hashing import fingerprint
-
-if TYPE_CHECKING:
-    from repro.core.journal import IntentJournal
+from repro.oss.deltalog import DeltaLog
 
 #: Durability classes, coldest to hottest.
 CLASS_SINGLE = "single"
@@ -176,199 +179,167 @@ class DurabilityAudit:
 class DurabilityManager:
     """Replica/parity bookkeeping and failover reads for one repository."""
 
-    RECORD_KEY = "durability/records/{cid:012d}.json"
-    STRIPE_KEY = "durability/stripes/{sid:08d}.json"
     COPY_KEY = "durability/d{dom}/{cid:012d}.copy{i}"
     PARITY_KEY = "durability/d{dom}/stripe{sid:08d}.p{i}"
     PREFIX = "durability/"
+    #: The delta log holding every record and stripe manifest.
+    STATE_KEY = "durability/state.json"
+    LOG_PREFIX = "durability/log/"
+    #: Where older repositories kept one object per record and per stripe
+    #: manifest; read by an attach that finds no checkpoint.
+    LEGACY_PREFIXES = ("durability/records/", "durability/stripes/")
 
     def __init__(
         self,
         containers: ContainerStore,
         policy: ReplicationPolicy,
-        journal: "IntentJournal | None" = None,
         fingerprinter=None,
     ) -> None:
         self._containers = containers
         self._oss = containers.oss
         self._bucket = containers._bucket
         self.policy = policy
-        self.journal = journal
         self._fingerprint = fingerprinter or fingerprint
         self._records: dict[int, dict[str, Any]] = {}
         self._stripes: dict[int, dict[str, Any]] = {}
         self._next_sid = 0
+        self._log = DeltaLog(self._oss, self._bucket, self.STATE_KEY, self.LOG_PREFIX)
+        #: Legacy per-object keys the loaded state came from: referenced
+        #: until a fold has published that state as the checkpoint.
+        self._legacy_keys: list[str] = []
         #: Failover counters (cumulative, mirrored into reports by callers).
         self.replica_failovers = 0
         self.erasure_decodes = 0
         self.degraded_chunk_reads = 0
 
     # ------------------------------------------------------------------
-    # JSON object helpers
+    # The delta log
     # ------------------------------------------------------------------
-    def _get_json(self, key: str) -> dict[str, Any]:
-        import json
+    def _commit(self, ops: list[list[Any]]) -> None:
+        """Publish one tier step: append its ops as one log record (the
+        step's commit point), apply them to memory, fold when due.
 
-        return json.loads(self._oss.get_object(self._bucket, key).decode())
+        An op is ``["record", cid, record]`` or ``["stripe", sid, stripe]``;
+        a null entry drops the record or stripe.
+        """
+        self._log.append(json.dumps(ops).encode())
+        for op in ops:
+            self._apply(op)
+        self._log.fold_if_due(self._checkpoint)
 
-    def _put_json(self, key: str, obj: dict[str, Any]) -> None:
-        import json
+    def _apply(self, op: list[Any]) -> None:
+        kind, ident, entry = op
+        table = self._records if kind == "record" else self._stripes
+        if entry is None:
+            table.pop(int(ident), None)
+        else:
+            table[int(ident)] = entry
+        if kind == "stripe":
+            self._next_sid = max(self._next_sid, int(ident) + 1)
 
-        self._oss.put_object(self._bucket, key, json.dumps(obj).encode())
+    def _checkpoint(self, through: int) -> bytes:
+        return json.dumps(
+            {
+                "through": through,
+                "next_sid": self._next_sid,
+                "records": [self._records[cid] for cid in sorted(self._records)],
+                "stripes": [self._stripes[sid] for sid in sorted(self._stripes)],
+            }
+        ).encode()
 
-    def _save_record(self, record: dict[str, Any]) -> None:
-        """Persist a container record — the atomic commit of a tier change."""
-        self._put_json(self.RECORD_KEY.format(cid=record["cid"]), record)
-        self._records[record["cid"]] = record
-
-    def _drop_record(self, cid: int) -> None:
-        self._oss.delete_object(self._bucket, self.RECORD_KEY.format(cid=cid))
-        self._records.pop(cid, None)
-
-    def _save_stripe(self, stripe: dict[str, Any]) -> None:
-        self._put_json(self.STRIPE_KEY.format(sid=stripe["sid"]), stripe)
-        self._stripes[stripe["sid"]] = stripe
-
-    def _drop_stripe(self, sid: int) -> None:
-        self._oss.delete_object(self._bucket, self.STRIPE_KEY.format(sid=sid))
-        self._stripes.pop(sid, None)
+    def fold_if_logged(self) -> None:
+        """Fold when the log holds records, or when the state was read from
+        the legacy layout: publishing it as the checkpoint migrates it, and
+        the orphan sweep then removes the legacy objects."""
+        if self._legacy_keys:
+            self._log.fold(self._checkpoint)
+            self._legacy_keys = []
+        else:
+            self._log.fold_if_logged(self._checkpoint)
 
     # ------------------------------------------------------------------
     # Attach / recovery
     # ------------------------------------------------------------------
     def recover(self) -> int:
-        """Reload records and stripe manifests from OSS; returns the count.
+        """Reload records and stripe manifests: the checkpoint, then the
+        log's tail; returns the record count.
 
-        Key enumeration is free; each surviving manifest costs one
-        charged read (the honest price of attaching).
+        Attach costs one GET for the checkpoint plus one per record not yet
+        folded, whatever the container count.  Without a checkpoint the
+        legacy per-object layout (one GET per record and per manifest) is
+        read first, and the tail replays on top of it.
         """
         self._records.clear()
         self._stripes.clear()
-        highest_sid = -1
-        for key in sorted(self._oss.peek_keys(self._bucket, "durability/records/")):
-            try:
-                record = self._get_json(key)
+        self._next_sid = 0
+        self._legacy_keys = []
+        through = 0
+        checkpoint = self._log.read_checkpoint()
+        if checkpoint is None:
+            self._recover_legacy()
+        else:
+            state = json.loads(checkpoint)
+            through = int(state["through"])
+            self._next_sid = int(state["next_sid"])
+            for record in state["records"]:
                 self._records[int(record["cid"])] = record
-            except (ValueError, KeyError, TypeError):
-                continue  # malformed manifest: orphan sweep collects it
-        for key in sorted(self._oss.peek_keys(self._bucket, "durability/stripes/")):
-            try:
-                stripe = self._get_json(key)
+            for stripe in state["stripes"]:
                 self._stripes[int(stripe["sid"])] = stripe
-                highest_sid = max(highest_sid, int(stripe["sid"]))
-            except (ValueError, KeyError, TypeError):
-                continue
-        self._next_sid = highest_sid + 1
+        for blob in self._log.read_tail(through):
+            for op in json.loads(blob):
+                self._apply(op)
         return len(self._records)
 
-    def resolve_intent(self, payload: dict[str, Any]) -> str:
-        """Roll a ``durability`` intent forward or sweep its side effects.
-
-        The commit point of a tier change is its record (or stripe
-        manifest) put.  If the primary payload still matches the intent's
-        SHA the change is deterministically re-applied (idempotent: the
-        planned keys are fixed in the intent); otherwise the planned keys
-        that no committed record references are deleted, restoring the
-        exact pre-intent state.
-        """
-        op = payload.get("op")
-        if op == "stripe":
-            return self._resolve_stripe_intent(payload)
-        if op == "tier":
-            return self._resolve_tier_intent(payload)
-        self._sweep_planned(payload.get("planned", []))
-        return "discarded"
-
-    def _resolve_tier_intent(self, payload: dict[str, Any]) -> str:
-        cid = int(payload["cid"])
-        target = payload["target"]
-        sha = payload["sha"]
-        planned = list(payload.get("planned", []))
-        if not self._containers.exists(cid):
-            self._sweep_planned(planned)
-            return "discarded"
-        primary = self._stable_read(ContainerStore.DATA_KEY.format(cid=cid))
-        if primary is None or _sha(primary) != sha:
-            # The payload the intent tiered never settled (or changed
-            # under a rolled-back rewrite): sweep anything unreferenced.
-            self._sweep_planned(planned)
-            return "discarded"
-        for key in planned:
-            self._oss.put_object(self._bucket, key, primary)
-        copies = [
-            {"key": key, "domain": self._key_domain(key)} for key in planned
-        ]
-        self._commit_record(cid, target, _sha(primary), len(primary), copies, None)
-        return "rolled_forward"
-
-    def _resolve_stripe_intent(self, payload: dict[str, Any]) -> str:
-        sid = int(payload["sid"])
-        stripe = self._stripes.get(sid)
-        if stripe is None:
-            # Crash before the manifest commit: nothing references the
-            # parity writes, so they are pure debris.
-            self._sweep_planned(payload.get("planned", []))
-            return "discarded"
-        for member in stripe["members"]:
-            cid = int(member["cid"])
-            if not member.get("live", True) or not self._containers.exists(cid):
-                continue
-            record = self._records.get(cid)
-            if record is not None and record.get("stripe") == sid:
-                continue
-            self._commit_record(
-                cid, CLASS_ERASURE, member["sha"], member["length"], [], sid
-            )
-        return "rolled_forward"
-
-    def _key_domain(self, key: str) -> int:
-        """The fault domain a ``durability/d<N>/...`` key is placed in."""
-        head, _, _ = key[len(self.PREFIX) + 1 :].partition("/")
-        return int(head)
-
-    def _sweep_planned(self, planned: list[str]) -> int:
-        referenced = self._referenced_keys()
-        swept = 0
-        for key in planned:
-            if key in referenced:
-                continue
-            if self._oss.delete_object(self._bucket, key):
-                swept += 1
-        return swept
+    def _recover_legacy(self) -> None:
+        for prefix, table, ident in (
+            (self.LEGACY_PREFIXES[0], self._records, "cid"),
+            (self.LEGACY_PREFIXES[1], self._stripes, "sid"),
+        ):
+            for key in sorted(self._oss.peek_keys(self._bucket, prefix)):
+                self._legacy_keys.append(key)
+                try:
+                    entry = json.loads(self._oss.get_object(self._bucket, key))
+                    table[int(entry[ident])] = entry
+                except (ValueError, KeyError, TypeError):
+                    continue  # malformed: swept once the state is migrated
+        self._next_sid = max(self._stripes, default=-1) + 1
 
     def _referenced_keys(self) -> set[str]:
-        """Every durability key a committed record or stripe points at."""
-        keys: set[str] = set()
-        for cid, record in self._records.items():
-            keys.add(self.RECORD_KEY.format(cid=cid))
-            for copy in record.get("copies", []):
-                keys.add(copy["key"])
-            for retired in record.get("retired", []):
-                keys.add(retired["key"])
-        for sid, stripe in self._stripes.items():
-            keys.add(self.STRIPE_KEY.format(sid=sid))
-            for parity in stripe.get("parity", []):
-                keys.add(parity["key"])
-            for retired in stripe.get("retired", []):
-                keys.add(retired["key"])
+        """Every durability key the committed state names: the log's own
+        objects, each record's copies and each stripe's parity (live or
+        retired), and the legacy objects not yet migrated."""
+        keys = {self.STATE_KEY, *self._log.record_keys(), *self._legacy_keys}
+        for record in self._records.values():
+            keys.update(copy["key"] for copy in record.get("copies", []))
+            keys.update(retired["key"] for retired in record.get("retired", []))
+        for stripe in self._stripes.values():
+            keys.update(parity["key"] for parity in stripe.get("parity", []))
+            keys.update(retired["key"] for retired in stripe.get("retired", []))
         return keys
 
-    def collect_orphans(self) -> list[str]:
-        """Delete durability objects nothing references; returns their keys.
+    def orphan_keys(self) -> list[str]:
+        """Durability objects no committed state names (free: a key peek).
 
-        Run by attach-time recovery after intents resolve: together with
-        the journaled tier changes this is the "no orphaned replica
-        bytes" guarantee the crash matrix asserts.
+        A tier step that died before its log append leaves exactly such
+        keys, so attach counts them as a crash's debris and fsck reports
+        them; :meth:`collect_orphans` deletes them.
         """
         referenced = self._referenced_keys()
-        orphans = [
+        return sorted(
             key
             for key in self._oss.peek_keys(self._bucket, self.PREFIX)
             if key not in referenced
-        ]
-        for key in orphans:
-            self._oss.delete_object(self._bucket, key)
-        return sorted(orphans)
+        )
+
+    def collect_orphans(self) -> list[str]:
+        """Delete :meth:`orphan_keys` with batched DELETEs; returns them.
+
+        Run by attach-time recovery: this is the "no orphaned replica
+        bytes" guarantee the crash matrix asserts.
+        """
+        orphans = self.orphan_keys()
+        self._oss.delete_objects(self._bucket, orphans)
+        return orphans
 
     # ------------------------------------------------------------------
     # Tiering
@@ -391,10 +362,10 @@ class DurabilityManager:
     ) -> RetierReport:
         """Promote/demote containers whose heat drifted from their class.
 
-        Runs as part of G-node maintenance.  Each tier change is its own
-        journaled, atomically-committed step, so a crash mid-pass leaves
-        every container either fully re-tiered or untouched; the next
-        pass converges the rest.
+        Runs as part of G-node maintenance.  The pass PUTs every copy and
+        parity shard it needs, then commits all its changes with one log
+        append, so a crash mid-pass leaves the tier as it was (its PUTs are
+        debris the attach sweep removes); the next pass converges.
         """
         report = RetierReport()
         ids = sorted(
@@ -426,6 +397,7 @@ class DurabilityManager:
             else:
                 stale_stripes.append(sid)
 
+        ops: list[list[Any]] = []
         for cid in ids:
             target = targets[cid]
             if target == CLASS_ERASURE:
@@ -433,13 +405,15 @@ class DurabilityManager:
             record = self._records.get(cid)
             if record is not None and record["class"] == target:
                 continue
-            self._apply_simple(cid, target, report)
+            ops += self._apply_simple(cid, target, report)
 
         pending = sorted(erasure_targets - settled)
         if pending:
-            self._apply_stripes(pending, report)
+            ops += self._apply_stripes(pending, report)
         for sid in stale_stripes:
-            self._retire_stripe(sid, report)
+            ops += self._retire_stripe(sid, report)
+        if ops:
+            self._commit(ops)
 
         for record in self._records.values():
             if record["class"] != CLASS_DELETED:
@@ -448,8 +422,12 @@ class DurabilityManager:
                 )
         return report
 
-    def _apply_simple(self, cid: int, target: str, report: RetierReport) -> None:
-        """Tier one container to ``single`` or ``replicated`` (journaled)."""
+    # Each step below PUTs its copies or parity and returns the ops that
+    # publish them; its caller commits them (memory is not touched here).
+    def _apply_simple(
+        self, cid: int, target: str, report: RetierReport
+    ) -> list[list[Any]]:
+        """Tier one container to ``single`` or ``replicated``."""
         record = self._records.get(cid)
         payload = self._stable_read(
             ContainerStore.DATA_KEY.format(cid=cid),
@@ -457,7 +435,7 @@ class DurabilityManager:
         )
         if payload is None:
             report.unreadable.append(cid)
-            return
+            return []
         copies: list[dict[str, Any]] = []
         if target == CLASS_REPLICATED:
             primary_dom = self.policy.primary_domain(cid)
@@ -470,28 +448,14 @@ class DurabilityManager:
                 {"key": self.COPY_KEY.format(dom=dom, cid=cid, i=i), "domain": dom}
                 for i, dom in enumerate(domains)
             ]
-        planned = [copy["key"] for copy in copies]
-        seq = None
-        if self.journal is not None:
-            seq = self.journal.begin(
-                "durability",
-                op="tier",
-                cid=cid,
-                target=target,
-                sha=_sha(payload),
-                planned=planned,
-            )
         for copy in copies:
             self._oss.put_object(self._bucket, copy["key"], payload)
             report.copies_written += 1
             report.bytes_written += len(payload)
-        old_class = record["class"] if record else None
-        self._commit_record(cid, target, _sha(payload), len(payload), copies, None)
-        if seq is not None:
-            self.journal.close(seq)
-        report.transitions.append((cid, old_class, target))
+        report.transitions.append((cid, record["class"] if record else None, target))
+        return [self._record_op(cid, target, _sha(payload), len(payload), copies, None)]
 
-    def _commit_record(
+    def _record_op(
         self,
         cid: int,
         target: str,
@@ -499,32 +463,32 @@ class DurabilityManager:
         length: int,
         copies: list[dict[str, Any]],
         stripe_sid: int | None,
-    ) -> None:
-        """Atomically publish a container's new class, retiring old copies."""
-        old = self._records.get(cid)
-        epoch = self._containers.current_epoch
-        retired = list(old.get("retired", [])) if old else []
+    ) -> list[Any]:
+        """The op publishing a container's new class: copies it no longer
+        keeps are retired, and a key it keeps again leaves ``retired`` (a
+        re-promotion inside the grace window rewrote it, so a reap must not
+        delete it)."""
+        old = self._records.get(cid) or {}
         keep = {copy["key"] for copy in copies}
-        if old is not None:
-            for copy in old.get("copies", []):
-                if copy["key"] not in keep and not any(
-                    r["key"] == copy["key"] for r in retired
-                ):
-                    retired.append({"key": copy["key"], "epoch": epoch})
-        self._save_record(
-            {
-                "cid": cid,
-                "class": target,
-                "sha": sha,
-                "length": length,
-                "copies": copies,
-                "stripe": stripe_sid,
-                "retired": retired,
-            }
-        )
+        retired = [entry for entry in old.get("retired", []) if entry["key"] not in keep]
+        known = {entry["key"] for entry in retired}
+        epoch = self._containers.current_epoch
+        for copy in old.get("copies", []):
+            if copy["key"] not in keep and copy["key"] not in known:
+                retired.append({"key": copy["key"], "epoch": epoch})
+        record = {
+            "cid": cid,
+            "class": target,
+            "sha": sha,
+            "length": length,
+            "copies": copies,
+            "stripe": stripe_sid,
+            "retired": retired,
+        }
+        return ["record", cid, record]
 
     # --- stripes -------------------------------------------------------
-    def _apply_stripes(self, cids: list[int], report: RetierReport) -> None:
+    def _apply_stripes(self, cids: list[int], report: RetierReport) -> list[list[Any]]:
         items: list[tuple[int, bytes]] = []
         for cid in cids:
             record = self._records.get(cid)
@@ -536,8 +500,11 @@ class DurabilityManager:
                 report.unreadable.append(cid)
                 continue
             items.append((cid, payload))
-        for group in self._group_for_stripes(items):
-            self._write_stripe(group, report)
+        return [
+            op
+            for group in self._group_for_stripes(items)
+            for op in self._write_stripe(group, report)
+        ]
 
     def _group_for_stripes(
         self, items: list[tuple[int, bytes]]
@@ -572,8 +539,8 @@ class DurabilityManager:
 
     def _write_stripe(
         self, group: list[tuple[int, bytes]], report: RetierReport
-    ) -> None:
-        """Encode and commit one stripe (journaled; manifest is the commit)."""
+    ) -> list[list[Any]]:
+        """Encode one stripe: its manifest and its members' records."""
         policy = self.policy
         k, m = policy.data_shards, policy.parity_shards
         sid = self._next_sid
@@ -608,63 +575,61 @@ class DurabilityManager:
             }
             for index, (cid, payload) in enumerate(group)
         ]
-        planned = [entry["key"] for entry in parity] + [
-            self.STRIPE_KEY.format(sid=sid)
-        ]
-        seq = None
-        if self.journal is not None:
-            seq = self.journal.begin(
-                "durability", op="stripe", sid=sid, planned=planned
-            )
         for entry, blob in zip(parity, parity_blobs):
             self._oss.put_object(self._bucket, entry["key"], blob)
             report.parity_written += 1
             report.bytes_written += len(blob)
-        self._save_stripe(
-            {
-                "sid": sid,
-                "k": k,
-                "m": m,
-                "shard_len": shard_len,
-                "members": members,
-                "parity": parity,
-                "retired": [],
-            }
-        )
-        for member, (cid, payload) in zip(members, group):
+        stripe = {
+            "sid": sid,
+            "k": k,
+            "m": m,
+            "shard_len": shard_len,
+            "members": members,
+            "parity": parity,
+            "retired": [],
+        }
+        ops = [["stripe", sid, stripe]]
+        for member in members:
+            cid = member["cid"]
             old = self._records.get(cid)
-            old_class = old["class"] if old else None
-            self._commit_record(
-                cid, CLASS_ERASURE, member["sha"], member["length"], [], sid
+            report.transitions.append((cid, old["class"] if old else None, CLASS_ERASURE))
+            ops.append(
+                self._record_op(
+                    cid, CLASS_ERASURE, member["sha"], member["length"], [], sid
+                )
             )
-            report.transitions.append((cid, old_class, CLASS_ERASURE))
-        if seq is not None:
-            self.journal.close(seq)
         report.stripes_built += 1
+        return ops
 
-    def _retire_stripe(self, sid: int, report: RetierReport) -> None:
+    def _retire_stripe(self, sid: int, report: RetierReport) -> list[list[Any]]:
         """Retire a stale stripe's parity into the two-phase grace window."""
         stripe = self._stripes.get(sid)
         if stripe is None:
-            return
+            return []
         epoch = self._containers.current_epoch
         retired = list(stripe.get("retired", []))
         for parity in stripe.get("parity", []):
             retired.append({"key": parity["key"], "epoch": epoch})
             report.retired_keys += 1
-        if not retired:
-            self._drop_stripe(sid)
-        else:
-            self._save_stripe(
-                {**stripe, "members": [], "parity": [], "retired": retired}
-            )
+        entry = (
+            {**stripe, "members": [], "parity": [], "retired": retired}
+            if retired
+            else None
+        )
         report.stripes_retired += 1
+        return [["stripe", sid, entry]]
 
     # ------------------------------------------------------------------
     # Container-store hooks
     # ------------------------------------------------------------------
     def on_payload_changed(self, cid: int, payload: bytes) -> None:
-        """Refresh copies/parity after a rewrite or in-place repair."""
+        """Refresh copies/parity after a rewrite or in-place repair.
+
+        A replicated container's copies are the tier's only in-place
+        overwrite.  Both callers change the primary inside a ``rewrite``
+        intent whose recovery re-runs this hook, so a crash between the
+        copy PUTs and the log append is finished on attach.
+        """
         record = self._records.get(cid)
         if record is None or record["class"] == CLASS_DELETED:
             return
@@ -672,32 +637,24 @@ class DurabilityManager:
         if record["sha"] == sha and record["length"] == length:
             return
         if record["class"] == CLASS_REPLICATED:
-            planned = [copy["key"] for copy in record["copies"]]
-            seq = None
-            if self.journal is not None:
-                seq = self.journal.begin(
-                    "durability",
-                    op="tier",
-                    cid=cid,
-                    target=CLASS_REPLICATED,
-                    sha=sha,
-                    planned=planned,
-                )
             for copy in record["copies"]:
                 self._oss.put_object(self._bucket, copy["key"], payload)
-            self._commit_record(
-                cid, CLASS_REPLICATED, sha, length, record["copies"], None
+            self._commit(
+                [
+                    self._record_op(
+                        cid, CLASS_REPLICATED, sha, length, record["copies"], None
+                    )
+                ]
             )
-            if seq is not None:
-                self.journal.close(seq)
         elif record["class"] == CLASS_ERASURE and record.get("stripe") is not None:
             self._restripe(record["stripe"], overrides={cid: payload})
         else:
-            self._commit_record(cid, record["class"], sha, length, [], None)
+            self._commit([self._record_op(cid, record["class"], sha, length, [], None)])
 
     def _restripe(self, sid: int, overrides: dict[int, bytes]) -> None:
-        """Re-encode a stripe into a fresh sid (never overwrite parity in
-        place: the old stripe stays decodable until the new one commits)."""
+        """Re-encode a stripe into a fresh sid and retire the old one, in one
+        append (never overwrite parity in place: the old stripe stays
+        decodable until the new one commits)."""
         stripe = self._stripes.get(sid)
         if stripe is None:
             return
@@ -719,104 +676,99 @@ class DurabilityManager:
                     continue  # unreadable member drops out of the stripe
                 payload = decoded
             group.append((cid, payload))
-        for subgroup in self._group_for_stripes(group):
-            self._write_stripe(subgroup, report)
-        self._retire_stripe(sid, report)
+        ops = [
+            op
+            for subgroup in self._group_for_stripes(group)
+            for op in self._write_stripe(subgroup, report)
+        ]
+        self._commit(ops + self._retire_stripe(sid, report))
 
     def on_deleted(self, cid: int, immediate: bool = False) -> None:
         """Container left the live set: retire (or drop) its extra copies.
 
-        ``immediate`` deletion (purge, reap) removes the copies and the
-        record outright; an entomb retires the copies into the same grace
-        window as the container's tombstone, reaped by
+        ``immediate`` deletion (purge, reap) drops the record, then
+        deletes its copies with one batched DELETE (a crash in between
+        leaves orphans for the attach sweep); an entomb retires the copies
+        into the same grace window as the container's tombstone, reaped by
         :meth:`reap_retired` alongside two-phase deletion.
         """
         record = self._records.get(cid)
         if record is None:
             return
+        ops = []
         stripe_sid = record.get("stripe")
-        if stripe_sid is not None:
-            stripe = self._stripes.get(stripe_sid)
-            if stripe is not None:
-                members = [dict(m) for m in stripe["members"]]
-                for member in members:
-                    if int(member["cid"]) == cid:
-                        member["live"] = False
-                self._save_stripe({**stripe, "members": members})
+        stripe = self._stripes.get(stripe_sid) if stripe_sid is not None else None
+        if stripe is not None:
+            members = [
+                {**member, "live": False} if int(member["cid"]) == cid else member
+                for member in stripe["members"]
+            ]
+            ops.append(["stripe", stripe_sid, {**stripe, "members": members}])
         if immediate:
-            for copy in record.get("copies", []):
-                self._oss.delete_object(self._bucket, copy["key"])
-            for retired in record.get("retired", []):
-                self._oss.delete_object(self._bucket, retired["key"])
-            self._drop_record(cid)
+            ops.append(["record", cid, None])
+            self._commit(ops)
+            self._oss.delete_objects(
+                self._bucket,
+                [entry["key"] for entry in record.get("copies", []) + record.get("retired", [])],
+            )
             return
         epoch = self._containers.current_epoch
         retired = list(record.get("retired", []))
         for copy in record.get("copies", []):
             retired.append({"key": copy["key"], "epoch": epoch})
-        self._save_record(
-            {
-                "cid": cid,
-                "class": CLASS_DELETED,
-                "sha": record["sha"],
-                "length": record["length"],
-                "copies": [],
-                "stripe": None,
-                "retired": retired,
-            }
-        )
+        deleted = {
+            "cid": cid,
+            "class": CLASS_DELETED,
+            "sha": record["sha"],
+            "length": record["length"],
+            "copies": [],
+            "stripe": None,
+            "retired": retired,
+        }
+        self._commit([*ops, ["record", cid, deleted]])
 
     def reap_retired(self) -> tuple[int, int]:
         """Physically delete retired copies past their grace window.
 
-        Joins ``deep_clean``'s two-phase deletion sweep.  Returns
-        ``(bytes reclaimed, keys deleted)``.
+        Joins ``deep_clean``'s two-phase deletion sweep as one step: one
+        append drops the expired entries, then one batched DELETE removes
+        their keys (a crash in between leaves orphans for the attach
+        sweep).  Returns ``(bytes reclaimed, keys deleted)``.
         """
         grace = self._containers.grace_epochs
         epoch = self._containers.current_epoch
-        reclaimed = 0
-        deleted = 0
+        ops: list[list[Any]] = []
+        doomed: list[str] = []
 
-        def expired(entry: dict[str, Any]) -> bool:
-            return int(entry["epoch"]) + grace <= epoch
+        def expire(entry: dict[str, Any]) -> bool:
+            if int(entry["epoch"]) + grace <= epoch:
+                doomed.append(entry["key"])
+                return True
+            return False
 
         for cid, record in sorted(self._records.items()):
             retired = record.get("retired", [])
-            if not any(expired(entry) for entry in retired):
+            keep = [entry for entry in retired if not expire(entry)]
+            if len(keep) == len(retired):
                 continue
-            keep = []
-            for entry in retired:
-                if not expired(entry):
-                    keep.append(entry)
-                    continue
-                size = self._oss.peek_size(self._bucket, entry["key"])
-                if self._oss.delete_object(self._bucket, entry["key"]):
-                    reclaimed += size or 0
-                    deleted += 1
             if record["class"] == CLASS_DELETED and not keep:
-                self._drop_record(cid)
+                ops.append(["record", cid, None])
             else:
-                self._save_record({**record, "retired": keep})
+                ops.append(["record", cid, {**record, "retired": keep}])
         for sid, stripe in sorted(self._stripes.items()):
             retired = stripe.get("retired", [])
-            if not any(expired(entry) for entry in retired):
-                if not retired and not stripe.get("members") and not stripe.get("parity"):
-                    self._drop_stripe(sid)
-                continue
-            keep = []
-            for entry in retired:
-                if not expired(entry):
-                    keep.append(entry)
-                    continue
-                size = self._oss.peek_size(self._bucket, entry["key"])
-                if self._oss.delete_object(self._bucket, entry["key"]):
-                    reclaimed += size or 0
-                    deleted += 1
+            keep = [entry for entry in retired if not expire(entry)]
             if not keep and not stripe.get("members") and not stripe.get("parity"):
-                self._drop_stripe(sid)
-            else:
-                self._save_stripe({**stripe, "retired": keep})
-        return reclaimed, deleted
+                ops.append(["stripe", sid, None])
+            elif len(keep) != len(retired):
+                ops.append(["stripe", sid, {**stripe, "retired": keep}])
+        if not ops:
+            return 0, 0
+        sizes = [self._oss.peek_size(self._bucket, key) for key in doomed]
+        self._commit(ops)
+        self._oss.delete_objects(self._bucket, doomed)
+        present = [size for size in sizes if size is not None]
+        return sum(present), len(present)
 
     # ------------------------------------------------------------------
     # Failover reads

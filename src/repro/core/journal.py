@@ -26,16 +26,14 @@ Intent kinds and their payloads:
                         container id) and ``new_cids`` before the recipe
                         repoint commits
 ``rewrite``             ``container_id``, ``meta`` (hex of the new metadata
-                        blob), ``data_sha`` (hex SHA-1 of the new payload)
+                        blob; a scrub repair's ``replace_data`` journals the
+                        unchanged one), ``data_sha`` (hex SHA-1 of the new
+                        payload)
 ``delete_version``      ``path``, ``version``, ``collectable`` container
                         ids, ``recipe`` (the version whose recipe and
                         similar-index entries go, or null while another
                         live version resolves to it)
 ``delete_snapshot``     ``snapshot_id``, ``members`` considered for deletion
-``durability``          ``op`` (``tier`` or ``stripe``), the ``planned``
-                        replica/parity keys, and for ``tier`` the ``cid``,
-                        ``target`` class and payload ``sha``; for
-                        ``stripe`` the ``sid``
 ``cache_flush``         write-back commit of a dirtied browse file:
                         ``path``, ``base_version``, ``version`` (the one
                         being published), ``size``, ``sha`` (SHA-256 of the
@@ -47,7 +45,11 @@ Intent kinds and their payloads:
 
 A reverse-dedup pass opens none: its versions' pending mark in the catalog
 is its record.  A ``reverse_dedup`` intent an older process left still
-recovers, by re-running the pass over its ``container_ids``.
+recovers, by re-running the pass over its ``container_ids``.  A durability
+tier step opens none either: its append to the tier's delta log is its
+commit point (:mod:`repro.core.durability`).  A ``durability`` intent an
+older process left is discarded, and the attach-time orphan sweep removes
+what it wrote.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ INTENT_KINDS = (
     "rewrite",
     "delete_version",
     "delete_snapshot",
-    "durability",
     "cache_flush",
 )
 

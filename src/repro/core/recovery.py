@@ -57,8 +57,8 @@ class RecoveryReport:
     reaps_finished: list[int] = field(default_factory=list)
     #: Global-index entries re-pointed or removed.
     index_entries_fixed: int = 0
-    #: Durability-tier objects (replicas/parity/manifests) nothing
-    #: referenced after intents resolved — swept so no replica bytes leak.
+    #: Durability-tier objects (replicas, parity, legacy manifests) the
+    #: tier's log does not name — swept so no replica bytes leak.
     replica_orphans_collected: list[str] = field(default_factory=list)
     #: Write-back staging objects (``browsecache/``) removed — both the
     #: staging of resolved ``cache_flush`` intents and stale debris no
@@ -119,6 +119,9 @@ class FsckReport:
     #: Replica copies or parity shards whose payload hash disagrees with
     #: the committed record — real divergence; ``--repair`` re-tiers.
     durability_divergent: list[tuple[int | None, str]] = field(default_factory=list)
+    #: Durability objects the tier's log does not name: a tier step died
+    #: before its append; ``--repair`` (or a writing attach) sweeps them.
+    durability_orphans: list[str] = field(default_factory=list)
     #: Write-back staging objects (``browsecache/``) no open
     #: ``cache_flush`` intent accounts for: dirty-cache debris from a
     #: crashed browse session; ``--repair`` reaps them.
@@ -142,6 +145,7 @@ class FsckReport:
             or self.partial_reaps
             or self.orphan_candidates
             or self.durability_divergent
+            or self.durability_orphans
             or self.cache_debris
             or self.log_debris
         )
@@ -178,6 +182,7 @@ class RecoveryManager:
             report.durability_untiered = audit.untiered
             report.durability_class_mismatches = audit.class_mismatches
             report.durability_divergent = audit.divergent_copies
+            report.durability_orphans = durability.orphan_keys()
         report.stale_cache_intents = [
             intent.seq for intent in intents if intent.kind == "cache_flush"
         ]
@@ -210,7 +215,6 @@ class RecoveryManager:
             "snapshot": self._handle_snapshot,
             "delete_version": self._handle_delete_version,
             "delete_snapshot": self._handle_delete_snapshot,
-            "durability": self._handle_durability,
             "cache_flush": self._handle_cache_flush,
         }
         # Rewrite intents repair a possibly-torn container *in place*
@@ -228,8 +232,10 @@ class RecoveryManager:
         ):
             handler = handlers.get(intent.kind)
             if handler is None:
-                # Unknown (future) intent kind: leave visible state alone,
-                # count it as discarded so the truncate is explained.
+                # Unknown kind, a future one or one an older process wrote
+                # (``durability``: the orphan sweep below removes whatever
+                # it left): leave visible state alone, count it as
+                # discarded so the truncate is explained.
                 report.discarded.append((intent.seq, intent.kind))
                 continue
             handler(intent, report)
@@ -241,9 +247,8 @@ class RecoveryManager:
         self._reconcile_index(report)
         if self.storage.durability is not None:
             # After every intent resolved and the watermark GC ran, any
-            # durability object no committed record names is debris left
-            # by the crash — sweeping it here is the "no orphaned replica
-            # bytes" half of the durability tier's crash contract.
+            # durability object the tier's log does not name is debris
+            # left by a tier step that died before its append.
             report.replica_orphans_collected = self.storage.durability.collect_orphans()
         # Any write-back staging object still present is debris: every
         # resolved ``cache_flush`` intent reaps its own prefix, so what
@@ -281,22 +286,6 @@ class RecoveryManager:
                 # carrying the pre-rewrite payload; re-running it is
                 # idempotent once they already match.
                 durability.on_payload_changed(cid, self.containers.read_data(cid))
-            report.rolled_forward.append((intent.seq, intent.kind))
-        else:
-            report.discarded.append((intent.seq, intent.kind))
-
-    def _handle_durability(self, intent: Intent, report: RecoveryReport) -> None:
-        """Tier change: committed iff the record/stripe manifest landed."""
-        durability = self.storage.durability
-        if durability is None:
-            # Policy disabled since the crash: the planned replica/parity
-            # writes are debris no read path will ever consult.
-            for key in intent.payload.get("planned", []):
-                self.storage.oss.delete_object(self.containers._bucket, str(key))
-            report.discarded.append((intent.seq, intent.kind))
-            return
-        outcome = durability.resolve_intent(intent.payload)
-        if outcome == "rolled_forward":
             report.rolled_forward.append((intent.seq, intent.kind))
         else:
             report.discarded.append((intent.seq, intent.kind))

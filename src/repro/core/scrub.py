@@ -179,13 +179,15 @@ class RepositoryScrubber:
                     if meta.mark_deleted(fp):
                         meta_dirty = True
                     report.quarantined_chunks.append((cid, fp))
-            if payload_dirty:
-                containers.replace_data(cid, bytes(payload))
-                payload_cache.pop(cid, None)
-                report.containers_rewritten += 1
+            # Quarantine marks land first, so the metadata the payload's
+            # in-place overwrite journals is the stored one.
             if meta_dirty:
                 containers.update_meta(meta)
                 meta_cache.pop(cid, None)
+            if payload_dirty:
+                containers.replace_data(cid, bytes(payload), meta)
+                payload_cache.pop(cid, None)
+                report.containers_rewritten += 1
 
     def _find_healthy_copy(
         self,

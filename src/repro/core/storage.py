@@ -76,7 +76,7 @@ class StorageLayer:
         durability = None
         if durability_policy is not None:
             durability = DurabilityManager(
-                containers, durability_policy, journal, fingerprinter=fingerprinter
+                containers, durability_policy, fingerprinter=fingerprinter
             )
             containers.durability = durability
         return cls(

@@ -100,7 +100,7 @@ class SpaceReport:
     recipe_bytes: int
     global_index_bytes: int
     similar_index_bytes: int
-    #: Replicas, parity shards and manifests of the durability tier.
+    #: Replicas, parity shards and the delta log of the durability tier.
     durability_bytes: int = 0
 
     @property
@@ -452,20 +452,26 @@ class SlimStore:
         (i.e. the repository had prior backups).
 
         When the journal holds open intents, the container store reports
-        torn ``.data``/``.meta`` pairs, or a two-phase reap was
-        interrupted, a previous process died mid-job.  Unless
+        torn ``.data``/``.meta`` pairs, a two-phase reap was interrupted,
+        or the durability tier holds objects its log does not name, a
+        previous process died mid-job.  Unless
         ``run_recovery`` is False (``repro fsck`` inspects first), a
         :class:`~repro.core.recovery.RecoveryManager` pass rolls every
         interrupted job forward or discards it, collects orphans, and
         truncates the journal; its report lands in ``last_recovery``.
         The same switch gates the attach-time fold of every log (catalog,
-        similar index, index WALs; it writes), so an inspection attach
-        stays read-only.
+        similar index, index WALs, durability tier; it writes), so an
+        inspection attach stays read-only.
         """
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
-        if self.storage.durability is not None:
-            self.storage.durability.recover()
+        durability = self.storage.durability
+        if durability is not None:
+            durability.recover()
+            if run_recovery:
+                # Before the orphan test: a legacy per-object layout is
+                # migrated here, and its objects then count as debris.
+                durability.fold_if_logged()
         self.storage.similar_index.load()
         self.storage.global_index.recover()
         reserved = [
@@ -486,7 +492,12 @@ class SlimStore:
         found = payload is not None or bool(records)
         self.last_recovery = None
         containers = self.storage.containers
-        dirty = bool(intents or containers.torn_pairs or containers.partial_reaps)
+        dirty = bool(
+            intents
+            or containers.torn_pairs
+            or containers.partial_reaps
+            or (durability is not None and durability.orphan_keys())
+        )
         if run_recovery and dirty:
             from repro.core.recovery import RecoveryManager
 
@@ -509,11 +520,14 @@ class SlimStore:
 
     def fold_metadata(self) -> None:
         """Fold whichever log holds records (tail or debris) — the catalog's,
-        the similar index's, each global-index shard's WAL — so the next
-        attach has nothing to replay; a no-op on folded logs."""
+        the similar index's, each global-index shard's WAL, the durability
+        tier's — so the next attach has nothing to replay; a no-op on folded
+        logs."""
         self.catalog_log.fold_if_logged(self._catalog_checkpoint)
         self.storage.similar_index.fold_if_logged()
         self.storage.global_index.fold_wal()
+        if self.storage.durability is not None:
+            self.storage.durability.fold_if_logged()
 
     # --- public operations ------------------------------------------------------
     def backup(

@@ -54,8 +54,8 @@ def key_fault_domain(key: str, domains: int) -> int | None:
     * durability copies and parity under ``durability/d<N>/...`` land on
       domain ``N``.
 
-    Everything else (metadata, journal, recipes, indexes, durability
-    manifests) is control plane — replicated out-of-band in a real
+    Everything else (metadata, journal, recipes, indexes, the durability
+    tier's checkpoint and log) is control plane — replicated out-of-band in a real
     deployment — and returns None: a domain-scoped outage never touches
     it.
     """

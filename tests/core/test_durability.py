@@ -178,6 +178,32 @@ class TestRetier:
         assert sent.list_requests == 0
         assert report.stripes_retired == 0 and not report.changed
 
+    def test_repromotion_inside_grace_keeps_live_copies(self, rng):
+        """A container demoted and promoted again before its retired copies
+        expire writes those copy keys again: the reap must leave them."""
+        store = durable_store(replace(DURABLE_CONFIG, tombstone_grace_epochs=1))
+        for payload in make_version_chain(rng, versions=4):
+            store.backup("f", payload)
+        durability = store.storage.durability
+        hot = store.catalog.refcounts()
+        replicated = sorted(
+            cid for cid, k in durability.classes().items() if k == CLASS_REPLICATED
+        )
+        assert replicated
+        durability.retier({cid: 0 for cid in hot})
+        assert all(durability.classes()[cid] == CLASS_SINGLE for cid in replicated)
+        durability.retier(hot)
+        assert all(durability.classes()[cid] == CLASS_REPLICATED for cid in replicated)
+        containers = store.storage.containers
+        for _ in range(3):
+            containers.advance_epoch()
+            durability.reap_retired()
+        bucket = containers._bucket
+        for cid in replicated:
+            for copy in durability.record_for(cid)["copies"]:
+                assert store.oss.peek_size(bucket, copy["key"]) is not None, copy
+        assert not durability.audit(hot).divergent_copies
+
     def test_audit_clean_after_retier(self, rng):
         store = durable_store()
         for payload in make_version_chain(rng, versions=4):

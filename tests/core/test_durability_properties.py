@@ -159,12 +159,13 @@ def test_promote_demote_roundtrip_reaps_exactly_retired(seed):
     _, deleted = durability.reap_retired()
     after = set(store.oss.peek_keys(bucket, "durability/"))
     # Exactly the retired payload keys disappeared; anything else gone is
-    # an emptied bookkeeping manifest, never a copy or parity blob.
+    # a record of the tier's delta log a fold covered, never a copy or
+    # parity blob.
     assert deleted == len(retired)
     gone = before - after
     assert gone & retired == retired
     for key in gone - retired:
-        assert key.startswith(("durability/records/", "durability/stripes/")), key
+        assert key.startswith(DurabilityManager.LOG_PREFIX), key
     assert not any(
         record.get("retired") for record in durability._records.values()
     )

@@ -9,14 +9,16 @@ Three layers of proof:
 * **Bit-rot healing** — seeded at-rest bit flips in primary payloads are
   healed from the durability tier by restore and by ``scrub --repair``
   with *zero* quarantined chunks;
-* **Crash matrix** — a backup whose maintenance pass promotes, stripes
-  and retires durability state is killed at every OSS write; recovery
-  always lands on atomic class visibility with no orphaned replica
-  bytes.
+* **Crash matrix** — a backup whose maintenance pass tiers new
+  containers, a demoting pass (delete, retier, deep_clean) and an
+  in-place payload repair of a replicated container are each killed at
+  every OSS write; recovery always lands on atomic class visibility with
+  no orphaned replica bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +248,17 @@ class TestSeededChaosDurability:
         assert report.clean or report.fully_repaired
 
 
+def assert_tier_consistent(survivor: SlimStore, crash_at: int) -> None:
+    """Recovery left no debris, and the tier kept atomic class visibility:
+    never a divergent copy, and no replica/parity byte outlives its
+    references."""
+    assert_zero_debris(survivor)
+    durability = survivor.storage.durability
+    audit = durability.audit(survivor.catalog.refcounts())
+    assert not audit.divergent_copies, crash_at
+    assert durability.collect_orphans() == [], crash_at
+
+
 @pytest.mark.slow
 class TestDurabilityCrashMatrix:
     """Kill the node at every write of a tier-churning backup."""
@@ -259,9 +272,9 @@ class TestDurabilityCrashMatrix:
         )
         for payload in chain[:2]:
             store.backup("f", payload)
-        # The third backup pushes the shared containers to hot_refs:
-        # its maintenance pass promotes erasure-coded containers to
-        # replication, retiring stripes — the richest tier transition.
+        # The third backup's maintenance pass stripes its new containers
+        # (no container reaches hot_refs here; the promoting pass is
+        # ``test_matrix_over_promoting_pass``).
         return clone_state(store.oss), chain
 
     def test_matrix_over_promoting_backup(self, base):
@@ -275,13 +288,93 @@ class TestDurabilityCrashMatrix:
             assert versions in ([0, 1], [0, 1, 2]), crash_at
             for version in versions:
                 assert survivor.restore("f", version).data == chain[version]
-            assert_zero_debris(survivor)
-            durability = survivor.storage.durability
-            # Atomic class visibility: never a divergent copy, and no
-            # replica/parity byte outlives its references.
-            audit = durability.audit(survivor.catalog.refcounts())
-            assert not audit.divergent_copies, crash_at
-            assert durability.collect_orphans() == [], crash_at
+            assert_tier_consistent(survivor, crash_at)
+
+        total = run_matrix(state, action, verify, config=DURABLE_CONFIG)
+        assert total > 0
+
+    @pytest.fixture(scope="class")
+    def hot_base(self):
+        rng = np.random.default_rng(4242)
+        store = attach(config=DURABLE_CONFIG)
+        chain = make_version_chain(rng, versions=4)
+        for payload in chain:
+            store.backup("f", payload)
+        # The shared containers are replicated, the rest striped.
+        return clone_state(store.oss), chain
+
+    def test_matrix_over_promoting_pass(self):
+        """The third backup of this chain pushes four shared containers to
+        hot_refs: its pass PUTs their copies and retires their stripes."""
+        chain = make_version_chain(np.random.default_rng(4242), versions=3)
+        store = attach(config=DURABLE_CONFIG)
+        for payload in chain[:2]:
+            store.backup("f", payload)
+        state = clone_state(store.oss)
+
+        def action(store: SlimStore) -> None:
+            report = store.backup("f", chain[2])
+            assert report.retier.copies_written
+
+        def verify(survivor: SlimStore, crash_at: int) -> None:
+            versions = survivor.versions("f")
+            assert versions in ([0, 1], [0, 1, 2]), crash_at
+            for version in versions:
+                assert survivor.restore("f", version).data == chain[version]
+            assert_tier_consistent(survivor, crash_at)
+
+        total = run_matrix(state, action, verify, config=DURABLE_CONFIG)
+        assert total > 0
+
+    def test_matrix_over_demoting_pass(self, hot_base):
+        """Deleting the oldest version cools two replicated containers:
+        the pass retires their copies into new stripes, and deep_clean
+        reaps the retired keys (the grace window is zero epochs)."""
+        state, chain = hot_base
+
+        def action(store: SlimStore) -> None:
+            store.delete_version("f", 0)
+            report = store.gnode.retier(store.catalog.refcounts())
+            assert report.transitions
+            store.gnode.deep_clean()
+
+        def verify(survivor: SlimStore, crash_at: int) -> None:
+            versions = survivor.versions("f")
+            assert versions in ([0, 1, 2, 3], [1, 2, 3]), crash_at
+            for version in versions:
+                assert survivor.restore("f", version).data == chain[version]
+            assert_tier_consistent(survivor, crash_at)
+
+        total = run_matrix(state, action, verify, config=DURABLE_CONFIG)
+        assert total > 0
+
+    def test_matrix_over_replace_data(self, hot_base):
+        """An in-place repair that changes a replicated container's payload
+        overwrites its copies in place too: whatever write the node dies
+        at, the primary and every copy end up with the record's SHA."""
+        state, _ = hot_base
+        probe = attach(state, config=DURABLE_CONFIG)
+        cid = min(
+            cid
+            for cid, cls in probe.storage.durability.classes().items()
+            if cls == CLASS_REPLICATED
+        )
+        key = f"containers/{cid:012d}.data"
+
+        def action(store: SlimStore) -> None:
+            containers = store.storage.containers
+            payload = bytearray(containers.read_data(cid))
+            payload[len(payload) // 2] ^= 0x01
+            containers.replace_data(cid, bytes(payload), containers.read_meta(cid))
+
+        def verify(survivor: SlimStore, crash_at: int) -> None:
+            record = survivor.storage.durability.record_for(cid)
+            objects = [key] + [copy["key"] for copy in record["copies"]]
+            assert len(objects) == 3
+            for name in objects:
+                payload = survivor.oss.get_object("slimstore", name)
+                assert hashlib.sha1(payload).hexdigest() == record["sha"], (crash_at, name)
+            assert_tier_consistent(survivor, crash_at)
 
         total = run_matrix(state, action, verify, config=DURABLE_CONFIG)
         assert total > 0

@@ -216,6 +216,8 @@ class TestFaultDomains:
         # Control plane (meta, journal, manifests) has no domain.
         assert key_fault_domain("containers/000000000004.meta", 3) is None
         assert key_fault_domain("durability/records/000000000004.json", 3) is None
+        assert key_fault_domain("durability/state.json", 3) is None
+        assert key_fault_domain("durability/log/000000000004", 3) is None
         assert key_fault_domain("journal/000001.json", 3) is None
         # Disabled mapping: everything is domainless.
         assert key_fault_domain("containers/000000000004.data", 0) is None

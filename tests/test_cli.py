@@ -255,21 +255,63 @@ class TestDurabilityCommand:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_disable_drops_replica_bytes(self, tmp_path, rng, capsys):
+    def test_disable_drops_replica_bytes(self, tmp_path, rng, capsys, monkeypatch):
         repo = tmp_path / "repo"
         payload = random_bytes(rng, 96 * 1024)
         store = open_repository(repo)
         for _ in range(3):
             store.backup("f", payload)
         assert main(["durability", str(repo), "--enable", "--hot-refs", "2"]) == 0
+        enabled = open_repository(repo, run_recovery=False)
+        keys = enabled.oss.peek_keys(enabled.storage.containers._bucket, "durability/")
+        assert keys
+
+        # The sweep is batched: one DELETE per 1,000 keys, counted from
+        # the moment the command's attach returned.
+        opened = []
+
+        def spy(*args, **kwargs):
+            store = open_repository(*args, **kwargs)
+            opened.append((store, store.oss.stats.delete_requests))
+            return store
+
+        monkeypatch.setattr("repro.cli.open_repository", spy)
         assert main(["durability", str(repo), "--disable"]) == 0
-        assert "disabled" in capsys.readouterr().out
+        assert f"{len(keys)} replica/parity objects removed" in capsys.readouterr().out
+        (store, deletes_at_attach), = opened
+        sweep = store.oss.stats.delete_requests - deletes_at_attach
+        assert 0 < sweep <= -(-len(keys) // 1000)
 
         fresh = open_repository(repo)
         assert fresh.storage.durability is None
         bucket = fresh.storage.containers._bucket
         assert list(fresh.oss.peek_keys(bucket, "durability/")) == []
         assert fresh.restore("f", 0).data == payload
+
+    def test_fsck_reports_and_sweeps_durability_debris(self, tmp_path, rng, capsys):
+        """An object under ``durability/`` that no log record names is what a
+        tier step killed before its append leaves: fsck counts it on the
+        ``durability:`` line and ``--repair`` deletes it."""
+        repo = tmp_path / "repo"
+        payload = random_bytes(rng, 96 * 1024)
+        store = open_repository(repo)
+        for _ in range(3):
+            store.backup("f", payload)
+        assert main(["durability", str(repo), "--enable", "--hot-refs", "2"]) == 0
+        debris = repo / "slimstore" / "durability" / "d1" / "000000000099.copy0"
+        debris.parent.mkdir(parents=True, exist_ok=True)
+        debris.write_bytes(b"replica bytes")
+        capsys.readouterr()
+
+        assert main(["fsck", str(repo)]) == 1
+        captured = capsys.readouterr()
+        assert "DURABILITY ORPHAN durability/d1/000000000099.copy0" in captured.err
+        assert "divergent copies, 1 orphaned objects" in captured.out
+        assert main(["fsck", str(repo), "--repair"]) == 0
+        assert "1 replica orphans swept" in capsys.readouterr().out
+        assert not debris.exists()
+        assert main(["fsck", str(repo)]) == 0
+        assert "0 orphaned objects" in capsys.readouterr().out
 
     def test_fsck_finds_and_repairs_divergent_copy(self, tmp_path, rng, capsys):
         repo = tmp_path / "repo"
