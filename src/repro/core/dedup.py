@@ -17,11 +17,11 @@ The three-step workflow:
    superchunks via their firstChunk, Algorithm 1).
 3. *Segment and persist*: pack unique chunks into containers, group chunk
    records into segment recipes, merge qualifying duplicate runs into
-   superchunks (Section IV-C), then persist containers, recipe (with its
-   recipe index when it is large) and the similar-file registration.  A
-   version that one unbroken skip run proved identical to its base
-   persists none of these: the caller commits it as an alias of the base's
-   recipe.
+   superchunks (Section IV-C), then persist containers and recipe (with
+   its recipe index when it is large); the caller's commit record carries
+   the similar-file registration.  A version that one unbroken skip run
+   proved identical to its base persists none of these: the caller
+   commits it as an alias of the base's recipe.
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
@@ -147,11 +147,13 @@ class BackupResult:
     unique_fps: list[bytes] = field(default_factory=list)
     #: Set when the job proved this version byte-identical to the path's
     #: latest version: the version whose recipe it shares (its *origin*).
-    #: Nothing was written — no container, recipe, recipe index or
-    #: similar-index record — and ``recipe`` is the job's unpersisted view.
+    #: Nothing was written — no container, recipe or recipe index — and
+    #: ``recipe`` is the job's unpersisted view.
     alias_of: int | None = None
     #: Container id → meta of each container the job wrote (in write order).
     new_metas: dict[int, ContainerMeta] = field(default_factory=dict)
+    #: Representative fingerprints the commit registers (none for an alias).
+    representatives: list[bytes] = field(default_factory=list)
 
     @property
     def new_container_ids(self) -> list[int]:
@@ -932,18 +934,15 @@ class _JobState:
         )
 
     def finish(self) -> BackupResult:
-        """Persist recipe (and a large one's recipe index) and similarity
-        registration — or, for a version :meth:`identical` to its base,
-        nothing at all: the result's ``alias_of`` names the base, whose
-        recipe the caller's catalog aliases.
+        """Persist recipe (and a large one's recipe index) and register the
+        representatives in memory — or, for a version :meth:`identical` to
+        its base, nothing at all: the result's ``alias_of`` names the base,
+        whose recipe the caller's catalog aliases.
 
         Crash-consistency contract: everything written here (and the
         container writes before it) is *pre-commit* state — the version
-        only becomes visible when :class:`~repro.core.system.SlimStore`
-        re-publishes the catalog afterwards.  The write order (recipe →
-        recipe index → similar-index registration) is what the recovery
-        discard path in :mod:`repro.core.recovery` unwinds, so keep them
-        in this sequence.
+        (and its ``representatives``) only becomes visible when
+        :class:`~repro.core.system.SlimStore` publishes its commit record.
         """
         recipe = Recipe(
             path=self.path,
@@ -952,8 +951,7 @@ class _JobState:
             segments=self.segments,
         )
         alias_of = self.handle.version if self.identical() else None
-        if alias_of is None:
-            self._persist(recipe)
+        representatives = [] if alias_of is not None else self._persist(recipe)
         self.counters.add("logical_bytes", len(self.data))
         return BackupResult(
             path=self.path,
@@ -968,9 +966,10 @@ class _JobState:
             unique_fps=list(self.local_records),
             alias_of=alias_of,
             new_metas=self.new_metas,
+            representatives=representatives,
         )
 
-    def _persist(self, recipe: Recipe) -> None:
+    def _persist(self, recipe: Recipe) -> list[bytes]:
         fps = (record.fp for segment in self.segments for record in segment)
         representatives = list(
             islice(
@@ -981,5 +980,6 @@ class _JobState:
         self._before_write()
         with self.storage.oss.meter(self.breakdown) as meter:
             self.storage.recipes.put_recipe(recipe, self.config.effective_sample_ratio())
-            self.storage.similar_index.register(self.path, self.version, representatives)
         self.uploaded_bytes += meter.bytes_written
+        self.storage.similar_index.register(self.path, self.version, representatives)
+        return representatives

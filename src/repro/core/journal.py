@@ -16,8 +16,9 @@ visible).  See ``docs/CRASH_RECOVERY.md`` for the full state machine.
 Intent kinds and their payloads:
 
 ======================  =====================================================
-``backup``              ``path``, ``watermark`` (first container id the job
-                        may allocate, taken on entry); opened at the job's
+``backup``              ``path``, ``version`` (absent from older intents),
+                        ``watermark`` (first container id the job may
+                        allocate, taken on entry); opened at the job's
                         first write, so an alias commit opens none
 ``snapshot``            ``snapshot_id``, ``members`` (path → committed
                         version so far)
@@ -30,9 +31,8 @@ Intent kinds and their payloads:
                         unchanged one), ``data_sha`` (hex SHA-1 of the new
                         payload)
 ``delete_version``      ``path``, ``version``, ``collectable`` container
-                        ids, ``recipe`` (the version whose recipe and
-                        similar-index entries go, or null while another
-                        live version resolves to it)
+                        ids, ``recipe`` (the version whose recipe goes, or
+                        null while another live version resolves to it)
 ``delete_snapshot``     ``snapshot_id``, ``members`` considered for deletion
 ``cache_flush``         write-back commit of a dirtied browse file:
                         ``path``, ``base_version``, ``version`` (the one

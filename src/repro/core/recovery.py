@@ -130,8 +130,8 @@ class FsckReport:
     #: counted inside ``open_intents`` as well, broken out so ``fsck``
     #: can say what kind of job was interrupted.
     stale_cache_intents: list[int] = field(default_factory=list)
-    #: Catalog / similar-index log records numbered below their
-    #: checkpoint's ``log_next``: an interrupted fold's leftovers, already
+    #: Catalog log records numbered below their checkpoint's
+    #: ``log_next``: an interrupted fold's leftovers, already
     #: covered by the checkpoint; the next attach (or ``--repair``) folds
     #: them away.
     log_debris: list[str] = field(default_factory=list)
@@ -193,10 +193,7 @@ class RecoveryManager:
             seq = stage_key_seq(key)
             if seq is None or seq not in open_flushes:
                 report.cache_debris.append(key)
-        report.log_debris = (
-            self.store.catalog_log.debris_keys()
-            + self.storage.similar_index.log.debris_keys()
-        )
+        report.log_debris = self.store.catalog_log.debris_keys()
         return report
 
     # --- repair ------------------------------------------------------------
@@ -263,7 +260,7 @@ class RecoveryManager:
             report.cache_staging_reaped.append(key)
         report.journal_truncated = self.journal.truncate()
         self.store._persist_catalog()
-        # Leave every log folded (catalog, similar index, index WALs): no
+        # Leave every log folded (catalog, index WALs): no
         # tail for the next attach to replay, no interrupted-fold debris.
         self.store.fold_metadata()
         return report
@@ -394,36 +391,20 @@ class RecoveryManager:
         return fixed
 
     def _handle_backup(self, intent: Intent, report: RecoveryReport) -> None:
-        """Backup: committed iff the catalog (the commit object) lists it.
-
-        A discarded version's similar-index registration rolls back to the
-        origin of the newest committed version (the path's latest recipe).
-        """
+        """Backup: committed iff the catalog (the commit object) lists the
+        intent's ``version``; a discarded one's recipe is deleted.  An older
+        intent, without ``version``, is discarded iff a recipe sits at the
+        path's next version.  The similar-file view holds no uncommitted
+        state, so nothing else is undone."""
         path = str(intent.payload["path"])
         committed = self.store.catalog.versions(path)
-        next_version = (committed[-1] + 1) if committed else 0
-        candidates = {next_version}
-        latest = self.storage.similar_index.latest_version(path)
-        if latest is not None and latest >= next_version:
-            candidates.add(latest)
-        removed = False
-        for version in sorted(candidates):
-            if version in committed:
-                continue
-            if self.storage.recipes.delete_recipe(path, version):
-                removed = True
-        latest = self.storage.similar_index.latest_version(path)
-        if latest is not None and latest >= next_version:
-            previous = (
-                self.store.catalog.recipe_version(path, committed[-1])
-                if committed
-                else None
-            )
-            self.storage.similar_index.rollback_registration(path, latest, previous)
-            removed = True
-        if removed:
+        version = int(intent.payload.get("version", committed[-1] + 1 if committed else 0))
+        discarded = version not in committed and (
+            self.storage.recipes.delete_recipe(path, version) or "version" in intent.payload
+        )
+        if discarded:
             report.discarded.append((intent.seq, intent.kind))
-            report.backup_resolutions.append((path, next_version, "discarded"))
+            report.backup_resolutions.append((path, version, "discarded"))
         else:
             # The catalog put landed and only the intent close is
             # missing: the version is fully committed.
@@ -541,9 +522,9 @@ class RecoveryManager:
 
         The journaled ``recipe`` (None while another live version resolved
         to it) is the deletion decision made at the commit; replaying it
-        deletes that recipe and forgets its similar-index entries.  An
-        intent without the key predates alias commits: the version owned
-        its recipe.
+        deletes that recipe (its similar-index entries left with the commit
+        record).  An intent without the key predates alias commits: the
+        version owned its recipe.
         """
         payload = intent.payload
         path = str(payload["path"])
@@ -560,7 +541,6 @@ class RecoveryManager:
         recipe = payload.get("recipe", version)
         if recipe is not None:
             self.storage.recipes.delete_recipe(path, int(recipe))
-            self.storage.similar_index.forget_version(path, int(recipe))
         report.rolled_forward.append((intent.seq, intent.kind))
 
     def _handle_delete_snapshot(self, intent: Intent, report: RecoveryReport) -> None:

@@ -1,8 +1,9 @@
 """The storage layer as one bundle.
 
 Everything in this dataclass lives on OSS (Fig 1 of the paper): container
-store, recipe store, similar-file index and the global index.  Compute
-nodes receive the bundle; they hold no durable state of their own.
+store, recipe store, similar-file index (persisted in the version catalog)
+and the global index.  Compute nodes receive the bundle; they hold no
+durable state of their own.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class StorageLayer:
             oss=endpoint,
             containers=containers,
             recipes=RecipeStore(endpoint, bucket),
-            similar_index=SimilarFileIndex(endpoint, bucket),
+            similar_index=SimilarFileIndex(),
             global_index=GlobalIndex(
                 endpoint,
                 index_bucket,

@@ -19,6 +19,7 @@ small record per commit under ``catalog/log/`` (a
 mutator notes its own op, :meth:`SlimStore._persist_catalog` publishes the
 noted ops as one record — the single atomic PUT that makes a version
 visible — and attach replays the records through the same mutators.
+The similar-file index is a view the catalog persists and keeps current.
 
 A version the backup job proved byte-identical to the path's latest one is
 an *alias*: its commit is that one catalog record, naming the *origin* — the
@@ -38,6 +39,7 @@ from repro.core.dedup import BackupResult
 from repro.core.gnode import CompactionReport, GNode, ReverseDedupReport
 from repro.core.lnode import LNode
 from repro.core.restore import RestoreResult
+from repro.core.similar_index import SimilarFileIndex, pack, read_legacy, unpack
 from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.storage import StorageLayer
 from repro.errors import (
@@ -99,6 +101,7 @@ class SpaceReport:
     container_bytes: int
     recipe_bytes: int
     global_index_bytes: int
+    #: The similar-file view's share of the catalog checkpoint.
     similar_index_bytes: int
     #: Replicas, parity shards and the delta log of the durability tier.
     durability_bytes: int = 0
@@ -136,7 +139,9 @@ class VersionCatalog:
     #: The pending flag's ops keep the names they were first persisted under.
     _RENAMED = {"mark_degraded": "mark_pending", "clear_degraded": "clear_pending"}
 
-    def __init__(self) -> None:
+    def __init__(self, similar: SimilarFileIndex | None = None) -> None:
+        #: The similar-file index: a view this catalog's ops keep current.
+        self.similar = SimilarFileIndex() if similar is None else similar
         self._versions: dict[str, list[int]] = {}
         self._refs: dict[tuple[str, int], set[int]] = {}
         self._garbage: dict[tuple[str, int], set[int]] = {}
@@ -175,14 +180,24 @@ class VersionCatalog:
                     [path, version, origin]
                     for (path, version), origin in sorted(self._aliases.items())
                 ],
+                "similar": self._view_json(),
             }
         )
 
+    def _view_json(self) -> list[list]:
+        """The view's owners: [path, version, packed representatives]."""
+        owners = sorted(self.similar.owners().items())
+        return [[path, version, pack(fps)] for (path, version), fps in owners]
+
+    def view_bytes(self) -> int:
+        """Bytes of the view in the catalog checkpoint (no request)."""
+        return len(json.dumps(self._view_json()))
+
     @classmethod
-    def from_json(cls, payload: str) -> "VersionCatalog":
-        """Rebuild a catalog (reference counts are re-derived)."""
+    def from_json(cls, payload: str, similar: SimilarFileIndex | None = None) -> "VersionCatalog":
+        """Rebuild a catalog (reference counts are re-derived) and its view."""
         raw = json.loads(payload)
-        catalog = cls()
+        catalog = cls(similar)
         catalog._versions = {path: list(v) for path, v in raw["versions"].items()}
         for path, version, cids in raw["refs"]:
             catalog._refs[(path, version)] = set(cids)
@@ -200,7 +215,21 @@ class VersionCatalog:
             catalog._aliases[(path, version)] = origin
         # Absent in catalogs persisted whole, before the delta log.
         catalog.log_next = raw.get("log_next", 0)
+        # Absent before the view rode the catalog: the attach's legacy view stays.
+        if "similar" in raw:
+            catalog.similar.load({(p, v): unpack(reps) for p, v, reps in raw["similar"]})
         return catalog
+
+    def settle_view(self) -> None:
+        """After an attach's replay: a path's latest is its newest live
+        version's recipe, and only live recipes own representatives (a
+        legacy view may name a crashed job's uncommitted version)."""
+        owners, aliases = self.similar.owners().items(), self._aliases
+        self.similar.load(
+            {owner: fps for owner, fps in owners if self.recipe_in_use(*owner)},
+            # Each path's live versions are kept in ascending order.
+            {path: aliases.get((path, v[-1]), v[-1]) for path, v in self._versions.items() if v},
+        )
 
     def replay(self, ops: list[list]) -> None:
         """Re-apply persisted ops through the mutators that noted them."""
@@ -238,17 +267,24 @@ class VersionCatalog:
         return sorted(self._refs[(path, version)]) if cids is None else cids
 
     def register(
-        self, path: str, version: int, referenced: set[int], pending: list[int] | None = None
+        self, path: str, version: int, referenced: set[int],
+        pending: list[int] | None = None, representatives: str | None = None,
     ) -> None:
         """Mark phase: record references and diff against the predecessor.
         ``pending`` (the new containers; absent from records written before
-        commits marked) also marks the version pending its G-node pass."""
+        commits marked) also marks the version pending its G-node pass, and
+        ``representatives`` (:func:`~repro.core.similar_index.pack`ed; absent
+        before the view rode the catalog) enter the view."""
         referenced = set(referenced)
         op = ["register", path, version, sorted(referenced)]
         if pending is not None:
             self._pending[(path, version)] = pending
+        if pending is not None or representatives:
             op.append(pending)
+        if representatives:
+            op.append(representatives)
         self.pending.append(op)
+        self.similar.register(path, version, unpack(representatives or ""))
         self._versions.setdefault(path, []).append(version)
         self._refs[(path, version)] = referenced
         for cid in referenced:
@@ -364,7 +400,10 @@ class VersionCatalog:
         self.pending.append(["drop_version", path, version])
         self._versions[path].remove(version)
         self._pending.pop(key, None)
-        self._aliases.pop(key, None)
+        recipe = self._aliases.pop(key, version)
+        if not self.recipe_in_use(path, recipe):
+            # The recipe goes with its last live version, its view entries too.
+            self.similar.forget_version(path, recipe)
         references = self._refs.pop(key)
         for cid in references:
             self._refcount[cid] -= 1
@@ -413,7 +452,7 @@ class SlimStore:
         #: are :class:`~repro.core.cluster.ClusterSimulator`'s model.
         self.lnode = LNode(0, self.config, self.storage, self.cost_model, self.executor)
         self.gnode = GNode(self.config, self.storage, self.cost_model)
-        self.catalog = VersionCatalog()
+        self.catalog = VersionCatalog(self.storage.similar_index)
         # Snapshot metadata and the catalog ride the same (possibly
         # retrying) endpoint as the rest of the storage layer.
         #: Checkpoint ``catalog/state.json`` plus one record per commit.
@@ -424,6 +463,8 @@ class SlimStore:
         #: Report of the last attach-time recovery pass (None until
         #: :meth:`recover` runs against a dirty repository).
         self.last_recovery = None
+        #: Keys of the similar index's legacy layout, until a fold migrates them.
+        self._legacy_similar: list[str] = []
 
     CATALOG_KEY = "catalog/state.json"
     CATALOG_LOG_PREFIX = "catalog/log/"
@@ -444,10 +485,10 @@ class SlimStore:
         """Attach to an existing repository on this OSS endpoint.
 
         Rebuilds every stateful component from storage: the intent
-        journal, the container id space, the similar-file index, the
-        global index (with its Bloom filter), the snapshot id sequence
-        (reserving ids claimed by journaled-but-unpublished runs) and the
-        version catalog (its checkpoint, then the commit records logged
+        journal, the container id space, the global index (with its Bloom
+        filter), the snapshot id sequence (reserving ids claimed by
+        journaled-but-unpublished runs) and the version catalog with its
+        similar-file view (its checkpoint, then the commit records logged
         since, replayed in order).  Returns True if a catalog was found
         (i.e. the repository had prior backups).
 
@@ -460,8 +501,9 @@ class SlimStore:
         interrupted job forward or discards it, collects orphans, and
         truncates the journal; its report lands in ``last_recovery``.
         The same switch gates the attach-time fold of every log (catalog,
-        similar index, index WALs, durability tier; it writes), so an
-        inspection attach stays read-only.
+        index WALs, durability tier; it writes) and the migration of the
+        similar index's legacy layout, so an inspection attach stays
+        read-only.
         """
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
@@ -472,7 +514,6 @@ class SlimStore:
                 # Before the orphan test: a legacy per-object layout is
                 # migrated here, and its objects then count as debris.
                 durability.fold_if_logged()
-        self.storage.similar_index.load()
         self.storage.global_index.recover()
         reserved = [
             str(intent.payload["snapshot_id"])
@@ -480,15 +521,20 @@ class SlimStore:
             if intent.kind == "snapshot" and "snapshot_id" in intent.payload
         ]
         self.snapshots.recover(reserved_ids=reserved)
+        # The legacy layout's view, unless the checkpoint carries its own.
+        similar = self.storage.similar_index
+        legacy, self._legacy_similar = read_legacy(self.storage.oss, self.bucket)
+        similar.load(legacy)
         payload = self.catalog_log.read_checkpoint()
         self.catalog = (
-            VersionCatalog()
+            VersionCatalog(similar)
             if payload is None
-            else VersionCatalog.from_json(payload.decode())
+            else VersionCatalog.from_json(payload.decode(), similar)
         )
         records = self.catalog_log.read_tail(self.catalog.log_next)
         for record in records:
             self.catalog.replay(json.loads(record))
+        self.catalog.settle_view()
         found = payload is not None or bool(records)
         self.last_recovery = None
         containers = self.storage.containers
@@ -520,11 +566,14 @@ class SlimStore:
 
     def fold_metadata(self) -> None:
         """Fold whichever log holds records (tail or debris) — the catalog's,
-        the similar index's, each global-index shard's WAL, the durability
-        tier's — so the next attach has nothing to replay; a no-op on folded
-        logs."""
+        each global-index shard's WAL, the durability tier's — so the next
+        attach has nothing to replay; a no-op on folded logs.  A legacy
+        similar-index layout folds into the catalog checkpoint and goes."""
+        if self._legacy_similar:
+            self.catalog_log.fold(self._catalog_checkpoint)
+            self.storage.oss.delete_objects(self.bucket, self._legacy_similar)
+            self._legacy_similar = []
         self.catalog_log.fold_if_logged(self._catalog_checkpoint)
-        self.storage.similar_index.fold_if_logged()
         self.storage.global_index.fold_wal()
         if self.storage.durability is not None:
             self.storage.durability.fold_if_logged()
@@ -551,13 +600,14 @@ class SlimStore:
         a crash between the commit and the clear.
 
         Commit ordering (crash consistency): container data and metas,
-        the recipe and its index, and the similar-index registration are
-        all written by the L-node job *before* the catalog's commit
-        record is published — that one small PUT under ``catalog/log/``
-        is the single atomic write that makes the version visible.  A
-        ``backup`` intent (carrying the container-id watermark taken on
-        entry) brackets the uncommitted window so recovery can discard a
-        half-written version and GC its orphaned containers; the job opens
+        the recipe and its index are all written by the L-node job *before*
+        the catalog's commit record (carrying the similar-index
+        representatives) is published — that one small PUT under
+        ``catalog/log/`` is the single atomic write that makes the version
+        visible.  A ``backup`` intent (carrying the version and the
+        container-id watermark taken on entry) brackets the uncommitted
+        window so recovery can discard a half-written version and GC its
+        orphaned containers; the job opens
         it just before its first write, so a version it proves identical
         to its predecessor — an alias, which writes nothing before the
         commit record — opens none.  The G-node pass runs only after the
@@ -565,14 +615,14 @@ class SlimStore:
         """
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
+        live = self.catalog.versions(path)
+        version = live[-1] + 1 if live else 0
         seq: int | None = None
 
         def open_intent() -> None:
             nonlocal seq
-            seq = journal.begin("backup", path=path, watermark=watermark)
+            seq = journal.begin("backup", path=path, version=version, watermark=watermark)
 
-        live = self.catalog.versions(path)
-        version = live[-1] + 1 if live else 0
         try:
             result = self.lnode.backup(
                 path,
@@ -586,7 +636,8 @@ class SlimStore:
                 self.catalog.alias(path, version, result.alias_of)
             else:
                 refs = result.recipe.referenced_containers()
-                self.catalog.register(path, version, refs, result.new_container_ids)
+                reps = pack(result.representatives)
+                self.catalog.register(path, version, refs, result.new_container_ids, reps)
             self._persist_catalog()
         except SimulatedCrashError:
             # The node is dead; the open intent is the recovery record.
@@ -723,10 +774,10 @@ class SlimStore:
 
         Commit ordering: the collectable set and the recipe to delete
         (None while another version still resolves to it) are journaled,
-        then the catalog record dropping the version is published — the
-        commit point — and only afterwards are containers, recipe and
-        similar-index entries physically removed (all idempotent, so
-        recovery can replay them).  Under a tombstone grace the containers
+        then the catalog record dropping the version (and the recipe's
+        similar-index entries) is published — the commit point — and only
+        afterwards are containers and recipe physically removed (both
+        idempotent, so recovery can replay them).  Under a tombstone grace the containers
         are entombed rather than deleted, keeping concurrent restores
         readable.
         """
@@ -754,7 +805,6 @@ class SlimStore:
                 self.storage.containers.delete(cid)
         if recipe is not None:
             self.storage.recipes.delete_recipe(path, recipe)
-            self.storage.similar_index.forget_version(path, recipe)
         journal.close(seq)
         return reclaimed
 
@@ -878,7 +928,7 @@ class SlimStore:
             container_bytes=self.storage.containers.stored_bytes(),
             recipe_bytes=self.storage.recipes.stored_bytes(),
             global_index_bytes=self.storage.global_index.stored_bytes(),
-            similar_index_bytes=self.storage.similar_index.stored_bytes(),
+            similar_index_bytes=self.catalog.view_bytes(),
             durability_bytes=(
                 self.storage.durability.stored_bytes()
                 if self.storage.durability is not None

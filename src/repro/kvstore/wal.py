@@ -1,7 +1,7 @@
 """Write-ahead log for the LSM store.
 
 The log is a :class:`~repro.oss.deltalog.DeltaLog`, the same mechanism as
-the version catalog's and the similar-file index's: every logged batch is
+the version catalog's: every logged batch is
 appended as one small record object (RocksDB's WAL append, charged as a
 piggybacked write to a node-local file), and the *checkpoint* at
 ``wal/{name}/active.wal`` holds the records not yet in an SSTable.  It is

@@ -1,9 +1,9 @@
 """Checkpoint + delta records: O(1) persistence for incrementally changing state.
 
-Four owners keep their state on OSS through a :class:`DeltaLog`: the
-version catalog and the similar-file index (a few entries per backup),
-each Rocks-OSS write-ahead log (one record per logged batch), and the
-durability tier (one record per tier step).  Re-PUTting
+Three owners keep their state on OSS through a :class:`DeltaLog`: the
+version catalog (a few ops per backup, the similar-file index's
+representatives among them), each Rocks-OSS write-ahead log (one record
+per logged batch), and the durability tier (one record per tier step).  Re-PUTting
 such a structure whole on every change makes the write cost quadratic in
 its size.  A log keeps it as one *checkpoint* object plus a dense run of
 small numbered *records*: a change appends one record (a single atomic

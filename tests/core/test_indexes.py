@@ -1,9 +1,12 @@
 """Tests for the similar-file index and the global index."""
 
+import json
+
 import pytest
 
 from repro.core.global_index import GlobalIndex
-from repro.core.similar_index import SimilarFileIndex
+from repro.core.similar_index import SimilarFileIndex, pack, read_legacy
+from repro.core.system import VersionCatalog
 from repro.fingerprint.hashing import fingerprint
 
 
@@ -13,8 +16,8 @@ def fps(prefix: str, count: int) -> list[bytes]:
 
 class TestSimilarFileIndex:
     @pytest.fixture
-    def index(self, oss) -> SimilarFileIndex:
-        return SimilarFileIndex(oss, "bucket")
+    def index(self) -> SimilarFileIndex:
+        return SimilarFileIndex()
 
     def test_latest_version_tracking(self, index):
         assert index.latest_version("f") is None
@@ -38,16 +41,28 @@ class TestSimilarFileIndex:
         assert index.find_similar(query, min_votes=2) is None
         assert index.find_similar(query, min_votes=1) == ("one", 0)
 
-    def test_persistence_roundtrip(self, index, oss):
-        index.register("dir/f", 3, fps("x", 5))
-        fresh = SimilarFileIndex(oss, "bucket")
-        assert fresh.latest_version("dir/f") is None
-        assert fresh.load() is True
-        assert fresh.latest_version("dir/f") == 3
-        assert fresh.find_similar(fps("x", 5)) == ("dir/f", 3)
+    def test_persistence_roundtrip(self, index):
+        """The view persists through the catalog: a commit record's
+        representatives replay, and the checkpoint carries the owners."""
+        catalog = VersionCatalog(index)
+        for version in range(4):
+            catalog.register("dir/f", version, {1}, representatives=pack(fps("x", 5)))
+        replayed = VersionCatalog()
+        replayed.replay(catalog.pending)
+        for rebuilt in (replayed, VersionCatalog.from_json(catalog.to_json())):
+            rebuilt.settle_view()
+            assert rebuilt.similar.latest_version("dir/f") == 3
+            assert rebuilt.similar.find_similar(fps("x", 5)) == ("dir/f", 3)
 
     def test_load_without_object(self, oss):
-        assert SimilarFileIndex(oss, "bucket").load() is False
+        """No legacy ``similar/`` object: nothing to read, no key to drop."""
+        oss.create_bucket("bucket")
+        assert read_legacy(oss, "bucket") == ({}, [])
+        index = SimilarFileIndex()
+        index.register("f", 0, fps("x", 5))
+        index.load({})
+        assert index.latest_version("f") is None
+        assert index.find_similar(fps("x", 5)) is None
 
     def test_forget_version(self, index):
         index.register("f", 0, fps("x", 5))
@@ -62,9 +77,13 @@ class TestSimilarFileIndex:
         assert index.find_similar(shared) == ("new", 0)
 
     def test_stored_bytes(self, index):
-        assert index.stored_bytes() == 0
-        index.register("f", 0, fps("x", 3))
-        assert index.stored_bytes() > 0
+        """The view's bytes are its share of the catalog checkpoint."""
+        catalog = VersionCatalog(index)
+        empty = catalog.view_bytes()
+        catalog.register("f", 0, {1}, representatives=pack(fps("x", 3)))
+        assert catalog.view_bytes() > empty
+        section = json.loads(catalog.to_json())["similar"]
+        assert catalog.view_bytes() == len(json.dumps(section))
 
 
 class TestGlobalIndex:

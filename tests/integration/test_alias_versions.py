@@ -33,6 +33,8 @@ from repro import SlimStore, SlimStoreConfig
 from repro.core import recipe as recipes
 from repro.core.browse import BrowseSession
 from repro.core.system import VersionCatalog
+from repro.errors import SimulatedCrashError
+from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
 from tests.conftest import (
     SMALL_CONFIG,
@@ -253,6 +255,38 @@ class TestLifetime:
         report = store.backup("B", first[: 512 * 1024])
         assert report.result.counters.get("detect_none") == 1
         assert store.restore("B").data == first[: 512 * 1024]
+
+    def test_the_view_follows_a_drop_no_process_replays(self, rng):
+        """Kill the delete retiring recipe 0 right after its commit record
+        landed, and attach read-only, so no intent is replayed: the
+        similar-file view already lacks the recipe's entries, because the
+        commit record itself carries the drop."""
+        store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+        data = random_bytes(rng, 160 * 1024)
+        for payload in (data, data, random_bytes(rng, 160 * 1024)):
+            store.backup("f", payload)
+        fps = [r.fp for r in store.storage.recipes.get_recipe("f", 0).all_records()]
+        similar = store.storage.similar_index
+        store.delete_version("f", 0)  # version 1 still resolves to recipe 0
+        assert ("f", 0) in similar.owners()
+        assert similar.find_similar(fps) == ("f", 0)
+        policy = FaultPolicy()
+        policy.crash_after_writes(2)  # the intent, then the commit record
+        store.oss.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.delete_version("f", 1)
+        assert ("f", 0) not in similar.owners()  # dropped with the op itself
+        store.oss.set_fault_policy(None)
+        inspected = SlimStore(SMALL_CONFIG, store.oss)
+        inspected.recover(run_recovery=False)
+        assert inspected.storage.journal.open_intents()
+        assert recipe_versions(inspected)["f"] == {0, 2}  # not yet deleted
+        view = inspected.storage.similar_index
+        assert ("f", 0) not in view.owners()
+        assert view.find_similar(fps) != ("f", 0)
+        assert view.latest_version("f") == 2
+        survivor = reattach(inspected)
+        assert_recipes_follow_catalog(survivor)
 
     def test_requests_of_one_delete_version(self, rng):
         """Retiring a recipe costs its journal intent, the commit record, one

@@ -1,16 +1,20 @@
-"""O(1) commit metadata: the catalog and the similar-file index persist as a
-checkpoint plus one small record per commit.
+"""O(1) commit metadata: the catalog persists as a checkpoint plus one small
+record per commit, and the similar-file index rides it as a view.
 
 What this suite pins down, beside ``tests/core/test_deltalog.py`` (the
 mechanism) and the crash matrices (the commit contract):
 
 * any interleaving of catalog mutations, registrations, commits, folds and
-  reattaches reloads exactly the committed state;
-* a repository written whole-object by the previous format attaches;
+  reattaches reloads exactly the committed state, view included;
+* a repository written whole-object by the previous format attaches, and
+  one whose similar index has its own checkpoint and log (the layout
+  before the view rode the catalog) attaches to the same view, which a
+  writing attach migrates and an inspection attach leaves alone;
 * the bytes one commit writes do not depend on how many paths the
   repository holds (the property the whole-object rewrite lacked);
 * the requests a backup does *not* need are not sent: no commit record when
-  no mutator changed anything, no journal intent but the ``backup`` one;
+  no mutator changed anything, no journal intent but the ``backup`` one,
+  nothing under ``similar/``;
 * an interrupted fold's leftovers are reported by ``fsck`` and folded away;
 * the global index's WAL, the third delta log, keeps every entry across
   attaches, including a WAL mirror the previous format left behind.
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -31,10 +34,11 @@ from hypothesis import strategies as st
 from repro import SlimStore, SlimStoreConfig
 from repro.oss import deltalog
 from repro.core.recovery import RecoveryManager
+from repro.core.similar_index import pack
 from repro.errors import SimulatedCrashError, TransientOSSError
 from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
-from tests.conftest import SMALL_CONFIG, mutate, random_bytes
+from tests.conftest import SMALL_CONFIG, bucket_state, mutate, random_bytes
 from tests.kvstore.legacy_wal import LegacyWriteAheadLog
 
 BUCKET = "slimstore"
@@ -83,24 +87,25 @@ def fake_reps(path: str, version: int, count: int) -> list[bytes]:
 @settings(max_examples=80)
 @given(st.sampled_from([1, 2, 3, 5]), st.lists(step, min_size=1, max_size=30))
 def test_reattached_state_equals_the_committed_state(fold_every, steps):
-    """Drive the catalog's mutators and the similar index's registrations
-    directly (what ``backup`` / ``delete_version`` / recovery do, minus the
-    data path), publish at random commit points, fold at random points and
-    on schedule, and reattach — sometimes read-only — at random points.
-    The survivor must hold the catalog as of the last commit (uncommitted
-    ops die with the process) and the similar index as registered."""
+    """Drive the catalog's mutators directly, representatives included
+    (what ``backup`` / ``delete_version`` / recovery do, minus the data
+    path), publish at random commit points, fold at random points and on
+    schedule, and reattach — sometimes read-only — at random points.  The
+    survivor must hold the catalog and its similar-file view as of the last
+    commit (uncommitted ops die with the process)."""
     with mock.patch.object(deltalog, "FOLD_EVERY", fold_every):
         live = SlimStore(SMALL_CONFIG, ObjectStorageService())
         committed = live.catalog.to_json()
+        committed_view = similar_state(live)
         for name, *args in steps:
-            catalog, similar = live.catalog, live.storage.similar_index
+            catalog = live.catalog
             if name == "backup":
                 index, referenced, mark = args
                 path = PATHS[index]
                 versions = catalog.versions(path)
                 version = versions[-1] + 1 if versions else 0
-                similar.register(path, version, fake_reps(path, version, len(referenced)))
-                catalog.register(path, version, set(referenced))
+                reps = pack(fake_reps(path, version, len(referenced)))
+                catalog.register(path, version, set(referenced), representatives=reps)
                 if mark is True:
                     catalog.mark_pending(path, version)
                 elif mark is not False:
@@ -123,20 +128,17 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
                 versions = catalog.versions(path)
                 if versions:
                     catalog.drop_version(path, versions[0])
-                    if similar.latest_version(path) == versions[0]:
-                        similar.forget_version(path, versions[0])
-            elif name == "commit":
+            elif name in ("commit", "fold"):
                 live._persist_catalog()
                 committed = catalog.to_json()
-            elif name == "fold":
-                live._persist_catalog()
-                committed = catalog.to_json()
-                live.fold_metadata()
-                assert not keys(live, "catalog/log/") and not keys(live, "similar/log/")
+                committed_view = similar_state(live)
+                if name == "fold":
+                    live.fold_metadata()
+                    assert not keys(live, "catalog/log/")
             else:
                 survivor = reattach(live, run_recovery=args[0])
                 assert survivor.catalog.to_json() == committed
-                assert similar_state(survivor) == similar_state(live)
+                assert similar_state(survivor) == committed_view
                 assert survivor.catalog.refcounts() == (
                     type(catalog).from_json(committed).refcounts()
                 )
@@ -144,8 +146,9 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
                 live = survivor
         survivor = reattach(live)
         assert survivor.catalog.to_json() == committed
-        assert similar_state(survivor) == similar_state(live)
+        assert similar_state(survivor) == committed_view
         assert RecoveryManager(survivor).inspect().clean
+        assert not keys(survivor, "similar/")
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +174,21 @@ def legacy_catalog_json(catalog) -> str:
     )
 
 
-def legacy_similar_blob(index) -> bytes:
-    """The previous format's ``SimilarFileIndex._persist`` blob (no trailer)."""
-    blob = bytearray(struct.pack(">II", len(index._latest), len(index._by_rep)))
-    for path, version in sorted(index._latest.items()):
+def legacy_similar_blob(latest: dict, by_rep: dict, log_next: int | None = None) -> bytes:
+    """A blob of the similar index's own layout: header, path entries,
+    representative entries, and — in a checkpoint written once the index
+    had its log — the 8-byte folded-through trailer."""
+    blob = bytearray(struct.pack(">II", len(latest), len(by_rep)))
+    for path, version in sorted(latest.items()):
         encoded = path.encode()
         blob += struct.pack(">HI", len(encoded), version)
         blob += encoded
-    for fp, (path, version) in sorted(index._by_rep.items()):
+    for fp, (path, version) in sorted(by_rep.items()):
         encoded = path.encode()
         blob += struct.pack(">20sHI", fp, len(encoded), version)
         blob += encoded
+    if log_next is not None:
+        blob += struct.pack(">Q", log_next)
     return bytes(blob)
 
 
@@ -196,23 +203,25 @@ def test_legacy_whole_object_repository_attaches_backs_up_and_reattaches(rng):
     # Re-express the metadata exactly as the previous release left it: the
     # two whole objects, and nothing under either log prefix.
     objects = store.oss._backend(BUCKET)._objects
-    for key in keys(store, "catalog/") + keys(store, "similar/"):
+    for key in keys(store, "catalog/"):
         del objects[key]
     objects["catalog/state.json"] = legacy_catalog_json(store.catalog).encode()
-    objects["similar/index"] = legacy_similar_blob(store.storage.similar_index)
+    objects["similar/index"] = legacy_similar_blob(*similar_state(store))
 
     attached = reattach(store)
     assert attached.versions("f") == [0, 1] and attached.versions("g") == [0]
     assert similar_state(attached) == similar_state(store)
     assert attached.restore("f", 1).data == chain[1]
+    # The writing attach migrated the similar index into the checkpoint.
+    assert not keys(attached, "similar/")
+    assert json.loads(objects["catalog/state.json"])["similar"]
 
     chain.append(mutate(rng, chain[1], runs=2, run_bytes=4096))
     report = attached.backup("f", chain[2])
     assert report.version == 2
     assert report.dedup_ratio > 0.5  # deduplicated against the legacy history
-    # The new commit is a record beside the untouched legacy checkpoint.
+    # The new commit is a record beside the migrated checkpoint.
     assert keys(attached, "catalog/log/") == ["catalog/log/000000000000"]
-    assert "log_next" not in json.loads(objects["catalog/state.json"])
 
     again = reattach(attached)
     assert again.versions("f") == [0, 1, 2]
@@ -220,9 +229,70 @@ def test_legacy_whole_object_repository_attaches_backs_up_and_reattaches(rng):
         assert again.restore("f", version).data == payload
     assert again.restore("g", 0).data == other
     assert similar_state(again) == similar_state(attached)
-    # That attach folded: the checkpoint is in the current format now.
+    # That attach folded the new record.
     assert json.loads(objects["catalog/state.json"])["log_next"] == 1
-    assert not keys(again, "catalog/log/") and not keys(again, "similar/log/")
+    assert not keys(again, "catalog/log/") and not keys(again, "similar/")
+
+
+@pytest.mark.parametrize("layout", ["checkpoint", "checkpoint_and_log", "log"])
+def test_a_legacy_similar_layout_attaches_to_the_same_view(rng, layout):
+    """The similar index as it persisted before riding the catalog: its own
+    checkpoint ``similar/index`` (``checkpoint``: the trailer-less first
+    format; ``checkpoint_and_log``: a trailered one, the log's tail and an
+    interrupted fold's debris; ``log``: records only, one of them a crashed
+    backup's uncommitted registration) beside a catalog carrying no view.
+    An inspection attach reads it and writes nothing; a writing attach
+    reads the same view, folds it into the catalog checkpoint and deletes
+    every ``similar/`` key; the next attach needs none of them."""
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    for name in ("a", "b/c", "d"):
+        data = random_bytes(rng, 48 * 1024)
+        store.backup(name, data)
+        store.backup(name, mutate(rng, data, runs=2, run_bytes=4096))
+    store.delete_version("d", 0)
+    store.fold_metadata()
+    latest, by_rep = expected = similar_state(store)
+    assert by_rep
+    objects = store.oss._backend(BUCKET)._objects
+    raw = json.loads(objects["catalog/state.json"])
+    del raw["similar"]
+    objects["catalog/state.json"] = json.dumps(raw).encode()
+    records = [
+        legacy_similar_blob(
+            {path: latest[path]},
+            {fp: owner for fp, owner in by_rep.items() if owner == (path, version)},
+        )
+        for path, version in sorted(set(by_rep.values()))
+    ]
+    if layout == "checkpoint":
+        objects["similar/index"] = legacy_similar_blob(latest, by_rep)
+    elif layout == "checkpoint_and_log":
+        folded = {fp: owner for fp, owner in by_rep.items() if owner[0] != "a"}
+        objects["similar/index"] = legacy_similar_blob(latest, folded, log_next=3)
+        for seq in range(3):  # debris: already covered by the checkpoint
+            objects[f"similar/log/{seq:012d}"] = records[-1]
+        for seq, record in enumerate(records[:2], start=3):
+            objects[f"similar/log/{seq:012d}"] = record
+        # Only the tail names path "a": records[:2] are its registrations.
+        assert {owner[0] for owner in by_rep.values() if owner not in folded.values()} == {"a"}
+    else:
+        uncommitted = legacy_similar_blob({"a": 2}, {b"\xff" * 20: ("a", 2)})
+        for seq, record in enumerate(records + [uncommitted]):
+            objects[f"similar/log/{seq:012d}"] = record
+    assert keys(store, "similar/")
+
+    before = bucket_state(store.oss)
+    inspected = reattach(store, run_recovery=False)
+    assert similar_state(inspected) == expected
+    assert bucket_state(store.oss) == before  # the inspection wrote nothing
+
+    attached = reattach(store)
+    assert similar_state(attached) == expected
+    assert not keys(attached, "similar/")
+    assert json.loads(objects["catalog/state.json"])["similar"]
+    assert similar_state(reattach(attached)) == expected
+    for name in ("a", "b/c"):
+        assert attached.restore(name, 1).data == store.restore(name, 1).data
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +331,25 @@ def test_bytes_written_by_one_commit_are_independent_of_repository_size():
 
 def test_six_hundred_small_commits_write_under_three_times_the_logical_bytes():
     """300 paths of 4 KiB backed up twice: 600 commits, two scheduled folds
-    of the catalog's log.  The 300 unchanged re-backups are alias commits,
-    which register nothing in the similar index: its log folds once.
-    Rewriting the whole catalog per commit alone wrote more than 5x the
-    logical bytes here."""
+    of the catalog's log, nothing under ``similar/``.  Rewriting the whole
+    catalog per commit alone wrote more than 5x the logical bytes here."""
     store, files = small_file_repository(300)
     for path, data in files.items():
         store.backup(path, data)
     logical = 2 * sum(len(data) for data in files.values())
     stats = store.oss.stats
     assert stats.bytes_written < 3 * logical, stats.bytes_written / logical
-    by_family = Counter()
-    for key in store.oss.peek_keys(BUCKET):
-        by_family[key.split("/")[0]] += store.oss.peek_size(BUCKET, key)
     # 600 records, folded at 256 and 512: a tail of 88 remains.
     assert len(keys(store, "catalog/log/")) == 600 - 2 * deltalog.FOLD_EVERY
-    # 300 registrations, folded at 256.
-    assert len(keys(store, "similar/log/")) == 300 - deltalog.FOLD_EVERY
-    # ... and the live store accounts for it in the similar index's bytes.
-    assert store.space_report().similar_index_bytes == by_family["similar"]
+    assert not keys(store, "similar/")
     survivor = reattach(store)
     assert survivor.catalog.to_json() == store.catalog.to_json()
     assert similar_state(survivor) == similar_state(store)
+    # The similar index's bytes are its section of the folded checkpoint.
+    checkpoint = json.loads(store.oss.get_object(BUCKET, "catalog/state.json"))
+    assert survivor.space_report().similar_index_bytes == len(
+        json.dumps(checkpoint["similar"])
+    )
     path = next(iter(files))
     assert survivor.restore(path).data == files[path]
 
@@ -323,9 +390,10 @@ def test_unchanged_rebackup_opens_one_journal_intent(rng, monkeypatch):
     journal = [(verb, key) for verb, key in writes if key.startswith("journal/")]
     assert [verb for verb, _ in journal] == ["put_object", "delete_object"]
     assert journal[0][1] == journal[1][1]
-    # ... and one commit record, one similar-index record.
+    # ... and one commit record, which carries the representatives: the
+    # similar index writes nothing of its own.
     assert sum(key.startswith("catalog/") for _, key in writes) == 1
-    assert sum(key.startswith("similar/") for _, key in writes) == 1
+    assert sum(key.startswith("similar/") for _, key in writes) == 0
 
 
 def test_a_pass_that_changes_nothing_publishes_nothing(rng, monkeypatch):
@@ -370,15 +438,15 @@ def test_a_mark_without_container_ids_replays_and_drains(rng):
 
 
 def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):
-    """The commit record (and the registration before it) landed; the fold
-    that came due is housekeeping and is simply tried again next time."""
+    """The commit record landed; the fold that came due is housekeeping and
+    is simply tried again next time."""
     monkeypatch.setattr(deltalog, "FOLD_EVERY", 2)
 
     class NoCheckpoints(FaultPolicy):
         blocked = True
 
         def before_request(self, op, bucket, key):
-            if self.blocked and op == "put" and key in ("catalog/state.json", "similar/index"):
+            if self.blocked and op == "put" and key == "catalog/state.json":
                 raise TransientOSSError(op, bucket, key)
             return super().before_request(op, bucket, key)
 
@@ -387,12 +455,12 @@ def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):
     payloads = {name: random_bytes(rng, 20 * 1024) for name in "abc"}
     for name in "ab":
         assert store.backup(name, payloads[name]).version == 0
-    assert not keys(store, "catalog/state.json") and not keys(store, "similar/index")
+    assert not keys(store, "catalog/state.json")
     assert reattach(store, run_recovery=False).catalog.paths() == ["a", "b"]
     policy.blocked = False
     store.backup("c", payloads["c"])
-    assert keys(store, "catalog/state.json") and keys(store, "similar/index")
-    assert not keys(store, "catalog/log/") and not keys(store, "similar/log/")
+    assert keys(store, "catalog/state.json") and not keys(store, "catalog/log/")
+    assert not keys(store, "similar/")
     survivor = reattach(store)
     for name, data in payloads.items():
         assert survivor.restore(name).data == data
@@ -403,8 +471,7 @@ def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("log", ["catalog", "similar"])
-def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(log, monkeypatch):
+def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(monkeypatch):
     monkeypatch.setattr(deltalog, "FOLD_EVERY", 3)
     rng = np.random.default_rng(7)
     store = SlimStore(SMALL_CONFIG, ObjectStorageService())
@@ -413,15 +480,14 @@ def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(log, mon
     store.oss.set_fault_policy(policy)
     for path, data in list(payloads.items())[:2]:
         store.backup(path, data)
-    # The third commit makes both folds due.  Find the fold's checkpoint
-    # PUT in a probe of the write stream, then die right after it.
+    # The third commit makes the fold due.  Find the fold's checkpoint PUT
+    # in a probe of the write stream, then die right after it.
     probe = SlimStore(SMALL_CONFIG, ObjectStorageService())
     for path, data in list(payloads.items())[:2]:
         probe.backup(path, data)
     writes = record_writes(probe, monkeypatch)
     probe.backup("f2", payloads["f2"])
-    checkpoint = {"catalog": "catalog/state.json", "similar": "similar/index"}[log]
-    index = [key for _, key in writes].index(checkpoint)
+    index = [key for _, key in writes].index("catalog/state.json")
 
     policy.crash_after_writes(index + 1)
     with pytest.raises(SimulatedCrashError):
@@ -430,18 +496,17 @@ def test_interrupted_fold_is_reported_by_fsck_and_folded_away_on_attach(log, mon
 
     inspected = reattach(store, run_recovery=False)
     report = RecoveryManager(inspected).inspect()
-    assert report.log_debris == [f"{log}/log/{seq:012d}" for seq in range(3)]
+    assert report.log_debris == [f"catalog/log/{seq:012d}" for seq in range(3)]
     assert not report.clean
     # Read-only: the inspection attach deleted nothing.
-    assert keys(inspected, f"{log}/log/") == report.log_debris
+    assert keys(inspected, "catalog/log/") == report.log_debris
 
     survivor = reattach(store)
     assert RecoveryManager(survivor).inspect().clean
-    assert not keys(survivor, "catalog/log/") and not keys(survivor, "similar/log/")
-    committed = ["f0", "f1"] + (["f2"] if log == "catalog" else [])
-    assert survivor.catalog.paths() == committed
-    for path in committed:
-        assert survivor.restore(path).data == payloads[path]
+    assert not keys(survivor, "catalog/log/")
+    assert survivor.catalog.paths() == list(payloads)
+    for path, data in payloads.items():
+        assert survivor.restore(path).data == data
 
 
 # ---------------------------------------------------------------------------

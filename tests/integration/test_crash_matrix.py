@@ -8,17 +8,16 @@ write *i* — reattaches a fresh store (running attach-time recovery) and
 asserts the crash-consistency contract:
 
 * every committed version restores byte-identically;
-* no version is partially visible (catalog, recipe and similar index
-  agree on exactly the committed set);
+* no version is partially visible (catalog, recipe and the similar-file
+  view agree on exactly the committed set);
 * zero orphaned bytes: every live container is referenced by a committed
   version, the journal is empty, no torn pairs survive, and no metadata-log
   record an interrupted fold left behind outlives the reattach.
 
 Each matrix runs twice: once as is (a handful of commits never reaches a
-fold of the catalog's or the similar index's delta log), and once with
-``FOLD_EVERY`` at 2 from a base whose logs were left un-folded, so the swept
-write stream also crosses both folds — checkpoint PUT, batched DELETE — at
-the job's own commit points.
+fold of the catalog's delta log), and once with ``FOLD_EVERY`` at 2 from a
+base whose logs were left un-folded, so the swept write stream also crosses
+the fold — checkpoint PUT, batched DELETE — at the job's own commit points.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def run_matrix(base_state, action, verify, config=SMALL_CONFIG, fold: bool = Tru
     return total_writes
 
 
-CHECKPOINTS = ("catalog/state.json", "similar/index")
+CHECKPOINTS = ("catalog/state.json",)
 
 
 def folds_crossed(base_state, action) -> set[str]:
@@ -108,13 +107,14 @@ def assert_zero_debris(survivor: SlimStore) -> None:
     inspection = RecoveryManager(survivor).inspect()
     assert inspection.clean, f"repository dirty after recovery: {inspection}"
     assert not inspection.log_debris
-    # ... judged against the bucket, not only the logs' own bookkeeping:
-    # every record object on OSS belongs to a live (un-folded) tail.
-    for prefix, log in (
-        ("catalog/log/", survivor.catalog_log),
-        ("similar/log/", survivor.storage.similar_index.log),
-    ):
-        assert survivor.oss.peek_keys(survivor.bucket, prefix) == log.record_keys()
+    # ... judged against the bucket, not only the log's own bookkeeping:
+    # every record object on OSS belongs to a live (un-folded) tail, and
+    # the similar-file index, a view of the catalog, owns no object.
+    assert (
+        survivor.oss.peek_keys(survivor.bucket, "catalog/log/")
+        == survivor.catalog_log.record_keys()
+    )
+    assert not survivor.oss.peek_keys(survivor.bucket, "similar/")
     live = set(survivor.storage.containers.container_ids())
     referenced = survivor.catalog.live_container_ids()
     orphans = live - referenced
@@ -133,6 +133,46 @@ def assert_exactly_visible(survivor: SlimStore, path: str,
     next_version = (versions[-1] + 1) if versions else 0
     with pytest.raises(VersionNotFoundError):
         survivor.storage.recipes.get_recipe(path, next_version)
+
+
+def write_keys(base_state, action, fold: bool = True) -> list[tuple[str, str]]:
+    """Probe run: the (verb, key) of every write ``action`` performs."""
+    writes = []
+
+    class Spy(FaultPolicy):
+        def before_request(self, op, bucket, key):
+            if op in self.WRITE_OPS:
+                writes.append((op, key))
+            return super().before_request(op, bucket, key)
+
+    probe = attach(base_state, fold=fold)
+    probe.oss.set_fault_policy(Spy())
+    action(probe)
+    return writes
+
+
+def backup_outcomes(base_state, action, path: str, version: int,
+                    fold: bool = True) -> list[list[tuple[str, int, str]]]:
+    """Crash index → the ``backup`` resolution recovery must report for
+    ``action``'s backup of ``version``: none while the intent has not
+    landed (write 0) or is already closed, ``discarded`` up to and
+    including a crash on the commit record, ``committed`` after it."""
+    writes = write_keys(base_state, action, fold)
+    assert writes[0][0] == "put" and writes[0][1].startswith("journal/")
+    intent = writes[0][1]
+    commit = next(i for i, (_, key) in enumerate(writes) if key.startswith("catalog/log/"))
+    close = next(i for i, write in enumerate(writes) if write == ("delete", intent))
+    return [
+        []
+        if crash_at == 0 or crash_at > close
+        else [(path, version, "discarded" if crash_at <= commit else "committed")]
+        for crash_at in range(len(writes))
+    ]
+
+
+def resolutions(survivor: SlimStore) -> list[tuple[str, int, str]]:
+    recovery = survivor.last_recovery
+    return [] if recovery is None else recovery.backup_resolutions
 
 
 class TestBackupCrashMatrix:
@@ -191,10 +231,15 @@ class TestBackupCrashMatrix:
         def action(store: SlimStore) -> None:
             store.backup("f", next_payload)
 
+        outcomes = backup_outcomes(base_state, action, "f", len(payloads), fold)
+
         def verify(survivor: SlimStore, crash_at: int) -> None:
             versions = survivor.versions("f")
             assert versions in (committed, extended), (crash_at, versions)
             assert_exactly_visible(survivor, "f", versions)
+            # A backup is reported committed exactly when its commit
+            # record landed.
+            assert resolutions(survivor) == outcomes[crash_at], crash_at
             for version in versions:
                 assert survivor.restore("f", version).data == contents[version], (
                     crash_at,
@@ -213,17 +258,11 @@ class TestBackupCrashMatrix:
         the record carrying its clear (the compaction fix-up), and its
         write count."""
         base_state, _payloads, next_payload = base
-        keys = []
 
-        class Spy(FaultPolicy):
-            def before_request(self, op, bucket, key):
-                if op in self.WRITE_OPS:
-                    keys.append(key)
-                return super().before_request(op, bucket, key)
+        def action(store: SlimStore) -> None:
+            assert store.backup("f", next_payload).compaction.sparse_containers
 
-        probe = attach(base_state)
-        probe.oss.set_fault_policy(Spy())
-        assert probe.backup("f", next_payload).compaction.sparse_containers
+        keys = [key for _, key in write_keys(base_state, action)]
         commit, clear = [i for i, key in enumerate(keys) if key.startswith("catalog/log/")]
         assert commit < clear < len(keys) - 1
         return commit, clear, len(keys)
@@ -402,8 +441,7 @@ class TestDeleteCrashMatrix:
         self._sweep(base)
 
     def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
-        """The catalog fold lands at the delete's own commit point (a
-        delete registers nothing, so the similar log is not appended to)."""
+        """The catalog fold lands at the delete's own commit point."""
         monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         assert folds_crossed(
             base[0], lambda store: store.delete_version("f", 0)
@@ -412,6 +450,11 @@ class TestDeleteCrashMatrix:
 
     def _sweep(self, base, fold: bool = True):
         base_state, chain = base
+        # Every fingerprint of version 0: a superset of its representatives.
+        deleted = [
+            record.fp
+            for record in attach(base_state).storage.recipes.get_recipe("f", 0).all_records()
+        ]
 
         def action(store: SlimStore) -> None:
             store.delete_version("f", 0)
@@ -419,6 +462,10 @@ class TestDeleteCrashMatrix:
         def verify(survivor: SlimStore, crash_at: int) -> None:
             versions = survivor.versions("f")
             assert versions in ([0, 1, 2], [1, 2]), (crash_at, versions)
+            assert_exactly_visible(survivor, "f", versions)
+            similar = survivor.storage.similar_index
+            if versions == [1, 2]:
+                assert similar.find_similar(deleted) != ("f", 0), crash_at
             for version in versions:
                 assert survivor.restore("f", version).data == chain[version]
             assert_zero_debris(survivor)
@@ -426,6 +473,7 @@ class TestDeleteCrashMatrix:
             # can proceed afterwards and the survivors stay intact.
             if versions == [0, 1, 2]:
                 survivor.delete_version("f", 0)
+            assert similar.find_similar(deleted) != ("f", 0), crash_at
             for version in (1, 2):
                 assert survivor.restore("f", version).data == chain[version]
 
@@ -450,8 +498,7 @@ class TestSnapshotCrashMatrix:
         self._sweep(base)
 
     def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
-        """Two members: the second one's registration and commit each find
-        a fold due."""
+        """Two members: the second one's commit finds a fold due."""
         monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
         base_state, files = base
         assert folds_crossed(

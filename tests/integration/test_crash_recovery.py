@@ -68,9 +68,9 @@ class TestBackupWindows:
         state, d0, d1 = base
         action = self._backup(d1)
         total = count_writes(state, action)
-        # Crash at the catalog put (second-to-last write): the recipe and
-        # similar-index registration landed but the commit did not, so
-        # recovery must unwind them and discard the version.
+        # Crash at the catalog put (second-to-last write): the recipe
+        # landed but the commit did not, so recovery must delete it and
+        # discard the version.
         survivor = crash_at(state, action, total - 2)
         recovery = survivor.last_recovery
         assert recovery is not None
