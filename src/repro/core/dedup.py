@@ -190,10 +190,14 @@ class BackupEngine:
         storage: StorageLayer,
         cost_model: CostModel | None = None,
         executor=None,
+        register_view: bool = True,
     ) -> None:
         self.config = config
         self.storage = storage
         self.cost_model = cost_model or CostModel()
+        #: False when the caller's commit record registers each job's
+        #: representatives, so a job whose commit never lands leaves none.
+        self.register_view = register_view
         self._chunker = make_chunker(config.chunker, config.chunker_params())
         self._merge_policy = config.merge_policy()
         self._fingerprint = make_fingerprinter(config.fingerprint_algo)
@@ -981,5 +985,6 @@ class _JobState:
         with self.storage.oss.meter(self.breakdown) as meter:
             self.storage.recipes.put_recipe(recipe, self.config.effective_sample_ratio())
         self.uploaded_bytes += meter.bytes_written
-        self.storage.similar_index.register(self.path, self.version, representatives)
+        if self.engine.register_view:
+            self.storage.similar_index.register(self.path, self.version, representatives)
         return representatives

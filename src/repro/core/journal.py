@@ -20,8 +20,6 @@ Intent kinds and their payloads:
                         ``watermark`` (first container id the job may
                         allocate, taken on entry); opened at the job's
                         first write, so an alias commit opens none
-``snapshot``            ``snapshot_id``, ``members`` (path → committed
-                        version so far)
 ``compaction``          ``path``, ``version``, ``watermark``, ``sparse``
                         container ids; updated with ``moves`` (fp hex → new
                         container id) and ``new_cids`` before the recipe
@@ -30,10 +28,10 @@ Intent kinds and their payloads:
                         blob; a scrub repair's ``replace_data`` journals the
                         unchanged one), ``data_sha`` (hex SHA-1 of the new
                         payload)
-``delete_version``      ``path``, ``version``, ``collectable`` container
-                        ids, ``recipe`` (the version whose recipe goes, or
-                        null while another live version resolves to it)
-``delete_snapshot``     ``snapshot_id``, ``members`` considered for deletion
+``delete_version``      ``versions``: ``[path, version, collectable
+                        container ids, recipe]`` per version its catalog
+                        record drops (recipe: the version whose recipe goes,
+                        or null while another live version resolves to it)
 ``cache_flush``         write-back commit of a dirtied browse file:
                         ``path``, ``base_version``, ``version`` (the one
                         being published), ``size``, ``sha`` (SHA-256 of the
@@ -49,7 +47,9 @@ recovers, by re-running the pass over its ``container_ids``.  A durability
 tier step opens none either: its append to the tier's delta log is its
 commit point (:mod:`repro.core.durability`).  A ``durability`` intent an
 older process left is discarded, and the attach-time orphan sweep removes
-what it wrote.
+what it wrote.  A snapshot run opens none of its own (each member's commit
+record names the run); an older process's ``snapshot`` and
+``delete_snapshot`` intents still recover.
 """
 
 from __future__ import annotations
@@ -61,15 +61,7 @@ from typing import Any
 from repro.oss.object_store import ObjectStorageService
 
 #: Known intent kinds (validated on begin so typos fail fast).
-INTENT_KINDS = (
-    "backup",
-    "snapshot",
-    "compaction",
-    "rewrite",
-    "delete_version",
-    "delete_snapshot",
-    "cache_flush",
-)
+INTENT_KINDS = ("backup", "compaction", "rewrite", "delete_version", "cache_flush")
 
 
 @dataclass

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 from repro.core.browse import STAGE_PREFIX, stage_key_seq
 from repro.core.gnode import CompactionReport
 from repro.core.journal import Intent
-from repro.core.snapshot import Snapshot
 from repro.errors import VersionNotFoundError
 
 if TYPE_CHECKING:
@@ -258,8 +257,10 @@ class RecoveryManager:
         ):
             self.storage.oss.delete_object(self.containers._bucket, key)
             report.cache_staging_reaped.append(key)
-        report.journal_truncated = self.journal.truncate()
+        # Publish what the handlers noted (a legacy run's members, a
+        # compaction's references) while their intents still exist.
         self.store._persist_catalog()
+        report.journal_truncated = self.journal.truncate()
         # Leave every log folded (catalog, index WALs): no
         # tail for the next attach to replay, no interrupted-fold debris.
         self.store.fold_metadata()
@@ -392,16 +393,18 @@ class RecoveryManager:
 
     def _handle_backup(self, intent: Intent, report: RecoveryReport) -> None:
         """Backup: committed iff the catalog (the commit object) lists the
-        intent's ``version``; a discarded one's recipe is deleted.  An older
-        intent, without ``version``, is discarded iff a recipe sits at the
-        path's next version.  The similar-file view holds no uncommitted
-        state, so nothing else is undone."""
+        intent's ``version``.  Its recipe goes unless a live version resolves
+        to it: a job that failed alive leaves its intent open, and the same
+        process may since have committed that version (a retry, perhaps an
+        alias whose recipe then is debris) and dropped it.  An older intent,
+        without ``version``, is discarded iff a recipe sits at the path's
+        next version.  The similar-file view holds no uncommitted state."""
         path = str(intent.payload["path"])
-        committed = self.store.catalog.versions(path)
+        catalog, recipes = self.store.catalog, self.storage.recipes
+        committed = catalog.versions(path)
         version = int(intent.payload.get("version", committed[-1] + 1 if committed else 0))
-        discarded = version not in committed and (
-            self.storage.recipes.delete_recipe(path, version) or "version" in intent.payload
-        )
+        gone = not catalog.recipe_in_use(path, version) and recipes.delete_recipe(path, version)
+        discarded = version not in committed and (gone or "version" in intent.payload)
         if discarded:
             report.discarded.append((intent.seq, intent.kind))
             report.backup_resolutions.append((path, version, "discarded"))
@@ -495,63 +498,57 @@ class RecoveryManager:
         return bytes(data)
 
     def _handle_snapshot(self, intent: Intent, report: RecoveryReport) -> None:
-        """Snapshot run: publish a partial manifest of committed members.
-
-        Every member recorded in the intent committed individually before
-        the journal update that recorded it, so the partial manifest is
-        consistent; the member in flight at the crash is handled by its
-        own ``backup`` intent.
-        """
+        """A run an older process journaled (a member's commit record names
+        its run now): unless published, its committed members join it."""
+        catalog = self.store.catalog
         snapshot_id = str(intent.payload["snapshot_id"])
-        if snapshot_id in self.store.snapshots.list_ids():
-            report.rolled_forward.append((intent.seq, intent.kind))
-            return
-        members = {
-            str(path): int(version)
-            for path, version in intent.payload.get("members", {}).items()
-            if int(version) in self.store.catalog.versions(str(path))
-        }
-        if members:
-            self.store.snapshots.put(Snapshot(snapshot_id, members))
+        if snapshot_id not in catalog.snapshots.list_ids():
+            for path, version in intent.payload.get("members", {}).items():
+                if int(version) in catalog.versions(str(path)):
+                    catalog.join_snapshot(str(path), int(version), snapshot_id)
+        if snapshot_id in catalog.snapshots.list_ids():
             report.rolled_forward.append((intent.seq, intent.kind))
         else:
             report.discarded.append((intent.seq, intent.kind))
 
     def _handle_delete_version(self, intent: Intent, report: RecoveryReport) -> None:
-        """Version delete: committed iff the catalog no longer lists it.
+        """Version delete: committed iff the catalog lists none of the
+        intent's ``versions`` (one record dropped them all).
 
-        The journaled ``recipe`` (None while another live version resolved
-        to it) is the deletion decision made at the commit; replaying it
-        deletes that recipe (its similar-index entries left with the commit
-        record).  An intent without the key predates alias commits: the
-        version owned its recipe.
+        Each entry's containers and recipe (None while another live version
+        resolved to it) are the decision made at the commit; the replay
+        spares what the catalog uses now (a delete that failed alive leaves
+        its intent open, and a later backup may use them again).  An older
+        intent names one ``path``/``version``, one without ``recipe``
+        predates aliases (it owned its recipe).
         """
         payload = intent.payload
-        path = str(payload["path"])
-        version = int(payload["version"])
-        if version in self.store.catalog.versions(path):
-            # The catalog republish (commit) never landed; the loaded
-            # catalog still carries the version fully intact.
+        entries = payload["versions"] if "versions" in payload else [[
+            payload["path"], payload["version"], payload.get("collectable", []),
+            payload.get("recipe", payload["version"]),
+        ]]
+        catalog = self.store.catalog
+        if any(int(version) in catalog.versions(str(path)) for path, version, *_ in entries):
+            # The commit record never landed; the loaded catalog still
+            # carries every version fully intact.
             report.discarded.append((intent.seq, intent.kind))
             return
-        for cid in payload.get("collectable", []):
-            cid = int(cid)
-            if self.containers.exists(cid):
-                self.containers.delete(cid)
-        recipe = payload.get("recipe", version)
-        if recipe is not None:
-            self.storage.recipes.delete_recipe(path, int(recipe))
+        live = catalog.live_container_ids()
+        for path, _version, collectable, recipe in entries:
+            for cid in collectable:
+                if int(cid) not in live and self.containers.exists(int(cid)):
+                    self.containers.delete(int(cid))
+            if recipe is not None and not catalog.recipe_in_use(str(path), int(recipe)):
+                self.storage.recipes.delete_recipe(str(path), int(recipe))
         report.rolled_forward.append((intent.seq, intent.kind))
 
     def _handle_delete_snapshot(self, intent: Intent, report: RecoveryReport) -> None:
-        """Snapshot delete: committed iff the manifest is already gone."""
+        """A snapshot delete an older process journaled: unless the run is
+        gone, its members still oldest and the run go now, in one record."""
         snapshot_id = str(intent.payload["snapshot_id"])
         if snapshot_id in self.store.snapshots.list_ids():
-            for path, version in intent.payload.get("members", []):
-                live = self.store.catalog.versions(str(path))
-                if live and live[0] == int(version):
-                    self.store.delete_version(str(path), int(version))
-            self.store.snapshots.delete(snapshot_id)
+            members = intent.payload.get("members", [])
+            self.store._delete([(str(p), int(v)) for p, v in members], snapshot_id)
         report.rolled_forward.append((intent.seq, intent.kind))
 
     # --- debris collection -----------------------------------------------------

@@ -6,18 +6,24 @@ point in time.  A snapshot records which version of each file belongs to
 one backup run, so a whole run can be restored or collected as a unit
 while the per-file machinery (recipes, versions, dedup) stays unchanged.
 
-Snapshot manifests are small JSON objects on OSS, so they survive process
-restarts together with the rest of the repository.
+Snapshots are catalog state with no object of their own: a member joins
+its run in the catalog record that commits it (a ``join_snapshot`` op), a
+delete drops the run in the record that drops its members, and the
+checkpoint carries :class:`SnapshotStore` as its ``"snapshots"`` section.
+A repository written before kept one manifest per run under
+``snapshots/``, which :func:`read_legacy` reads for the attach folding it.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.oss.object_store import ObjectStorageService
+
+#: Where a repository written before kept one manifest object per run.
+LEGACY_PREFIX = "snapshots/"
 
 
 class SnapshotNotFoundError(ReproError, KeyError):
@@ -35,84 +41,64 @@ class Snapshot:
     snapshot_id: str
     members: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        """Serialise for the OSS manifest object."""
-        return json.dumps(
-            {"snapshot_id": self.snapshot_id, "members": self.members}
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Snapshot":
-        raw = json.loads(payload)
-        return cls(raw["snapshot_id"], {str(k): int(v) for k, v in raw["members"].items()})
-
 
 class SnapshotStore:
-    """Snapshot manifests on OSS, with ordered ids."""
+    """Snapshot id → members, with ordered ids (no request of its own)."""
 
-    PREFIX = "snapshots/"
-
-    def __init__(self, oss: ObjectStorageService, bucket: str = "slimstore") -> None:
-        self._oss = oss
-        self._bucket = bucket
+    def __init__(self) -> None:
+        self._members: dict[str, dict[str, int]] = {}
+        #: Ids handed out by this process stay distinct even while their
+        #: runs have no committed member yet.
         self._next_id = 0
-        oss.create_bucket(bucket)
-
-    def recover(self, reserved_ids: Iterable[str] = ()) -> int:
-        """Resume the id sequence from OSS; returns live snapshot count.
-
-        ``reserved_ids`` names snapshot ids claimed by journal intents of
-        interrupted backup runs.  Their manifests may not exist (the
-        crash hit before publish), so deriving the next id from persisted
-        manifests alone would hand the same id to a new run and let it
-        collide with the journaled one once recovery resolves it — the
-        sequence resumes past both populations.  Non-numeric keys under
-        the prefix are skipped instead of crashing the attach.
-        """
-        ids: list[int] = []
-        count = 0
-        for key in self._oss.peek_keys(self._bucket, self.PREFIX):
-            stem = key[len(self.PREFIX):]
-            if not stem.isdigit():
-                continue
-            ids.append(int(stem))
-            count += 1
-        for reserved in reserved_ids:
-            if str(reserved).isdigit():
-                ids.append(int(reserved))
-        if ids:
-            self._next_id = max(ids) + 1
-        return count
 
     def allocate_id(self) -> str:
-        """The next snapshot id (zero-padded so ids sort by time)."""
-        snapshot_id = f"{self._next_id:08d}"
-        self._next_id += 1
-        return snapshot_id
-
-    def put(self, snapshot: Snapshot) -> None:
-        """Persist a snapshot manifest."""
-        self._oss.put_object(
-            self._bucket,
-            self.PREFIX + snapshot.snapshot_id,
-            snapshot.to_json().encode(),
-        )
+        """The next snapshot id (zero-padded so ids sort by time): past
+        every known id and every id this store handed out."""
+        known = (int(sid) + 1 for sid in self._members if sid.isdigit())
+        number = max(self._next_id, *known, 0)
+        self._next_id = number + 1
+        return f"{number:08d}"
 
     def get(self, snapshot_id: str) -> Snapshot:
-        """Load a snapshot manifest."""
-        try:
-            payload = self._oss.get_object(self._bucket, self.PREFIX + snapshot_id)
-        except KeyError as exc:
-            raise SnapshotNotFoundError(snapshot_id) from exc
-        return Snapshot.from_json(payload.decode())
-
-    def delete(self, snapshot_id: str) -> bool:
-        """Delete a snapshot manifest; True if it existed."""
-        return self._oss.delete_object(self._bucket, self.PREFIX + snapshot_id)
+        """One snapshot's members."""
+        if snapshot_id not in self._members:
+            raise SnapshotNotFoundError(snapshot_id)
+        return Snapshot(snapshot_id, dict(self._members[snapshot_id]))
 
     def list_ids(self) -> list[str]:
         """All snapshot ids, oldest first."""
-        return sorted(
-            key[len(self.PREFIX):]
-            for key in self._oss.peek_keys(self._bucket, self.PREFIX)
-        )
+        return sorted(self._members)
+
+    def join(self, snapshot_id: str, path: str, version: int) -> None:
+        """Record ``version`` of ``path`` as a member of the run."""
+        self._members.setdefault(snapshot_id, {})[path] = version
+
+    def drop(self, snapshot_id: str) -> None:
+        """Forget a run (its members' versions are the caller's)."""
+        self._members.pop(snapshot_id, None)
+
+    def to_json(self) -> dict[str, dict[str, int]]:
+        """The catalog checkpoint's ``"snapshots"`` section."""
+        return {sid: dict(sorted(m.items())) for sid, m in sorted(self._members.items())}
+
+    def load(self, members: dict[str, dict[str, int]]) -> None:
+        """Add runs (a checkpoint's section, or legacy manifests)."""
+        for snapshot_id, paths in members.items():
+            for path, version in paths.items():
+                self.join(str(snapshot_id), str(path), int(version))
+
+
+def read_legacy(
+    oss: ObjectStorageService, bucket: str
+) -> tuple[dict[str, dict[str, int]], list[str]]:
+    """The runs a repository written before kept as ``snapshots/``
+    manifests, and their keys; ``({}, [])`` if none."""
+    members: dict[str, dict[str, int]] = {}
+    keys: list[str] = []
+    for key in sorted(oss.peek_keys(bucket, LEGACY_PREFIX)):
+        if not key[len(LEGACY_PREFIX):].isdigit():
+            continue
+        manifest = json.loads(oss.get_object(bucket, key))
+        members[str(manifest["snapshot_id"])] = manifest["members"]
+        keys.append(key)
+    return members, keys

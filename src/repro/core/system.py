@@ -19,7 +19,8 @@ small record per commit under ``catalog/log/`` (a
 mutator notes its own op, :meth:`SlimStore._persist_catalog` publishes the
 noted ops as one record — the single atomic PUT that makes a version
 visible — and attach replays the records through the same mutators.
-The similar-file index is a view the catalog persists and keeps current.
+The similar-file index and the snapshots (full-volume runs) are views the
+catalog persists and keeps current.
 
 A version the backup job proved byte-identical to the path's latest one is
 an *alias*: its commit is that one catalog record, naming the *origin* — the
@@ -40,11 +41,10 @@ from repro.core.gnode import CompactionReport, GNode, ReverseDedupReport
 from repro.core.lnode import LNode
 from repro.core.restore import RestoreResult
 from repro.core.similar_index import SimilarFileIndex, pack, read_legacy, unpack
-from repro.core.snapshot import Snapshot, SnapshotStore
+from repro.core.snapshot import SnapshotStore, read_legacy as read_legacy_snapshots
 from repro.core.storage import StorageLayer
 from repro.errors import (
     RetryExhaustedError,
-    SimulatedCrashError,
     TransientOSSError,
     VersionNotFoundError,
 )
@@ -121,9 +121,9 @@ class SpaceReport:
 class VersionCatalog:
     """Live versions, per-version container references, garbage lists.
 
-    Every mutator that changes state appends ``[name, path, version,
-    *args]`` to :attr:`pending`; whoever persists the catalog publishes
-    (and clears) that list, and :meth:`replay` re-applies such ops.
+    Every mutator that changes state appends ``[name, *args]`` to
+    :attr:`pending`; whoever persists the catalog publishes (and clears)
+    that list, and :meth:`replay` re-applies such ops.
     """
 
     #: Mutators a persisted op may name.
@@ -135,6 +135,8 @@ class VersionCatalog:
         "mark_degraded",
         "clear_degraded",
         "drop_version",
+        "join_snapshot",
+        "drop_snapshot",
     )
     #: The pending flag's ops keep the names they were first persisted under.
     _RENAMED = {"mark_degraded": "mark_pending", "clear_degraded": "clear_pending"}
@@ -142,6 +144,10 @@ class VersionCatalog:
     def __init__(self, similar: SimilarFileIndex | None = None) -> None:
         #: The similar-file index: a view this catalog's ops keep current.
         self.similar = SimilarFileIndex() if similar is None else similar
+        #: Full-volume runs: snapshot id → {path: version}, another view.
+        self.snapshots = SnapshotStore()
+        #: Whether the loaded checkpoint held the runs (else attach reads ``snapshots/``).
+        self.checkpoint_has_snapshots = False
         self._versions: dict[str, list[int]] = {}
         self._refs: dict[tuple[str, int], set[int]] = {}
         self._garbage: dict[tuple[str, int], set[int]] = {}
@@ -181,6 +187,7 @@ class VersionCatalog:
                     for (path, version), origin in sorted(self._aliases.items())
                 ],
                 "similar": self._view_json(),
+                "snapshots": self.snapshots.to_json(),
             }
         )
 
@@ -218,6 +225,10 @@ class VersionCatalog:
         # Absent before the view rode the catalog: the attach's legacy view stays.
         if "similar" in raw:
             catalog.similar.load({(p, v): unpack(reps) for p, v, reps in raw["similar"]})
+        # Absent before snapshots rode the catalog.
+        if "snapshots" in raw:
+            catalog.snapshots.load(raw["snapshots"])
+            catalog.checkpoint_has_snapshots = True
         return catalog
 
     def settle_view(self) -> None:
@@ -233,10 +244,10 @@ class VersionCatalog:
 
     def replay(self, ops: list[list]) -> None:
         """Re-apply persisted ops through the mutators that noted them."""
-        for name, path, version, *args in ops:
+        for name, *args in ops:
             if name not in self._OPS:
                 raise ValueError(f"unknown catalog op: {name!r}")
-            getattr(self, self._RENAMED.get(name, name))(path, version, *args)
+            getattr(self, self._RENAMED.get(name, name))(*args)
         self.pending.clear()
 
     # --- pending G-node work ----------------------------------------------
@@ -394,21 +405,46 @@ class VersionCatalog:
 
     def drop_version(self, path: str, version: int) -> list[int]:
         """Sweep phase: release references, return collectable containers."""
+        ((_, _, collectable, recipe),) = self.drop_plan([(path, version)])
         key = (path, version)
-        if key not in self._refs:
-            raise VersionNotFoundError(path, version)
         self.pending.append(["drop_version", path, version])
         self._versions[path].remove(version)
         self._pending.pop(key, None)
-        recipe = self._aliases.pop(key, version)
-        if not self.recipe_in_use(path, recipe):
+        self._aliases.pop(key, None)
+        self._garbage.pop(key, None)
+        if recipe is not None:
             # The recipe goes with its last live version, its view entries too.
             self.similar.forget_version(path, recipe)
-        references = self._refs.pop(key)
-        for cid in references:
+        for cid in self._refs.pop(key):
             self._refcount[cid] -= 1
-        candidates = self._garbage.pop(key, set()) | references
-        return sorted(cid for cid in candidates if self._refcount[cid] <= 0)
+        return collectable
+
+    def drop_plan(self, keys: list[tuple[str, int]]) -> list[list]:
+        """What dropping ``keys`` together releases, without dropping them:
+        per version ``[path, version, collectable containers (each listed
+        once), its recipe, or None while a version kept resolves to it]``."""
+        released = Counter(cid for key in keys for cid in self.references(*key))
+        plan, claimed = [], set()
+        for key in keys:
+            candidates = (self._garbage.get(key, set()) | self._refs[key]) - claimed
+            collectable = sorted(c for c in candidates if self._refcount[c] <= released[c])
+            claimed.update(collectable)
+            path, version = key
+            others = [(path, v) for v in self._versions[path] if (path, v) not in keys]
+            recipe, kept = self.recipe_version(*key), {self.recipe_version(*k) for k in others}
+            plan.append([path, version, collectable, None if recipe in kept else recipe])
+        return plan
+
+    # --- snapshots ------------------------------------------------------------
+    def join_snapshot(self, path: str, version: int, snapshot_id: str) -> None:
+        """Record committed ``version`` of ``path`` as a member of a run."""
+        self.pending.append(["join_snapshot", path, version, snapshot_id])
+        self.snapshots.join(snapshot_id, path, version)
+
+    def drop_snapshot(self, snapshot_id: str) -> None:
+        """Forget a run (its members' versions are dropped on their own)."""
+        self.pending.append(["drop_snapshot", snapshot_id])
+        self.snapshots.drop(snapshot_id)
 
 
 class SlimStore:
@@ -449,25 +485,33 @@ class SlimStore:
         #: One L-node serves every job: it is stateless (a fresh engine per
         #: job over the shared storage layer), so which node of a pool ran
         #: a job would change nothing.  Concurrent jobs over an L-node pool
-        #: are :class:`~repro.core.cluster.ClusterSimulator`'s model.
-        self.lnode = LNode(0, self.config, self.storage, self.cost_model, self.executor)
+        #: are :class:`~repro.core.cluster.ClusterSimulator`'s model.  A
+        #: version enters the similar index with its commit record.
+        self.lnode = LNode(
+            0, self.config, self.storage, self.cost_model, self.executor, register_view=False
+        )
         self.gnode = GNode(self.config, self.storage, self.cost_model)
         self.catalog = VersionCatalog(self.storage.similar_index)
-        # Snapshot metadata and the catalog ride the same (possibly
-        # retrying) endpoint as the rest of the storage layer.
+        # The catalog rides the storage layer's (possibly retrying) endpoint.
         #: Checkpoint ``catalog/state.json`` plus one record per commit.
         self.catalog_log = DeltaLog(
             self.storage.oss, bucket, self.CATALOG_KEY, self.CATALOG_LOG_PREFIX
         )
-        self.snapshots = SnapshotStore(self.storage.oss, bucket)
         #: Report of the last attach-time recovery pass (None until
         #: :meth:`recover` runs against a dirty repository).
         self.last_recovery = None
         #: Keys of the similar index's legacy layout, until a fold migrates them.
         self._legacy_similar: list[str] = []
+        #: Keys of legacy ``snapshots/`` manifests, until a fold migrates them.
+        self._legacy_snapshots: list[str] = []
 
     CATALOG_KEY = "catalog/state.json"
     CATALOG_LOG_PREFIX = "catalog/log/"
+
+    @property
+    def snapshots(self) -> SnapshotStore:
+        """The full-volume runs: a view the catalog keeps (no request)."""
+        return self.catalog.snapshots
 
     def close(self) -> None:
         """Publish the catalog's unpublished ops (an inline pass's clear),
@@ -486,10 +530,9 @@ class SlimStore:
 
         Rebuilds every stateful component from storage: the intent
         journal, the container id space, the global index (with its Bloom
-        filter), the snapshot id sequence (reserving ids claimed by
-        journaled-but-unpublished runs) and the version catalog with its
-        similar-file view (its checkpoint, then the commit records logged
-        since, replayed in order).  Returns True if a catalog was found
+        filter) and the version catalog with its similar-file and snapshot
+        views (its checkpoint, then the commit records logged since,
+        replayed in order).  Returns True if a catalog was found
         (i.e. the repository had prior backups).
 
         When the journal holds open intents, the container store reports
@@ -502,8 +545,8 @@ class SlimStore:
         truncates the journal; its report lands in ``last_recovery``.
         The same switch gates the attach-time fold of every log (catalog,
         index WALs, durability tier; it writes) and the migration of the
-        similar index's legacy layout, so an inspection attach stays
-        read-only.
+        legacy layouts of the similar index and of the snapshots, so an
+        inspection attach stays read-only.
         """
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
@@ -515,12 +558,6 @@ class SlimStore:
                 # migrated here, and its objects then count as debris.
                 durability.fold_if_logged()
         self.storage.global_index.recover()
-        reserved = [
-            str(intent.payload["snapshot_id"])
-            for intent in intents
-            if intent.kind == "snapshot" and "snapshot_id" in intent.payload
-        ]
-        self.snapshots.recover(reserved_ids=reserved)
         # The legacy layout's view, unless the checkpoint carries its own.
         similar = self.storage.similar_index
         legacy, self._legacy_similar = read_legacy(self.storage.oss, self.bucket)
@@ -531,6 +568,10 @@ class SlimStore:
             if payload is None
             else VersionCatalog.from_json(payload.decode(), similar)
         )
+        if not self.catalog.checkpoint_has_snapshots:
+            # Written before snapshots rode the catalog (or never folded).
+            legacy, self._legacy_snapshots = read_legacy_snapshots(self.storage.oss, self.bucket)
+            self.catalog.snapshots.load(legacy)
         records = self.catalog_log.read_tail(self.catalog.log_next)
         for record in records:
             self.catalog.replay(json.loads(record))
@@ -552,13 +593,16 @@ class SlimStore:
             self.fold_metadata()
         return found
 
-    def _persist_catalog(self) -> None:
-        """Publish the catalog ops noted since the last call as one commit
-        record (nothing to publish, nothing written); fold when due."""
-        ops = self.catalog.pending
-        if ops:
-            self.catalog_log.append(json.dumps(ops).encode())
-            ops.clear()
+    def _persist_catalog(self, ops: list[list] = ()) -> None:
+        """Publish the ops noted since the last call plus ``ops`` as one
+        commit record, then apply ``ops``: a record that does not land
+        leaves the catalog what OSS holds.  Fold when due."""
+        catalog = self.catalog
+        record = catalog.pending + list(ops)
+        if record:
+            self.catalog_log.append(json.dumps(record).encode())
+            catalog.pending.clear()
+            catalog.replay(ops)
         self.catalog_log.fold_if_due(self._catalog_checkpoint)
 
     def _catalog_checkpoint(self, log_next: int) -> bytes:
@@ -568,7 +612,13 @@ class SlimStore:
         """Fold whichever log holds records (tail or debris) — the catalog's,
         each global-index shard's WAL, the durability tier's — so the next
         attach has nothing to replay; a no-op on folded logs.  A legacy
-        similar-index layout folds into the catalog checkpoint and goes."""
+        similar-index layout folds into the catalog checkpoint and goes, as
+        do legacy snapshot manifests (their runs first ride a record)."""
+        if self._legacy_snapshots:
+            runs = self.catalog.snapshots.to_json().items()
+            self._persist_catalog([["join_snapshot", *m, i] for i, ms in runs for m in ms.items()])
+            self.storage.oss.delete_objects(self.bucket, self._legacy_snapshots)
+            self._legacy_snapshots = []
         if self._legacy_similar:
             self.catalog_log.fold(self._catalog_checkpoint)
             self.storage.oss.delete_objects(self.bucket, self._legacy_similar)
@@ -607,12 +657,20 @@ class SlimStore:
         visible.  A ``backup`` intent (carrying the version and the
         container-id watermark taken on entry) brackets the uncommitted
         window so recovery can discard a half-written version and GC its
-        orphaned containers; the job opens
-        it just before its first write, so a version it proves identical
-        to its predecessor — an alias, which writes nothing before the
-        commit record — opens none.  The G-node pass runs only after the
+        orphaned containers (a job that fails alive leaves it open too); the
+        job opens it just before its first write, so a version it proves
+        identical to its predecessor — an alias, which writes nothing before
+        the commit record — opens none.  The G-node pass runs only after the
         commit, and never for an alias (it stored nothing).
         """
+        return self._backup(path, data, run_gnode, rewrite_containers)
+
+    def _backup(
+        self, path: str, data: bytes, run_gnode: bool = True,
+        rewrite_containers: set[int] | None = None, snapshot_id: str | None = None,
+    ) -> BackupReport:
+        """:meth:`backup`, whose commit record also makes the version a
+        member of run ``snapshot_id`` (when set)."""
         journal = self.storage.journal
         watermark = self.storage.containers.peek_next_id()
         live = self.catalog.versions(path)
@@ -623,31 +681,22 @@ class SlimStore:
             nonlocal seq
             seq = journal.begin("backup", path=path, version=version, watermark=watermark)
 
-        try:
-            result = self.lnode.backup(
-                path,
-                data,
-                rewrite_containers=rewrite_containers,
-                version=version,
-                on_first_write=open_intent,
-            )
-            # COMMIT: one atomic commit-record PUT publishes the version.
-            if result.alias_of is not None:
-                self.catalog.alias(path, version, result.alias_of)
-            else:
-                refs = result.recipe.referenced_containers()
-                reps = pack(result.representatives)
-                self.catalog.register(path, version, refs, result.new_container_ids, reps)
-            self._persist_catalog()
-        except SimulatedCrashError:
-            # The node is dead; the open intent is the recovery record.
-            raise
-        except Exception:
-            # Still alive (e.g. retries exhausted): nothing uncommitted
-            # survives this process, so retire the intent before failing.
-            if seq is not None:
-                journal.close(seq)
-            raise
+        result = self.lnode.backup(
+            path, data, rewrite_containers, version=version, on_first_write=open_intent
+        )
+        if result.alias_of is not None:
+            ops = [["alias", path, version, result.alias_of]]
+        else:
+            # The op :meth:`VersionCatalog.register` notes for this commit.
+            refs = sorted(result.recipe.referenced_containers())
+            reps = pack(result.representatives)
+            op = ["register", path, version, refs, result.new_container_ids]
+            ops = [op + [reps] if reps else op]
+        if snapshot_id is not None:
+            ops.append(["join_snapshot", path, version, snapshot_id])
+        # COMMIT: one atomic commit-record PUT publishes the version.  Any
+        # failure before it leaves the intent open as the recovery record.
+        self._persist_catalog(ops)
         if seq is not None:
             journal.close(seq)
 
@@ -691,29 +740,18 @@ class SlimStore:
         """Back up one full-volume run: every file as its next version,
         grouped under a snapshot id.
 
-        The run is journaled as a ``snapshot`` intent whose member map
-        grows as each file commits, so a crash mid-run lets recovery
-        publish a partial manifest covering exactly the committed
-        members (each of which is individually consistent).
+        Each member joins the run in its own commit record, so a member
+        belongs to the run exactly when it is committed; a run that dies
+        before its first commit leaves no trace.
         """
-        journal = self.storage.journal
-        snapshot = Snapshot(self.snapshots.allocate_id())
-        seq = journal.begin("snapshot", snapshot_id=snapshot.snapshot_id, members={})
-        reports = []
-        for path in sorted(files):
-            report = self.backup(path, files[path], run_gnode=run_gnode)
-            snapshot.members[path] = report.version
-            reports.append(report)
-            journal.update(
-                seq,
-                "snapshot",
-                snapshot_id=snapshot.snapshot_id,
-                members=dict(snapshot.members),
-            )
-        # COMMIT: the manifest put makes the snapshot visible.
-        self.snapshots.put(snapshot)
-        journal.close(seq)
-        return snapshot.snapshot_id, reports
+        if not files:
+            raise ValueError("a snapshot needs at least one file")
+        snapshot_id = self.snapshots.allocate_id()
+        reports = [
+            self._backup(path, files[path], run_gnode, snapshot_id=snapshot_id)
+            for path in sorted(files)
+        ]
+        return snapshot_id, reports
 
     def restore_snapshot(
         self, snapshot_id: str, prefetch_threads: int | None = None
@@ -730,36 +768,16 @@ class SlimStore:
         returns bytes reclaimed.
 
         Each member version is collected when it is the oldest live
-        version of its path; members shared with newer snapshots (files
-        that did not change between runs) are left alone.
+        version of its path; members shared with newer snapshots are left
+        alone.  The members and the snapshot go in one catalog record
+        (see :meth:`_delete`).
         """
         ids = self.snapshots.list_ids()
         if not ids or snapshot_id != ids[0]:
             raise VersionNotFoundError(f"snapshot:{snapshot_id}")
-        snapshot = self.snapshots.get(snapshot_id)
-        retained: set[tuple[str, int]] = set()
-        for other_id in ids[1:]:
-            other = self.snapshots.get(other_id)
-            retained.update(other.members.items())
-        members = [
-            [path, version]
-            for path, version in sorted(snapshot.members.items())
-            if (path, version) not in retained
-        ]
-        journal = self.storage.journal
-        seq = journal.begin(
-            "delete_snapshot", snapshot_id=snapshot_id, members=members
-        )
-        reclaimed = 0
-        for path, version in members:
-            live = self.catalog.versions(path)
-            if live and live[0] == version:
-                reclaimed += self.delete_version(path, version)
-        # COMMIT: dropping the manifest retires the snapshot; recovery
-        # re-runs the member deletes while the manifest still exists.
-        self.snapshots.delete(snapshot_id)
-        journal.close(seq)
-        return reclaimed
+        retained = {m for other in ids[1:] for m in self.snapshots.get(other).members.items()}
+        members = sorted(self.snapshots.get(snapshot_id).members.items())
+        return self._delete([m for m in members if m not in retained], snapshot_id)
 
     def delete_version(self, path: str, version: int) -> int:
         """Collect one version; returns bytes reclaimed.
@@ -771,40 +789,37 @@ class SlimStore:
         only with the last live version resolving to it, and with it the
         recipe's similar-index entries, so no header probe can detect a
         base that no longer exists.
-
-        Commit ordering: the collectable set and the recipe to delete
-        (None while another version still resolves to it) are journaled,
-        then the catalog record dropping the version (and the recipe's
-        similar-index entries) is published — the commit point — and only
-        afterwards are containers and recipe physically removed (both
-        idempotent, so recovery can replay them).  Under a tombstone grace the containers
-        are entombed rather than deleted, keeping concurrent restores
-        readable.
         """
         live = self.catalog.versions(path)
         if not live or version != live[0]:
             raise VersionNotFoundError(path, version)
-        recipe = self.catalog.recipe_version(path, version)
-        collectable = self.catalog.drop_version(path, version)
-        if self.catalog.recipe_in_use(path, recipe):
-            recipe = None
+        return self._delete([(path, version)])
+
+    def _delete(self, members: list[tuple[str, int]], snapshot_id: str | None = None) -> int:
+        """Drop those of ``members`` that are their path's oldest live
+        version, and snapshot ``snapshot_id`` (when set); returns bytes
+        reclaimed.  Commit ordering: a ``delete_version`` intent journals
+        the :meth:`VersionCatalog.drop_plan`, one catalog record dropping it
+        all is the commit point, and only then are containers (entombed
+        under a grace) and recipes removed, idempotently for recovery."""
+        keys = [(p, v) for p, v in members if self.catalog.versions(p)[:1] == [v]]
+        plan = self.catalog.drop_plan(keys)
+        ops = [["drop_version", path, version] for path, version in keys]
+        if snapshot_id is not None:
+            ops.append(["drop_snapshot", snapshot_id])
         journal = self.storage.journal
-        seq = journal.begin(
-            "delete_version",
-            path=path,
-            version=version,
-            collectable=collectable,
-            recipe=recipe,
-        )
-        # COMMIT: the record drops the version from the published catalog.
-        self._persist_catalog()
+        seq = journal.begin("delete_version", versions=plan)
+        # COMMIT: the record drops the versions from the published catalog.
+        self._persist_catalog(ops)
+        containers = self.storage.containers
         reclaimed = 0
-        for cid in collectable:
-            if self.storage.containers.exists(cid):
-                reclaimed += self.storage.containers.container_size(cid)
-                self.storage.containers.delete(cid)
-        if recipe is not None:
-            self.storage.recipes.delete_recipe(path, recipe)
+        for path, _version, collectable, recipe in plan:
+            for cid in collectable:
+                if containers.exists(cid):
+                    reclaimed += containers.container_size(cid)
+                    containers.delete(cid)
+            if recipe is not None:
+                self.storage.recipes.delete_recipe(path, recipe)
         journal.close(seq)
         return reclaimed
 

@@ -32,13 +32,14 @@ class TestLifecycle:
         assert len(set(seqs)) == len(seqs)
 
     def test_update_overwrites_payload_in_place(self, journal):
-        seq = journal.begin("snapshot", snapshot_id="00000000", members={})
+        seq = journal.begin("compaction", path="f", version=0, watermark=4, sparse=[2])
         journal.update(
-            seq, "snapshot", snapshot_id="00000000", members={"f": 0}
+            seq, "compaction", path="f", version=0, watermark=4, sparse=[2],
+            moves={"ab": 5}, new_cids=[5],
         )
         (intent,) = journal.open_intents()
         assert intent.seq == seq
-        assert intent.payload["members"] == {"f": 0}
+        assert intent.payload["moves"] == {"ab": 5}
 
 
 class TestRecovery:

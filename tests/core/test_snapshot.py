@@ -3,44 +3,55 @@
 import pytest
 
 from repro import SlimStore, SlimStoreConfig
-from repro.core.snapshot import Snapshot, SnapshotNotFoundError, SnapshotStore
-from repro.errors import VersionNotFoundError
+from repro.core.snapshot import LEGACY_PREFIX, Snapshot, SnapshotNotFoundError, SnapshotStore
+from repro.core.system import VersionCatalog
+from repro.errors import SimulatedCrashError, VersionNotFoundError
+from repro.oss.faults import FaultPolicy
 from tests.conftest import mutate, random_bytes
 
 CONFIG = SlimStoreConfig(container_bytes=64 * 1024, segment_bytes=32 * 1024)
 
 
 class TestSnapshotStore:
-    def test_put_get_roundtrip(self, oss):
-        store = SnapshotStore(oss)
-        snapshot = Snapshot("00000001", {"a": 0, "b": 3})
-        store.put(snapshot)
+    def test_join_get_roundtrip(self):
+        store = SnapshotStore()
+        store.join("00000001", "a", 0)
+        store.join("00000001", "b", 3)
         loaded = store.get("00000001")
-        assert loaded.members == {"a": 0, "b": 3}
+        assert loaded == Snapshot("00000001", {"a": 0, "b": 3})
+        # ... and through the catalog checkpoint's section.
+        catalog = VersionCatalog()
+        catalog.snapshots.load(store.to_json())
+        rebuilt = VersionCatalog.from_json(catalog.to_json())
+        assert rebuilt.snapshots.get("00000001") == loaded
+        assert rebuilt.checkpoint_has_snapshots
 
-    def test_missing_raises(self, oss):
+    def test_missing_raises(self):
         with pytest.raises(SnapshotNotFoundError):
-            SnapshotStore(oss).get("missing")
+            SnapshotStore().get("missing")
 
-    def test_ids_allocate_in_order(self, oss):
-        store = SnapshotStore(oss)
+    def test_ids_allocate_in_order(self):
+        store = SnapshotStore()
         first, second = store.allocate_id(), store.allocate_id()
         assert first < second
 
     def test_recover_resumes_sequence(self, oss):
-        store = SnapshotStore(oss)
-        store.put(Snapshot(store.allocate_id(), {"a": 0}))
-        fresh = SnapshotStore(oss)
-        assert fresh.recover() == 1
-        assert fresh.allocate_id() == "00000001"
+        store = SlimStore(CONFIG, oss)
+        store.backup_snapshot({"a": b"a volume"})
+        fresh = SlimStore(CONFIG, oss)
+        fresh.recover()
+        assert fresh.snapshots.list_ids() == ["00000000"]
+        assert fresh.snapshots.allocate_id() == "00000001"
 
-    def test_list_and_delete(self, oss):
-        store = SnapshotStore(oss)
-        store.put(Snapshot(store.allocate_id()))
-        store.put(Snapshot(store.allocate_id()))
+    def test_list_and_delete(self):
+        store = SnapshotStore()
+        store.join(store.allocate_id(), "a", 0)
+        store.join(store.allocate_id(), "a", 1)
         assert store.list_ids() == ["00000000", "00000001"]
-        assert store.delete("00000000") is True
+        store.drop("00000000")
         assert store.list_ids() == ["00000001"]
+        # A dropped id is not handed out again by the same store.
+        assert store.allocate_id() == "00000002"
 
 
 class TestSystemSnapshots:
@@ -137,24 +148,33 @@ class TestDeepClean:
 
 class TestReservedIds:
     def test_reserved_ids_advance_the_sequence(self, oss):
-        store = SnapshotStore(oss, "b")
-        store.put(Snapshot("00000000", {"f": 0}))
-        fresh = SnapshotStore(oss, "b")
-        # A journaled run claimed id 00000001 but crashed before
-        # publishing its manifest: a new run must not reuse it.
-        fresh.recover(reserved_ids=["00000001"])
-        assert fresh.allocate_id() == "00000002"
+        """A run that died after its first member committed holds its id
+        (the member's commit record names it): a new run must not reuse it.
+        A run that died before any commit left no trace, and its id may be."""
+        store = SlimStore(CONFIG, oss)
+        store.backup_snapshot({"f": b"first run"})
+        policy = FaultPolicy()
+        policy.crash_after_writes(8)  # in g's job, after f's commit record
+        oss.set_fault_policy(policy)
+        with pytest.raises(SimulatedCrashError):
+            store.backup_snapshot({"f": b"second run", "g": b"never committed"})
+        oss.set_fault_policy(None)
+        fresh = SlimStore(CONFIG, oss)
+        fresh.recover()
+        assert fresh.snapshots.get("00000001").members == {"f": 1}
+        assert fresh.snapshots.allocate_id() == "00000002"
 
     def test_recover_without_reservations_matches_manifests(self, oss):
-        store = SnapshotStore(oss, "b")
-        store.put(Snapshot("00000003", {"f": 0}))
-        fresh = SnapshotStore(oss, "b")
-        assert fresh.recover() == 1
-        assert fresh.allocate_id() == "00000004"
+        oss.create_bucket("slimstore")
+        oss.put_object("slimstore", "snapshots/00000003", b'{"snapshot_id": "00000003", "members": {"f": 0}}')
+        fresh = SlimStore(CONFIG, oss)
+        fresh.recover()
+        assert fresh.snapshots.allocate_id() == "00000004"
 
     def test_non_numeric_keys_and_reservations_are_skipped(self, oss):
-        oss.create_bucket("b")
-        oss.put_object("b", SnapshotStore.PREFIX + "README", b"x")
-        store = SnapshotStore(oss, "b")
-        assert store.recover(reserved_ids=["latest"]) == 0
-        assert store.allocate_id() == "00000000"
+        oss.create_bucket("slimstore")
+        oss.put_object("slimstore", LEGACY_PREFIX + "README", b"x")
+        store = SlimStore(CONFIG, oss)
+        store.recover()
+        assert store.snapshots.list_ids() == []
+        assert store.snapshots.allocate_id() == "00000000"

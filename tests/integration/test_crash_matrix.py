@@ -519,14 +519,15 @@ class TestSnapshotCrashMatrix:
                 assert_exactly_visible(survivor, path, versions)
                 if versions:
                     assert survivor.restore(path, 0).data == payload
-            # A published (possibly partial) manifest names only
-            # committed, restorable members.
+            # The run lists exactly its committed members (each joined the
+            # run in its own commit record), and they restore.
+            committed = {path: 0 for path in files if survivor.versions(path) == [0]}
             published = set(survivor.snapshots.list_ids())
+            assert published == ({"00000000"} if committed else set()), crash_at
             for snapshot_id in published:
                 snapshot = survivor.snapshots.get(snapshot_id)
-                assert snapshot.members
+                assert snapshot.members == committed, crash_at
                 for path, version in snapshot.members.items():
-                    assert version in survivor.versions(path)
                     assert survivor.restore(path, version).data == files[path]
             assert_zero_debris(survivor)
             # The snapshot id sequence never collides with a published
@@ -538,3 +539,66 @@ class TestSnapshotCrashMatrix:
             assert follow_up not in published
 
         run_matrix(base_state, action, verify, fold=fold)
+
+
+class TestDeleteSnapshotCrashMatrix:
+    """Crash at every write of a snapshot delete: the older of two runs
+    whose unchanged member (an alias in the newer run) keeps its recipe."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        rng = np.random.default_rng(97531)
+        older = {
+            "vol/a": random_bytes(rng, 48 * 1024),
+            "vol/b": random_bytes(rng, 48 * 1024),
+            "vol/c": random_bytes(rng, 32 * 1024),
+        }
+        newer = dict(older)
+        newer["vol/a"] = mutate(rng, older["vol/a"], 2, 4096)
+        newer["vol/b"] = mutate(rng, older["vol/b"], 2, 4096)
+        store = attach()
+        first, _ = store.backup_snapshot(older)
+        second, _ = store.backup_snapshot(newer)
+        store.close()  # publish the last inline pass's clear
+        return clone_state(store.oss), (first, older), (second, newer)
+
+    def test_crash_at_every_write_index(self, base):
+        self._sweep(base)
+
+    def test_crash_at_every_write_index_across_folds(self, base, monkeypatch):
+        """The catalog fold lands at the delete's own commit point."""
+        monkeypatch.setattr("repro.oss.deltalog.FOLD_EVERY", 2)
+        base_state, (first, _older), _newer = base
+        assert folds_crossed(
+            base_state, lambda store: store.delete_snapshot(first)
+        ) == set(CHECKPOINTS)
+        self._sweep(base, fold=False)
+
+    def _sweep(self, base, fold: bool = True):
+        base_state, (first, older), (second, newer) = base
+
+        def action(store: SlimStore) -> None:
+            store.delete_snapshot(first)
+
+        def verify(survivor: SlimStore, crash_at: int) -> None:
+            ids = survivor.snapshots.list_ids()
+            assert ids in ([first, second], [second]), (crash_at, ids)
+            if first in ids:
+                # Not deleted: every member of the older run restores.
+                assert survivor.restore_snapshot(first) == older, crash_at
+            else:
+                # Deleted: so is every member no newer run retains.
+                for path in older:
+                    assert survivor.versions(path) == [1], (crash_at, path)
+                    with pytest.raises(VersionNotFoundError):
+                        survivor.restore(path, 0)
+            # The unchanged member's recipe outlives the older run.
+            assert survivor.restore_snapshot(second) == newer, crash_at
+            assert_zero_debris(survivor)
+            if first in ids:
+                survivor.delete_snapshot(first)
+                assert survivor.snapshots.list_ids() == [second]
+                assert survivor.restore_snapshot(second) == newer, crash_at
+
+        total = run_matrix(base_state, action, verify, fold=fold)
+        assert total > 3

@@ -2,8 +2,9 @@
 
 The crash matrix (``test_crash_matrix``) sweeps *every* write index; this
 suite pins the interesting windows by name — uncommitted backup discard,
-committed backup roll-forward, partial snapshot publish — and asserts
-the recovery report labels them correctly.  It also covers the
+committed backup roll-forward, a snapshot run cut short — and asserts
+the recovery report labels them correctly.  A commit record that fails
+without a crash leaves the live catalog what OSS holds.  It also covers the
 two-phase-deletion grace epoch: a reader that planned a restore against
 pre-maintenance metadata keeps reading entombed containers byte-for-byte
 until the grace expires.
@@ -17,7 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.system import SlimStore
-from repro.errors import ObjectNotFoundError, SimulatedCrashError
+from repro.errors import (
+    ObjectNotFoundError,
+    RetryExhaustedError,
+    SimulatedCrashError,
+    TransientOSSError,
+    VersionNotFoundError,
+)
 from repro.oss.faults import FaultPolicy
 from tests.conftest import SMALL_CONFIG, random_bytes
 from tests.integration.test_crash_matrix import (
@@ -127,21 +134,157 @@ class TestSnapshotPartialPublish:
             b_done = survivor.versions("vol/b") == [0]
             if not (a_done and not b_done):
                 continue
-            # vol/a committed but vol/b did not.  Two correct outcomes:
-            # the intent had recorded vol/a (the journal update landed)
-            # and recovery published a partial manifest naming it alone,
-            # or the crash beat the journal update and no manifest exists
-            # (the committed member simply belongs to no snapshot).
-            ids = survivor.snapshots.list_ids()
-            if not ids:
-                continue
+            # vol/a committed but vol/b did not: vol/a joined the run in
+            # its own commit record, so the run names it alone.
             found_partial = True
-            assert len(ids) == 1
+            ids = survivor.snapshots.list_ids()
+            assert len(ids) == 1, index
             snapshot = survivor.snapshots.get(ids[0])
-            assert snapshot.members == {"vol/a": 0}
+            assert snapshot.members == {"vol/a": 0}, index
             assert survivor.restore_snapshot(ids[0]) == {"vol/a": files["vol/a"]}
-            break
         assert found_partial, "no crash index hit the partial-publish window"
+
+
+class RefuseCatalogRecords(FaultPolicy):
+    """The endpoint refuses every commit record PUT (no crash)."""
+
+    def before_request(self, op, bucket, key):
+        if op == "put" and key.startswith("catalog/log/"):
+            raise TransientOSSError(op, bucket, key, reason="catalog log refused")
+        return super().before_request(op, bucket, key)
+
+
+def assert_no_orphans(store: SlimStore) -> None:
+    live = set(store.storage.containers.container_ids())
+    assert live <= store.catalog.live_container_ids()
+    assert store.storage.journal.open_intents() == []
+
+
+class TestFailedCatalogPublish:
+    """A commit record that does not land, with the node still alive: the
+    job's catalog ops are not applied, ops queued before stay queued, and
+    what the job wrote stays collectable by the next attach."""
+
+    def test_failed_backup_commits_nothing_and_its_debris_is_collected(self, rng):
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        store.backup("f", d0)
+        store.oss.set_fault_policy(RefuseCatalogRecords())
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.backup("f", d1)
+        store.oss.set_fault_policy(None)
+        assert store.versions("f") == [0]
+        # Only the first backup's inline clear is still queued.
+        assert [op[0] for op in store.catalog.pending] == ["clear_degraded"]
+        assert store.storage.similar_index.latest_version("f") == 0
+        assert store.restore("f").data == d0
+        # The job wrote containers and a recipe: its intent stays open, so
+        # the next attach collects them.
+        assert [i.kind for i in store.storage.journal.open_intents()] == ["backup"]
+        survivor = reattach(store)
+        assert survivor.versions("f") == [0]
+        assert survivor.last_recovery.backup_resolutions == [("f", 1, "discarded")]
+        with pytest.raises(VersionNotFoundError):
+            survivor.storage.recipes.get_recipe("f", 1)
+        assert_no_orphans(survivor)
+        assert survivor.restore("f", 0).data == d0
+
+    def test_the_live_process_commits_the_version_later(self, rng):
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        store.backup("f", d0)
+        store.oss.set_fault_policy(RefuseCatalogRecords())
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.backup("f", d1)
+        store.oss.set_fault_policy(None)
+        assert store.backup("f", d1).version == 1
+        store.close()
+        survivor = reattach(store)
+        assert survivor.versions("f") == [0, 1]
+        assert_no_orphans(survivor)
+        for version, payload in enumerate((d0, d1)):
+            assert survivor.restore("f", version).data == payload
+
+    def _fail_backup(self, store, data) -> None:
+        store.oss.set_fault_policy(RefuseCatalogRecords())
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.backup("f", data)
+        store.oss.set_fault_policy(None)
+
+    def test_a_stale_intent_spares_a_retried_recipe_an_alias_keeps(self, rng):
+        """The failed job's version is committed by a retry, an unchanged
+        re-backup aliases it, and FIFO deletes drop the retry (its recipe
+        stays for the alias): the next attach must not delete that recipe."""
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        store.backup("f", d0)
+        self._fail_backup(store, d1)
+        assert store.backup("f", d1).version == 1
+        assert store.backup("f", d1).result.alias_of == 1
+        store.delete_version("f", 0)
+        store.delete_version("f", 1)
+        survivor = reattach(store)
+        assert survivor.versions("f") == [2]
+        assert survivor.restore("f", 2).data == d1
+        assert_no_orphans(survivor)
+
+    def test_a_stale_intent_collects_the_recipe_an_alias_retry_left(self, rng):
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        store.backup("f", d0)
+        self._fail_backup(store, d1)
+        assert store.backup("f", d0).result.alias_of == 0
+        survivor = reattach(store)
+        assert survivor.versions("f") == [0, 1]
+        with pytest.raises(VersionNotFoundError):
+            survivor.storage.recipes.get_recipe("f", 1)
+        assert survivor.restore("f", 1).data == d0
+        assert_no_orphans(survivor)
+
+    def test_a_stale_delete_intent_spares_containers_referenced_again(self, rng):
+        """A delete that failed alive keeps its intent; a later backup
+        references the containers it listed, and a retried delete then
+        keeps them: the next attach must keep them too."""
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        store.backup("f", d0)
+        store.backup("f", d1)
+        store.oss.set_fault_policy(RefuseCatalogRecords())
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.delete_version("f", 0)
+        store.oss.set_fault_policy(None)
+        shared = store.catalog.references("f", 0) - store.catalog.references("f", 1)
+        assert store.backup("g", d0).version == 0
+        assert shared & store.catalog.references("g", 0)
+        store.delete_version("f", 0)
+        survivor = reattach(store)
+        assert survivor.versions("f") == [1]
+        assert survivor.restore("g", 0).data == d0
+        assert survivor.restore("f", 1).data == d1
+        assert_no_orphans(survivor)
+
+    def test_failed_deletes_drop_nothing(self, rng):
+        d0, d1 = random_bytes(rng, 200 * 1024), random_bytes(rng, 200 * 1024)
+        store = attach()
+        first, _ = store.backup_snapshot({"f": d0})
+        second, _ = store.backup_snapshot({"f": d1})
+        store.oss.set_fault_policy(RefuseCatalogRecords())
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.delete_snapshot(first)
+        with pytest.raises((TransientOSSError, RetryExhaustedError)):
+            store.delete_version("f", 0)
+        store.oss.set_fault_policy(None)
+        for node in (store, reattach(store)):
+            assert node.versions("f") == [0, 1]
+            assert node.snapshots.list_ids() == [first, second]
+            assert node.restore("f", 0).data == d0
+            assert node.restore_snapshot(second) == {"f": d1}
+        survivor = reattach(store)
+        assert_no_orphans(survivor)
+        survivor.delete_snapshot(first)
+        assert survivor.versions("f") == [1]
+        assert survivor.restore_snapshot(second) == {"f": d1}
+        assert_no_orphans(survivor)
 
 
 class TestScrubReportsTornDamage:
