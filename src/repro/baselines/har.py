@@ -68,6 +68,8 @@ class HARDriver:
         result = engine.backup(
             path, data, rewrite_containers=state.sparse_containers, version=len(recipes)
         )
+        if result.alias_of is None:
+            self.storage.similar_index.register(path, result.version, result.representatives)
         recipes.append(result.version if result.alias_of is None else result.alias_of)
         state.sparse_containers = self._detect_sparse(result)
         return result

@@ -47,13 +47,13 @@ is lost once ``flush`` returned, and no staging byte survives recovery.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.blockcache import BlockCache
 from repro.core.recipe import ChunkRecord
-from repro.core.restore_plan import RANGED_READ_GAP_BYTES, RestorePlanner
+from repro.core.restore_plan import RANGED_READ_GAP_BYTES, ReadSpan, RestorePlanner
 from repro.errors import (
     BrowseError,
     IntegrityError,
@@ -234,36 +234,25 @@ class BrowseFile:
         records are one slice of the recipe — the planner coalesces
         their extents into a handful of ranged GETs and resolves moved
         chunks through the global index, exactly as a full restore
-        would, scoped to the touched bytes.
+        would, scoped to the touched bytes.  Each record's bytes land
+        once in one buffer spanning the run, which the blocks are cut
+        from.
         """
-        session = self.session
         block = self.block_bytes
         lo = indices[0] * block
         hi = min(indices[-1] * block + block, self.size)
-        buffers = [bytearray(self._block_length(i)) for i in indices]
-        # Bytes past the committed content are holes (zeros).
-        covered_hi = min(hi, self.base_size)
-        if lo < covered_hi and self._records:
+        window = b""
+        if lo < self.base_size:
             first = max(0, bisect_right(self._starts, lo) - 1)
-            last = first
-            while last < len(self._records) and self._starts[last] < covered_hi:
-                last += 1
-            subset = self._records[first:last]
-            chunk_bytes = session.fetch_chunks(subset)
-            for position, record in enumerate(subset, start=first):
-                record_start = self._starts[position]
-                payload = chunk_bytes[record.fp]
-                for slot, block_index in enumerate(indices):
-                    block_lo = block_index * block
-                    block_hi = block_lo + len(buffers[slot])
-                    cut_lo = max(record_start, block_lo)
-                    cut_hi = min(record_start + record.size, block_hi, covered_hi)
-                    if cut_lo >= cut_hi:
-                        continue
-                    buffers[slot][cut_lo - block_lo : cut_hi - block_lo] = payload[
-                        cut_lo - record_start : cut_hi - record_start
-                    ]
-        return [bytes(buffer) for buffer in buffers]
+            last = bisect_left(self._starts, hi)
+            # The records are contiguous: their payloads joined are the
+            # file's bytes from the first record's start.
+            window = b"".join(self.session.fetch_chunks(self._records[first:last]))
+            skip = lo - self._starts[first]
+            window = window[skip : skip + hi - lo]
+        # Bytes past the committed content are holes (zeros).
+        window += bytes(hi - lo - len(window))
+        return [window[i * block - lo : i * block - lo + self._block_length(i)] for i in indices]
 
     # --- writes ------------------------------------------------------------
     def write(self, offset: int, data: bytes) -> int:
@@ -547,15 +536,15 @@ class BrowseSession:
         return reports
 
     # --- shared chunk fetch ------------------------------------------------
-    def fetch_chunks(self, records: list[ChunkRecord]) -> dict[bytes, bytes]:
+    def fetch_chunks(self, records: list[ChunkRecord]) -> list[memoryview]:
         """Fetch the records' payloads (ranged, coalesced, redirected).
 
         Plans the subset through :class:`RestorePlanner` (sharing the
         session metadata memo), issues the coalesced ranged GETs, and
-        returns fingerprint → payload for every requested record.
+        slices each record's planned extent out of the span covering it:
+        the payloads, parallel to ``records``.
         """
         storage = self.store.storage
-        config = self.store.config
         plan = self.planner.plan(
             records,
             ranged=True,
@@ -564,42 +553,37 @@ class BrowseSession:
             counters=self.counters,
             metas=self.metas,
         )
-        chunk_bytes: dict[bytes, bytes] = {}
+        # container id → (span starts, spans, span payloads)
+        fetched: dict[int, tuple[list[int], list[ReadSpan], list[memoryview]]] = {}
         for planned in plan.reads:
             cid = planned.container_id
             spans = [(span.offset, span.length) for span in planned.spans]
             with storage.oss.meter(self.breakdown):
                 payloads = [
-                    data for _, data in storage.containers.read_spans(cid, spans)
+                    memoryview(data) for _, data in storage.containers.read_spans(cid, spans)
                 ]
             self.counters.add("containers_read")
             self.counters.add("container_bytes_read", planned.planned_bytes)
             self.counters.add("ranged_reads", len(spans))
             self.counters.add("ranged_bytes_saved", planned.bytes_saved)
-            starts = [span.offset for span in planned.spans]
-            for entry in plan.metas[cid].live_lookup_entries():
-                position = bisect_right(starts, entry.offset) - 1
-                if position < 0:
-                    continue
-                span = planned.spans[position]
-                if entry.offset + entry.size > span.end:
-                    continue
-                base = entry.offset - span.offset
-                chunk_bytes[entry.fp] = payloads[position][base : base + entry.size]
-        verify = config.verify_restore
+            fetched[cid] = ([offset for offset, _ in spans], planned.spans, payloads)
+        verify = self.store.config.verify_restore
         fingerprinter = getattr(storage, "fingerprinter", None)
-        out: dict[bytes, bytes] = {}
-        for record in records:
-            data = chunk_bytes.get(record.fp)
-            if data is None:
+        out: list[memoryview] = []
+        for record, (offset, size) in zip(plan.resolved, plan.extents):
+            starts, spans, payloads = fetched[record.container_id]
+            position = bisect_right(starts, offset) - 1
+            if position < 0 or offset + size > spans[position].end:
                 raise BrowseError(
                     f"planned spans did not cover chunk {record.fp.hex()[:12]}"
                 )
+            base = offset - starts[position]
+            data = payloads[position][base : base + size]
             if verify and fingerprinter is not None and fingerprinter(data) != record.fp:
                 raise IntegrityError(
                     f"browse read of chunk {record.fp.hex()[:12]} failed verification"
                 )
-            out[record.fp] = data
+            out.append(data)
         return out
 
     # --- observability -----------------------------------------------------

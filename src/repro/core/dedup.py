@@ -190,14 +190,10 @@ class BackupEngine:
         storage: StorageLayer,
         cost_model: CostModel | None = None,
         executor=None,
-        register_view: bool = True,
     ) -> None:
         self.config = config
         self.storage = storage
         self.cost_model = cost_model or CostModel()
-        #: False when the caller's commit record registers each job's
-        #: representatives, so a job whose commit never lands leaves none.
-        self.register_view = register_view
         self._chunker = make_chunker(config.chunker, config.chunker_params())
         self._merge_policy = config.merge_policy()
         self._fingerprint = make_fingerprinter(config.fingerprint_algo)
@@ -938,10 +934,11 @@ class _JobState:
         )
 
     def finish(self) -> BackupResult:
-        """Persist recipe (and a large one's recipe index) and register the
-        representatives in memory — or, for a version :meth:`identical` to
-        its base, nothing at all: the result's ``alias_of`` names the base,
-        whose recipe the caller's catalog aliases.
+        """Persist recipe (and a large one's recipe index) and pick the
+        representatives the caller registers — or, for a version
+        :meth:`identical` to its base, nothing at all: the result's
+        ``alias_of`` names the base, whose recipe the caller's catalog
+        aliases.
 
         Crash-consistency contract: everything written here (and the
         container writes before it) is *pre-commit* state — the version
@@ -985,6 +982,4 @@ class _JobState:
         with self.storage.oss.meter(self.breakdown) as meter:
             self.storage.recipes.put_recipe(recipe, self.config.effective_sample_ratio())
         self.uploaded_bytes += meter.bytes_written
-        if self.engine.register_view:
-            self.storage.similar_index.register(self.path, self.version, representatives)
         return representatives

@@ -36,7 +36,6 @@ class LNode:
         storage: StorageLayer,
         cost_model: CostModel | None = None,
         executor=None,
-        register_view: bool = True,
     ) -> None:
         self.node_id = node_id
         self.config = config
@@ -45,8 +44,6 @@ class LNode:
         #: Shared wall-clock executor (None below ``workers=1``); engines
         #: are per-job, but worker pools are warm, so they live here.
         self.executor = executor
-        #: See :class:`~repro.core.dedup.BackupEngine`.
-        self.register_view = register_view
         self.jobs_executed = 0
 
     def backup(
@@ -58,9 +55,7 @@ class LNode:
         on_first_write: Callable[[], None] | None = None,
     ) -> BackupResult:
         """Run one backup job (a fresh engine per job: no node state)."""
-        engine = BackupEngine(
-            self.config, self.storage, self.cost_model, self.executor, self.register_view
-        )
+        engine = BackupEngine(self.config, self.storage, self.cost_model, self.executor)
         self.jobs_executed += 1
         return engine.backup(
             path,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.container import ContainerMeta
+from repro.core.container import ChunkLocation, ContainerMeta
 from repro.core.recipe import ChunkRecord
 from repro.errors import RestoreError
 from repro.sim.cost_model import CostModel
@@ -80,6 +80,9 @@ class RestorePlan:
     #: Records with ``container_id`` rewritten to the current owner
     #: (ranged mode resolves moved chunks at plan time).
     resolved: list[ChunkRecord] = field(default_factory=list)
+    #: Ranged mode: each resolved record's ``(offset, size)`` in its owner
+    #: (parallel to ``resolved``), so a reader slices it out of the spans.
+    extents: list[tuple[int, int]] = field(default_factory=list)
     #: Fresh container metadata fetched during planning (ranged mode).
     metas: dict[int, ContainerMeta] = field(default_factory=dict)
     #: Index of the planned read each record triggers (-1: already read).
@@ -179,33 +182,38 @@ class RestorePlanner:
             plan.metas = metas
         redirects_before = counters.get("global_index_redirects")
         with self.storage.oss.meter() as plan_meter:
-            # Pass 1: resolve every record to the container holding it now.
+            # Pass 1: resolve every record to the container holding it now;
+            # a container's read is scheduled at its first use.
             extents: dict[int, set[tuple[int, int]]] = {}
             first_use: dict[int, int] = {}
-            resolution: dict[bytes, int] = {}
+            resolution: dict[bytes, tuple[int, tuple[int, int]]] = {}
             for index, record in enumerate(records):
-                owner = resolution.get(record.fp)
-                if owner is None:
-                    owner = self._resolve(record, plan.metas, breakdown, counters)
-                    resolution[record.fp] = owner
-                entry = plan.metas[owner].find(record.fp)
+                resolved = resolution.get(record.fp)
+                if resolved is None:
+                    owner, entry = self._resolve(record, plan.metas, breakdown, counters)
+                    resolved = resolution[record.fp] = (owner, (entry.offset, entry.size))
+                owner, extent = resolved
                 plan.resolved.append(
                     record
                     if record.container_id == owner
                     else ChunkRecord(fp=record.fp, container_id=owner, size=record.size)
                 )
-                extents.setdefault(owner, set()).add((entry.offset, entry.size))
-                first_use.setdefault(owner, index)
+                plan.extents.append(extent)
+                if owner in first_use:
+                    extents[owner].add(extent)
+                    plan.read_for_record.append(-1)
+                else:
+                    extents[owner] = {extent}
+                    plan.read_for_record.append(len(first_use))
+                    first_use[owner] = index
 
             # Pass 2: coalesce each container's extents into ranged spans.
-            read_index: dict[int, int] = {}
-            for cid in sorted(extents, key=lambda cid: first_use[cid]):
+            for cid, first in first_use.items():
                 spans = coalesce_spans(extents[cid], gap_bytes)
-                read_index[cid] = len(plan.reads)
                 plan.reads.append(
                     PlannedRead(
                         container_id=cid,
-                        first_use=first_use[cid],
+                        first_use=first,
                         spans=spans,
                         planned_bytes=sum(span.length for span in spans),
                         container_bytes=self.storage.containers.container_size(cid),
@@ -213,11 +221,6 @@ class RestorePlanner:
                 )
                 if self.storage.containers.primary_missing(cid):
                     plan.planned_degraded_reads += 1
-            for index, record in enumerate(plan.resolved):
-                triggers = first_use[record.container_id] == index
-                plan.read_for_record.append(
-                    read_index[record.container_id] if triggers else -1
-                )
         # Plan time is the metered OSS traffic plus the CPU of every
         # global-index query resolving a moved chunk.
         plan.plan_seconds = plan_meter.read_seconds + self.cost_model.cpu_index_query * (
@@ -231,14 +234,15 @@ class RestorePlanner:
         metas: dict[int, ContainerMeta],
         breakdown: TimeBreakdown,
         counters: Counters,
-    ) -> int:
-        """Container currently holding ``record.fp`` (redirecting if moved)."""
+    ) -> tuple[int, ChunkLocation]:
+        """Container currently holding ``record.fp`` (redirecting if moved)
+        and the chunk's entry in its metadata."""
         entry = None
         if self.storage.containers.exists(record.container_id):
             meta = self._meta_for(record.container_id, metas, breakdown, counters)
             entry = meta.find(record.fp)
         if entry is not None and not entry.deleted:
-            return record.container_id
+            return record.container_id, entry
 
         # Reverse dedup or SCC moved the chunk; ask the global index.
         counters.add("global_index_redirects")
@@ -259,7 +263,7 @@ class RestorePlanner:
                 f"global index points chunk {record.fp.hex()[:12]} at container "
                 f"{owner}, which does not hold it"
             )
-        return owner
+        return owner, entry
 
     def _meta_for(
         self,
@@ -297,11 +301,10 @@ def coalesce_spans(
     """
     if gap_bytes < 0:
         raise ValueError(f"gap_bytes cannot be negative: {gap_bytes}")
-    spans: list[ReadSpan] = []
+    merged: list[list[int]] = []
     for offset, size in sorted(extents):
-        if spans and offset <= spans[-1].end + gap_bytes:
-            merged_end = max(spans[-1].end, offset + size)
-            spans[-1] = ReadSpan(spans[-1].offset, merged_end - spans[-1].offset)
+        if merged and offset <= merged[-1][1] + gap_bytes:
+            merged[-1][1] = max(merged[-1][1], offset + size)
         else:
-            spans.append(ReadSpan(offset, size))
-    return spans
+            merged.append([offset, offset + size])
+    return [ReadSpan(start, end - start) for start, end in merged]

@@ -487,9 +487,7 @@ class SlimStore:
         #: a job would change nothing.  Concurrent jobs over an L-node pool
         #: are :class:`~repro.core.cluster.ClusterSimulator`'s model.  A
         #: version enters the similar index with its commit record.
-        self.lnode = LNode(
-            0, self.config, self.storage, self.cost_model, self.executor, register_view=False
-        )
+        self.lnode = LNode(0, self.config, self.storage, self.cost_model, self.executor)
         self.gnode = GNode(self.config, self.storage, self.cost_model)
         self.catalog = VersionCatalog(self.storage.similar_index)
         # The catalog rides the storage layer's (possibly retrying) endpoint.
@@ -881,11 +879,12 @@ class SlimStore:
         Reverse dedup scans the union of the new containers in ascending id
         order (the newest copy of a chunk survives), then each version
         handed a recipe is compacted.  Every version whose pass answered
-        each lookup is cleared, and one catalog record publishes the fix-up;
-        the compaction intents close only once it is durable (until then the
-        catalog names the old layout).  Clears alone ride the next record: a
-        crash before it only re-drains.  A step that cannot reach OSS leaves
-        its versions pending.
+        each lookup is cleared.  A compaction's fix-up and the clears go out
+        as one catalog record, applied only once it landed; the compaction
+        intents close only then (until then the catalog names the old
+        layout).  Clears alone ride the next record: a crash before it only
+        re-drains.  A step that cannot reach OSS, the fix-up record
+        included, leaves its versions pending.
 
         Returns (reverse-dedup report, compaction report per version, the
         versions left pending, retier report).
@@ -901,7 +900,9 @@ class SlimStore:
             else:
                 if reverse_report.counters.get("gdedup_lookup_failures"):
                     failed.update(work)
+        catalog = self.catalog
         compactions: dict[tuple[str, int], CompactionReport] = {}
+        fixup: list[list] = []
         for (path, version), (cids, recipe) in work.items():
             if recipe is None or not self.config.sparse_compaction:
                 continue
@@ -912,18 +913,25 @@ class SlimStore:
                 continue
             compactions[(path, version)] = report
             if report.sparse_containers:
-                self.catalog.update_references(
-                    path, version, recipe.referenced_containers()
-                )
-                self.catalog.add_garbage(path, version, report.sparse_containers)
-        for key in work:
-            if key not in failed:
-                self.catalog.clear_pending(*key)
-        if any(report.sparse_containers for report in compactions.values()):
-            self._persist_catalog()
-        for report in compactions.values():
-            if report.journal_seq is not None:
-                self.storage.journal.close(report.journal_seq)
+                refs = sorted(recipe.referenced_containers())
+                if refs != sorted(catalog.references(path, version)):
+                    fixup.append(["update_references", path, version, refs])
+                fixup.append(["add_garbage", path, version, sorted(report.sparse_containers)])
+        clears = [key for key in work if key not in failed]
+        if not fixup:
+            for key in clears:
+                catalog.clear_pending(*key)
+        else:
+            # Published before it is applied: a record that does not land
+            # leaves the versions pending and the compaction intents open.
+            try:
+                self._persist_catalog(fixup + [["clear_degraded", *key] for key in clears])
+            except (TransientOSSError, RetryExhaustedError):
+                failed.update(work)
+            else:
+                for report in compactions.values():
+                    if report.journal_seq is not None:
+                        self.storage.journal.close(report.journal_seq)
         retier_report = None
         if self.storage.durability is not None:
             try:

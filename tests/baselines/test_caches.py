@@ -9,9 +9,8 @@ from repro.baselines.caches import (
     OPTCacheRestorer,
 )
 from repro.core.config import SlimStoreConfig
-from repro.core.dedup import BackupEngine
 from repro.core.storage import StorageLayer
-from tests.conftest import mutate, random_bytes
+from tests.conftest import RegisteringEngine, mutate, random_bytes
 
 CONFIG = SlimStoreConfig(
     container_bytes=64 * 1024, segment_bytes=32 * 1024, chunk_merging=False
@@ -22,7 +21,7 @@ CONFIG = SlimStoreConfig(
 def prepared(oss, rng):
     """A fragmented multi-version store plus the latest recipe records."""
     storage = StorageLayer.create(oss)
-    engine = BackupEngine(CONFIG, storage)
+    engine = RegisteringEngine(CONFIG, storage)
     data = random_bytes(rng, 256 * 1024)
     engine.backup("f", data)
     for _ in range(5):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SlimStoreConfig
+from repro.core.dedup import BackupEngine
 from repro.kvstore import bloom
 from repro.oss.object_store import ObjectStorageService
 from repro.sim.clock import SimClock
@@ -112,6 +113,18 @@ def make_version_chain(
     for _ in range(versions - 1):
         chain.append(mutate(rng, chain[-1], runs=runs, run_bytes=run_bytes))
     return chain
+
+
+class RegisteringEngine(BackupEngine):
+    """A backup engine whose jobs enter the similar-file index, as
+    ``SlimStore``'s commit record enters them: the tests that drive an
+    engine directly need the index to find each path's last version."""
+
+    def backup(self, path, data, *args, **kwargs):
+        result = super().backup(path, data, *args, **kwargs)
+        if result.alias_of is None:
+            self.storage.similar_index.register(path, result.version, result.representatives)
+        return result
 
 
 def bucket_state(oss: ObjectStorageService) -> dict[str, dict[str, bytes]]:

@@ -10,7 +10,13 @@ import pytest
 
 from repro import SlimStore
 from repro.core.browse import BrowseSession
-from repro.errors import BrowseError, CacheFullError, VersionNotFoundError
+from repro.core.container import ContainerMeta, ContainerStore
+from repro.errors import (
+    BrowseError,
+    CacheFullError,
+    IntegrityError,
+    VersionNotFoundError,
+)
 from tests.conftest import SMALL_CONFIG, random_bytes
 
 #: Small blocks so a ~100 KB file spans many cache blocks.
@@ -105,6 +111,55 @@ class TestRead:
         session.open("data/f.bin").read(0, 1_000)
         cold_bytes = slim.oss.stats.bytes_read - before
         assert cold_bytes < len(payloads[1])
+
+
+class TestMissPath:
+    def test_a_cold_session_slices_only_the_planned_extents(
+        self, store, session, monkeypatch
+    ):
+        """A miss cuts each planned record out of its span by the extent
+        the plan carries: it never walks a container's entries, and each
+        extent is the owner metadata's entry for the chunk."""
+        slim, payloads = store
+        walked = []
+        original = ContainerMeta.live_lookup_entries
+        monkeypatch.setattr(
+            ContainerMeta,
+            "live_lookup_entries",
+            lambda meta: walked.append(meta.container_id) or original(meta),
+        )
+        plans = []
+        plan = session.planner.plan
+        monkeypatch.setattr(
+            session.planner, "plan", lambda *args, **kw: plans.append(plan(*args, **kw)) or plans[-1]
+        )
+        for version, payload in enumerate(payloads):
+            recipe = slim.storage.recipes.get_recipe("data/f.bin", version)
+            assert len(recipe.referenced_containers()) > 1
+            handle = session.open("data/f.bin", version)
+            assert handle.read(0, handle.size) == payload
+        assert walked == []
+        assert len(plans) == session.stats.misses > 2
+        for plan in plans:
+            assert len(plan.extents) == len(plan.resolved) > 0
+            for record, extent in zip(plan.resolved, plan.extents):
+                entry = plan.metas[record.container_id].find(record.fp)
+                assert not entry.deleted
+                assert extent == (entry.offset, entry.size)
+
+    def test_a_corrupt_chunk_fails_verification(self, store, session):
+        slim, _ = store
+        records = slim.storage.recipes.get_recipe("data/f.bin", 1).all_records()
+        record = records[3]
+        entry = slim.storage.containers.read_meta(record.container_id).find(record.fp)
+        objects = slim.oss._backend(slim.bucket)._objects
+        key = ContainerStore.DATA_KEY.format(cid=record.container_id)
+        damaged = bytearray(objects[key])
+        damaged[entry.offset + 7] ^= 0xFF
+        objects[key] = bytes(damaged)
+        offset = sum(r.size for r in records[:3])
+        with pytest.raises(IntegrityError):
+            session.read("data/f.bin", offset + 100, 10)
 
 
 class TestWrite:

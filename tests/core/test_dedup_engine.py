@@ -8,7 +8,7 @@ from repro.core.recipe import ChunkRecord
 from repro.core.storage import StorageLayer
 from repro.fingerprint.hashing import fingerprint
 from repro.oss.object_store import ObjectStorageService
-from tests.conftest import mutate, random_bytes, stable_versions
+from tests.conftest import RegisteringEngine, mutate, random_bytes, stable_versions
 
 CONFIG = SlimStoreConfig(
     container_bytes=128 * 1024,
@@ -26,7 +26,7 @@ def storage(oss) -> StorageLayer:
 
 @pytest.fixture
 def engine(storage) -> BackupEngine:
-    return BackupEngine(CONFIG, storage)
+    return RegisteringEngine(CONFIG, storage)
 
 
 def record_for(index: int, ordinal: int = 0) -> ChunkRecord:
@@ -112,8 +112,14 @@ class TestFirstBackup:
         index = storage.recipes.open_recipe("f", 0).recipe_index(CONFIG.effective_sample_ratio())
         assert len(index) > 0
 
-    def test_version_zero_registered(self, engine, storage, rng):
-        engine.backup("f", random_bytes(rng, 64 * 1024))
+    def test_version_zero_registered(self, storage, rng):
+        """The engine only returns the representatives; the caller's
+        registration (``SlimStore``'s commit record) makes the version
+        the path's latest."""
+        result = BackupEngine(CONFIG, storage).backup("f", random_bytes(rng, 64 * 1024))
+        assert result.version == 0
+        assert storage.similar_index.latest_version("f") is None
+        storage.similar_index.register("f", result.version, result.representatives)
         assert storage.similar_index.latest_version("f") == 0
 
     def test_header_probe_digests_are_reused(self, rng):
@@ -125,7 +131,7 @@ class TestFirstBackup:
         assert len(data) < CONFIG.header_probe_bytes
 
         def first_backup(keep_probe_digests: bool):
-            engine = BackupEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
+            engine = RegisteringEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
             hashed = []
             fingerprint = engine._fingerprint
             engine._fingerprint = lambda chunk: hashed.append(1) or fingerprint(chunk)
@@ -183,7 +189,7 @@ class TestIncrementalBackup:
         assert result.counters.get("skip_success") > 50
 
     def test_skip_chunking_disabled(self, storage, rng):
-        engine = BackupEngine(CONFIG.with_overrides(skip_chunking=False), storage)
+        engine = RegisteringEngine(CONFIG.with_overrides(skip_chunking=False), storage)
         data = random_bytes(rng, 256 * 1024)
         engine.backup("f", data)
         result = engine.backup("f", data)
@@ -220,7 +226,7 @@ class TestChunkMerging:
             assert 0 < record.first_size < record.size
 
     def test_merging_disabled(self, storage, rng):
-        engine = BackupEngine(CONFIG.with_overrides(chunk_merging=False), storage)
+        engine = RegisteringEngine(CONFIG.with_overrides(chunk_merging=False), storage)
         data = random_bytes(rng, 256 * 1024)
         for _ in range(5):
             result = engine.backup("f", data)
@@ -303,7 +309,7 @@ class TestBytesScanned:
         assert 2 * 8 * 1024 < scanned < 0.25 * len(data)
 
     def test_without_skip_chunking_everything_is_scanned(self, storage, rng):
-        engine = BackupEngine(CONFIG.with_overrides(skip_chunking=False), storage)
+        engine = RegisteringEngine(CONFIG.with_overrides(skip_chunking=False), storage)
         data = random_bytes(rng, 512 * 1024)
         engine.backup("f", data)
         result = engine.backup("f", data)
@@ -327,7 +333,7 @@ class TestBytesScanned:
                     seed=9,
                 )
             )
-            engine = BackupEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
+            engine = RegisteringEngine(CONFIG, StorageLayer.create(ObjectStorageService()))
             scanned = logical = skipped = 0
             for version in generator.versions():
                 for item in version.files:

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import restore as restore_module
-from repro.core.dedup import BackupEngine
 from repro.core.recipe import ChunkRecord
 from repro.core.restore import RestoreEngine
 from repro.core.restore_cache import (
@@ -37,7 +36,7 @@ from repro.core.restore_cache import (
 )
 from repro.core.storage import StorageLayer
 from repro.workloads.sdb import SDBConfig, SDBGenerator
-from tests.conftest import SMALL_CONFIG
+from tests.conftest import SMALL_CONFIG, RegisteringEngine
 from tests.kvstore.counting_bloom import CountingBloomFilter
 
 CHUNK = 100
@@ -183,7 +182,7 @@ def test_exact_counts_read_what_the_paper_filter_reads(oss, monkeypatch, bloom_d
     monkeypatch.setattr(restore_module, "LAW_WINDOW_RECORDS", 16)
     config = replace(SMALL_CONFIG, restore_cache_bytes=48 * 1024)
     storage = StorageLayer.create(oss)
-    backup = BackupEngine(config, storage)
+    backup = RegisteringEngine(config, storage)
     generator = SDBGenerator(
         SDBConfig(table_count=1, initial_table_bytes=512 * 1024, version_count=3, seed=28)
     )

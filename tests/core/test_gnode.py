@@ -5,11 +5,10 @@ from collections import Counter
 import pytest
 
 from repro.core.config import SlimStoreConfig
-from repro.core.dedup import BackupEngine
 from repro.core.gnode import GNode
 from repro.core.restore import RestoreEngine
 from repro.core.storage import StorageLayer
-from tests.conftest import mutate, random_bytes
+from tests.conftest import RegisteringEngine, mutate, random_bytes
 
 CONFIG = SlimStoreConfig(
     container_bytes=64 * 1024,
@@ -35,7 +34,7 @@ def storage(oss) -> StorageLayer:
 @pytest.fixture
 def nodes(storage):
     return (
-        BackupEngine(CONFIG, storage),
+        RegisteringEngine(CONFIG, storage),
         RestoreEngine(CONFIG, storage),
         GNode(CONFIG, storage),
     )
@@ -190,7 +189,7 @@ class TestSparseCompaction:
 
     def test_no_compaction_when_disabled_by_threshold(self, storage, rng):
         config = CONFIG.with_overrides(sparse_utilization_threshold=0.01)
-        backup = BackupEngine(config, storage)
+        backup = RegisteringEngine(config, storage)
         gnode = GNode(config, storage)
         data = random_bytes(rng, 128 * 1024)
         backup.backup("f", data)

@@ -47,7 +47,8 @@ class TestLNode:
         first = LNode(0, CONFIG, storage)
         second = LNode(1, CONFIG, storage)
         data = random_bytes(rng, 128 * 1024)
-        first.backup("f", data)
+        first_result = first.backup("f", data)
+        storage.similar_index.register("f", 0, first_result.representatives)
         result = second.backup("f", data)  # dedups against node 0's work
         assert result.dedup_ratio > 0.9
         assert second.restore("f", 0).data == data

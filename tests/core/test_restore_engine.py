@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.config import SlimStoreConfig
-from repro.core.dedup import BackupEngine
 from repro.core.global_index import GlobalIndex
 from repro.core.restore import RestoreEngine
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError, VersionNotFoundError
 from repro.workloads.sdb import SDBConfig, SDBGenerator
-from tests.conftest import mutate, random_bytes, stable_versions
+from tests.conftest import RegisteringEngine, mutate, random_bytes, stable_versions
 from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
 
 CONFIG = SlimStoreConfig(
@@ -29,7 +28,7 @@ def storage(oss) -> StorageLayer:
 
 @pytest.fixture
 def engines(storage):
-    return BackupEngine(CONFIG, storage), RestoreEngine(CONFIG, storage)
+    return RegisteringEngine(CONFIG, storage), RestoreEngine(CONFIG, storage)
 
 
 class TestRestoreCorrectness:
@@ -169,7 +168,7 @@ class TestMemoryPressure:
         data = (
             block + random_bytes(rng, 3 << 20) + block + random_bytes(rng, 1 << 20) + block
         )
-        BackupEngine(config, storage).backup("f", data)
+        RegisteringEngine(config, storage).backup("f", data)
         result = RestoreEngine(config, storage).restore("f", 0)
         assert result.data == data
         assert result.counters.get("disk_demotions") > 0
@@ -271,7 +270,7 @@ class TestGlobalIndexRedirect:
         "absent" and fail the restore)."""
         storage = StorageLayer.create(oss)
         data = random_bytes(rng, 128 * 1024)
-        cid = BackupEngine(CONFIG, storage).backup("f", data).new_container_ids[0]
+        cid = RegisteringEngine(CONFIG, storage).backup("f", data).new_container_ids[0]
         meta = storage.containers.read_meta(cid)
         victim = meta.live_entries()[0]
         payload = storage.containers.read_data(cid)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import SlimStoreConfig
-from repro.core.dedup import BackupEngine
 from repro.core.restore_plan import (
     RANGED_READ_GAP_BYTES,
     ReadSpan,
@@ -13,7 +12,7 @@ from repro.core.restore_plan import (
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError
 from repro.sim.metrics import Counters, TimeBreakdown
-from tests.conftest import mutate, random_bytes
+from tests.conftest import RegisteringEngine, mutate, random_bytes
 
 CONFIG = SlimStoreConfig(
     container_bytes=128 * 1024,
@@ -68,7 +67,7 @@ class TestCoalesceSpans:
 
 class TestWholeContainerPlan:
     def test_one_read_per_container_in_first_use_order(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         backup.backup("f", random_bytes(rng, 400 * 1024))
         plan = plan_for(planner, storage, "f", 0, ranged=False)
         cids = [read.container_id for read in plan.reads]
@@ -80,7 +79,7 @@ class TestWholeContainerPlan:
         assert plan.bytes_saved == 0
 
     def test_whole_mode_charges_no_plan_traffic(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         backup.backup("f", random_bytes(rng, 200 * 1024))
         records = storage.recipes.get_recipe("f", 0).all_records()
         before = storage.oss.stats.snapshot()
@@ -91,7 +90,7 @@ class TestWholeContainerPlan:
         assert plan.plan_seconds == 0.0
 
     def test_read_for_record_marks_first_uses(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         backup.backup("f", random_bytes(rng, 300 * 1024))
         plan = plan_for(planner, storage, "f", 0, ranged=False)
         triggered = [i for i in plan.read_for_record if i >= 0]
@@ -100,7 +99,7 @@ class TestWholeContainerPlan:
 
 class TestRangedPlan:
     def test_fresh_version_plans_full_coverage(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         data = random_bytes(rng, 300 * 1024)
         backup.backup("f", data)
         plan = plan_for(planner, storage, "f", 0, ranged=True)
@@ -109,7 +108,7 @@ class TestRangedPlan:
         assert plan.planned_bytes >= len(data)
 
     def test_aged_version_saves_bytes(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         data = random_bytes(rng, 256 * 1024)
         for _ in range(6):
             backup.backup("f", data)
@@ -122,7 +121,7 @@ class TestRangedPlan:
             assert read.planned_bytes <= read.container_bytes
 
     def test_meta_reads_counted_and_charged(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         backup.backup("f", random_bytes(rng, 300 * 1024))
         counters = Counters()
         records = storage.recipes.get_recipe("f", 0).all_records()
@@ -131,7 +130,7 @@ class TestRangedPlan:
         assert plan.plan_seconds > 0
 
     def test_moved_chunk_resolved_at_plan_time(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         data = random_bytes(rng, 128 * 1024)
         result = backup.backup("f", data)
         cid = result.new_container_ids[0]
@@ -154,7 +153,7 @@ class TestRangedPlan:
         assert builder.container_id in resolved_cids
 
     def test_unknown_chunk_raises_with_container_id(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         result = backup.backup("f", random_bytes(rng, 64 * 1024))
         cid = result.new_container_ids[0]
         meta = storage.containers.read_meta(cid)
@@ -167,7 +166,7 @@ class TestRangedPlan:
             planner.plan(records, True, 0, TimeBreakdown(), Counters())
 
     def test_stale_index_entry_raises_with_container_id(self, planner, storage, rng):
-        backup = BackupEngine(CONFIG, storage)
+        backup = RegisteringEngine(CONFIG, storage)
         result = backup.backup("f", random_bytes(rng, 64 * 1024))
         cid = result.new_container_ids[0]
         meta = storage.containers.read_meta(cid)

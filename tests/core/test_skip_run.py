@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dedup import BackupEngine
 from repro.core.recipe import WHOLE_RECIPE_BYTES, RecipeHandle
 from repro.core.storage import StorageLayer
 from repro.errors import TransientOSSError
@@ -32,7 +31,7 @@ from repro.oss.object_store import ObjectStorageService
 from repro.sim.clock import SimClock
 from repro.sim.cost_model import CostModel
 from repro.sim.metrics import TimeBreakdown
-from tests.conftest import SMALL_CONFIG, mutate, random_bytes, stable_versions
+from tests.conftest import SMALL_CONFIG, RegisteringEngine, mutate, random_bytes, stable_versions
 from tests.core.legacy_dedup import legacy_jobs
 
 #: Every request-issuing method of the simulated endpoint.
@@ -74,7 +73,7 @@ def _ingest(versions, config, *, rewrite_after=None, fail_prefetch=None) -> dict
     """
     oss = ObjectStorageService(CostModel(), SimClock())
     storage = StorageLayer.create(oss)
-    engine = BackupEngine(config, storage)
+    engine = RegisteringEngine(config, storage)
     stream = _record_requests(oss)
     fetch = RecipeHandle.get_segment_range
     calls = 0
@@ -269,7 +268,7 @@ def test_every_chunk_is_fingerprinted_once(base, rng):
     including a chunk whose digest broke a run — and nothing else."""
     config = SMALL_CONFIG.with_overrides(chunk_merging=False)
     storage = StorageLayer.create(ObjectStorageService(CostModel(), SimClock()))
-    engine = BackupEngine(config, storage)
+    engine = RegisteringEngine(config, storage)
     hashed: list[tuple[int, int]] = []
     fingerprint = engine._fingerprint
     origin = 0
@@ -301,7 +300,7 @@ def test_failed_superchunk_match_counts_its_first_chunk(base, rng):
     every record is counted as exactly one of duplicate, local duplicate
     or unique, and the duplicate bytes are what the job did not store."""
     storage = StorageLayer.create(ObjectStorageService(CostModel(), SimClock()))
-    engine = BackupEngine(SMALL_CONFIG.with_overrides(skip_chunking=False), storage)
+    engine = RegisteringEngine(SMALL_CONFIG.with_overrides(skip_chunking=False), storage)
     for _ in range(4):
         merged = engine.backup("f", base).recipe
     # Damage every superchunk just past its firstChunk.

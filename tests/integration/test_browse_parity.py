@@ -7,6 +7,7 @@ staging debris and stale ``cache_flush`` intents."""
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from repro import SlimStore
 from repro.core.browse import STAGE_PREFIX, BrowseSession
 from repro.core.recovery import RecoveryManager
+from repro.core.restore_plan import RANGED_READ_GAP_BYTES, RestorePlanner
+from repro.sim.metrics import Counters, TimeBreakdown
 from tests.conftest import SMALL_CONFIG, make_version_chain, random_bytes
 
 #: Aged-store geometry with browse blocks small enough that single reads
@@ -30,13 +33,23 @@ BROWSE_CONFIG = replace(
 
 
 @pytest.fixture(scope="module")
-def aged():
-    """A six-version aged chain (merging/compaction/reverse dedup ran)."""
+def aged_chain():
+    """A six-version aged chain (merging/compaction/reverse dedup ran) and
+    the containers its compactions wrote."""
     rng = np.random.default_rng(90210)
     store = SlimStore(BROWSE_CONFIG)
     payloads = make_version_chain(rng)
+    compacted: set[int] = set()
     for payload in payloads:
-        store.backup("vol/f.bin", payload)
+        report = store.backup("vol/f.bin", payload)
+        if report.compaction is not None:
+            compacted.update(report.compaction.new_container_ids)
+    return store, payloads, compacted
+
+
+@pytest.fixture(scope="module")
+def aged(aged_chain):
+    store, payloads, _ = aged_chain
     return store, payloads
 
 
@@ -85,6 +98,72 @@ class TestReadParity:
         handle.read(1_000, 2_000)
         cold_bytes = store.oss.stats.bytes_read - before
         assert 0 < cold_bytes < len(payloads[2])
+
+
+class TestMovedChunkParity:
+    """Cold reads of chunks the G-node moved after their version was
+    written: a miss plans them like a restore and must read what the full
+    restore reads."""
+
+    @staticmethod
+    def _moved(store, records, compacted) -> dict[str, list[int]]:
+        """Record indices by how the planner finds each chunk: redirected by
+        reverse dedup, in a container compaction wrote, behind an alias
+        entry (a superchunk's first chunk)."""
+        plan = RestorePlanner(store.storage).plan(
+            records, True, RANGED_READ_GAP_BYTES, TimeBreakdown(), Counters(), {}
+        )
+        moved: dict[str, list[int]] = {"redirected": [], "compacted": [], "alias": []}
+        for index, (record, owner) in enumerate(zip(records, plan.resolved)):
+            if owner.container_id in compacted:
+                moved["compacted"].append(index)
+            elif owner.container_id != record.container_id:
+                moved["redirected"].append(index)
+            if plan.metas[owner.container_id].find(record.fp).alias:
+                moved["alias"].append(index)
+        return moved
+
+    def test_moved_chunks_read_what_the_full_restore_reads(self, aged_chain):
+        store, payloads, compacted = aged_chain
+        assert compacted
+        seen = {"redirected": 0, "compacted": 0, "alias": 0}
+        for version in range(len(payloads)):
+            restored = store.restore("vol/f.bin", version).data
+            recipe = store.catalog.recipe_version("vol/f.bin", version)
+            records = store.storage.recipes.get_recipe("vol/f.bin", recipe).all_records()
+            starts = list(accumulate((record.size for record in records), initial=0))
+            for kind, indices in self._moved(store, records, compacted).items():
+                for index in indices[:: max(1, len(indices) // 4)]:
+                    seen[kind] += 1
+                    lo, hi = starts[index], starts[index + 1]
+                    # The chunk alone, then a read straddling its end; each
+                    # from a fresh session, so both are misses.
+                    for offset, length in ((lo, hi - lo), (hi - 100, 200)):
+                        session = BrowseSession(store)
+                        got = session.read("vol/f.bin", offset, length, version)
+                        assert got == restored[offset : offset + length], (
+                            kind, version, index, offset,
+                        )
+                        assert session.stats.misses > 0
+        assert all(seen.values()), seen
+
+    def test_a_read_across_the_old_end_after_an_extending_write(self, aged):
+        """The block holding the committed end misses after a write past it
+        grew the file: its tail and the readahead past it are the hole's
+        zeros, before and after the flush."""
+        store, _ = aged
+        base = store.restore("vol/f.bin").data
+        handle = BrowseSession(store).open("vol/f.bin")
+        end = handle.size
+        tail = b"written well past the committed end"
+        handle.write(end + 50_000, tail)
+        expected = base + bytes(50_000) + tail
+        assert handle.read(end - 5_000, 20_000) == expected[end - 5_000 : end + 15_000]
+        assert handle.read(0, handle.size) == expected
+        version = handle.flush().version
+        assert store.restore("vol/f.bin", version).data == expected
+        fresh = BrowseSession(store).open("vol/f.bin", version)
+        assert fresh.read(end - 5_000, 20_000) == expected[end - 5_000 : end + 15_000]
 
 
 class TestWriteBackParity:

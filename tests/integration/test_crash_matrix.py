@@ -135,6 +135,28 @@ def assert_exactly_visible(survivor: SlimStore, path: str,
         survivor.storage.recipes.get_recipe(path, next_version)
 
 
+def compacting_chain() -> tuple[dict, list[bytes], bytes]:
+    """Age a version chain of ``f`` until the *next* backup's maintenance
+    pass provably compacts: (the chain's state, its payloads, the payload
+    whose backup compacts)."""
+    rng = np.random.default_rng(31337)
+    store = attach()
+    data = random_bytes(rng, 256 * 1024)
+    store.backup("f", data)
+    payloads = [data]
+    for _ in range(12):
+        data = mutate(rng, data, runs=4, run_bytes=16 * 1024)
+        store.close()  # publish the last inline pass's clear
+        state = clone_state(store.oss)
+        probe = attach(state)
+        report = probe.backup("f", data)
+        if report.compaction is not None and report.compaction.sparse_containers:
+            return state, list(payloads), data
+        store.backup("f", data)
+        payloads.append(data)
+    pytest.fail("version chain never aged into sparse compaction")
+
+
 def write_keys(base_state, action, fold: bool = True) -> list[tuple[str, str]]:
     """Probe run: the (verb, key) of every write ``action`` performs."""
     writes = []
@@ -180,26 +202,9 @@ class TestBackupCrashMatrix:
 
     @pytest.fixture(scope="class")
     def base(self):
-        """Age a version chain until the *next* backup's maintenance pass
-        provably compacts: the matrix then sweeps a backup whose write
-        stream spans online dedup, the commit, reverse dedup and the
-        full compaction schedule."""
-        rng = np.random.default_rng(31337)
-        store = attach()
-        data = random_bytes(rng, 256 * 1024)
-        store.backup("f", data)
-        payloads = [data]
-        for _ in range(12):
-            data = mutate(rng, data, runs=4, run_bytes=16 * 1024)
-            store.close()  # publish the last inline pass's clear
-            state = clone_state(store.oss)
-            probe = attach(state)
-            report = probe.backup("f", data)
-            if report.compaction is not None and report.compaction.sparse_containers:
-                return state, list(payloads), data
-            store.backup("f", data)
-            payloads.append(data)
-        pytest.fail("version chain never aged into sparse compaction")
+        """The matrix sweeps a backup whose write stream spans online
+        dedup, the commit, reverse dedup and the full compaction schedule."""
+        return compacting_chain()
 
     def test_probe_run_exercises_compaction(self, base):
         base_state, _payloads, next_payload = base

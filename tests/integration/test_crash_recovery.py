@@ -12,7 +12,7 @@ until the grace expires.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -28,8 +28,10 @@ from repro.errors import (
 from repro.oss.faults import FaultPolicy
 from tests.conftest import SMALL_CONFIG, random_bytes
 from tests.integration.test_crash_matrix import (
+    assert_zero_debris,
     attach,
     clone_state,
+    compacting_chain,
     count_writes,
     reattach,
 )
@@ -145,12 +147,18 @@ class TestSnapshotPartialPublish:
         assert found_partial, "no crash index hit the partial-publish window"
 
 
+@dataclass
 class RefuseCatalogRecords(FaultPolicy):
-    """The endpoint refuses every commit record PUT (no crash)."""
+    """The endpoint refuses every commit record PUT after the first
+    ``allow`` (no crash)."""
+
+    allow: int = 0
 
     def before_request(self, op, bucket, key):
         if op == "put" and key.startswith("catalog/log/"):
-            raise TransientOSSError(op, bucket, key, reason="catalog log refused")
+            if not self.allow:
+                raise TransientOSSError(op, bucket, key, reason="catalog log refused")
+            self.allow -= 1
         return super().before_request(op, bucket, key)
 
 
@@ -285,6 +293,40 @@ class TestFailedCatalogPublish:
         assert survivor.versions("f") == [1]
         assert survivor.restore_snapshot(second) == {"f": d1}
         assert_no_orphans(survivor)
+
+
+    def test_a_failed_compaction_fixup_leaves_the_version_pending(self):
+        """The backup's commit record lands, the record carrying its
+        compaction fix-up does not: the backup reports ``degraded`` instead
+        of raising, the live catalog stays what OSS holds (the version
+        pending, its compaction intent open), and the next attach rolls the
+        compaction forward with zero debris."""
+        base_state, payloads, next_payload = compacting_chain()
+        contents = payloads + [next_payload]
+        version = len(payloads)
+        store = attach(base_state)
+        store.oss.set_fault_policy(RefuseCatalogRecords(allow=1))
+        report = store.backup("f", next_payload)
+        store.oss.set_fault_policy(None)
+        assert report.degraded
+        assert report.compaction.sparse_containers
+        assert store.versions("f") == list(range(version + 1))
+        assert store.pending_versions() == [("f", version)]
+        assert store.catalog.pending == []
+        assert [i.kind for i in store.storage.journal.open_intents()] == ["compaction"]
+        published = attach(clone_state(store.oss), fold=False)
+        assert store.catalog.to_json() == published.catalog.to_json()
+        for index, payload in enumerate(contents):
+            assert store.restore("f", index).data == payload
+        survivor = reattach(store)
+        assert survivor.last_recovery.rolled_forward
+        assert survivor.pending_versions() == [("f", version)]
+        assert_zero_debris(survivor)
+        survivor.drain()
+        assert survivor.pending_versions() == []
+        assert_zero_debris(survivor)
+        for index, payload in enumerate(contents):
+            assert survivor.restore("f", index).data == payload
 
 
 class TestScrubReportsTornDamage:
