@@ -185,9 +185,6 @@ class DurabilityManager:
     #: The delta log holding every record and stripe manifest.
     STATE_KEY = "durability/state.json"
     LOG_PREFIX = "durability/log/"
-    #: Where older repositories kept one object per record and per stripe
-    #: manifest; read by an attach that finds no checkpoint.
-    LEGACY_PREFIXES = ("durability/records/", "durability/stripes/")
 
     def __init__(
         self,
@@ -204,9 +201,6 @@ class DurabilityManager:
         self._stripes: dict[int, dict[str, Any]] = {}
         self._next_sid = 0
         self._log = DeltaLog(self._oss, self._bucket, self.STATE_KEY, self.LOG_PREFIX)
-        #: Legacy per-object keys the loaded state came from: referenced
-        #: until a fold has published that state as the checkpoint.
-        self._legacy_keys: list[str] = []
         #: Failover counters (cumulative, mirrored into reports by callers).
         self.replica_failovers = 0
         self.erasure_decodes = 0
@@ -248,14 +242,8 @@ class DurabilityManager:
         ).encode()
 
     def fold_if_logged(self) -> None:
-        """Fold when the log holds records, or when the state was read from
-        the legacy layout: publishing it as the checkpoint migrates it, and
-        the orphan sweep then removes the legacy objects."""
-        if self._legacy_keys:
-            self._log.fold(self._checkpoint)
-            self._legacy_keys = []
-        else:
-            self._log.fold_if_logged(self._checkpoint)
+        """Fold when the log holds records (attach-time housekeeping)."""
+        self._log.fold_if_logged(self._checkpoint)
 
     # ------------------------------------------------------------------
     # Attach / recovery
@@ -265,19 +253,14 @@ class DurabilityManager:
         log's tail; returns the record count.
 
         Attach costs one GET for the checkpoint plus one per record not yet
-        folded, whatever the container count.  Without a checkpoint the
-        legacy per-object layout (one GET per record and per manifest) is
-        read first, and the tail replays on top of it.
+        folded, whatever the container count.
         """
         self._records.clear()
         self._stripes.clear()
         self._next_sid = 0
-        self._legacy_keys = []
         through = 0
         checkpoint = self._log.read_checkpoint()
-        if checkpoint is None:
-            self._recover_legacy()
-        else:
+        if checkpoint is not None:
             state = json.loads(checkpoint)
             through = int(state["through"])
             self._next_sid = int(state["next_sid"])
@@ -290,25 +273,11 @@ class DurabilityManager:
                 self._apply(op)
         return len(self._records)
 
-    def _recover_legacy(self) -> None:
-        for prefix, table, ident in (
-            (self.LEGACY_PREFIXES[0], self._records, "cid"),
-            (self.LEGACY_PREFIXES[1], self._stripes, "sid"),
-        ):
-            for key in sorted(self._oss.peek_keys(self._bucket, prefix)):
-                self._legacy_keys.append(key)
-                try:
-                    entry = json.loads(self._oss.get_object(self._bucket, key))
-                    table[int(entry[ident])] = entry
-                except (ValueError, KeyError, TypeError):
-                    continue  # malformed: swept once the state is migrated
-        self._next_sid = max(self._stripes, default=-1) + 1
-
     def _referenced_keys(self) -> set[str]:
         """Every durability key the committed state names: the log's own
         objects, each record's copies and each stripe's parity (live or
-        retired), and the legacy objects not yet migrated."""
-        keys = {self.STATE_KEY, *self._log.record_keys(), *self._legacy_keys}
+        retired)."""
+        keys = {self.STATE_KEY, *self._log.record_keys()}
         for record in self._records.values():
             keys.update(copy["key"] for copy in record.get("copies", []))
             keys.update(retired["key"] for retired in record.get("retired", []))

@@ -1,8 +1,8 @@
 """The OSS-backed intent journal (crash-consistency layer).
 
 Every multi-write job — a backup, a compaction, a container rewrite, a
-version or snapshot deletion — records its intent as
-one small JSON object under ``journal/`` *before* touching shared state,
+version or snapshot deletion, a browse write-back flush — records its
+intent as one small JSON object under ``journal/`` *before* touching shared state,
 updates it as the job reaches durable milestones, and deletes it when the
 job's last write has landed.  Each journal operation is a single atomic
 object write, so the journal itself can never be torn.
@@ -16,10 +16,10 @@ visible).  See ``docs/CRASH_RECOVERY.md`` for the full state machine.
 Intent kinds and their payloads:
 
 ======================  =====================================================
-``backup``              ``path``, ``version`` (absent from older intents),
-                        ``watermark`` (first container id the job may
-                        allocate, taken on entry); opened at the job's
-                        first write, so an alias commit opens none
+``backup``              ``path``, ``version``, ``watermark`` (first
+                        container id the job may allocate, taken on entry);
+                        opened at the job's first write, so an alias commit
+                        opens none
 ``compaction``          ``path``, ``version``, ``watermark``, ``sparse``
                         container ids; updated with ``moves`` (fp hex → new
                         container id) and ``new_cids`` before the recipe
@@ -42,14 +42,11 @@ Intent kinds and their payloads:
 ======================  =====================================================
 
 A reverse-dedup pass opens none: its versions' pending mark in the catalog
-is its record.  A ``reverse_dedup`` intent an older process left still
-recovers, by re-running the pass over its ``container_ids``.  A durability
-tier step opens none either: its append to the tier's delta log is its
-commit point (:mod:`repro.core.durability`).  A ``durability`` intent an
-older process left is discarded, and the attach-time orphan sweep removes
-what it wrote.  A snapshot run opens none of its own (each member's commit
-record names the run); an older process's ``snapshot`` and
-``delete_snapshot`` intents still recover.
+is its record.  A durability tier step opens none either: its append to the
+tier's delta log is its commit point (:mod:`repro.core.durability`).  A
+snapshot run opens none of its own (each member's commit record names the
+run), and a snapshot delete is one ``delete_version`` intent.  Recovery
+discards an intent of any other kind and leaves visible state alone.
 """
 
 from __future__ import annotations

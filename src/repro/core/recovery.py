@@ -56,7 +56,7 @@ class RecoveryReport:
     reaps_finished: list[int] = field(default_factory=list)
     #: Global-index entries re-pointed or removed.
     index_entries_fixed: int = 0
-    #: Durability-tier objects (replicas, parity, legacy manifests) the
+    #: Durability-tier objects (replicas, parity, log records) the
     #: tier's log does not name — swept so no replica bytes leak.
     replica_orphans_collected: list[str] = field(default_factory=list)
     #: Write-back staging objects (``browsecache/``) removed — both the
@@ -159,6 +159,14 @@ class RecoveryManager:
         self.containers = store.storage.containers
         self.journal = store.storage.journal
         self._meta_cache: dict[int, object] = {}
+        #: Intent kind → its handler: one per kind of :data:`INTENT_KINDS`.
+        self.handlers = {
+            "rewrite": self._handle_rewrite,
+            "compaction": self._handle_compaction,
+            "backup": self._handle_backup,
+            "delete_version": self._handle_delete_version,
+            "cache_flush": self._handle_cache_flush,
+        }
 
     # --- read-only inspection (fsck) ---------------------------------------
     def inspect(self) -> FsckReport:
@@ -203,19 +211,9 @@ class RecoveryManager:
         report = RecoveryReport(
             open_intents=[(intent.seq, intent.kind) for intent in intents]
         )
-        handlers = {
-            "rewrite": self._handle_rewrite,
-            "reverse_dedup": self._handle_reverse_dedup,
-            "compaction": self._handle_compaction,
-            "backup": self._handle_backup,
-            "snapshot": self._handle_snapshot,
-            "delete_version": self._handle_delete_version,
-            "delete_snapshot": self._handle_delete_snapshot,
-            "cache_flush": self._handle_cache_flush,
-        }
         # Rewrite intents repair a possibly-torn container *in place*
         # (new data object, old metadata) and every other handler —
-        # re-running reverse dedup, walking a compaction back — reads
+        # rolling a compaction forward or walking it back — reads
         # containers assuming data and metadata agree.  So rewrites are
         # resolved first regardless of sequence order.  ``cache_flush``
         # intents resolve *last*: a flush runs a nested ``backup`` job,
@@ -226,12 +224,11 @@ class RecoveryManager:
         for intent in sorted(
             intents, key=lambda i: (i.kind != "rewrite", i.kind == "cache_flush", i.seq)
         ):
-            handler = handlers.get(intent.kind)
+            handler = self.handlers.get(intent.kind)
             if handler is None:
-                # Unknown kind, a future one or one an older process wrote
-                # (``durability``: the orphan sweep below removes whatever
-                # it left): leave visible state alone, count it as
-                # discarded so the truncate is explained.
+                # An unknown kind (the journal is outside input): leave
+                # visible state alone, count it as discarded so the
+                # truncate is explained.
                 report.discarded.append((intent.seq, intent.kind))
                 continue
             handler(intent, report)
@@ -257,8 +254,8 @@ class RecoveryManager:
         ):
             self.storage.oss.delete_object(self.containers._bucket, key)
             report.cache_staging_reaped.append(key)
-        # Publish what the handlers noted (a legacy run's members, a
-        # compaction's references) while their intents still exist.
+        # Publish what the handlers noted (a compaction's references)
+        # while their intents still exist.
         self.store._persist_catalog()
         report.journal_truncated = self.journal.truncate()
         # Leave every log folded (catalog, index WALs): no
@@ -287,14 +284,6 @@ class RecoveryManager:
             report.rolled_forward.append((intent.seq, intent.kind))
         else:
             report.discarded.append((intent.seq, intent.kind))
-
-    def _handle_reverse_dedup(self, intent: Intent, report: RecoveryReport) -> None:
-        """A pass journaled by an older process (passes open no intent now;
-        the pending mark is their record): it is idempotent, so re-run it
-        (it skips the containers collected since)."""
-        cids = intent.payload.get("container_ids", [])
-        self.store.gnode.reverse_dedup([int(cid) for cid in cids])
-        report.rolled_forward.append((intent.seq, intent.kind))
 
     def _handle_compaction(self, intent: Intent, report: RecoveryReport) -> None:
         """Compaction: committed iff the recipe references a new container."""
@@ -396,25 +385,22 @@ class RecoveryManager:
         intent's ``version``.  Its recipe goes unless a live version resolves
         to it: a job that failed alive leaves its intent open, and the same
         process may since have committed that version (a retry, perhaps an
-        alias whose recipe then is debris) and dropped it.  An older intent,
-        without ``version``, is discarded iff a recipe sits at the path's
-        next version.  The similar-file view holds no uncommitted state."""
+        alias whose recipe then is debris) and dropped it.  The similar-file
+        view holds no uncommitted state."""
         path = str(intent.payload["path"])
-        catalog, recipes = self.store.catalog, self.storage.recipes
+        version = int(intent.payload["version"])
+        catalog = self.store.catalog
         committed = catalog.versions(path)
-        version = int(intent.payload.get("version", committed[-1] + 1 if committed else 0))
-        gone = not catalog.recipe_in_use(path, version) and recipes.delete_recipe(path, version)
-        discarded = version not in committed and (gone or "version" in intent.payload)
-        if discarded:
+        if not catalog.recipe_in_use(path, version):
+            self.storage.recipes.delete_recipe(path, version)
+        if version not in committed:
             report.discarded.append((intent.seq, intent.kind))
             report.backup_resolutions.append((path, version, "discarded"))
         else:
             # The catalog put landed and only the intent close is
             # missing: the version is fully committed.
             report.rolled_forward.append((intent.seq, intent.kind))
-            report.backup_resolutions.append(
-                (path, committed[-1] if committed else -1, "committed")
-            )
+            report.backup_resolutions.append((path, committed[-1], "committed"))
         # Orphaned containers fall to the watermark GC.
 
     def _handle_cache_flush(self, intent: Intent, report: RecoveryReport) -> None:
@@ -497,20 +483,6 @@ class RecoveryManager:
             return None
         return bytes(data)
 
-    def _handle_snapshot(self, intent: Intent, report: RecoveryReport) -> None:
-        """A run an older process journaled (a member's commit record names
-        its run now): unless published, its committed members join it."""
-        catalog = self.store.catalog
-        snapshot_id = str(intent.payload["snapshot_id"])
-        if snapshot_id not in catalog.snapshots.list_ids():
-            for path, version in intent.payload.get("members", {}).items():
-                if int(version) in catalog.versions(str(path)):
-                    catalog.join_snapshot(str(path), int(version), snapshot_id)
-        if snapshot_id in catalog.snapshots.list_ids():
-            report.rolled_forward.append((intent.seq, intent.kind))
-        else:
-            report.discarded.append((intent.seq, intent.kind))
-
     def _handle_delete_version(self, intent: Intent, report: RecoveryReport) -> None:
         """Version delete: committed iff the catalog lists none of the
         intent's ``versions`` (one record dropped them all).
@@ -518,15 +490,9 @@ class RecoveryManager:
         Each entry's containers and recipe (None while another live version
         resolved to it) are the decision made at the commit; the replay
         spares what the catalog uses now (a delete that failed alive leaves
-        its intent open, and a later backup may use them again).  An older
-        intent names one ``path``/``version``, one without ``recipe``
-        predates aliases (it owned its recipe).
+        its intent open, and a later backup may use them again).
         """
-        payload = intent.payload
-        entries = payload["versions"] if "versions" in payload else [[
-            payload["path"], payload["version"], payload.get("collectable", []),
-            payload.get("recipe", payload["version"]),
-        ]]
+        entries = intent.payload["versions"]
         catalog = self.store.catalog
         if any(int(version) in catalog.versions(str(path)) for path, version, *_ in entries):
             # The commit record never landed; the loaded catalog still
@@ -542,15 +508,6 @@ class RecoveryManager:
                 self.storage.recipes.delete_recipe(str(path), int(recipe))
         report.rolled_forward.append((intent.seq, intent.kind))
 
-    def _handle_delete_snapshot(self, intent: Intent, report: RecoveryReport) -> None:
-        """A snapshot delete an older process journaled: unless the run is
-        gone, its members still oldest and the run go now, in one record."""
-        snapshot_id = str(intent.payload["snapshot_id"])
-        if snapshot_id in self.store.snapshots.list_ids():
-            members = intent.payload.get("members", [])
-            self.store._delete([(str(p), int(v)) for p, v in members], snapshot_id)
-        report.rolled_forward.append((intent.seq, intent.kind))
-
     # --- debris collection -----------------------------------------------------
     def _orphan_candidates(self, intents: list[Intent]) -> list[int]:
         """Live containers above a crashed job's watermark, unreferenced."""
@@ -558,7 +515,6 @@ class RecoveryManager:
             int(intent.payload["watermark"])
             for intent in intents
             if intent.kind in ("backup", "compaction")
-            and "watermark" in intent.payload
         ]
         if not watermarks:
             return []

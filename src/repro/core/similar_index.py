@@ -11,21 +11,16 @@ fingerprints.  The index is small and persisted to OSS so stateless
 L-nodes can always load it — here as a view of the version catalog
 (:class:`~repro.core.system.VersionCatalog`): a version's representatives
 ride its commit record, the checkpoint carries them, and a path's latest
-version is its newest live version's recipe.  The index writes nothing;
-:func:`read_legacy` reads the layout written before (``similar/index`` +
-``similar/log/<seq>``).
+version is its newest live version's recipe.  The index writes nothing.
 """
 
 from __future__ import annotations
 
 import base64
-import struct
 from collections import Counter
 from collections.abc import Iterable
 
 from repro.fingerprint.hashing import FP_SIZE
-from repro.oss.deltalog import DeltaLog
-from repro.oss.object_store import ObjectStorageService
 
 #: The (path, version) a representative fingerprint votes for.
 Owner = tuple[str, int]
@@ -100,53 +95,6 @@ def unpack(packed: str) -> list[bytes]:
     """The fingerprints :func:`pack` encoded, in order."""
     raw = base64.b64decode(packed)
     return [raw[i : i + FP_SIZE] for i in range(0, len(raw), FP_SIZE)]
-
-
-# --- the legacy layout ----------------------------------------------------------
-_LEGACY_KEY = "similar/index"
-_LEGACY_LOG_PREFIX = "similar/log/"
-_HEADER = struct.Struct(">II")          # file count, representative count
-_NAME_ENTRY = struct.Struct(">HI")      # path length, latest version
-_REP_ENTRY = struct.Struct(">20sHI")    # fp, path length, version
-_LOG_NEXT = struct.Struct(">Q")        # checkpoint trailer: folded through
-
-
-def _apply(by_rep: dict[bytes, Owner], payload: bytes) -> int:
-    """Upsert one legacy blob's representatives (its path entries are
-    skipped); returns the offset just past them."""
-    name_count, rep_count = _HEADER.unpack_from(payload, 0)
-    position = _HEADER.size
-    for _ in range(name_count):
-        path_len, _version = _NAME_ENTRY.unpack_from(payload, position)
-        position += _NAME_ENTRY.size + path_len
-    for _ in range(rep_count):
-        fp, path_len, version = _REP_ENTRY.unpack_from(payload, position)
-        position += _REP_ENTRY.size
-        path = payload[position : position + path_len].decode()
-        position += path_len
-        if len(fp) == FP_SIZE:
-            by_rep[fp] = (path, version)
-    return position
-
-
-def read_legacy(
-    oss: ObjectStorageService, bucket: str
-) -> tuple[dict[Owner, list[bytes]], list[str]]:
-    """The owners the legacy layout holds (checkpoint, then its log's tail)
-    and every key it occupies, fold debris included; ``({}, [])`` if none."""
-    log = DeltaLog(oss, bucket, _LEGACY_KEY, _LEGACY_LOG_PREFIX)
-    by_rep: dict[bytes, Owner] = {}
-    keys: list[str] = []
-    checkpoint = log.read_checkpoint()
-    through = 0
-    if checkpoint is not None:
-        keys.append(_LEGACY_KEY)
-        end = _apply(by_rep, checkpoint)
-        if len(checkpoint) >= end + _LOG_NEXT.size:
-            (through,) = _LOG_NEXT.unpack_from(checkpoint, end)
-    for record in log.read_tail(through):
-        _apply(by_rep, record)
-    return _group(by_rep), keys + log.record_keys()
 
 
 def _group(by_rep: dict[bytes, Owner]) -> dict[Owner, list[bytes]]:

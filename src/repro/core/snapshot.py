@@ -10,20 +10,13 @@ Snapshots are catalog state with no object of their own: a member joins
 its run in the catalog record that commits it (a ``join_snapshot`` op), a
 delete drops the run in the record that drops its members, and the
 checkpoint carries :class:`SnapshotStore` as its ``"snapshots"`` section.
-A repository written before kept one manifest per run under
-``snapshots/``, which :func:`read_legacy` reads for the attach folding it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.oss.object_store import ObjectStorageService
-
-#: Where a repository written before kept one manifest object per run.
-LEGACY_PREFIX = "snapshots/"
 
 
 class SnapshotNotFoundError(ReproError, KeyError):
@@ -82,23 +75,8 @@ class SnapshotStore:
         return {sid: dict(sorted(m.items())) for sid, m in sorted(self._members.items())}
 
     def load(self, members: dict[str, dict[str, int]]) -> None:
-        """Add runs (a checkpoint's section, or legacy manifests)."""
+        """Add runs (a checkpoint's section)."""
         for snapshot_id, paths in members.items():
             for path, version in paths.items():
                 self.join(str(snapshot_id), str(path), int(version))
 
-
-def read_legacy(
-    oss: ObjectStorageService, bucket: str
-) -> tuple[dict[str, dict[str, int]], list[str]]:
-    """The runs a repository written before kept as ``snapshots/``
-    manifests, and their keys; ``({}, [])`` if none."""
-    members: dict[str, dict[str, int]] = {}
-    keys: list[str] = []
-    for key in sorted(oss.peek_keys(bucket, LEGACY_PREFIX)):
-        if not key[len(LEGACY_PREFIX):].isdigit():
-            continue
-        manifest = json.loads(oss.get_object(bucket, key))
-        members[str(manifest["snapshot_id"])] = manifest["members"]
-        keys.append(key)
-    return members, keys

@@ -22,6 +22,11 @@ visible — and attach replays the records through the same mutators.
 The similar-file index and the snapshots (full-volume runs) are views the
 catalog persists and keeps current.
 
+A repository's first record leads with a ``["format", FORMAT]`` op and
+every checkpoint carries ``"format": FORMAT``: attach reads the catalog
+first and refuses, with :class:`~repro.errors.RepositoryFormatError`, a
+repository whose catalog holds a checkpoint or records but not this stamp.
+
 A version the backup job proved byte-identical to the path's latest one is
 an *alias*: its commit is that one catalog record, naming the *origin* — the
 newest version of the path that owns a recipe.  Readers resolve a version
@@ -40,10 +45,11 @@ from repro.core.dedup import BackupResult
 from repro.core.gnode import CompactionReport, GNode, ReverseDedupReport
 from repro.core.lnode import LNode
 from repro.core.restore import RestoreResult
-from repro.core.similar_index import SimilarFileIndex, pack, read_legacy, unpack
-from repro.core.snapshot import SnapshotStore, read_legacy as read_legacy_snapshots
+from repro.core.similar_index import SimilarFileIndex, pack, unpack
+from repro.core.snapshot import SnapshotStore
 from repro.core.storage import StorageLayer
 from repro.errors import (
+    RepositoryFormatError,
     RetryExhaustedError,
     TransientOSSError,
     VersionNotFoundError,
@@ -52,6 +58,9 @@ from repro.oss.deltalog import DeltaLog
 from repro.oss.object_store import ObjectStorageService
 from repro.oss.retry import RetryBudget, RetryPolicy
 from repro.sim.cost_model import CostModel
+
+#: The repository format this code writes and the only one attach reads.
+FORMAT = 1
 
 
 @dataclass
@@ -128,37 +137,38 @@ class VersionCatalog:
 
     #: Mutators a persisted op may name.
     _OPS = (
+        "format",
         "register",
         "alias",
         "update_references",
         "add_garbage",
-        "mark_degraded",
         "clear_degraded",
         "drop_version",
         "join_snapshot",
         "drop_snapshot",
     )
-    #: The pending flag's ops keep the names they were first persisted under.
-    _RENAMED = {"mark_degraded": "mark_pending", "clear_degraded": "clear_pending"}
+    #: The pending flag's clear keeps the name it was first persisted under.
+    _RENAMED = {"clear_degraded": "clear_pending"}
 
     def __init__(self, similar: SimilarFileIndex | None = None) -> None:
         #: The similar-file index: a view this catalog's ops keep current.
         self.similar = SimilarFileIndex() if similar is None else similar
         #: Full-volume runs: snapshot id → {path: version}, another view.
         self.snapshots = SnapshotStore()
-        #: Whether the loaded checkpoint held the runs (else attach reads ``snapshots/``).
-        self.checkpoint_has_snapshots = False
         self._versions: dict[str, list[int]] = {}
         self._refs: dict[tuple[str, int], set[int]] = {}
         self._garbage: dict[tuple[str, int], set[int]] = {}
         self._refcount: Counter[int] = Counter()
         #: Committed versions whose G-node pass has not completed → the new
-        #: containers the pass scans (None: marked before marks named them).
-        self._pending: dict[tuple[str, int], list[int] | None] = {}
+        #: containers the pass scans.
+        self._pending: dict[tuple[str, int], list[int]] = {}
         #: (path, alias version) → origin: the version owning its recipe.
         self._aliases: dict[tuple[str, int], int] = {}
         #: Ops applied since the last publish (JSON-ready lists).
         self.pending: list[list] = []
+        #: Whether the repository's first record (or a checkpoint) holds
+        #: the stamp; until then the next record leads with it.
+        self.stamped = False
         #: Log sequence number a loaded checkpoint is folded through.
         self.log_next = 0
 
@@ -168,6 +178,7 @@ class VersionCatalog:
         through record ``log_next``)."""
         return json.dumps(
             {
+                "format": FORMAT,
                 "log_next": log_next,
                 "versions": self._versions,
                 "refs": [
@@ -178,10 +189,7 @@ class VersionCatalog:
                     [path, version, sorted(cids)]
                     for (path, version), cids in sorted(self._garbage.items())
                 ],
-                "degraded": [
-                    [*key] if cids is None else [*key, cids]
-                    for key, cids in sorted(self._pending.items())
-                ],
+                "degraded": [[*key, cids] for key, cids in sorted(self._pending.items())],
                 "aliases": [
                     [path, version, origin]
                     for (path, version), origin in sorted(self._aliases.items())
@@ -200,11 +208,20 @@ class VersionCatalog:
         """Bytes of the view in the catalog checkpoint (no request)."""
         return len(json.dumps(self._view_json()))
 
+    @staticmethod
+    def check_format(found: object) -> None:
+        """Refuse a repository whose catalog carries ``found``, not :data:`FORMAT`."""
+        if found != FORMAT:
+            raise RepositoryFormatError(found, FORMAT)
+
     @classmethod
     def from_json(cls, payload: str, similar: SimilarFileIndex | None = None) -> "VersionCatalog":
-        """Rebuild a catalog (reference counts are re-derived) and its view."""
+        """Rebuild a catalog (reference counts are re-derived) and its views;
+        a checkpoint without the current stamp is refused."""
         raw = json.loads(payload)
+        cls.check_format(raw.get("format"))
         catalog = cls(similar)
+        catalog.stamped = True
         catalog._versions = {path: list(v) for path, v in raw["versions"].items()}
         for path, version, cids in raw["refs"]:
             catalog._refs[(path, version)] = set(cids)
@@ -212,32 +229,22 @@ class VersionCatalog:
                 catalog._refcount[cid] += 1
         for path, version, cids in raw["garbage"]:
             catalog._garbage[(path, version)] = set(cids)
-        # Catalogs persisted before degraded-mode tracking lack the key,
-        # and entries persisted before marks named their containers lack
-        # the third element.
-        for path, version, *cids in raw.get("degraded", []):
-            catalog._pending[(path, version)] = cids[0] if cids else None
-        # Absent in catalogs persisted before alias commits.
-        for path, version, origin in raw.get("aliases", []):
+        for path, version, cids in raw["degraded"]:
+            catalog._pending[(path, version)] = cids
+        for path, version, origin in raw["aliases"]:
             catalog._aliases[(path, version)] = origin
-        # Absent in catalogs persisted whole, before the delta log.
-        catalog.log_next = raw.get("log_next", 0)
-        # Absent before the view rode the catalog: the attach's legacy view stays.
-        if "similar" in raw:
-            catalog.similar.load({(p, v): unpack(reps) for p, v, reps in raw["similar"]})
-        # Absent before snapshots rode the catalog.
-        if "snapshots" in raw:
-            catalog.snapshots.load(raw["snapshots"])
-            catalog.checkpoint_has_snapshots = True
+        catalog.log_next = raw["log_next"]
+        catalog.similar.load({(p, v): unpack(reps) for p, v, reps in raw["similar"]})
+        catalog.snapshots.load(raw["snapshots"])
         return catalog
 
     def settle_view(self) -> None:
         """After an attach's replay: a path's latest is its newest live
-        version's recipe, and only live recipes own representatives (a
-        legacy view may name a crashed job's uncommitted version)."""
-        owners, aliases = self.similar.owners().items(), self._aliases
+        version's recipe (every owner already is a live recipe: only
+        committed ops reach the view, and a recipe's drop forgets it)."""
+        aliases = self._aliases
         self.similar.load(
-            {owner: fps for owner, fps in owners if self.recipe_in_use(*owner)},
+            self.similar.owners(),
             # Each path's live versions are kept in ascending order.
             {path: aliases.get((path, v[-1]), v[-1]) for path, v in self._versions.items() if v},
         )
@@ -250,17 +257,12 @@ class VersionCatalog:
             getattr(self, self._RENAMED.get(name, name))(*args)
         self.pending.clear()
 
-    # --- pending G-node work ----------------------------------------------
-    def mark_pending(
-        self, path: str, version: int, new_container_ids: list[int] | None = None
-    ) -> None:
-        """Flag a committed version pending its G-node pass, which scans
-        ``new_container_ids`` (records from before :meth:`register` marked)."""
-        if (path, version) not in self._pending:
-            self._pending[(path, version)] = new_container_ids
-            named = [] if new_container_ids is None else [new_container_ids]
-            self.pending.append(["mark_degraded", path, version, *named])
+    def format(self, stamp: int) -> None:
+        """The stamp leading a repository's first record (attach checks
+        its value before the replay)."""
+        self.stamped = True
 
+    # --- pending G-node work ----------------------------------------------
     def clear_pending(self, path: str, version: int) -> None:
         """Clear the pending flag after a complete G-node pass."""
         if (path, version) in self._pending:
@@ -272,30 +274,22 @@ class VersionCatalog:
         return sorted(self._pending)
 
     def pending_containers(self, path: str, version: int) -> list[int]:
-        """The containers a pending version's pass scans: its new ones, or
-        every container it references when its mark predates naming them."""
-        cids = self._pending[(path, version)]
-        return sorted(self._refs[(path, version)]) if cids is None else cids
+        """The new containers a pending version's pass scans."""
+        return self._pending[(path, version)]
 
     def register(
         self, path: str, version: int, referenced: set[int],
-        pending: list[int] | None = None, representatives: str | None = None,
+        pending: list[int], representatives: str = "",
     ) -> None:
         """Mark phase: record references and diff against the predecessor.
-        ``pending`` (the new containers; absent from records written before
-        commits marked) also marks the version pending its G-node pass, and
-        ``representatives`` (:func:`~repro.core.similar_index.pack`ed; absent
-        before the view rode the catalog) enter the view."""
+        The version is pending its G-node pass over ``pending`` (its new
+        containers), and ``representatives``
+        (:func:`~repro.core.similar_index.pack`ed) enter the view."""
         referenced = set(referenced)
-        op = ["register", path, version, sorted(referenced)]
-        if pending is not None:
-            self._pending[(path, version)] = pending
-        if pending is not None or representatives:
-            op.append(pending)
-        if representatives:
-            op.append(representatives)
-        self.pending.append(op)
-        self.similar.register(path, version, unpack(representatives or ""))
+        op = ["register", path, version, sorted(referenced), pending]
+        self._pending[(path, version)] = pending
+        self.pending.append(op + [representatives] if representatives else op)
+        self.similar.register(path, version, unpack(representatives))
         self._versions.setdefault(path, []).append(version)
         self._refs[(path, version)] = referenced
         for cid in referenced:
@@ -498,10 +492,9 @@ class SlimStore:
         #: Report of the last attach-time recovery pass (None until
         #: :meth:`recover` runs against a dirty repository).
         self.last_recovery = None
-        #: Keys of the similar index's legacy layout, until a fold migrates them.
-        self._legacy_similar: list[str] = []
-        #: Keys of legacy ``snapshots/`` manifests, until a fold migrates them.
-        self._legacy_snapshots: list[str] = []
+        #: Compaction fix-ups whose record did not land, each with its
+        #: intent: (ops, journal seq); the next pass or delete publishes them.
+        self._unpublished_fixups: list[tuple[list[list], int]] = []
 
     CATALOG_KEY = "catalog/state.json"
     CATALOG_LOG_PREFIX = "catalog/log/"
@@ -526,12 +519,17 @@ class SlimStore:
     def recover(self, run_recovery: bool = True) -> bool:
         """Attach to an existing repository on this OSS endpoint.
 
-        Rebuilds every stateful component from storage: the intent
-        journal, the container id space, the global index (with its Bloom
-        filter) and the version catalog with its similar-file and snapshot
-        views (its checkpoint, then the commit records logged since,
-        replayed in order).  Returns True if a catalog was found
-        (i.e. the repository had prior backups).
+        Rebuilds every stateful component from storage: first the version
+        catalog with its similar-file and snapshot views (its checkpoint,
+        then the commit records logged since, replayed in order), then the
+        intent journal, the container id space, the durability tier and the
+        global index (with its Bloom filter).  Returns True if a catalog
+        was found (i.e. the repository had prior backups).
+
+        A catalog holding a checkpoint or records without the current
+        format stamp raises :class:`~repro.errors.RepositoryFormatError`
+        before any other component reads anything, and nothing is written;
+        an empty bucket is a new repository.
 
         When the journal holds open intents, the container store reports
         torn ``.data``/``.meta`` pairs, a two-phase reap was interrupted,
@@ -542,39 +540,32 @@ class SlimStore:
         interrupted job forward or discards it, collects orphans, and
         truncates the journal; its report lands in ``last_recovery``.
         The same switch gates the attach-time fold of every log (catalog,
-        index WALs, durability tier; it writes) and the migration of the
-        legacy layouts of the similar index and of the snapshots, so an
-        inspection attach stays read-only.
+        index WALs, durability tier; it writes), so an inspection attach
+        stays read-only.
         """
+        similar = self.storage.similar_index
+        payload = self.catalog_log.read_checkpoint()
+        catalog = (
+            VersionCatalog(similar)
+            if payload is None
+            else VersionCatalog.from_json(payload.decode(), similar)
+        )
+        records = [json.loads(record) for record in self.catalog_log.read_tail(catalog.log_next)]
+        if payload is None and records:
+            # Unfolded: the stamp is record 0's first op.
+            head = records[0][0] if records[0] else []
+            catalog.check_format(head[1] if len(head) == 2 and head[0] == "format" else None)
+        for record in records:
+            catalog.replay(record)
+        catalog.settle_view()
+        self.catalog = catalog
+        found = payload is not None or bool(records)
         intents = self.storage.journal.recover()
         self.storage.containers.recover()
         durability = self.storage.durability
         if durability is not None:
             durability.recover()
-            if run_recovery:
-                # Before the orphan test: a legacy per-object layout is
-                # migrated here, and its objects then count as debris.
-                durability.fold_if_logged()
         self.storage.global_index.recover()
-        # The legacy layout's view, unless the checkpoint carries its own.
-        similar = self.storage.similar_index
-        legacy, self._legacy_similar = read_legacy(self.storage.oss, self.bucket)
-        similar.load(legacy)
-        payload = self.catalog_log.read_checkpoint()
-        self.catalog = (
-            VersionCatalog(similar)
-            if payload is None
-            else VersionCatalog.from_json(payload.decode(), similar)
-        )
-        if not self.catalog.checkpoint_has_snapshots:
-            # Written before snapshots rode the catalog (or never folded).
-            legacy, self._legacy_snapshots = read_legacy_snapshots(self.storage.oss, self.bucket)
-            self.catalog.snapshots.load(legacy)
-        records = self.catalog_log.read_tail(self.catalog.log_next)
-        for record in records:
-            self.catalog.replay(json.loads(record))
-        self.catalog.settle_view()
-        found = payload is not None or bool(records)
         self.last_recovery = None
         containers = self.storage.containers
         dirty = bool(
@@ -594,13 +585,15 @@ class SlimStore:
     def _persist_catalog(self, ops: list[list] = ()) -> None:
         """Publish the ops noted since the last call plus ``ops`` as one
         commit record, then apply ``ops``: a record that does not land
-        leaves the catalog what OSS holds.  Fold when due."""
+        leaves the catalog what OSS holds.  A repository's first record
+        leads with the format stamp.  Fold when due."""
         catalog = self.catalog
+        stamp = [] if catalog.stamped else [["format", FORMAT]]
         record = catalog.pending + list(ops)
         if record:
-            self.catalog_log.append(json.dumps(record).encode())
+            self.catalog_log.append(json.dumps(stamp + record).encode())
             catalog.pending.clear()
-            catalog.replay(ops)
+            catalog.replay(stamp + list(ops))
         self.catalog_log.fold_if_due(self._catalog_checkpoint)
 
     def _catalog_checkpoint(self, log_next: int) -> bytes:
@@ -609,18 +602,7 @@ class SlimStore:
     def fold_metadata(self) -> None:
         """Fold whichever log holds records (tail or debris) — the catalog's,
         each global-index shard's WAL, the durability tier's — so the next
-        attach has nothing to replay; a no-op on folded logs.  A legacy
-        similar-index layout folds into the catalog checkpoint and goes, as
-        do legacy snapshot manifests (their runs first ride a record)."""
-        if self._legacy_snapshots:
-            runs = self.catalog.snapshots.to_json().items()
-            self._persist_catalog([["join_snapshot", *m, i] for i, ms in runs for m in ms.items()])
-            self.storage.oss.delete_objects(self.bucket, self._legacy_snapshots)
-            self._legacy_snapshots = []
-        if self._legacy_similar:
-            self.catalog_log.fold(self._catalog_checkpoint)
-            self.storage.oss.delete_objects(self.bucket, self._legacy_similar)
-            self._legacy_similar = []
+        attach has nothing to replay; a no-op on folded logs."""
         self.catalog_log.fold_if_logged(self._catalog_checkpoint)
         self.storage.global_index.fold_wal()
         if self.storage.durability is not None:
@@ -799,7 +781,11 @@ class SlimStore:
         reclaimed.  Commit ordering: a ``delete_version`` intent journals
         the :meth:`VersionCatalog.drop_plan`, one catalog record dropping it
         all is the commit point, and only then are containers (entombed
-        under a grace) and recipes removed, idempotently for recovery."""
+        under a grace) and recipes removed, idempotently for recovery.  A
+        compaction fix-up whose record did not land goes out first, so the
+        plan sees the references the recipes hold."""
+        if self._unpublished_fixups:
+            self._publish_fixups(self._unpublished_fixups)
         keys = [(p, v) for p, v in members if self.catalog.versions(p)[:1] == [v]]
         plan = self.catalog.drop_plan(keys)
         ops = [["drop_version", path, version] for path, version in keys]
@@ -884,7 +870,9 @@ class SlimStore:
         intents close only then (until then the catalog names the old
         layout).  Clears alone ride the next record: a crash before it only
         re-drains.  A step that cannot reach OSS, the fix-up record
-        included, leaves its versions pending.
+        included, leaves its versions pending; a fix-up that did not land
+        rides the next pass's record (or goes out before the next delete),
+        and its intent closes with it.
 
         Returns (reverse-dedup report, compaction report per version, the
         versions left pending, retier report).
@@ -902,7 +890,7 @@ class SlimStore:
                     failed.update(work)
         catalog = self.catalog
         compactions: dict[tuple[str, int], CompactionReport] = {}
-        fixup: list[list] = []
+        fixups = list(self._unpublished_fixups)
         for (path, version), (cids, recipe) in work.items():
             if recipe is None or not self.config.sparse_compaction:
                 continue
@@ -914,24 +902,19 @@ class SlimStore:
             compactions[(path, version)] = report
             if report.sparse_containers:
                 refs = sorted(recipe.referenced_containers())
+                ops = [["add_garbage", path, version, sorted(report.sparse_containers)]]
                 if refs != sorted(catalog.references(path, version)):
-                    fixup.append(["update_references", path, version, refs])
-                fixup.append(["add_garbage", path, version, sorted(report.sparse_containers)])
+                    ops.insert(0, ["update_references", path, version, refs])
+                fixups.append((ops, report.journal_seq))
         clears = [key for key in work if key not in failed]
-        if not fixup:
+        if not fixups:
             for key in clears:
                 catalog.clear_pending(*key)
         else:
-            # Published before it is applied: a record that does not land
-            # leaves the versions pending and the compaction intents open.
             try:
-                self._persist_catalog(fixup + [["clear_degraded", *key] for key in clears])
+                self._publish_fixups(fixups, clears)
             except (TransientOSSError, RetryExhaustedError):
                 failed.update(work)
-            else:
-                for report in compactions.values():
-                    if report.journal_seq is not None:
-                        self.storage.journal.close(report.journal_seq)
         retier_report = None
         if self.storage.durability is not None:
             try:
@@ -939,6 +922,21 @@ class SlimStore:
             except (TransientOSSError, RetryExhaustedError):
                 pass
         return reverse_report, compactions, failed, retier_report
+
+    def _publish_fixups(self, fixups: list, clears: list = ()) -> None:
+        """Publish compaction fix-ups and the clears of ``clears`` as one
+        record, then close the fix-ups' intents.  Published before it is
+        applied: a record that does not land leaves the versions pending,
+        the intents open and the fix-ups kept for the next try."""
+        ops = [op for fixup, _seq in fixups for op in fixup]
+        try:
+            self._persist_catalog(ops + [["clear_degraded", *key] for key in clears])
+        except (TransientOSSError, RetryExhaustedError):
+            self._unpublished_fixups = fixups
+            raise
+        self._unpublished_fixups = []
+        for _ops, seq in fixups:
+            self.storage.journal.close(seq)
 
     def pending_versions(self) -> list[tuple[str, int]]:
         """Versions still awaiting their G-node pass (see :meth:`drain`)."""

@@ -133,3 +133,21 @@ class VersionNotFoundError(ReproError, KeyError):
         super().__init__(f"backup version not found: {what}")
         self.path = path
         self.version = version
+
+
+class RepositoryFormatError(ReproError):
+    """A repository's catalog lacks the format stamp this code reads.
+
+    ``found`` is the stamp the catalog carries (None when it has none) and
+    ``supported`` the one this code writes; attach refuses the repository
+    before any component reads its state.
+    """
+
+    def __init__(self, found: object, supported: int) -> None:
+        stamp = "no format stamp" if found is None else f"format {found!r}"
+        super().__init__(
+            f"unsupported repository: its catalog carries {stamp}, "
+            f"this version reads format {supported} only"
+        )
+        self.found = found
+        self.supported = supported

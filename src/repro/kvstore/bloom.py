@@ -13,8 +13,7 @@ fingerprints costs numpy more than it saves.
 The filter is persisted (the SSTable footer blob).  Its payload leads with
 a scheme byte naming the position function, because a filter probed with
 a different function than it was built with answers "absent" for keys it
-holds; see :meth:`BloomFilter.from_bytes` for how a
-payload written before the scheme byte existed is opened.
+holds; a payload with any other scheme byte is refused.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ import numpy as np
 _TWO_WORDS = struct.Struct(">QQ")
 
 #: First payload byte of a filter whose slots come from :func:`_positions`.
-#: A payload written before this byte existed starts with the high byte of
-#: a 64-bit bit count, which is always 0.
 _SCHEME_DOUBLE_HASHING = 1
 _HEADER = struct.Struct(">BQHQ")
-_LEGACY_HEADER = struct.Struct(">QHQ")
 
 
 def _positions(item: bytes, k: int, m: int) -> list[int]:
@@ -121,26 +117,17 @@ class BloomFilter:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "BloomFilter":
-        """Reopen a persisted filter.
-
-        A payload without the scheme byte was built by salted per-slot
-        hashes this module no longer has.  Probing its bits with
-        :func:`_positions` would report stored keys absent, so it opens
-        saturated instead: every probe answers "maybe", which is always
-        correct and costs the SSTable one block read per lookup until
-        compaction rewrites the table.
-        """
-        legacy = payload[:1] == b"\x00"
-        header = _LEGACY_HEADER if legacy else _HEADER
-        if len(payload) < header.size:
+        """Reopen a persisted filter (its scheme byte must name
+        :func:`_positions`: a filter probed otherwise drops stored keys)."""
+        if len(payload) < _HEADER.size:
             raise ValueError("corrupt bloom filter payload")
-        fields = header.unpack_from(payload)
-        if not legacy and fields[0] != _SCHEME_DOUBLE_HASHING:
-            raise ValueError(f"unknown bloom filter scheme {fields[0]}")
+        scheme, bits, hashes, count = _HEADER.unpack_from(payload)
+        if scheme != _SCHEME_DOUBLE_HASHING:
+            raise ValueError(f"unknown bloom filter scheme {scheme}")
         filt = cls.__new__(cls)
-        filt._bits, filt._hashes, filt._count = fields[-3:]
-        body = payload[header.size :]
-        if len(body) != (filt._bits + 7) // 8:
+        filt._bits, filt._hashes, filt._count = bits, hashes, count
+        body = payload[_HEADER.size :]
+        if len(body) != (bits + 7) // 8:
             raise ValueError("corrupt bloom filter payload")
-        filt._array = bytearray(b"\xff" * len(body) if legacy else body)
+        filt._array = bytearray(body)
         return filt

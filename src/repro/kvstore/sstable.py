@@ -10,9 +10,8 @@ does one ranged GET covering a single index block — the access pattern that
 makes an LSM tree viable on high-latency object storage.  The bloom filter
 and sparse index are loaded once at open time and then served from node
 memory, mirroring RocksDB's block cache.  The filter blob is
-:meth:`BloomFilter.to_bytes`, which leads with a scheme byte; a table
-written before that byte existed opens with a saturated filter (every
-lookup pays its block probe) until compaction rewrites it.
+:meth:`BloomFilter.to_bytes`, which leads with a scheme byte; a table whose
+filter names another scheme does not open.
 """
 
 from __future__ import annotations

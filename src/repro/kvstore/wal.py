@@ -25,9 +25,7 @@ _RECORD_HEADER = struct.Struct(">BII")  # op, key length, value length
 _OP_PUT = 1
 _OP_DELETE = 2
 #: Checkpoint header: the scheme byte and, in the next seven bytes, the
-#: record number folded through; then the body length.  The scheme byte is
-#: never an op byte, so a legacy ``active.wal`` — the bare records the
-#: previous format mirrored there — reads as a body folded through 0.
+#: record number folded through; then the body length.
 _CHECKPOINT = struct.Struct(">QI")
 _SCHEME = 0x80
 _MARK_BITS = 56
@@ -81,14 +79,12 @@ def latest_entries(payload: bytes) -> dict[bytes, bytes]:
 
 
 def parse_checkpoint(payload: bytes) -> tuple[int, bytes]:
-    """``(through, body)`` of a checkpoint object (legacy mirrors included).
+    """``(through, body)`` of a checkpoint object.
 
     A body whose length disagrees with the header is a torn checkpoint:
     raising beats dropping the records its ``through`` mark claims are
     folded.
     """
-    if payload and payload[0] in (_OP_PUT, _OP_DELETE):
-        return 0, payload
     if len(payload) < _CHECKPOINT.size:
         raise KVStoreError("torn WAL checkpoint header")
     word, length = _CHECKPOINT.unpack_from(payload)

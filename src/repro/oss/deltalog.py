@@ -28,9 +28,11 @@ from repro.oss.object_store import ObjectStorageService
 
 #: Records between folds.  Swept on ``srctree_smallfiles`` (1,957 calls of
 #: ~4 KiB, seed 1), OSS bytes moved per logical byte: 32 → 2.31, 64 → 2.04,
-#: 256 → 1.83, 1024 → 1.78, ingest wall within 15% across the sweep.  Past
-#: 256 the checkpoint rewrites are already noise, and 256 bounds the tail an
-#: attach must read back.
+#: 256 → 1.83, 1024 → 1.78, ingest wall within 15% across the sweep.  At
+#: that workload's 3-version horizon the checkpoint rewrites past 256 are
+#: noise, and 256 bounds the tail an attach must read back.  They are not
+#: noise over a long history: each fold re-PUTs the whole state, so on a
+#: 24-version S-DB chain the checkpoints were 63% of the bytes PUT.
 FOLD_EVERY = 256
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.global_index import GlobalIndex
-from repro.core.similar_index import SimilarFileIndex, pack, read_legacy
+from repro.core.similar_index import SimilarFileIndex, pack
 from repro.core.system import VersionCatalog
 from repro.fingerprint.hashing import fingerprint
 
@@ -46,7 +46,7 @@ class TestSimilarFileIndex:
         representatives replay, and the checkpoint carries the owners."""
         catalog = VersionCatalog(index)
         for version in range(4):
-            catalog.register("dir/f", version, {1}, representatives=pack(fps("x", 5)))
+            catalog.register("dir/f", version, {1}, [], pack(fps("x", 5)))
         replayed = VersionCatalog()
         replayed.replay(catalog.pending)
         for rebuilt in (replayed, VersionCatalog.from_json(catalog.to_json())):
@@ -54,10 +54,8 @@ class TestSimilarFileIndex:
             assert rebuilt.similar.latest_version("dir/f") == 3
             assert rebuilt.similar.find_similar(fps("x", 5)) == ("dir/f", 3)
 
-    def test_load_without_object(self, oss):
-        """No legacy ``similar/`` object: nothing to read, no key to drop."""
-        oss.create_bucket("bucket")
-        assert read_legacy(oss, "bucket") == ({}, [])
+    def test_load_without_object(self):
+        """Loading an empty view forgets every path and representative."""
         index = SimilarFileIndex()
         index.register("f", 0, fps("x", 5))
         index.load({})
@@ -80,7 +78,7 @@ class TestSimilarFileIndex:
         """The view's bytes are its share of the catalog checkpoint."""
         catalog = VersionCatalog(index)
         empty = catalog.view_bytes()
-        catalog.register("f", 0, {1}, representatives=pack(fps("x", 3)))
+        catalog.register("f", 0, {1}, [], pack(fps("x", 3)))
         assert catalog.view_bytes() > empty
         section = json.loads(catalog.to_json())["similar"]
         assert catalog.view_bytes() == len(json.dumps(section))

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.core.config import SlimStoreConfig
-from repro.core.global_index import GlobalIndex
 from repro.core.restore import RestoreEngine
 from repro.core.storage import StorageLayer
 from repro.errors import RestoreError, VersionNotFoundError
 from repro.workloads.sdb import SDBConfig, SDBGenerator
 from tests.conftest import RegisteringEngine, mutate, random_bytes, stable_versions
-from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
 
 CONFIG = SlimStoreConfig(
     container_bytes=128 * 1024,
@@ -260,38 +258,6 @@ class TestGlobalIndexRedirect:
         storage.containers.rewrite(cid)
 
         result = restore.restore("f", 0)
-        assert result.data == data
-        assert result.counters.get("global_index_redirects") == 1
-
-    def test_redirect_through_sstable_with_legacy_bloom_blob(self, oss, rng):
-        """The moved chunk's new owner sits in a flushed index SSTable whose
-        filter predates the scheme byte; a reattached index must still
-        find it (a filter probed with the wrong positions would say
-        "absent" and fail the restore)."""
-        storage = StorageLayer.create(oss)
-        data = random_bytes(rng, 128 * 1024)
-        cid = RegisteringEngine(CONFIG, storage).backup("f", data).new_container_ids[0]
-        meta = storage.containers.read_meta(cid)
-        victim = meta.live_entries()[0]
-        payload = storage.containers.read_data(cid)
-        builder = storage.containers.new_builder(CONFIG.container_bytes)
-        builder.add_chunk(victim.fp, payload[victim.offset : victim.offset + victim.size])
-        storage.containers.write(builder)
-        storage.global_index.assign(victim.fp, builder.container_id)
-        meta.mark_deleted(victim.fp)
-        storage.containers.update_meta(meta)
-        storage.containers.rewrite(cid)
-        storage.global_index.flush()
-        tables = oss.list_objects("slimstore-index", "sst/")
-        assert tables
-        for object_key in tables:
-            downgrade_sstable_bloom(oss, "slimstore-index", object_key)
-
-        # What an attach builds: SSTables reopened, Bloom filters refilled.
-        storage.global_index = GlobalIndex(oss)
-        storage.global_index.recover()
-        assert storage.global_index.lookup(victim.fp) == builder.container_id
-        result = RestoreEngine(CONFIG, storage).restore("f", 0)
         assert result.data == data
         assert result.counters.get("global_index_redirects") == 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SlimStore, SlimStoreConfig
-from repro.core.snapshot import LEGACY_PREFIX, Snapshot, SnapshotNotFoundError, SnapshotStore
+from repro.core.snapshot import Snapshot, SnapshotNotFoundError, SnapshotStore
 from repro.core.system import VersionCatalog
 from repro.errors import SimulatedCrashError, VersionNotFoundError
 from repro.oss.faults import FaultPolicy
@@ -24,7 +24,6 @@ class TestSnapshotStore:
         catalog.snapshots.load(store.to_json())
         rebuilt = VersionCatalog.from_json(catalog.to_json())
         assert rebuilt.snapshots.get("00000001") == loaded
-        assert rebuilt.checkpoint_has_snapshots
 
     def test_missing_raises(self):
         with pytest.raises(SnapshotNotFoundError):
@@ -163,18 +162,3 @@ class TestReservedIds:
         fresh.recover()
         assert fresh.snapshots.get("00000001").members == {"f": 1}
         assert fresh.snapshots.allocate_id() == "00000002"
-
-    def test_recover_without_reservations_matches_manifests(self, oss):
-        oss.create_bucket("slimstore")
-        oss.put_object("slimstore", "snapshots/00000003", b'{"snapshot_id": "00000003", "members": {"f": 0}}')
-        fresh = SlimStore(CONFIG, oss)
-        fresh.recover()
-        assert fresh.snapshots.allocate_id() == "00000004"
-
-    def test_non_numeric_keys_and_reservations_are_skipped(self, oss):
-        oss.create_bucket("slimstore")
-        oss.put_object("slimstore", LEGACY_PREFIX + "README", b"x")
-        store = SlimStore(CONFIG, oss)
-        store.recover()
-        assert store.snapshots.list_ids() == []
-        assert store.snapshots.allocate_id() == "00000000"

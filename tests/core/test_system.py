@@ -24,34 +24,34 @@ def store() -> SlimStore:
 class TestVersionCatalog:
     def test_register_and_versions(self):
         catalog = VersionCatalog()
-        catalog.register("f", 0, {1, 2})
-        catalog.register("f", 1, {2, 3})
+        catalog.register("f", 0, {1, 2}, [])
+        catalog.register("f", 1, {2, 3}, [])
         assert catalog.versions("f") == [0, 1]
 
     def test_drop_returns_unreferenced_containers(self):
         catalog = VersionCatalog()
-        catalog.register("f", 0, {1, 2})
-        catalog.register("f", 1, {2, 3})
+        catalog.register("f", 0, {1, 2}, [])
+        catalog.register("f", 1, {2, 3}, [])
         collectable = catalog.drop_version("f", 0)
         assert collectable == [1]  # container 2 still referenced by v1
 
     def test_mark_phase_diffs_predecessor(self):
         catalog = VersionCatalog()
-        catalog.register("f", 0, {1, 2})
-        catalog.register("f", 1, {2})
+        catalog.register("f", 0, {1, 2}, [])
+        catalog.register("f", 1, {2}, [])
         # Container 1 was marked garbage for v0 during v1's registration.
         assert 1 in catalog.drop_version("f", 0)
 
     def test_shared_containers_protected_across_files(self):
         catalog = VersionCatalog()
-        catalog.register("a", 0, {7})
-        catalog.register("b", 0, {7})
+        catalog.register("a", 0, {7}, [])
+        catalog.register("b", 0, {7}, [])
         assert catalog.drop_version("a", 0) == []
         assert catalog.drop_version("b", 0) == [7]
 
     def test_add_garbage(self):
         catalog = VersionCatalog()
-        catalog.register("f", 0, {1})
+        catalog.register("f", 0, {1}, [])
         catalog.add_garbage("f", 0, [9])
         collected = catalog.drop_version("f", 0)
         assert set(collected) == {1, 9}

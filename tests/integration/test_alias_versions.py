@@ -21,7 +21,6 @@ a recipe) and writes nothing else.  This suite pins the contract down:
 
 from __future__ import annotations
 
-import json
 import urllib.parse
 
 import numpy as np
@@ -32,7 +31,6 @@ from hypothesis import strategies as st
 from repro import SlimStore, SlimStoreConfig
 from repro.core import recipe as recipes
 from repro.core.browse import BrowseSession
-from repro.core.system import VersionCatalog
 from repro.errors import SimulatedCrashError
 from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
@@ -151,14 +149,6 @@ class TestReads:
         for version, payload in enumerate(chain):
             assert survivor.restore("f", version).data == payload
         assert_recipes_follow_catalog(survivor)
-
-    def test_checkpoint_without_aliases_loads(self, store):
-        raw = json.loads(store.catalog.to_json())
-        assert raw["aliases"] == [["f", 1, 0], ["f", 3, 2]]
-        del raw["aliases"]
-        legacy = VersionCatalog.from_json(json.dumps(raw))
-        assert legacy.recipe_version("f", 1) == 1
-
 
 class TestLifetime:
     def test_fifo_deletion_drops_a_recipe_with_its_last_version(self, store, chain, rng):

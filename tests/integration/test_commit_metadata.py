@@ -6,10 +6,10 @@ mechanism) and the crash matrices (the commit contract):
 
 * any interleaving of catalog mutations, registrations, commits, folds and
   reattaches reloads exactly the committed state, view included;
-* a repository written whole-object by the previous format attaches, and
-  one whose similar index has its own checkpoint and log (the layout
-  before the view rode the catalog) attaches to the same view, which a
-  writing attach migrates and an inspection attach leaves alone;
+* the first record and every checkpoint carry the format stamp, and a
+  repository without it is refused before anything else is read or
+  written; a HEAD-written attach sends nothing under the prefixes of the
+  retired layouts;
 * the bytes one commit writes do not depend on how many paths the
   repository holds (the property the whole-object rewrite lacked);
 * the requests a backup does *not* need are not sent: no commit record when
@@ -17,13 +17,12 @@ mechanism) and the crash matrices (the commit contract):
   nothing under ``similar/``;
 * an interrupted fold's leftovers are reported by ``fsck`` and folded away;
 * the global index's WAL, the third delta log, keeps every entry across
-  attaches, including a WAL mirror the previous format left behind.
+  attaches.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from unittest import mock
 
 import numpy as np
@@ -33,13 +32,19 @@ from hypothesis import strategies as st
 
 from repro import SlimStore, SlimStoreConfig
 from repro.oss import deltalog
+from repro.core.journal import INTENT_KINDS
 from repro.core.recovery import RecoveryManager
 from repro.core.similar_index import pack
-from repro.errors import SimulatedCrashError, TransientOSSError
+from repro.core.system import FORMAT
+from repro.errors import (
+    RepositoryFormatError,
+    RetryExhaustedError,
+    SimulatedCrashError,
+    TransientOSSError,
+)
 from repro.oss.faults import FaultPolicy
 from repro.oss.object_store import ObjectStorageService
 from tests.conftest import SMALL_CONFIG, bucket_state, mutate, random_bytes
-from tests.kvstore.legacy_wal import LegacyWriteAheadLog
 
 BUCKET = "slimstore"
 PATHS = ["a", "b/c", "d"]
@@ -66,13 +71,10 @@ def keys(store: SlimStore, prefix: str) -> list[str]:
 
 cids = st.lists(st.integers(0, 12), max_size=4)
 step = st.one_of(
-    # False: no mark; True: a mark naming no containers (written before
-    # marks named them); a list: a mark naming those new containers.
-    st.tuples(
-        st.just("backup"), st.integers(0, 2), cids, st.one_of(st.booleans(), cids)
-    ),
+    # The last list: the new containers the version's pass scans.
+    st.tuples(st.just("backup"), st.integers(0, 2), cids, cids),
     st.tuples(st.just("maintain"), st.integers(0, 2), cids, cids),
-    st.tuples(st.just("settle"), st.integers(0, 2), st.booleans()),
+    st.tuples(st.just("settle"), st.integers(0, 2)),
     st.tuples(st.just("drop"), st.integers(0, 2)),
     st.tuples(st.just("commit")),
     st.tuples(st.just("fold")),
@@ -100,16 +102,12 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
         for name, *args in steps:
             catalog = live.catalog
             if name == "backup":
-                index, referenced, mark = args
+                index, referenced, new = args
                 path = PATHS[index]
                 versions = catalog.versions(path)
                 version = versions[-1] + 1 if versions else 0
                 reps = pack(fake_reps(path, version, len(referenced)))
-                catalog.register(path, version, set(referenced), representatives=reps)
-                if mark is True:
-                    catalog.mark_pending(path, version)
-                elif mark is not False:
-                    catalog.mark_pending(path, version, mark)
+                catalog.register(path, version, set(referenced), new, reps)
             elif name == "maintain":
                 index, referenced, garbage = args
                 versions = catalog.versions(PATHS[index])
@@ -117,12 +115,9 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
                     catalog.update_references(PATHS[index], versions[-1], set(referenced))
                     catalog.add_garbage(PATHS[index], versions[-1], garbage)
             elif name == "settle":
-                index, pending = args
-                versions = catalog.versions(PATHS[index])
-                if versions and pending:
-                    catalog.mark_pending(PATHS[index], versions[-1])
-                elif versions:
-                    catalog.clear_pending(PATHS[index], versions[-1])
+                versions = catalog.versions(PATHS[args[0]])
+                if versions:
+                    catalog.clear_pending(PATHS[args[0]], versions[-1])
             elif name == "drop":
                 path = PATHS[args[0]]
                 versions = catalog.versions(path)
@@ -152,147 +147,144 @@ def test_reattached_state_equals_the_committed_state(fold_every, steps):
 
 
 # ---------------------------------------------------------------------------
-# Legacy: a repository persisted whole-object, before the delta log
+# The format stamp
 # ---------------------------------------------------------------------------
 
 
-def legacy_catalog_json(catalog) -> str:
-    """The previous format's ``VersionCatalog.to_json`` (no ``log_next``)."""
-    return json.dumps(
-        {
-            "versions": catalog._versions,
-            "refs": [
-                [path, version, sorted(cids)]
-                for (path, version), cids in sorted(catalog._refs.items())
-            ],
-            "garbage": [
-                [path, version, sorted(cids)]
-                for (path, version), cids in sorted(catalog._garbage.items())
-            ],
-            "degraded": [list(key) for key in sorted(catalog._pending)],
-        }
-    )
+def record_access(oss: ObjectStorageService, monkeypatch) -> list[tuple[str, str]]:
+    """Every (method, key or prefix) ``oss`` serves from here on, the free
+    peeks included (a batched delete names its keys)."""
+    log: list[tuple[str, str]] = []
+    for name in (
+        "put_object", "get_object", "get_range", "get_ranges", "delete_object",
+        "delete_objects", "list_objects", "head_object", "peek_size", "peek_keys",
+    ):
+        original = getattr(oss, name)
+
+        def spy(bucket, key="", *args, _name=name, _original=original, **kwargs):
+            log.append((_name, key if isinstance(key, str) else ",".join(key)))
+            return _original(bucket, key, *args, **kwargs)
+
+        monkeypatch.setattr(oss, name, spy)
+    return log
 
 
-def legacy_similar_blob(latest: dict, by_rep: dict, log_next: int | None = None) -> bytes:
-    """A blob of the similar index's own layout: header, path entries,
-    representative entries, and — in a checkpoint written once the index
-    had its log — the 8-byte folded-through trailer."""
-    blob = bytearray(struct.pack(">II", len(latest), len(by_rep)))
-    for path, version in sorted(latest.items()):
-        encoded = path.encode()
-        blob += struct.pack(">HI", len(encoded), version)
-        blob += encoded
-    for fp, (path, version) in sorted(by_rep.items()):
-        encoded = path.encode()
-        blob += struct.pack(">20sHI", fp, len(encoded), version)
-        blob += encoded
-    if log_next is not None:
-        blob += struct.pack(">Q", log_next)
-    return bytes(blob)
+def stamped_repository(rng, config=SMALL_CONFIG) -> SlimStore:
+    """Two versions of ``f`` and a snapshot run, closed and never folded."""
+    store = SlimStore(config, ObjectStorageService())
+    data = random_bytes(rng, 48 * 1024)
+    store.backup("f", data)
+    store.backup("f", mutate(rng, data, runs=2, run_bytes=4096))
+    store.backup_snapshot({"vol/a": random_bytes(rng, 24 * 1024), "vol/b": data})
+    store.close()
+    assert not keys(store, "catalog/state.json")
+    return store
 
 
-def test_legacy_whole_object_repository_attaches_backs_up_and_reattaches(rng):
+def test_the_first_record_and_every_checkpoint_carry_the_stamp(rng):
+    store = stamped_repository(rng)
+    records = [json.loads(store.oss.get_object(BUCKET, key)) for key in keys(store, "catalog/log/")]
+    assert len(records) > 1
+    assert records[0][0] == ["format", FORMAT]
+    assert [op for record in records for op in record if op[0] == "format"] == [records[0][0]]
+    survivor = reattach(store)  # folds
+    checkpoint = json.loads(store.oss.get_object(BUCKET, "catalog/state.json"))
+    assert checkpoint["format"] == FORMAT
+    survivor.backup("g", random_bytes(rng, 8 * 1024))
+    (record,) = [json.loads(store.oss.get_object(BUCKET, key)) for key in keys(store, "catalog/log/")]
+    assert all(op[0] != "format" for op in record)
+
+
+def test_a_first_record_refused_alive_is_stamped_on_retry(rng):
+    """The stamp stays queued with the rest of the failed record."""
+    from tests.integration.test_crash_recovery import RefuseCatalogRecords
+
     store = SlimStore(SMALL_CONFIG, ObjectStorageService())
-    chain = [random_bytes(rng, 96 * 1024)]
-    chain.append(mutate(rng, chain[0], runs=2, run_bytes=4096))
-    other = random_bytes(rng, 40 * 1024)
-    store.backup("f", chain[0])
-    store.backup("f", chain[1])
-    store.backup("g", other)
-    # Re-express the metadata exactly as the previous release left it: the
-    # two whole objects, and nothing under either log prefix.
+    data = random_bytes(rng, 32 * 1024)
+    store.oss.set_fault_policy(RefuseCatalogRecords())
+    with pytest.raises((TransientOSSError, RetryExhaustedError)):
+        store.backup("f", data)
+    store.oss.set_fault_policy(None)
+    assert not store.catalog.stamped
+    assert store.backup("f", data).version == 0
+    first = json.loads(store.oss.get_object(BUCKET, "catalog/log/000000000000"))
+    assert first[0] == ["format", FORMAT] and first[1][:3] == ["register", "f", 0]
+    assert reattach(store).restore("f").data == data
+
+
+@pytest.mark.parametrize("layout", ["checkpoint_without_stamp", "record_0_without_stamp", "stamp_of_2"])
+def test_an_unstamped_repository_is_refused_before_anything_is_read(rng, layout, monkeypatch):
+    """A folded checkpoint without ``"format"``, a never-folded log whose
+    record 0 lacks the op, or a stamp this code does not read: the writing
+    and the inspection attach both raise, read nothing outside
+    ``catalog/`` and write nothing."""
+    store = stamped_repository(rng)
     objects = store.oss._backend(BUCKET)._objects
-    for key in keys(store, "catalog/"):
-        del objects[key]
-    objects["catalog/state.json"] = legacy_catalog_json(store.catalog).encode()
-    objects["similar/index"] = legacy_similar_blob(*similar_state(store))
-
-    attached = reattach(store)
-    assert attached.versions("f") == [0, 1] and attached.versions("g") == [0]
-    assert similar_state(attached) == similar_state(store)
-    assert attached.restore("f", 1).data == chain[1]
-    # The writing attach migrated the similar index into the checkpoint.
-    assert not keys(attached, "similar/")
-    assert json.loads(objects["catalog/state.json"])["similar"]
-
-    chain.append(mutate(rng, chain[1], runs=2, run_bytes=4096))
-    report = attached.backup("f", chain[2])
-    assert report.version == 2
-    assert report.dedup_ratio > 0.5  # deduplicated against the legacy history
-    # The new commit is a record beside the migrated checkpoint.
-    assert keys(attached, "catalog/log/") == ["catalog/log/000000000000"]
-
-    again = reattach(attached)
-    assert again.versions("f") == [0, 1, 2]
-    for version, payload in enumerate(chain):
-        assert again.restore("f", version).data == payload
-    assert again.restore("g", 0).data == other
-    assert similar_state(again) == similar_state(attached)
-    # That attach folded the new record.
-    assert json.loads(objects["catalog/state.json"])["log_next"] == 1
-    assert not keys(again, "catalog/log/") and not keys(again, "similar/")
-
-
-@pytest.mark.parametrize("layout", ["checkpoint", "checkpoint_and_log", "log"])
-def test_a_legacy_similar_layout_attaches_to_the_same_view(rng, layout):
-    """The similar index as it persisted before riding the catalog: its own
-    checkpoint ``similar/index`` (``checkpoint``: the trailer-less first
-    format; ``checkpoint_and_log``: a trailered one, the log's tail and an
-    interrupted fold's debris; ``log``: records only, one of them a crashed
-    backup's uncommitted registration) beside a catalog carrying no view.
-    An inspection attach reads it and writes nothing; a writing attach
-    reads the same view, folds it into the catalog checkpoint and deletes
-    every ``similar/`` key; the next attach needs none of them."""
-    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
-    for name in ("a", "b/c", "d"):
-        data = random_bytes(rng, 48 * 1024)
-        store.backup(name, data)
-        store.backup(name, mutate(rng, data, runs=2, run_bytes=4096))
-    store.delete_version("d", 0)
-    store.fold_metadata()
-    latest, by_rep = expected = similar_state(store)
-    assert by_rep
-    objects = store.oss._backend(BUCKET)._objects
-    raw = json.loads(objects["catalog/state.json"])
-    del raw["similar"]
-    objects["catalog/state.json"] = json.dumps(raw).encode()
-    records = [
-        legacy_similar_blob(
-            {path: latest[path]},
-            {fp: owner for fp, owner in by_rep.items() if owner == (path, version)},
-        )
-        for path, version in sorted(set(by_rep.values()))
-    ]
-    if layout == "checkpoint":
-        objects["similar/index"] = legacy_similar_blob(latest, by_rep)
-    elif layout == "checkpoint_and_log":
-        folded = {fp: owner for fp, owner in by_rep.items() if owner[0] != "a"}
-        objects["similar/index"] = legacy_similar_blob(latest, folded, log_next=3)
-        for seq in range(3):  # debris: already covered by the checkpoint
-            objects[f"similar/log/{seq:012d}"] = records[-1]
-        for seq, record in enumerate(records[:2], start=3):
-            objects[f"similar/log/{seq:012d}"] = record
-        # Only the tail names path "a": records[:2] are its registrations.
-        assert {owner[0] for owner in by_rep.values() if owner not in folded.values()} == {"a"}
+    if layout == "record_0_without_stamp":
+        key = "catalog/log/000000000000"
+        record = json.loads(objects[key])
+        assert record[0] == ["format", FORMAT]
+        objects[key] = json.dumps(record[1:]).encode()
     else:
-        uncommitted = legacy_similar_blob({"a": 2}, {b"\xff" * 20: ("a", 2)})
-        for seq, record in enumerate(records + [uncommitted]):
-            objects[f"similar/log/{seq:012d}"] = record
-    assert keys(store, "similar/")
-
+        reattach(store)  # folds
+        raw = json.loads(objects["catalog/state.json"])
+        if layout == "stamp_of_2":
+            raw["format"] = 2
+        else:
+            del raw["format"]
+        objects["catalog/state.json"] = json.dumps(raw).encode()
     before = bucket_state(store.oss)
-    inspected = reattach(store, run_recovery=False)
-    assert similar_state(inspected) == expected
-    assert bucket_state(store.oss) == before  # the inspection wrote nothing
+    access = record_access(store.oss, monkeypatch)
+    for run_recovery in (True, False):
+        with pytest.raises(RepositoryFormatError) as refused:
+            reattach(store, run_recovery=run_recovery)
+        assert refused.value.found == (2 if layout == "stamp_of_2" else None)
+        assert refused.value.supported == FORMAT
+        assert str(FORMAT) in str(refused.value)
+    assert bucket_state(store.oss) == before
+    assert access and all(key.startswith("catalog/") for _, key in access), access
 
-    attached = reattach(store)
-    assert similar_state(attached) == expected
-    assert not keys(attached, "similar/")
-    assert json.loads(objects["catalog/state.json"])["similar"]
-    assert similar_state(reattach(attached)) == expected
-    for name in ("a", "b/c"):
-        assert attached.restore(name, 1).data == store.restore(name, 1).data
+
+def test_an_attach_reads_nothing_under_the_retired_prefixes(rng, monkeypatch):
+    """A never-folded repository with the durability tier on: neither the
+    writing nor the inspection attach sends a request or a peek under the
+    layouts retired with the format stamp."""
+    from tests.integration.test_durability_failover import DURABLE_CONFIG
+
+    store = stamped_repository(rng, DURABLE_CONFIG)
+    assert store.oss.peek_size(BUCKET, "durability/state.json") is None
+    retired = ("snapshots/", "similar/", "durability/records/", "durability/stripes/")
+    access = record_access(store.oss, monkeypatch)
+    for run_recovery in (False, True):
+        survivor = reattach(store, run_recovery=run_recovery)
+        assert survivor.catalog.to_json() == store.catalog.to_json()
+    assert access
+    assert [(name, key) for name, key in access if key.startswith(retired)] == []
+
+
+def test_every_intent_kind_has_a_handler_and_no_other(rng):
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    assert set(RecoveryManager(store).handlers) == set(INTENT_KINDS)
+
+
+@pytest.mark.parametrize("kind", ["reverse_dedup", "snapshot", "delete_snapshot"])
+def test_an_intent_of_an_unknown_kind_is_discarded(rng, kind):
+    """The journal is outside input: an intent no handler knows (these are
+    kinds older code wrote) changes no visible state."""
+    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
+    data = random_bytes(rng, 48 * 1024)
+    store.backup("f", data)
+    store.close()
+    expected = store.catalog.to_json()
+    store.oss.put_object(
+        BUCKET, "journal/000000000009.json",
+        json.dumps({"kind": kind, "payload": {"snapshot_id": "00000000"}}).encode(),
+    )
+    survivor = reattach(store)
+    assert survivor.last_recovery.discarded == [(9, kind)]
+    assert survivor.catalog.to_json() == expected
+    assert not keys(survivor, "journal/")
+    assert survivor.restore("f").data == data
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +391,11 @@ def test_unchanged_rebackup_opens_one_journal_intent(rng, monkeypatch):
 def test_a_pass_that_changes_nothing_publishes_nothing(rng, monkeypatch):
     store = SlimStore(SMALL_CONFIG, ObjectStorageService())
     data = random_bytes(rng, 64 * 1024)
-    store.backup("f", data)
-    store.catalog.mark_pending("f", 0)
-    store._persist_catalog()
+    store.backup("f", data, run_gnode=False)
     writes = record_writes(store, monkeypatch)
     # An update_references with the set it already holds records no op ...
     store.catalog.update_references("f", 0, store.catalog.references("f", 0))
     store.catalog.add_garbage("f", 0, [])
-    store.catalog.mark_pending("f", 0)
     store._persist_catalog()
     assert not [key for _, key in writes if key.startswith("catalog/")]
     # ... a drain that clears the flag publishes exactly one record, and
@@ -417,24 +406,6 @@ def test_a_pass_that_changes_nothing_publishes_nothing(rng, monkeypatch):
     assert store.drain() is None
     assert len([key for _, key in writes if key.startswith("catalog/")]) == 1
     assert reattach(store).pending_versions() == []
-
-
-def test_a_mark_without_container_ids_replays_and_drains(rng):
-    """A pending mark as marks were written before they named the version's
-    new containers replays on attach and drains over the version's catalog
-    references."""
-    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
-    data = random_bytes(rng, 64 * 1024)
-    store.backup("f", data)
-    store.catalog_log.append(json.dumps([["mark_degraded", "f", 0]]).encode())
-    attached = reattach(store)
-    assert attached.pending_versions() == [("f", 0)]
-    assert attached.catalog.pending_containers("f", 0) == sorted(
-        attached.catalog.references("f", 0)
-    )
-    assert attached.drain().chunks_scanned > 0
-    assert reattach(attached).pending_versions() == []
-    assert attached.restore("f").data == data
 
 
 def test_a_backup_whose_fold_cannot_reach_oss_still_commits(rng, monkeypatch):
@@ -532,29 +503,3 @@ def test_attaches_between_backups_keep_every_global_index_entry(rng, fold):
     assert len(expected) > len(index_items(store))
     assert index_items(reattach(attached, run_recovery=fold)) == expected
 
-
-def test_a_legacy_wal_mirror_attaches_with_every_index_entry(rng):
-    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
-    chain = [random_bytes(rng, 128 * 1024)]
-    store.backup("f", chain[0])
-    expected = index_items(store)
-    # Re-express every shard's WAL as the previous release left it: the
-    # whole segment mirrored to ``active.wal``, no record objects.
-    bucket = "slimstore-index"
-    objects = store.oss._backend(bucket)._objects
-    for key in [key for key in objects if key.startswith("wal/")]:
-        del objects[key]
-    for shard in store.storage.global_index._shards:
-        legacy = LegacyWriteAheadLog(store.oss, bucket, shard._name)
-        for key, value in shard.iter_items():
-            legacy.log_put(key, value)
-
-    attached = reattach(store)
-    assert index_items(attached) == expected
-    assert not store.oss.peek_keys(bucket, "wal/global-index-000/log/")
-    chain.append(mutate(rng, chain[0], runs=2, run_bytes=4096))
-    attached.backup("f", chain[1])
-    again = reattach(attached)
-    assert index_items(again) == index_items(attached)
-    for version, payload in enumerate(chain):
-        assert again.restore("f", version).data == payload

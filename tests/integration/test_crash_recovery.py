@@ -328,6 +328,42 @@ class TestFailedCatalogPublish:
         for index, payload in enumerate(contents):
             assert survivor.restore("f", index).data == payload
 
+    @pytest.mark.parametrize("next_call", ["drain", "delete_version"])
+    def test_the_next_call_publishes_the_failed_fixup(self, next_call):
+        """After the failed fix-up record, the same process's next ``drain``
+        (which finds nothing left to compact: the recipe was re-pointed)
+        or ``delete_version`` publishes the fix-up and only then closes the
+        compaction intent: the catalog references what the recipe does."""
+        base_state, payloads, next_payload = compacting_chain()
+        contents = payloads + [next_payload]
+        version = len(payloads)
+        store = attach(base_state)
+        store.oss.set_fault_policy(RefuseCatalogRecords(allow=1))
+        report = store.backup("f", next_payload)
+        store.oss.set_fault_policy(None)
+        assert report.degraded
+        sparse = set(report.compaction.sparse_containers)
+        if next_call == "drain":
+            store.drain()
+            assert store.pending_versions() == []
+        else:
+            store.delete_version("f", 0)
+            assert store.pending_versions() == [("f", version)]
+        recipe = store.storage.recipes.get_recipe("f", version)
+        assert store.catalog.references("f", version) == recipe.referenced_containers()
+        assert sparse <= store.catalog._garbage[("f", version)]
+        assert store.storage.journal.open_intents() == []
+        published = attach(clone_state(store.oss), fold=False)
+        assert store.catalog.to_json() == published.catalog.to_json()
+        store.drain()
+        while store.versions("f")[0] < 2:
+            store.delete_version("f", store.versions("f")[0])
+        survivor = reattach(store)
+        assert_zero_debris(survivor)
+        assert survivor.versions("f") == list(range(2, version + 1))
+        for index in survivor.versions("f"):
+            assert survivor.restore("f", index).data == contents[index]
+
 
 class TestScrubReportsTornDamage:
     def test_referenced_torn_pair_survives_recovery_and_fails_scrub(self, rng):

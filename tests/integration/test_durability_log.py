@@ -1,4 +1,4 @@
-"""The durability tier's delta log: attach cost, crash debris, old formats.
+"""The durability tier's delta log: attach cost and crash debris.
 
 The tier keeps every container record and stripe manifest on one
 :class:`~repro.oss.deltalog.DeltaLog` (checkpoint ``durability/state.json``,
@@ -9,10 +9,8 @@ point.  This module checks what follows from that:
   bounded by the fold interval, not by the container count;
 * a step killed before its append leaves only objects no record names:
   attach counts them as debris, fsck reports them, ``--repair`` sweeps them;
-* a repository in the older per-object layout (one object per record and
-  per manifest) attaches to the same state, and a writing attach migrates it;
-* ``durability`` intents an older process left open are discarded, and one
-  ``retier`` converges whatever they left half done.
+* ``durability`` intents older code left open are discarded, and the
+  orphan sweep and one ``retier`` converge whatever they left half done.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from tests.integration.test_durability_failover import DURABLE_CONFIG
 pytestmark = pytest.mark.slow
 
 BUCKET = "slimstore"
-RECORDS, STRIPES = DurabilityManager.LEGACY_PREFIXES
 
 
 def durable_chain_store(seed: int = 4242, versions: int = 4):
@@ -44,28 +41,6 @@ def durable_chain_store(seed: int = 4242, versions: int = 4):
     for payload in chain:
         store.backup("f", payload)
     return store, chain
-
-
-def legacy_layout(store: SlimStore) -> dict[str, dict[str, bytes]]:
-    """``store``'s repository as older code laid the tier out: one object
-    per record and per stripe manifest, and no delta log."""
-    state = bucket_state(store.oss)
-    objects = state[BUCKET]
-    for key in list(objects):
-        if key == DurabilityManager.STATE_KEY or key.startswith(
-            DurabilityManager.LOG_PREFIX
-        ):
-            del objects[key]
-    durability = store.storage.durability
-    for cid, record in durability._records.items():
-        objects[f"{RECORDS}{cid:012d}.json"] = json.dumps(record).encode()
-    for sid, stripe in durability._stripes.items():
-        objects[f"{STRIPES}{sid:08d}.json"] = json.dumps(stripe).encode()
-    return state
-
-
-def legacy_keys(objects: dict[str, bytes]) -> list[str]:
-    return [key for key in objects if key.startswith((RECORDS, STRIPES))]
 
 
 def count_durability_gets(store: SlimStore, monkeypatch) -> list[str]:
@@ -148,90 +123,39 @@ def test_a_backup_killed_after_a_replica_put_leaves_debris_fsck_sees(monkeypatch
 
 
 class TestLegacyLayout:
-    def test_per_object_layout_attaches_and_migrates(self):
-        store, chain = durable_chain_store()
-        durability = store.storage.durability
-        state = legacy_layout(store)
-        assert legacy_keys(state[BUCKET])
-
-        # An inspection attach reads the same state and writes nothing;
-        # the legacy objects are not debris.
-        inspected = attach(state, config=DURABLE_CONFIG, fold=False)
-        assert inspected.storage.durability._records == durability._records
-        assert inspected.storage.durability._stripes == durability._stripes
-        assert RecoveryManager(inspected).inspect().clean
-        assert bucket_state(inspected.oss) == state
-
-        # A writing attach publishes the checkpoint, then sweeps the old
-        # objects; the next attach reads the checkpoint alone.
-        migrated = attach(state, config=DURABLE_CONFIG)
-        objects = bucket_state(migrated.oss)[BUCKET]
-        assert DurabilityManager.STATE_KEY in objects
-        assert legacy_keys(objects) == []
-        assert migrated.storage.durability._records == durability._records
-        assert migrated.storage.durability._stripes == durability._stripes
-        assert migrated.storage.durability.orphan_keys() == []
-        reattached = attach(bucket_state(migrated.oss), config=DURABLE_CONFIG)
-        assert reattached.storage.durability._records == durability._records
-        assert reattached.storage.durability._next_sid == durability._next_sid
-        for version, payload in enumerate(chain):
-            assert reattached.restore("f", version).data == payload
+    """What older code left in a journal: ``durability`` intents, a kind
+    no handler knows now."""
 
     def test_open_durability_intents_from_an_older_process_are_discarded(self):
-        """``tier`` and ``stripe`` intents, each with its commit object
-        landed and not landed, as an older process left them."""
+        """``tier`` and ``stripe`` intents, each with its commit landed and
+        not landed (the copies or the parity it planned PUT, no log record
+        naming them): attach discards every intent, the orphan sweep removes
+        what they wrote, and one ``retier`` converges."""
         store, chain = durable_chain_store(versions=6)
         durability = store.storage.durability
-        state = legacy_layout(store)
+        state = bucket_state(store.oss)
         objects = state[BUCKET]
         replicated = [
             cid for cid, cls in sorted(durability.classes().items()) if cls == "replicated"
         ]
-        striped = [
-            sid
-            for sid, stripe in sorted(durability._stripes.items())
-            if len(stripe["members"]) >= 2 and stripe["parity"]
+        striped = sorted(durability._stripes)
+        assert replicated and striped
+        unborn_cid = max(store.storage.containers.container_ids()) + 1
+        unborn_sid = durability._next_sid
+        debris = [
+            DurabilityManager.COPY_KEY.format(dom=1, cid=unborn_cid, i=1),
+            DurabilityManager.PARITY_KEY.format(dom=2, sid=unborn_sid, i=0),
         ]
-        assert len(replicated) >= 2 and len(striped) >= 2
-        intents = []
-
-        def tier_intent(cid: int) -> dict:
-            record = durability.record_for(cid)
-            return {
-                "op": "tier",
-                "cid": cid,
-                "target": "replicated",
-                "sha": record["sha"],
-                "planned": [copy["key"] for copy in record["copies"]],
-            }
-
-        def stripe_intent(sid: int) -> dict:
-            stripe = durability._stripes[sid]
-            return {
-                "op": "stripe",
-                "sid": sid,
-                "planned": [p["key"] for p in stripe["parity"]]
-                + [f"{STRIPES}{sid:08d}.json"],
-            }
-
-        # tier, committed: the record with its copies landed.
-        intents.append(tier_intent(replicated[0]))
-        # tier, not committed: the copies landed, the record still says
-        # the container is single.
-        landed, cid = tier_intent(replicated[1]), replicated[1]
-        intents.append(landed)
-        objects[f"{RECORDS}{cid:012d}.json"] = json.dumps(
-            {**durability.record_for(cid), "class": "single", "copies": []}
-        ).encode()
-        # stripe, committed: the manifest landed, one member's record not.
-        intents.append(stripe_intent(striped[0]))
-        member = durability._stripes[striped[0]]["members"][-1]["cid"]
-        del objects[f"{RECORDS}{int(member):012d}.json"]
-        # stripe, not committed: only the parity landed.
-        intents.append(stripe_intent(striped[1]))
-        del objects[f"{STRIPES}{striped[1]:08d}.json"]
-        for stripe_member in durability._stripes[striped[1]]["members"]:
-            objects.pop(f"{RECORDS}{int(stripe_member['cid']):012d}.json", None)
+        for key in debris:
+            objects[key] = b"landed before its record"
+        intents = [
+            {"op": "tier", "cid": replicated[0], "target": "replicated",
+             "planned": [c["key"] for c in durability.record_for(replicated[0])["copies"]]},
+            {"op": "tier", "cid": unborn_cid, "target": "replicated", "planned": debris[:1]},
+            {"op": "stripe", "sid": striped[0],
+             "planned": [p["key"] for p in durability._stripes[striped[0]]["parity"]]},
+            {"op": "stripe", "sid": unborn_sid, "planned": debris[1:]},
+        ]
         for seq, payload in enumerate(intents):
             objects[f"journal/{seq:012d}.json"] = json.dumps(
                 {"kind": "durability", "payload": payload}
@@ -240,10 +164,11 @@ class TestLegacyLayout:
         survivor = attach(state, config=DURABLE_CONFIG)
         recovery = survivor.last_recovery
         assert recovery.discarded == [(seq, "durability") for seq in range(4)]
+        assert sorted(recovery.replica_orphans_collected) == sorted(debris)
         assert not survivor.oss.peek_keys(BUCKET, "journal/")
         tier = survivor.storage.durability
         assert tier.orphan_keys() == []
-        assert legacy_keys(bucket_state(survivor.oss)[BUCKET]) == []
+        assert tier._records == durability._records
 
         refcounts = survivor.catalog.refcounts()
         survivor.gnode.retier(refcounts)

@@ -3,13 +3,11 @@
 The pass needs no bookkeeping of its own: the commit record's pending mark
 is its recovery record, so a changed file's backup writes one journal
 intent (the ``backup`` one), and the pass scans the metas its job wrote and
-rewrites the containers it just updated without reading either back.  An
-open ``reverse_dedup`` intent left by an older process still recovers.
+rewrites the containers it just updated without reading either back.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import numpy as np
@@ -88,29 +86,3 @@ def test_inline_backup_of_a_changed_small_file_sends_no_bookkeeping(monkeypatch)
     # The version's clear rides the next record: one commit record so far.
     assert counts[("put_object", "catalog")] == 1
     assert store.restore("g", 0).data == shared
-
-
-def test_an_open_reverse_dedup_intent_from_an_older_process_still_recovers(rng):
-    """Passes open no intent now; one an older process left open re-runs
-    over its surviving containers on attach, and the journal empties."""
-    store = SlimStore(SMALL_CONFIG, ObjectStorageService())
-    data = random_bytes(rng, 64 * 1024)
-    report = store.backup("f", data, run_gnode=False)
-    cids = report.result.new_container_ids
-    assert cids
-    store.oss.put_object(
-        BUCKET,
-        "journal/000000000099.json",
-        json.dumps(
-            {"kind": "reverse_dedup", "payload": {"container_ids": cids + [999]}}
-        ).encode(),
-    )
-    survivor = SlimStore(SMALL_CONFIG, store.oss)
-    survivor.recover()
-    assert survivor.last_recovery.rolled_forward == [(99, "reverse_dedup")]
-    assert not store.oss.peek_keys(BUCKET, "journal/")
-    # The re-run registered the containers' chunks in the global index.
-    meta = survivor.storage.containers.read_meta(cids[0])
-    for entry in meta.live_entries():
-        assert survivor.storage.global_index.lookup(entry.fp) == cids[0]
-    assert survivor.restore("f").data == data

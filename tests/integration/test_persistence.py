@@ -24,8 +24,8 @@ def durable_store(root) -> SlimStore:
 class TestCatalogSerialisation:
     def test_roundtrip(self):
         catalog = VersionCatalog()
-        catalog.register("f", 0, {1, 2})
-        catalog.register("f", 1, {2, 3})
+        catalog.register("f", 0, {1, 2}, [])
+        catalog.register("f", 1, {2, 3}, [])
         catalog.add_garbage("f", 0, [9])
         restored = VersionCatalog.from_json(catalog.to_json())
         assert restored.versions("f") == [0, 1]
@@ -33,8 +33,8 @@ class TestCatalogSerialisation:
 
     def test_refcounts_rederived(self):
         catalog = VersionCatalog()
-        catalog.register("a", 0, {7})
-        catalog.register("b", 0, {7})
+        catalog.register("a", 0, {7}, [])
+        catalog.register("b", 0, {7}, [])
         restored = VersionCatalog.from_json(catalog.to_json())
         assert restored.drop_version("a", 0) == []
         assert restored.drop_version("b", 0) == [7]

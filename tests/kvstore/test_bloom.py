@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.kvstore.bloom import BloomFilter, _positions, optimal_parameters
 from tests.kvstore.counting_bloom import CountingBloomFilter
-from tests.kvstore.legacy_bloom import legacy_payload
 
 
 class TestOptimalParameters:
@@ -97,21 +96,13 @@ class TestPersistedFormat:
         assert b"delta" not in reopened
         assert reopened.to_bytes() == self.GOLDEN
 
-    def test_legacy_payload_opens_saturated(self):
-        held = [f"held{i}".encode() for i in range(200)]
-        payload = legacy_payload(200, 0.01, held)
-        assert payload[0] == 0
-        reopened = BloomFilter.from_bytes(payload)
-        assert all(key in reopened for key in held)
-        # Not a false-positive rate: every probe of a legacy filter says maybe.
-        assert all(f"never{i}".encode() in reopened for i in range(200))
-        assert len(reopened) == 200
-        assert reopened.bit_count == optimal_parameters(200, 0.01)[0]
-
     @pytest.mark.parametrize("legacy", [False, True])
     def test_truncated_payload_rejected(self, legacy):
-        payload = legacy_payload(3, 0.01, self.KEYS) if legacy else self.GOLDEN
-        for cut in (len(payload) - 1, 12, 1, 0):
+        """``legacy``: a payload from before the scheme byte, whose first
+        byte (the high byte of its bit count) is 0, is refused whole too."""
+        payload = bytes(1) + self.GOLDEN[1:] if legacy else self.GOLDEN
+        cuts = (len(payload), len(payload) - 1, 12, 1) if legacy else (len(payload) - 1, 12, 1, 0)
+        for cut in cuts:
             with pytest.raises(ValueError):
                 BloomFilter.from_bytes(payload[:cut])
 

@@ -20,7 +20,6 @@ from repro.core.global_index import GlobalIndex
 from repro.errors import KVStoreError
 from repro.kvstore.bloom import (
     _HEADER,
-    _LEGACY_HEADER,
     _SCHEME_DOUBLE_HASHING,
     BloomFilter,
     _positions,
@@ -46,12 +45,10 @@ def random_keys(count: int, seed: int) -> list[bytes]:
 BIG_BATCH = random_keys(4000, 29) + random_keys(1000, 29)
 
 
-def empty_filter(bits: int, hashes: int, legacy: bool = False) -> BloomFilter:
+def empty_filter(bits: int, hashes: int) -> BloomFilter:
     """A filter of exactly ``bits`` slots and ``hashes`` probes, opened from
-    its persisted form (a legacy payload opens saturated)."""
+    its persisted form."""
     body = bytes((bits + 7) // 8)
-    if legacy:
-        return BloomFilter.from_bytes(_LEGACY_HEADER.pack(bits, hashes, 0) + body)
     return BloomFilter.from_bytes(_HEADER.pack(_SCHEME_DOUBLE_HASHING, bits, hashes, 0) + body)
 
 
@@ -63,16 +60,15 @@ class TestBulkUpdate:
         ),
         bits=st.integers(min_value=8, max_value=1 << 16),
         hashes=st.integers(min_value=1, max_value=10),
-        legacy=st.booleans(),
         seeded=st.integers(min_value=0, max_value=8),
     )
     @settings(max_examples=60)
-    @example(items=BIG_BATCH, bits=8, hashes=10, legacy=False, seeded=0)
-    @example(items=BIG_BATCH, bits=47926, hashes=7, legacy=False, seeded=3)
-    @example(items=BIG_BATCH, bits=9973, hashes=1, legacy=True, seeded=0)
-    def test_update_sets_what_the_add_loop_sets(self, items, bits, hashes, legacy, seeded):
-        per_key = empty_filter(bits, hashes, legacy)
-        bulk = empty_filter(bits, hashes, legacy)
+    @example(items=BIG_BATCH, bits=8, hashes=10, seeded=0)
+    @example(items=BIG_BATCH, bits=47926, hashes=7, seeded=3)
+    @example(items=BIG_BATCH, bits=9973, hashes=1, seeded=0)
+    def test_update_sets_what_the_add_loop_sets(self, items, bits, hashes, seeded):
+        per_key = empty_filter(bits, hashes)
+        bulk = empty_filter(bits, hashes)
         for index in range(seeded):  # a filter already holding keys
             per_key.add(b"held%d" % index)
             bulk.add(b"held%d" % index)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import KVStoreError
-from repro.kvstore.sstable import SSTable
-from tests.kvstore.legacy_bloom import downgrade_sstable_bloom
+from repro.kvstore.sstable import _FOOTER, SSTable
 
 
 def make_items(count: int) -> list[tuple[bytes, bytes]]:
@@ -57,25 +56,16 @@ class TestSSTableOpen:
         with pytest.raises(KVStoreError):
             SSTable.open(oss, "b", "t.sst")
 
-
-class TestLegacyBloomBlob:
-    """A table whose footer holds a filter from before the scheme byte
-    (salted per-slot hashes): it must open, and no stored key may read as
-    absent because the filter is now probed with other positions."""
-
-    def test_every_stored_value_is_returned(self, oss):
-        items = make_items(300)
-        SSTable.write(oss, "b", "t.sst", items)
-        downgrade_sstable_bloom(oss, "b", "t.sst")
-        table = SSTable.open(oss, "b", "t.sst")
-        assert table.entry_count == 300
-        assert all(table.get(key) == value for key, value in items)
-        assert table.get_many([key for key, _ in items]) == dict(items)
-        # The saturated filter passes absent keys on to the block probe,
-        # which answers for them.
-        assert table.may_contain(b"key99999")
-        assert table.get(b"key99999") is None
-        assert table.get_many([b"key99999", b"key00007"]) == {b"key00007": b"value7"}
+    def test_a_filter_of_another_scheme_does_not_open(self, oss):
+        """A filter probed with other slot positions would call stored keys
+        absent: a footer blob without the current scheme byte is refused."""
+        SSTable.write(oss, "b", "t.sst", make_items(30))
+        payload = bytearray(oss.get_object("b", "t.sst"))
+        bloom_offset = _FOOTER.unpack(payload[-_FOOTER.size :])[2]
+        payload[bloom_offset] = 0
+        oss.put_object("b", "t.sst", bytes(payload))
+        with pytest.raises(ValueError, match="scheme"):
+            SSTable.open(oss, "b", "t.sst")
 
 
 class TestSSTableAccess:

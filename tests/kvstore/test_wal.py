@@ -13,7 +13,6 @@ from repro.kvstore.wal import (
 )
 from repro.oss import deltalog
 from repro.oss.object_store import ObjectStorageService
-from tests.kvstore.legacy_wal import LegacyWriteAheadLog
 
 BUCKET = "walbucket"
 CHECKPOINT = "wal/teststore/active.wal"
@@ -156,23 +155,6 @@ class TestCheckpointFormat:
             "0100000001000000016131"  # put a=1
             "02000000010000000062"  # delete b
         )
-
-    def test_legacy_mirror_replays_as_a_body_folded_through_zero(self, oss):
-        legacy = LegacyWriteAheadLog(oss, BUCKET, "teststore")
-        legacy.log_put(b"a", b"1")
-        legacy.log_delete(b"a")
-        legacy.log_put(b"b", b"2")
-        expected = [(OP_PUT, b"a", b"1"), (OP_DELETE, b"a", b""), (OP_PUT, b"b", b"2")]
-        survivor, records = reopen(oss)
-        assert records == expected
-        # New records land beside the legacy mirror; the first fold rewrites
-        # it in the current format.
-        survivor.log_put(b"c", b"3")
-        assert reopen(oss)[1] == expected + [(OP_PUT, b"c", b"3")]
-        survivor.fold_if_logged()
-        through, _ = parse_checkpoint(oss.get_object(BUCKET, CHECKPOINT))
-        assert through == 1
-        assert reopen(oss)[1] == expected + [(OP_PUT, b"c", b"3")]
 
     @pytest.mark.parametrize("keep", ["header", "record boundary", "mid record"])
     def test_a_torn_checkpoint_raises(self, wal, oss, keep):

@@ -139,13 +139,34 @@ class TestFsck:
         assert main(["fsck", str(repo)]) == 0
         assert "repository is consistent" in capsys.readouterr().out
 
+    def test_an_unstamped_repository_is_refused(self, tmp_path, rng, capsys):
+        """A catalog whose first record lacks the format stamp: fsck exits 1
+        naming the format, and writes nothing."""
+        import json
+
+        repo = tmp_path / "repo"
+        store = open_repository(repo)
+        store.backup("f", random_bytes(rng, 32 * 1024))
+        store.close()
+        record = repo / "slimstore" / "catalog" / "log" / "000000000000"
+        ops = json.loads(record.read_bytes())
+        assert ops[0][0] == "format"
+        record.write_text(json.dumps(ops[1:]))
+        before = sorted(str(path) for path in repo.rglob("*"))
+
+        assert main(["fsck", str(repo)]) == 1
+        err = capsys.readouterr().err
+        assert "no format stamp" in err and "format 1" in err
+        assert sorted(str(path) for path in repo.rglob("*")) == before
+
     def test_open_intent_fails_without_repair(self, tmp_path, rng, capsys):
         repo = tmp_path / "repo"
         store = open_repository(repo)
         store.backup("f", random_bytes(rng, 32 * 1024))
         # Abandon an intent the way a crashed process would.
         store.storage.journal.begin(
-            "backup", path="g", watermark=store.storage.containers.peek_next_id()
+            "backup", path="g", version=0,
+            watermark=store.storage.containers.peek_next_id(),
         )
 
         assert main(["fsck", str(repo)]) == 1
@@ -160,7 +181,8 @@ class TestFsck:
         store = open_repository(repo)
         store.backup("f", payload)
         store.storage.journal.begin(
-            "backup", path="g", watermark=store.storage.containers.peek_next_id()
+            "backup", path="g", version=0,
+            watermark=store.storage.containers.peek_next_id(),
         )
 
         assert main(["fsck", str(repo), "--repair"]) == 0
@@ -177,7 +199,8 @@ class TestFsck:
         store = open_repository(repo)
         store.backup("f", payload)
         store.storage.journal.begin(
-            "backup", path="g", watermark=store.storage.containers.peek_next_id()
+            "backup", path="g", version=0,
+            watermark=store.storage.containers.peek_next_id(),
         )
 
         # Any non-fsck command attaches with recovery enabled.
